@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -270,6 +271,30 @@ func TestPanicErrorPublicAPI(t *testing.T) {
 	// The session survives the recovered panic.
 	if _, _, err := s.Query("2 * 3"); err != nil {
 		t.Errorf("session dead after recovered panic: %v", err)
+	}
+
+	// The same holds when the panic happens on a parallel tabulation's
+	// worker goroutine, where no session-boundary recover is on the stack:
+	// the fan-out carries it back to the calling goroutine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const fanned = `[[ explode!i | \i < 20000 ]]`
+	_, _, err = s.Query(fanned)
+	if pe = nil; !errors.As(err, &pe) {
+		t.Fatalf("Query, worker panic: expected *PanicError, got %T: %v", err, err)
+	}
+	if !strings.Contains(pe.Error(), "internal invariant violated") || !strings.Contains(pe.Error(), "offset 0") {
+		t.Errorf("worker panic lost its value or offset: %v", pe)
+	}
+	st, err := s.Prepare(fanned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.Exec(context.Background(), nil)
+	if pe = nil; !errors.As(err, &pe) {
+		t.Fatalf("Stmt.Exec, worker panic: expected *PanicError, got %T: %v", err, err)
+	}
+	if v, _, err := s.Query("2 * 3"); err != nil || v.String() != "6" {
+		t.Errorf("session dead after recovered worker panic: %v, %v", v, err)
 	}
 }
 

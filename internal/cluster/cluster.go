@@ -14,13 +14,11 @@
 //     counters. The coordinator takes counters from exactly one winning
 //     attempt per shard; merged totals equal single-node totals no matter
 //     how many attempts failed, raced or were abandoned.
-//   - A ⊥ element poisons the whole tabulation; the first ⊥ in row-major
-//     order wins. Workers report (offset, diagnostic) of their shard's
-//     first ⊥ and the coordinator takes the minimum offset.
-//   - Deterministic evaluation errors carry their row-major offset; the
-//     lowest offset across shards is the error a serial scan hits first.
-//     Resource errors (cancellation, budget trips at the coordinator)
-//     abort the scatter.
+//   - Each shard reports a compile.Partial — its first ⊥ and its
+//     lowest-offset deterministic error — and the coordinator folds them
+//     with Partial.Merge, the rule goroutine workers merge under. Resource
+//     errors (cancellation, budget trips at the coordinator) abort the
+//     scatter.
 //
 // Failure handling: per-shard deadlines with capped exponential backoff
 // retry, hedged re-dispatch of stragglers (first response wins, loser
@@ -180,15 +178,13 @@ type Result struct {
 	Spans *trace.SpanNode
 }
 
-// shardOutcome is one shard's terminal state.
+// shardOutcome is one shard's terminal state. part.Err holds deterministic
+// failures only; resource failures go through abort().
 type shardOutcome struct {
-	span      trace.ShardSpan
-	values    []object.Value
-	bottomOff int64
-	bottom    object.Value
-	counters  eval.Counters
-	err       error // deterministic failure; resource failures go through abort()
-	errOff    int64 // row-major offset of err, or MaxInt64 when unpositioned
+	span     trace.ShardSpan
+	part     compile.Partial
+	values   []object.Value
+	counters eval.Counters
 }
 
 // Execute runs prog — whose normalized source is query, as workers must
@@ -278,25 +274,17 @@ func (c *Coordinator) ExecuteTraced(ctx context.Context, prog *compile.Program, 
 		return nil, abortErr
 	}
 
-	// Merge. Deterministic errors first: the lowest offset is the error a
-	// serial scan hits first (⊥s never stop the scan, so an error wins over
-	// any ⊥ regardless of their relative offsets).
-	var firstErr error
-	firstErrOff := int64(math.MaxInt64)
-	for i := range outs {
-		if outs[i].err != nil && (firstErr == nil || outs[i].errOff < firstErrOff) {
-			firstErr, firstErrOff = outs[i].err, outs[i].errOff
-		}
+	part := outs[0].part
+	for _, o := range outs[1:] {
+		part = part.Merge(o.part)
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if part.Err != nil {
+		return nil, part.Err
 	}
 
 	merged := plan.Counters
 	spans := make([]trace.ShardSpan, nshards)
 	remote, local := 0, 0
-	bottomOff := int64(-1)
-	var bottom object.Value
 	data := make([]object.Value, plan.Size)
 	for i := range outs {
 		o := &outs[i]
@@ -306,17 +294,8 @@ func (c *Coordinator) ExecuteTraced(ctx context.Context, prog *compile.Program, 
 		} else {
 			remote++
 		}
-		merged.Steps += o.counters.Steps
-		merged.Cells += o.counters.Cells
-		merged.Tabs += o.counters.Tabs
-		merged.SetOps += o.counters.SetOps
-		merged.Iters += o.counters.Iters
-		if o.bottomOff >= 0 && (bottomOff < 0 || o.bottomOff < bottomOff) {
-			bottomOff, bottom = o.bottomOff, o.bottom
-		}
-		if o.values != nil {
-			copy(data[o.span.Start:o.span.End], o.values)
-		}
+		merged = merged.Add(o.counters)
+		copy(data[o.part.Lo:o.part.Hi], o.values)
 	}
 	mode := "distributed"
 	switch {
@@ -327,11 +306,7 @@ func (c *Coordinator) ExecuteTraced(ctx context.Context, prog *compile.Program, 
 		c.stats.DegradedTotal.Add(1)
 	}
 	res := &Result{Counters: merged, Mode: mode, Shards: spans}
-	if bottomOff >= 0 {
-		res.Value = bottom
-	} else {
-		res.Value = object.Value{Kind: object.KArray, Shape: plan.Shape, Data: data}
-	}
+	res.Value, _ = part.Result(plan.Shape, data)
 
 	// Stitch the whole-query span tree: scatter root over the plan prologue
 	// and every shard subtree. Only the plan node and each shard's winning
@@ -339,7 +314,7 @@ func (c *Coordinator) ExecuteTraced(ctx context.Context, prog *compile.Program, 
 	// reproduces the merged totals exactly.
 	root := trace.NewSpan(trace.SpanScatter, "coordinator", time.Since(t0))
 	planSpan := trace.NewSpan(trace.SpanPlan, "coordinator", planWall)
-	planSpan.SetCounters(toTraceCounters(plan.Counters)).FinalizeSelf()
+	planSpan.SetCounters(compile.TraceCounters(plan.Counters)).FinalizeSelf()
 	root.Children = append(root.Children, planSpan)
 	for i := range spans {
 		if spans[i].Spans != nil {
@@ -348,12 +323,6 @@ func (c *Coordinator) ExecuteTraced(ctx context.Context, prog *compile.Program, 
 	}
 	res.Spans = root.FinalizeSelf()
 	return res, nil
-}
-
-// toTraceCounters converts engine counters to the trace mirror.
-func toTraceCounters(c eval.Counters) trace.EvalCounters {
-	return trace.EvalCounters{Steps: c.Steps, Cells: c.Cells, Tabulations: c.Tabs,
-		SetOps: c.SetOps, Iterations: c.Iters}
 }
 
 // encodeArgs renders a parameterized execution's argument frame in the
@@ -381,8 +350,10 @@ func encodeArgs(args map[string]object.Value) (map[string]string, error) {
 // and the winning execution's span subtree is stitched under its attempt.
 func (c *Coordinator) runShard(ctx context.Context, abort func(error), prog *compile.Program, query string, opts compile.ExecOpts, encArgs map[string]string, shape []int, shard int, start, end int64, tc trace.TraceContext) shardOutcome {
 	t0 := time.Now()
-	out := shardOutcome{bottomOff: -1, errOff: math.MaxInt64}
-	out.span = trace.ShardSpan{Shard: shard, Start: start, End: end}
+	out := shardOutcome{
+		span: trace.ShardSpan{Shard: shard, Start: start, End: end},
+		part: compile.Partial{Lo: start, Hi: end, BottomOff: -1},
+	}
 	req := exchange.ShardRequest{
 		Query: query, Shape: shape, Start: start, End: end,
 		Shard: shard, MaxSteps: opts.MaxSteps, Args: encArgs,
@@ -408,10 +379,10 @@ func (c *Coordinator) runShard(ctx context.Context, abort func(error), prog *com
 			values, bottomOff, bottom, counters, perr := decodeShard(resp, start, end)
 			if perr == nil {
 				c.breakerFor(winner).onSuccess()
-				out.values, out.bottomOff, out.bottom, out.counters = values, bottomOff, bottom, counters
+				out.values, out.part.BottomOff, out.part.Bottom, out.counters = values, bottomOff, bottom, counters
 				out.span.Worker, out.span.Attempts, out.span.Wall = winner, attempt, time.Since(t0)
 				out.span.QueueWait = time.Duration(resp.QueueWaitNS)
-				out.span.Spans = stitchShard(&out.span, workerSubtree(resp, winner, toTraceCounters(counters)))
+				out.span.Spans = stitchShard(&out.span, workerSubtree(resp, winner, compile.TraceCounters(counters)))
 				c.stats.RemoteShards.Add(1)
 				c.shardLatency.Observe(out.span.Wall, tc.TraceID, time.Now())
 				return out
@@ -429,9 +400,9 @@ func (c *Coordinator) runShard(ctx context.Context, abort func(error), prog *com
 		}
 		if se, ok := derr.(*ShardError); ok && !se.Retryable() {
 			// Deterministic on any worker; propagate with its offset.
-			out.err = se
+			out.part.Err, out.part.ErrOff = se, math.MaxInt64
 			if se.Off >= 0 {
-				out.errOff = se.Off
+				out.part.ErrOff = se.Off
 			}
 			out.span.Worker, out.span.Attempts, out.span.Wall = winner, attempt, time.Since(t0)
 			return out
@@ -462,21 +433,21 @@ func (c *Coordinator) runShard(ctx context.Context, abort func(error), prog *com
 			abort(err)
 			return out
 		}
-		out.err = err
+		out.part.Err, out.part.ErrOff = err, math.MaxInt64
 		var rerr *compile.RangeError
 		if errors.As(err, &rerr) {
-			out.errOff = rerr.Off
+			out.part.ErrOff = rerr.Off
 		}
 		return out
 	}
-	out.values, out.bottomOff, out.bottom, out.counters = res.Values, res.BottomOff, res.Bottom, res.Counters
+	out.part, out.values, out.counters = res.Partial, res.Values, res.Counters
 	lwall := time.Since(lt0)
 	out.span.AttemptSpans = append(out.span.AttemptSpans, trace.AttemptSpan{
 		Attempt: attempt, Worker: "local", Outcome: "won",
 		StartOff: lt0.Sub(t0), Wall: lwall,
 	})
 	local := trace.NewSpan(trace.SpanEval, "local", lwall)
-	local.SetCounters(toTraceCounters(out.counters)).FinalizeSelf()
+	local.SetCounters(compile.TraceCounters(out.counters)).FinalizeSelf()
 	out.span.Spans = stitchShard(&out.span, local)
 	c.shardLatency.Observe(out.span.Wall, tc.TraceID, time.Now())
 	return out
@@ -547,10 +518,7 @@ func convertSpan(s *exchange.Span, node string, depth int, budget *int) *trace.S
 	*budget--
 	n := trace.NewSpan(s.Op, node, time.Duration(s.WallNS))
 	n.WallSelf = time.Duration(s.SelfNS)
-	n.SetCounters(trace.EvalCounters{
-		Steps: s.Eval.Steps, Cells: s.Eval.Cells, Tabulations: s.Eval.Tabulations,
-		SetOps: s.Eval.SetOps, Iterations: s.Eval.Iterations,
-	})
+	n.SetCounters(trace.EvalCounters(s.Eval))
 	for _, ch := range s.Children {
 		if cn := convertSpan(ch, node, depth-1, budget); cn != nil {
 			n.Children = append(n.Children, cn)

@@ -23,16 +23,13 @@
 //     one EvalExpr call over an immutable snapshot of the globals), and
 //     arithmetic/comparison nodes carry a natural-number fast path.
 //   - Tabulations of at least Engine.Threshold cells fan out across
-//     GOMAXPROCS workers (see parallel.go); elements are pure in the index
+//     GOMAXPROCS workers (see tab.go); elements are pure in the index
 //     valuation, which makes the split sound.
 package compile
 
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime"
-	"time"
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/eval"
@@ -125,41 +122,15 @@ func (e *Engine) EvalExpr(ctx context.Context, expr ast.Expr) (object.Value, err
 	c := &compiler{globals: e.Globals, limits: e.Limits, prof: eval.NewSpanPlan(expr, e.profLevel), params: &paramTable{}}
 	code := c.compile(expr)
 
-	m := &machine{
-		limits:    e.Limits,
-		maxSteps:  e.MaxSteps,
-		workers:   e.Workers,
-		threshold: int64(e.Threshold),
-		stepMask:  eval.InterruptInterval - 1,
-	}
-	if e.MaxSteps > 0 || e.Limits.MaxSteps > 0 {
-		m.stepMask = 0
-	}
-	if m.workers <= 0 {
-		m.workers = runtime.GOMAXPROCS(0)
-	}
-	if e.Threshold == 0 {
-		m.threshold = DefaultThreshold
-	}
-	// Depth tracking is serial state on the machine, so a MaxDepth limit
-	// forces serial tabulation; correctness beats parallelism here.
-	if e.Threshold < 0 || e.Limits.MaxDepth > 0 {
-		m.threshold = math.MaxInt64
-	}
-	m.ctx = ctx
-	if e.Limits.Timeout > 0 {
-		m.deadline = time.Now().Add(e.Limits.Timeout)
-	}
-	m.args, m.argOK = c.params.resolve(e.Params)
-	// Clear the interrupt state on the way out, as EvalCtx does: closures
-	// that escape this evaluation capture the machine, and a later call
-	// through them must not observe a stale context or deadline. The
-	// profiling context is cleared for the same reason, after folding the
-	// accumulated span tree (even on error, so partial evaluations report).
+	m := newMachine(ctx, e.Limits, ExecOpts{MaxSteps: e.MaxSteps, Workers: e.Workers, Threshold: e.Threshold, Args: e.Params}, c.params)
+	// Clear the interrupt state on the way out: closures that escape this
+	// evaluation capture the machine, and a later call through them must not
+	// observe a stale context or deadline. The profiling context is cleared
+	// for the same reason, after folding the accumulated span tree (even on
+	// error, so partial evaluations report).
 	m.prof = eval.NewProfCtx(c.prof)
 	defer func() {
-		m.ctx = nil
-		m.deadline = time.Time{}
+		m.clearInterrupt()
 		if m.prof != nil {
 			e.lastSpans = m.prof.Fold()
 			m.prof = nil
@@ -1049,111 +1020,4 @@ func (c *compiler) compileRankUnion(headE ast.Expr, varName, rankVar string, ove
 		}
 		return object.Set(all...), nil
 	}
-}
-
-// compileArrayTab lowers [[ head | i1 < b1, ..., ik < bk ]]. The bounds are
-// evaluated serially; the element loop runs through the serial kernel or,
-// for tabulations of at least machine.threshold cells, the parallel kernel
-// in parallel.go. Cells are charged for the whole array before anything is
-// allocated — the fail-fast path for huge tabulations under a cell budget.
-func (c *compiler) compileArrayTab(n *ast.ArrayTab) compiledExpr {
-	bounds := make([]compiledExpr, len(n.Bounds))
-	for j, b := range n.Bounds {
-		bounds[j] = c.compile(b)
-	}
-	idxSlots := make([]int, len(n.Idx))
-	for j, name := range n.Idx {
-		idxSlots[j] = c.bind(name)
-	}
-	head := c.compile(n.Head)
-	c.unbind(len(n.Idx))
-	// The tabulation's span id is resolved at compile time so the parallel
-	// kernel can attach per-worker ranges and busy times to it.
-	spanID := -1
-	if id, ok := c.prof.ID(n); ok {
-		spanID = id
-	}
-	return func(fr *frame) (object.Value, error) {
-		if err := fr.m.step(); err != nil {
-			return object.Value{}, err
-		}
-		fr.m.tabs.Add(1)
-		shape := make([]int, len(bounds))
-		size := int64(1)
-		for j, b := range bounds {
-			v, err := b(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if v.IsBottom() {
-				return v, nil
-			}
-			m, err := v.AsNat()
-			if err != nil {
-				return object.Value{}, fmt.Errorf("eval: tabulation bound %d: %w", j+1, err)
-			}
-			shape[j] = int(m)
-			if m > 0 && size > math.MaxInt64/m {
-				size = math.MaxInt64 // saturate; the charge below will trip
-			} else {
-				size *= m
-			}
-		}
-		if err := fr.m.chargeCells(size); err != nil {
-			return object.Value{}, err
-		}
-		m := fr.m
-		if size >= m.threshold && size <= math.MaxInt64/2 && m.workers > 1 && !m.inWorker() {
-			return tabulateParallel(fr, shape, int(size), idxSlots, head, spanID)
-		}
-		return tabulateSerial(fr, shape, idxSlots, head)
-	}
-}
-
-// tabulateSerial runs the element loop on the calling goroutine, binding
-// the index variables by slot store and writing results straight into the
-// data slice. The size validation mirrors object.Tabulate's so overflow
-// diagnostics are identical to the interpreter's; a ⊥ element poisons the
-// whole tabulation but does not stop the scan, exactly as there.
-func tabulateSerial(fr *frame, shape []int, idxSlots []int, head compiledExpr) (object.Value, error) {
-	size := 1
-	for _, n := range shape {
-		if n < 0 {
-			return object.Value{}, fmt.Errorf("object: negative dimension length %d", n)
-		}
-		if n > 0 && size > int(^uint(0)>>1)/n {
-			return object.Value{}, fmt.Errorf("object: tabulation shape %v overflows", shape)
-		}
-		size *= n
-	}
-	data := make([]object.Value, size)
-	idx := make([]int, len(shape))
-	var bottom object.Value
-	sawBottom := false
-	slots := fr.slots
-	for off := 0; off < size; off++ {
-		for j, s := range idxSlots {
-			slots[s] = object.Nat(int64(idx[j]))
-		}
-		v, err := head(fr)
-		if err != nil {
-			return object.Value{}, err
-		}
-		if v.IsBottom() && !sawBottom {
-			bottom, sawBottom = v, true
-		}
-		data[off] = v
-		// Advance the multi-index in row-major order.
-		for d := len(shape) - 1; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < shape[d] {
-				break
-			}
-			idx[d] = 0
-		}
-	}
-	if sawBottom {
-		return bottom, nil
-	}
-	return object.Value{Kind: object.KArray, Shape: shape, Data: data}, nil
 }

@@ -160,10 +160,6 @@ func (m *machine) flush() {
 	p.prof.MergeWorker(m.prof)
 }
 
-// inWorker reports whether this machine is a tabulation worker; used to
-// suppress nested parallelism.
-func (m *machine) inWorker() bool { return m.parent != nil }
-
 // counters snapshots the machine's work counters.
 func (m *machine) counters() eval.Counters {
 	return eval.Counters{

@@ -3,6 +3,7 @@ package compile
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/aqldb/aql/internal/ast"
@@ -48,7 +49,7 @@ func engines(globals map[string]object.Value) map[string]eval.Engine {
 // configurations and requires byte-identical values AND exactly equal
 // counters — the parallel kernel's forked worker machines must flush their
 // counts so the join total matches a serial run to the step. Run under
-// -race this also exercises the disjoint-write claim of tabulateParallel.
+// -race this also exercises the disjoint-write claim of the fan-out.
 func TestParallelTabulationParity(t *testing.T) {
 	expr := bigTab(1000, 1000)
 	type outcome struct {
@@ -176,5 +177,58 @@ func TestMaxDepthForcesSerial(t *testing.T) {
 	}
 	if cc, ic := c.Counters(), i.Counters(); cc != ic {
 		t.Errorf("counters differ under MaxDepth: compiled %+v, interp %+v", cc, ic)
+	}
+}
+
+// TestWorkerPanicReraised: a head that panics on a fan-out goroutine does
+// not take the process down. The fan-out captures each worker's panic with
+// its offset and stack and re-raises the lowest-offset one on the calling
+// goroutine, where the session-boundary recovers live. The primitive here
+// panics at offsets 4999, 9999, ...: one per 5000-cell worker chunk.
+func TestWorkerPanicReraised(t *testing.T) {
+	explode := object.Func(func(x object.Value) (object.Value, error) {
+		if x.N%5000 == 4999 {
+			panic("internal invariant violated")
+		}
+		return x, nil
+	})
+	tab := &ast.ArrayTab{
+		Head:   &ast.App{Fn: v("explode"), Arg: v("i")},
+		Idx:    []string{"i"},
+		Bounds: []ast.Expr{nat(20000)},
+	}
+	globals := map[string]object.Value{"explode": explode}
+	ctx := context.Background()
+	p := NewProgram(tab, globals, eval.Limits{})
+	e := New(globals)
+	e.Workers = 4
+
+	for name, run := range map[string]func(){
+		"Execute":      func() { p.Execute(ctx, ExecOpts{Workers: 4}) },
+		"ExecuteRange": func() { p.ExecuteRange(ctx, ExecOpts{Workers: 4}, []int{20000}, 3000, 20000) },
+		"EvalExpr":     func() { e.EvalExpr(ctx, tab) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				wp, ok := r.(*workerPanic)
+				if !ok {
+					t.Fatalf("recovered %T (%v), want *workerPanic", r, r)
+				}
+				if wp.Off != 4999 || wp.Val != "internal invariant violated" {
+					t.Errorf("re-raised panic %q at offset %d, want the one at 4999", wp.Val, wp.Off)
+				}
+				if !strings.Contains(string(wp.Stack), "TestWorkerPanicReraised") {
+					t.Errorf("worker stack does not show the panicking primitive:\n%s", wp.Stack)
+				}
+			}()
+			run()
+		})
+	}
+
+	// The machine's counters were still flushed: every worker ran to its
+	// own panic, so the engine reports the work done up to them.
+	if got := e.Counters().Steps; got < 4*4999 {
+		t.Errorf("steps after worker panics = %d, want at least %d", got, 4*4999)
 	}
 }

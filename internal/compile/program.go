@@ -108,6 +108,12 @@ func (p *Program) ParamNames() []string {
 // for a nil expression.
 func (p *Program) Estimates() *trace.EstNode { return p.est }
 
+// TraceCounters renders c in the trace package's vocabulary; every layer
+// that reports an execution's work to a recorder or a span converts here.
+func TraceCounters(c eval.Counters) trace.EvalCounters {
+	return trace.EvalCounters{Steps: c.Steps, Cells: c.Cells, Tabulations: c.Tabs, SetOps: c.SetOps, Iterations: c.Iters}
+}
+
 // ExecOpts configures one execution of a Program.
 type ExecOpts struct {
 	// Limits bounds this execution's resources. MaxDepth is ignored: the
@@ -144,23 +150,30 @@ func (p *Program) Execute(ctx context.Context, opts ExecOpts) (object.Value, eva
 	return v, m.counters(), err
 }
 
-// newMachine builds the per-execution machine for one Execute-family call,
-// resolving opts against the program's compile-time limits.
+// newMachine builds the machine for one Execute-family call, resolving opts
+// against the program's compile-time limits.
 func (p *Program) newMachine(ctx context.Context, opts ExecOpts) *machine {
 	lim := opts.Limits
 	if lim == (eval.Limits{}) {
 		lim = p.limits
 	}
 	// The depth guard is compiled in; keep the machine's view consistent
-	// with it (a MaxDepth also forces serial tabulation below).
+	// with it.
 	lim.MaxDepth = p.limits.MaxDepth
+	return newMachine(ctx, lim, opts, p.params)
+}
 
+// newMachine builds the per-evaluation machine of either entry point
+// (Engine.EvalExpr, Program.Execute*): lim is the resolved limits, and opts
+// supplies MaxSteps, Workers, Threshold and the argument frame.
+func newMachine(ctx context.Context, lim eval.Limits, opts ExecOpts, pt *paramTable) *machine {
 	m := &machine{
 		limits:    lim,
 		maxSteps:  opts.MaxSteps,
 		workers:   opts.Workers,
 		threshold: int64(opts.Threshold),
 		stepMask:  eval.InterruptInterval - 1,
+		ctx:       ctx,
 	}
 	if opts.MaxSteps > 0 || lim.MaxSteps > 0 {
 		m.stepMask = 0
@@ -171,14 +184,15 @@ func (p *Program) newMachine(ctx context.Context, opts ExecOpts) *machine {
 	if opts.Threshold == 0 {
 		m.threshold = DefaultThreshold
 	}
+	// Depth tracking is serial state on the machine, so a MaxDepth limit
+	// forces serial tabulation; correctness beats parallelism here.
 	if opts.Threshold < 0 || lim.MaxDepth > 0 {
 		m.threshold = math.MaxInt64
 	}
-	m.ctx = ctx
 	if lim.Timeout > 0 {
 		m.deadline = time.Now().Add(lim.Timeout)
 	}
-	m.args, m.argOK = p.params.resolve(opts.Args)
+	m.args, m.argOK = pt.resolve(opts.Args)
 	return m
 }
 

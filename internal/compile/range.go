@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/eval"
@@ -45,19 +43,16 @@ type letCode struct {
 	code compiledExpr
 }
 
-// shardCode is the separately-compiled tabulation pieces behind a
-// range-partitionable Program: the peeled let bindings, the bound
-// expressions, the index slots, and the head closure, sharing one frame
-// layout of maxSlots slots.
+// shardCode is the separately-compiled tabulation behind a
+// range-partitionable Program: the peeled let bindings and the tabulation,
+// sharing one frame layout of maxSlots slots.
 type shardCode struct {
 	lets     []letCode
-	bounds   []compiledExpr
-	idxSlots []int
-	head     compiledExpr
+	tab      *tabCode
 	maxSlots int
 }
 
-// newShardCode compiles the tabulation's pieces with a fresh resolve pass
+// newShardCode compiles the tabulation with a fresh resolve pass
 // (unprofiled, exactly as Programs always are; see Program doc). Let
 // bindings compile in order, each earlier binding in scope for the later
 // ones and for the tabulation itself; the program-wide param table is
@@ -69,16 +64,7 @@ func newShardCode(lets []letBinding, tab *ast.ArrayTab, globals map[string]objec
 		code := c.compile(l.bound)
 		sc.lets = append(sc.lets, letCode{slot: c.bind(l.name), code: code})
 	}
-	sc.bounds = make([]compiledExpr, len(tab.Bounds))
-	for j, b := range tab.Bounds {
-		sc.bounds[j] = c.compile(b)
-	}
-	sc.idxSlots = make([]int, len(tab.Idx))
-	for j, name := range tab.Idx {
-		sc.idxSlots[j] = c.bind(name)
-	}
-	sc.head = c.compile(tab.Head)
-	c.unbind(len(tab.Idx) + len(lets))
+	sc.tab = c.compileTab(tab)
 	sc.maxSlots = c.maxSlots
 	return sc
 }
@@ -93,7 +79,8 @@ func (p *Program) Rangeable() bool { return p.shard != nil }
 // App node's step, the Lam's closure-creation step, then the bound
 // expression, with a ⊥ binding returned as the chain's value (App
 // short-circuits on a ⊥ argument without entering the body).
-func (sc *shardCode) evalLets(m *machine, fr *frame) (object.Value, error) {
+func (sc *shardCode) evalLets(fr *frame) (object.Value, error) {
+	m := fr.m
 	for _, l := range sc.lets {
 		if err := m.step(); err != nil { // the App node
 			return object.Value{}, err
@@ -128,11 +115,9 @@ type ShardPlan struct {
 	Counters eval.Counters
 }
 
-// PlanShards evaluates the tabulation prologue under ctx and opts. It
-// mirrors the compiled tabulation closure exactly — step charge, bounds in
-// order, ⊥ short-circuit, size saturation, the pre-allocation cell charge,
-// and the shape-overflow diagnostic — so a distributed run's merged
-// counters and failure behaviour match a local one's.
+// PlanShards evaluates the let bindings and the tabulation prologue under
+// ctx and opts — the same prologue a local execution runs, so a distributed
+// run's merged counters and failure behaviour match a local one's.
 func (p *Program) PlanShards(ctx context.Context, opts ExecOpts) (*ShardPlan, error) {
 	sc := p.shard
 	if sc == nil {
@@ -141,61 +126,27 @@ func (p *Program) PlanShards(ctx context.Context, opts ExecOpts) (*ShardPlan, er
 	m := p.newMachine(ctx, opts)
 	defer m.clearInterrupt()
 	fr := &frame{m: m, slots: make([]object.Value, sc.maxSlots)}
-	if bot, err := sc.evalLets(m, fr); err != nil {
-		return nil, err
-	} else if bot.IsBottom() {
-		return &ShardPlan{Bottom: bot, Counters: m.counters()}, nil
-	}
-	if err := m.step(); err != nil {
+	bot, err := sc.evalLets(fr)
+	if err != nil {
 		return nil, err
 	}
-	m.tabs.Add(1)
-	shape := make([]int, len(sc.bounds))
-	size := int64(1)
-	for j, b := range sc.bounds {
-		v, err := b(fr)
-		if err != nil {
+	var shape []int
+	var size int
+	if !bot.IsBottom() {
+		if shape, size, bot, err = sc.tab.prologue(fr); err != nil {
 			return nil, err
 		}
-		if v.IsBottom() {
-			return &ShardPlan{Bottom: v, Counters: m.counters()}, nil
-		}
-		n, err := v.AsNat()
-		if err != nil {
-			return nil, fmt.Errorf("eval: tabulation bound %d: %w", j+1, err)
-		}
-		shape[j] = int(n)
-		if n > 0 && size > math.MaxInt64/n {
-			size = math.MaxInt64 // saturate; the charge below will trip
-		} else {
-			size *= n
-		}
 	}
-	if err := m.chargeCells(size); err != nil {
-		return nil, err
-	}
-	// Mirror tabulateSerial's int-width overflow diagnostic for shapes that
-	// survive an unlimited cell budget.
-	isize := 1
-	for _, n := range shape {
-		if n > 0 && isize > int(^uint(0)>>1)/n {
-			return nil, fmt.Errorf("object: tabulation shape %v overflows", shape)
-		}
-		isize *= n
-	}
-	return &ShardPlan{Shape: shape, Size: size, Counters: m.counters()}, nil
+	return &ShardPlan{Shape: shape, Size: int64(size), Bottom: bot, Counters: m.counters()}, nil
 }
 
 // RangeResult is one contiguous row-major slice of a tabulation's elements.
+// A ⊥ element poisons the whole tabulation, but the scan still completes the
+// range, so counters stay execution-order independent.
 type RangeResult struct {
-	// Values holds the end-start elements of the range, in row-major order.
+	Partial
+	// Values holds the Hi-Lo elements of the range, in row-major order.
 	Values []object.Value
-	// BottomOff is the absolute offset of the first ⊥ element within the
-	// range (-1 when none); Bottom is that element. A ⊥ poisons the whole
-	// tabulation, but the scan still completes the range — exactly as the
-	// serial kernel does — so counters stay execution-order independent.
-	BottomOff int64
-	Bottom    object.Value
 	// Counters is the work the range's head evaluations charged.
 	Counters eval.Counters
 }
@@ -217,10 +168,9 @@ func (e *RangeError) Unwrap() error { return e.Err }
 // the given shape, charging exactly the counters a serial scan of those
 // offsets charges. The shape is a parameter — not re-derived from the
 // bounds — so a worker executing a shard does not repeat (or re-count) the
-// coordinator's prologue. Ranges of at least the parallel threshold fan out
-// across local workers with forked counter machines, preserving exact
-// totals and first-⊥/lowest-offset-error determinism exactly as the
-// whole-array kernel does.
+// coordinator's prologue. The range runs through the same kernel as a whole
+// array (tab.go), local fan-out included. A head error is returned as a
+// *RangeError.
 //
 // When the program's shardable core sits under let bindings, each range
 // execution re-establishes them (elements are pure, so the values are
@@ -248,161 +198,27 @@ func (p *Program) ExecuteRange(ctx context.Context, opts ExecOpts, shape []int, 
 	}
 	m := p.newMachine(ctx, opts)
 	defer m.clearInterrupt()
-	proto := make([]object.Value, sc.maxSlots)
-	var base eval.Counters
-	if len(sc.lets) > 0 {
-		lfr := &frame{m: m, slots: proto}
-		bot, err := sc.evalLets(m, lfr)
-		if err != nil {
-			return nil, err
-		}
-		if bot.IsBottom() {
-			// Unreachable under a correct coordinator — PlanShards reports a
-			// ⊥ binding before any shard is dispatched — but report the
-			// poison coherently rather than scanning a meaningless range.
-			data := make([]object.Value, end-start)
-			for i := range data {
-				data[i] = bot
-			}
-			return &RangeResult{Values: data, Bottom: bot, BottomOff: start}, nil
-		}
-		base = m.counters()
-	}
-	n := end - start
-	var res *RangeResult
-	var err error
-	if n >= m.threshold && n <= math.MaxInt64/2 && m.workers > 1 {
-		res, err = rangeParallel(m, sc, shape, start, end, proto)
-	} else {
-		res, err = rangeSerial(m, sc, shape, start, end, proto)
-	}
+	fr := &frame{m: m, slots: make([]object.Value, sc.maxSlots)}
+	bot, err := sc.evalLets(fr)
 	if err != nil {
 		return nil, err
 	}
-	res.Counters = subCounters(res.Counters, base)
+	res := &RangeResult{Values: make([]object.Value, end-start)}
+	if bot.IsBottom() {
+		// Unreachable under a correct coordinator — PlanShards reports a ⊥
+		// binding before any shard is dispatched — but report the poison
+		// coherently rather than scanning a meaningless range.
+		for i := range res.Values {
+			res.Values[i] = bot
+		}
+		res.Partial = Partial{Lo: start, Hi: end, BottomOff: start, Bottom: bot}
+		return res, nil
+	}
+	base := m.counters()
+	res.Partial = sc.tab.run(fr, shape, int(start), int(end), res.Values)
+	if res.Err != nil {
+		return nil, &RangeError{Off: res.ErrOff, Err: res.Err}
+	}
+	res.Counters = m.counters().Sub(base)
 	return res, nil
-}
-
-// subCounters subtracts b fieldwise from a; used to report head-only work
-// for ranges whose let prologue was already counted by PlanShards.
-func subCounters(a, b eval.Counters) eval.Counters {
-	return eval.Counters{
-		Steps:  a.Steps - b.Steps,
-		Cells:  a.Cells - b.Cells,
-		Tabs:   a.Tabs - b.Tabs,
-		SetOps: a.SetOps - b.SetOps,
-		Iters:  a.Iters - b.Iters,
-	}
-}
-
-// rangeSerial scans [start, end) on the calling goroutine. proto is the
-// slot template carrying the let-binding values; it is cloned because head
-// evaluation rebinds loop slots in place.
-func rangeSerial(m *machine, sc *shardCode, shape []int, start, end int64, proto []object.Value) (*RangeResult, error) {
-	slots := make([]object.Value, len(proto))
-	copy(slots, proto)
-	fr := &frame{m: m, slots: slots}
-	data := make([]object.Value, end-start)
-	res := &RangeResult{Values: data, BottomOff: -1}
-	idx := unflatten(int(start), shape)
-	for off := start; off < end; off++ {
-		for j, s := range sc.idxSlots {
-			fr.slots[s] = object.Nat(int64(idx[j]))
-		}
-		v, err := sc.head(fr)
-		if err != nil {
-			res.Counters = m.counters()
-			return nil, &RangeError{Off: off, Err: err}
-		}
-		if v.IsBottom() && res.BottomOff < 0 {
-			res.Bottom, res.BottomOff = v, off
-		}
-		data[off-start] = v
-		advance(idx, shape)
-	}
-	res.Counters = m.counters()
-	return res, nil
-}
-
-// rangeParallel fans [start, end) across local workers, mirroring
-// tabulateParallel: contiguous sub-ranges, forked machines flushed at join
-// (so counters equal a serial scan's), lowest-offset error and first-⊥
-// determinism, and early exit only for resource errors.
-func rangeParallel(m *machine, sc *shardCode, shape []int, start, end int64, proto []object.Value) (*RangeResult, error) {
-	size := int(end - start)
-	nw := m.workers
-	if max := (size + minChunk - 1) / minChunk; nw > max {
-		nw = max
-	}
-	chunk := (size + nw - 1) / nw
-
-	type workerResult struct {
-		err       error
-		errOff    int64
-		bottom    object.Value
-		bottomOff int64
-	}
-	results := make([]workerResult, nw)
-	data := make([]object.Value, size)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		lo := start + int64(w*chunk)
-		hi := lo + int64(chunk)
-		if hi > end {
-			hi = end
-		}
-		res := &results[w]
-		res.errOff, res.bottomOff = -1, -1
-		if lo >= hi {
-			continue
-		}
-		wm := m.fork()
-		wg.Add(1)
-		go func(lo, hi int64, res *workerResult, wm *machine) {
-			defer wg.Done()
-			slots := make([]object.Value, len(proto))
-			copy(slots, proto)
-			wfr := &frame{m: wm, slots: slots}
-			defer wm.flush()
-			idx := unflatten(int(lo), shape)
-			for off := lo; off < hi; off++ {
-				if failed.Load() {
-					return
-				}
-				for j, s := range sc.idxSlots {
-					wfr.slots[s] = object.Nat(int64(idx[j]))
-				}
-				v, err := sc.head(wfr)
-				if err != nil {
-					res.err, res.errOff = err, off
-					if isResourceErr(err) {
-						failed.Store(true)
-					}
-					return
-				}
-				if v.IsBottom() && res.bottomOff < 0 {
-					res.bottom, res.bottomOff = v, off
-				}
-				data[off-start] = v
-				advance(idx, shape)
-			}
-		}(lo, hi, res, wm)
-	}
-	wg.Wait()
-
-	// Workers cover disjoint ascending sub-ranges, so the first hit wins.
-	for i := range results {
-		if results[i].err != nil {
-			return nil, &RangeError{Off: results[i].errOff, Err: results[i].err}
-		}
-	}
-	out := &RangeResult{Values: data, BottomOff: -1, Counters: m.counters()}
-	for i := range results {
-		if results[i].bottomOff >= 0 {
-			out.Bottom, out.BottomOff = results[i].bottom, results[i].bottomOff
-			break
-		}
-	}
-	return out, nil
 }

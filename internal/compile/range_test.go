@@ -3,6 +3,8 @@ package compile
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/aqldb/aql/internal/ast"
@@ -99,11 +101,7 @@ func TestRangeDifferential(t *testing.T) {
 					t.Fatalf("unexpected ⊥ at offset %d", res.BottomOff)
 				}
 				copy(data[rg[0]:rg[1]], res.Values)
-				merged.Steps += res.Counters.Steps
-				merged.Cells += res.Counters.Cells
-				merged.Tabs += res.Counters.Tabs
-				merged.SetOps += res.Counters.SetOps
-				merged.Iters += res.Counters.Iters
+				merged = merged.Add(res.Counters)
 			}
 			got := object.Value{Kind: object.KArray, Shape: plan.Shape, Data: data}
 			if !object.Equal(got, wantVal) {
@@ -117,9 +115,8 @@ func TestRangeDifferential(t *testing.T) {
 }
 
 // TestRangeFirstBottom: per-offset ⊥ payloads (out-of-bounds subscripts)
-// surface in each shard as (BottomOff, Bottom); the minimum offset across
-// shards must be the ⊥ a serial whole-program run returns, with an
-// identical diagnostic.
+// surface in each shard's Partial; merged, they must give the ⊥ a serial
+// whole-program run returns, with an identical diagnostic.
 func TestRangeFirstBottom(t *testing.T) {
 	const valid, total = 40, 100
 	data := make([]object.Value, valid)
@@ -148,8 +145,7 @@ func TestRangeFirstBottom(t *testing.T) {
 		t.Fatalf("PlanShards: %v", err)
 	}
 	merged := plan.Counters
-	bestOff := int64(-1)
-	var best object.Value
+	best := Partial{Lo: plan.Size, BottomOff: -1}
 	// Scan shards out of order to prove merge order doesn't matter.
 	ranges := splitRange(plan.Size, 4)
 	for i := len(ranges) - 1; i >= 0; i-- {
@@ -158,20 +154,17 @@ func TestRangeFirstBottom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ExecuteRange [%d,%d): %v", rg[0], rg[1], err)
 		}
-		if res.BottomOff >= 0 && (bestOff < 0 || res.BottomOff < bestOff) {
-			bestOff, best = res.BottomOff, res.Bottom
-		}
-		merged.Steps += res.Counters.Steps
-		merged.Cells += res.Counters.Cells
-		merged.Tabs += res.Counters.Tabs
-		merged.SetOps += res.Counters.SetOps
-		merged.Iters += res.Counters.Iters
+		best = best.Merge(res.Partial)
+		merged = merged.Add(res.Counters)
 	}
-	if bestOff != valid {
-		t.Fatalf("first ⊥ offset = %d, want %d", bestOff, valid)
+	if best.Lo != 0 || best.Hi != plan.Size {
+		t.Fatalf("merged range = [%d, %d), want [0, %d)", best.Lo, best.Hi, plan.Size)
 	}
-	if best.String() != want.String() {
-		t.Errorf("merged ⊥ = %s, want %s", best, want)
+	if best.BottomOff != valid {
+		t.Fatalf("first ⊥ offset = %d, want %d", best.BottomOff, valid)
+	}
+	if best.Bottom.String() != want.String() {
+		t.Errorf("merged ⊥ = %s, want %s", best.Bottom, want)
 	}
 	if merged != wantCounters {
 		t.Errorf("merged counters = %+v, want %+v", merged, wantCounters)
@@ -284,4 +277,138 @@ func TestExecuteRangeValidation(t *testing.T) {
 	if _, err := q.ExecuteRange(ctx, ExecOpts{}, []int{1}, 0, 1); err == nil {
 		t.Error("ExecuteRange on non-rangeable program succeeded")
 	}
+}
+
+// FuzzRangeSplitMerge: however [0, n) is cut into contiguous pieces, whether
+// a piece scans serially or fans out, and however the pieces' Partials are
+// grouped under Merge, the outcome is Program.Execute's — value, ⊥
+// diagnostic, error text and all five counters (plan counters plus the
+// pieces' sum). The tabulation is [[ A[K[(i,j)]] + s | i < r, j < c ]] with
+// seeded out-of-bounds entries in K (per-offset ⊥ diagnostics) and
+// non-numeric entries in A (deterministic head errors of two kinds).
+func FuzzRangeSplitMerge(f *testing.F) {
+	f.Add(int64(1), uint8(7), uint8(9), uint8(3), uint8(0))     // clean
+	f.Add(int64(2), uint8(40), uint8(25), uint8(5), uint8(1))   // ⊥s
+	f.Add(int64(3), uint8(40), uint8(25), uint8(6), uint8(2))   // one error
+	f.Add(int64(4), uint8(95), uint8(95), uint8(4), uint8(3))   // ⊥s and an error, 4-worker fan-out
+	f.Add(int64(5), uint8(95), uint8(95), uint8(9), uint8(7))   // ⊥s and both errors, under a let
+	f.Add(int64(6), uint8(0), uint8(0), uint8(0), uint8(3))     // one cell
+	f.Add(int64(7), uint8(60), uint8(70), uint8(200), uint8(5)) // many cuts, ⊥s, under a let
+	f.Fuzz(func(t *testing.T, seed int64, rows, cols, ncuts, flags uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		r, c := int64(rows%96)+1, int64(cols%96)+1
+		n := r * c
+		keys := make([]object.Value, n)
+		elems := make([]object.Value, n)
+		for i := range keys {
+			keys[i] = object.Nat(int64(i))
+			elems[i] = object.Nat(int64(i) * 3 % 17)
+			if flags&1 != 0 && rng.Intn(32) == 0 {
+				keys[i] = object.Nat(n + int64(i))
+			}
+		}
+		if flags&2 != 0 {
+			elems[rng.Int63n(n)] = object.Bool(true)
+		}
+		if flags&4 != 0 && flags&2 != 0 {
+			elems[rng.Int63n(n)] = object.String_("x")
+		}
+		K, err := object.Array([]int{int(r), int(c)}, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		globals := map[string]object.Value{"A": object.Vector(elems...), "K": K}
+		var expr ast.Expr = &ast.ArrayTab{
+			Head: &ast.Arith{Op: ast.OpAdd,
+				L: &ast.Subscript{Arr: v("A"), Index: &ast.Subscript{Arr: v("K"), Index: &ast.Tuple{Elems: []ast.Expr{v("i"), v("j")}}}},
+				R: v("s")},
+			Idx:    []string{"i", "j"},
+			Bounds: []ast.Expr{nat(r), nat(c)},
+		}
+		if flags&4 != 0 {
+			expr = &ast.App{Fn: &ast.Lam{Param: "s", Body: expr}, Arg: nat(1)}
+		} else {
+			globals["s"] = object.Nat(1)
+		}
+		ctx := context.Background()
+		p := NewProgram(expr, globals, eval.Limits{})
+		serial, fanned := ExecOpts{Threshold: -1}, ExecOpts{Threshold: 1, Workers: 4}
+
+		want, wantCounters, wantErr := p.Execute(ctx, serial)
+		check := func(label string, got object.Value, counters eval.Counters, err error) {
+			t.Helper()
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%s: err = %v, want %v", label, err, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			if got.String() != want.String() {
+				t.Fatalf("%s: value differs from serial Execute's (⊥: %v vs %v)", label, got.IsBottom(), want.IsBottom())
+			}
+			if counters != wantCounters {
+				t.Fatalf("%s: counters = %+v, want %+v", label, counters, wantCounters)
+			}
+		}
+		t.Logf("n=%d pieces=%d reference: ⊥=%v err=%v", n, int(ncuts)+1, want.IsBottom(), wantErr)
+		v4, c4, err4 := p.Execute(ctx, fanned)
+		check("fanned Execute", v4, c4, err4)
+
+		cuts := []int64{0, n}
+		for i := 0; i < int(ncuts); i++ {
+			cuts = append(cuts, rng.Int63n(n+1))
+		}
+		sort.Slice(cuts, func(a, b int) bool { return cuts[a] < cuts[b] })
+		plan, err := p.PlanShards(ctx, serial)
+		if err != nil {
+			t.Fatalf("PlanShards: %v", err)
+		}
+		counters := plan.Counters
+		data := make([]object.Value, n)
+		parts := make([]Partial, len(cuts)-1)
+		for i := range parts {
+			lo, hi := cuts[i], cuts[i+1]
+			opts := serial
+			if rng.Intn(2) == 0 {
+				opts = fanned
+			}
+			res, err := p.ExecuteRange(ctx, opts, plan.Shape, lo, hi)
+			var re *RangeError
+			switch {
+			case errors.As(err, &re):
+				parts[i] = Partial{Lo: lo, Hi: hi, BottomOff: -1, ErrOff: re.Off, Err: re.Err}
+			case err != nil:
+				t.Fatalf("ExecuteRange [%d,%d): %v", lo, hi, err)
+			default:
+				parts[i] = res.Partial
+				copy(data[lo:hi], res.Values)
+				counters = counters.Add(res.Counters)
+			}
+		}
+
+		left, right := parts[0], parts[len(parts)-1]
+		for i := 1; i < len(parts); i++ {
+			left = left.Merge(parts[i])
+			right = parts[len(parts)-1-i].Merge(right)
+		}
+		var tree func(ps []Partial) Partial
+		tree = func(ps []Partial) Partial {
+			if len(ps) == 1 {
+				return ps[0]
+			}
+			return tree(ps[:len(ps)/2]).Merge(tree(ps[len(ps)/2:]))
+		}
+		perm := rng.Perm(len(parts))
+		shuffled := parts[perm[0]]
+		for _, i := range perm[1:] {
+			shuffled = shuffled.Merge(parts[i])
+		}
+		for label, m := range map[string]Partial{"left fold": left, "right fold": right, "tree": tree(parts), "shuffled": shuffled} {
+			if m.Lo != 0 || m.Hi != n {
+				t.Fatalf("%s: merged range = [%d, %d), want [0, %d)", label, m.Lo, m.Hi, n)
+			}
+			got, err := m.Result(plan.Shape, data)
+			check(label, got, counters, err)
+		}
+	})
 }

@@ -20,6 +20,18 @@ type Counters struct {
 	Iters  int64
 }
 
+// Add returns the fieldwise sum c + o: disjoint pieces of one evaluation
+// (a plan prologue and its shards) add up to the whole.
+func (c Counters) Add(o Counters) Counters {
+	return Counters{c.Steps + o.Steps, c.Cells + o.Cells, c.Tabs + o.Tabs, c.SetOps + o.SetOps, c.Iters + o.Iters}
+}
+
+// Sub returns the fieldwise difference c - o: the work charged since the
+// snapshot o.
+func (c Counters) Sub(o Counters) Counters {
+	return Counters{c.Steps - o.Steps, c.Cells - o.Cells, c.Tabs - o.Tabs, c.SetOps - o.SetOps, c.Iters - o.Iters}
+}
+
 // Engine executes core-calculus expressions. Two implementations exist: the
 // reference tree-walking interpreter in this package (*Evaluator) and the
 // compiled engine in internal/compile, which lowers the AST to slot-resolved

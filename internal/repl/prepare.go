@@ -209,13 +209,7 @@ func (p *Prepared) execGuarded(ctx context.Context, core ast.Expr, prog *compile
 		s.LastSteps = cnt.Steps
 		s.LastCells = cnt.Cells
 		sp.End()
-		s.Trace.RecordEval(trace.EvalCounters{
-			Steps:       cnt.Steps,
-			Cells:       cnt.Cells,
-			Tabulations: cnt.Tabs,
-			SetOps:      cnt.SetOps,
-			Iterations:  cnt.Iters,
-		})
+		s.Trace.RecordEval(compile.TraceCounters(cnt))
 		if r := recover(); r != nil {
 			v = object.Value{}
 			err = &PanicError{Src: p.Text, Val: r, Stack: debug.Stack()}

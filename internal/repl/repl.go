@@ -308,13 +308,7 @@ func (s *Session) evalGuarded(ctx context.Context, core ast.Expr, src string) (v
 		// Work counters are reported even for aborted or panicking
 		// queries — exactly like LastSteps/LastCells.
 		s.Trace.RecordEngine(eng.Name())
-		s.Trace.RecordEval(trace.EvalCounters{
-			Steps:       c.Steps,
-			Cells:       c.Cells,
-			Tabulations: c.Tabs,
-			SetOps:      c.SetOps,
-			Iterations:  c.Iters,
-		})
+		s.Trace.RecordEval(compile.TraceCounters(c))
 		io := TileIOCounters(tiles.Snapshot())
 		io.Add(s.io.fileDelta())
 		s.Trace.RecordIO(io)

@@ -346,13 +346,7 @@ func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext,
 	rec.RecordEngine("compiled")
 	rec.RecordMode(mode)
 	rec.RecordShards(shards)
-	tcnt := trace.EvalCounters{
-		Steps:       counters.Steps,
-		Cells:       counters.Cells,
-		Tabulations: counters.Tabs,
-		SetOps:      counters.SetOps,
-		Iterations:  counters.Iters,
-	}
+	tcnt := compile.TraceCounters(counters)
 	rec.RecordEval(tcnt)
 	io := repl.TileIOCounters(tiles.Snapshot())
 	io.Add(s.sess.IOFileDelta())

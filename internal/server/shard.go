@@ -100,14 +100,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	res, err := executeRangeGuarded(ctx, p.prog, opts, req.Shape, req.Start, req.End, norm)
 	sp.End()
 	rec.RecordEngine("compiled")
+	var tcnt trace.EvalCounters
 	if res != nil {
-		rec.RecordEval(trace.EvalCounters{
-			Steps:       res.Counters.Steps,
-			Cells:       res.Counters.Cells,
-			Tabulations: res.Counters.Tabs,
-			SetOps:      res.Counters.SetOps,
-			Iterations:  res.Counters.Iters,
-		})
+		tcnt = compile.TraceCounters(res.Counters)
+		rec.RecordEval(tcnt)
 	}
 	rep := rec.End(err)
 	if err != nil {
@@ -121,13 +117,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cnt := exchange.ShardCounters{
-		Steps:       res.Counters.Steps,
-		Cells:       res.Counters.Cells,
-		Tabulations: res.Counters.Tabs,
-		SetOps:      res.Counters.SetOps,
-		Iterations:  res.Counters.Iters,
-	}
+	cnt := exchange.ShardCounters(tcnt)
 	resp := exchange.ShardResponse{
 		ID:          id,
 		Cached:      hit,

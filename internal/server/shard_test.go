@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/aqldb/aql/internal/exchange"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/types"
 )
 
 // postShard fires one /shard request; a non-2xx status returns the decoded
@@ -166,5 +168,34 @@ func TestShardBudget(t *testing.T) {
 	req.MaxSteps = 0
 	if _, status, er := postShard(t, ts, req); er != nil {
 		t.Fatalf("unbudgeted shard failed: status %d %+v", status, er)
+	}
+}
+
+// TestShardWorkerPanic: a head that panics on one of the range's local
+// fan-out goroutines — where no handler-level recover is on the stack — is
+// answered with the typed 500 panic envelope, and the worker keeps serving.
+func TestShardWorkerPanic(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 4})
+	natToNat, err := types.Parse("nat -> nat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	explode := func(object.Value) (object.Value, error) { panic("internal invariant violated") }
+	if err := s.sess.Env.RegisterPrimitive("explode", explode, natToNat); err != nil {
+		t.Fatal(err)
+	}
+	_, status, er := postShard(t, ts, exchange.ShardRequest{
+		Query: `[[ explode!i | \i < 20000 ]]`, Shape: []int{20000}, Start: 0, End: 20000,
+	})
+	if status != http.StatusInternalServerError || er == nil || er.Error.Kind != "panic" {
+		t.Fatalf("status %d, envelope %+v; want 500 with kind panic", status, er)
+	}
+	if !strings.Contains(er.Error.Message, "internal invariant violated") {
+		t.Errorf("panic message lost: %q", er.Error.Message)
+	}
+	if _, status, er := postShard(t, ts, exchange.ShardRequest{
+		Query: `[[ i * i | \i < 20 ]]`, Shape: []int{20}, Start: 5, End: 12,
+	}); er != nil {
+		t.Fatalf("worker dead after recovered panic: status %d %+v", status, er)
 	}
 }
