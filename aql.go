@@ -315,11 +315,6 @@ func (s *Session) SetTileConfig(tileCells int, budget int64) {
 	s.s.SetTileConfig(tileCells, budget, false)
 }
 
-// SetLazyReads selects lazy (tiled, on-demand) NetCDF reads, the default;
-// false restores eager whole-slab materialization. Both modes produce
-// byte-identical values.
-func (s *Session) SetLazyReads(lazy bool) { s.s.SetLazyReads(lazy) }
-
 // Close releases the session's out-of-core resources: open NetCDF handles,
 // the tile cache, and the spill file. Lazy values bound by the session must
 // not be read afterwards.

@@ -373,6 +373,9 @@ func TestBenchWorkloadsAgree(t *testing.T) {
 
 // --- E17: predictive caching for external arrays (section 7 future work) ----------
 
+// BenchmarkE17CachedNetCDF reads maximally strided columns (one cell per
+// row) of a 4000x50 variable: directly with ReadSlab, and subscripted out of
+// the tile-cache-backed lazy array a session's readval binds.
 func BenchmarkE17CachedNetCDF(b *testing.B) {
 	dir := b.TempDir()
 	path := filepath.Join(dir, "cache.nc")
@@ -389,9 +392,13 @@ func BenchmarkE17CachedNetCDF(b *testing.B) {
 	if err := nb.WriteFile(path); err != nil {
 		b.Fatal(err)
 	}
-	// A maximally strided read: one column across all rows.
-	colRead := func(b *testing.B, f *netcdf.File) {
-		b.Helper()
+	b.Run("direct", func(b *testing.B) {
+		f, err := netcdf.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer f.Close()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			slab, err := f.ReadSlab("temp", []int{0, i % 50}, []int{4000, 1})
 			if err != nil {
@@ -401,24 +408,22 @@ func BenchmarkE17CachedNetCDF(b *testing.B) {
 				b.Fatal("bad slab")
 			}
 		}
-	}
-	b.Run("uncached", func(b *testing.B) {
-		f, err := netcdf.Open(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		b.ResetTimer()
-		colRead(b, f)
 	})
-	b.Run("cached", func(b *testing.B) {
-		f, err := netcdf.OpenCached(path, 1<<16, 64)
-		if err != nil {
+	b.Run("tiled", func(b *testing.B) {
+		s := bench.MustSession()
+		defer s.Close()
+		if _, err := s.Exec(fmt.Sprintf(`readval \T using NETCDF at (%q, "temp");`, path)); err != nil {
 			b.Fatal(err)
 		}
-		defer f.Close()
+		v, _ := s.Env.Val("T")
 		b.ResetTimer()
-		colRead(b, f)
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < 4000; r++ {
+				if _, err := v.CellAtCtx(context.Background(), r*50+i%50); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	})
 }
 

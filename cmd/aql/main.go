@@ -67,7 +67,6 @@ func main() {
 	profLevel := flag.String("proflevel", "sampled", "operator profiling level: off, sampled, or full")
 	tileCells := flag.Int("tilesize", 0, "out-of-core tile size in cells (0 = default 4096)")
 	tileBudget := flag.Int64("tilebudget", 0, "out-of-core tile cache budget in bytes (0 = default 64 MiB)")
-	eagerReads := flag.Bool("eagerreads", false, "materialize NetCDF reads eagerly instead of lazily tiling them")
 	flag.Parse()
 
 	s, err := aql.NewSession()
@@ -78,9 +77,6 @@ func main() {
 	defer s.Close()
 	if *tileCells > 0 || *tileBudget > 0 {
 		s.SetTileConfig(*tileCells, *tileBudget)
-	}
-	if *eagerReads {
-		s.SetLazyReads(false)
 	}
 	if err := s.SetEngine(*engine); err != nil {
 		fmt.Fprintln(os.Stderr, "aql:", err)

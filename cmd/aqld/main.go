@@ -102,7 +102,6 @@ func run() error {
 	qerrThreshold := flag.Float64("qerror-threshold", 0, "q-error above which a per-operator estimate counts as a misestimate (0 = default 2.0)")
 	tileCells := flag.Int("tilesize", 0, "out-of-core tile size in cells (0 = default 4096)")
 	tileBudget := flag.Int64("tilebudget", 0, "out-of-core tile cache budget in bytes (0 = default 64 MiB)")
-	eagerReads := flag.Bool("eagerreads", false, "materialize NetCDF reads eagerly instead of lazily tiling them")
 	flag.Parse()
 
 	sess, err := repl.New()
@@ -112,9 +111,6 @@ func run() error {
 	defer sess.Close()
 	if *tileCells > 0 || *tileBudget > 0 {
 		sess.SetTileConfig(*tileCells, *tileBudget, false)
-	}
-	if *eagerReads {
-		sess.SetLazyReads(false)
 	}
 	if *initFile != "" {
 		src, err := os.ReadFile(*initFile)

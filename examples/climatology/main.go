@@ -1,6 +1,6 @@
 // The climatology example is the capstone workload: a year of daily
-// gridded temperatures in a NetCDF file, read through the predictive block
-// cache (section 7 future work #1), indexed by physical latitude
+// gridded temperatures in a NetCDF file, read lazily through the session's
+// tile cache (section 7 future work #1), indexed by physical latitude
 // coordinates (future work #2), and reduced with AQL group-by queries —
 // monthly means via the index construct's implicit grouping (section 2).
 package main
@@ -31,9 +31,9 @@ func main() {
 	writeClimate(path)
 	fmt.Printf("wrote %d days x %d latitudes of daily means to %s\n\n", days, len(latValues), path)
 
-	// Open through the block cache; the latitude axis comes from the
-	// file's own coordinate variable (the NetCDF convention).
-	f, err := netcdf.OpenCached(path, 1<<15, 32)
+	// The latitude axis comes from the file's own coordinate variable (the
+	// NetCDF convention).
+	f, err := netcdf.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,13 +104,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ntropical (±20°) annual mean: %.1f°F\n", v3.R)
-
-	fmt.Printf("\ncache stats after the workload: %+v\n", f.Cache.Stats)
-	total := f.Cache.Stats.Hits + f.Cache.Stats.Misses
-	if total > 0 {
-		fmt.Printf("(%.1f%% of block accesses served from the cache)\n",
-			float64(f.Cache.Stats.Hits)/float64(total)*100)
-	}
 }
 
 // writeClimate synthesizes a year of daily mean temperatures over a

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -266,6 +267,16 @@ func (c *Coordinator) ExecuteTraced(ctx context.Context, prog *compile.Program, 
 		wg.Add(1)
 		go func(i int, start, end int64) {
 			defer wg.Done()
+			// A head that panics on a worker is answered with a retryable
+			// 500, so it ends up here in local fallback with no recover on
+			// the stack. It becomes the shard's error, placed at the shard's
+			// first offset and typed as a worker's panic envelope would be.
+			defer func() {
+				if r := recover(); r != nil {
+					outs[i].part = compile.Partial{Lo: start, Hi: end, BottomOff: -1, ErrOff: start, Err: &ShardError{
+						Worker: "local", Status: http.StatusInternalServerError, Kind: "panic", Message: fmt.Sprint(r), Off: start}}
+				}
+			}()
 			outs[i] = c.runShard(sctx, abort, prog, query, opts, encArgs, plan.Shape, i, start, end, tc)
 		}(i, start, end)
 	}

@@ -18,8 +18,10 @@ import (
 
 	"github.com/aqldb/aql/internal/cluster"
 	"github.com/aqldb/aql/internal/eval"
+	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/repl"
 	"github.com/aqldb/aql/internal/server"
+	"github.com/aqldb/aql/internal/types"
 )
 
 // tabQuery is a parallel-eligible pure tabulation: no globals, so every
@@ -224,6 +226,48 @@ func TestAllWorkersDownDegradesToLocal(t *testing.T) {
 	buf.ReadFrom(resp.Body)
 	if !strings.Contains(buf.String(), `aqld_cluster_events_total{event="degraded"} 1`) {
 		t.Error("metrics missing degraded counter")
+	}
+}
+
+// TestLocalFallbackPanic: a registered primitive that panics, with every
+// worker down, runs on the coordinator's own shard goroutines, where no
+// handler-level recover is on the stack. The query fails with the typed 500
+// panic envelope and the coordinator keeps serving.
+func TestLocalFallbackPanic(t *testing.T) {
+	chaos := &cluster.ChaosTransport{Inner: &cluster.HTTPTransport{}}
+	chaos.SetDown("http://w1.invalid", true)
+	chaos.SetDown("http://w2.invalid", true)
+	cfg := fastCfg(chaos, "http://w1.invalid", "http://w2.invalid")
+	cfg.MaxAttempts = 2
+
+	sess, err := repl.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	natToNat, err := types.Parse("nat -> nat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	explode := func(object.Value) (object.Value, error) { panic("internal invariant violated") }
+	if err := sess.Env.RegisterPrimitive("explode", explode, natToNat); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(sess, server.Config{Coordinator: cluster.New(cfg)}))
+	t.Cleanup(ts.Close)
+
+	_, status, er := postQuery(t, ts, `[[ explode!i | \i < 5000 ]]`)
+	if status != http.StatusInternalServerError || er == nil || er.Error.Kind != "panic" {
+		t.Fatalf("status %d, envelope %+v; want 500 with kind panic", status, er)
+	}
+	if !strings.Contains(er.Error.Message, "internal invariant violated") {
+		t.Errorf("panic message lost: %q", er.Error.Message)
+	}
+	got, _, er := postQuery(t, ts, tabQuery)
+	if er != nil {
+		t.Fatalf("coordinator dead after recovered panic: %+v", er)
+	}
+	if got.Mode != "degraded:local" {
+		t.Errorf("mode = %q, want degraded:local", got.Mode)
 	}
 }
 

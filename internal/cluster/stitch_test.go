@@ -8,6 +8,7 @@
 package cluster_test
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"github.com/aqldb/aql/internal/cluster"
+	"github.com/aqldb/aql/internal/exchange"
 	"github.com/aqldb/aql/internal/trace"
 )
 
@@ -42,6 +44,27 @@ func coordReport(t *testing.T, url string) *trace.QueryReport {
 	return nil
 }
 
+// stragglerTransport stalls a shard's dispatches to one named worker, so
+// with hedging on that shard's winning attempt is pinned to the other
+// worker, whichever the coordinator's racy round-robin picked first.
+type stragglerTransport struct {
+	cluster.Transport
+	slow map[int]string // shard -> the worker that stalls for it
+}
+
+func (s stragglerTransport) Shard(ctx context.Context, worker string, req *exchange.ShardRequest) (*exchange.ShardResponse, error) {
+	if s.slow[req.Shard] == worker {
+		t := time.NewTimer(2 * time.Second)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return s.Transport.Shard(ctx, worker, req)
+}
+
 // TestStitchedTraceTwoWorkers: a chaos schedule that forces a retry on one
 // shard and a hedge on another still yields one stitched span tree with
 // exact counter sums, at least two live worker subtrees, and the hedge
@@ -53,7 +76,10 @@ func TestStitchedTraceTwoWorkers(t *testing.T) {
 	chaos := &cluster.ChaosTransport{Inner: &cluster.HTTPTransport{}}
 	chaos.Fail(0, 0, cluster.ChaosFault{Kind: cluster.FaultErr})                           // shard 0 retries
 	chaos.Fail(1, 0, cluster.ChaosFault{Kind: cluster.FaultDelay, Delay: 2 * time.Second}) // shard 1 hedges
-	cfg := fastCfg(chaos, w1.URL, w2.URL)
+	// Shards 2 and 3 win on w1 and w2 respectively: two distinct worker
+	// nodes in the tree however the four shards' picks interleave.
+	pinned := stragglerTransport{Transport: chaos, slow: map[int]string{2: w2.URL, 3: w1.URL}}
+	cfg := fastCfg(pinned, w1.URL, w2.URL)
 	cfg.HedgeAfter = 20 * time.Millisecond
 	coord := cluster.New(cfg)
 	ts := newCoordServer(t, coord)

@@ -4,21 +4,14 @@ import "io"
 
 // IOStats aggregates the I/O behaviour of one File: what the slab reader
 // asked for, and what the reader-wrapper stack underneath it did to serve
-// those requests. It is the observability surface PR 1 left buried — cache
-// statistics were only reachable by holding the concrete *CachedReaderAt,
-// and retry counts by holding the *RetryingReaderAt.
+// those requests.
 type IOStats struct {
-	// SlabReads counts hyperslab requests served (ReadSlab / ReadAll /
-	// scalar reads).
+	// SlabReads counts non-empty hyperslab range reads served (ReadSlab /
+	// ReadAll / Hyperslab.ReadRange).
 	SlabReads int64
 	// BytesRead counts external data bytes delivered to slab decoding
 	// (header parsing is not counted).
 	BytesRead int64
-	// CacheHits, CacheMisses and Prefetches report block-cache behaviour
-	// when a CachedReaderAt is in the reader stack.
-	CacheHits   int64
-	CacheMisses int64
-	Prefetches  int64
 	// Retries counts transient-failure re-reads by any RetryingReaderAt
 	// in the stack.
 	Retries int64
@@ -31,22 +24,16 @@ type IOStats struct {
 func (s *IOStats) Add(other IOStats) {
 	s.SlabReads += other.SlabReads
 	s.BytesRead += other.BytesRead
-	s.CacheHits += other.CacheHits
-	s.CacheMisses += other.CacheMisses
-	s.Prefetches += other.Prefetches
 	s.Retries += other.Retries
 	s.Faults += other.Faults
 }
 
 // unwrapper is implemented by the reader wrappers of this package so
-// IOStats can walk an arbitrarily layered stack (e.g. retrying over cached
-// over faulty over file).
+// IOStats can walk an arbitrarily layered stack (e.g. retrying over faulty
+// over file).
 type unwrapper interface {
 	Underlying() io.ReaderAt
 }
-
-// Underlying returns the reader the cache wraps.
-func (c *CachedReaderAt) Underlying() io.ReaderAt { return c.r }
 
 // Underlying returns the reader the retry layer wraps.
 func (r *RetryingReaderAt) Underlying() io.ReaderAt { return r.r }
@@ -55,7 +42,7 @@ func (r *RetryingReaderAt) Underlying() io.ReaderAt { return r.r }
 func (f *FaultyReaderAt) Underlying() io.ReaderAt { return f.r }
 
 // IOStats reports the file's cumulative I/O counters: the slab reads and
-// bytes this File served, plus cache/retry/fault counters collected by
+// bytes this File served, plus retry/fault counters collected by
 // walking the reader-wrapper stack. Sessions read it after each NetCDF
 // readval to attribute I/O to the query that caused it.
 func (f *File) IOStats() IOStats {
@@ -66,10 +53,6 @@ func (f *File) IOStats() IOStats {
 	r := f.r
 	for depth := 0; r != nil && depth < 16; depth++ {
 		switch v := r.(type) {
-		case *CachedReaderAt:
-			s.CacheHits += v.Stats.Hits
-			s.CacheMisses += v.Stats.Misses
-			s.Prefetches += v.Stats.Prefetches
 		case *RetryingReaderAt:
 			s.Retries += v.Retries()
 		case *FaultyReaderAt:

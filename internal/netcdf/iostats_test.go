@@ -72,30 +72,6 @@ func TestIOStatsSlabCounters(t *testing.T) {
 	}
 }
 
-func TestIOStatsCollectsCacheCounters(t *testing.T) {
-	path, _ := buildTestFile(t)
-	f, err := OpenCached(path, 128, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := f.ReadAll("t"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := f.IOStats()
-	if st.CacheMisses == 0 {
-		t.Fatalf("no cache misses recorded: %+v", st)
-	}
-	if st.CacheHits == 0 {
-		t.Fatalf("repeated reads produced no cache hits: %+v", st)
-	}
-	if st.CacheHits != f.Cache.Stats.Hits || st.CacheMisses != f.Cache.Stats.Misses {
-		t.Fatalf("IOStats %+v disagrees with Cache.Stats %+v", st, f.Cache.Stats)
-	}
-}
-
 func TestIOStatsCollectsRetryAndFaultCounters(t *testing.T) {
 	path, _ := buildTestFile(t)
 	raw, err := os.ReadFile(path)
@@ -136,9 +112,9 @@ func TestIOStatsCollectsRetryAndFaultCounters(t *testing.T) {
 }
 
 func TestIOStatsAdd(t *testing.T) {
-	a := IOStats{SlabReads: 1, BytesRead: 10, CacheHits: 2}
+	a := IOStats{SlabReads: 1, BytesRead: 10}
 	a.Add(IOStats{SlabReads: 2, BytesRead: 5, Retries: 1, Faults: 3})
-	want := IOStats{SlabReads: 3, BytesRead: 15, CacheHits: 2, Retries: 1, Faults: 3}
+	want := IOStats{SlabReads: 3, BytesRead: 15, Retries: 1, Faults: 3}
 	if a != want {
 		t.Fatalf("Add = %+v, want %+v", a, want)
 	}

@@ -122,13 +122,8 @@ type File struct {
 	recDim  int   // index of the record dimension, -1 if none
 	fsize   int64 // total size of the data source, -1 if unknown
 
-	// Cache is non-nil when the file was opened with OpenCached; it
-	// exposes the block cache's statistics. IOStats folds these in, so
-	// most callers never need the concrete cache.
-	Cache *CachedReaderAt
-
 	// stats accumulates slab-read counters; read via IOStats, which also
-	// collects cache/retry/fault counters from the reader stack. The
+	// collects retry/fault counters from the reader stack. The
 	// counters are atomic because tile-backed lazy arrays fetch slabs from
 	// concurrent tabulation workers sharing one File.
 	stats struct {

@@ -101,7 +101,7 @@ func TestReadCellRangeValidation(t *testing.T) {
 	if _, err := f.ReadCellRangeCtx(nil, "nope", 0, 1); err == nil {
 		t.Error("unknown variable succeeded")
 	}
-	if err := f.ValidateCellRange("plain", 0, 12); err != nil {
+	if _, err := f.WholeVar("plain"); err != nil {
 		t.Errorf("full-extent validate failed: %v", err)
 	}
 
@@ -112,7 +112,7 @@ func TestReadCellRangeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = tf.ValidateCellRange("recB", 0, 20)
+	_, err = tf.WholeVar("recB")
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("truncated-file validate = %v, want truncation error", err)
 	}

@@ -185,18 +185,17 @@ func TestNegativeAndHugeVsizeRejected(t *testing.T) {
 }
 
 // TestReadAllStillWorksThroughWrappers makes sure the size plumbing keeps
-// valid files readable through the cache layer (Size must pass through, or
+// valid files readable through a reader wrapper (Size must pass through, or
 // the new bounds checks would reject valid slabs with fsize == -1 checks
 // disabled — the happy path must stay happy).
 func TestReadAllStillWorksThroughWrappers(t *testing.T) {
 	full := richFile(t)
-	cached := NewCachedReaderAt(bytes.NewReader(full), 64, 8)
-	f, err := Read(cached)
+	f, err := Read(NewRetryingReaderAt(bytes.NewReader(full), RetryConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.fsize != int64(len(full)) {
-		t.Errorf("fsize through cache = %d, want %d", f.fsize, len(full))
+		t.Errorf("fsize through wrapper = %d, want %d", f.fsize, len(full))
 	}
 	slab, err := f.ReadAll("recv")
 	if err != nil {

@@ -1,8 +1,8 @@
 package netcdf
 
 import (
+	"context"
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -26,173 +26,40 @@ func (s *Slab) Size() int {
 
 // ReadAll reads a variable's entire data.
 func (f *File) ReadAll(varName string) (*Slab, error) {
-	v, err := f.Var(varName)
+	h, err := f.WholeVar(varName)
 	if err != nil {
 		return nil, err
 	}
-	shape := f.Shape(v)
-	start := make([]int, len(shape))
-	return f.ReadSlab(varName, start, shape)
+	return h.Slab()
 }
 
 // ReadSlab reads the hyperslab of the variable starting at the multi-index
 // start with extent count in each dimension — the subslab operation the
 // AQL NETCDF readers expose (section 4.1).
 func (f *File) ReadSlab(varName string, start, count []int) (*Slab, error) {
-	v, err := f.Var(varName)
+	h, err := f.Hyperslab(varName, start, count)
 	if err != nil {
 		return nil, err
 	}
-	shape := f.Shape(v)
-	if len(start) != len(shape) || len(count) != len(shape) {
-		return nil, fmt.Errorf("netcdf: %s has rank %d; start/count have rank %d/%d",
-			varName, len(shape), len(start), len(count))
-	}
-	total := 1
-	for d := range shape {
-		if start[d] < 0 || count[d] < 0 || start[d]+count[d] > shape[d] {
-			return nil, fmt.Errorf("netcdf: %s: slab [%d, %d) exceeds dimension %d of length %d",
-				varName, start[d], start[d]+count[d], d, shape[d])
-		}
-		total *= count[d]
-	}
-	tsize := int64(v.Type.Size())
-	// When the data source's size is known, reject slabs that extend past
-	// end-of-file before allocating or reading anything: a header may be
-	// intact while the data region is truncated or the declared shapes are
-	// corrupt, and the failure must be a descriptive error, not a huge
-	// allocation followed by an EOF deep in the read loop.
-	if f.fsize >= 0 && total > 0 {
-		last := make([]int, len(shape))
-		for d := range shape {
-			last[d] = start[d] + count[d] - 1
-		}
-		if end, err := f.elementOffset(v, shape, last); err == nil && end+tsize > f.fsize {
-			return nil, fmt.Errorf("netcdf: %s: slab ends at byte %d but file has only %d bytes (truncated?)",
-				varName, end+tsize, f.fsize)
-		}
-	}
-	slab := &Slab{Shape: append([]int(nil), count...), Type: v.Type}
-	// Cap the up-front allocation: a corrupt header can claim a dimension
-	// of billions of elements, and the first read past EOF will fail long
-	// before that much data exists. Growth beyond the cap is incremental.
-	capHint := total
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	if v.Type == Char {
-		slab.Text = make([]byte, 0, capHint)
-	} else {
-		slab.Values = make([]float64, 0, capHint)
-	}
-	if total == 0 {
-		return slab, nil
-	}
-
-	f.stats.slabReads.Add(1)
-
-	rank := len(shape)
-	if rank == 0 {
-		// Scalar variable.
-		buf := make([]byte, tsize)
-		if _, err := f.r.ReadAt(buf, v.begin); err != nil {
-			return nil, fmt.Errorf("netcdf: %s: read scalar: %w", varName, err)
-		}
-		f.stats.bytesRead.Add(tsize)
-		if v.Type == Char {
-			slab.Text = buf
-		} else {
-			slab.Values = []float64{decodeScalar(v.Type, buf)}
-		}
-		return slab, nil
-	}
-
-	// innerLen is the contiguous run along the innermost dimension, and
-	// outer counts the dimensions iterated run by run. For a rank-1 record
-	// variable the innermost dimension IS the record dimension, whose
-	// elements are interleaved with other record variables, so runs
-	// degenerate to single elements and every dimension is "outer".
-	innerLen := count[rank-1]
-	outer := rank - 1
-	if f.isRecord(v) && rank == 1 {
-		innerLen = 1
-		outer = rank
-	}
-	// Runs are read in bounded chunks so a corrupt header cannot force a
-	// huge buffer allocation.
-	const maxRunBytes = 1 << 22
-	chunkElems := innerLen
-	if int64(chunkElems)*tsize > maxRunBytes {
-		chunkElems = int(maxRunBytes / tsize)
-		if chunkElems == 0 {
-			chunkElems = 1
-		}
-	}
-	buf := make([]byte, int64(chunkElems)*tsize)
-
-	// Iterate over the outer indices of the slab.
-	idx := make([]int, rank) // slab-relative; dims >= outer stay 0
-	abs := make([]int, rank)
-	for {
-		// Absolute element index of the run start.
-		for d := range abs {
-			abs[d] = start[d] + idx[d]
-		}
-		off, err := f.elementOffset(v, shape, abs)
-		if err != nil {
-			return nil, err
-		}
-		for done := 0; done < innerLen; done += chunkElems {
-			n := chunkElems
-			if innerLen-done < n {
-				n = innerLen - done
-			}
-			chunk := buf[:int64(n)*tsize]
-			if _, err := f.r.ReadAt(chunk, off+int64(done)*tsize); err != nil {
-				return nil, fmt.Errorf("netcdf: %s: read at %d: %w", varName, off, err)
-			}
-			f.stats.bytesRead.Add(int64(len(chunk)))
-			if v.Type == Char {
-				slab.Text = append(slab.Text, chunk...)
-			} else {
-				for i := 0; i < n; i++ {
-					slab.Values = append(slab.Values, decodeScalar(v.Type, chunk[int64(i)*tsize:]))
-				}
-			}
-		}
-		// Advance the outer indices.
-		d := outer - 1
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < count[d] {
-				break
-			}
-			idx[d] = 0
-		}
-		if d < 0 {
-			break
-		}
-	}
-	return slab, nil
+	return h.Slab()
 }
 
-// elementOffset computes the byte offset of the element at absolute index
-// abs of variable v, accounting for record interleaving.
-func (f *File) elementOffset(v *Var, shape, abs []int) (int64, error) {
-	tsize := int64(v.Type.Size())
-	if f.isRecord(v) {
-		rec := int64(abs[0])
-		lin := int64(0)
-		for d := 1; d < len(shape); d++ {
-			lin = lin*int64(shape[d]) + int64(abs[d])
-		}
-		return v.begin + rec*f.recSize + lin*tsize, nil
+// Slab reads the whole hyperslab in one piece. It carries no per-call
+// context: cancellation is the reader stack's own (RetryConfig.Context).
+func (h *Hyperslab) Slab() (*Slab, error) {
+	slab := &Slab{Shape: h.count, Type: h.v.Type}
+	var ctx context.Context
+	var err error
+	if h.v.Type == Char {
+		slab.Text = make([]byte, 0, min(h.size, maxPrealloc))
+		err = h.read(ctx, 0, h.size, func(chunk []byte) { slab.Text = append(slab.Text, chunk...) })
+	} else {
+		slab.Values, err = h.ReadRange(ctx, 0, h.size)
 	}
-	lin := int64(0)
-	for d := 0; d < len(shape); d++ {
-		lin = lin*int64(shape[d]) + int64(abs[d])
+	if err != nil {
+		return nil, err
 	}
-	return v.begin + lin*tsize, nil
+	return slab, nil
 }
 
 func decodeScalar(typ Type, b []byte) float64 {

@@ -76,16 +76,13 @@ var commands = map[string]command{
 		},
 	},
 	":io": {
-		usage:   ":io [lazy on|off | tile <cells> <budget-bytes>]",
-		summary: "out-of-core state: tile cache, open files; tune lazy reads",
+		usage:   ":io [tile <cells> <budget-bytes>]",
+		summary: "out-of-core state: tile cache, open files; retune the cache",
 		run: func(s *Session, _ context.Context, arg string) (string, error) {
 			fields := strings.Fields(arg)
 			switch {
 			case len(fields) == 0:
 				return s.IOStatus(), nil
-			case fields[0] == "lazy" && len(fields) == 2 && (fields[1] == "on" || fields[1] == "off"):
-				s.SetLazyReads(fields[1] == "on")
-				return fmt.Sprintf("lazy reads: %v\n", s.LazyReads()), nil
 			case fields[0] == "tile" && len(fields) == 3:
 				var cells int
 				var budget int64
@@ -98,7 +95,7 @@ var commands = map[string]command{
 				s.SetTileConfig(cells, budget, false)
 				return s.IOStatus(), nil
 			}
-			return "", fmt.Errorf("usage: :io [lazy on|off | tile <cells> <budget-bytes>]")
+			return "", fmt.Errorf("usage: :io [tile <cells> <budget-bytes>]")
 		},
 	},
 	":top": {

@@ -30,10 +30,6 @@ type ioState struct {
 	watermark trace.IOCounters
 
 	cache *tile.Cache
-	// lazy selects on-demand tiled reads for the NetCDF readers; when
-	// false the readers materialize whole slabs exactly as they
-	// historically did (still through the session file cache).
-	lazy bool
 	// spill enables spilling oversized val bindings to the tile cache's
 	// spill file.
 	spill bool
@@ -48,7 +44,6 @@ func newIOState(cfg tile.Config) *ioState {
 	return &ioState{
 		files: make(map[string]*openFile),
 		cache: tile.New(cfg),
-		lazy:  true,
 		spill: true,
 	}
 }
@@ -77,33 +72,28 @@ func (io *ioState) open(path string) (*netcdf.File, error) {
 	return f, nil
 }
 
+// fileCounters mirrors a file's cumulative counters into the trace form.
+func fileCounters(st netcdf.IOStats) trace.IOCounters {
+	return trace.IOCounters{SlabReads: st.SlabReads, BytesRead: st.BytesRead, Retries: st.Retries, Faults: st.Faults}
+}
+
+// fileTotals sums the cumulative counters of the open files; io.mu is held.
+func (io *ioState) fileTotals() trace.IOCounters {
+	var cum trace.IOCounters
+	for _, of := range io.files {
+		cum.Add(fileCounters(of.f.IOStats()))
+	}
+	return cum
+}
+
 // fileDelta returns the growth of the cumulative file counters since the
 // last call and advances the watermark.
 func (io *ioState) fileDelta() trace.IOCounters {
 	io.mu.Lock()
 	defer io.mu.Unlock()
-	var cum trace.IOCounters
-	for _, of := range io.files {
-		st := of.f.IOStats()
-		cum.Add(trace.IOCounters{
-			SlabReads:   st.SlabReads,
-			BytesRead:   st.BytesRead,
-			CacheHits:   st.CacheHits,
-			CacheMisses: st.CacheMisses,
-			Prefetches:  st.Prefetches,
-			Retries:     st.Retries,
-			Faults:      st.Faults,
-		})
-	}
-	delta := trace.IOCounters{
-		SlabReads:   cum.SlabReads - io.watermark.SlabReads,
-		BytesRead:   cum.BytesRead - io.watermark.BytesRead,
-		CacheHits:   cum.CacheHits - io.watermark.CacheHits,
-		CacheMisses: cum.CacheMisses - io.watermark.CacheMisses,
-		Prefetches:  cum.Prefetches - io.watermark.Prefetches,
-		Retries:     cum.Retries - io.watermark.Retries,
-		Faults:      cum.Faults - io.watermark.Faults,
-	}
+	cum := io.fileTotals()
+	delta := cum
+	delta.Sub(io.watermark)
 	io.watermark = cum
 	return delta
 }
@@ -167,20 +157,7 @@ func (s *Session) IOFileDelta() trace.IOCounters { return s.io.fileDelta() }
 func (s *Session) IOFileTotals() trace.IOCounters {
 	s.io.mu.Lock()
 	defer s.io.mu.Unlock()
-	var cum trace.IOCounters
-	for _, of := range s.io.files {
-		st := of.f.IOStats()
-		cum.Add(trace.IOCounters{
-			SlabReads:   st.SlabReads,
-			BytesRead:   st.BytesRead,
-			CacheHits:   st.CacheHits,
-			CacheMisses: st.CacheMisses,
-			Prefetches:  st.Prefetches,
-			Retries:     st.Retries,
-			Faults:      st.Faults,
-		})
-	}
-	return cum
+	return s.io.fileTotals()
 }
 
 // Close releases the session's out-of-core resources: open NetCDF handles,
@@ -195,7 +172,11 @@ func (s *Session) Close() error {
 
 // TileCache exposes the session's shared tile cache (stats, residency) for
 // commands, tests and benchmarks.
-func (s *Session) TileCache() *tile.Cache { return s.io.cache }
+func (s *Session) TileCache() *tile.Cache {
+	s.io.mu.Lock()
+	defer s.io.mu.Unlock()
+	return s.io.cache
+}
 
 // SetTileConfig replaces the session's tile cache with one of the given
 // tile size (cells) and budget (bytes); zero values select the defaults.
@@ -208,22 +189,6 @@ func (s *Session) SetTileConfig(tileCells int, budget int64, noPrefetch bool) {
 	old := s.io.cache
 	s.io.cache = tile.New(tile.Config{TileCells: tileCells, Budget: budget, NoPrefetch: noPrefetch})
 	_ = old // previous cache stays alive for values still backed by it
-}
-
-// SetLazyReads selects lazy (tiled, on-demand) NetCDF reads; passing false
-// restores whole-slab materialization. Both modes share the session file
-// cache. Lazy is the default.
-func (s *Session) SetLazyReads(lazy bool) {
-	s.io.mu.Lock()
-	defer s.io.mu.Unlock()
-	s.io.lazy = lazy
-}
-
-// LazyReads reports whether the session's NetCDF readers are lazy.
-func (s *Session) LazyReads() bool {
-	s.io.mu.Lock()
-	defer s.io.mu.Unlock()
-	return s.io.lazy
 }
 
 // SetSpill enables or disables spilling oversized val bindings.
@@ -260,8 +225,8 @@ func (s *Session) IOStatus() string {
 	cache := s.TileCache()
 	cfg := cache.Config()
 	st := cache.Stats()
-	out := fmt.Sprintf("lazy reads: %v\ntile size: %d cells, budget: %d bytes\nresident: %d bytes (peak %d)\n",
-		s.LazyReads(), cfg.TileCells, cfg.Budget, cache.Resident(), cache.PeakResident())
+	out := fmt.Sprintf("tile size: %d cells, budget: %d bytes\nresident: %d bytes (peak %d)\n",
+		cfg.TileCells, cfg.Budget, cache.Resident(), cache.PeakResident())
 	out += fmt.Sprintf("tiles: %d hits, %d misses, %d prefetched (%d useful), %d evicted\n",
 		st.TileHits, st.TileMisses, st.Prefetches, st.PrefetchUseful, st.Evictions)
 	out += fmt.Sprintf("bytes: %d scanned, %d returned, spill %d written / %d read\n",

@@ -12,6 +12,7 @@ import (
 
 	"github.com/aqldb/aql/internal/netcdf"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/typecheck"
 )
 
 // writeNC2D writes a 6x8 double variable "v" (with two non-finite cells)
@@ -56,19 +57,106 @@ func writeNC1D(t *testing.T, dir string, n int) string {
 	return path
 }
 
-// runCorpus executes the statement corpus on a fresh session configured by
-// cfg and returns one rendered outcome (value or error text) per statement.
-func runCorpus(t *testing.T, cfg func(*Session), stmts []string) []string {
+// writeNCRecord writes two interleaved record variables over 5 records:
+// "ra" (double, 5x4x3, valued i*0.5) and "rb" (int, 5x4), so a sub-slab of
+// either crosses record strides.
+func writeNCRecord(t *testing.T, dir string) string {
+	t.Helper()
+	b := netcdf.NewBuilder()
+	rec, _ := b.AddRecordDim("t", 5)
+	dy, _ := b.AddDim("y", 4)
+	dx, _ := b.AddDim("x", 3)
+	ra := make([]float64, 5*4*3)
+	for i := range ra {
+		ra[i] = float64(i) * 0.5
+	}
+	rb := make([]float64, 5*4)
+	for i := range rb {
+		rb[i] = float64(1000 + i)
+	}
+	if err := b.AddVar("ra", netcdf.Double, []int{rec, dy, dx}, nil, ra); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddVar("rb", netcdf.Int, []int{rec, dy}, nil, rb); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "records.nc")
+	if err := b.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// ncRead is one NetCDF readval of a differential corpus. The session under
+// test executes stmt through its lazy readers; the oracle session binds the
+// same slab, read whole by netcdf.File.ReadSlab, as an ordinary
+// materialized val — the eager reference every lazy result is held to.
+type ncRead struct {
+	name, path, varName string
+	lower, upper        []int // inclusive bounds; nil reads the whole variable
+}
+
+func (r ncRead) stmt() string {
+	if r.lower == nil {
+		return fmt.Sprintf(`readval \%s using NETCDF at (%q, %q);`, r.name, r.path, r.varName)
+	}
+	bound := func(ix []int) string {
+		if len(ix) == 1 {
+			return fmt.Sprint(ix[0])
+		}
+		return "(" + strings.Trim(strings.ReplaceAll(fmt.Sprint(ix), " ", ", "), "[]") + ")"
+	}
+	return fmt.Sprintf(`readval \%s using NETCDF%d at (%q, %q, %s, %s);`,
+		r.name, len(r.lower), r.path, r.varName, bound(r.lower), bound(r.upper))
+}
+
+// bindOracle binds the read's materialized value in s and returns the
+// outcome rendered as runCorpus renders a readval's.
+func (r ncRead) bindOracle(t *testing.T, s *Session) string {
+	t.Helper()
+	f, err := netcdf.Open(r.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	slab, err := f.ReadAll(r.varName)
+	if r.lower != nil {
+		count := make([]int, len(r.lower))
+		for d := range count {
+			count[d] = r.upper[d] - r.lower[d] + 1
+		}
+		slab, err = f.ReadSlab(r.varName, r.lower, count)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := slabToArray(slab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, err := typecheck.TypeOf(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Env.SetVal(r.name, v, typ)
+	return fmt.Sprintf("%s : %s = %s\n", r.name, typ, v)
+}
+
+// runCorpus binds the reads (through the oracle, or by executing their
+// readval statements) and executes the statement corpus on a fresh session
+// configured by cfg, returning one rendered outcome (value or error text)
+// per read and per statement.
+func runCorpus(t *testing.T, cfg func(*Session), oracle bool, reads []ncRead, stmts []string) []string {
 	t.Helper()
 	s := newSession(t)
 	defer s.Close()
 	cfg(s)
-	out := make([]string, len(stmts))
-	for i, stmt := range stmts {
+	var out []string
+	exec := func(stmt string) {
 		res, err := s.Exec(stmt)
 		if err != nil {
-			out[i] = "error: " + err.Error()
-			continue
+			out = append(out, "error: "+err.Error())
+			return
 		}
 		var b strings.Builder
 		for _, r := range res {
@@ -76,24 +164,40 @@ func runCorpus(t *testing.T, cfg func(*Session), stmts []string) []string {
 				fmt.Fprintf(&b, "%s : %s = %s\n", r.Name, r.Type, r.Value)
 			}
 		}
-		out[i] = b.String()
+		out = append(out, b.String())
+	}
+	for _, r := range reads {
+		if oracle {
+			out = append(out, r.bindOracle(t, s))
+		} else {
+			exec(r.stmt())
+		}
+	}
+	for _, stmt := range stmts {
+		exec(stmt)
 	}
 	return out
 }
 
 // TestLazyEagerDifferential holds lazy tiled execution byte-identical to
-// eager materialized execution — values, ⊥ diagnostics, and errors — on
+// the materialized ReadSlab oracle — values, ⊥ diagnostics, and errors — on
 // both engines, with a tile size small enough that every query crosses
 // many tile boundaries.
 func TestLazyEagerDifferential(t *testing.T) {
 	dir := t.TempDir()
 	grid := writeNC2D(t, dir)
 	series := writeNC1D(t, dir, 100)
+	records := writeNCRecord(t, dir)
 
+	reads := []ncRead{
+		{name: "V", path: grid, varName: "v"},
+		{name: "S", path: grid, varName: "v", lower: []int{1, 2}, upper: []int{4, 6}},
+		{name: "W", path: series, varName: "series"},
+		{name: "T", path: series, varName: "series", lower: []int{10}, upper: []int{59}},
+		{name: "R", path: records, varName: "ra", lower: []int{1, 1, 0}, upper: []int{3, 2, 1}},
+		{name: "Q", path: records, varName: "rb", lower: []int{0, 1}, upper: []int{4, 3}},
+	}
 	stmts := []string{
-		fmt.Sprintf(`readval \V using NETCDF at (%q, "v");`, grid),
-		fmt.Sprintf(`readval \S using NETCDF2 at (%q, "v", (1,2), (4,6));`, grid),
-		fmt.Sprintf(`readval \W using NETCDF at (%q, "series");`, series),
 		`V;`,
 		`S;`,
 		`[[ V[i, j] * 2.0 | \i < 6, \j < 8 ]];`,
@@ -102,27 +206,44 @@ func TestLazyEagerDifferential(t *testing.T) {
 		`[[ W[i] + W[99 - i] | \i < 100 ]];`,
 		`summap(fn \i => W[i] * 0.5)!(gen!100);`,
 		`V[9, 9];`, // out-of-bounds subscript: same error lazily
+		`summap(fn \i => T[i])!(gen!50);`,
+		`R;`, // sub-slab of a record variable: runs cross record strides
+		`[[ R[2 - i, j, k] + Q[i + 1, j] | \i < 3, \j < 2, \k < 2 ]];`,
+		`R[3, 0, 0];`,
+		`R[2, 1, 1];`, // = ra[3, 2, 1]
 	}
 
 	type mode struct {
-		name string
-		cfg  func(*Session)
+		name   string
+		oracle bool
+		cfg    func(*Session)
 	}
 	modes := []mode{
-		{"eager-compiled", func(s *Session) { s.SetLazyReads(false) }},
-		{"lazy-compiled", func(s *Session) { s.SetTileConfig(8, 0, false) }},
-		{"eager-interp", func(s *Session) { s.SetLazyReads(false); s.Engine = EngineInterp }},
-		{"lazy-interp", func(s *Session) { s.SetTileConfig(8, 0, false); s.Engine = EngineInterp }},
+		{"oracle-compiled", true, func(s *Session) {}},
+		{"lazy-compiled", false, func(s *Session) { s.SetTileConfig(8, 0, false) }},
+		{"oracle-interp", true, func(s *Session) { s.Engine = EngineInterp }},
+		{"lazy-interp", false, func(s *Session) { s.SetTileConfig(8, 0, false); s.Engine = EngineInterp }},
 	}
 	results := make([][]string, len(modes))
 	for i, m := range modes {
-		results[i] = runCorpus(t, m.cfg, stmts)
+		results[i] = runCorpus(t, m.cfg, m.oracle, reads, stmts)
 	}
+	// The oracle shares the byte-run mapping with the lazy path (both sit
+	// on netcdf.Hyperslab, whose own oracle is FuzzSlabRanges); anchor one
+	// record-variable cell to its closed form here too.
+	if got, want := results[0][len(results[0])-1], "it : real = 21.5\n"; got != want {
+		t.Errorf("oracle R[2, 1, 1] = %q, want %q", got, want)
+	}
+	var labels []string
+	for _, r := range reads {
+		labels = append(labels, r.stmt())
+	}
+	labels = append(labels, stmts...)
 	for i := 1; i < len(modes); i++ {
-		for j := range stmts {
+		for j := range labels {
 			if results[i][j] != results[0][j] {
 				t.Errorf("%s diverges from %s on %q:\n got: %s\nwant: %s",
-					modes[i].name, modes[0].name, stmts[j], results[i][j], results[0][j])
+					modes[i].name, modes[0].name, labels[j], results[i][j], results[0][j])
 			}
 		}
 	}
@@ -131,14 +252,15 @@ func TestLazyEagerDifferential(t *testing.T) {
 // TestParallelTabulationSharesTileCache pins the compiled engine to 8
 // tabulation workers all faulting tiles of one shared cache; run with
 // -race this is the concurrency acceptance test, and the result must stay
-// byte-identical to the eager baseline.
+// byte-identical to the materialized oracle.
 func TestParallelTabulationSharesTileCache(t *testing.T) {
 	dir := t.TempDir()
 	path := writeNC1D(t, dir, 4096)
-	read := fmt.Sprintf(`readval \W using NETCDF at (%q, "series");`, path)
+	w := ncRead{name: "W", path: path, varName: "series"}
+	read := w.stmt()
 	q := `[[ W[i] + W[4095 - i] | \i < 4096 ]];`
 
-	eager := runCorpus(t, func(s *Session) { s.SetLazyReads(false); s.Workers = 8 }, []string{read, q})
+	eager := runCorpus(t, func(s *Session) { s.Workers = 8 }, true, []ncRead{w}, []string{q})
 
 	s := newSession(t)
 	defer s.Close()
@@ -168,10 +290,11 @@ func TestOutOfCoreBudgetResidency(t *testing.T) {
 	dir := t.TempDir()
 	const n = 64 * 64 // 4096 cells, 64 tiles of 64 cells
 	path := writeNC1D(t, dir, n)
-	read := fmt.Sprintf(`readval \W using NETCDF at (%q, "series");`, path)
+	w := ncRead{name: "W", path: path, varName: "series"}
+	read := w.stmt()
 	q := `summap(fn \i => W[i])!(gen!4096);`
 
-	eager := runCorpus(t, func(s *Session) { s.SetLazyReads(false) }, []string{read, q})
+	eager := runCorpus(t, func(s *Session) {}, true, []ncRead{w}, []string{q})
 
 	cellBytes := int64(unsafe.Sizeof(object.Value{}))
 	budget := 4 * 64 * cellBytes // room for 4 of the 64 tiles
@@ -286,7 +409,7 @@ func TestLazyFaultMidTile(t *testing.T) {
 }
 
 // TestTruncatedFileFailsAtBind cuts a file inside its data region: the
-// lazy readval must fail at bind time (like the eager read), not surface
+// lazy readval must fail at bind time (like a whole ReadSlab), not surface
 // a mid-query fetch error later.
 func TestTruncatedFileFailsAtBind(t *testing.T) {
 	dir := t.TempDir()
@@ -329,22 +452,21 @@ func TestValDeclSpillsOverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Eager reads: readval binds W as a materialized array with ⊥ cells;
-	// `val \X = W;` then carries that oversized eager array into maybeSpill.
-	stmts := []string{
-		fmt.Sprintf(`readval \W using NETCDF at (%q, "series");`, path),
-		`val \X = W;`,
-	}
+	// W is bound as a materialized array with ⊥ cells (the ReadSlab
+	// oracle's binding); `val \X = W;` then carries that oversized eager
+	// array into maybeSpill.
+	w := ncRead{name: "W", path: path, varName: "series"}
+	stmts := []string{`val \X = W;`}
 	queries := []string{`X;`, `X[700];`, `X[3];`}
 
-	eager := runCorpus(t, func(s *Session) { s.SetLazyReads(false); s.SetSpill(false) },
-		append(append([]string{}, stmts...), queries...))
+	eager := runCorpus(t, func(s *Session) { s.SetSpill(false) }, true, []ncRead{w},
+		append(append([]string{}, stmts...), queries...))[1:]
 
 	cellBytes := int64(unsafe.Sizeof(object.Value{}))
 	s := newSession(t)
 	defer s.Close()
-	s.SetLazyReads(false)
 	s.SetTileConfig(64, 128*cellBytes, false) // 1000 cells is well over budget
+	w.bindOracle(t, s)
 	for _, stmt := range stmts {
 		if _, err := s.Exec(stmt); err != nil {
 			t.Fatal(err)
@@ -376,7 +498,7 @@ func TestValDeclSpillsOverBudget(t *testing.T) {
 	}
 }
 
-// TestIOCommand exercises the :io command: status, lazy toggle, retune.
+// TestIOCommand exercises the :io command: status and retune.
 func TestIOCommand(t *testing.T) {
 	s := newSession(t)
 	defer s.Close()
@@ -385,13 +507,16 @@ func TestIOCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"lazy reads: true", "tile size: 4096", "tiles:", "bytes:"} {
+	for _, want := range []string{"tile size: 4096", "tiles:", "bytes:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf(":io missing %q:\n%s", want, out)
 		}
 	}
-	if out, err = s.Command(ctx, ":io lazy off"); err != nil || !strings.Contains(out, "lazy reads: false") {
-		t.Errorf(":io lazy off = %q, %v", out, err)
+	if strings.Contains(out, "lazy") {
+		t.Errorf(":io still reports a read mode:\n%s", out)
+	}
+	if _, err := s.Command(ctx, ":io lazy off"); err == nil {
+		t.Error(":io lazy off should be a usage error: there is no eager mode")
 	}
 	if out, err = s.Command(ctx, ":io tile 128 65536"); err != nil || !strings.Contains(out, "tile size: 128 cells, budget: 65536") {
 		t.Errorf(":io tile = %q, %v", out, err)

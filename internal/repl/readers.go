@@ -22,12 +22,10 @@ import (
 //
 // Files open through the session's per-path handle cache and stay open for
 // the session (Session.Close releases them), so repeated reads of one
-// dataset parse the header once. By default the readers are lazy: they
-// validate the request against the header and bind a tiled lazy array that
-// fetches cells on demand through the session's tile cache — queries over
-// variables larger than RAM touch only the tiles they subscript. With
-// SetLazyReads(false) they materialize whole slabs as they historically
-// did. Both modes produce byte-identical values.
+// dataset parse the header once. The readers are lazy: they validate the
+// request against the header and bind a tiled array that fetches cells on
+// demand through the session's tile cache — queries over variables larger
+// than RAM touch only the tiles they subscript.
 func (s *Session) registerNetCDF() {
 	for k := 1; k <= 4; k++ {
 		s.Env.RegisterReader(fmt.Sprintf("NETCDF%d", k), s.netcdfSlabReader(k))
@@ -35,7 +33,6 @@ func (s *Session) registerNetCDF() {
 	s.Env.RegisterReader("NETCDF", s.netcdfWholeReader())
 }
 
-// errCharVariable matches the historical eager-path diagnostic exactly.
 var errCharVariable = fmt.Errorf("netcdf: char variables have no array representation; read them as attributes")
 
 // netcdfSlabReader builds the k-dimensional subslab reader.
@@ -76,14 +73,11 @@ func (s *Session) netcdfSlabReader(k int) env.Reader {
 			start[d] = lower[d]
 			count[d] = upper[d] - lower[d] + 1
 		}
-		if !s.LazyReads() {
-			slab, err := f.ReadSlab(varName, start, count)
-			if err != nil {
-				return object.Value{}, err
-			}
-			return slabToArray(slab)
+		h, err := f.Hyperslab(varName, start, count)
+		if err != nil {
+			return object.Value{}, err
 		}
-		return s.lazySlab(f, varName, start, count)
+		return s.lazySlab(h)
 	}
 }
 
@@ -99,134 +93,42 @@ func (s *Session) netcdfWholeReader() env.Reader {
 		if err != nil {
 			return object.Value{}, err
 		}
-		if !s.LazyReads() {
-			slab, err := f.ReadAll(varName)
-			if err != nil {
-				return object.Value{}, err
-			}
-			return slabToArray(slab)
-		}
-		v, err := f.Var(varName)
+		h, err := f.WholeVar(varName)
 		if err != nil {
 			return object.Value{}, err
 		}
-		shape := f.Shape(v)
-		start := make([]int, len(shape))
-		return s.lazySlab(f, varName, start, shape)
+		return s.lazySlab(h)
 	}
 }
 
-// lazySlab validates the slab request against the header and binds a lazy
-// array over it. The slab's flat row-major cell space maps to variable
-// cells run by run: within one slab row (the innermost dimension) cells are
-// contiguous in the variable too, so each tile fetch decomposes into
-// innermost-dimension runs served by ReadCellRangeCtx.
-func (s *Session) lazySlab(f *netcdf.File, varName string, start, count []int) (object.Value, error) {
-	v, err := f.Var(varName)
-	if err != nil {
-		return object.Value{}, err
-	}
-	if v.Type == netcdf.Char {
+// lazySlab binds a lazy array over a hyperslab, whose construction has
+// already checked the request against the header and file size (so a bad or
+// truncated request fails the readval, not a tile fetch mid-query). Tiles
+// are ranges of the slab's flat cell space.
+func (s *Session) lazySlab(h *netcdf.Hyperslab) (object.Value, error) {
+	if h.Type() == netcdf.Char {
 		return object.Value{}, errCharVariable
 	}
-	varShape := f.Shape(v)
-	if len(start) != len(varShape) || len(count) != len(varShape) {
-		return object.Value{}, fmt.Errorf("netcdf: %s has rank %d; start/count have rank %d/%d",
-			varName, len(varShape), len(start), len(count))
-	}
-	size := 1
-	for d := range varShape {
-		if start[d] < 0 || count[d] < 0 || start[d]+count[d] > varShape[d] {
-			return object.Value{}, fmt.Errorf("netcdf: %s: slab [%d, %d) exceeds dimension %d of length %d",
-				varName, start[d], start[d]+count[d], d, varShape[d])
-		}
-		size *= count[d]
-	}
-
-	// Scalar variables materialize eagerly: one cell, nothing to tile.
-	if len(varShape) == 0 {
-		slab, err := f.ReadSlab(varName, start, count)
+	// Scalar variables materialize: one cell, nothing to tile.
+	if len(h.Shape()) == 0 {
+		slab, err := h.Slab()
 		if err != nil {
 			return object.Value{}, err
 		}
 		return slabToArray(slab)
 	}
-
-	shape := append([]int(nil), count...)
-	rank := len(shape)
-	inner := shape[rank-1]
-	// Flat strides of the variable's cell space, for mapping slab rows to
-	// variable cell offsets.
-	varStrides := make([]int, rank)
-	stride := 1
-	for d := rank - 1; d >= 0; d-- {
-		varStrides[d] = stride
-		stride *= varShape[d]
-	}
-
-	// Bind-time validation: the slab's maximal cell must be inside the
-	// file, so a truncated data region fails the readval (as the eager
-	// path does), not the first tile fetch mid-query.
-	if size > 0 {
-		lastOff := 0
-		for d := range shape {
-			lastOff += (start[d] + shape[d] - 1) * varStrides[d]
-		}
-		if err := f.ValidateCellRange(varName, lastOff, 1); err != nil {
-			return object.Value{}, err
-		}
-	}
-
-	fullWidth := true
-	for d := range varShape {
-		if start[d] != 0 || count[d] != varShape[d] {
-			fullWidth = false
-			break
-		}
-	}
-
-	s.io.mu.Lock()
-	cache := s.io.cache
-	s.io.mu.Unlock()
-
 	fetch := func(ctx context.Context, off, n int) ([]object.Value, error) {
-		if fullWidth {
-			// Whole-variable read: slab space IS variable space.
-			vals, err := f.ReadCellRangeCtx(ctx, varName, off, n)
-			if err != nil {
-				return nil, err
-			}
-			return floatCells(vals), nil
+		vals, err := h.ReadRange(ctx, off, n)
+		if err != nil {
+			return nil, err
 		}
-		out := make([]object.Value, 0, n)
-		for p := off; p < off+n; {
-			row := p / inner
-			col := p % inner
-			run := inner - col
-			if rem := off + n - p; run > rem {
-				run = rem
-			}
-			// Variable-space flat offset of (slab row, col).
-			vOff := (start[rank-1] + col) * varStrides[rank-1]
-			rest := row
-			for d := rank - 2; d >= 0; d-- {
-				vOff += (start[d] + rest%shape[d]) * varStrides[d]
-				rest /= shape[d]
-			}
-			vals, err := f.ReadCellRangeCtx(ctx, varName, vOff, run)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, floatCells(vals)...)
-			p += run
-		}
-		return out, nil
+		return floatCells(vals), nil
 	}
-	return object.LazyArray(shape, cache.NewArray(size, fetch))
+	return object.LazyArray(h.Shape(), s.TileCache().NewArray(h.Size(), fetch))
 }
 
-// floatCells converts raw NetCDF values to AQL cells with the same
-// non-finite mapping as the eager slabToArray path.
+// floatCells converts raw NetCDF values to AQL cells; non-finite values
+// become ⊥ with a diagnostic.
 func floatCells(vals []float64) []object.Value {
 	out := make([]object.Value, len(vals))
 	for i, f := range vals {

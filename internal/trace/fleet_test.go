@@ -20,7 +20,7 @@ func fleetReport(query string, wall time.Duration, err string) *QueryReport {
 			{Name: PhaseEval, Wall: wall / 2, Count: 1},
 		},
 		Eval:  EvalCounters{Steps: 100, Cells: 20, Tabulations: 2, SetOps: 3, Iterations: 40},
-		IO:    IOCounters{SlabReads: 1, BytesRead: 4096, CacheHits: 3, CacheMisses: 1},
+		IO:    IOCounters{SlabReads: 1, BytesRead: 4096, TileHits: 3, TileMisses: 1},
 		Rules: []RuleFiring{{Phase: "normalize", Rule: "beta"}, {Phase: "normalize", Rule: "beta"}},
 		Err:   err,
 	}
@@ -145,10 +145,17 @@ aql_query_errors_total 1
 		`aql_eval_steps_total 200`,
 		`aql_eval_iterations_total 80`,
 		`aql_io_bytes_read_total 8192`,
-		`aql_io_cache_hits_total 6`,
+		`aql_io_tile_hits_total 6`,
 	} {
 		if !strings.Contains(got, line+"\n") {
 			t.Errorf("exposition missing line %q\nfull output:\n%s", line, got)
+		}
+	}
+	// The byte-block cache is gone; its families must not come back as
+	// always-zero series.
+	for _, family := range []string{"aql_io_cache_hits_total", "aql_io_cache_misses_total", "aql_io_prefetches_total"} {
+		if strings.Contains(got, family) {
+			t.Errorf("exposition still has the removed family %s", family)
 		}
 	}
 	// Histogram buckets must be cumulative and monotone.
@@ -208,7 +215,7 @@ func TestNewHandlerEndpoints(t *testing.T) {
 	}
 
 	// Fleet endpoints degrade to 404 when their component is absent.
-	bare := httptest.NewServer(Handler(r))
+	bare := httptest.NewServer(NewHandler(r, nil, nil))
 	defer bare.Close()
 	for _, path := range []string{"/metrics", "/debug/queries", "/debug/slow"} {
 		resp, err := bare.Client().Get(bare.URL + path)

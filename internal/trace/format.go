@@ -41,9 +41,6 @@ func (r *QueryReport) FormatProfile() string {
 	if !r.IO.IsZero() {
 		fmt.Fprintf(&b, "  slab reads      %12d\n", r.IO.SlabReads)
 		fmt.Fprintf(&b, "  bytes read      %12d\n", r.IO.BytesRead)
-		fmt.Fprintf(&b, "  cache hits      %12d\n", r.IO.CacheHits)
-		fmt.Fprintf(&b, "  cache misses    %12d\n", r.IO.CacheMisses)
-		fmt.Fprintf(&b, "  prefetches      %12d\n", r.IO.Prefetches)
 		if r.IO.Retries > 0 || r.IO.Faults > 0 {
 			fmt.Fprintf(&b, "  retries         %12d\n", r.IO.Retries)
 			fmt.Fprintf(&b, "  faults          %12d\n", r.IO.Faults)
@@ -105,9 +102,6 @@ func (t Totals) FormatTotals() string {
 	if !t.IO.IsZero() {
 		fmt.Fprintf(&b, "  slab reads      %12d\n", t.IO.SlabReads)
 		fmt.Fprintf(&b, "  bytes read      %12d\n", t.IO.BytesRead)
-		fmt.Fprintf(&b, "  cache hits      %12d\n", t.IO.CacheHits)
-		fmt.Fprintf(&b, "  cache misses    %12d\n", t.IO.CacheMisses)
-		fmt.Fprintf(&b, "  prefetches      %12d\n", t.IO.Prefetches)
 		fmt.Fprintf(&b, "  retries         %12d\n", t.IO.Retries)
 	}
 	return b.String()
@@ -254,8 +248,7 @@ func (s AggregateSnapshot) FormatFleet() string {
 		}
 	}
 	if !s.Totals.IO.IsZero() {
-		fmt.Fprintf(&b, "io: %d slab reads, %d bytes, %d hits, %d misses\n",
-			s.Totals.IO.SlabReads, s.Totals.IO.BytesRead, s.Totals.IO.CacheHits, s.Totals.IO.CacheMisses)
+		fmt.Fprintf(&b, "io: %d slab reads, %d bytes\n", s.Totals.IO.SlabReads, s.Totals.IO.BytesRead)
 	}
 	if len(s.Slow) > 0 {
 		b.WriteString("slowest queries:\n")

@@ -54,10 +54,6 @@ func summarize(rep *QueryReport) querySummary {
 	}
 }
 
-// Handler serves the recorder-only observability endpoints; kept for
-// callers without fleet aggregation. Equivalent to NewHandler(r, nil, nil).
-func Handler(r *Recorder) http.Handler { return NewHandler(r, nil, nil) }
-
 // NewHandler routes the -metricsaddr observability surface:
 //
 //	GET /                JSON summary: cumulative totals + recent queries

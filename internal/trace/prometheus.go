@@ -118,12 +118,6 @@ func writeFleetMetrics(b *MetricWriter, s AggregateSnapshot) {
 	b.Val("aql_io_slab_reads_total", "", s.Totals.IO.SlabReads)
 	b.Header("aql_io_bytes_read_total", "counter", "NetCDF data bytes read.")
 	b.Val("aql_io_bytes_read_total", "", s.Totals.IO.BytesRead)
-	b.Header("aql_io_cache_hits_total", "counter", "NetCDF block-cache hits.")
-	b.Val("aql_io_cache_hits_total", "", s.Totals.IO.CacheHits)
-	b.Header("aql_io_cache_misses_total", "counter", "NetCDF block-cache misses.")
-	b.Val("aql_io_cache_misses_total", "", s.Totals.IO.CacheMisses)
-	b.Header("aql_io_prefetches_total", "counter", "NetCDF block-cache prefetches.")
-	b.Val("aql_io_prefetches_total", "", s.Totals.IO.Prefetches)
 	b.Header("aql_io_retries_total", "counter", "NetCDF transient-error retries.")
 	b.Val("aql_io_retries_total", "", s.Totals.IO.Retries)
 	b.Header("aql_io_faults_total", "counter", "NetCDF injected faults observed.")

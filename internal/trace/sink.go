@@ -55,8 +55,6 @@ func (s *SlogSink) Emit(r *QueryReport) {
 		attrs = append(attrs,
 			slog.Int64("io_slab_reads", r.IO.SlabReads),
 			slog.Int64("io_bytes", r.IO.BytesRead),
-			slog.Int64("io_cache_hits", r.IO.CacheHits),
-			slog.Int64("io_cache_misses", r.IO.CacheMisses),
 			slog.Int64("io_retries", r.IO.Retries),
 		)
 	}

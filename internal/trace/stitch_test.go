@@ -515,7 +515,7 @@ func TestSummaryViewGolden(t *testing.T) {
 	want := `{"query":"len!A","id":"q000007","trace_id":"4bf92f3577b34da6a3ce929d0e0e4736",` +
 		`"wall_ns":5000000,"queue_wait_ns":2000000,"mode":"scatter",` +
 		`"eval":{"steps":11,"cells":3,"tabulations":0,"set_ops":0,"iterations":0},` +
-		`"io":{"slab_reads":0,"bytes_read":0,"cache_hits":0,"cache_misses":0,"prefetches":0,"retries":0,"faults":0},` +
+		`"io":{"slab_reads":0,"bytes_read":0,"retries":0,"faults":0},` +
 		`"rule_firings":0,"nodes_before":4,"nodes_after":2,` +
 		`"shards":[{"shard":0,"start":0,"end":8,"worker":"http://w1","attempts":1,"wall_ns":3000000,"queue_wait_ns":1000000}]}`
 	if string(got) != want {

@@ -10,8 +10,8 @@
 //     (parse -> desugar -> macro -> typecheck -> optimize -> eval)
 //   - evaluator counters: steps, cells, tabulations, set operations,
 //     comprehension iterations
-//   - NetCDF I/O counters: slab reads, bytes, cache hits/misses/prefetches,
-//     retries, injected faults
+//   - NetCDF I/O counters: slab reads, bytes, retries, injected faults,
+//     and the tile cache's hits/misses/prefetches
 //   - the optimizer trace: each rule firing with its phase and the AST
 //     node count of the rewritten subtree before and after
 //
@@ -83,11 +83,6 @@ type IOCounters struct {
 	SlabReads int64 `json:"slab_reads"`
 	// BytesRead counts external data bytes delivered to slab decoding.
 	BytesRead int64 `json:"bytes_read"`
-	// CacheHits / CacheMisses / Prefetches report block-cache behaviour
-	// when a file was opened through a CachedReaderAt.
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	Prefetches  int64 `json:"prefetches"`
 	// Retries counts transient-error re-reads by a RetryingReaderAt.
 	Retries int64 `json:"retries"`
 	// Faults counts injected faults observed by a FaultyReaderAt (tests
@@ -111,9 +106,6 @@ type IOCounters struct {
 func (c *IOCounters) Add(other IOCounters) {
 	c.SlabReads += other.SlabReads
 	c.BytesRead += other.BytesRead
-	c.CacheHits += other.CacheHits
-	c.CacheMisses += other.CacheMisses
-	c.Prefetches += other.Prefetches
 	c.Retries += other.Retries
 	c.Faults += other.Faults
 	c.TileHits += other.TileHits
@@ -124,6 +116,22 @@ func (c *IOCounters) Add(other IOCounters) {
 	c.BytesReturned += other.BytesReturned
 	c.SpillBytesWritten += other.SpillBytesWritten
 	c.SpillBytesRead += other.SpillBytesRead
+}
+
+// Sub subtracts other from c: the I/O observed since the snapshot other.
+func (c *IOCounters) Sub(other IOCounters) {
+	c.SlabReads -= other.SlabReads
+	c.BytesRead -= other.BytesRead
+	c.Retries -= other.Retries
+	c.Faults -= other.Faults
+	c.TileHits -= other.TileHits
+	c.TileMisses -= other.TileMisses
+	c.TilePrefetches -= other.TilePrefetches
+	c.TilePrefetchUseful -= other.TilePrefetchUseful
+	c.BytesScanned -= other.BytesScanned
+	c.BytesReturned -= other.BytesReturned
+	c.SpillBytesWritten -= other.SpillBytesWritten
+	c.SpillBytesRead -= other.SpillBytesRead
 }
 
 // IsZero reports whether no I/O was observed.

@@ -224,7 +224,7 @@ func TestHandler(t *testing.T) {
 	r.RuleFired("normalize", "beta^p", 2, 1)
 	r.End(nil)
 
-	srv := httptest.NewServer(Handler(r))
+	srv := httptest.NewServer(NewHandler(r, nil, nil))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL)
