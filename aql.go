@@ -201,11 +201,11 @@ func (s *Session) SetOptimizerEnabled(on bool) { s.s.SkipOptimizer = !on }
 // LastSteps reports the evaluator step count of the most recent query —
 // a machine-independent work measure. It is reported even for queries
 // aborted by a budget, cancellation, or recovered panic.
-func (s *Session) LastSteps() int64 { return s.s.LastSteps }
+func (s *Session) LastSteps() int64 { return s.s.LastSteps.Load() }
 
 // LastCells reports the collection/array cells charged by the most recent
 // query, on the same terms as LastSteps.
-func (s *Session) LastCells() int64 { return s.s.LastCells }
+func (s *Session) LastCells() int64 { return s.s.LastCells.Load() }
 
 // LastReport returns the full observability report of the most recent
 // query — phase wall times, evaluator counters, I/O counters and the
@@ -375,7 +375,8 @@ func (s *Session) Val(name string) (Value, bool) { return s.s.Env.Val(name) }
 // bumped by every val binding, macro definition, and reader/writer or
 // primitive registration. Anything derived from the environment (such as
 // a prepared plan) is valid only for the epoch it was built at; the query
-// server keys its plan cache on it.
+// server keys its plan cache on it. (A Stmt that does not read `it` looks
+// past the bindings of `it` among those bumps.)
 func (s *Session) EnvEpoch() uint64 { return s.s.Env.Epoch() }
 
 // --- Value constructors, re-exported for host programs ---------------------

@@ -288,7 +288,7 @@ func runE19() {
 				if r == 0 || d < best[ei] {
 					best[ei] = d
 				}
-				steps[ei] = s.LastSteps
+				steps[ei] = s.LastSteps.Load()
 				if reportSink != nil {
 					if rep := s.Trace.Last(); rep != nil {
 						reportSink.Emit(rep)
@@ -326,7 +326,7 @@ func timeQuery(s *repl.Session, label string, core ast.Expr) (time.Duration, int
 	if reportSink != nil && rep != nil {
 		reportSink.Emit(rep)
 	}
-	return d, s.LastSteps
+	return d, s.LastSteps.Load()
 }
 
 func compile(s *repl.Session, src string, optimize bool) ast.Expr {

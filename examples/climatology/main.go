@@ -81,7 +81,11 @@ func main() {
 		log.Fatal(err)
 	}
 	names := []string{"Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"}
-	for m, x := range v.Data {
+	months, err := v.Cells()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for m, x := range months {
 		fmt.Printf("  %s %6.1f°F\n", names[m], x.R)
 	}
 
@@ -91,7 +95,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, x := range v2.Data {
+	bands, err := v2.Cells()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, x := range bands {
 		c, _ := axis.Coord(i)
 		fmt.Printf("  lat %+5.0f° %6.1f°F\n", c, x.R)
 	}

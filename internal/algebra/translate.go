@@ -76,7 +76,7 @@ func (t *translator) tr(e ast.Expr, env []string) (Term, error) {
 		case *ast.Var:
 			if _, shadowed := t.lookup(fn.Name, env); !shadowed {
 				if v, ok := t.globals[fn.Name]; ok && v.Kind == object.KFunc {
-					return Prim{Name: fn.Name, Fn: v.Fn, Arg: arg}, nil
+					return Prim{Name: fn.Name, Fn: v.Fn(), Arg: arg}, nil
 				}
 			}
 		}

@@ -291,5 +291,5 @@ func Steps(s *repl.Session, src string, optimize bool) (int64, error) {
 	if _, err := s.Eval(core); err != nil {
 		return 0, err
 	}
-	return s.LastSteps, nil
+	return s.LastSteps.Load(), nil
 }

@@ -730,11 +730,11 @@ func decodeShard(resp *exchange.ShardResponse, start, end int64) (values []objec
 		return nil, -1, object.Value{}, counters, &ShardError{Kind: "transport",
 			Message: "cluster: undecodable shard values: " + rerr.Error(), Off: -1}
 	}
-	if v.Kind != object.KArray || len(v.Shape) != 1 || int64(len(v.Data)) != end-start {
+	if v.Kind != object.KArray || len(v.Shape) != 1 || int64(len(v.Elems)) != end-start {
 		return nil, -1, object.Value{}, counters, &ShardError{Kind: "transport",
 			Message: fmt.Sprintf("cluster: shard values shape mismatch: want vector of %d", end-start), Off: -1}
 	}
-	return v.Data, -1, object.Value{}, counters, nil
+	return v.Elems, -1, object.Value{}, counters, nil
 }
 
 // sleepCtx sleeps d unless ctx is done first; reports whether the full

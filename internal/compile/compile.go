@@ -123,17 +123,12 @@ func (e *Engine) EvalExpr(ctx context.Context, expr ast.Expr) (object.Value, err
 	code := c.compile(expr)
 
 	m := newMachine(ctx, e.Limits, ExecOpts{MaxSteps: e.MaxSteps, Workers: e.Workers, Threshold: e.Threshold, Args: e.Params}, c.params)
-	// Clear the interrupt state on the way out: closures that escape this
-	// evaluation capture the machine, and a later call through them must not
-	// observe a stale context or deadline. The profiling context is cleared
-	// for the same reason, after folding the accumulated span tree (even on
-	// error, so partial evaluations report).
+	// Fold the accumulated span tree on the way out, even on error, so
+	// partial evaluations report.
 	m.prof = eval.NewProfCtx(c.prof)
 	defer func() {
-		m.clearInterrupt()
 		if m.prof != nil {
 			e.lastSpans = m.prof.Fold()
-			m.prof = nil
 		}
 	}()
 	e.m = m
@@ -251,9 +246,8 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			if err := fr.m.step(); err != nil {
 				return object.Value{}, err
 			}
-			m := fr.m
-			if idx < len(m.argOK) && m.argOK[idx] {
-				return m.args[idx], nil
+			if ex := fr.m.exec; idx < len(ex.argOK) && ex.argOK[idx] {
+				return ex.args[idx], nil
 			}
 			return object.Value{}, fmt.Errorf("eval: unbound parameter $%s", name)
 		}
@@ -285,7 +279,13 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			if f.Kind != object.KFunc {
 				return object.Value{}, fmt.Errorf("eval: application of non-function %s", f.Kind)
 			}
-			return f.Fn(a)
+			// A function this engine made runs on a machine the applying
+			// goroutine owns; anything else (primitive, interpreter
+			// closure) is entered through Fn.
+			if cl, ok := f.Code().(*closure); ok {
+				return cl.call(fr.m.machineFor(cl.exec), a)
+			}
+			return f.Fn()(a)
 		}
 
 	case *ast.Tuple:
@@ -560,7 +560,7 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			if err != nil {
 				return object.Value{}, fmt.Errorf("eval: gen: %w", err)
 			}
-			fr.m.setOps.Add(1)
+			fr.m.setOps++
 			if err := fr.m.chargeCells(m); err != nil {
 				return object.Value{}, err
 			}
@@ -587,7 +587,7 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 				return object.Value{}, fmt.Errorf("eval: sum over %s", s.Kind)
 			}
 			var acc eval.SumAcc
-			fr.m.iters.Add(int64(len(s.Elems)))
+			fr.m.iters += int64(len(s.Elems))
 			for _, x := range s.Elems {
 				fr.slots[slot] = x
 				v, err := head(fr)
@@ -675,7 +675,7 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			if err := fr.m.step(); err != nil {
 				return object.Value{}, err
 			}
-			fr.m.setOps.Add(1)
+			fr.m.setOps++
 			s, err := set(fr)
 			if err != nil {
 				return object.Value{}, err
@@ -802,7 +802,7 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 // binaryUnion runs the shared shape of e1 ∪ e2 and e1 ⊎ e2: the set-op
 // charge precedes the operand evaluations, matching the interpreter.
 func binaryUnion(fr *frame, l, r compiledExpr, merge func(a, b object.Value) (object.Value, error)) (object.Value, error) {
-	fr.m.setOps.Add(1)
+	fr.m.setOps++
 	lv, err := l(fr)
 	if err != nil {
 		return object.Value{}, err
@@ -872,6 +872,25 @@ func (c *compiler) compileSubscript2(arr compiledExpr, tup *ast.Tuple) compiledE
 	}
 }
 
+// closure is the engine's record of a function value it made: the compiled
+// body, the captured slots and the execution that made it. It rides the
+// function value (object.FuncWithCode) so the App node can run the body on
+// the applying machine instead of entering through Fn.
+type closure struct {
+	body      compiledExpr
+	captured  []object.Value
+	frameSize int
+	exec      *execution
+}
+
+// call runs the body on m with arg bound to the parameter slot.
+func (cl *closure) call(m *machine, arg object.Value) (object.Value, error) {
+	slots := make([]object.Value, cl.frameSize)
+	copy(slots, cl.captured)
+	slots[len(cl.captured)] = arg
+	return cl.body(&frame{m: m, slots: slots})
+}
+
 // compileLam performs closure conversion: the lambda's free variables that
 // are locally bound get dedicated capture slots [0..ncap) in the body's
 // frame layout, the parameter lands at slot ncap, and closure creation
@@ -898,22 +917,19 @@ func (c *compiler) compileLam(n *ast.Lam) compiledExpr {
 	sub.maxSlots = len(sub.scope)
 	body := sub.compile(n.Body)
 	frameSize := sub.maxSlots
-	ncap := len(capSlots)
 	return func(fr *frame) (object.Value, error) {
 		if err := fr.m.step(); err != nil {
 			return object.Value{}, err
 		}
-		captured := make([]object.Value, ncap)
+		cl := &closure{body: body, captured: make([]object.Value, len(capSlots)), frameSize: frameSize, exec: fr.m.exec}
 		for i, s := range capSlots {
-			captured[i] = fr.slots[s]
+			cl.captured[i] = fr.slots[s]
 		}
-		m := fr.m
-		return object.Func(func(arg object.Value) (object.Value, error) {
-			slots := make([]object.Value, frameSize)
-			copy(slots, captured)
-			slots[ncap] = arg
-			return body(&frame{m: m, slots: slots})
-		}), nil
+		// Fn is the entry for callers that are not this engine's App node
+		// (the interpreter, Go code holding the value); see enter.
+		return object.FuncWithCode(func(arg object.Value) (object.Value, error) {
+			return cl.call(cl.exec.enter(), arg)
+		}, cl), nil
 	}
 }
 
@@ -941,8 +957,8 @@ func (c *compiler) compileBigUnion(headE ast.Expr, varName string, overE ast.Exp
 		if s.Kind != wantKind {
 			return object.Value{}, fmt.Errorf(overMsg, s.Kind)
 		}
-		fr.m.setOps.Add(1)
-		fr.m.iters.Add(int64(len(s.Elems)))
+		fr.m.setOps++
+		fr.m.iters += int64(len(s.Elems))
 		var all []object.Value
 		for _, x := range s.Elems {
 			fr.slots[slot] = x
@@ -994,8 +1010,8 @@ func (c *compiler) compileRankUnion(headE ast.Expr, varName, rankVar string, ove
 		if s.Kind != wantKind {
 			return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, s.Kind)
 		}
-		fr.m.setOps.Add(1)
-		fr.m.iters.Add(int64(len(s.Elems)))
+		fr.m.setOps++
+		fr.m.iters += int64(len(s.Elems))
 		var all []object.Value
 		for i, x := range s.Elems {
 			fr.slots[varSlot] = x

@@ -87,7 +87,7 @@ func TestEscapedClosure(t *testing.T) {
 	if f.Kind != object.KFunc {
 		t.Fatalf("lam = %s, want a function", f.Kind)
 	}
-	got, err := f.Fn(object.Nat(41))
+	got, err := f.Fn()(object.Nat(41))
 	if err != nil {
 		t.Fatal(err)
 	}

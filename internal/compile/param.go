@@ -3,7 +3,7 @@ package compile
 import "github.com/aqldb/aql/internal/object"
 
 // paramTable assigns each $name placeholder of a program a stable index
-// into the per-execution argument frame (machine.args). The table is built
+// into the per-execution argument frame (execution.args). The table is built
 // during the resolve pass and shared — by pointer — between the top-level
 // compiler, every lambda-body sub-compiler, and the shard-view compiler, so
 // one name means one index everywhere in the program.

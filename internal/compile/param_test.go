@@ -211,7 +211,7 @@ func TestPlanShardsThroughLets(t *testing.T) {
 				merged.SetOps += res.Counters.SetOps
 				merged.Iters += res.Counters.Iters
 			}
-			got := object.Value{Kind: object.KArray, Shape: plan.Shape, Data: data}
+			got := object.Value{Kind: object.KArray, Shape: plan.Shape, Elems: data}
 			if got.String() != want.String() {
 				t.Errorf("merged value differs:\n got %.120s\nwant %.120s", got, want)
 			}
@@ -268,7 +268,7 @@ func TestPlanShardsLetsAndParams(t *testing.T) {
 		merged.SetOps += res.Counters.SetOps
 		merged.Iters += res.Counters.Iters
 	}
-	got := object.Value{Kind: object.KArray, Shape: plan.Shape, Data: data}
+	got := object.Value{Kind: object.KArray, Shape: plan.Shape, Elems: data}
 	if got.String() != want.String() {
 		t.Errorf("merged value differs:\n got %.120s\nwant %.120s", got, want)
 	}

@@ -12,8 +12,9 @@ import (
 // code is exactly the unprofiled closures. The wrapper reads the machine's
 // profiling context at run time (not compile time) because closures escape
 // evaluations: a top-level val of function type compiled under profiling
-// may later run on a machine — or from a parallel worker — where profiling
-// is off, and must then cost nothing but the nil check.
+// later runs on a guest machine (see machine.machineFor), which never
+// profiles — its span IDs belong to another plan — and must then cost
+// nothing but the nil check.
 //
 // The accounting mirrors eval.Evaluator.evalSpan exactly: count the
 // invocation; on measured invocations snapshot the machine counters and
@@ -31,11 +32,11 @@ func profWrap(op compiledExpr, id int) compiledExpr {
 		if !p.Full && (inv-1)&(eval.SampleInterval-1) != 0 {
 			return op(fr)
 		}
-		steps0 := m.steps.Load()
-		cells0 := m.cells.Load()
-		tabs0 := m.tabs.Load()
-		setOps0 := m.setOps.Load()
-		iters0 := m.iters.Load()
+		steps0 := m.steps
+		cells0 := m.cells
+		tabs0 := m.tabs
+		setOps0 := m.setOps
+		iters0 := m.iters
 		savedWall := p.ChildWallNs.Swap(0)
 		savedSteps := p.ChildSteps.Swap(0)
 		savedCells := p.ChildCells.Swap(0)
@@ -45,11 +46,11 @@ func profWrap(op compiledExpr, id int) compiledExpr {
 		t0 := time.Now()
 		v, err := op(fr)
 		d := int64(time.Since(t0))
-		dSteps := m.steps.Load() - steps0
-		dCells := m.cells.Load() - cells0
-		dTabs := m.tabs.Load() - tabs0
-		dSetOps := m.setOps.Load() - setOps0
-		dIters := m.iters.Load() - iters0
+		dSteps := m.steps - steps0
+		dCells := m.cells - cells0
+		dTabs := m.tabs - tabs0
+		dSetOps := m.setOps - setOps0
+		dIters := m.iters - iters0
 		s.Measured.Add(1)
 		s.WallNs.Add(d)
 		s.SelfNs.Add(d - p.ChildWallNs.Load())

@@ -141,10 +141,6 @@ type ExecOpts struct {
 // are all per-call.
 func (p *Program) Execute(ctx context.Context, opts ExecOpts) (object.Value, eval.Counters, error) {
 	m := p.newMachine(ctx, opts)
-	// Clear the interrupt state on the way out, as EvalExpr does: closures
-	// that escape this execution capture the machine, and a later call
-	// through them must not observe a stale context or deadline.
-	defer m.clearInterrupt()
 	fr := &frame{m: m, slots: make([]object.Value, p.maxSlots)}
 	v, err := p.code(fr)
 	return v, m.counters(), err
@@ -168,12 +164,14 @@ func (p *Program) newMachine(ctx context.Context, opts ExecOpts) *machine {
 // supplies MaxSteps, Workers, Threshold and the argument frame.
 func newMachine(ctx context.Context, lim eval.Limits, opts ExecOpts, pt *paramTable) *machine {
 	m := &machine{
-		limits:    lim,
-		maxSteps:  opts.MaxSteps,
-		workers:   opts.Workers,
-		threshold: int64(opts.Threshold),
-		stepMask:  eval.InterruptInterval - 1,
-		ctx:       ctx,
+		config: config{
+			limits:    lim,
+			maxSteps:  opts.MaxSteps,
+			workers:   opts.Workers,
+			threshold: int64(opts.Threshold),
+			stepMask:  eval.InterruptInterval - 1,
+		},
+		ctx: ctx,
 	}
 	if opts.MaxSteps > 0 || lim.MaxSteps > 0 {
 		m.stepMask = 0
@@ -192,13 +190,7 @@ func newMachine(ctx context.Context, lim eval.Limits, opts ExecOpts, pt *paramTa
 	if lim.Timeout > 0 {
 		m.deadline = time.Now().Add(lim.Timeout)
 	}
-	m.args, m.argOK = pt.resolve(opts.Args)
+	m.exec = &execution{config: m.config}
+	m.exec.args, m.exec.argOK = pt.resolve(opts.Args)
 	return m
-}
-
-// clearInterrupt drops the machine's context and deadline so closures that
-// escaped the execution cannot observe stale interrupt state.
-func (m *machine) clearInterrupt() {
-	m.ctx = nil
-	m.deadline = time.Time{}
 }

@@ -124,7 +124,6 @@ func (p *Program) PlanShards(ctx context.Context, opts ExecOpts) (*ShardPlan, er
 		return nil, fmt.Errorf("compile: program is not range-partitionable")
 	}
 	m := p.newMachine(ctx, opts)
-	defer m.clearInterrupt()
 	fr := &frame{m: m, slots: make([]object.Value, sc.maxSlots)}
 	bot, err := sc.evalLets(fr)
 	if err != nil {
@@ -197,7 +196,6 @@ func (p *Program) ExecuteRange(ctx context.Context, opts ExecOpts, shape []int, 
 		return nil, fmt.Errorf("compile: range [%d, %d) outside element space of size %d", start, end, size)
 	}
 	m := p.newMachine(ctx, opts)
-	defer m.clearInterrupt()
 	fr := &frame{m: m, slots: make([]object.Value, sc.maxSlots)}
 	bot, err := sc.evalLets(fr)
 	if err != nil {

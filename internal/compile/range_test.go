@@ -103,7 +103,7 @@ func TestRangeDifferential(t *testing.T) {
 				copy(data[rg[0]:rg[1]], res.Values)
 				merged = merged.Add(res.Counters)
 			}
-			got := object.Value{Kind: object.KArray, Shape: plan.Shape, Data: data}
+			got := object.Value{Kind: object.KArray, Shape: plan.Shape, Elems: data}
 			if !object.Equal(got, wantVal) {
 				t.Errorf("reassembled value differs from Execute's")
 			}

@@ -74,7 +74,7 @@ func (t *tabCode) prologue(fr *frame) (shape []int, size int, bot object.Value, 
 	if err := m.step(); err != nil {
 		return nil, 0, object.Value{}, err
 	}
-	m.tabs.Add(1)
+	m.tabs++
 	shape = make([]int, len(t.bounds))
 	cells := int64(1)
 	for j, b := range t.bounds {
@@ -165,7 +165,7 @@ func (p Partial) Result(shape []int, data []object.Value) (object.Value, error) 
 	if p.BottomOff >= 0 {
 		return p.Bottom, nil
 	}
-	return object.Value{Kind: object.KArray, Shape: shape, Data: data}, nil
+	return object.Value{Kind: object.KArray, Shape: shape, Elems: data}, nil
 }
 
 // run evaluates the head over [lo, hi) into out, which holds exactly that
@@ -180,18 +180,19 @@ func (t *tabCode) run(fr *frame, shape []int, lo, hi int, out []object.Value) Pa
 
 // scan is the element loop: it binds the index variables by slot store and
 // evaluates the head at each offset of [lo, hi) in row-major order, writing
-// out[off-lo]. A non-nil stop is the fan-out's abort flag: polled per
-// element, and raised on a resource error.
+// out[off-lo]. Only the slots whose index the row-major advance changed are
+// rebound between cells. A non-nil stop is the fan-out's abort flag: polled
+// per element, and raised on a resource error.
 func (t *tabCode) scan(fr *frame, shape []int, lo, hi int, out []object.Value, stop *atomic.Bool) Partial {
 	p := Partial{Lo: int64(lo), Hi: int64(hi), BottomOff: -1}
 	slots := fr.slots
 	idx := unflatten(lo, shape)
+	for j, s := range t.idxSlots {
+		slots[s] = object.Nat(int64(idx[j]))
+	}
 	for off := lo; off < hi; off++ {
 		if stop != nil && stop.Load() {
 			break
-		}
-		for j, s := range t.idxSlots {
-			slots[s] = object.Nat(int64(idx[j]))
 		}
 		v, err := t.head(fr)
 		if err != nil {
@@ -209,9 +210,11 @@ func (t *tabCode) scan(fr *frame, shape []int, lo, hi int, out []object.Value, s
 		for d := len(shape) - 1; d >= 0; d-- {
 			idx[d]++
 			if idx[d] < shape[d] {
+				slots[t.idxSlots[d]].N = int64(idx[d])
 				break
 			}
 			idx[d] = 0
+			slots[t.idxSlots[d]].N = 0
 		}
 	}
 	return p
@@ -256,10 +259,11 @@ func (p *workerPanic) Error() string {
 
 // fanOut splits [lo, hi) into contiguous chunks, one goroutine each, every
 // worker scanning on a copy of fr's slots into its own region of out.
-// Counters stay exact: a worker counts on a forked machine and flushes into
-// the parent at join, so post-join totals equal a serial scan's; under
-// profiling the fork carries its own span context, merged back the same
-// way, and the tabulation's span receives one WorkerSpan per worker.
+// Counters stay exact: a worker counts on a forked machine that only its
+// goroutine writes, and the calling goroutine absorbs every fork after the
+// join, so post-join totals equal a serial scan's; under profiling the fork
+// carries its own span context, merged back the same way, and the
+// tabulation's span receives one WorkerSpan per worker.
 func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value) Partial {
 	m := fr.m
 	n := hi - lo
@@ -273,8 +277,10 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 	parts := make([]Partial, nw)
 	panics := make([]*workerPanic, nw)
 	spans := make([]eval.WorkerSpan, nw)
+	forks := make([]*machine, nw)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	m.openFanOut()
 	for w := 0; w < nw; w++ {
 		wlo := lo + w*chunk
 		whi := wlo + chunk
@@ -282,6 +288,7 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 			whi = hi
 		}
 		wm := m.fork()
+		forks[w] = wm
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -297,13 +304,15 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 					}
 					panics[w] = &workerPanic{Val: r, Off: off, Stack: debug.Stack()}
 				}
-				wm.flush()
-				spans[w] = eval.WorkerSpan{Worker: w, Start: wlo, End: whi, Busy: time.Since(t0), Steps: wm.steps.Load()}
+				spans[w] = eval.WorkerSpan{Worker: w, Start: wlo, End: whi, Busy: time.Since(t0), Steps: wm.steps}
 			}()
 			parts[w] = t.scan(wfr, shape, wlo, whi, out[wlo-lo:whi-lo], &stop)
 		}()
 	}
 	wg.Wait()
+	for _, wm := range forks {
+		m.absorb(wm)
+	}
 
 	// Chunks ascend, so the first panic found is the lowest-offset one.
 	for _, wp := range panics {

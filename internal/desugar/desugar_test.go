@@ -282,7 +282,7 @@ func TestMotivatingQueryShape(t *testing.T) {
 	T := object.RealVector(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
 	heatindex := object.Func(func(v object.Value) (object.Value, error) {
 		total := 0.0
-		for _, x := range v.Data {
+		for _, x := range v.Elems {
 			f, err := x.AsReal()
 			if err != nil {
 				return object.Value{}, err
@@ -297,8 +297,8 @@ func TestMotivatingQueryShape(t *testing.T) {
 		j, _ := v.Elems[2].AsNat()
 		n := int(j - i + 1)
 		data := make([]object.Value, 0, n)
-		for k := int(i); k <= int(j) && k < len(arr.Data); k++ {
-			data = append(data, arr.Data[k])
+		for k := int(i); k <= int(j) && k < len(arr.Elems); k++ {
+			data = append(data, arr.Elems[k])
 		}
 		return object.Vector(data...), nil
 	})

@@ -9,7 +9,9 @@
 // Every mutation bumps a monotone epoch counter; the query server keys its
 // prepared-plan cache on the epoch, so a `val` rebinding or a new reader
 // registration invalidates exactly the plans whose global snapshot it could
-// have changed.
+// have changed. Bindings of `it`, which every bare query and prepared
+// execution makes, are counted apart (PlanEpoch) so that a plan which does
+// not read `it` outlives them.
 package env
 
 import (
@@ -25,6 +27,10 @@ import (
 	"github.com/aqldb/aql/internal/types"
 )
 
+// ItName is the val a bare query's or a prepared execution's result is bound
+// to.
+const ItName = "it"
+
 // Reader inputs a complex object given a parameter object — the
 // counterpart of the paper's `readval V using READER at E` (section 4.1).
 type Reader func(arg object.Value) (object.Value, error)
@@ -35,8 +41,10 @@ type Writer func(arg, data object.Value) error
 
 // Env is the AQL top-level environment.
 type Env struct {
-	mu        sync.RWMutex
-	epoch     uint64
+	mu    sync.RWMutex
+	epoch uint64
+	// itBinds is how many of epoch's bumps were bindings of ItName.
+	itBinds   uint64
 	prims     map[string]object.Value
 	primTypes map[string]*types.Type
 	vals      map[string]object.Value
@@ -91,6 +99,20 @@ func (e *Env) Epoch() uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.epoch
+}
+
+// PlanEpoch returns the mutation counter a prepared plan is valid under: the
+// full epoch for a plan that reads ItName, and the epoch less the bindings
+// of ItName for one that does not. Both are monotone; a plan is current
+// while the counter for its kind still equals the one read before its
+// globals snapshot was taken.
+func (e *Env) PlanEpoch(readsIt bool) uint64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if readsIt {
+		return e.epoch
+	}
+	return e.epoch - e.itBinds
 }
 
 // RegisterPrimitive makes an external function available to queries under
@@ -152,6 +174,9 @@ func (e *Env) SetVal(name string, v object.Value, typ *types.Type) {
 	e.vals[name] = v
 	e.valTypes[name] = typ
 	e.epoch++
+	if name == ItName {
+		e.itBinds++
+	}
 }
 
 // Val returns a top-level val.

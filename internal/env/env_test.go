@@ -39,7 +39,7 @@ func TestRegisterPrimitive(t *testing.T) {
 	if !ok || fn.Kind != object.KFunc {
 		t.Fatal("inc not registered")
 	}
-	got, err := fn.Fn(object.Nat(41))
+	got, err := fn.Fn()(object.Nat(41))
 	if err != nil || got.N != 42 {
 		t.Errorf("inc(41) = %v, %v", got, err)
 	}

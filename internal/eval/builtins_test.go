@@ -18,7 +18,7 @@ func callBuiltin(t *testing.T, name string, v object.Value) (object.Value, error
 	if f.Kind != object.KFunc {
 		t.Fatalf("builtin %q is %s, want a function", name, f.Kind)
 	}
-	return f.Fn(v)
+	return f.Fn()(v)
 }
 
 func mustBuiltin(t *testing.T, name string, v object.Value) object.Value {

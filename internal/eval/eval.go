@@ -254,7 +254,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		if fn.Kind != object.KFunc {
 			return object.Value{}, fmt.Errorf("eval: application of non-function %s", fn.Kind)
 		}
-		return fn.Fn(arg)
+		return fn.Fn()(arg)
 
 	case *ast.Tuple:
 		elems := make([]object.Value, len(n.Elems))

@@ -201,7 +201,7 @@ func TestStaleContextClearedAfterEvalCtx(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	v, err := fn.Fn(object.Nat(7))
+	v, err := fn.Fn()(object.Nat(7))
 	if err != nil {
 		t.Fatalf("closure after ctx cancelled: %v", err)
 	}

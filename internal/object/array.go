@@ -23,7 +23,7 @@ func Array(shape []int, data []Value) (Value, error) {
 	if size != len(data) {
 		return Value{}, fmt.Errorf("object: shape %v requires %d values, got %d", shape, size, len(data))
 	}
-	return Value{Kind: KArray, Shape: shape, Data: data}, nil
+	return Value{Kind: KArray, Shape: shape, Elems: data}, nil
 }
 
 // MustArray is Array that panics on error; for tests and static tables.
@@ -36,7 +36,7 @@ func MustArray(shape []int, data []Value) Value {
 }
 
 // Vector returns a one-dimensional array of the given values.
-func Vector(data ...Value) Value { return Value{Kind: KArray, Shape: []int{len(data)}, Data: data} }
+func Vector(data ...Value) Value { return Value{Kind: KArray, Shape: []int{len(data)}, Elems: data} }
 
 // NatVector returns a one-dimensional array of naturals; a convenience for
 // tests and drivers.
@@ -62,10 +62,10 @@ func (v Value) Dims() int { return len(v.Shape) }
 
 // Size returns the total number of elements of an array value.
 func (v Value) Size() int {
-	if v.lazy != nil {
-		return v.lazy.size
+	if ls := v.lazyState(); ls != nil {
+		return ls.size
 	}
-	return len(v.Data)
+	return len(v.Elems)
 }
 
 // flatten converts a multi-index to a row-major offset, or reports an
@@ -202,7 +202,7 @@ func Tabulate(shape []int, f func(idx []int) (Value, error)) (Value, error) {
 			idx[d] = 0
 		}
 	}
-	return Value{Kind: KArray, Shape: shape, Data: data}, nil
+	return Value{Kind: KArray, Shape: shape, Elems: data}, nil
 }
 
 // Graph returns graph_k(a) = { (i, a[i]) | i ∈ dom(a) } as a canonical set
@@ -301,7 +301,7 @@ func IndexChecked(s Value, k int, guard func(cells int64) error) (Value, error) 
 	for off, g := range groups {
 		data[off] = SetFromSorted(g)
 	}
-	return Value{Kind: KArray, Shape: shape, Data: data}, nil
+	return Value{Kind: KArray, Shape: shape, Elems: data}, nil
 }
 
 // Append returns the concatenation a @ b of two one-dimensional arrays —

@@ -36,12 +36,12 @@ func Compare(a, b Value) int {
 	case KReal:
 		return cmpFloat(a.R, b.R)
 	case KString:
-		return cmpString(a.S, b.S)
+		return cmpString(a.Str(), b.Str())
 	case KBase:
-		if c := cmpString(a.Base, b.Base); c != 0 {
+		if c := cmpString(a.BaseType(), b.BaseType()); c != 0 {
 			return c
 		}
-		return cmpString(a.S, b.S)
+		return cmpString(a.Str(), b.Str())
 	case KTuple, KSet, KBag:
 		// Tuples compare lexicographically. Sets and bags are canonical
 		// (sorted), so lexicographic comparison of the element slices is a

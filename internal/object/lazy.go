@@ -63,36 +63,52 @@ func LazyArray(shape []int, backing ArrayBacking) (Value, error) {
 	if size != backing.Size() {
 		return Value{}, fmt.Errorf("object: shape %v requires %d cells, backing has %d", shape, size, backing.Size())
 	}
-	return Value{Kind: KArray, Shape: shape, lazy: &lazyState{backing: backing, size: size}}, nil
+	// The cold record and the state it points to are one allocation.
+	lc := &struct {
+		cold
+		state lazyState
+	}{state: lazyState{backing: backing, size: size}}
+	lc.lazy = &lc.state
+	return Value{Kind: KArray, Shape: shape, c: &lc.cold}, nil
+}
+
+// lazyState returns the backing state of a lazy array, nil for every other
+// value (an eager array has no cold record at all).
+func (v Value) lazyState() *lazyState {
+	if v.c == nil {
+		return nil
+	}
+	return v.c.lazy
 }
 
 // IsLazy reports whether v is a lazy (backing-store) array.
-func (v Value) IsLazy() bool { return v.lazy != nil }
+func (v Value) IsLazy() bool { return v.lazyState() != nil }
 
 // Backing returns the backing store of a lazy array, or nil. Callers use it
 // for interface probes (e.g. the cost estimator asking for a tile count); it
 // must not be used to bypass the cell access paths.
 func (v Value) Backing() any {
-	if v.lazy == nil {
-		return nil
+	if ls := v.lazyState(); ls != nil {
+		return ls.backing
 	}
-	return v.lazy.backing
+	return nil
 }
 
 // CellAtCtx returns the cell at flat row-major offset off, fetching through
 // the backing for lazy arrays. off must be in range (callers bounds-check
 // against Size/Shape first, as the eager paths do).
 func (v Value) CellAtCtx(ctx context.Context, off int) (Value, error) {
-	if v.lazy == nil {
-		return v.Data[off], nil
+	ls := v.lazyState()
+	if ls == nil {
+		return v.Elems[off], nil
 	}
-	if v.lazy.done.Load() {
-		if v.lazy.err != nil {
-			return Value{}, v.lazy.err
+	if ls.done.Load() {
+		if ls.err != nil {
+			return Value{}, ls.err
 		}
-		return v.lazy.data[off], nil
+		return ls.data[off], nil
 	}
-	return v.lazy.backing.Cell(ctx, off)
+	return ls.backing.Cell(ctx, off)
 }
 
 // CellAt is CellAtCtx without cancellation.
@@ -102,10 +118,10 @@ func (v Value) CellAt(off int) (Value, error) { return v.CellAtCtx(nil, off) }
 // (once; the result is cached and shared by all copies of the value). The
 // returned slice must not be mutated.
 func (v Value) CellsCtx(ctx context.Context) ([]Value, error) {
-	if v.lazy == nil {
-		return v.Data, nil
+	ls := v.lazyState()
+	if ls == nil {
+		return v.Elems, nil
 	}
-	ls := v.lazy
 	ls.once.Do(func() {
 		ls.data, ls.err = fetchAll(ctx, ls.backing, ls.size)
 		ls.done.Store(true)
@@ -119,14 +135,14 @@ func (v Value) Cells() ([]Value, error) { return v.CellsCtx(nil) }
 // MaterializeCtx returns an eager copy of v: same kind, shape and cells, no
 // backing indirection. Non-lazy values are returned unchanged.
 func (v Value) MaterializeCtx(ctx context.Context) (Value, error) {
-	if v.lazy == nil {
+	if !v.IsLazy() {
 		return v, nil
 	}
 	cells, err := v.CellsCtx(ctx)
 	if err != nil {
 		return Value{}, err
 	}
-	return Value{Kind: KArray, Shape: v.Shape, Data: cells}, nil
+	return Value{Kind: KArray, Shape: v.Shape, Elems: cells}, nil
 }
 
 // Materialize is MaterializeCtx without cancellation.

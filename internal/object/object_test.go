@@ -16,7 +16,7 @@ func TestConstructors(t *testing.T) {
 	if Real(2.5).R != 2.5 {
 		t.Error("Real payload wrong")
 	}
-	if String_("x").S != "x" {
+	if String_("x").Str() != "x" {
 		t.Error("String payload wrong")
 	}
 	if Tuple(Nat(1)).Kind != KNat {

@@ -23,8 +23,9 @@ import (
 	"strings"
 )
 
-// Kind discriminates the run-time alternatives of a Value.
-type Kind int
+// Kind discriminates the run-time alternatives of a Value. It is one byte so
+// that it shares a word with Value.B.
+type Kind uint8
 
 // The kinds of runtime values. The zero kind is KInvalid, so that the zero
 // Value is not mistaken for any legal object (in particular not for ⊥).
@@ -77,27 +78,79 @@ func (k Kind) String() string {
 // Value is a runtime complex object. Values are immutable by convention:
 // no code in this module mutates a Value after construction, so values may
 // be shared freely (including across goroutines).
+//
+// The struct is what every array cell, frame slot, set element and closure
+// result of both engines is, so it holds inline only what a scalar or a
+// collection header needs (80 bytes); what strings, base values, diagnosed
+// ⊥, functions and lazy arrays carry sits behind the one cold pointer.
 type Value struct {
 	Kind  Kind
-	B     bool                       // KBool
-	N     int64                      // KNat: always >= 0
-	R     float64                    // KReal
-	S     string                     // KString; KBase: the literal; KBottom: optional diagnostic
-	Base  string                     // KBase: the base-type name
-	Elems []Value                    // KTuple components; KSet/KBag elements (canonical order)
-	Shape []int                      // KArray: dimension lengths, len(Shape) == k >= 1
-	Data  []Value                    // KArray: row-major values, len == product(Shape)
-	Fn    func(Value) (Value, error) // KFunc
+	B     bool    // KBool
+	N     int64   // KNat: always >= 0
+	R     float64 // KReal
+	Elems []Value // KTuple components; KSet/KBag elements (canonical order); KArray row-major cells, len == product(Shape), nil when lazy
+	Shape []int   // KArray: dimension lengths, len(Shape) == k >= 1
 
+	// c is nil for bool, nat, real, tuple, set, bag, eager array and the
+	// undiagnosed ⊥, which therefore allocate nothing of their own.
+	c *cold
+}
+
+// cold is the part of a Value no scalar needs. It is written once, by the
+// constructor, and shared by every copy of the Value.
+type cold struct {
+	s    string                     // KString; KBase: the literal; KBottom: the diagnostic
+	base string                     // KBase: the base-type name
+	fn   func(Value) (Value, error) // KFunc: the entry any caller may use
+	// code is what the engine that made a KFunc knows about it beyond fn
+	// (its closure record); nil for primitives and foreign functions.
+	code any
 	// lazy, when non-nil, marks a KArray whose cells live in a backing
-	// store (tile cache) instead of Data. Access cells through CellAt /
-	// Cells / Materialize, never Data directly. See lazy.go.
+	// store (tile cache) instead of Elems. See lazy.go.
 	lazy *lazyState
+}
+
+// Str returns the string payload: the text of a KString, the literal of a
+// KBase, the diagnostic of a KBottom (empty when it has none).
+func (v Value) Str() string {
+	if v.c == nil {
+		return ""
+	}
+	return v.c.s
+}
+
+// BaseType returns the base-type name of a KBase value.
+func (v Value) BaseType() string {
+	if v.c == nil {
+		return ""
+	}
+	return v.c.base
+}
+
+// Fn returns the Go function behind a KFunc value, nil for any other kind.
+func (v Value) Fn() func(Value) (Value, error) {
+	if v.c == nil {
+		return nil
+	}
+	return v.c.fn
+}
+
+// Code returns what FuncWithCode attached to a function value, or nil.
+func (v Value) Code() any {
+	if v.c == nil {
+		return nil
+	}
+	return v.c.code
 }
 
 // Bottom is the error value ⊥. The message is carried for diagnostics only;
 // all bottoms are equal as values.
-func Bottom(msg string) Value { return Value{Kind: KBottom, S: msg} }
+func Bottom(msg string) Value {
+	if msg == "" {
+		return Value{Kind: KBottom}
+	}
+	return Value{Kind: KBottom, c: &cold{s: msg}}
+}
 
 // IsBottom reports whether v is the error value.
 func (v Value) IsBottom() bool { return v.Kind == KBottom }
@@ -120,11 +173,11 @@ func Real(r float64) Value { return Value{Kind: KReal, R: r} }
 
 // String_ returns a string object. (Named with a trailing underscore to
 // avoid colliding with the Stringer method.)
-func String_(s string) Value { return Value{Kind: KString, S: s} }
+func String_(s string) Value { return Value{Kind: KString, c: &cold{s: s}} }
 
 // Base returns a value of the uninterpreted base type named typ with the
 // given literal representation.
-func Base(typ, lit string) Value { return Value{Kind: KBase, Base: typ, S: lit} }
+func Base(typ, lit string) Value { return Value{Kind: KBase, c: &cold{base: typ, s: lit}} }
 
 // Tuple returns a k-tuple object. Following the paper's convention, products
 // have arity >= 2; a 0-ary tuple is the unit value and a 1-ary "tuple" is
@@ -140,7 +193,14 @@ func Tuple(elems ...Value) Value {
 var Unit = Value{Kind: KTuple}
 
 // Func wraps a Go function as a runtime function value.
-func Func(fn func(Value) (Value, error)) Value { return Value{Kind: KFunc, Fn: fn} }
+func Func(fn func(Value) (Value, error)) Value { return FuncWithCode(fn, nil) }
+
+// FuncWithCode is Func with the making engine's own record of the function
+// attached, for that engine to recognise through Code; fn must remain a
+// complete entry for callers that do not.
+func FuncWithCode(fn func(Value) (Value, error), code any) Value {
+	return Value{Kind: KFunc, c: &cold{fn: fn, code: code}}
+}
 
 // True and False are the boolean constants.
 var (
@@ -209,8 +269,8 @@ func (v Value) write(b *strings.Builder) {
 	switch v.Kind {
 	case KBottom:
 		b.WriteString("_|_")
-		if v.S != "" {
-			fmt.Fprintf(b, "(* %s *)", v.S)
+		if msg := v.Str(); msg != "" {
+			fmt.Fprintf(b, "(* %s *)", msg)
 		}
 	case KBool:
 		if v.B {
@@ -228,9 +288,9 @@ func (v Value) write(b *strings.Builder) {
 			b.WriteString(".0")
 		}
 	case KString:
-		fmt.Fprintf(b, "%q", v.S)
+		fmt.Fprintf(b, "%q", v.Str())
 	case KBase:
-		fmt.Fprintf(b, "%s#%q", v.Base, v.S)
+		fmt.Fprintf(b, "%s#%q", v.BaseType(), v.Str())
 	case KTuple:
 		b.WriteString("(")
 		for i, e := range v.Elems {

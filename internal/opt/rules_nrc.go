@@ -510,7 +510,7 @@ func litExpr(v object.Value) (ast.Expr, bool) {
 	case object.KReal:
 		return &ast.RealLit{Val: v.R}, true
 	case object.KString:
-		return &ast.StringLit{Val: v.S}, true
+		return &ast.StringLit{Val: v.Str()}, true
 	case object.KBool:
 		return &ast.BoolLit{Val: v.B}, true
 	case object.KBottom:

@@ -21,7 +21,7 @@ func findPrim(t *testing.T, name string) Primitive {
 func call(t *testing.T, name string, arg object.Value) object.Value {
 	t.Helper()
 	p := findPrim(t, name)
-	got, err := p.Fn.Fn(arg)
+	got, err := p.Fn.Fn()(arg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -74,7 +74,7 @@ func TestHeatindexPrimitive(t *testing.T) {
 	}
 	// Wrong shapes are errors.
 	p := findPrim(t, "heatindex")
-	if _, err := p.Fn.Fn(object.Nat(1)); err == nil {
+	if _, err := p.Fn.Fn()(object.Nat(1)); err == nil {
 		t.Error("heatindex of a nat should error")
 	}
 }

@@ -205,8 +205,8 @@ func TestEvalCounterAccuracy(t *testing.T) {
 	if rep.Eval.Cells != 6 {
 		t.Errorf("Cells = %d, want 6", rep.Eval.Cells)
 	}
-	if rep.Eval.Steps != s.LastSteps {
-		t.Errorf("report steps %d != LastSteps %d", rep.Eval.Steps, s.LastSteps)
+	if rep.Eval.Steps != s.LastSteps.Load() {
+		t.Errorf("report steps %d != LastSteps %d", rep.Eval.Steps, s.LastSteps.Load())
 	}
 
 	// gen! is one set operation producing n cells.

@@ -98,8 +98,8 @@ func TestLastStepsReportedOnAbort(t *testing.T) {
 	if !errors.As(err, &re) || re.Kind != eval.ResourceSteps {
 		t.Fatalf("expected steps ResourceError, got %v", err)
 	}
-	if s.LastSteps <= 500 {
-		t.Errorf("LastSteps = %d, want > 500 (consumption visible on abort)", s.LastSteps)
+	if got := s.LastSteps.Load(); got <= 500 {
+		t.Errorf("LastSteps = %d, want > 500 (consumption visible on abort)", got)
 	}
 }
 
@@ -111,8 +111,8 @@ func TestLastCellsReportedOnAbort(t *testing.T) {
 	if !errors.As(err, &re) || re.Kind != eval.ResourceCells {
 		t.Fatalf("expected cells ResourceError, got %v", err)
 	}
-	if s.LastCells < 1000 {
-		t.Errorf("LastCells = %d, want >= limit on abort", s.LastCells)
+	if got := s.LastCells.Load(); got < 1000 {
+		t.Errorf("LastCells = %d, want >= limit on abort", got)
 	}
 }
 

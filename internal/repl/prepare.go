@@ -10,6 +10,7 @@ import (
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/compile"
 	"github.com/aqldb/aql/internal/desugar"
+	"github.com/aqldb/aql/internal/env"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/parser"
@@ -40,7 +41,8 @@ func (e *BindError) Error() string { return "bind: " + e.Msg }
 // A Prepared tracks the environment epoch it was compiled under; executing
 // after a `val` rebinding (or reader registration) transparently re-prepares
 // against the current globals, exactly as the server's plan cache stops
-// serving plans from older epochs.
+// serving plans from older epochs. The binding of `it` that every execution
+// ends with counts only against a plan that reads `it` (env.PlanEpoch).
 type Prepared struct {
 	s *Session
 
@@ -55,8 +57,11 @@ type Prepared struct {
 	// every submitted argument against these.
 	Params map[string]*types.Type
 
-	prog  *compile.Program // nil on the interpreter engine
-	epoch uint64
+	prog *compile.Program // nil on the interpreter engine
+	// readsIt is whether the macro-expanded query has `it` free; epoch is
+	// Env.PlanEpoch(readsIt) as of before the plan's globals snapshot.
+	readsIt bool
+	epoch   uint64
 }
 
 // Prepare compiles src as a parameterized statement. Placeholders ($name)
@@ -72,6 +77,9 @@ func (s *Session) Prepare(src string) (*Prepared, error) {
 // prepare is the trace-phase-instrumented pipeline of Prepare, shared with
 // Exec's epoch-triggered re-preparation.
 func (s *Session) prepare(src string) (*Prepared, error) {
+	// Read before anything of the environment is: a mutation that slips in
+	// afterwards then leaves the plan looking stale, never current.
+	epochIt, epochNoIt := s.Env.PlanEpoch(true), s.Env.PlanEpoch(false)
 	sp := s.Trace.StartPhase(trace.PhaseParse)
 	se, err := parser.ParseExpr(src)
 	sp.End()
@@ -94,7 +102,10 @@ func (s *Session) prepare(src string) (*Prepared, error) {
 		return nil, err
 	}
 	opt := s.Optimize(core)
-	p := &Prepared{s: s, Text: src, Core: opt, Type: typ, Params: params, epoch: s.Env.Epoch()}
+	p := &Prepared{s: s, Text: src, Core: opt, Type: typ, Params: params, epoch: epochNoIt}
+	if p.readsIt = ast.FreeVars(core)[env.ItName]; p.readsIt {
+		p.epoch = epochIt
+	}
 	if s.Engine != EngineInterp {
 		p.prog = compile.NewProgram(opt, s.Env.Globals(), s.Limits)
 	}
@@ -125,31 +136,44 @@ func (p *Prepared) Exec(ctx context.Context, args map[string]object.Value) (obje
 	if err != nil {
 		return object.Value{}, err
 	}
-	s.Trace.Begin(p.Text)
 	v, err := p.execGuarded(ctx, core, prog, args)
 	s.Trace.End(err)
 	if err != nil {
 		return object.Value{}, err
 	}
-	s.Env.SetVal("it", v, typ)
+	s.Env.SetVal(env.ItName, v, typ)
 	return v, nil
 }
 
 // snapshot re-prepares if the environment moved past the plan's epoch, then
 // binds args against the (current) parameter types and returns the plan
-// pieces one execution needs, all under the statement's lock.
+// pieces one execution needs, all under the statement's lock. It also opens
+// the execution's trace report, which is open on return exactly when err is
+// nil: before a re-preparation, whose phases the report then carries, and
+// otherwise once the arguments bind, so a bind error leaves no report.
 func (p *Prepared) snapshot(args map[string]object.Value) (ast.Expr, *compile.Program, *types.Type, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e := p.s.Env.Epoch(); e != p.epoch {
+	tr := p.s.Trace
+	stale := p.s.Env.PlanEpoch(p.readsIt) != p.epoch
+	if stale {
+		tr.Begin(p.Text)
 		np, err := p.s.prepare(p.Text)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("re-preparing after environment change: %w", err)
+			err = fmt.Errorf("re-preparing after environment change: %w", err)
+			tr.End(err)
+			return nil, nil, nil, err
 		}
-		p.Core, p.Type, p.Params, p.prog, p.epoch = np.Core, np.Type, np.Params, np.prog, np.epoch
+		p.Core, p.Type, p.Params, p.prog, p.readsIt, p.epoch = np.Core, np.Type, np.Params, np.prog, np.readsIt, np.epoch
 	}
 	if err := bindCheck(p.Params, args); err != nil {
+		if stale {
+			tr.End(err)
+		}
 		return nil, nil, nil, err
+	}
+	if !stale {
+		tr.Begin(p.Text)
 	}
 	return p.Core, p.prog, p.Type, nil
 }
@@ -206,8 +230,8 @@ func (p *Prepared) execGuarded(ctx context.Context, core ast.Expr, prog *compile
 	sp := s.Trace.StartPhase(trace.PhaseEval)
 	var cnt eval.Counters
 	defer func() {
-		s.LastSteps = cnt.Steps
-		s.LastCells = cnt.Cells
+		s.LastSteps.Store(cnt.Steps)
+		s.LastCells.Store(cnt.Cells)
 		sp.End()
 		s.Trace.RecordEval(compile.TraceCounters(cnt))
 		if r := recover(); r != nil {

@@ -44,7 +44,7 @@ func (s *Session) netcdfSlabReader(k int) env.Reader {
 		if arg.Elems[0].Kind != object.KString || arg.Elems[1].Kind != object.KString {
 			return object.Value{}, fmt.Errorf("NETCDF%d: file and variable must be strings", k)
 		}
-		path, varName := arg.Elems[0].S, arg.Elems[1].S
+		path, varName := arg.Elems[0].Str(), arg.Elems[1].Str()
 		lower, err := object.IndexOf(arg.Elems[2], k)
 		if err != nil {
 			return object.Value{}, fmt.Errorf("NETCDF%d: lower bound: %w", k, err)
@@ -88,7 +88,7 @@ func (s *Session) netcdfWholeReader() env.Reader {
 			arg.Elems[0].Kind != object.KString || arg.Elems[1].Kind != object.KString {
 			return object.Value{}, fmt.Errorf("NETCDF: expected (file, variable)")
 		}
-		path, varName := arg.Elems[0].S, arg.Elems[1].S
+		path, varName := arg.Elems[0].Str(), arg.Elems[1].Str()
 		f, err := s.io.open(path)
 		if err != nil {
 			return object.Value{}, err
@@ -189,10 +189,10 @@ func RegisterNetCDFWriter(e *env.Env) {
 			}
 			dims[d] = id
 		}
-		if err := b.AddVar(arg.Elems[1].S, netcdf.Double, dims, nil, vals); err != nil {
+		if err := b.AddVar(arg.Elems[1].Str(), netcdf.Double, dims, nil, vals); err != nil {
 			return fmt.Errorf("NETCDF writer: %w", err)
 		}
-		return b.WriteFile(arg.Elems[0].S)
+		return b.WriteFile(arg.Elems[0].Str())
 	})
 }
 
@@ -202,7 +202,7 @@ func RegisterPrint(e *env.Env, w io.Writer) {
 	e.RegisterWriter("PRINT", func(arg, data object.Value) error {
 		label := ""
 		if arg.Kind == object.KString {
-			label = arg.S + " = "
+			label = arg.Str() + " = "
 		}
 		_, err := fmt.Fprintf(w, "%s%s\n", label, data.Pretty(24))
 		return err
@@ -217,7 +217,7 @@ func RegisterExchange(e *env.Env) {
 		if arg.Kind != object.KString {
 			return object.Value{}, fmt.Errorf("EXCHANGE: expected a file name")
 		}
-		f, err := os.Open(arg.S)
+		f, err := os.Open(arg.Str())
 		if err != nil {
 			return object.Value{}, err
 		}
@@ -228,7 +228,7 @@ func RegisterExchange(e *env.Env) {
 		if arg.Kind != object.KString {
 			return fmt.Errorf("EXCHANGE: expected a file name")
 		}
-		f, err := os.Create(arg.S)
+		f, err := os.Create(arg.Str())
 		if err != nil {
 			return err
 		}

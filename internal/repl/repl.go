@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
+	"sync/atomic"
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/compile"
@@ -45,10 +46,11 @@ type Session struct {
 	Limits eval.Limits
 	// LastSteps reports the evaluator steps of the most recent query,
 	// including queries aborted by a budget, cancellation, or panic.
-	LastSteps int64
+	// Atomic because concurrent Prepared.Exec calls each record here.
+	LastSteps atomic.Int64
 	// LastCells reports the collection/array cells charged by the most
 	// recent query, on the same terms as LastSteps.
-	LastCells int64
+	LastCells atomic.Int64
 	// Trace is the session's observability recorder: every top-level
 	// statement produces a trace.QueryReport with per-phase wall times,
 	// evaluator counters, NetCDF I/O counters and the optimizer rule
@@ -302,8 +304,8 @@ func (s *Session) evalGuarded(ctx context.Context, core ast.Expr, src string) (v
 	ctx, tiles := tile.WithCollector(ctx)
 	defer func() {
 		c := eng.Counters()
-		s.LastSteps = c.Steps
-		s.LastCells = c.Cells
+		s.LastSteps.Store(c.Steps)
+		s.LastCells.Store(c.Cells)
 		sp.End()
 		// Work counters are reported even for aborted or panicking
 		// queries — exactly like LastSteps/LastCells.
@@ -417,7 +419,7 @@ func (s *Session) queryInner(ctx context.Context, src string) (object.Value, *ty
 	if err != nil {
 		return object.Value{}, nil, err
 	}
-	s.Env.SetVal("it", v, typ)
+	s.Env.SetVal(env.ItName, v, typ)
 	return v, typ, nil
 }
 
@@ -563,7 +565,7 @@ func (s *Session) execStmtInner(ctx context.Context, stmt parser.Stmt) (Result, 
 			return Result{}, err
 		}
 		// Bind `it`, as the SML-style loop does.
-		s.Env.SetVal("it", v, typ)
+		s.Env.SetVal(env.ItName, v, typ)
 		return Result{Kind: "query", Name: "it", Type: typ, Value: v, HasValue: true}, nil
 	}
 	return Result{}, fmt.Errorf("repl: unhandled statement %T", stmt)

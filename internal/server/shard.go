@@ -131,9 +131,9 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		// The ⊥ decides the whole tabulation; its diagnostic travels as a
 		// separate field because the exchange reader (correctly) drops
 		// comments, which is where Write puts ⊥ payloads.
-		resp.BottomMsg = res.Bottom.S
+		resp.BottomMsg = res.Bottom.Str()
 	} else {
-		vec := object.Value{Kind: object.KArray, Shape: []int{len(res.Values)}, Data: res.Values}
+		vec := object.Vector(res.Values...)
 		text, werr := exchange.WriteString(vec)
 		if werr != nil {
 			writeShardError(w, http.StatusInternalServerError, "encode", werr.Error(), -1, id)

@@ -60,10 +60,10 @@ func TestShardExecute(t *testing.T) {
 	if err != nil {
 		t.Fatalf("values not exchange-parseable: %v\n%s", err, sr.Values)
 	}
-	if v.Kind != object.KArray || len(v.Data) != 7 {
-		t.Fatalf("decoded %d elements of kind %v, want 7-element vector", len(v.Data), v.Kind)
+	if v.Kind != object.KArray || len(v.Elems) != 7 {
+		t.Fatalf("decoded %d elements of kind %v, want 7-element vector", len(v.Elems), v.Kind)
 	}
-	for j, el := range v.Data {
+	for j, el := range v.Elems {
 		i := int64(j + 5)
 		if n, err := el.AsNat(); err != nil || n != i*i {
 			t.Errorf("element %d = %v, want %d", j, el, i*i)

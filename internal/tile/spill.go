@@ -176,7 +176,7 @@ func encodeValue(b []byte, v object.Value) ([]byte, error) {
 	b = append(b, byte(v.Kind))
 	switch v.Kind {
 	case object.KBottom:
-		return putString(b, v.S), nil
+		return putString(b, v.Str()), nil
 	case object.KBool:
 		if v.B {
 			return append(b, 1), nil
@@ -189,9 +189,9 @@ func encodeValue(b []byte, v object.Value) ([]byte, error) {
 		binary.BigEndian.PutUint64(tmp[:], math.Float64bits(v.R))
 		return append(b, tmp[:]...), nil
 	case object.KString:
-		return putString(b, v.S), nil
+		return putString(b, v.Str()), nil
 	case object.KBase:
-		return putString(putString(b, v.Base), v.S), nil
+		return putString(putString(b, v.BaseType()), v.Str()), nil
 	case object.KTuple, object.KSet, object.KBag:
 		b = putUvarint(b, uint64(len(v.Elems)))
 		for _, e := range v.Elems {

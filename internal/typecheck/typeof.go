@@ -34,7 +34,7 @@ func typeOf(v object.Value, fresh *int) (*types.Type, error) {
 	case object.KString:
 		return types.String, nil
 	case object.KBase:
-		return types.Base(v.Base), nil
+		return types.Base(v.BaseType()), nil
 	case object.KBottom:
 		return newVar(), nil
 	case object.KTuple:
@@ -64,7 +64,7 @@ func typeOf(v object.Value, fresh *int) (*types.Type, error) {
 			// materialized read would produce.
 			return types.Array(types.Real, len(v.Shape)), nil
 		}
-		elem, err := elemType(v.Data, fresh)
+		elem, err := elemType(v.Elems, fresh)
 		if err != nil {
 			return nil, err
 		}

@@ -329,3 +329,47 @@ func TestPreparedInterpUnbound(t *testing.T) {
 		t.Fatalf("err = %v, want unbound parameter $x", err)
 	}
 }
+
+// TestStmtExecReport: through the public API, what an Exec cost is in
+// LastReport. A repeated Exec is one eval phase (the `it` binding each Exec
+// ends with moves EnvEpoch but keeps the plan); an Exec after a SetVal of a
+// global the statement reads shows the re-preparation it paid for.
+func TestStmtExecReport(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec(`val A = [[ i * 2 | \i < 10 ]];`); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Prepare(`A[$i] + $k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := func() string {
+		t.Helper()
+		if _, err := st.Exec(ctx, map[string]any{"i": 3, "k": 1}); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, p := range s.LastReport().Phases {
+			names = append(names, p.Name)
+		}
+		return strings.Join(names, " ")
+	}
+	phases()
+	epoch := s.EnvEpoch()
+	if got := phases(); got != trace.PhaseEval {
+		t.Errorf("second Exec's phases = %q, want only %q", got, trace.PhaseEval)
+	}
+	if got := s.EnvEpoch(); got != epoch+1 {
+		t.Errorf("EnvEpoch moved by %d over one Exec, want 1", got-epoch)
+	}
+	if err := s.SetVal("A", object.NatVector(0, 0, 0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if got := phases(); !strings.Contains(got, trace.PhaseParse) || !strings.HasSuffix(got, trace.PhaseEval) {
+		t.Errorf("Exec after SetVal has phases %q, want a re-preparation then eval", got)
+	}
+}

@@ -52,7 +52,8 @@ func (st *Stmt) Type() *Type { return st.p.Type }
 //
 // If the session's environment changed since Prepare (a val rebinding, a
 // registration), Exec transparently re-prepares against the current
-// globals first.
+// globals first. The binding of `it` that every Exec and bare query ends
+// with counts as such a change only for a statement that reads `it`.
 func (st *Stmt) Exec(ctx context.Context, args map[string]any) (Value, error) {
 	frame := make(map[string]object.Value, len(args))
 	for name, a := range args {
