@@ -66,7 +66,7 @@ func main() {
 	engine := flag.String("engine", "compiled", "execution engine: compiled (closure-compiled, parallel tabulation) or interp (reference interpreter)")
 	profLevel := flag.String("proflevel", "sampled", "operator profiling level: off, sampled, or full")
 	tileCells := flag.Int("tilesize", 0, "out-of-core tile size in cells (0 = default 4096)")
-	tileBudget := flag.Int64("tilebudget", 0, "out-of-core tile cache budget in bytes (0 = default 64 MiB)")
+	tileBudget := flag.Int64("tilebudget", 0, "out-of-core tile cache budget in bytes; a tile of reals costs 8 B/cell + 1 KiB (0 = default 64 MiB, about 8.1M cells)")
 	flag.Parse()
 
 	s, err := aql.NewSession()

@@ -5,12 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-	"unsafe"
 
 	"github.com/aqldb/aql/internal/bench"
 	"github.com/aqldb/aql/internal/netcdf"
-	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/repl"
+	"github.com/aqldb/aql/internal/tile"
 )
 
 // oocReport is the e26 payload: out-of-core execution of a sequential scan
@@ -46,14 +45,14 @@ func runE26() {
 		cells = 1 << 14
 		tileCells = 1024
 	}
-	cellBytes := int64(unsafe.Sizeof(object.Value{}))
-	// A budget admitting ~1/8th of the variable (at least 4 tiles, so the
-	// demand tile and its readahead never thrash): the scan must evict.
-	budgetCells := cells / 8
-	if min := 4 * tileCells; budgetCells < min {
-		budgetCells = min
+	// A budget admitting ~1/8th of the variable's packed tiles (at least 4,
+	// so the demand tile and its readahead never thrash): the scan must
+	// evict.
+	budgetTiles := cells / 8 / tileCells
+	if budgetTiles < 4 {
+		budgetTiles = 4
 	}
-	budget := int64(budgetCells) * cellBytes
+	budget := int64(budgetTiles) * tile.RealTileBytes(tileCells)
 
 	dir, err := os.MkdirTemp("", "aqlbench")
 	if err != nil {

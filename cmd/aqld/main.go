@@ -101,7 +101,7 @@ func run() error {
 	localWorkers := flag.Int("workers-local", 0, "local tabulation fan-out per query (0 = GOMAXPROCS)")
 	qerrThreshold := flag.Float64("qerror-threshold", 0, "q-error above which a per-operator estimate counts as a misestimate (0 = default 2.0)")
 	tileCells := flag.Int("tilesize", 0, "out-of-core tile size in cells (0 = default 4096)")
-	tileBudget := flag.Int64("tilebudget", 0, "out-of-core tile cache budget in bytes (0 = default 64 MiB)")
+	tileBudget := flag.Int64("tilebudget", 0, "out-of-core tile cache budget in bytes; a tile of reals costs 8 B/cell + 1 KiB (0 = default 64 MiB, about 8.1M cells)")
 	flag.Parse()
 
 	sess, err := repl.New()

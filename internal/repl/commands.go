@@ -77,7 +77,7 @@ var commands = map[string]command{
 	},
 	":io": {
 		usage:   ":io [tile <cells> <budget-bytes>]",
-		summary: "out-of-core state: tile cache, open files; retune the cache",
+		summary: "out-of-core state: tile cache, open files; retune the cache (a tile of reals costs 8 B/cell + 1 KiB of the budget)",
 		run: func(s *Session, _ context.Context, arg string) (string, error) {
 			fields := strings.Fields(arg)
 			switch {

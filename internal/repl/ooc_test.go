@@ -8,10 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"github.com/aqldb/aql/internal/netcdf"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/tile"
 	"github.com/aqldb/aql/internal/typecheck"
 )
 
@@ -39,7 +39,7 @@ func writeNC2D(t *testing.T, dir string) string {
 }
 
 // writeNC1D writes a 1-D double variable "series" of n cells valued i*0.5.
-func writeNC1D(t *testing.T, dir string, n int) string {
+func writeNC1D(t testing.TB, dir string, n int) string {
 	t.Helper()
 	b := netcdf.NewBuilder()
 	d0, _ := b.AddDim("x", n)
@@ -296,8 +296,7 @@ func TestOutOfCoreBudgetResidency(t *testing.T) {
 
 	eager := runCorpus(t, func(s *Session) {}, true, []ncRead{w}, []string{q})
 
-	cellBytes := int64(unsafe.Sizeof(object.Value{}))
-	budget := 4 * 64 * cellBytes // room for 4 of the 64 tiles
+	budget := 4 * tile.RealTileBytes(64) // room for 4 of the 64 tiles
 	s := newSession(t)
 	defer s.Close()
 	s.SetTileConfig(64, budget, false)
@@ -358,8 +357,7 @@ func TestLazyFaultMidTile(t *testing.T) {
 	// One-tile budget, no prefetch: every scan demand-fetches all 16 tiles
 	// from storage in order, so the fault schedule lands deterministically
 	// mid-scan instead of being absorbed by cache hits.
-	cellBytes := int64(unsafe.Sizeof(object.Value{}))
-	s.SetTileConfig(16, 16*cellBytes, true)
+	s.SetTileConfig(16, tile.RealTileBytes(16), true)
 	faulty := injectFaulty(t, s, path)
 	if _, err := s.Exec(fmt.Sprintf(`readval \W using NETCDF at (%q, "series");`, path)); err != nil {
 		t.Fatal(err)
@@ -462,10 +460,10 @@ func TestValDeclSpillsOverBudget(t *testing.T) {
 	eager := runCorpus(t, func(s *Session) { s.SetSpill(false) }, true, []ncRead{w},
 		append(append([]string{}, stmts...), queries...))[1:]
 
-	cellBytes := int64(unsafe.Sizeof(object.Value{}))
 	s := newSession(t)
 	defer s.Close()
-	s.SetTileConfig(64, 128*cellBytes, false) // 1000 cells is well over budget
+	budget := 2 * tile.RealTileBytes(64) // two of the 16 tiles; 1000 boxed cells are well over it
+	s.SetTileConfig(64, budget, false)
 	w.bindOracle(t, s)
 	for _, stmt := range stmts {
 		if _, err := s.Exec(stmt); err != nil {
@@ -493,8 +491,15 @@ func TestValDeclSpillsOverBudget(t *testing.T) {
 			t.Errorf("spilled %s diverges:\n got: %s\nwant: %s", q, got, eager[len(stmts)+i])
 		}
 	}
-	if st := s.TileCache().Stats(); st.SpillBytesRead == 0 {
+	st := s.TileCache().Stats()
+	if st.SpillBytesRead == 0 {
 		t.Error("reading the spilled val recorded no spill bytes read")
+	}
+	if st.Evictions == 0 {
+		t.Error("no evictions while reading 16 spilled tiles through a 2-tile budget")
+	}
+	if peak := s.TileCache().PeakResident(); peak > budget {
+		t.Errorf("peak residency %d exceeds budget %d", peak, budget)
 	}
 }
 
@@ -584,8 +589,7 @@ func TestLazyPreviewDoesNotMaterialize(t *testing.T) {
 	path := writeNC1D(t, dir, 4096)
 	s := newSession(t)
 	defer s.Close()
-	cellBytes := int64(unsafe.Sizeof(object.Value{}))
-	s.SetTileConfig(64, 4*64*cellBytes, false) // 64 tiles of data, room for 4
+	s.SetTileConfig(64, 4*tile.RealTileBytes(64), false) // 64 tiles of data, room for 4
 	if _, err := s.Exec(fmt.Sprintf(`readval \V using NETCDF at (%q, "series");`, path)); err != nil {
 		t.Fatal(err)
 	}
@@ -606,5 +610,162 @@ func TestLazyPreviewDoesNotMaterialize(t *testing.T) {
 	st = s.io.cache.Stats()
 	if fetched := st.TileMisses + st.Prefetches; fetched < 64 {
 		t.Errorf("scan after preview fetched %d tiles total, want >= 64 (preview materialized the array?)", fetched)
+	}
+}
+
+// TestNonFiniteAtTileEdges puts NaN and ±Inf on the first and last offset of
+// a tile, on the last offset of the last full tile and on both ends of the
+// short final tile, and holds every way of reading them out of a packed tile
+// (one cell, a cell range, materialization, a spill round trip, a 4-worker
+// tabulation) to the boxed oracle, on value and ⊥ diagnostic.
+func TestNonFiniteAtTileEdges(t *testing.T) {
+	const tc, n = 64, 64*130 + 5
+	bad := []struct {
+		off int
+		x   float64
+	}{{0, math.NaN()}, {tc - 1, math.Inf(1)}, {tc, math.Inf(-1)}, {n - 6, math.NaN()}, {n - 5, math.Inf(1)}, {n - 1, math.Inf(-1)}}
+	b := netcdf.NewBuilder()
+	d0, _ := b.AddDim("x", n)
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = float64(i%1000) * 0.25
+	}
+	for _, c := range bad {
+		data[c.off] = c.x
+	}
+	if err := b.AddVar("series", netcdf.Double, []int{d0}, nil, data); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "edges.nc")
+	if err := b.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	read := ncRead{name: "N", path: path, varName: "series"}
+	stmts := []string{`N[1];`, `N[8323];`}
+	for _, c := range bad {
+		stmts = append(stmts, fmt.Sprintf(`N[%d];`, c.off))
+	}
+	stmts = append(stmts,
+		`N;`,
+		// Both tabulations are large enough to fan out. The first reads only
+		// the finite run between the marked cells; the second meets a ⊥ in
+		// every worker's range, and the first in row-major order wins.
+		fmt.Sprintf(`[[ N[i + %d] * 2.0 | \i < %d ]];`, tc+1, n-6-(tc+1)),
+		fmt.Sprintf(`[[ N[%d - i] + 1.0 | \i < %d ]];`, n-1, n),
+		`summap(fn \i => N[i])!(gen!63);`,
+	)
+	tiny := func(s *Session) { s.Workers = 4; s.SetTileConfig(tc, 2*tile.RealTileBytes(tc), false) }
+	oracle := runCorpus(t, func(s *Session) { s.Workers = 4 }, true, []ncRead{read}, stmts)
+	for name, cfg := range map[string]func(*Session){
+		"lazy-compiled": tiny,
+		"lazy-interp":   func(s *Session) { tiny(s); s.Engine = EngineInterp },
+	} {
+		got := runCorpus(t, cfg, false, []ncRead{read}, stmts)
+		for i := range got {
+			if got[i] != oracle[i] {
+				t.Errorf("%s diverges on %q:\n got: %.300s\nwant: %.300s", name, append([]string{read.stmt()}, stmts...)[i], got[i], oracle[i])
+			}
+		}
+	}
+	if want := "it : real = _|_(* non-finite value in NetCDF data *)\n"; oracle[3] != want {
+		t.Errorf("oracle N[...] of a non-finite cell = %q, want %q", oracle[3], want)
+	}
+
+	// Cell ranges and materialization, straight off the backing.
+	s := newSession(t)
+	defer s.Close()
+	tiny(s)
+	if _, err := s.Exec(read.stmt()); err != nil {
+		t.Fatal(err)
+	}
+	lazy, _ := s.Env.Val("N")
+	want := floatCells(data)
+	sameCells := func(what string, got []object.Value, lo int) {
+		t.Helper()
+		for i, c := range got {
+			if w := want[lo+i]; c.Kind != w.Kind || c.R != w.R || c.Str() != w.Str() {
+				t.Fatalf("%s: cell %d = %s (%q), want %s (%q)", what, lo+i, c, c.Str(), w, w.Str())
+			}
+		}
+	}
+	for _, r := range [][2]int{{0, 1}, {0, tc}, {tc - 1, 2}, {tc - 3, tc + 6}, {n - 7, 7}, {n - 1, 1}, {n - 5, 0}} {
+		got, err := lazy.Backing().(object.RangeBacking).CellRange(context.Background(), r[0], r[1])
+		if err != nil || len(got) != r[1] {
+			t.Fatalf("CellRange(%d, %d): %d cells, %v", r[0], r[1], len(got), err)
+		}
+		sameCells(fmt.Sprintf("CellRange(%d, %d)", r[0], r[1]), got, r[0])
+	}
+	cells, err := lazy.Cells()
+	if err != nil || len(cells) != n {
+		t.Fatalf("materialize: %d cells, %v", len(cells), err)
+	}
+	sameCells("materialized", cells, 0)
+	if st := s.TileCache().Stats(); st.Evictions == 0 {
+		t.Error("no evictions reading 131 tiles through a 2-tile budget")
+	}
+
+	// Spill round trip: the boxed oracle array, ⊥ cells included, is bound
+	// over budget, written out as packed tiles and read back.
+	sp := newSession(t)
+	defer sp.Close()
+	tiny(sp)
+	read.bindOracle(t, sp)
+	if _, err := sp.Exec(`val \X = N;`); err != nil {
+		t.Fatal(err)
+	}
+	if x, _ := sp.Env.Val("X"); !x.IsLazy() {
+		t.Fatal("oversized val was not spilled")
+	}
+	for i, stmt := range stmts {
+		res, err := sp.Exec(strings.ReplaceAll(stmt, "N", "X"))
+		got := ""
+		if err != nil {
+			got = "error: " + err.Error()
+		} else {
+			got = fmt.Sprintf("%s : %s = %s\n", res[0].Name, res[0].Type, res[0].Value)
+		}
+		if got != oracle[1+i] {
+			t.Errorf("spilled %q diverges:\n got: %.300s\nwant: %.300s", stmt, got, oracle[1+i])
+		}
+	}
+	if st := sp.TileCache().Stats(); st.SpillBytesRead == 0 || st.Evictions == 0 {
+		t.Errorf("spill read-back: %d bytes read, %d evictions, want both non-zero", st.SpillBytesRead, st.Evictions)
+	}
+}
+
+var sinkCell object.Value
+
+// BenchmarkTileMissNetCDF prices one tile miss of a NetCDF-backed real
+// array: 16 tiles of 4096 doubles walked round and round under a budget of
+// two, without readahead, so every Cell faults its tile in from the file
+// (read, decode, pack, insert, evict). One op is one miss; run with -benchmem
+// for bytes and allocations per miss. The end-to-end workload cannot show
+// this cost once its tiles all stay resident.
+func BenchmarkTileMissNetCDF(b *testing.B) {
+	const tc, tiles = 4096, 16
+	path := writeNC1D(b, b.TempDir(), tc*tiles)
+	s, err := New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	s.SetTileConfig(tc, 2*tile.RealTileBytes(tc), true)
+	if _, err := s.Exec(fmt.Sprintf(`readval \W using NETCDF at (%q, "series");`, path)); err != nil {
+		b.Fatal(err)
+	}
+	w, _ := s.Env.Val("W")
+	arr := w.Backing().(object.ArrayBacking)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sinkCell, err = arr.Cell(ctx, i%tiles*tc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := s.TileCache().Stats(); st.TileMisses != int64(b.N) || st.TileHits != 0 {
+		b.Fatalf("%d misses, %d hits in %d reads: not every read faulted", st.TileMisses, st.TileHits, b.N)
 	}
 }

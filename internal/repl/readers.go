@@ -117,23 +117,28 @@ func (s *Session) lazySlab(h *netcdf.Hyperslab) (object.Value, error) {
 		}
 		return slabToArray(slab)
 	}
-	fetch := func(ctx context.Context, off, n int) ([]object.Value, error) {
+	// A tile is the decoded []float64 itself: cells are boxed one at a time
+	// as queries read them, not 4096 at a time when the tile arrives.
+	fetch := func(ctx context.Context, off, n int) (object.Flat, error) {
 		vals, err := h.ReadRange(ctx, off, n)
 		if err != nil {
-			return nil, err
+			return object.Flat{}, err
 		}
-		return floatCells(vals), nil
+		return object.PackReals(vals, nonFiniteDiag), nil
 	}
-	return object.LazyArray(h.Shape(), s.TileCache().NewArray(h.Size(), fetch))
+	return object.LazyArray(h.Shape(), s.TileCache().NewFlatArray(h.Size(), fetch))
 }
 
-// floatCells converts raw NetCDF values to AQL cells; non-finite values
-// become ⊥ with a diagnostic.
+// nonFiniteDiag is the diagnostic of the ⊥ a non-finite NetCDF value reads as.
+const nonFiniteDiag = "non-finite value in NetCDF data"
+
+// floatCells boxes raw NetCDF values as AQL cells for the readers that
+// materialize (scalar variables); non-finite values become ⊥.
 func floatCells(vals []float64) []object.Value {
 	out := make([]object.Value, len(vals))
 	for i, f := range vals {
 		if !object.IsFinite(f) {
-			out[i] = object.Bottom("non-finite value in NetCDF data")
+			out[i] = object.Bottom(nonFiniteDiag)
 			continue
 		}
 		out[i] = object.Real(f)

@@ -89,13 +89,14 @@ func (c *Cache) SpillArray(ctx context.Context, v object.Value) (object.Value, e
 	}
 	size := len(cells)
 	tc := c.cfg.tileCells()
+	col := collectorFrom(ctx)
 	var segs []spillSeg
 	for start := 0; start < size; start += tc {
 		end := start + tc
 		if end > size {
 			end = size
 		}
-		b, err := encodeCells(cells[start:end])
+		b, err := encodeTile(object.PackCells(cells[start:end]))
 		if err != nil {
 			return object.Value{}, err
 		}
@@ -104,61 +105,169 @@ func (c *Cache) SpillArray(ctx context.Context, v object.Value) (object.Value, e
 			return object.Value{}, err
 		}
 		segs = append(segs, spillSeg{off: off, len: int64(len(b)), cells: end - start})
-		c.each(ctx, func(s *counters) { s.spillWritten.Add(int64(len(b))) })
+		c.count(col, &Counters{SpillBytesWritten: int64(len(b))})
 	}
-	arr := c.NewArray(size, func(ctx context.Context, start, n int) ([]object.Value, error) {
+	arr := c.NewFlatArray(size, func(ctx context.Context, start, n int) (object.Flat, error) {
 		t := start / tc
 		if t >= len(segs) || segs[t].cells != n || start != t*tc {
-			return nil, fmt.Errorf("tile: misaligned spill read [%d, %d)", start, start+n)
+			return object.Flat{}, fmt.Errorf("tile: misaligned spill read [%d, %d)", start, start+n)
 		}
 		buf := make([]byte, segs[t].len)
 		if err := c.spill.readAt(buf, segs[t].off); err != nil {
-			return nil, fmt.Errorf("tile: read spill tile %d: %w", t, err)
+			return object.Flat{}, fmt.Errorf("tile: read spill tile %d: %w", t, err)
 		}
-		out, err := decodeCells(buf, n)
+		out, err := decodeTile(buf)
 		if err != nil {
-			return nil, fmt.Errorf("tile: decode spill tile %d: %w", t, err)
+			return object.Flat{}, fmt.Errorf("tile: decode spill tile %d: %w", t, err)
 		}
-		c.each(ctx, func(s *counters) { s.spillRead.Add(segs[t].len) })
+		c.count(collectorFrom(ctx), &Counters{SpillBytesRead: segs[t].len})
 		return out, nil
 	})
 	return object.LazyArray(v.Shape, arr)
 }
 
-// The spill codec is a self-describing binary encoding of complex objects.
-// exchange text is not used because it round-trips ⊥ without its diagnostic
-// message (the message renders as a comment), and spilled values must be
-// byte-identical on read-back — including error diagnostics. Collections
-// are written in their canonical order, so reconstruction preserves
-// canonical form without re-sorting.
+// The spill codec is a self-describing binary encoding of a tile. exchange
+// text is not used because it round-trips ⊥ without its diagnostic message
+// (the message renders as a comment), and spilled values must be
+// byte-identical on read-back — including error diagnostics. A tile is
+// written in the form it is cached in, so a real or nat tile reads back
+// straight into its packed payload:
+//
+//	tile  := form uvarint(n) payload
+//	reals := n × 8-byte big-endian IEEE bits, then bottoms
+//	nats  := n × uvarint, then bottoms
+//	boxed := n × value
+//	bottoms := uvarint(k) k × (uvarint(offset) string)
+//
+// Collections inside a boxed value are written in their canonical order, so
+// reconstruction preserves canonical form without re-sorting.
+//
+// The decoder reads a file this process wrote, but every count it reads is
+// still checked against the bytes that remain (no cell, element or side
+// table entry takes less than one byte), so a damaged spill file is a decode
+// error, never an allocation the file's length cannot justify.
 
-func encodeCells(cells []object.Value) ([]byte, error) {
+const (
+	formBoxed byte = iota
+	formReals
+	formNats
+)
+
+func encodeTile(f object.Flat) ([]byte, error) {
 	var b []byte
-	for i := range cells {
-		var err error
-		b, err = encodeValue(b, cells[i])
-		if err != nil {
-			return nil, err
+	switch {
+	case f.Boxed != nil:
+		b = putUvarint(append(b, formBoxed), uint64(len(f.Boxed)))
+		for i := range f.Boxed {
+			var err error
+			if b, err = encodeValue(b, f.Boxed[i]); err != nil {
+				return nil, err
+			}
 		}
+		return b, nil
+	case f.Nats != nil:
+		b = putUvarint(append(b, formNats), uint64(len(f.Nats)))
+		for _, n := range f.Nats {
+			b = putUvarint(b, uint64(n))
+		}
+	default:
+		b = putUvarint(append(b, formReals), uint64(len(f.Reals)))
+		for _, r := range f.Reals {
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(r))
+		}
+	}
+	b = putUvarint(b, uint64(len(f.Bottoms)))
+	for _, bt := range f.Bottoms {
+		b = putString(putUvarint(b, uint64(bt.Off)), bt.Msg)
 	}
 	return b, nil
 }
 
-func decodeCells(b []byte, n int) ([]object.Value, error) {
-	out := make([]object.Value, n)
-	pos := 0
-	for i := 0; i < n; i++ {
-		v, next, err := decodeValue(b, pos)
-		if err != nil {
-			return nil, err
+// decodeCount reads a count of things that take at least unit bytes each,
+// and rejects one the remaining bytes cannot hold.
+func decodeCount(b []byte, pos, unit int) (int, int, error) {
+	n, pos, err := decodeUvarint(b, pos)
+	if err != nil {
+		return 0, 0, err
+	}
+	if n > uint64(len(b)-pos)/uint64(unit) {
+		return 0, 0, fmt.Errorf("tile: corrupt spill count %d with %d bytes left", n, len(b)-pos)
+	}
+	return int(n), pos, nil
+}
+
+func decodeTile(b []byte) (object.Flat, error) {
+	if len(b) == 0 {
+		return object.Flat{}, fmt.Errorf("tile: empty spill tile")
+	}
+	form, unit := b[0], 1
+	if form == formReals {
+		unit = 8
+	}
+	n, pos, err := decodeCount(b, 1, unit)
+	if err != nil {
+		return object.Flat{}, err
+	}
+	var f object.Flat
+	switch form {
+	case formBoxed:
+		f.Boxed = make([]object.Value, n)
+		for i := range f.Boxed {
+			if f.Boxed[i], pos, err = decodeValue(b, pos); err != nil {
+				return object.Flat{}, err
+			}
 		}
-		out[i] = v
-		pos = next
+	case formReals:
+		f.Reals = make([]float64, n)
+		for i := range f.Reals {
+			f.Reals[i] = math.Float64frombits(binary.BigEndian.Uint64(b[pos:]))
+			pos += 8
+		}
+	case formNats:
+		f.Nats = make([]int64, n)
+		for i := range f.Nats {
+			if f.Nats[i], pos, err = decodeNat(b, pos); err != nil {
+				return object.Flat{}, err
+			}
+		}
+	default:
+		return object.Flat{}, fmt.Errorf("tile: corrupt spill tile form %d", form)
+	}
+	if form != formBoxed {
+		if f.Bottoms, pos, err = decodeBottoms(b, pos, n); err != nil {
+			return object.Flat{}, err
+		}
 	}
 	if pos != len(b) {
-		return nil, fmt.Errorf("tile: %d trailing bytes in spill tile", len(b)-pos)
+		return object.Flat{}, fmt.Errorf("tile: %d trailing bytes in spill tile", len(b)-pos)
 	}
-	return out, nil
+	return f, nil
+}
+
+// decodeBottoms reads the ⊥ side table of an n-cell packed run: offsets
+// strictly increasing and inside the run, nil when there are none.
+func decodeBottoms(b []byte, pos, n int) ([]object.FlatBottom, int, error) {
+	k, pos, err := decodeCount(b, pos, 2)
+	if err != nil {
+		return nil, 0, err
+	}
+	var out []object.FlatBottom
+	for next := uint64(0); k > 0; k-- {
+		off, p, err := decodeUvarint(b, pos)
+		if err != nil {
+			return nil, 0, err
+		}
+		if off < next || off >= uint64(n) {
+			return nil, 0, fmt.Errorf("tile: corrupt spill ⊥ offset %d", off)
+		}
+		msg, p, err := decodeString(b, p)
+		if err != nil {
+			return nil, 0, err
+		}
+		out = append(out, object.FlatBottom{Off: int(off), Msg: msg})
+		next, pos = off+1, p
+	}
+	return out, pos, nil
 }
 
 func putUvarint(b []byte, x uint64) []byte {
@@ -230,6 +339,18 @@ func decodeUvarint(b []byte, pos int) (uint64, int, error) {
 	return x, pos + n, nil
 }
 
+// decodeNat reads a natural number, which fits an int64.
+func decodeNat(b []byte, pos int) (int64, int, error) {
+	x, pos, err := decodeUvarint(b, pos)
+	if err != nil {
+		return 0, 0, err
+	}
+	if x > math.MaxInt64 {
+		return 0, 0, fmt.Errorf("tile: corrupt spill nat %d", x)
+	}
+	return int64(x), pos, nil
+}
+
 func decodeString(b []byte, pos int) (string, int, error) {
 	n, pos, err := decodeUvarint(b, pos)
 	if err != nil {
@@ -260,11 +381,11 @@ func decodeValue(b []byte, pos int) (object.Value, int, error) {
 		}
 		return object.Bool(b[pos] != 0), pos + 1, nil
 	case object.KNat:
-		x, pos, err := decodeUvarint(b, pos)
+		n, pos, err := decodeNat(b, pos)
 		if err != nil {
 			return object.Value{}, 0, err
 		}
-		return object.Nat(int64(x)), pos, nil
+		return object.Nat(n), pos, nil
 	case object.KReal:
 		if len(b)-pos < 8 {
 			return object.Value{}, 0, fmt.Errorf("tile: truncated spill real")
@@ -288,7 +409,7 @@ func decodeValue(b []byte, pos int) (object.Value, int, error) {
 		}
 		return object.Base(base, lit), pos, nil
 	case object.KTuple, object.KSet, object.KBag:
-		n, pos, err := decodeUvarint(b, pos)
+		n, pos, err := decodeCount(b, pos, 1)
 		if err != nil {
 			return object.Value{}, 0, err
 		}
@@ -301,20 +422,32 @@ func decodeValue(b []byte, pos int) (object.Value, int, error) {
 		}
 		return object.Value{Kind: kind, Elems: elems}, pos, nil
 	case object.KArray:
-		rank, pos, err := decodeUvarint(b, pos)
+		rank, pos, err := decodeCount(b, pos, 1)
 		if err != nil {
 			return object.Value{}, 0, err
 		}
 		shape := make([]int, rank)
-		size := 1
 		for i := range shape {
 			d, p, err := decodeUvarint(b, pos)
 			if err != nil {
 				return object.Value{}, 0, err
 			}
+			if d > math.MaxInt32 {
+				return object.Value{}, 0, fmt.Errorf("tile: corrupt spill dimension %d", d)
+			}
 			shape[i] = int(d)
-			size *= int(d)
 			pos = p
+		}
+		// The cells follow the whole shape, so the product is held to the
+		// bytes left after it; a zero dimension makes any shape empty.
+		size, left := 1, len(b)-pos
+		for _, d := range shape {
+			if size *= d; size > left {
+				size = left + 1
+			}
+		}
+		if size > left {
+			return object.Value{}, 0, fmt.Errorf("tile: corrupt spill array shape %v with %d bytes left", shape, left)
 		}
 		data := make([]object.Value, size)
 		for i := range data {

@@ -3,8 +3,11 @@
 // byte-budgeted LRU cache shared by all arrays of a session.
 //
 // A tile t of an array with N flat cells and tile size C covers cells
-// [t*C, min((t+1)*C, N)). Tiles are fetched through a caller-supplied Fetch
-// function (the NetCDF cell-range reader, or the spill file), deduplicated
+// [t*C, min((t+1)*C, N)). A resident tile is one object.Flat: a real or nat
+// tile is its packed []float64 or []int64 with a sparse ⊥ side table, and a
+// cell becomes a boxed object.Value only as it is read. Tiles are fetched
+// through a caller-supplied fetch function (the NetCDF cell-range reader, or
+// the spill file), deduplicated
 // by a per-tile singleflight so concurrent tabulation workers faulting the
 // same tile trigger one I/O, and evicted least-recently-used when the byte
 // budget is exceeded. Sequential access (tile t demanded right after t-1)
@@ -31,10 +34,15 @@ import (
 	"github.com/aqldb/aql/internal/object"
 )
 
-// Fetch retrieves n cells starting at flat row-major offset start from the
-// underlying source. The cache only ever asks for whole tiles (the final
-// tile may be short). Implementations must be safe for concurrent use and
-// deterministic: same range, same cells.
+// FlatFetch retrieves n cells starting at flat row-major offset start from
+// the underlying source, as a packed run. The cache only ever asks for whole
+// tiles (the final tile may be short). Implementations must be safe for
+// concurrent use and deterministic: same range, same cells.
+type FlatFetch func(ctx context.Context, start, n int) (object.Flat, error)
+
+// Fetch is FlatFetch for sources that produce boxed cells. The cache packs
+// what it returns (object.PackCells) before storing it, so a tile has one
+// storage form and one accounting rule whichever kind of source filled it.
 type Fetch func(ctx context.Context, start, n int) ([]object.Value, error)
 
 // Config tunes a Cache. Zero fields select the noted defaults.
@@ -42,8 +50,10 @@ type Config struct {
 	// TileCells is the number of cells per tile (default 4096).
 	TileCells int
 	// Budget is the maximum resident cache size in accounted bytes
-	// (default 64 MiB). A tile's accounted cost is its cell count times
-	// the in-memory size of an object.Value.
+	// (default 64 MiB). A tile's accounted cost is object.Flat.Bytes of its
+	// packed cells (8 bytes per cell of a real or nat tile plus its ⊥ side
+	// table, the in-memory size of an object.Value per cell of any other)
+	// plus a flat tileOverhead.
 	Budget int64
 	// NoPrefetch disables sequential readahead.
 	NoPrefetch bool
@@ -70,8 +80,28 @@ func (c *Config) budget() int64 {
 	return DefaultBudget
 }
 
-// cellBytes is the accounted in-memory cost of one cached cell.
-var cellBytes = int64(unsafe.Sizeof(object.Value{}))
+// boxedCellBytes is the in-memory cost of one cell of an eager array, which
+// is what OverBudget weighs against the budget.
+const boxedCellBytes = int64(unsafe.Sizeof(object.Value{}))
+
+// tileOverhead is charged for every resident tile on top of its cells, for
+// the entry, its LRU node and index slot. Those measure 234 bytes on a
+// one-cell tile; the constant is about four times that on purpose. At 8
+// bytes a cell a budget that ignored bookkeeping would be overrun many times
+// over by a cache of tiny tiles, so some charge is due, but the size was
+// picked against benchmarks/ (which this package's changes may not edit):
+// its quick configuration holds 64 tiles of 2 KiB under a budget 1.25 times
+// their payload and its smoke test needs that scan to evict, which takes
+// more than 512 bytes a tile, while the full configuration stays resident
+// up to 8192. See CHANGES.md, PR 16.
+const tileOverhead = 1 << 10
+
+// RealTileBytes is what the cache charges for a resident ⊥-free tile of the
+// given number of real (or nat) cells; a budget meant to hold n such tiles
+// is n times it.
+func RealTileBytes(cells int) int64 {
+	return int64(cells)*object.PackedCellBytes + tileOverhead
+}
 
 // cellPayload is the nominal data size of one cell for the bytes-scanned /
 // bytes-returned counters: the 8-byte scalar payload. Using one nominal
@@ -144,10 +174,30 @@ func (c *Counters) Add(other Counters) {
 	c.Evictions += other.Evictions
 }
 
+// add applies what one call counted to c. Zero counts cost nothing, so a
+// hit pays for two atomic adds. Evictions are not a per-call count: they go
+// to the cache's own counters where they happen.
+func (c *counters) add(d *Counters) {
+	addTo(&c.hits, d.TileHits)
+	addTo(&c.misses, d.TileMisses)
+	addTo(&c.prefetches, d.Prefetches)
+	addTo(&c.prefetchUseful, d.PrefetchUseful)
+	addTo(&c.bytesScanned, d.BytesScanned)
+	addTo(&c.bytesReturned, d.BytesReturned)
+	addTo(&c.spillWritten, d.SpillBytesWritten)
+	addTo(&c.spillRead, d.SpillBytesRead)
+}
+
+func addTo(dst *atomic.Int64, n int64) {
+	if n != 0 {
+		dst.Add(n)
+	}
+}
+
 // entry is one cached (or in-flight) tile.
 type entry struct {
 	key   key
-	cells []object.Value
+	cells object.Flat
 	bytes int64
 	elem  *list.Element // LRU position; nil while fetching
 	ready chan struct{} // non-nil while a fetch is in flight
@@ -191,10 +241,10 @@ func (c *Cache) Config() Config {
 func (c *Cache) Stats() Counters { return c.stats.snapshot() }
 
 // OverBudget reports whether holding an array of the given cell count
-// eagerly would exceed the cache budget — the spill trigger for oversized
-// intermediates.
+// eagerly (boxed, one object.Value per cell) would exceed the cache budget —
+// the spill trigger for oversized intermediates.
 func (c *Cache) OverBudget(cells int) bool {
-	return int64(cells)*cellBytes > c.cfg.budget()
+	return int64(cells)*boxedCellBytes > c.cfg.budget()
 }
 
 // Resident reports the currently accounted resident bytes.
@@ -215,12 +265,13 @@ func (c *Cache) PeakResident() int64 {
 // garbage; arrays backed by the spill file must not be read afterwards.
 func (c *Cache) Close() error { return c.spill.close() }
 
-// each applies f to the cache-global counters and, when ctx carries a
-// per-query collector, to that collector too.
-func (c *Cache) each(ctx context.Context, f func(*counters)) {
-	f(&c.stats)
-	if col := collectorFrom(ctx); col != nil {
-		f(&col.counters)
+// count adds what one call did to the cache-global counters and to the
+// query's collector (nil when the call's ctx carried none). Callers resolve
+// the collector once per call and count once, when the call is over.
+func (c *Cache) count(col *Collector, d *Counters) {
+	c.stats.add(d)
+	if col != nil {
+		col.counters.add(d)
 	}
 }
 
@@ -230,17 +281,28 @@ type Array struct {
 	c     *Cache
 	owner uint64
 	size  int
-	fetch Fetch
+	fetch FlatFetch
 	// lastTile drives sequential-access detection for prefetch.
 	lastTile atomic.Int64
 }
 
-// NewArray registers a lazy array of size cells over the given fetch
+// NewFlatArray registers a lazy array of size cells over the given fetch
 // source.
-func (c *Cache) NewArray(size int, fetch Fetch) *Array {
+func (c *Cache) NewFlatArray(size int, fetch FlatFetch) *Array {
 	a := &Array{c: c, owner: c.nextOwner.Add(1), size: size, fetch: fetch}
 	a.lastTile.Store(-1)
 	return a
+}
+
+// NewArray is NewFlatArray over a source of boxed cells, packed on insert.
+func (c *Cache) NewArray(size int, fetch Fetch) *Array {
+	return c.NewFlatArray(size, func(ctx context.Context, start, n int) (object.Flat, error) {
+		cells, err := fetch(ctx, start, n)
+		if err != nil {
+			return object.Flat{}, err
+		}
+		return object.PackCells(cells), nil
+	})
 }
 
 // Size implements object.ArrayBacking.
@@ -254,21 +316,24 @@ func (a *Array) TileCount() int {
 }
 
 // Cell implements object.ArrayBacking: it serves the cell at flat offset
-// off from the tile cache, faulting the tile in if needed.
-func (a *Array) Cell(ctx context.Context, off int) (object.Value, error) {
+// off from the tile cache, faulting the tile in if needed. The cell is
+// boxed here, on its way out.
+func (a *Array) Cell(ctx context.Context, off int) (v object.Value, err error) {
 	if off < 0 || off >= a.size {
-		return object.Value{}, fmt.Errorf("tile: cell %d out of range [0, %d)", off, a.size)
+		return v, fmt.Errorf("tile: cell %d out of range [0, %d)", off, a.size)
 	}
 	tc := a.c.cfg.tileCells()
 	t := off / tc
-	cells, err := a.c.tileCells(ctx, a, t)
-	if err != nil {
-		return object.Value{}, err
+	col := collectorFrom(ctx)
+	var d Counters
+	cells, err := a.c.tile(ctx, a, t, &d)
+	if err == nil {
+		v = cells.At(off - t*tc)
+		d.BytesReturned = cellPayload
+		a.maybePrefetch(ctx, t, &d)
 	}
-	v := cells[off-t*tc]
-	a.c.each(ctx, func(s *counters) { s.bytesReturned.Add(cellPayload) })
-	a.maybePrefetch(ctx, t)
-	return v, nil
+	a.c.count(col, &d)
+	return v, err
 }
 
 // CellRange implements object.RangeBacking: a bulk read across tiles, used
@@ -279,22 +344,26 @@ func (a *Array) CellRange(ctx context.Context, start, n int) ([]object.Value, er
 	}
 	out := make([]object.Value, 0, n)
 	tc := a.c.cfg.tileCells()
+	col := collectorFrom(ctx)
+	var d Counters
 	for off := start; off < start+n; {
 		t := off / tc
-		cells, err := a.c.tileCells(ctx, a, t)
+		cells, err := a.c.tile(ctx, a, t, &d)
 		if err != nil {
+			a.c.count(col, &d)
 			return nil, err
 		}
 		lo := off - t*tc
-		hi := len(cells)
+		hi := cells.Len()
 		if rem := start + n - off; hi-lo > rem {
 			hi = lo + rem
 		}
-		out = append(out, cells[lo:hi]...)
-		a.maybePrefetch(ctx, t)
+		out = cells.AppendTo(out, lo, hi)
+		a.maybePrefetch(ctx, t, &d)
 		off += hi - lo
 	}
-	a.c.each(ctx, func(s *counters) { s.bytesReturned.Add(int64(n) * cellPayload) })
+	d.BytesReturned = int64(n) * cellPayload
+	a.c.count(col, &d)
 	return out, nil
 }
 
@@ -309,10 +378,19 @@ func (a *Array) tileLen(t int) int {
 	return n
 }
 
+// fetchTile reads tile t from the source and checks its length.
+func (a *Array) fetchTile(ctx context.Context, t int) (object.Flat, error) {
+	cells, err := a.fetch(ctx, t*a.c.cfg.tileCells(), a.tileLen(t))
+	if err == nil && cells.Len() != a.tileLen(t) {
+		err = fmt.Errorf("tile: fetch returned %d cells for tile %d, want %d", cells.Len(), t, a.tileLen(t))
+	}
+	return cells, err
+}
+
 // maybePrefetch issues synchronous readahead of tile t+1 when tile t was
 // demanded immediately after tile t-1 (a row-major sequential scan, the
 // access pattern of tabulation).
-func (a *Array) maybePrefetch(ctx context.Context, t int) {
+func (a *Array) maybePrefetch(ctx context.Context, t int, d *Counters) {
 	if a.c.cfg.NoPrefetch {
 		return
 	}
@@ -320,14 +398,14 @@ func (a *Array) maybePrefetch(ctx context.Context, t int) {
 	if int64(t) != last+1 || t+1 >= a.TileCount() {
 		return
 	}
-	a.c.prefetchTile(ctx, a, t+1)
+	a.c.prefetchTile(ctx, a, t+1, d)
 }
 
-// tileCells returns the cells of tile t, serving from cache or faulting it
-// in. Concurrent fetches of the same tile are deduplicated; fetch errors
-// are not cached, and waiters whose fetcher failed re-run the fetch under
-// their own context.
-func (c *Cache) tileCells(ctx context.Context, a *Array, t int) ([]object.Value, error) {
+// tile returns the cells of tile t, serving from cache or faulting it in,
+// and notes in d what that took. Concurrent fetches of the same tile are
+// deduplicated; fetch errors are not cached, and waiters whose fetcher
+// failed re-run the fetch under their own context.
+func (c *Cache) tile(ctx context.Context, a *Array, t int, d *Counters) (*object.Flat, error) {
 	k := key{a.owner, t}
 	for {
 		c.mu.Lock()
@@ -337,12 +415,11 @@ func (c *Cache) tileCells(ctx context.Context, a *Array, t int) ([]object.Value,
 				c.lru.MoveToFront(e.elem)
 				if e.prefetched {
 					e.prefetched = false
-					c.each(ctx, func(s *counters) { s.prefetchUseful.Add(1) })
+					d.PrefetchUseful++
 				}
-				cells := e.cells
 				c.mu.Unlock()
-				c.each(ctx, func(s *counters) { s.hits.Add(1) })
-				return cells, nil
+				d.TileHits++
+				return &e.cells, nil // written once, before the entry became resident
 			}
 			ready := e.ready
 			c.mu.Unlock()
@@ -356,12 +433,9 @@ func (c *Cache) tileCells(ctx context.Context, a *Array, t int) ([]object.Value,
 		e := &entry{key: k, ready: make(chan struct{})}
 		c.entries[k] = e
 		c.mu.Unlock()
-		c.each(ctx, func(s *counters) { s.misses.Add(1) })
+		d.TileMisses++
 
-		cells, err := a.fetch(ctx, t*c.cfg.tileCells(), a.tileLen(t))
-		if err == nil && len(cells) != a.tileLen(t) {
-			err = fmt.Errorf("tile: fetch returned %d cells for tile %d, want %d", len(cells), t, a.tileLen(t))
-		}
+		cells, err := a.fetchTile(ctx, t)
 		c.mu.Lock()
 		if err != nil {
 			delete(c.entries, k)
@@ -371,15 +445,15 @@ func (c *Cache) tileCells(ctx context.Context, a *Array, t int) ([]object.Value,
 		}
 		c.insertLocked(e, cells)
 		c.mu.Unlock()
-		c.each(ctx, func(s *counters) { s.bytesScanned.Add(int64(len(cells)) * cellPayload) })
-		return cells, nil
+		d.BytesScanned += int64(cells.Len()) * cellPayload
+		return &e.cells, nil
 	}
 }
 
 // prefetchTile faults tile t into the cache if absent. Prefetch errors are
 // swallowed (the tile is simply not cached); the demand fetch that actually
 // needs it will retry and surface the error.
-func (c *Cache) prefetchTile(ctx context.Context, a *Array, t int) {
+func (c *Cache) prefetchTile(ctx context.Context, a *Array, t int, d *Counters) {
 	k := key{a.owner, t}
 	c.mu.Lock()
 	if _, ok := c.entries[k]; ok {
@@ -390,10 +464,7 @@ func (c *Cache) prefetchTile(ctx context.Context, a *Array, t int) {
 	c.entries[k] = e
 	c.mu.Unlock()
 
-	cells, err := a.fetch(ctx, t*c.cfg.tileCells(), a.tileLen(t))
-	if err == nil && len(cells) != a.tileLen(t) {
-		err = fmt.Errorf("tile: short prefetch")
-	}
+	cells, err := a.fetchTile(ctx, t)
 	c.mu.Lock()
 	if err != nil {
 		delete(c.entries, k)
@@ -404,17 +475,15 @@ func (c *Cache) prefetchTile(ctx context.Context, a *Array, t int) {
 	e.prefetched = true
 	c.insertLocked(e, cells)
 	c.mu.Unlock()
-	c.each(ctx, func(s *counters) {
-		s.prefetches.Add(1)
-		s.bytesScanned.Add(int64(len(cells)) * cellPayload)
-	})
+	d.Prefetches++
+	d.BytesScanned += int64(cells.Len()) * cellPayload
 }
 
 // insertLocked completes a fetch: the entry becomes resident, waiters wake,
 // and the LRU is trimmed back under budget. Caller holds c.mu.
-func (c *Cache) insertLocked(e *entry, cells []object.Value) {
+func (c *Cache) insertLocked(e *entry, cells object.Flat) {
 	e.cells = cells
-	e.bytes = int64(len(cells)) * cellBytes
+	e.bytes = cells.Bytes() + tileOverhead
 	e.elem = c.lru.PushFront(e)
 	ready := e.ready
 	e.ready = nil

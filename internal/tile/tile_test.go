@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"github.com/aqldb/aql/internal/object"
 )
@@ -107,7 +109,8 @@ func TestSequentialScanCounters(t *testing.T) {
 
 func TestEvictionThrashTwoTileBudget(t *testing.T) {
 	const tc = 4
-	c := New(Config{TileCells: tc, Budget: 2 * tc * cellBytes, NoPrefetch: true})
+	budget := 2 * RealTileBytes(tc)
+	c := New(Config{TileCells: tc, Budget: budget, NoPrefetch: true})
 	defer c.Close()
 	f := &seqFetch{}
 	const n = tc * 16
@@ -132,11 +135,11 @@ func TestEvictionThrashTwoTileBudget(t *testing.T) {
 	if st.Evictions < 3*16-2 {
 		t.Errorf("evictions = %d, want >= %d", st.Evictions, 3*16-2)
 	}
-	if got := c.Resident(); got > 2*tc*cellBytes {
-		t.Errorf("resident %d exceeds budget %d", got, 2*tc*cellBytes)
+	if got := c.Resident(); got > budget {
+		t.Errorf("resident %d exceeds budget %d", got, budget)
 	}
-	if got := c.PeakResident(); got > 2*tc*cellBytes {
-		t.Errorf("peak resident %d exceeds budget %d", got, 2*tc*cellBytes)
+	if got := c.PeakResident(); got != budget {
+		t.Errorf("peak resident %d, want the two-tile budget %d", got, budget)
 	}
 }
 
@@ -272,8 +275,10 @@ func TestSpillRoundtrip(t *testing.T) {
 	}
 }
 
+// TestOverBudget: the spill trigger weighs an eager array, which is boxed,
+// at the size of a Value per cell, not at what a packed tile would cost.
 func TestOverBudget(t *testing.T) {
-	c := New(Config{Budget: 100 * cellBytes})
+	c := New(Config{Budget: 100 * int64(unsafe.Sizeof(object.Value{}))})
 	defer c.Close()
 	if c.OverBudget(100) {
 		t.Error("100 cells over a 100-cell budget")
@@ -330,4 +335,168 @@ func TestWaiterSurvivesCancelledFetcher(t *testing.T) {
 	if err := <-waiterDone; err != nil {
 		t.Errorf("waiter after cancelled fetcher: %v", err)
 	}
+}
+
+// residentAfter fetches every tile of an n-cell array whose cell i is
+// cell(i) and returns what the cache charges for them.
+func residentAfter(t *testing.T, tileCells, n int, cell func(i int) object.Value) int64 {
+	t.Helper()
+	c := New(Config{TileCells: tileCells, NoPrefetch: true})
+	defer c.Close()
+	a := c.NewArray(n, func(_ context.Context, start, n int) ([]object.Value, error) {
+		out := make([]object.Value, n)
+		for i := range out {
+			out[i] = cell(start + i)
+		}
+		return out, nil
+	})
+	for off := 0; off < n; off += tileCells {
+		v, err := a.Cell(nil, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cell(off); v.String() != want.String() {
+			t.Fatalf("cell %d = %s, want %s", off, v, want)
+		}
+	}
+	return c.Resident()
+}
+
+// TestPackedAccounting pins the accounting rule: a tile is charged what its
+// packed form holds, whatever kind of Fetch filled it.
+func TestPackedAccounting(t *testing.T) {
+	const n = 4096
+	real := func(i int) object.Value { return object.Real(float64(i)) }
+	reals := residentAfter(t, n, n, real)
+	// 8 bytes a cell plus a constant that is small beside a default tile.
+	if reals != n*8+tileOverhead || tileOverhead*32 > n*8 {
+		t.Errorf("%d reals charged %d bytes, want 8 per cell plus a small constant", n, reals)
+	}
+	if got := RealTileBytes(n); got != reals {
+		t.Errorf("RealTileBytes(%d) = %d, cache charges %d", n, got, reals)
+	}
+	if nats := residentAfter(t, n, n, func(i int) object.Value { return object.Nat(int64(i)) }); nats != reals {
+		t.Errorf("%d nats charged %d bytes, reals %d", n, nats, reals)
+	}
+
+	// k ⊥ cells add their side-table entries and nothing else.
+	const k, msg = 5, "non-finite value in NetCDF data"
+	withBottoms := residentAfter(t, n, n, func(i int) object.Value {
+		if i%1000 == 7 {
+			return object.Bottom(msg)
+		}
+		return real(i)
+	})
+	if extra := withBottoms - reals; extra <= 0 || extra > k*int64(len(msg)+32) {
+		t.Errorf("%d ⊥ cells add %d bytes, want only side-table cost", k, extra)
+	}
+
+	// A tile of any other kind is still one Value per cell.
+	tuples := residentAfter(t, n, n, func(i int) object.Value { return object.Tuple(object.Nat(int64(i)), real(i)) })
+	if want := n*int64(unsafe.Sizeof(object.Value{})) + tileOverhead; tuples != want {
+		t.Errorf("%d tuples charged %d bytes, want %d", n, tuples, want)
+	}
+
+	// Tiles are accounted one by one: a short final tile costs its cells.
+	if got, want := residentAfter(t, 64, 100, real), RealTileBytes(64)+RealTileBytes(36); got != want {
+		t.Errorf("100 reals in 64-cell tiles charged %d bytes, want %d", got, want)
+	}
+}
+
+// corruptTuple is a tuple header claiming 2^63-1 elements: at the parent
+// commit decoding it panicked with "makeslice: len out of range".
+var corruptTuple = []byte{byte(object.KTuple), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+
+func TestSpillDecodeCorrupt(t *testing.T) {
+	if _, _, err := decodeValue(corruptTuple, 0); err == nil {
+		t.Error("corrupt tuple arity decoded")
+	}
+	for name, b := range map[string][]byte{
+		"empty":          {},
+		"boxed tuple":    append([]byte{formBoxed, 1}, corruptTuple...),
+		"real count":     {formReals, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"nat overflow":   {formNats, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0},
+		"⊥ offset":       {formNats, 1, 7, 1, 1, 0},
+		"⊥ order":        {formNats, 2, 7, 7, 2, 1, 0, 1, 0},
+		"array shape":    {formBoxed, 1, byte(object.KArray), 2, 0xff, 0xff, 0x03, 0xff, 0xff, 0x03},
+		"string length":  {formBoxed, 1, byte(object.KString), 0xff, 0x7f, 'a'},
+		"trailing bytes": {formReals, 0, 0, 0},
+		"form":           {9, 0},
+	} {
+		if _, err := decodeTile(b); err == nil {
+			t.Errorf("%s: corrupt spill tile decoded", name)
+		}
+	}
+}
+
+// fuzzCells derives a run of cells from fuzz bytes: each byte picks a kind,
+// so runs come out all-real, all-nat, mixed and empty, with ⊥ anywhere.
+func fuzzCells(data []byte) []object.Value {
+	cells := make([]object.Value, 0, len(data))
+	for i, b := range data {
+		switch x := int64(b >> 3); b & 7 {
+		case 0:
+			cells = append(cells, object.Real(float64(x)-0.5))
+		case 1:
+			cells = append(cells, object.Nat(x<<uint(i%40)))
+		case 2:
+			cells = append(cells, object.Bottom(fmt.Sprintf("⊥ %d at %d", x, i)))
+		case 3:
+			cells = append(cells, object.Bottom(""))
+		case 4:
+			cells = append(cells, object.Tuple(object.Nat(x), object.String_(string(data[:i%8]))))
+		case 5:
+			cells = append(cells, object.Set(object.Nat(x), object.Bool(x&1 == 0), object.Base("t", "v")))
+		case 6:
+			cells = append(cells, object.MustArray([]int{2, 0, 3}, nil), object.Vector(object.Real(float64(x)), object.Bottom("inner")))
+		default:
+			cells = append(cells, object.Real(float64(x)/0)) // ±Inf and NaN are reals like any other here
+		}
+	}
+	return cells
+}
+
+// FuzzSpillDecode: decoding arbitrary bytes returns a tile or an error,
+// never panics, and what it accepts is a well-formed run; decoding what the
+// encoder wrote gives back the cells, ⊥ diagnostics included.
+func FuzzSpillDecode(f *testing.F) {
+	f.Add(corruptTuple)
+	f.Add(append([]byte{formBoxed, 1}, corruptTuple...))
+	f.Add([]byte{formReals, 1, 0x3f, 0xf8, 0, 0, 0, 0, 0, 0, 1, 0, 3, 'n', 'a', 'n'})
+	f.Add([]byte{formNats, 3, 1, 2, 3, 0})
+	f.Add([]byte{0, 8, 16, 2, 0})
+	f.Add([]byte{1, 9, 1, 17})
+	f.Add([]byte{2, 3, 4, 5, 6, 7, 0, 1})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeValue(data, 0)
+		if got, err := decodeTile(data); err == nil {
+			for i := 0; i < got.Len(); i++ {
+				_ = got.At(i).String()
+			}
+			if got.Boxed == nil && len(got.Bottoms) > got.Len() {
+				t.Fatalf("%d ⊥ entries in a %d-cell tile", len(got.Bottoms), got.Len())
+			}
+		}
+
+		cells := fuzzCells(data)
+		b, err := encodeTile(object.PackCells(cells))
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeTile(b)
+		if err != nil {
+			t.Fatalf("decode(encode(cells)): %v", err)
+		}
+		if back.Len() != len(cells) {
+			t.Fatalf("decoded %d cells, want %d", back.Len(), len(cells))
+		}
+		for i, want := range cells {
+			got := back.At(i)
+			if got.Kind != want.Kind || got.N != want.N || math.Float64bits(got.R) != math.Float64bits(want.R) ||
+				got.Str() != want.Str() || got.String() != want.String() {
+				t.Fatalf("cell %d = %s (%s, %q), want %s (%s, %q)", i, got, got.Kind, got.Str(), want, want.Kind, want.Str())
+			}
+		}
+	})
 }
