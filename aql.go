@@ -268,12 +268,18 @@ func (s *Session) Command(ctx context.Context, line string) (string, error) {
 // observability surface — the endpoint behind the -metricsaddr flag of
 // cmd/aql:
 //
-//	GET /              JSON summary: cumulative totals + recent queries
-//	GET /metrics       Prometheus text exposition (latency histogram,
-//	                   phase/rule/eval/I-O counters)
-//	GET /debug/queries flight recorder: last N full reports as JSON
-//	GET /debug/slow    slowest queries seen
-//	/debug/pprof/...   standard net/http/pprof handlers
+//	GET /                 JSON summary: cumulative totals + recent queries
+//	GET /metrics          Prometheus text exposition (latency histogram,
+//	                      phase/rule/eval/I-O counters); OpenMetrics with
+//	                      trace-id exemplars when Accept asks for it
+//	GET /debug/queries    flight recorder: last N full reports as JSON
+//	GET /debug/trace/{id} one retained report as Chrome trace-event JSON,
+//	                      looked up by request or trace id
+//	GET /debug/slow       slowest queries seen
+//	/debug/pprof/...      standard net/http/pprof handlers
+//
+// It is trace.NewHandler, the same handler the query server (cmd/aqld)
+// mounts for these routes.
 func (s *Session) MetricsHandler() http.Handler {
 	return trace.NewHandler(s.s.Trace, s.s.Fleet, s.s.Flight)
 }

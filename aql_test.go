@@ -1,14 +1,20 @@
 package aql
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/aqldb/aql/internal/repl"
+	"github.com/aqldb/aql/internal/server"
 )
 
 func newSession(t *testing.T) *Session {
@@ -379,6 +385,50 @@ func TestTraceJSONSink(t *testing.T) {
 	line := strings.TrimSpace(buf.String())
 	if !strings.Contains(line, `"query":"gen!3"`) {
 		t.Errorf("sink received %q", line)
+	}
+}
+
+// TestQueryTextNotHTMLEscaped: recorded query text comes back verbatim from
+// every JSON endpoint of the one observability handler, on the session's
+// -metricsaddr surface and mounted in the query server alike. The default
+// json.Encoder would serve '<', '>' and '&' as \u003c, \u003e and \u0026,
+// and every tabulation has a '<'.
+func TestQueryTextNotHTMLEscaped(t *testing.T) {
+	const src = `[[ if i > 1 then "a&b" else "c" | \i < 3 ]]`
+	const want = `"query":"[[ if i > 1 then \"a&b\" else \"c\" | \\i < 3 ]]"`
+
+	sess := newSession(t)
+	if _, _, err := sess.Query(src); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := repl.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	aqld := server.New(rs, server.Config{})
+	body, _ := json.Marshal(server.QueryRequest{Query: src})
+	rec := httptest.NewRecorder()
+	aqld.ServeHTTP(rec, httptest.NewRequest("POST", "/query", bytes.NewReader(body)))
+	if rec.Code != 200 {
+		t.Fatalf("POST /query = %d: %s", rec.Code, rec.Body)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		h      http.Handler
+		routes []string
+	}{
+		{"metricsaddr", sess.MetricsHandler(), []string{"/", "/debug/queries", "/debug/slow"}},
+		{"aqld", aqld, []string{"/debug/queries", "/debug/slow"}},
+	} {
+		for _, route := range tc.routes {
+			rec := httptest.NewRecorder()
+			tc.h.ServeHTTP(rec, httptest.NewRequest("GET", route, nil))
+			if rec.Code != 200 || !strings.Contains(rec.Body.String(), want) {
+				t.Errorf("%s GET %s = %d, query text not served as %s:\n%s", tc.name, route, rec.Code, want, rec.Body)
+			}
+		}
 	}
 }
 

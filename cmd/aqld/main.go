@@ -15,10 +15,13 @@
 //	POST /val/{name}        bind a val from an exchange-format body
 //	GET  /metrics           Prometheus text: fleet metrics + aqld_* series
 //	                        (OpenMetrics with trace-id exemplars via Accept)
-//	GET  /debug/queries     flight recorder, full reports as JSON
+//	GET  /debug/queries     flight recorder: {capacity, total, reports}
 //	GET  /debug/trace/{id}  one recorded query as Chrome trace-event JSON,
 //	                        looked up by request id or trace id
+//	GET  /debug/slow        slowest queries seen
+//	/debug/pprof/...        standard net/http/pprof handlers
 //	GET  /debug/planstats   per-plan execution profiles, keyed like the cache
+//	GET  /debug/explain/{id} one recorded query's estimate-vs-actual table
 //	GET  /debug/server      plan-cache and admission counters
 //	GET  /healthz           liveness
 //

@@ -1,7 +1,7 @@
 // Package bench defines the workloads for the experiment suite in
-// DESIGN.md. Both the testing.B benchmarks (bench_test.go at the module
-// root) and the report harness (cmd/aqlbench) build their measurements
-// from these definitions so that the two always agree on what is measured.
+// DESIGN.md. The testing.B benchmarks (bench_test.go at the module root)
+// and the layered benchmark (benchmarks/) build their measurements from
+// these definitions so that the two always agree on what is measured.
 //
 // The paper has no numeric results tables; its measurable claims are the
 // complexity statements of sections 1-3 and the optimizer effects of
@@ -9,8 +9,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/rank"
@@ -19,33 +17,12 @@ import (
 	"github.com/aqldb/aql/internal/weather"
 )
 
-// Engine, when non-empty, selects the execution engine ("interp" or
-// "compiled") every MustSession installs; cmd/aqlbench sets it from its
-// -engine flag so one binary can measure either engine.
-var Engine string
-
-// Profiling, when non-empty, sets the operator-profiling level ("off",
-// "sampled" or "full") every MustSession installs; cmd/aqlbench sets it
-// from its -proflevel flag so the experiments can emit span-annotated
-// reports (or prove the off-level adds nothing).
-var Profiling string
-
 // MustSession returns a standard session or panics; benchmarks have no
 // error channel worth threading.
 func MustSession() *repl.Session {
 	s, err := repl.New()
 	if err != nil {
 		panic(err)
-	}
-	if Engine != "" {
-		if err := s.SetEngine(Engine); err != nil {
-			panic(err)
-		}
-	}
-	if Profiling != "" {
-		if err := s.SetProfiling(Profiling); err != nil {
-			panic(err)
-		}
 	}
 	return s
 }
@@ -274,22 +251,3 @@ const PureTabQuery = `val T = [[ (i*i + 7) % 93 | \i < 300000 ]];`
 // MatmulQuery is the dense matrix product of section 3, with closure
 // application, set generation and summation in the inner loop.
 const MatmulQuery = `val C = [[ summap(fn \k => A[i,k] * B[k,j])!(gen!n) | \i < n, \j < n ]];`
-
-// --- Measurement helper -----------------------------------------------------------------
-
-// Steps compiles (optionally optimizes) and evaluates a query, returning
-// the evaluator step count — the machine-independent cost measure used in
-// EXPERIMENTS.md.
-func Steps(s *repl.Session, src string, optimize bool) (int64, error) {
-	core, _, err := s.Compile(src)
-	if err != nil {
-		return 0, fmt.Errorf("bench: %s: %w", src, err)
-	}
-	if optimize {
-		core = s.Env.Optimizer.Optimize(core)
-	}
-	if _, err := s.Eval(core); err != nil {
-		return 0, err
-	}
-	return s.LastSteps.Load(), nil
-}

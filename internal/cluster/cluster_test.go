@@ -29,7 +29,7 @@ import (
 // plan from the text alone.
 const tabQuery = `[[ (i*i + 11*i + 7) % 97 | \i < 5000 ]]`
 
-func newWorker(t *testing.T) *httptest.Server {
+func newWorker(t testing.TB) *httptest.Server {
 	t.Helper()
 	sess, err := repl.New()
 	if err != nil {
@@ -40,7 +40,7 @@ func newWorker(t *testing.T) *httptest.Server {
 	return ts
 }
 
-func newCoordServer(t *testing.T, coord *cluster.Coordinator) *httptest.Server {
+func newCoordServer(t testing.TB, coord *cluster.Coordinator) *httptest.Server {
 	t.Helper()
 	sess, err := repl.New()
 	if err != nil {
@@ -67,7 +67,7 @@ func fastCfg(tr cluster.Transport, workers ...string) cluster.Config {
 	}
 }
 
-func postQuery(t *testing.T, ts *httptest.Server, query string) (*server.QueryResponse, int, *server.ErrorResponse) {
+func postQuery(t testing.TB, ts *httptest.Server, query string) (*server.QueryResponse, int, *server.ErrorResponse) {
 	t.Helper()
 	body, _ := json.Marshal(server.QueryRequest{Query: query})
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))

@@ -31,10 +31,13 @@ func coordReport(t *testing.T, url string) *trace.QueryReport {
 		t.Fatalf("GET /debug/queries: %v", err)
 	}
 	defer resp.Body.Close()
-	var reports []trace.QueryReport
-	if err := json.NewDecoder(resp.Body).Decode(&reports); err != nil {
+	var doc struct {
+		Reports []trace.QueryReport `json:"reports"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatalf("decode reports: %v", err)
 	}
+	reports := doc.Reports
 	for i := len(reports) - 1; i >= 0; i-- {
 		if len(reports[i].Shards) > 0 {
 			return &reports[i]

@@ -244,12 +244,15 @@ func (p *SpanPlan) ID(e ast.Expr) (int, bool) {
 	return id, ok
 }
 
-// SpanSlot accumulates one span's measurements. All fields are atomic:
-// closures that escape into the compiled engine's parallel tabulation
-// workers can execute a span concurrently (the same reason the engines'
-// work counters are atomic), and atomicity keeps that race-free. The
+// SpanSlot accumulates one span's measurements. All fields are atomic
+// although a ProfCtx normally belongs to one goroutine (a compiled machine
+// forks one per fan-out worker, and its work counters are goroutine-owned
+// plain ints): the interpreter has one context per evaluation, and a
+// function it makes can be applied concurrently while that evaluation is
+// open — handed to a val-bound compiled function whose body fans out —
+// which is also why the interpreter's own work counters are atomic. The
 // Child* exchange underlying self attribution is heuristically ordered in
-// that case — concurrent interleavings can skew self times, never
+// that case: concurrent interleavings can skew self times, never
 // invocation counts or cumulative counters.
 type SpanSlot struct {
 	Inv      atomic.Int64
@@ -266,9 +269,7 @@ type SpanSlot struct {
 // ProfCtx is one goroutine-lineage's accumulation state: the root machine
 // owns one, and each parallel tabulation worker forks its own so the hot
 // path stays uncontended; worker contexts merge back at join. The Child*
-// fields implement self attribution: a measured span invocation zeroes
-// them, runs, subtracts what profiled descendants accumulated, and restores
-// the parent's view plus its own contribution.
+// fields implement self attribution (see Enter and Exit).
 type ProfCtx struct {
 	Plan  *SpanPlan
 	Full  bool
@@ -280,6 +281,70 @@ type ProfCtx struct {
 	ChildTabs   atomic.Int64
 	ChildSetOps atomic.Int64
 	ChildIters  atomic.Int64
+}
+
+// Count counts one invocation of span id and reports whether it is a
+// measured one: all of them at ProfFull, one in SampleInterval at
+// ProfSampled. The unmeasured invocations pay this atomic increment only.
+func (p *ProfCtx) Count(id int) bool {
+	inv := p.Slots[id].Inv.Add(1)
+	return p.Full || (inv-1)&sampleMask == 0
+}
+
+// SpanFrame is what one measured invocation carries from Enter to Exit:
+// when it started, and the engine's counters and the context's Child*
+// accumulators at that moment.
+type SpanFrame struct {
+	id    int
+	t0    time.Time
+	at    Counters
+	wall  int64
+	below Counters
+}
+
+// Enter opens a measured invocation of span id: both engines' one span
+// hook is Count, then Enter and Exit around the node. at is the engine's
+// counter snapshot.
+func (p *ProfCtx) Enter(id int, at Counters) SpanFrame {
+	return SpanFrame{
+		id:   id,
+		at:   at,
+		wall: p.ChildWallNs.Load(),
+		below: Counters{
+			Steps:  p.ChildSteps.Load(),
+			Cells:  p.ChildCells.Load(),
+			Tabs:   p.ChildTabs.Load(),
+			SetOps: p.ChildSetOps.Load(),
+			Iters:  p.ChildIters.Load(),
+		},
+		t0: time.Now(),
+	}
+}
+
+// Exit closes the invocation Enter opened. The span's cumulative time and
+// work are the deltas since Enter. Each profiled child left the Child*
+// accumulators at their value on its entry plus its own cumulative figures,
+// so their growth since Enter is what the children account for, and the
+// span's self figures are the rest. Exit leaves them the same way for the
+// enclosing invocation: entry value plus this span's cumulative figures.
+func (p *ProfCtx) Exit(f *SpanFrame, at Counters) {
+	d := int64(time.Since(f.t0))
+	w := at.Sub(f.at)
+	s := &p.Slots[f.id]
+	s.Measured.Add(1)
+	s.WallNs.Add(d)
+	s.SelfNs.Add(d - (p.ChildWallNs.Load() - f.wall))
+	s.Steps.Add(w.Steps - (p.ChildSteps.Load() - f.below.Steps))
+	s.Cells.Add(w.Cells - (p.ChildCells.Load() - f.below.Cells))
+	s.Tabs.Add(w.Tabs - (p.ChildTabs.Load() - f.below.Tabs))
+	s.SetOps.Add(w.SetOps - (p.ChildSetOps.Load() - f.below.SetOps))
+	s.Iters.Add(w.Iters - (p.ChildIters.Load() - f.below.Iters))
+	p.ChildWallNs.Store(f.wall + d)
+	p.ChildSteps.Store(f.below.Steps + w.Steps)
+	p.ChildCells.Store(f.below.Cells + w.Cells)
+	p.ChildTabs.Store(f.below.Tabs + w.Tabs)
+	p.ChildSetOps.Store(f.below.SetOps + w.SetOps)
+	p.ChildIters.Store(f.below.Iters + w.Iters)
 }
 
 // NewProfCtx returns the root accumulation context for a plan (nil plan
@@ -397,49 +462,13 @@ func (ev *Evaluator) Profiling() ProfLevel { return ev.profLevel }
 // profiling was off; part of SpanProfiler.
 func (ev *Evaluator) SpanTree() *SpanNode { return ev.lastSpans }
 
-// evalSpan is the interpreter's span wrapper: count the invocation, and on
-// measured invocations (all of them at ProfFull, one in SampleInterval at
-// ProfSampled) snapshot the work counters and exchange the Child*
-// accumulators around the evaluation so self time and self counters exclude
-// profiled descendants.
+// evalSpan is the interpreter's span wrapper around one profiled node.
 func (ev *Evaluator) evalSpan(p *ProfCtx, id int, e ast.Expr, env *Env) (object.Value, error) {
-	s := &p.Slots[id]
-	inv := s.Inv.Add(1)
-	if !p.Full && (inv-1)&sampleMask != 0 {
+	if !p.Count(id) {
 		return ev.evalDepth(e, env)
 	}
-	steps0 := ev.Steps.Load()
-	cells0 := ev.Cells.Load()
-	tabs0 := ev.Tabs.Load()
-	setOps0 := ev.SetOps.Load()
-	iters0 := ev.Iters.Load()
-	savedWall := p.ChildWallNs.Swap(0)
-	savedSteps := p.ChildSteps.Swap(0)
-	savedCells := p.ChildCells.Swap(0)
-	savedTabs := p.ChildTabs.Swap(0)
-	savedSetOps := p.ChildSetOps.Swap(0)
-	savedIters := p.ChildIters.Swap(0)
-	t0 := time.Now()
+	f := p.Enter(id, ev.Counters())
 	v, err := ev.evalDepth(e, env)
-	d := int64(time.Since(t0))
-	dSteps := ev.Steps.Load() - steps0
-	dCells := ev.Cells.Load() - cells0
-	dTabs := ev.Tabs.Load() - tabs0
-	dSetOps := ev.SetOps.Load() - setOps0
-	dIters := ev.Iters.Load() - iters0
-	s.Measured.Add(1)
-	s.WallNs.Add(d)
-	s.SelfNs.Add(d - p.ChildWallNs.Load())
-	s.Steps.Add(dSteps - p.ChildSteps.Load())
-	s.Cells.Add(dCells - p.ChildCells.Load())
-	s.Tabs.Add(dTabs - p.ChildTabs.Load())
-	s.SetOps.Add(dSetOps - p.ChildSetOps.Load())
-	s.Iters.Add(dIters - p.ChildIters.Load())
-	p.ChildWallNs.Store(savedWall + d)
-	p.ChildSteps.Store(savedSteps + dSteps)
-	p.ChildCells.Store(savedCells + dCells)
-	p.ChildTabs.Store(savedTabs + dTabs)
-	p.ChildSetOps.Store(savedSetOps + dSetOps)
-	p.ChildIters.Store(savedIters + dIters)
+	p.Exit(&f, ev.Counters())
 	return v, err
 }

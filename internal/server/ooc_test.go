@@ -110,10 +110,13 @@ func TestMetricsTileIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dresp.Body.Close()
-	var reports []trace.QueryReport
-	if err := json.NewDecoder(dresp.Body).Decode(&reports); err != nil {
+	var doc struct {
+		Reports []trace.QueryReport `json:"reports"`
+	}
+	if err := json.NewDecoder(dresp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
+	reports := doc.Reports
 	if len(reports) == 0 {
 		t.Fatal("no reports in flight recorder")
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -153,5 +154,38 @@ func TestParameterizedValRebindInvalidates(t *testing.T) {
 	}
 	if qr.Cached {
 		t.Error("post-rebind execution reported cached (epoch keying broken)")
+	}
+}
+
+// TestTemplatedWorkloadCacheCounts: 400 executions of one template with
+// distinct argument pairs prepare once and hit 399 times on one cache
+// entry; the same 400 queries written as literal substitutions are 400
+// distinct keys and never hit. Exact counts on a deterministic run, where
+// the timing harness this replaces gated a >= 99% rate.
+func TestTemplatedWorkloadCacheCounts(t *testing.T) {
+	const n = 400
+	tmpl, ts := newTestServer(t, Config{})
+	for k := 0; k < n; k++ {
+		_, _, err := postQuery(ts, QueryRequest{
+			Query: `count!(dom!(zip!([[ i*i + $a | \i < 64 ]], reverse!([[ i + $b | \i < 64 ]]))))`,
+			Args:  map[string]string{"a": fmt.Sprint(k), "b": fmt.Sprint(k + 1)}})
+		if err != nil {
+			t.Fatalf("templated execution %d: %v", k, err)
+		}
+	}
+	if cs := tmpl.CacheStats(); cs.Misses != 1 || cs.Hits != n-1 || cs.Size != 1 {
+		t.Errorf("templated: %+v, want 1 miss, %d hits, 1 entry", cs, n-1)
+	}
+
+	lit, ts := newTestServer(t, Config{})
+	for k := 0; k < n; k++ {
+		_, _, err := postQuery(ts, QueryRequest{Query: fmt.Sprintf(
+			`count!(dom!(zip!([[ i*i + %d | \i < 64 ]], reverse!([[ i + %d | \i < 64 ]]))))`, k, k+1)})
+		if err != nil {
+			t.Fatalf("literal execution %d: %v", k, err)
+		}
+	}
+	if cs := lit.CacheStats(); cs.Hits != 0 || cs.Misses != n {
+		t.Errorf("literal: %+v, want 0 hits, %d misses", cs, n)
 	}
 }

@@ -161,11 +161,18 @@ func New(sess *repl.Session, cfg Config) *Server {
 	mux.HandleFunc("POST /shard", s.handleShard)
 	mux.HandleFunc("GET /val/{name}", s.handleValGet)
 	mux.HandleFunc("POST /val/{name}", s.handleValSet)
+	// The observability surface is trace.NewHandler, the handler `aql
+	// -metricsaddr` serves; the server adds its own families to /metrics
+	// and the three endpoints only it can answer. The handler's GET /
+	// summary reads a session recorder, and server requests report to
+	// per-request recorders instead, so that route stays unmounted.
+	obs := trace.NewHandler(nil, sess.Fleet, sess.Flight)
+	for _, route := range []string{"GET /debug/queries", "GET /debug/trace/{id}", "GET /debug/slow", "/debug/pprof/"} {
+		mux.Handle(route, obs)
+	}
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/queries", s.handleDebugQueries)
 	mux.HandleFunc("GET /debug/server", s.handleDebugServer)
 	mux.HandleFunc("GET /debug/planstats", s.handleDebugPlanStats)
-	mux.HandleFunc("GET /debug/trace/{id}", s.handleDebugTrace)
 	mux.HandleFunc("GET /debug/explain/{id}", s.handleDebugExplain)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -286,7 +293,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, *errInfo)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	trace.WriteJSON(w, http.StatusOK, resp)
 }
 
 // runQuery executes one admitted request: plan-cache lookup or prepare,
@@ -560,32 +567,16 @@ func (s *Server) handleValSet(w http.ResponseWriter, r *http.Request) {
 	s.cache.invalidateBefore(epoch)
 	s.envMu.Unlock()
 
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "type": typ.String(), "epoch": epoch})
+	trace.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "type": typ.String(), "epoch": epoch})
 }
 
 // --- observability endpoints ------------------------------------------------
 
-// handleMetrics serves the fleet's metrics exposition with the server's
-// own plan-cache, admission and cluster families appended. The classic
-// Prometheus text format is the default; an Accept header asking for
-// application/openmetrics-text negotiates OpenMetrics 1.0, which adds
-// trace-id exemplars on the latency histograms and the # EOF terminator.
+// handleMetrics appends the server's own plan-cache, admission, I/O,
+// misestimate and cluster families to the fleet exposition, in whichever
+// format trace.ServeMetrics negotiated.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	om := trace.AcceptsOpenMetrics(r.Header.Get("Accept"))
-	if om {
-		w.Header().Set("Content-Type", trace.OpenMetricsContentType)
-	} else {
-		w.Header().Set("Content-Type", trace.PrometheusContentType)
-	}
-	b := trace.NewMetricWriter(w, om)
-	snap := s.sess.Fleet.Snapshot()
-	if om {
-		if err := trace.WriteOpenMetrics(w, snap); err != nil {
-			return
-		}
-	} else if err := trace.WritePrometheus(w, snap); err != nil {
-		return
-	}
+	b := trace.ServeMetrics(w, r, s.sess.Fleet.Snapshot())
 	cs := s.cache.stats()
 	as := s.adm.stats()
 	b.Header("aqld_plan_cache_entries", "gauge", "Prepared plans currently cached.")
@@ -676,28 +667,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.WriteEOF()
 }
 
-func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sess.Flight.Reports())
-}
-
 // handleDebugPlanStats dumps the per-plan stats store: one aggregated
 // runtime profile per plan-cache key.
 func (s *Server) handleDebugPlanStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.planStats.Snapshot())
-}
-
-// handleDebugTrace serves one retained query report as Chrome trace-event
-// JSON, looked up by request id or trace id — load the body straight into
-// chrome://tracing or Perfetto.
-func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	rep, ok := s.sess.Flight.Find(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrorInfo{Kind: "request",
-			Message: "no retained report with id or trace id " + r.PathValue("id")})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = trace.WriteChromeTrace(w, &rep)
+	trace.WriteJSON(w, http.StatusOK, s.planStats.Snapshot())
 }
 
 // handleDebugExplain serves the joined estimate-vs-actual table of one
@@ -716,11 +689,11 @@ func (s *Server) handleDebugExplain(w http.ResponseWriter, r *http.Request) {
 			Message: "no explain table recorded for " + r.PathValue("id")})
 		return
 	}
-	writeJSON(w, http.StatusOK, rep.Explain)
+	trace.WriteJSON(w, http.StatusOK, rep.Explain)
 }
 
 func (s *Server) handleDebugServer(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	trace.WriteJSON(w, http.StatusOK, map[string]any{
 		"plan_cache": s.cache.stats(),
 		"admission":  s.adm.stats(),
 		"epoch":      s.sess.Env.Epoch(),
@@ -793,14 +766,6 @@ func execHTTP(err error) (ErrorInfo, int) {
 	return ErrorInfo{Kind: "eval", Message: err.Error()}, http.StatusUnprocessableEntity
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
 func writeError(w http.ResponseWriter, status int, info ErrorInfo) {
-	writeJSON(w, status, ErrorResponse{Error: info})
+	trace.WriteJSON(w, status, ErrorResponse{Error: info})
 }

@@ -496,10 +496,13 @@ func TestDebugQueriesCarriesReports(t *testing.T) {
 		t.Fatalf("GET /debug/queries: %v", err)
 	}
 	defer resp.Body.Close()
-	var reports []trace.QueryReport
-	if err := json.NewDecoder(resp.Body).Decode(&reports); err != nil {
+	var doc struct {
+		Reports []trace.QueryReport `json:"reports"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	reports := doc.Reports
 	if len(reports) != 2 {
 		t.Fatalf("flight recorder has %d reports, want 2", len(reports))
 	}

@@ -141,7 +141,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Values = text
 	}
-	writeJSON(w, http.StatusOK, resp)
+	trace.WriteJSON(w, http.StatusOK, resp)
 }
 
 // workerSpanTree builds the phase-level span subtree a worker returns for
@@ -187,7 +187,7 @@ func executeRangeGuarded(ctx context.Context, prog *compile.Program, opts compil
 }
 
 func writeShardError(w http.ResponseWriter, status int, kind, msg string, off int64, id string) {
-	writeJSON(w, status, exchange.ShardErrorEnvelope{Error: exchange.ShardErrorInfo{
+	trace.WriteJSON(w, status, exchange.ShardErrorEnvelope{Error: exchange.ShardErrorInfo{
 		Kind: kind, Message: msg, Off: off, ID: id,
 	}})
 }

@@ -119,7 +119,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	a.Emit(fleetReport("q1", 3*time.Microsecond, ""))
 	a.Emit(fleetReport("q2", time.Second, "boom"))
 	var b strings.Builder
-	if err := WritePrometheus(&b, a.Snapshot()); err != nil {
+	mw := NewMetricWriter(&b, false)
+	writeFleetMetrics(mw, a.Snapshot())
+	if err := mw.Err(); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()

@@ -54,7 +54,8 @@ func summarize(rep *QueryReport) querySummary {
 	}
 }
 
-// NewHandler routes the -metricsaddr observability surface:
+// NewHandler routes the observability surface `aql -metricsaddr` serves
+// and the query server mounts beside its own endpoints:
 //
 //	GET /                JSON summary: cumulative totals + recent queries
 //	GET /metrics         Prometheus text exposition (requires agg); serves
@@ -78,7 +79,7 @@ func NewHandler(r *Recorder, agg *Aggregator, flight *FlightRecorder) http.Handl
 		for i := range recent {
 			payload.Recent = append(payload.Recent, summarize(&recent[i]))
 		}
-		serveJSON(w, payload)
+		WriteJSON(w, http.StatusOK, payload)
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
@@ -86,15 +87,7 @@ func NewHandler(r *Recorder, agg *Aggregator, flight *FlightRecorder) http.Handl
 			http.NotFound(w, req)
 			return
 		}
-		if AcceptsOpenMetrics(req.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", OpenMetricsContentType)
-			b := NewMetricWriter(w, true)
-			writeFleetMetrics(b, agg.Snapshot())
-			b.WriteEOF()
-			return
-		}
-		w.Header().Set("Content-Type", PrometheusContentType)
-		_ = WritePrometheus(w, agg.Snapshot())
+		ServeMetrics(w, req, agg.Snapshot()).WriteEOF()
 	})
 
 	mux.HandleFunc("GET /debug/trace/{id}", func(w http.ResponseWriter, req *http.Request) {
@@ -116,7 +109,7 @@ func NewHandler(r *Recorder, agg *Aggregator, flight *FlightRecorder) http.Handl
 			http.NotFound(w, req)
 			return
 		}
-		serveJSON(w, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Capacity int           `json:"capacity"`
 			Total    int64         `json:"total"`
 			Reports  []QueryReport `json:"reports"`
@@ -128,7 +121,7 @@ func NewHandler(r *Recorder, agg *Aggregator, flight *FlightRecorder) http.Handl
 			http.NotFound(w, req)
 			return
 		}
-		serveJSON(w, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Slow []SlowQuery `json:"slow"`
 		}{agg.Snapshot().Slow})
 	})
@@ -142,10 +135,15 @@ func NewHandler(r *Recorder, agg *Aggregator, flight *FlightRecorder) http.Handl
 	return mux
 }
 
-// serveJSON writes v as indented JSON with the JSON content type.
-func serveJSON(w http.ResponseWriter, v any) {
+// WriteJSON writes v as one response in the one JSON form both HTTP
+// surfaces (this handler and the query server) speak: compact, and with
+// HTML escaping off — recorded query text is full of '<', '>' and '&'
+// (every tabulation has a bound), and a client must read it back verbatim.
+// Encoding errors are ignored: the status line is already written.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
 }

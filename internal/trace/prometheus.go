@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,29 +27,25 @@ type Exemplar struct {
 	Ts      float64 `json:"ts"`    // unix seconds
 }
 
-// WritePrometheus renders the aggregate snapshot in the Prometheus text
-// exposition format (version 0.0.4), hand-rolled so the trace package stays
-// dependency-free. Output is deterministic: labelled series are sorted by
+// ServeMetrics is the head of every /metrics response: it negotiates the
+// format from the request's Accept header (classic Prometheus text 0.0.4
+// by default, OpenMetrics 1.0 with trace-id exemplars on request), sets
+// the Content-Type and writes the fleet families of the snapshot. The
+// caller appends any families of its own to the returned writer and ends
+// the response with WriteEOF. Hand-rolled so the trace package stays
+// dependency-free; output is deterministic: labelled series are sorted by
 // label value (phases in pipeline order first).
-func WritePrometheus(w io.Writer, s AggregateSnapshot) error {
-	b := NewMetricWriter(w, false)
+func ServeMetrics(w http.ResponseWriter, req *http.Request, s AggregateSnapshot) *MetricWriter {
+	om := AcceptsOpenMetrics(req.Header.Get("Accept"))
+	if om {
+		w.Header().Set("Content-Type", OpenMetricsContentType)
+	} else {
+		w.Header().Set("Content-Type", PrometheusContentType)
+	}
+	b := NewMetricWriter(w, om)
 	writeFleetMetrics(b, s)
-	return b.Err()
+	return b
 }
-
-// WriteOpenMetrics renders the snapshot in the OpenMetrics 1.0 text format,
-// with trace-id exemplars attached to the latency histogram buckets. It
-// does NOT write the terminating "# EOF" line — callers appending their own
-// metric families (the query server does) write it once at the very end via
-// MetricWriter.WriteEOF or the OpenMetricsEOF constant.
-func WriteOpenMetrics(w io.Writer, s AggregateSnapshot) error {
-	b := NewMetricWriter(w, true)
-	writeFleetMetrics(b, s)
-	return b.Err()
-}
-
-// OpenMetricsEOF terminates an OpenMetrics exposition.
-const OpenMetricsEOF = "# EOF\n"
 
 // AcceptsOpenMetrics reports whether an Accept header asks for the
 // OpenMetrics format (how Prometheus scrapers opt into exemplars).
@@ -179,9 +176,6 @@ func NewMetricWriter(w io.Writer, openMetrics bool) *MetricWriter {
 	return &MetricWriter{w: w, om: openMetrics}
 }
 
-// OpenMetrics reports the writer's flavor.
-func (b *MetricWriter) OpenMetrics() bool { return b.om }
-
 // Err returns the first write error.
 func (b *MetricWriter) Err() error { return b.err }
 
@@ -262,5 +256,5 @@ func (b *MetricWriter) WriteEOF() {
 	if b.err != nil || !b.om {
 		return
 	}
-	_, b.err = io.WriteString(b.w, OpenMetricsEOF)
+	_, b.err = io.WriteString(b.w, "# EOF\n")
 }

@@ -66,8 +66,8 @@ func (s *SlogSink) Emit(r *QueryReport) {
 	s.l.Info("aql query", attrs...)
 }
 
-// JSONSink writes one JSON-encoded QueryReport per line — the bench
-// harness's sink, so BENCH_*.json gains optimizer and I/O dimensions.
+// JSONSink writes one JSON-encoded QueryReport per line (aql.NewJSONSink):
+// a report stream a program can tail.
 type JSONSink struct {
 	mu  sync.Mutex
 	enc *json.Encoder

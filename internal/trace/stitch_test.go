@@ -434,10 +434,12 @@ func TestWriteOpenMetricsGrammar(t *testing.T) {
 	agg.Emit(&QueryReport{Query: "r", Start: time.Unix(1754650001, 0), Wall: time.Millisecond})
 
 	var buf bytes.Buffer
-	if err := WriteOpenMetrics(&buf, agg.Snapshot()); err != nil {
+	om := NewMetricWriter(&buf, true)
+	writeFleetMetrics(om, agg.Snapshot())
+	om.WriteEOF()
+	if err := om.Err(); err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteString(OpenMetricsEOF)
 	ex := checkOpenMetrics(t, buf.String())
 	if ex == 0 {
 		t.Fatal("no exemplars in exposition despite a traced observation")
@@ -449,7 +451,10 @@ func TestWriteOpenMetricsGrammar(t *testing.T) {
 	// The classic rendering of the same snapshot must carry no exemplars
 	// and keep _total family names.
 	var classic bytes.Buffer
-	if err := WritePrometheus(&classic, agg.Snapshot()); err != nil {
+	cw := NewMetricWriter(&classic, false)
+	writeFleetMetrics(cw, agg.Snapshot())
+	cw.WriteEOF()
+	if err := cw.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(classic.String(), "# {") || strings.Contains(classic.String(), "# EOF") {

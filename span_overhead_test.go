@@ -11,6 +11,7 @@ import (
 
 	"github.com/aqldb/aql/internal/bench"
 	"github.com/aqldb/aql/internal/compile"
+	"github.com/aqldb/aql/internal/cost"
 	"github.com/aqldb/aql/internal/eval"
 )
 
@@ -108,5 +109,67 @@ func TestSpanOverheadSmoke(t *testing.T) {
 	if float64(sampledMin) > 1.10*float64(offMin) {
 		t.Errorf("sampled-profiling overhead %.1f%% exceeds the 10%% budget",
 			100*(float64(sampledMin)/float64(offMin)-1))
+	}
+}
+
+// TestExplainJoinOverheadSmoke gates what :explain analyze adds to a
+// full-profile run: joining the prepare-time estimate tree against the
+// span tree may cost at most 10% of the profiled evaluation itself. Same
+// shape as TestSpanOverheadSmoke (interleaved, best-of-N, one process) and
+// behind the same AQL_SPAN_SMOKE=1. The estimate tree is built once
+// outside the loop, as a server builds it at prepare time, so the timed
+// difference is the join alone.
+func TestExplainJoinOverheadSmoke(t *testing.T) {
+	if os.Getenv("AQL_SPAN_SMOKE") == "" {
+		t.Skip("set AQL_SPAN_SMOKE=1 to run the explain-join overhead gate")
+	}
+	for _, w := range []struct{ name, query string }{
+		{"matmul", `[[ summap(fn \k => A[i,k] * B[k,j])!(gen!n) | \i < n, \j < n ]]`},
+		{"puretab", `[[ (i*i + 7) % 93 | \i < 100000 ]]`},
+	} {
+		s := bench.MustSession()
+		if err := s.SetProfiling("full"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Exec(bench.EngineSetup); err != nil {
+			t.Fatal(err)
+		}
+		core, _, err := s.Compile(w.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core = s.Optimize(core)
+		est := cost.Estimate(core, s.Env.Globals())
+		measure := func(join bool) time.Duration {
+			s.Trace.Begin(w.name)
+			t0 := time.Now()
+			_, err := s.Eval(core)
+			if join {
+				s.Trace.JoinExplain(est, 0)
+			}
+			d := time.Since(t0)
+			rep := s.Trace.End(err)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if join && (rep == nil || rep.Explain == nil) {
+				t.Fatalf("%s: no explain table joined", w.name)
+			}
+			return d
+		}
+		const maxRounds = 12
+		bare, joined := time.Duration(1<<62), time.Duration(1<<62)
+		for r := 0; r < maxRounds; r++ {
+			bare = min(bare, measure(false))
+			joined = min(joined, measure(true))
+			if r >= 2 && float64(joined) <= 1.10*float64(bare) {
+				break
+			}
+		}
+		t.Logf("%s: full prof %v, with join %v (%.3fx)", w.name, bare, joined, float64(joined)/float64(bare))
+		if float64(joined) > 1.10*float64(bare) {
+			t.Errorf("%s: estimate join adds %.1f%% at prof level full, budget 10%%",
+				w.name, 100*(float64(joined)/float64(bare)-1))
+		}
 	}
 }
