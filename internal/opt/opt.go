@@ -60,13 +60,6 @@ type Optimizer struct {
 	// Optimize calls update the counters under the same lock, so parallel
 	// sessions sharing an optimizer never corrupt the map.
 	Stats map[string]int
-	// Trace, when non-nil, observes every rule firing: the phase it fired
-	// in, the rule name, and the node count of the rewritten subtree
-	// before and after. Node counting only happens while Trace is
-	// installed, so the hook costs nothing when unset. Unlike Stats, the
-	// hook is a plain field: install it before sharing the optimizer
-	// across goroutines, or pass a per-call hook to OptimizeTraced.
-	Trace func(phase, rule string, nodesBefore, nodesAfter int)
 
 	// statsMu guards Stats (concurrent Optimize calls fire rules in
 	// parallel; the rewrite itself is purely functional over the AST).
@@ -147,18 +140,19 @@ func (o *Optimizer) countFiring(rule string) {
 // Rule application order is deterministic: phases run in slice order, each
 // phase's rules are tried in slice order at every node of a bottom-up
 // traversal, and the first matching rule wins. Two Optimize calls on equal
-// inputs therefore produce identical rewrites AND identical Trace
+// inputs therefore produce identical rewrites AND identical firing
 // sequences — which is what makes EXPLAIN output stable and diffable.
 func (o *Optimizer) Optimize(e ast.Expr) ast.Expr {
-	return o.OptimizeTraced(e, o.Trace)
+	return o.OptimizeTraced(e, nil)
 }
 
-// OptimizeTraced is Optimize with a per-call firing hook, taking precedence
-// over the shared Trace field (pass nil for no trace). Because the hook is
-// an argument rather than shared state, concurrent OptimizeTraced calls on
+// OptimizeTraced is Optimize with a per-call firing hook (nil for none)
+// that observes every rule firing: the phase it fired in, the rule name,
+// and the node count of the rewritten subtree before and after. Node
+// counting only happens when a hook is passed. Because the hook is an
+// argument rather than shared state, concurrent OptimizeTraced calls on
 // one optimizer are safe: the rewrite is purely functional over the AST and
-// the firing counters are lock-protected. The query server uses this to
-// record per-request rule traces without racing on the Trace field.
+// the firing counters are lock-protected.
 func (o *Optimizer) OptimizeTraced(e ast.Expr, hook func(phase, rule string, nodesBefore, nodesAfter int)) ast.Expr {
 	fuel := o.MaxApplications
 	if fuel <= 0 {

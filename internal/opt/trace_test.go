@@ -8,21 +8,19 @@ import (
 )
 
 // firing mirrors trace.RuleFiring without importing the trace package (opt
-// must not depend on it; the hook is a plain function field).
+// must not depend on it; the hook is a plain function argument).
 type firing struct {
 	phase, rule             string
 	nodesBefore, nodesAfter int
 }
 
 // collectTrace optimizes e on a fresh optimizer, recording every rule
-// firing through the Trace hook.
+// firing through OptimizeTraced's per-call hook.
 func collectTrace(e ast.Expr) []firing {
-	o := New()
 	var got []firing
-	o.Trace = func(phase, rule string, nb, na int) {
+	New().OptimizeTraced(e, func(phase, rule string, nb, na int) {
 		got = append(got, firing{phase, rule, nb, na})
-	}
-	o.Optimize(e)
+	})
 	return got
 }
 

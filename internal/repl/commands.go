@@ -395,16 +395,15 @@ func (s *Session) ExplainAnalyze(ctx context.Context, src string) (string, error
 // joined table riding the report into the flight recorder and sinks.
 func (s *Session) ExplainAnalyzeTable(ctx context.Context, src string) (*trace.ExplainTable, *types.Type, object.Value, error) {
 	s.Trace.Begin(":explain analyze " + src)
-	core, typ, err := s.Compile(src)
+	p, err := s.frontEnd(s.Trace, src, nil, optimized, eval.Limits{})
 	if err != nil {
 		s.Trace.End(err)
 		return nil, nil, object.Value{}, err
 	}
-	opt := s.Optimize(core)
-	est := cost.Estimate(opt, s.Env.Globals())
+	est := cost.Estimate(p.Core, s.Env.Globals())
 	saved := s.Profiling
 	s.Profiling = eval.ProfFull
-	v, err := s.evalGuarded(ctx, opt, src)
+	v, err := s.evalGuarded(ctx, p.Core, src, nil)
 	s.Profiling = saved
 	s.Trace.JoinExplain(est, s.QErrorThreshold)
 	rep := s.Trace.End(err)
@@ -416,7 +415,7 @@ func (s *Session) ExplainAnalyzeTable(ctx context.Context, src string) (*trace.E
 		// tree with nothing recorded so the caller still sees estimates.
 		return nil, nil, object.Value{}, fmt.Errorf(":explain analyze requires tracing (enable with Trace.SetEnabled(true))")
 	}
-	return rep.Explain, typ, v, nil
+	return rep.Explain, p.Type, v, nil
 }
 
 // Profile runs the full pipeline on src and renders the finished report's

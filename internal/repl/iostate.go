@@ -87,7 +87,9 @@ func (io *ioState) fileTotals() trace.IOCounters {
 }
 
 // fileDelta returns the growth of the cumulative file counters since the
-// last call and advances the watermark.
+// last call and advances the watermark, so each increment lands on exactly
+// one report; under concurrent executions the attribution is approximate but
+// the fleet totals stay exact.
 func (io *ioState) fileDelta() trace.IOCounters {
 	io.mu.Lock()
 	defer io.mu.Unlock()
@@ -128,10 +130,8 @@ func (io *ioState) openPaths() []string {
 	return paths
 }
 
-// TileIOCounters converts a tile counter snapshot into the trace mirror.
-// The server uses it to fold per-request collector snapshots into its own
-// recorder, exactly as evalGuarded does for session statements.
-func TileIOCounters(c tile.Counters) trace.IOCounters {
+// tileIOCounters converts a tile counter snapshot into the trace mirror.
+func tileIOCounters(c tile.Counters) trace.IOCounters {
 	return trace.IOCounters{
 		TileHits:           c.TileHits,
 		TileMisses:         c.TileMisses,
@@ -143,13 +143,6 @@ func TileIOCounters(c tile.Counters) trace.IOCounters {
 		SpillBytesRead:     c.SpillBytesRead,
 	}
 }
-
-// IOFileDelta returns the growth of the session's cumulative NetCDF file
-// counters since the last delta and advances the shared watermark. The
-// server calls it once per request so each increment lands on exactly one
-// report; under concurrent requests the attribution is approximate but the
-// fleet totals stay exact.
-func (s *Session) IOFileDelta() trace.IOCounters { return s.io.fileDelta() }
 
 // IOFileTotals returns the cumulative NetCDF file counters across the
 // session's open handles without advancing the watermark — the live-totals
@@ -212,7 +205,7 @@ func (s *Session) maybeSpill(ctx context.Context, v object.Value) object.Value {
 	}
 	ctx, col := tile.WithCollector(ctx)
 	spilled, err := cache.SpillArray(ctx, v)
-	s.Trace.RecordIO(TileIOCounters(col.Snapshot()))
+	s.Trace.RecordIO(tileIOCounters(col.Snapshot()))
 	if err != nil {
 		return v
 	}

@@ -3,7 +3,6 @@ package repl
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"sync"
 
@@ -19,6 +18,19 @@ import (
 	"github.com/aqldb/aql/internal/types"
 )
 
+// PrepareError tags a front-end failure with the phase that produced it, so
+// the server's HTTP mapping classifies by type rather than by matching
+// substrings of the message (which a user-written identifier or literal
+// could defeat). Error returns the inner text, so what the loop prints is the
+// phase's own message.
+type PrepareError struct {
+	Phase string // "parse" | "desugar" | "type"
+	Err   error
+}
+
+func (e *PrepareError) Error() string { return e.Err.Error() }
+func (e *PrepareError) Unwrap() error { return e.Err }
+
 // BindError is an argument-binding failure of a prepared execution: a
 // placeholder left unbound, an argument naming no placeholder, or a value
 // whose type does not unify with the placeholder's inferred type. It is a
@@ -26,168 +38,159 @@ import (
 type BindError struct {
 	Name string // the placeholder or argument name, without the $
 	Msg  string
+	// Mismatch is set when the named argument's type is at fault, and unset
+	// when the set of names is (one missing, or one naming no placeholder).
+	Mismatch bool
 }
 
 func (e *BindError) Error() string { return "bind: " + e.Msg }
 
-// Prepared is a parameterized statement compiled once and executable many
-// times with different argument frames. The template is carried through the
-// whole pipeline — parse, desugar, macro expansion, typecheck (placeholders
-// are typed here; a mismatched later bind is a typed error, not an
-// evaluation failure), optimization, and (on the compiled engine) lowering
-// to a Program whose placeholders read per-execution argument slots — so
-// repeated executions pay only binding and evaluation.
-//
-// A Prepared tracks the environment epoch it was compiled under; executing
-// after a `val` rebinding (or reader registration) transparently re-prepares
-// against the current globals, exactly as the server's plan cache stops
-// serving plans from older epochs. The binding of `it` that every execution
-// ends with counts only against a plan that reads `it` (env.PlanEpoch).
-type Prepared struct {
-	s *Session
-
-	mu sync.Mutex
-	// Text is the source template, verbatim.
+// Plan is what the front end makes of one query text: immutable once
+// returned, so a prepared statement and the server's plan cache hand the same
+// value to any number of concurrent executions.
+type Plan struct {
+	// Text is the source, verbatim.
 	Text string
-	// Core is the optimized core query the executions evaluate.
+	// Core is the core query as far down the pipeline as it was carried:
+	// optimized, unless the plan stops at the typechecker (Session.Compile).
 	Core ast.Expr
-	// Type is the template's inferred result type.
+	// Type is the query's inferred result type.
 	Type *types.Type
-	// Params maps each $name placeholder to its inferred type; Exec unifies
-	// every submitted argument against these.
+	// Params maps each $name placeholder to its inferred type; Bind unifies
+	// an execution's arguments against these. Empty for a query without
+	// placeholders.
 	Params map[string]*types.Type
+	// Prog is Core lowered to a program whose placeholders read
+	// per-execution argument slots, shared by all executions; nil for the
+	// plan of a bare query or statement, which the one-shot engine lowers.
+	Prog *compile.Program
 
-	prog *compile.Program // nil on the interpreter engine
 	// readsIt is whether the macro-expanded query has `it` free; epoch is
 	// Env.PlanEpoch(readsIt) as of before the plan's globals snapshot.
 	readsIt bool
 	epoch   uint64
 }
 
-// Prepare compiles src as a parameterized statement. Placeholders ($name)
-// may appear anywhere a scalar expression may; a template with no
-// placeholders is simply a statement prepared for re-execution.
-func (s *Session) Prepare(src string) (*Prepared, error) {
-	s.Trace.Begin(":prepare " + src)
-	p, err := s.prepare(src)
-	s.Trace.End(err)
-	return p, err
-}
+// depth is how far down the pipeline frontEnd carries a query.
+type depth int
 
-// prepare is the trace-phase-instrumented pipeline of Prepare, shared with
-// Exec's epoch-triggered re-preparation.
-func (s *Session) prepare(src string) (*Prepared, error) {
+const (
+	typed     depth = iota // parse … typecheck: Compile, macro bodies
+	optimized              // … optimize: what the one-shot engines evaluate
+	lowered                // … lower to a shared compile.Program
+)
+
+// frontEnd is the one path from query text to a plan: parse -> desugar ->
+// macro substitution -> typecheck -> optimize -> lower (section 4.1), each
+// phase timed on rec only when it runs. se is the surface expression when the
+// caller has already parsed it (statements); limits are the ones lowering
+// bakes into the program (see compile.NewProgram).
+func (s *Session) frontEnd(rec *trace.Recorder, src string, se parser.Expr, to depth, limits eval.Limits) (*Plan, error) {
 	// Read before anything of the environment is: a mutation that slips in
 	// afterwards then leaves the plan looking stale, never current.
 	epochIt, epochNoIt := s.Env.PlanEpoch(true), s.Env.PlanEpoch(false)
-	sp := s.Trace.StartPhase(trace.PhaseParse)
-	se, err := parser.ParseExpr(src)
-	sp.End()
-	if err != nil {
-		return nil, err
+	if se == nil {
+		sp := rec.StartPhase(trace.PhaseParse)
+		var err error
+		se, err = parser.ParseExpr(src)
+		sp.End()
+		if err != nil {
+			return nil, &PrepareError{Phase: "parse", Err: err}
+		}
 	}
-	sp = s.Trace.StartPhase(trace.PhaseDesugar)
+	sp := rec.StartPhase(trace.PhaseDesugar)
 	core, err := desugar.Expr(se)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, &PrepareError{Phase: "desugar", Err: err}
 	}
-	sp = s.Trace.StartPhase(trace.PhaseMacro)
+	sp = rec.StartPhase(trace.PhaseMacro)
 	core = s.Env.ExpandMacros(core)
 	sp.End()
-	sp = s.Trace.StartPhase(trace.PhaseTypecheck)
+	sp = rec.StartPhase(trace.PhaseTypecheck)
 	typ, params, err := typecheck.InferParams(core, s.Env.GlobalTypes())
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, &PrepareError{Phase: "type", Err: err}
 	}
-	opt := s.Optimize(core)
-	p := &Prepared{s: s, Text: src, Core: opt, Type: typ, Params: params, epoch: epochNoIt}
-	if p.readsIt = ast.FreeVars(core)[env.ItName]; p.readsIt {
-		p.epoch = epochIt
+	p := &Plan{Text: src, Core: core, Type: typ, Params: params}
+	if to == typed {
+		return p, nil
 	}
-	if s.Engine != EngineInterp {
-		p.prog = compile.NewProgram(opt, s.Env.Globals(), s.Limits)
+	p.Core = s.optimize(rec, core)
+	if to == lowered {
+		// What only a plan that outlives this statement uses: the epoch it
+		// is current under, and the shared program.
+		p.epoch = epochNoIt
+		if p.readsIt = ast.FreeVars(core)[env.ItName]; p.readsIt {
+			p.epoch = epochIt
+		}
+		sp = rec.StartPhase(trace.PhaseCompile)
+		p.Prog = compile.NewProgram(p.Core, s.Env.Globals(), limits)
+		sp.End()
 	}
 	return p, nil
 }
 
-// ParamNames returns the statement's placeholder names, sorted.
-func (p *Prepared) ParamNames() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	names := make([]string, 0, len(p.Params))
-	for name := range p.Params {
-		names = append(names, name)
+// optimize applies the session's optimizer unless SkipOptimizer is set.
+// While rec has a report open, the optimizer's per-call rule-firing hook
+// feeds it, and whole-query AST node counts are recorded around the rewrite;
+// node counting is skipped entirely otherwise.
+func (s *Session) optimize(rec *trace.Recorder, core ast.Expr) ast.Expr {
+	if s.SkipOptimizer {
+		return core
 	}
-	sort.Strings(names)
-	return names
+	o := s.Env.Optimizer
+	if !rec.Active() {
+		return o.Optimize(core)
+	}
+	sp := rec.StartPhase(trace.PhaseOptimize)
+	defer sp.End()
+	before := ast.CountNodes(core)
+	out := o.OptimizeTraced(core, rec.RuleFired)
+	rec.RecordNodes(before, ast.CountNodes(out))
+	return out
 }
 
-// Exec runs the prepared statement with args as its argument frame and binds
-// the result to `it`, as a bare query does. Binding is strict — every
-// placeholder must be bound, every argument must name a placeholder, and
-// every value must unify with the placeholder's inferred type — with
-// failures reported as *BindError before evaluation starts. Concurrent Exec
-// calls on one Prepared are independent executions of the shared plan.
-func (p *Prepared) Exec(ctx context.Context, args map[string]object.Value) (object.Value, error) {
-	s := p.s
-	core, prog, typ, err := p.snapshot(args)
+// Plan carries src through the whole front end to a plan with a shared
+// program, reporting to rec: the session's recorder for a prepared statement,
+// the server's per-request one on a plan-cache miss. The caller holds
+// whatever keeps the environment still between reading its cache key's epoch
+// and this call.
+func (s *Session) Plan(rec *trace.Recorder, src string, limits eval.Limits) (*Plan, error) {
+	return s.frontEnd(rec, src, nil, lowered, limits)
+}
+
+// Compile runs parse, desugar, macro expansion and typechecking on a
+// single expression, returning the core query and its type. The optimizer
+// is NOT applied; see Optimize.
+func (s *Session) Compile(src string) (ast.Expr, *types.Type, error) {
+	p, err := s.frontEnd(s.Trace, src, nil, typed, eval.Limits{})
 	if err != nil {
-		return object.Value{}, err
+		return nil, nil, err
 	}
-	v, err := p.execGuarded(ctx, core, prog, args)
-	s.Trace.End(err)
-	if err != nil {
-		return object.Value{}, err
-	}
-	s.Env.SetVal(env.ItName, v, typ)
-	return v, nil
+	return p.Core, p.Type, nil
 }
 
-// snapshot re-prepares if the environment moved past the plan's epoch, then
-// binds args against the (current) parameter types and returns the plan
-// pieces one execution needs, all under the statement's lock. It also opens
-// the execution's trace report, which is open on return exactly when err is
-// nil: before a re-preparation, whose phases the report then carries, and
-// otherwise once the arguments bind, so a bind error leaves no report.
-func (p *Prepared) snapshot(args map[string]object.Value) (ast.Expr, *compile.Program, *types.Type, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	tr := p.s.Trace
-	stale := p.s.Env.PlanEpoch(p.readsIt) != p.epoch
-	if stale {
-		tr.Begin(p.Text)
-		np, err := p.s.prepare(p.Text)
-		if err != nil {
-			err = fmt.Errorf("re-preparing after environment change: %w", err)
-			tr.End(err)
-			return nil, nil, nil, err
-		}
-		p.Core, p.Type, p.Params, p.prog, p.readsIt, p.epoch = np.Core, np.Type, np.Params, np.prog, np.readsIt, np.epoch
-	}
-	if err := bindCheck(p.Params, args); err != nil {
-		if stale {
-			tr.End(err)
-		}
-		return nil, nil, nil, err
-	}
-	if !stale {
-		tr.Begin(p.Text)
-	}
-	return p.Core, p.prog, p.Type, nil
-}
+// Optimize applies the session's optimizer to a compiled query unless
+// SkipOptimizer is set, recording on the session's open trace report.
+func (s *Session) Optimize(core ast.Expr) ast.Expr { return s.optimize(s.Trace, core) }
 
-// bindCheck enforces strict binding of args against the inferred parameter
-// types. One substitution is shared across all placeholders of the call, so
-// placeholders whose types share a type variable (the two sides of `$a = $b`)
-// must be bound at consistent types.
-func bindCheck(params map[string]*types.Type, args map[string]object.Value) error {
-	names := make([]string, 0, len(params))
-	for name := range params {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// Bind enforces strict binding of one execution's arguments against a
+// plan's inferred parameter types: every placeholder bound, every argument
+// naming a placeholder, every value unifying with the placeholder's type.
+// One substitution is shared across all placeholders of the call, so
+// placeholders whose types share a type variable (the two sides of
+// `$a = $b`) must be bound at consistent types.
+//
+// Known limitation: deferred constraint classes (numeric, orderable) are
+// solved at prepare time, not re-checked per bind. In practice the solved
+// placeholder types are already concrete wherever those constraints bit
+// (unconstrained numeric variables default to nat), so unification still
+// rejects the mismatches a user can express.
+func Bind(params map[string]*types.Type, args map[string]object.Value) *BindError {
+	// Deterministic order for error messages and unification.
+	names := paramNames(params)
 	for _, name := range names {
 		if _, ok := args[name]; !ok {
 			return &BindError{Name: name,
@@ -209,49 +212,133 @@ func bindCheck(params map[string]*types.Type, args map[string]object.Value) erro
 	for _, name := range names {
 		at, err := typecheck.TypeOf(args[name])
 		if err != nil {
-			return &BindError{Name: name, Msg: fmt.Sprintf("argument $%s: %v", name, err)}
+			return &BindError{Name: name, Mismatch: true,
+				Msg: fmt.Sprintf("argument $%s: %v", name, err)}
 		}
 		want := sub.Apply(params[name])
 		if err := sub.Unify(want, at); err != nil {
-			return &BindError{Name: name,
+			return &BindError{Name: name, Mismatch: true,
 				Msg: fmt.Sprintf("argument $%s: expected %s, got %s", name, want, at)}
 		}
 	}
 	return nil
 }
 
-// execGuarded is one prepared execution under the session's guardrails:
-// resource limits, counter recording (even for aborted executions) and the
-// panic boundary, mirroring evalGuarded. The compiled engine executes the
-// shared Program with args as the execution's argument frame; the
-// interpreter threads args through the evaluator's Params field.
-func (p *Prepared) execGuarded(ctx context.Context, core ast.Expr, prog *compile.Program, args map[string]object.Value) (v object.Value, err error) {
-	s := p.s
-	sp := s.Trace.StartPhase(trace.PhaseEval)
-	var cnt eval.Counters
-	defer func() {
-		s.LastSteps.Store(cnt.Steps)
-		s.LastCells.Store(cnt.Cells)
-		sp.End()
-		s.Trace.RecordEval(compile.TraceCounters(cnt))
-		if r := recover(); r != nil {
-			v = object.Value{}
-			err = &PanicError{Src: p.Text, Val: r, Stack: debug.Stack()}
-		}
-	}()
-	if prog != nil {
-		s.Trace.RecordEngine(EngineCompiled)
-		v, cnt, err = prog.Execute(ctx, compile.ExecOpts{
-			Limits: s.Limits, MaxSteps: s.MaxSteps, Args: args,
-		})
-		return v, err
+// Prepared is a parameterized statement compiled once and executable many
+// times with different argument frames: a Plan plus the lock under which it
+// is replaced when stale. Placeholders are typed by the front end, so a
+// mismatched later bind is a typed error, not an evaluation failure, and
+// repeated executions pay only binding and evaluation. An execution reports
+// as a bare query does — counters, I/O, spans and worker records, under the
+// session's limits, Workers and Profiling (see execute).
+//
+// A Prepared tracks the environment epoch it was compiled under; executing
+// after a `val` rebinding (or reader registration) transparently re-prepares
+// against the current globals, exactly as the server's plan cache stops
+// serving plans from older epochs. The binding of `it` that every execution
+// ends with counts only against a plan that reads `it` (env.PlanEpoch).
+type Prepared struct {
+	s     *Session
+	mu    sync.Mutex
+	*Plan // the current plan; its fields read as the statement's own
+}
+
+// Prepare compiles src as a parameterized statement. Placeholders ($name)
+// may appear anywhere a scalar expression may; a template with no
+// placeholders is simply a statement prepared for re-execution.
+func (s *Session) Prepare(src string) (*Prepared, error) {
+	s.Trace.Begin(":prepare " + src)
+	plan, err := s.Plan(s.Trace, src, s.Limits)
+	s.Trace.End(err)
+	if err != nil {
+		return nil, err
 	}
-	ev := eval.New(s.Env.Globals())
-	ev.MaxSteps = s.MaxSteps
-	ev.Limits = s.Limits
-	ev.Params = args
-	s.Trace.RecordEngine(EngineInterp)
-	v, err = ev.EvalExpr(ctx, core)
-	cnt = ev.Counters()
+	return &Prepared{s: s, Plan: plan}, nil
+}
+
+// ParamNames returns the statement's placeholder names, sorted.
+func (p *Prepared) ParamNames() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return paramNames(p.Params)
+}
+
+func paramNames(params map[string]*types.Type) []string {
+	names := make([]string, 0, len(params))
+	for name := range params {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Exec runs the prepared statement with args as its argument frame and binds
+// the result to `it`, as a bare query does. Binding is strict (see Bind),
+// with failures reported as *BindError before evaluation starts. Concurrent
+// Exec calls on one Prepared are independent executions of the shared plan.
+func (p *Prepared) Exec(ctx context.Context, args map[string]object.Value) (object.Value, error) {
+	s := p.s
+	plan, err := p.current(args)
+	if err != nil {
+		return object.Value{}, err
+	}
+	v, err := s.execute(ctx, plan, args)
+	s.Trace.End(err)
+	if err != nil {
+		return object.Value{}, err
+	}
+	s.Env.SetVal(env.ItName, v, plan.Type)
+	return v, nil
+}
+
+// current re-prepares if the environment moved past the plan's epoch, then
+// binds args against the (current) parameter types and returns the plan, all
+// under the statement's lock. It also opens the execution's trace report,
+// which is open on return exactly when err is nil: before a re-preparation,
+// whose phases the report then carries, and otherwise once the arguments
+// bind, so a bind error leaves no report.
+func (p *Prepared) current(args map[string]object.Value) (*Plan, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	tr := p.s.Trace
+	stale := p.s.Env.PlanEpoch(p.readsIt) != p.epoch
+	if stale {
+		tr.Begin(p.Text)
+		plan, err := p.s.Plan(tr, p.Text, p.s.Limits)
+		if err != nil {
+			err = fmt.Errorf("re-preparing after environment change: %w", err)
+			tr.End(err)
+			return nil, err
+		}
+		p.Plan = plan
+	}
+	if err := Bind(p.Params, args); err != nil {
+		if stale {
+			tr.End(err)
+		}
+		return nil, err
+	}
+	if !stale {
+		tr.Begin(p.Text)
+	}
+	return p.Plan, nil
+}
+
+// execute is one execution of a prepared plan with args as its argument
+// frame. The shared program runs unless the session asks for what it cannot
+// give — the interpreter, or operator spans, which a program shared between
+// executions cannot record; then the one-shot engine evaluates the plan's
+// core with args as its Params.
+func (s *Session) execute(ctx context.Context, plan *Plan, args map[string]object.Value) (v object.Value, err error) {
+	if s.Engine == EngineInterp || s.Profiling != eval.ProfOff {
+		return s.evalGuarded(ctx, plan.Core, plan.Text, args)
+	}
+	err = s.Guard(ctx, s.Trace, plan.Text, func(ctx context.Context, w *Work) (err error) {
+		w.Engine = EngineCompiled
+		v, w.Counters, err = plan.Prog.Execute(ctx, compile.ExecOpts{
+			Limits: s.Limits, MaxSteps: s.MaxSteps, Workers: s.Workers, Args: args,
+		})
+		return err
+	})
 	return v, err
 }

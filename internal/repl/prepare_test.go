@@ -3,12 +3,15 @@ package repl
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/aqldb/aql/internal/netcdf"
 	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/trace"
+	"github.com/aqldb/aql/internal/types"
 )
 
 // TestCommandPrepareExec drives the loop's prepared-statement surface:
@@ -183,11 +186,11 @@ func TestExecKeepsPlanAcrossItBinding(t *testing.T) {
 		}
 	}
 	exec("7")
-	prog := p.prog
+	prog := p.Prog
 	for i := 0; i < 3; i++ {
 		before := s.Env.Epoch()
 		exec("7")
-		if p.prog != prog {
+		if p.Prog != prog {
 			t.Fatalf("Exec %d re-prepared: the Program changed", i+2)
 		}
 		if ph := preparePhases(t, s); len(ph) != 0 {
@@ -211,19 +214,19 @@ func TestExecKeepsPlanAcrossItBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec("7")
-	if p.prog != prog {
+	if p.Prog != prog {
 		t.Error("a bare query's `it` binding re-prepared the statement")
 	}
 
 	reprepared := func(what string) {
 		t.Helper()
-		if p.prog == prog {
+		if p.Prog == prog {
 			t.Errorf("%s: the statement was not re-prepared", what)
 		}
 		if ph := preparePhases(t, s); len(ph) == 0 {
 			t.Errorf("%s: the report shows no prepare phases", what)
 		}
-		prog = p.prog
+		prog = p.Prog
 	}
 	if _, err := s.Exec(`val A = [[ i * 3 | \i < 10 ]];`); err != nil {
 		t.Fatal(err)
@@ -240,7 +243,7 @@ func TestExecKeepsPlanAcrossItBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"11", "12", "13"} {
-		was := q.prog
+		was := q.Prog
 		v, err := q.Exec(ctx, map[string]object.Value{"k": object.Nat(1)})
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +251,7 @@ func TestExecKeepsPlanAcrossItBinding(t *testing.T) {
 		if v.String() != want {
 			t.Fatalf("it + 1 = %s, want %s (stale plan served?)", v, want)
 		}
-		if want != "11" && q.prog == was {
+		if want != "11" && q.Prog == was {
 			t.Errorf("it + 1 = %s without re-preparing", want)
 		}
 	}
@@ -267,7 +270,7 @@ func TestExecConcurrentKeepsPlan(t *testing.T) {
 	if _, err := p.Exec(ctx, map[string]object.Value{"a": object.Nat(1)}); err != nil {
 		t.Fatal(err)
 	}
-	prog := p.prog
+	prog := p.Prog
 	var wg sync.WaitGroup
 	for g := int64(0); g < 8; g++ {
 		wg.Add(1)
@@ -288,7 +291,186 @@ func TestExecConcurrentKeepsPlan(t *testing.T) {
 	wg.Wait()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.prog != prog {
+	if p.Prog != prog {
 		t.Error("concurrent executions re-prepared the statement")
+	}
+}
+
+// TestPreparedExecReportsIO: an execution of a prepared statement over a
+// lazy NetCDF array reports the I/O it caused, as a bare query does, and
+// leaves none of it for the next statement's report.
+func TestPreparedExecReportsIO(t *testing.T) {
+	s := newSession(t)
+	defer s.Close()
+	path := writeNC1D(t, t.TempDir(), 8)
+	if _, err := s.Exec(fmt.Sprintf(`readval \V using NETCDF at (%q, "series");`, path)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Prepare(`[[ V[i] | \i < 8 ]]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Exec(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if io := s.Trace.Last().IO; io.SlabReads != 1 || io.BytesRead != 64 || io.TileMisses == 0 {
+		t.Errorf("execution's report IO = %+v, want 1 slab read of 64 bytes and a tile miss", io)
+	}
+	if _, _, err := s.Query(`1 + 1`); err != nil {
+		t.Fatal(err)
+	}
+	if io := s.Trace.Last().IO; io.BytesRead != 0 {
+		t.Errorf("the following query's report IO = %+v, want no bytes read", io)
+	}
+}
+
+// spanShape renders what of a span tree is deterministic: operators,
+// invocation counts and self steps and cells.
+func spanShape(n *trace.SpanNode, depth int, b *strings.Builder) {
+	fmt.Fprintf(b, "%*s%s x%d steps=%d cells=%d\n", 2*depth, "", n.Op, n.Invocations, n.Steps, n.Cells)
+	for _, c := range n.Children {
+		spanShape(c, depth+1, b)
+	}
+}
+
+// TestPreparedExecSpansLikeQuery: at profiling full, an execution records
+// the span tree a bare query of the same text records.
+func TestPreparedExecSpansLikeQuery(t *testing.T) {
+	const text = `summap(fn \i => [[ i * j | \j < 20 ]][3])!(gen!30)`
+	s := newProfiledSession(t, "full")
+	if _, _, err := s.Query(text); err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	spanShape(s.Trace.Last().Spans, 0, &want)
+
+	p, err := s.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Exec(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	rep := s.Trace.Last()
+	if rep.Spans == nil {
+		t.Fatal("execution recorded no span tree at profiling full")
+	}
+	var got strings.Builder
+	spanShape(rep.Spans, 0, &got)
+	if got.String() != want.String() {
+		t.Errorf("execution's span tree:\n%s\nbare query's:\n%s", &got, &want)
+	}
+}
+
+// TestPreparedExecHonoursWorkers: Session.Workers caps an execution's
+// tabulation fan-out, seen as worker records on the tabulation's span.
+func TestPreparedExecHonoursWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		fanOut  bool
+	}{{4, true}, {1, false}} {
+		s := newProfiledSession(t, "sampled")
+		s.Workers = tc.workers
+		p, err := s.Prepare(`[[ i * 2 | \i < 16384 ]]`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Exec(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		rep := s.Trace.Last()
+		if rep.Spans == nil {
+			t.Fatalf("Workers=%d: execution recorded no span tree at profiling sampled", tc.workers)
+		}
+		records := 0
+		rep.Spans.Walk(func(n *trace.SpanNode) { records += len(n.Workers) })
+		if (records > 0) != tc.fanOut {
+			t.Errorf("Workers=%d: %d worker records, want fan-out %v", tc.workers, records, tc.fanOut)
+		}
+	}
+}
+
+// TestLazyIOFailureIsIOError: a lazy array that fails to materialize inside
+// a comparison (an interface with no error return) surfaces the I/O error
+// on every session path, never an internal-error panic.
+func TestLazyIOFailureIsIOError(t *testing.T) {
+	ctx := context.Background()
+	const text = `V = W`
+	for _, tc := range []struct {
+		name string
+		run  func(s *Session) error
+	}{
+		{"Session.Query", func(s *Session) error {
+			_, _, err := s.Query(text)
+			return err
+		}},
+		{"Prepared.Exec", func(s *Session) error {
+			p, err := s.Prepare(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = p.Exec(ctx, nil)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSession(t)
+			defer s.Close()
+			path := writeNC1D(t, t.TempDir(), 64)
+			faulty := injectFaulty(t, s, path)
+			for _, name := range []string{"V", "W"} {
+				if _, err := s.Exec(fmt.Sprintf(`readval \%s using NETCDF at (%q, "series");`, name, path)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			persistent := make([]netcdf.Fault, 16)
+			for i := range persistent {
+				persistent[i] = netcdf.Fault{Err: netcdf.ErrInjected}
+			}
+			faulty.SetSchedule(0, persistent...)
+			err := tc.run(s)
+			var pe *PanicError
+			if err == nil || errors.As(err, &pe) {
+				t.Fatalf("err = %v, want the I/O error", err)
+			}
+			if !errors.Is(err, netcdf.ErrInjected) || !strings.Contains(err.Error(), "materializing lazy array") {
+				t.Errorf("err = %v, want a materializing-lazy-array error wrapping the injected fault", err)
+			}
+		})
+	}
+}
+
+// TestConcurrentRePrepare: two statements over one global, re-prepared
+// concurrently after each rebinding of it, share the session's optimizer.
+// Run under -race: the rule-firing hook must be per call, not optimizer
+// state.
+func TestConcurrentRePrepare(t *testing.T) {
+	ctx := context.Background()
+	s := newSession(t)
+	s.Env.SetVal("k", object.Nat(0), types.Nat)
+	var stmts [2]*Prepared
+	for i, text := range []string{`[[ i + k | \i < 4 ]][3]`, `[[ i * k | \i < 4 ]][3]`} {
+		p, err := s.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts[i] = p
+	}
+	for round := int64(1); round <= 50; round++ {
+		s.Env.SetVal("k", object.Nat(round), types.Nat)
+		var wg sync.WaitGroup
+		for i, want := range []int64{3 + round, 3 * round} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				v, err := stmts[i].Exec(ctx, nil)
+				if err != nil {
+					t.Error(err)
+				} else if v.N != want {
+					t.Errorf("round %d statement %d = %s, want %d", round, i, v, want)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

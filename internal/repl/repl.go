@@ -19,7 +19,6 @@ import (
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/compile"
-	"github.com/aqldb/aql/internal/desugar"
 	"github.com/aqldb/aql/internal/env"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
@@ -226,60 +225,6 @@ macro \odmg_resize = fn (\A, \n, \fill) =>
   [[ if i < len!A then A[i] else fill | \i < n ]];
 `
 
-// Compile runs parse, desugar, macro expansion and typechecking on a
-// single expression, returning the core query and its type. The optimizer
-// is NOT applied; see Optimize.
-func (s *Session) Compile(src string) (ast.Expr, *types.Type, error) {
-	sp := s.Trace.StartPhase(trace.PhaseParse)
-	se, err := parser.ParseExpr(src)
-	sp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.compileSurface(se)
-}
-
-func (s *Session) compileSurface(se parser.Expr) (ast.Expr, *types.Type, error) {
-	sp := s.Trace.StartPhase(trace.PhaseDesugar)
-	core, err := desugar.Expr(se)
-	sp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	sp = s.Trace.StartPhase(trace.PhaseMacro)
-	core = s.Env.ExpandMacros(core)
-	sp.End()
-	sp = s.Trace.StartPhase(trace.PhaseTypecheck)
-	typ, err := typecheck.Infer(core, s.Env.GlobalTypes())
-	sp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	return core, typ, nil
-}
-
-// Optimize applies the session's optimizer unless SkipOptimizer is set.
-// While a trace report is open, the optimizer's rule-firing hook feeds the
-// report, and whole-query AST node counts are recorded around the rewrite;
-// node counting is skipped entirely otherwise.
-func (s *Session) Optimize(core ast.Expr) ast.Expr {
-	if s.SkipOptimizer {
-		return core
-	}
-	o := s.Env.Optimizer
-	if !s.Trace.Active() {
-		return o.Optimize(core)
-	}
-	sp := s.Trace.StartPhase(trace.PhaseOptimize)
-	defer sp.End()
-	before := ast.CountNodes(core)
-	o.Trace = s.Trace.RuleFired
-	defer func() { o.Trace = nil }()
-	out := o.Optimize(core)
-	s.Trace.RecordNodes(before, ast.CountNodes(out))
-	return out
-}
-
 // Eval evaluates a core query against the session's globals.
 func (s *Session) Eval(core ast.Expr) (object.Value, error) {
 	return s.EvalCtx(context.Background(), core)
@@ -288,61 +233,87 @@ func (s *Session) Eval(core ast.Expr) (object.Value, error) {
 // EvalCtx evaluates a core query under ctx: cancelling ctx or exceeding
 // its deadline aborts evaluation with a *eval.ResourceError.
 func (s *Session) EvalCtx(ctx context.Context, core ast.Expr) (object.Value, error) {
-	return s.evalGuarded(ctx, core, "")
+	return s.evalGuarded(ctx, core, "", nil)
 }
 
-// evalGuarded is the session's guardrail boundary: it applies the resource
-// limits, threads the context, records step/cell consumption even for
-// aborted queries, and converts internal panics into a *PanicError so one
-// bad query can never crash a process serving others.
-func (s *Session) evalGuarded(ctx context.Context, core ast.Expr, src string) (v object.Value, err error) {
-	eng := s.newEngine()
-	sp := s.Trace.StartPhase(trace.PhaseEval)
-	// Lazy-array tile I/O during this evaluation is attributed to this
-	// statement through a per-query collector carried in the context; the
-	// long-lived file handles' counters are attributed as watermark deltas.
+// Work is what one guarded run did, as far as it got: run fills it in, and
+// Guard reports it even for an aborted or panicking execution.
+type Work struct {
+	Engine   string // EngineCompiled or EngineInterp
+	Counters eval.Counters
+	// Spans is the operator span tree of a profiled run at Level; nil when
+	// the run recorded none.
+	Spans *eval.SpanNode
+	Level eval.ProfLevel
+}
+
+// Guard is the query boundary, the one place an execution — a session
+// statement, a prepared execution, the server's POST /query and POST /shard —
+// crosses into the engines. Around run it times the eval phase on rec,
+// attributes lazy-array tile I/O to this execution through a per-query
+// collector carried in the context (the long-lived file handles' counters
+// arrive as watermark deltas), records engine, work counters, I/O and span
+// tree even for aborted queries, and converts a panic into an error so one
+// bad query can never crash a process serving others: a lazy array that
+// failed to materialize inside an interface with no error return (Compare,
+// String) surfaces its I/O error, anything else a *PanicError carrying src.
+func (s *Session) Guard(ctx context.Context, rec *trace.Recorder, src string, run func(context.Context, *Work) error) (err error) {
+	sp := rec.StartPhase(trace.PhaseEval)
 	ctx, tiles := tile.WithCollector(ctx)
+	var w Work
 	defer func() {
-		c := eng.Counters()
-		s.LastSteps.Store(c.Steps)
-		s.LastCells.Store(c.Cells)
+		s.LastSteps.Store(w.Counters.Steps)
+		s.LastCells.Store(w.Counters.Cells)
 		sp.End()
-		// Work counters are reported even for aborted or panicking
-		// queries — exactly like LastSteps/LastCells.
-		s.Trace.RecordEngine(eng.Name())
-		s.Trace.RecordEval(compile.TraceCounters(c))
-		io := TileIOCounters(tiles.Snapshot())
+		rec.RecordEngine(w.Engine)
+		rec.RecordEval(compile.TraceCounters(w.Counters))
+		io := tileIOCounters(tiles.Snapshot())
 		io.Add(s.io.fileDelta())
-		s.Trace.RecordIO(io)
-		if sp, ok := eng.(eval.SpanProfiler); ok {
-			if root := sp.SpanTree(); root != nil {
-				s.Trace.RecordSpans(convertSpan(root), sp.Profiling().String())
-			}
+		rec.RecordIO(io)
+		if w.Spans != nil {
+			rec.RecordSpans(convertSpan(w.Spans), w.Level.String())
 		}
 		if r := recover(); r != nil {
-			v = object.Value{}
 			if me, ok := r.(*object.MaterializeError); ok {
-				// A lazy array failed to materialize inside an interface
-				// with no error return (Compare, String): surface the
-				// underlying I/O error, not an internal-error panic.
 				err = fmt.Errorf("aql: materializing lazy array for %q: %w", src, me.Err)
 				return
 			}
 			err = &PanicError{Src: src, Val: r, Stack: debug.Stack()}
 		}
 	}()
-	return eng.EvalExpr(ctx, core)
+	return run(ctx, &w)
+}
+
+// evalGuarded evaluates core behind Guard on a fresh one-shot engine — the
+// lowering that can profile — with params as the argument frame of its $name
+// placeholders, reporting to the session's recorder.
+func (s *Session) evalGuarded(ctx context.Context, core ast.Expr, src string, params map[string]object.Value) (v object.Value, err error) {
+	eng := s.newEngine(params)
+	err = s.Guard(ctx, s.Trace, src, func(ctx context.Context, w *Work) (err error) {
+		// Deferred, so the counters and spans of a panicking evaluation
+		// reach the guard too.
+		defer func() {
+			w.Engine, w.Counters = eng.Name(), eng.Counters()
+			if sp, ok := eng.(eval.SpanProfiler); ok {
+				w.Spans, w.Level = sp.SpanTree(), sp.Profiling()
+			}
+		}()
+		v, err = eng.EvalExpr(ctx, core)
+		return err
+	})
+	return v, err
 }
 
 // newEngine constructs the session's selected execution engine over the
 // current globals and limits. A fresh engine per evaluation keeps counters
 // per-query and lets val declarations change what globals later queries
 // see, exactly as the interpreter-only path always worked.
-func (s *Session) newEngine() eval.Engine {
+func (s *Session) newEngine(params map[string]object.Value) eval.Engine {
 	if s.Engine == EngineInterp {
 		ev := eval.New(s.Env.Globals())
 		ev.MaxSteps = s.MaxSteps
 		ev.Limits = s.Limits
+		ev.Params = params
 		ev.SetProfiling(s.Profiling)
 		return ev
 	}
@@ -350,6 +321,7 @@ func (s *Session) newEngine() eval.Engine {
 	e.MaxSteps = s.MaxSteps
 	e.Limits = s.Limits
 	e.Workers = s.Workers
+	e.Params = params
 	e.SetProfiling(s.Profiling)
 	return e
 }
@@ -405,22 +377,28 @@ func (s *Session) Query(src string) (object.Value, *types.Type, error) {
 // the evaluation (not just the wait for it).
 func (s *Session) QueryCtx(ctx context.Context, src string) (object.Value, *types.Type, error) {
 	s.Trace.Begin(src)
-	v, typ, err := s.queryInner(ctx, src)
+	v, typ, err := s.run(ctx, src, nil)
+	if err == nil {
+		s.Env.SetVal(env.ItName, v, typ)
+	}
 	s.Trace.End(err)
 	return v, typ, err
 }
 
-func (s *Session) queryInner(ctx context.Context, src string) (object.Value, *types.Type, error) {
-	core, typ, err := s.Compile(src)
+// run carries one expression of a bare query or a statement from text (or
+// from se, its surface form, when the statement parser already produced it)
+// to a value: the front end, then the one-shot engine behind the guard. A
+// bare query has no argument frame: a placeholder in it fails if evaluated.
+func (s *Session) run(ctx context.Context, src string, se parser.Expr) (object.Value, *types.Type, error) {
+	p, err := s.frontEnd(s.Trace, src, se, optimized, eval.Limits{})
 	if err != nil {
 		return object.Value{}, nil, err
 	}
-	v, err := s.evalGuarded(ctx, s.Optimize(core), src)
+	v, err := s.evalGuarded(ctx, p.Core, src, nil)
 	if err != nil {
 		return object.Value{}, nil, err
 	}
-	s.Env.SetVal(env.ItName, v, typ)
-	return v, typ, nil
+	return v, p.Type, nil
 }
 
 // Exec runs a sequence of top-level statements.
@@ -476,11 +454,7 @@ func stmtLabel(stmt parser.Stmt) string {
 func (s *Session) execStmtInner(ctx context.Context, stmt parser.Stmt) (Result, error) {
 	switch n := stmt.(type) {
 	case *parser.ValDecl:
-		core, typ, err := s.compileSurface(n.E)
-		if err != nil {
-			return Result{}, fmt.Errorf("val %s: %w", n.Name, err)
-		}
-		v, err := s.evalGuarded(ctx, s.Optimize(core), parser.Print(n.E))
+		v, typ, err := s.run(ctx, parser.Print(n.E), n.E)
 		if err != nil {
 			return Result{}, fmt.Errorf("val %s: %w", n.Name, err)
 		}
@@ -492,25 +466,21 @@ func (s *Session) execStmtInner(ctx context.Context, stmt parser.Stmt) (Result, 
 		return Result{Kind: "val", Name: n.Name, Type: typ, Value: v, HasValue: true}, nil
 
 	case *parser.MacroDecl:
-		core, typ, err := s.compileSurface(n.E)
+		p, err := s.frontEnd(s.Trace, "", n.E, typed, eval.Limits{})
 		if err != nil {
 			return Result{}, fmt.Errorf("macro %s: %w", n.Name, err)
 		}
 		// Macros are substituted un-normalized; the optimizer sees the
 		// whole query after substitution (section 4.1's pipeline order).
-		s.Env.DefineMacro(n.Name, core, typ)
-		return Result{Kind: "macro", Name: n.Name, Type: typ, Source: parser.Print(n.E)}, nil
+		s.Env.DefineMacro(n.Name, p.Core, p.Type)
+		return Result{Kind: "macro", Name: n.Name, Type: p.Type, Source: parser.Print(n.E)}, nil
 
 	case *parser.ReadVal:
 		reader, err := s.Env.Reader(n.Reader)
 		if err != nil {
 			return Result{}, err
 		}
-		core, _, err := s.compileSurface(n.At)
-		if err != nil {
-			return Result{}, fmt.Errorf("readval %s: %w", n.Name, err)
-		}
-		arg, err := s.evalGuarded(ctx, s.Optimize(core), parser.Print(n.At))
+		arg, _, err := s.run(ctx, parser.Print(n.At), n.At)
 		if err != nil {
 			return Result{}, fmt.Errorf("readval %s: %w", n.Name, err)
 		}
@@ -534,19 +504,11 @@ func (s *Session) execStmtInner(ctx context.Context, stmt parser.Stmt) (Result, 
 		if err != nil {
 			return Result{}, err
 		}
-		dataCore, _, err := s.compileSurface(n.E)
+		data, _, err := s.run(ctx, parser.Print(n.E), n.E)
 		if err != nil {
 			return Result{}, fmt.Errorf("writeval: %w", err)
 		}
-		data, err := s.evalGuarded(ctx, s.Optimize(dataCore), parser.Print(n.E))
-		if err != nil {
-			return Result{}, fmt.Errorf("writeval: %w", err)
-		}
-		atCore, _, err := s.compileSurface(n.At)
-		if err != nil {
-			return Result{}, fmt.Errorf("writeval: %w", err)
-		}
-		arg, err := s.evalGuarded(ctx, s.Optimize(atCore), parser.Print(n.At))
+		arg, _, err := s.run(ctx, parser.Print(n.At), n.At)
 		if err != nil {
 			return Result{}, fmt.Errorf("writeval: %w", err)
 		}
@@ -556,11 +518,7 @@ func (s *Session) execStmtInner(ctx context.Context, stmt parser.Stmt) (Result, 
 		return Result{Kind: "writeval"}, nil
 
 	case *parser.ExprStmt:
-		core, typ, err := s.compileSurface(n.E)
-		if err != nil {
-			return Result{}, err
-		}
-		v, err := s.evalGuarded(ctx, s.Optimize(core), parser.Print(n.E))
+		v, typ, err := s.run(ctx, parser.Print(n.E), n.E)
 		if err != nil {
 			return Result{}, err
 		}

@@ -7,57 +7,27 @@ import (
 
 	"github.com/aqldb/aql/internal/exchange"
 	"github.com/aqldb/aql/internal/object"
-	"github.com/aqldb/aql/internal/typecheck"
-	"github.com/aqldb/aql/internal/types"
+	"github.com/aqldb/aql/internal/repl"
 )
 
-// bindArgs turns the request's exchange-encoded argument map into the typed
-// argument frame of one execution of a parameterized plan. Binding is
-// strict — the three failure modes below are client errors (400), caught
-// before any evaluation work happens:
-//
-//   - a placeholder the request leaves unbound (kind "request"),
-//   - an argument naming no placeholder of the query (kind "request"),
-//   - a value whose type does not unify with the placeholder's inferred
-//     type (kind "type").
-//
-// Type checking shares one substitution across all of the call's
-// placeholders, so placeholders whose inferred types share a type variable
-// (e.g. the two sides of `$a = $b`) must be bound at consistent types.
-//
-// Known limitation: deferred constraint classes (numeric, orderable) are
-// solved at prepare time, not re-checked per bind. In practice the solved
-// placeholder types are already concrete wherever those constraints bit
-// (unconstrained numeric variables default to nat), so unification still
-// rejects the mismatches a user can express.
-func bindArgs(p *plan, args map[string]string) (map[string]object.Value, *ErrorInfo) {
-	// Deterministic order for error messages and unification.
-	names := make([]string, 0, len(p.params))
-	for name := range p.params {
+// bind turns the request's exchange-encoded argument map into the typed
+// argument frame of one execution of a parameterized plan: it decodes each
+// argument, in name order, and has repl.Bind check the frame against the
+// plan's parameter types. All failures are client errors (400), caught before
+// any evaluation work happens: an undecodable argument, a placeholder left
+// unbound or an argument naming no placeholder are kind "request"; a value
+// whose type does not unify with the placeholder's inferred type is kind
+// "type". A query without placeholders, sent no arguments, has no frame.
+func bind(p *plan, args map[string]string) (map[string]object.Value, *ErrorInfo) {
+	if len(p.Params) == 0 && len(args) == 0 {
+		return nil, nil
+	}
+	names := make([]string, 0, len(args))
+	for name := range args {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
-	for _, name := range names {
-		if _, ok := args[name]; !ok {
-			return nil, &ErrorInfo{Kind: "request",
-				Message: fmt.Sprintf("missing argument for parameter $%s", name)}
-		}
-	}
-	extra := make([]string, 0)
-	for name := range args {
-		if _, ok := p.params[name]; !ok {
-			extra = append(extra, name)
-		}
-	}
-	if len(extra) > 0 {
-		sort.Strings(extra)
-		return nil, &ErrorInfo{Kind: "request",
-			Message: fmt.Sprintf("argument %q does not name a parameter of the query", extra[0])}
-	}
-
-	sub := types.Subst{}
-	out := make(map[string]object.Value, len(names))
+	frame := make(map[string]object.Value, len(args))
 	for _, name := range names {
 		v, err := exchange.ReadLimits(strings.NewReader(args[name]),
 			exchange.Limits{MaxBytes: maxQueryBody, MaxDepth: valMaxDepth})
@@ -65,18 +35,14 @@ func bindArgs(p *plan, args map[string]string) (map[string]object.Value, *ErrorI
 			return nil, &ErrorInfo{Kind: "request",
 				Message: fmt.Sprintf("argument $%s: %v", name, err)}
 		}
-		at, err := typecheck.TypeOf(v)
-		if err != nil {
-			return nil, &ErrorInfo{Kind: "type",
-				Message: fmt.Sprintf("argument $%s: %v", name, err)}
-		}
-		want := sub.Apply(p.params[name])
-		if err := sub.Unify(want, at); err != nil {
-			return nil, &ErrorInfo{Kind: "type",
-				Message: fmt.Sprintf("argument $%s: expected %s, got %s", name, want, at)}
-		}
-		out[name] = v
+		frame[name] = v
 	}
-	return out, nil
+	if be := repl.Bind(p.Params, frame); be != nil {
+		kind := "request"
+		if be.Mismatch {
+			kind = "type"
+		}
+		return nil, &ErrorInfo{Kind: kind, Message: be.Msg}
+	}
+	return frame, nil
 }
-

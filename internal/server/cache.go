@@ -7,9 +7,7 @@ import (
 	"sync"
 	"unicode"
 
-	"github.com/aqldb/aql/internal/compile"
-	"github.com/aqldb/aql/internal/trace"
-	"github.com/aqldb/aql/internal/types"
+	"github.com/aqldb/aql/internal/repl"
 )
 
 // DefaultCacheSize is the prepared-plan cache capacity when Config leaves
@@ -108,21 +106,9 @@ func (k planKey) String() string {
 	return k.query + "@e" + strconv.FormatUint(k.epoch, 10)
 }
 
-// plan is one cache entry: the compiled program, its inferred type, and the
-// prepare-time observability (phase times, optimizer trace, node counts)
-// that /debug/queries reports alongside hits.
-type plan struct {
-	prog *compile.Program
-	typ  *types.Type
-	// params maps each $name placeholder to its inferred type; bind-time
-	// argument checking unifies submitted values against these. Empty for
-	// non-parameterized queries.
-	params map[string]*types.Type
-	// prepare observability, captured once at prepare time.
-	rules       []trace.RuleFiring
-	nodesBefore int
-	nodesAfter  int
-}
+// plan is one cache entry: the session front end's immutable plan value,
+// with the program every request for the query executes.
+type plan = repl.Plan
 
 // CacheStats is a snapshot of the plan cache's counters.
 type CacheStats struct {

@@ -1,18 +1,23 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/aqldb/aql/internal/exchange"
 	"github.com/aqldb/aql/internal/netcdf"
+	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/trace"
+	"github.com/aqldb/aql/internal/types"
 )
 
 // metricValue extracts the value of a series line like
@@ -123,5 +128,96 @@ func TestMetricsTileIO(t *testing.T) {
 	last := reports[len(reports)-1]
 	if last.IO.TileMisses == 0 || last.IO.BytesScanned == 0 {
 		t.Errorf("request report IO = %+v, want non-zero tile misses and bytes scanned", last.IO)
+	}
+}
+
+// TestLazyIOFailureIsIOError: a lazy array that fails to materialize inside
+// a comparison (an interface with no error return) is answered with the I/O
+// error on both execution endpoints, never the 500 of an internal panic.
+func TestLazyIOFailureIsIOError(t *testing.T) {
+	const text = `[[ if V = W then i else 0 | \i < 4 ]]`
+	for _, tc := range []struct {
+		name string
+		post func(t *testing.T, s *Server, url string) (status int, kind, message string)
+	}{
+		{"POST /query", func(t *testing.T, s *Server, url string) (int, string, string) {
+			resp, err := http.Post(url+"/query", "application/json", strings.NewReader(fmt.Sprintf(`{"query": %q}`, text)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var er ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode, er.Error.Kind, er.Error.Message
+		}},
+		{"POST /shard", func(t *testing.T, s *Server, url string) (int, string, string) {
+			body, _ := json.Marshal(exchange.ShardRequest{Query: text, Shape: []int{4}, Start: 0, End: 4})
+			resp, err := http.Post(url+"/shard", "application/json", strings.NewReader(string(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var er exchange.ShardErrorEnvelope
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode, er.Error.Kind, er.Error.Message
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			b := netcdf.NewBuilder()
+			d0, _ := b.AddDim("x", 64)
+			if err := b.AddVar("series", netcdf.Double, []int{d0}, nil, make([]float64, 64)); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "series.nc")
+			if err := b.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			osf, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { osf.Close() })
+			// Every read after the header fails, so no tile ever arrives.
+			faulty := netcdf.NewFaultyReaderAt(osf)
+			f, err := netcdf.Read(faulty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := f.WholeVar("series")
+			if err != nil {
+				t.Fatal(err)
+			}
+			persistent := make([]netcdf.Fault, 16)
+			for i := range persistent {
+				persistent[i] = netcdf.Fault{Err: netcdf.ErrInjected}
+			}
+			faulty.SetSchedule(0, persistent...)
+			fetch := func(ctx context.Context, off, n int) (object.Flat, error) {
+				vals, err := h.ReadRange(ctx, off, n)
+				if err != nil {
+					return object.Flat{}, err
+				}
+				return object.PackReals(vals, "non-finite"), nil
+			}
+			for _, name := range []string{"V", "W"} {
+				lazy, err := object.LazyArray(h.Shape(), s.sess.TileCache().NewFlatArray(h.Size(), fetch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.sess.Env.SetVal(name, lazy, types.MustParse("[[real]]"))
+			}
+			status, kind, message := tc.post(t, s, ts.URL)
+			if status != http.StatusUnprocessableEntity || kind != "eval" {
+				t.Errorf("status %d kind %q, want 422 eval (message %q)", status, kind, message)
+			}
+			if !strings.Contains(message, "materializing lazy array") || !strings.Contains(message, "injected") {
+				t.Errorf("message = %q, want the materializing-lazy-array error wrapping the injected fault", message)
+			}
+		})
 	}
 }

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+
+	"github.com/aqldb/aql/internal/exchange"
+	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/repl"
 )
 
 // TestParameterizedQueryBasic: a template with args executes, and the
@@ -187,5 +192,95 @@ func TestTemplatedWorkloadCacheCounts(t *testing.T) {
 	}
 	if cs := lit.CacheStats(); cs.Hits != 0 || cs.Misses != n {
 		t.Errorf("literal: %+v, want 0 hits, %d misses", cs, n)
+	}
+}
+
+// TestSessionAndServerAgree runs each row through Session.Prepare + Exec
+// and through POST /query on a server over an equal environment. The two
+// share one front end, one binder and one guard, so they agree on values,
+// types and counters, and on the text of every prepare and bind failure;
+// the server adds only the kind it files the failure under.
+func TestSessionAndServerAgree(t *testing.T) {
+	const setup = `val A = [[ i * 2 | \i < 10 ]];`
+	sess, err := repl.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{})
+	for _, env := range []*repl.Session{sess, s.sess} {
+		if _, err := env.Exec(setup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// viaSession is the host-language route: the arguments decoded from the
+	// same exchange literals the request carries.
+	viaSession := func(text string, args map[string]string) (value, typ string, steps, cells int64, err error) {
+		frame := map[string]object.Value{}
+		for name, lit := range args {
+			v, err := exchange.ReadString(lit)
+			if err != nil {
+				return "", "", 0, 0, fmt.Errorf("argument $%s: %v", name, err)
+			}
+			frame[name] = v
+		}
+		p, err := sess.Prepare(text)
+		if err != nil {
+			return "", "", 0, 0, err
+		}
+		v, err := p.Exec(context.Background(), frame)
+		if err != nil {
+			return "", "", 0, 0, err
+		}
+		value, err = exchange.WriteString(v)
+		rep := sess.Trace.Last()
+		return value, p.Type.String(), rep.Eval.Steps, rep.Eval.Cells, err
+	}
+
+	for _, tc := range []struct {
+		name string
+		text string
+		args map[string]string
+		kind string // the server's error kind; "" for a row that succeeds
+	}{
+		{"plain", `summap(fn \i => A[i])!(gen!10)`, nil, ""},
+		{"scalar args", `[[ A[i] * $a + $b | \i < 10 ]]`, map[string]string{"a": "3", "b": "1"}, ""},
+		{"structured arg", `{x * x | \x <- $xs}`, map[string]string{"xs": `{1, 2, 3}`}, ""},
+		{"shared type variable", `$a = $b`, map[string]string{"a": `"x"`, "b": `"x"`}, ""},
+
+		{"missing argument", `$n + 1`, nil, "request"},
+		{"argument names no placeholder", `$n + 1`, map[string]string{"n": "1", "zz": "2"}, "request"},
+		{"type mismatch", `$n + 1`, map[string]string{"n": `"hello"`}, "type"},
+		{"inconsistent shared variable", `$a = $b`, map[string]string{"a": "1", "b": `"x"`}, "type"},
+		{"undecodable literal", `$n + 1`, map[string]string{"n": "[[;]]"}, "request"},
+
+		{"parse failure", `[[ i |`, nil, "parse"},
+		{"desugar failure", `(fn (3, \x) => x)!(3, 4)`, nil, "desugar"},
+		{"type failure", `1 + "a"`, nil, "type"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			value, typ, steps, cells, serr := viaSession(tc.text, tc.args)
+			qr, status, herr := postQuery(ts, QueryRequest{Query: tc.text, Args: tc.args})
+			if tc.kind == "" {
+				if serr != nil || herr != nil {
+					t.Fatalf("session err %v, server err %v; want success on both", serr, herr)
+				}
+				if qr.Value != value || qr.Type != typ || qr.Eval.Steps != steps || qr.Eval.Cells != cells {
+					t.Errorf("server: %s : %s, %d steps, %d cells\nsession: %s : %s, %d steps, %d cells",
+						qr.Value, qr.Type, qr.Eval.Steps, qr.Eval.Cells, value, typ, steps, cells)
+				}
+				return
+			}
+			ie, ok := herr.(*errorInfoError)
+			if serr == nil || !ok || status != http.StatusBadRequest {
+				t.Fatalf("session err %v, server status %d err %v; want a failure on both, a 400 from the server", serr, status, herr)
+			}
+			if ie.Info.Kind != tc.kind {
+				t.Errorf("server kind = %q, want %q", ie.Info.Kind, tc.kind)
+			}
+			// The session prefixes a *BindError with "bind: "; the text is shared.
+			if got := strings.TrimPrefix(serr.Error(), "bind: "); got != ie.Info.Message {
+				t.Errorf("session message %q != server message %q", got, ie.Info.Message)
+			}
+		})
 	}
 }

@@ -32,23 +32,18 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/cluster"
 	"github.com/aqldb/aql/internal/compile"
-	"github.com/aqldb/aql/internal/desugar"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/exchange"
 	"github.com/aqldb/aql/internal/object"
-	"github.com/aqldb/aql/internal/parser"
 	"github.com/aqldb/aql/internal/repl"
-	"github.com/aqldb/aql/internal/tile"
 	"github.com/aqldb/aql/internal/trace"
 	"github.com/aqldb/aql/internal/typecheck"
 )
@@ -318,58 +313,40 @@ func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext,
 	rec.RecordCached(hit)
 
 	opts := s.execOpts(req)
-	if len(p.params) > 0 || len(req.Args) > 0 {
-		bound, bindErr := bindArgs(p, req.Args)
-		if bindErr != nil {
-			rec.End(errors.New(bindErr.Message))
-			return nil, bindErr, http.StatusBadRequest
-		}
-		opts.Args = bound
+	var bindErr *ErrorInfo
+	if opts.Args, bindErr = bind(p, req.Args); bindErr != nil {
+		rec.End(errors.New(bindErr.Message))
+		return nil, bindErr, http.StatusBadRequest
 	}
 	var v object.Value
-	var counters eval.Counters
-	var mode string
-	var shards []trace.ShardSpan
-	var stitched *trace.SpanNode
-	// Lazy-array tile I/O during this request is attributed to it through a
-	// per-request collector in the context, mirroring the session's
-	// evalGuarded; file-handle counters arrive as watermark deltas.
-	ctx, tiles := tile.WithCollector(ctx)
-	sp := rec.StartPhase(trace.PhaseEval)
-	if s.cfg.Coordinator != nil && p.prog.Rangeable() {
+	res := &cluster.Result{} // stays empty unless the coordinator ran the query
+	err = s.sess.Guard(ctx, rec, norm, func(ctx context.Context, w *repl.Work) (err error) {
+		w.Engine = repl.EngineCompiled
+		if s.cfg.Coordinator == nil || !p.Prog.Rangeable() {
+			v, w.Counters, err = p.Prog.Execute(ctx, opts)
+			return err
+		}
 		// Scatter-gather path: the coordinator's merge contract guarantees
 		// the value and counters below are byte-identical to what the
 		// in-process branch would produce.
-		var res *cluster.Result
-		res, err = s.cfg.Coordinator.ExecuteTraced(ctx, p.prog, norm, opts, tc)
+		scattered, err := s.cfg.Coordinator.ExecuteTraced(ctx, p.Prog, norm, opts, tc)
 		if err == nil {
-			v, counters, mode, shards = res.Value, res.Counters, res.Mode, res.Shards
-			stitched = res.Spans
+			res, v, w.Counters = scattered, scattered.Value, scattered.Counters
 		}
-	} else {
-		v, counters, err = executeGuarded(ctx, p.prog, opts, norm)
-	}
-	sp.End()
-	rec.RecordEngine("compiled")
-	rec.RecordMode(mode)
-	rec.RecordShards(shards)
-	tcnt := compile.TraceCounters(counters)
-	rec.RecordEval(tcnt)
-	io := repl.TileIOCounters(tiles.Snapshot())
-	io.Add(s.sess.IOFileDelta())
-	rec.RecordIO(io)
-	if stitched != nil {
-		// Record the stitched multi-node tree only when it verifies against
-		// the merged counters: a skewed tree (a buggy worker's payload)
-		// degrades to the flat report rather than serving wrong attribution.
-		if trace.CheckStitched(stitched, tcnt) == nil {
-			rec.RecordSpans(stitched, trace.ProfStitched)
-		}
+		return err
+	})
+	rec.RecordMode(res.Mode)
+	rec.RecordShards(res.Shards)
+	// Record the stitched multi-node tree only when it verifies against the
+	// merged counters: a skewed tree (a buggy worker's payload) degrades to
+	// the flat report rather than serving wrong attribution.
+	if res.Spans != nil && trace.CheckStitched(res.Spans, compile.TraceCounters(res.Counters)) == nil {
+		rec.RecordSpans(res.Spans, trace.ProfStitched)
 	}
 	// Join the plan's prepare-time estimates against the recorded actuals
 	// before the report is finalized, so the table rides every copy of it
 	// (flight recorder, sinks, per-plan stats).
-	rec.JoinExplain(p.prog.Estimates(), s.cfg.QErrorThreshold)
+	rec.JoinExplain(p.Prog.Estimates(), s.cfg.QErrorThreshold)
 	rep := rec.End(err)
 	s.planStats.Observe(key.String(), rep)
 	s.mis.observe(rep)
@@ -386,21 +363,22 @@ func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext,
 		ID:          id,
 		TraceID:     tc.TraceID,
 		Cached:      hit,
-		Type:        p.typ.String(),
+		Type:        p.Type.String(),
 		Value:       text,
 		WallNS:      int64(rep.Wall),
 		Phases:      rep.Phases,
 		Eval:        rep.Eval,
 		QueueWaitNS: int64(waited),
-		Mode:        mode,
-		Shards:      shards,
+		Mode:        res.Mode,
+		Shards:      res.Shards,
 	}, nil, 0
 }
 
-// plan returns the prepared plan for the normalized query, preparing and
-// caching it on a miss. The prepare phases (parse/desugar/macro/typecheck/
-// optimize/compile) are timed on rec only when they actually run, which is
-// what makes a hit's report carry zero prepare time.
+// plan returns the prepared plan for the normalized query, running the
+// session's front end and caching its plan on a miss. The prepare phases
+// (parse/desugar/macro/typecheck/optimize/compile) are timed on rec only when
+// they actually run, which is what makes a hit's report carry zero prepare
+// time.
 func (s *Server) plan(norm string, rec *trace.Recorder) (*plan, planKey, bool, error) {
 	// The epoch read and the prepare must see one environment state; see
 	// envMu. The read lock is held across the whole prepare — prepares are
@@ -413,73 +391,12 @@ func (s *Server) plan(norm string, rec *trace.Recorder) (*plan, planKey, bool, e
 		return p, key, true, nil
 	}
 
-	p, err := s.prepare(norm, rec)
+	p, err := s.sess.Plan(rec, norm, eval.Limits{MaxDepth: s.cfg.Limits.MaxDepth})
 	if err != nil {
 		return nil, key, false, err
 	}
 	s.cache.put(key, p)
 	return p, key, false, nil
-}
-
-// PrepareError tags an error from one prepare phase with the phase that
-// produced it, so HTTP mapping classifies by type rather than by matching
-// substrings of the message (which a user-written identifier or literal
-// could defeat).
-type PrepareError struct {
-	Phase string // "parse" | "desugar" | "type"
-	Err   error
-}
-
-func (e *PrepareError) Error() string { return e.Err.Error() }
-func (e *PrepareError) Unwrap() error { return e.Err }
-
-// prepare runs the front half of the pipeline and compiles the result into
-// a reusable Program. It mirrors repl.Session.Compile/Optimize but records
-// on the per-request recorder and uses the optimizer's per-call trace hook,
-// so concurrent prepares never share mutable trace state.
-func (s *Server) prepare(norm string, rec *trace.Recorder) (*plan, error) {
-	env := s.sess.Env
-
-	sp := rec.StartPhase(trace.PhaseParse)
-	se, err := parser.ParseExpr(norm)
-	sp.End()
-	if err != nil {
-		return nil, &PrepareError{Phase: "parse", Err: err}
-	}
-	sp = rec.StartPhase(trace.PhaseDesugar)
-	core, err := desugar.Expr(se)
-	sp.End()
-	if err != nil {
-		return nil, &PrepareError{Phase: "desugar", Err: err}
-	}
-	sp = rec.StartPhase(trace.PhaseMacro)
-	core = env.ExpandMacros(core)
-	sp.End()
-	sp = rec.StartPhase(trace.PhaseTypecheck)
-	typ, params, err := typecheck.InferParams(core, env.GlobalTypes())
-	sp.End()
-	if err != nil {
-		return nil, &PrepareError{Phase: "type", Err: err}
-	}
-
-	sp = rec.StartPhase(trace.PhaseOptimize)
-	before := ast.CountNodes(core)
-	var rules []trace.RuleFiring
-	optimized := env.Optimizer.OptimizeTraced(core, func(phase, rule string, nb, na int) {
-		rec.RuleFired(phase, rule, nb, na)
-		if len(rules) < 1024 {
-			rules = append(rules, trace.RuleFiring{Phase: phase, Rule: rule, NodesBefore: nb, NodesAfter: na})
-		}
-	})
-	after := ast.CountNodes(optimized)
-	rec.RecordNodes(before, after)
-	sp.End()
-
-	sp = rec.StartPhase(trace.PhaseCompile)
-	prog := compile.NewProgram(optimized, env.Globals(), eval.Limits{MaxDepth: s.cfg.Limits.MaxDepth})
-	sp.End()
-
-	return &plan{prog: prog, typ: typ, params: params, rules: rules, nodesBefore: before, nodesAfter: after}, nil
 }
 
 // execOpts derives one execution's resource budget: the server's configured
@@ -496,26 +413,6 @@ func (s *Server) execOpts(req QueryRequest) compile.ExecOpts {
 		}
 	}
 	return compile.ExecOpts{Limits: lim, Workers: s.cfg.Workers}
-}
-
-// executeGuarded is the server's panic boundary, mirroring the session's
-// evalGuarded: a panicking query yields a *repl.PanicError (and counters up
-// to the panic), never a crashed server.
-func executeGuarded(ctx context.Context, prog *compile.Program, opts compile.ExecOpts, src string) (v object.Value, c eval.Counters, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			v = object.Value{}
-			if me, ok := r.(*object.MaterializeError); ok {
-				// A lazy array failed to materialize inside an interface
-				// with no error return: surface the I/O error, not an
-				// internal-error panic.
-				err = fmt.Errorf("aql: materializing lazy array for %q: %w", src, me.Err)
-				return
-			}
-			err = &repl.PanicError{Src: src, Val: r, Stack: debug.Stack()}
-		}
-	}()
-	return prog.Execute(ctx, opts)
 }
 
 // --- /val -------------------------------------------------------------------
@@ -718,6 +615,10 @@ func admissionHTTP(err error) (int, ErrorInfo) {
 		return statusClientClosedRequest, info
 	}
 }
+
+// PrepareError is the front end's phase-tagged error, under the name this
+// package has always exported it by.
+type PrepareError = repl.PrepareError
 
 // compileHTTP maps prepare-phase errors (parse/desugar/type) to 400, keyed
 // by the PrepareError phase tag.

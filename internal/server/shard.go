@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime/debug"
 	"time"
 
 	"github.com/aqldb/aql/internal/compile"
@@ -75,7 +74,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec.RecordCached(hit)
-	if !p.prog.Rangeable() {
+	if !p.Prog.Rangeable() {
 		rec.End(errors.New("shard: not rangeable"))
 		writeShardError(w, http.StatusBadRequest, "shard:not_rangeable",
 			"query's top-level expression is not a tabulation", -1, id)
@@ -83,28 +82,26 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opts := s.execOpts(QueryRequest{MaxSteps: req.MaxSteps, TimeoutMS: req.TimeoutMS})
-	if len(p.params) > 0 || len(req.Args) > 0 {
-		// The coordinator ships the coordinator-validated argument frame with
-		// every shard; re-validating here keeps a worker safe against a
-		// direct (or buggy) caller. Bind failures are deterministic client
-		// errors — the coordinator will not retry them elsewhere.
-		bound, bindErr := bindArgs(p, req.Args)
-		if bindErr != nil {
-			rec.End(errors.New(bindErr.Message))
-			writeShardError(w, http.StatusBadRequest, bindErr.Kind, bindErr.Message, -1, id)
-			return
-		}
-		opts.Args = bound
+	// The coordinator ships the coordinator-validated argument frame with
+	// every shard; re-validating here keeps a worker safe against a direct (or
+	// buggy) caller. Bind failures are deterministic client errors — the
+	// coordinator will not retry them elsewhere.
+	var bindErr *ErrorInfo
+	if opts.Args, bindErr = bind(p, req.Args); bindErr != nil {
+		rec.End(errors.New(bindErr.Message))
+		writeShardError(w, http.StatusBadRequest, bindErr.Kind, bindErr.Message, -1, id)
+		return
 	}
-	sp := rec.StartPhase(trace.PhaseEval)
-	res, err := executeRangeGuarded(ctx, p.prog, opts, req.Shape, req.Start, req.End, norm)
-	sp.End()
-	rec.RecordEngine("compiled")
+	var res *compile.RangeResult
 	var tcnt trace.EvalCounters
-	if res != nil {
-		tcnt = compile.TraceCounters(res.Counters)
-		rec.RecordEval(tcnt)
-	}
+	err = s.sess.Guard(ctx, rec, norm, func(ctx context.Context, w *repl.Work) (err error) {
+		w.Engine = repl.EngineCompiled
+		if res, err = p.Prog.ExecuteRange(ctx, opts, req.Shape, req.Start, req.End); err == nil {
+			w.Counters = res.Counters
+			tcnt = compile.TraceCounters(res.Counters)
+		}
+		return err
+	})
 	rep := rec.End(err)
 	if err != nil {
 		info, status := execHTTP(err)
@@ -172,18 +169,6 @@ func workerSpanTree(rep *trace.QueryReport, waited time.Duration, cnt exchange.S
 		root.SelfNS = self
 	}
 	return root
-}
-
-// executeRangeGuarded is ExecuteRange behind the server's panic boundary,
-// mirroring executeGuarded.
-func executeRangeGuarded(ctx context.Context, prog *compile.Program, opts compile.ExecOpts, shape []int, start, end int64, src string) (res *compile.RangeResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = &repl.PanicError{Src: src, Val: r, Stack: debug.Stack()}
-		}
-	}()
-	return prog.ExecuteRange(ctx, opts, shape, start, end)
 }
 
 func writeShardError(w http.ResponseWriter, status int, kind, msg string, off int64, id string) {

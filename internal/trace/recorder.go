@@ -138,7 +138,7 @@ func (s Span) End() {
 }
 
 // RuleFired appends one optimizer rule application to the open report's
-// trace; the signature matches opt.Optimizer's Trace hook.
+// trace; the signature matches opt.Optimizer.OptimizeTraced's hook.
 func (r *Recorder) RuleFired(phase, rule string, nodesBefore, nodesAfter int) {
 	if r == nil {
 		return

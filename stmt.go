@@ -19,7 +19,11 @@ type BindError = repl.BindError
 // (parse, desugar, macros, typecheck, optimize, codegen) and executable many
 // times with different arguments. On the compiled engine all executions
 // share one immutable program; each Exec gets its own argument frame,
-// counters and budgets, so concurrent Exec calls are safe.
+// counters and budgets, so concurrent Exec calls are safe. An execution is
+// observable like a bare query: its report (Session.LastReport) carries the
+// work counters, the lazy-array I/O it caused, and, at a profiling level
+// above "off", the operator span tree with its parallel-worker records,
+// under the session's limits and worker cap.
 type Stmt struct {
 	p *repl.Prepared
 }
