@@ -91,6 +91,33 @@ var diffCorpus = []string{
 	`{1/0, 2}`,             // ⊥ propagates out of constructors
 }
 
+// compiledEngine runs each core query the way a session does: lowered to a
+// fresh compile.Program under limits and run once with opts. It keeps the
+// execution's outcome for Counters and SpanTree.
+type compiledEngine struct {
+	globals map[string]object.Value
+	limits  eval.Limits
+	opts    compile.ExecOpts
+	out     compile.Outcome
+}
+
+func (c *compiledEngine) Name() string { return "compiled" }
+
+func (c *compiledEngine) EvalExpr(ctx context.Context, core ast.Expr) (object.Value, error) {
+	return compile.NewProgram(core, c.globals, c.limits).Run(ctx, c.opts, &c.out)
+}
+
+func (c *compiledEngine) Counters() eval.Counters { return c.out.Counters }
+
+func (c *compiledEngine) SpanTree() *eval.SpanNode { return c.out.Spans }
+
+// engine is what these tests need of either engine.
+type engine interface {
+	Name() string
+	EvalExpr(context.Context, ast.Expr) (object.Value, error)
+	Counters() eval.Counters
+}
+
 // diffProf is the profiling level diffEngines installs on both engines.
 // The default is full — the most invasive instrumentation, which must not
 // perturb a single observable byte. The fuzz target varies it per input so
@@ -102,16 +129,13 @@ var diffProf = eval.ProfFull
 // same globals and limits. Serial because resource-error payloads must be
 // exact for the comparison; parallel counter parity has its own tests in
 // internal/compile.
-func diffEngines(globals map[string]object.Value, maxSteps int64, limits eval.Limits) (*eval.Evaluator, *compile.Engine) {
+func diffEngines(globals map[string]object.Value, maxSteps int64, limits eval.Limits) (*eval.Evaluator, *compiledEngine) {
 	in := eval.New(globals)
 	in.MaxSteps = maxSteps
 	in.Limits = limits
 	in.SetProfiling(diffProf)
-	ce := compile.New(globals)
-	ce.MaxSteps = maxSteps
-	ce.Limits = limits
-	ce.Threshold = -1
-	ce.SetProfiling(diffProf)
+	ce := &compiledEngine{globals: globals, limits: limits,
+		opts: compile.ExecOpts{MaxSteps: maxSteps, Threshold: -1, Level: diffProf}}
 	return in, ce
 }
 

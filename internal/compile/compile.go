@@ -1,13 +1,16 @@
 // Package compile is the compiled execution engine: it lowers optimized
 // NRCA core expressions into Go closures (compiledExpr) connected by direct
 // calls, with a resolve pass that replaces the interpreter's name-searched
-// environment lookup by integer slot indices into a flat frame.
+// environment lookup by integer slot indices into a flat frame. A lowered
+// query is a Program (program.go); every execution — a session's bare query,
+// a prepared statement, a served plan, a profiled run — is one Run of one.
 //
-// The engine implements eval.Engine and is observationally identical to the
-// tree-walking interpreter (eval.Evaluator): same values byte for byte in
-// the exchange format, same ⊥ diagnostics, same error strings, same
-// step/cell/tabulation counters. The differential tests at the module root
-// hold the two engines to that contract over the full construct corpus.
+// The engine is observationally identical to the tree-walking interpreter
+// (eval.Evaluator), which is its differential oracle: same values byte for
+// byte in the exchange format, same ⊥ diagnostics, same error strings, same
+// step/cell/tabulation counters, same span trees. The differential tests at
+// the module root hold the two engines to that contract over the full
+// construct corpus.
 //
 // What makes it faster:
 //
@@ -19,16 +22,15 @@
 //     and loop constructs (big unions, summation, tabulation) rebind their
 //     variable by overwriting one slot instead of allocating an Env node
 //     per iteration.
-//   - Globals are resolved at compile time (compilation and execution are
-//     one EvalExpr call over an immutable snapshot of the globals), and
-//     arithmetic/comparison nodes carry a natural-number fast path.
-//   - Tabulations of at least Engine.Threshold cells fan out across
-//     GOMAXPROCS workers (see tab.go); elements are pure in the index
+//   - Globals are resolved at compile time against the Program's immutable
+//     snapshot of them, and arithmetic/comparison nodes carry a
+//     natural-number fast path.
+//   - Tabulations of at least DefaultThreshold cells (ExecOpts.Threshold)
+//     fan out across GOMAXPROCS workers (see tab.go); elements are pure in the index
 //     valuation, which makes the split sound.
 package compile
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/aqldb/aql/internal/ast"
@@ -47,95 +49,6 @@ type compiledExpr func(fr *frame) (object.Value, error)
 // per-element work rarely amortizes goroutine startup and result stitching.
 const DefaultThreshold = 8192
 
-// Engine compiles and runs core expressions; it implements eval.Engine.
-// The zero value is not ready: use New. Fields mirror the knobs of
-// eval.Evaluator so the REPL can configure either engine uniformly.
-type Engine struct {
-	// Globals maps registered primitives and top-level vals to values; the
-	// compiler resolves global references against this snapshot.
-	Globals map[string]object.Value
-	// MaxSteps, when positive, aborts evaluation after that many steps.
-	// Limits.MaxSteps is honored as well; either tripping aborts.
-	MaxSteps int64
-	// Limits bounds the resources of an evaluation; zero is unlimited.
-	Limits eval.Limits
-	// Threshold overrides DefaultThreshold when positive; negative disables
-	// parallel tabulation entirely (everything runs on the calling
-	// goroutine, which also makes step budgets exact).
-	Threshold int
-	// Workers caps tabulation fan-out; 0 means GOMAXPROCS.
-	Workers int
-	// Params holds the argument frame for $name placeholders, mirroring
-	// eval.Evaluator.Params: an unbound placeholder is an error only if
-	// evaluated.
-	Params map[string]object.Value
-
-	m *machine
-
-	// profLevel selects operator-level span profiling (see eval.ProfLevel);
-	// lastSpans is the folded tree of the most recent EvalExpr.
-	profLevel eval.ProfLevel
-	lastSpans *eval.SpanNode
-}
-
-// SetProfiling selects the span-profiling level for subsequent EvalExpr
-// calls; part of eval.SpanProfiler.
-func (e *Engine) SetProfiling(l eval.ProfLevel) { e.profLevel = l }
-
-// Profiling reports the engine's profiling level; part of eval.SpanProfiler.
-func (e *Engine) Profiling() eval.ProfLevel { return e.profLevel }
-
-// SpanTree returns the span tree of the most recent EvalExpr, or nil when
-// profiling was off; part of eval.SpanProfiler.
-func (e *Engine) SpanTree() *eval.SpanNode { return e.lastSpans }
-
-// New returns a compiled engine over the given globals (which may be nil).
-func New(globals map[string]object.Value) *Engine {
-	if globals == nil {
-		globals = map[string]object.Value{}
-	}
-	return &Engine{Globals: globals}
-}
-
-// Name identifies the compiled engine; part of eval.Engine.
-func (e *Engine) Name() string { return "compiled" }
-
-// Counters reports the work charged by the most recent EvalExpr; part of
-// eval.Engine.
-func (e *Engine) Counters() eval.Counters {
-	if e.m == nil {
-		return eval.Counters{}
-	}
-	return e.m.counters()
-}
-
-// EvalExpr compiles expr and runs it under ctx; part of eval.Engine.
-// Compilation never fails: statically unresolvable constructs compile to
-// code that errors when (and only when) executed, matching the
-// interpreter's behavior of erroring on an unbound variable only if it is
-// actually evaluated.
-func (e *Engine) EvalExpr(ctx context.Context, expr ast.Expr) (object.Value, error) {
-	// Profiling is decided at closure-compile time: at ProfOff no plan
-	// exists and compile emits exactly the unprofiled closures, so the off
-	// level costs nothing at execution time.
-	e.lastSpans = nil
-	c := &compiler{globals: e.Globals, limits: e.Limits, prof: eval.NewSpanPlan(expr, e.profLevel), params: &paramTable{}}
-	code := c.compile(expr)
-
-	m := newMachine(ctx, e.Limits, ExecOpts{MaxSteps: e.MaxSteps, Workers: e.Workers, Threshold: e.Threshold, Args: e.Params}, c.params)
-	// Fold the accumulated span tree on the way out, even on error, so
-	// partial evaluations report.
-	m.prof = eval.NewProfCtx(c.prof)
-	defer func() {
-		if m.prof != nil {
-			e.lastSpans = m.prof.Fold()
-		}
-	}()
-	e.m = m
-	fr := &frame{m: m, slots: make([]object.Value, c.maxSlots)}
-	return code(fr)
-}
-
 // compiler is the resolve pass state: scope is the stack of bound variable
 // names, and a name's slot is its position in scope at bind time. maxSlots
 // is the high-water mark, i.e. the frame size the compiled code needs.
@@ -144,8 +57,8 @@ type compiler struct {
 	limits   eval.Limits
 	scope    []string
 	maxSlots int
-	// prof is the evaluation's span plan (nil when profiling is off);
-	// compile wraps every planned node in a span-recording closure.
+	// prof is the lowering's span plan (nil at ProfOff); compile wraps
+	// every planned node in a span-recording closure.
 	prof *eval.SpanPlan
 	// params is the program-wide placeholder table, shared by pointer with
 	// every sub-compiler so one $name resolves to one argument-frame index.

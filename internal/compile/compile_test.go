@@ -11,7 +11,30 @@ import (
 	"github.com/aqldb/aql/internal/object"
 )
 
-func run(t *testing.T, e *Engine, expr ast.Expr) object.Value {
+// engine runs expressions the way a session runs a bare query: each
+// EvalExpr lowers a fresh Program over globals under limits and runs it once
+// with opts, keeping the outcome for Counters.
+type engine struct {
+	globals map[string]object.Value
+	limits  eval.Limits
+	opts    ExecOpts
+	out     Outcome
+}
+
+func (e *engine) EvalExpr(ctx context.Context, expr ast.Expr) (object.Value, error) {
+	return NewProgram(expr, e.globals, e.limits).Run(ctx, e.opts, &e.out)
+}
+
+func (e *engine) Counters() eval.Counters { return e.out.Counters }
+
+// evaluator is what these tests need of an engine: the interpreter and
+// engine both have it.
+type evaluator interface {
+	EvalExpr(context.Context, ast.Expr) (object.Value, error)
+	Counters() eval.Counters
+}
+
+func run(t *testing.T, e *engine, expr ast.Expr) object.Value {
 	t.Helper()
 	v, err := e.EvalExpr(context.Background(), expr)
 	if err != nil {
@@ -35,7 +58,7 @@ func TestSlotShadowing(t *testing.T) {
 		Fn:  &ast.Lam{Param: "x", Body: &ast.Arith{Op: ast.OpAdd, L: inner, R: v("x")}},
 		Arg: nat(5),
 	}
-	got := run(t, New(nil), outer)
+	got := run(t, &engine{}, outer)
 	if !object.Equal(got, object.Nat(16)) {
 		t.Errorf("shadowed application = %s, want 16", got)
 	}
@@ -52,7 +75,7 @@ func TestLoopRebindShadowing(t *testing.T) {
 		R:  v("i"),
 	}
 	expr := &ast.App{Fn: &ast.Lam{Param: "i", Body: body}, Arg: nat(10)}
-	got := run(t, New(nil), expr)
+	got := run(t, &engine{}, expr)
 	if !object.Equal(got, object.Nat(10)) {
 		t.Errorf("= %s, want 10 (tabulation index leaked into the outer slot)", got)
 	}
@@ -72,7 +95,7 @@ func TestClosureCapturesByValue(t *testing.T) {
 			Arg: nat(2),
 		},
 	}
-	got := run(t, New(nil), expr)
+	got := run(t, &engine{}, expr)
 	if !object.Equal(got, object.Nat(12)) {
 		t.Errorf("sum of per-iteration closures = %s, want 12", got)
 	}
@@ -82,7 +105,7 @@ func TestClosureCapturesByValue(t *testing.T) {
 // after the evaluation that created it ends (top-level vals of function
 // type escape this way).
 func TestEscapedClosure(t *testing.T) {
-	e := New(nil)
+	e := &engine{}
 	f := run(t, e, &ast.Lam{Param: "x", Body: &ast.Arith{Op: ast.OpAdd, L: v("x"), R: nat(1)}})
 	if f.Kind != object.KFunc {
 		t.Fatalf("lam = %s, want a function", f.Kind)
@@ -100,7 +123,7 @@ func TestEscapedClosure(t *testing.T) {
 // errors only if executed, so one in the untaken branch of a conditional is
 // harmless (the interpreter behaves identically).
 func TestUnboundVarLazyError(t *testing.T) {
-	e := New(nil)
+	e := &engine{}
 	got := run(t, e, &ast.If{Cond: &ast.BoolLit{Val: true}, Then: nat(1), Else: v("nope")})
 	if !object.Equal(got, object.Nat(1)) {
 		t.Errorf("= %s, want 1", got)
@@ -111,10 +134,10 @@ func TestUnboundVarLazyError(t *testing.T) {
 	}
 }
 
-// TestGlobalsResolved: globals resolve at compile time against the engine's
-// snapshot.
+// TestGlobalsResolved: globals resolve at compile time against the
+// program's snapshot.
 func TestGlobalsResolved(t *testing.T) {
-	e := New(map[string]object.Value{"g": object.Nat(7)})
+	e := &engine{globals: map[string]object.Value{"g": object.Nat(7)}}
 	got := run(t, e, &ast.Arith{Op: ast.OpAdd, L: v("g"), R: nat(1)})
 	if !object.Equal(got, object.Nat(8)) {
 		t.Errorf("global read = %s, want 8", got)
@@ -176,8 +199,7 @@ func TestAllNodesCompile(t *testing.T) {
 	covered := map[string]bool{}
 	for _, expr := range exprs {
 		covered[ast.NodeName(expr)] = true
-		e := New(globals)
-		e.Params = map[string]object.Value{"q": object.Nat(1)}
+		e := &engine{globals: globals, opts: ExecOpts{Args: map[string]object.Value{"q": object.Nat(1)}}}
 		if _, err := e.EvalExpr(context.Background(), expr); err != nil {
 			if strings.Contains(err.Error(), "unhandled node") {
 				t.Errorf("%s: %v", ast.NodeName(expr), err)
@@ -196,8 +218,7 @@ func TestAllNodesCompile(t *testing.T) {
 // TestStepBudget: the compiled engine enforces MaxSteps with the same
 // structured error as the interpreter.
 func TestStepBudget(t *testing.T) {
-	e := New(nil)
-	e.MaxSteps = 50
+	e := &engine{opts: ExecOpts{MaxSteps: 50}}
 	big := &ast.ArrayTab{Head: v("i"), Idx: []string{"i"}, Bounds: []ast.Expr{nat(100000)}}
 	_, err := e.EvalExpr(context.Background(), big)
 	var re *eval.ResourceError
@@ -212,8 +233,7 @@ func TestStepBudget(t *testing.T) {
 // TestDepthBudget: MaxDepth wraps every node in a depth guard and forces
 // serial tabulation; deep recursion trips it.
 func TestDepthBudget(t *testing.T) {
-	e := New(nil)
-	e.Limits = eval.Limits{MaxDepth: 10}
+	e := &engine{limits: eval.Limits{MaxDepth: 10}}
 	// Nest arithmetic deeper than the limit.
 	expr := ast.Expr(nat(1))
 	for i := 0; i < 50; i++ {
@@ -249,7 +269,7 @@ func TestCountersMatchInterp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled := New(nil)
+	compiled := &engine{}
 	got, err := compiled.EvalExpr(context.Background(), expr)
 	if err != nil {
 		t.Fatal(err)

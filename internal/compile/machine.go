@@ -11,12 +11,12 @@ import (
 )
 
 // machine carries the per-evaluation runtime state of the compiled engine:
-// resource budgets, interrupt state and the work counters. One machine is
-// created per EvalExpr / Execute; a fanned-out tabulation forks one child
-// machine per worker.
+// resource budgets, interrupt state and the work counters. One root machine
+// is created per Run (or PlanShards / ExecuteRange); a fanned-out tabulation
+// forks one child machine per worker.
 //
-// A machine belongs to one goroutine: the caller of EvalExpr / Execute for
-// the root, its own goroutine for a fork. Only that goroutine writes the
+// A machine belongs to one goroutine: the caller of Run for the root, its
+// own goroutine for a fork. Only that goroutine writes the
 // counters, depth and guests fields, so the per-node charge is a plain
 // increment. Two things cross goroutines and each has its synchronisation
 // edge: a worker publishes its step count into the root's published atomic
@@ -52,9 +52,9 @@ type machine struct {
 	guests []*machine
 	host   *machine
 
-	// prof is the span-profiling accumulation context of this evaluation
-	// (nil when profiling is off); workers fork their own so the measured
-	// path stays uncontended, and absorb merges them back at join.
+	// prof is the span-profiling accumulation context of this execution
+	// (nil at ProfOff, and on guests); workers fork their own so the
+	// measured path stays uncontended, and absorb merges them back at join.
 	prof *eval.ProfCtx
 
 	// exec is the execution this machine is part of, shared with its forks.
@@ -79,9 +79,9 @@ type config struct {
 	stepMask int64
 }
 
-// execution is the identity of one EvalExpr / Execute, and the part of it
-// that the functions it makes keep after it returns (they hold no machine,
-// so a val-bound fn pins neither counters nor a request's context).
+// execution is the identity of one Run, and the part of it that the
+// functions it makes keep after it returns (they hold no machine, so a
+// val-bound fn pins neither counters nor a request's context).
 type execution struct {
 	// config is what the execution ran under; a function it made is held to
 	// it when something other than this engine applies it (see enter).

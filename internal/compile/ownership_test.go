@@ -93,11 +93,9 @@ func TestCounterOwnership(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range ownershipCases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := New(nil)
-			serial.Threshold = -1
+			serial := &engine{opts: ExecOpts{Threshold: -1}}
 			sv, serr := serial.EvalExpr(ctx, tc.expr)
-			par := New(nil)
-			par.Threshold, par.Workers = 1024, 4
+			par := &engine{opts: ExecOpts{Threshold: 1024, Workers: 4}}
 			pv, perr := par.EvalExpr(ctx, tc.expr)
 
 			if tc.wantErr != "" {
@@ -133,9 +131,7 @@ func TestCounterOwnership(t *testing.T) {
 // publication must still bound the overshoot by workers × InterruptInterval.
 func TestStepBudgetInsideAppliedBodies(t *testing.T) {
 	const workers = 4
-	e := New(nil)
-	e.Threshold, e.Workers = 1024, workers
-	e.MaxSteps = 500_000
+	e := &engine{opts: ExecOpts{Threshold: 1024, Workers: workers, MaxSteps: 500_000}}
 	_, err := e.EvalExpr(context.Background(), ownershipCases[0].expr)
 	var re *eval.ResourceError
 	if !errors.As(err, &re) || re.Kind != eval.ResourceSteps {
@@ -151,7 +147,7 @@ func TestStepBudgetInsideAppliedBodies(t *testing.T) {
 // after the execution that made it returned; each call runs on a machine of
 // its own and leaves the maker's reported counters alone.
 func TestFunctionEnteredThroughFn(t *testing.T) {
-	e := New(nil)
+	e := &engine{}
 	f := run(t, e, &ast.Lam{Param: "n", Body: tab1("i", 20_000, arith(ast.OpAdd, v("i"), v("n")))})
 	made := e.Counters()
 	done := make(chan string, 2)
@@ -181,13 +177,11 @@ func TestFunctionEnteredThroughFn(t *testing.T) {
 	}
 }
 
-// valFn evaluates lam on an engine of its own and returns the function: what
-// a `val f = fn …` statement leaves in the globals for later queries.
+// valFn evaluates lam in an execution of its own and returns the function:
+// what a `val f = fn …` statement leaves in the globals for later queries.
 func valFn(t *testing.T, lim eval.Limits, lam ast.Expr) object.Value {
 	t.Helper()
-	maker := New(nil)
-	maker.Limits = lim
-	return run(t, maker, lam)
+	return run(t, &engine{limits: lim}, lam)
 }
 
 // TestValBoundBodyIsBudgeted: the body of a val-bound function runs on a
@@ -212,14 +206,12 @@ func TestValBoundBodyIsBudgeted(t *testing.T) {
 		return re
 	}
 	t.Run("cells", func(t *testing.T) {
-		e := New(globals)
-		e.Limits.MaxCells = 1000
+		e := &engine{globals: globals, limits: eval.Limits{MaxCells: 1000}}
 		_, err := e.EvalExpr(ctx, &ast.App{Fn: v("big"), Arg: nat(50_000)})
 		resource(t, err, eval.ResourceCells, 1000)
 	})
 	t.Run("steps", func(t *testing.T) {
-		e := New(globals)
-		e.Limits.MaxSteps = 100_000
+		e := &engine{globals: globals, limits: eval.Limits{MaxSteps: 100_000}}
 		_, err := e.EvalExpr(ctx, &ast.App{Fn: v("spin"), Arg: nat(3_000_000)})
 		if re := resource(t, err, eval.ResourceSteps, 100_000); re.Used != 100_001 {
 			t.Errorf("Used = %d, want 100001", re.Used)
@@ -231,8 +223,7 @@ func TestValBoundBodyIsBudgeted(t *testing.T) {
 	})
 	t.Run("steps inside the guest's own fan-out", func(t *testing.T) {
 		const workers = 4
-		e := New(globals)
-		e.Threshold, e.Workers, e.MaxSteps = 1024, workers, 500_000
+		e := &engine{globals: globals, opts: ExecOpts{Threshold: 1024, Workers: workers, MaxSteps: 500_000}}
 		_, err := e.EvalExpr(ctx, &ast.App{Fn: v("wide"), Arg: nat(1)})
 		re := resource(t, err, eval.ResourceSteps, 500_000)
 		if slack := int64(workers * eval.InterruptInterval); re.Used > re.Limit+slack+1 {
@@ -242,7 +233,7 @@ func TestValBoundBodyIsBudgeted(t *testing.T) {
 	t.Run("cancellation", func(t *testing.T) {
 		cctx, cancel := context.WithCancel(ctx)
 		cancel()
-		_, err := New(globals).EvalExpr(cctx, &ast.App{Fn: v("spin"), Arg: nat(3_000_000)})
+		_, err := (&engine{globals: globals}).EvalExpr(cctx, &ast.App{Fn: v("spin"), Arg: nat(3_000_000)})
 		resource(t, err, eval.ResourceCancelled, 0)
 	})
 	t.Run("through Fn, the maker's budgets", func(t *testing.T) {
@@ -272,12 +263,11 @@ func TestValBoundFnFansOut(t *testing.T) {
 		}),
 	}
 	// mapN!h = [[ h!(probe!i) | i < 8200 ]]
-	globals["mapN"] = run(t, New(globals), &ast.Lam{Param: "h", Body: tab1("i", 8200,
+	globals["mapN"] = run(t, &engine{globals: globals}, &ast.Lam{Param: "h", Body: tab1("i", 8200,
 		&ast.App{Fn: v("h"), Arg: &ast.App{Fn: v("probe"), Arg: v("i")}})})
 	query := &ast.App{Fn: v("mapN"), Arg: &ast.Lam{Param: "y", Body: arith(ast.OpMul, v("y"), nat(3))}}
 
-	serial := New(globals)
-	serial.Threshold = -1
+	serial := &engine{globals: globals, opts: ExecOpts{Threshold: -1}}
 	sv := run(t, serial, query)
 	// App, mapN, the fn, and per cell the fn's body: y * 3.
 	if want := (eval.Counters{Steps: 3 + 3*8200}); serial.Counters() != want {
@@ -286,8 +276,7 @@ func TestValBoundFnFansOut(t *testing.T) {
 	if peak.Load() != 1 {
 		t.Fatalf("serial run overlapped %d probe calls", peak.Load())
 	}
-	par := New(globals)
-	par.Threshold, par.Workers = 1024, 4
+	par := &engine{globals: globals, opts: ExecOpts{Threshold: 1024, Workers: 4}}
 	pv := run(t, par, query)
 	if peak.Load() < 2 {
 		t.Error("the val-bound fn's tabulation did not fan out")

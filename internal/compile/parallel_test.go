@@ -32,16 +32,11 @@ func bigTab(rows, cols int64) ast.Expr {
 // engines returns the three configurations whose observable behavior must
 // be identical: the reference interpreter, the compiled engine forced
 // serial, and the compiled engine forced parallel.
-func engines(globals map[string]object.Value) map[string]eval.Engine {
-	serial := New(globals)
-	serial.Threshold = -1
-	par := New(globals)
-	par.Threshold = 1
-	par.Workers = 8
-	return map[string]eval.Engine{
+func engines(globals map[string]object.Value) map[string]evaluator {
+	return map[string]evaluator{
 		"interp":            eval.New(globals),
-		"compiled/serial":   serial,
-		"compiled/parallel": par,
+		"compiled/serial":   &engine{globals: globals, opts: ExecOpts{Threshold: -1}},
+		"compiled/parallel": &engine{globals: globals, opts: ExecOpts{Threshold: 1, Workers: 8}},
 	}
 }
 
@@ -119,9 +114,7 @@ func TestParallelFirstBottomDeterministic(t *testing.T) {
 // tabulation with a cancellation ResourceError instead of completing the
 // scan; the resource-error early-exit path stops sibling workers.
 func TestParallelCancellation(t *testing.T) {
-	e := New(nil)
-	e.Threshold = 1
-	e.Workers = 8
+	e := &engine{opts: ExecOpts{Threshold: 1, Workers: 8}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := e.EvalExpr(ctx, bigTab(1000, 1000))
@@ -135,10 +128,7 @@ func TestParallelCancellation(t *testing.T) {
 // the same error Kind as serial execution; the budget overshoot is bounded
 // by workers x InterruptInterval, so the reported Used stays near the limit.
 func TestParallelStepBudget(t *testing.T) {
-	e := New(nil)
-	e.Threshold = 1
-	e.Workers = 8
-	e.MaxSteps = 100_000
+	e := &engine{opts: ExecOpts{Threshold: 1, Workers: 8, MaxSteps: 100_000}}
 	_, err := e.EvalExpr(context.Background(), bigTab(1000, 1000))
 	var re *eval.ResourceError
 	if !errors.As(err, &re) || re.Kind != eval.ResourceSteps {
@@ -156,10 +146,7 @@ func TestParallelStepBudget(t *testing.T) {
 // limit.
 func TestMaxDepthForcesSerial(t *testing.T) {
 	lim := eval.Limits{MaxDepth: 10_000}
-	c := New(nil)
-	c.Threshold = 1
-	c.Workers = 8
-	c.Limits = lim
+	c := &engine{limits: lim, opts: ExecOpts{Threshold: 1, Workers: 8}}
 	i := eval.New(nil)
 	i.Limits = lim
 
@@ -200,8 +187,7 @@ func TestWorkerPanicReraised(t *testing.T) {
 	globals := map[string]object.Value{"explode": explode}
 	ctx := context.Background()
 	p := NewProgram(tab, globals, eval.Limits{})
-	e := New(globals)
-	e.Workers = 4
+	e := &engine{globals: globals, opts: ExecOpts{Workers: 4}}
 
 	for name, run := range map[string]func(){
 		"Execute":      func() { p.Execute(ctx, ExecOpts{Workers: 4}) },
@@ -227,7 +213,7 @@ func TestWorkerPanicReraised(t *testing.T) {
 	}
 
 	// The machine's counters were still flushed: every worker ran to its
-	// own panic, so the engine reports the work done up to them.
+	// own panic, so the execution reports the work done up to them.
 	if got := e.Counters().Steps; got < 4*4999 {
 		t.Errorf("steps after worker panics = %d, want at least %d", got, 4*4999)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"github.com/aqldb/aql/internal/ast"
@@ -13,85 +14,82 @@ import (
 	"github.com/aqldb/aql/internal/trace"
 )
 
-// Program is a prepared plan: a core expression lowered once to
-// slot-resolved closures over a snapshot of the globals, executable many
-// times. It is the cacheable artifact behind the query server's
-// prepared-plan cache — parse/typecheck/optimize/compile happen once, at
-// NewProgram time, and each request then pays only Execute.
+// Program is a lowered query: a core expression compiled to slot-resolved
+// closures over a snapshot of the globals, executable many times and from
+// many goroutines at once. It is what every execution runs: a session's bare
+// query or statement lowers one and runs it once; a prepared statement and
+// the query server's plan cache keep one and run it per request, so
+// parse/typecheck/optimize/lower happen once per plan and each request pays
+// only Run.
 //
-// A Program is immutable after construction and safe for concurrent
-// Execute calls: all run-time state (work counters, budgets, interrupt
-// state, recursion depth) lives on a per-execution machine reached through
-// the frame, never on the compiled closures. The one deliberate exclusion
-// is operator span profiling — a span plan's fold mutates shared plan
-// nodes, so Programs always compile unprofiled closures (which are also
-// exactly the fastest ones; see compile.EvalExpr's ProfOff path).
+// A Program is safe for concurrent Run calls: all run-time state (work
+// counters, budgets, interrupt state, recursion depth, span measurements)
+// lives on the execution's machine and profiling context, never on the
+// compiled closures. What is static is shared: per profiling level, the
+// closures and the span plan they record against (span ids, operators,
+// parent links). NewProgram lowers only the ProfOff closures; the profiled
+// ones for ProfSampled and ProfFull are lowered once each, on the first
+// execution at that level. The estimate tree (Estimates) and the shard view
+// (range.go) are also built on first use: only cached plans read them.
 //
-// The globals snapshot is taken at compile time (global references resolve
-// to values, exactly as Engine.EvalExpr does), so a Program keeps
-// observing the environment as of its preparation even if vals are
-// rebound afterwards; cache keying on the environment epoch is what keeps
-// served plans current.
+// The globals snapshot is taken at NewProgram time (global references
+// resolve to values), so a Program keeps observing the environment as of its
+// preparation even if vals are rebound afterwards; keying plans on the
+// environment epoch is what keeps served and prepared plans current.
 type Program struct {
+	expr    ast.Expr
+	globals map[string]object.Value
+	// limits holds the compile-time limits; MaxDepth is baked into the
+	// closures (the depth-guard wrapper), so Run cannot change it.
+	limits eval.Limits
+	// params maps $name placeholders to argument-frame indices, one table
+	// for every lowering and the shard view so all share one frame layout.
+	// NewProgram's lowering assigns every index; later lowerings visit the
+	// same placeholders and only read it.
+	params *paramTable
+	// levels holds the closures of each profiling level, by eval.ProfLevel.
+	levels [eval.ProfFull + 1]lowering
+
+	estOnce   sync.Once
+	est       *trace.EstNode
+	shardOnce sync.Once
+	shard     *shardCode // nil unless the expression is range-partitionable
+}
+
+// lowering is the program's expression compiled at one profiling level.
+type lowering struct {
+	once     sync.Once
 	code     compiledExpr
 	maxSlots int
-	// limits holds the compile-time limits; MaxDepth is baked into the
-	// closures (the depth-guard wrapper), so Execute cannot change it.
-	limits eval.Limits
-	// shard is the range-partitionable view of the program, present when
-	// the top-level expression is a tabulation (possibly under a chain of
-	// let bindings); see range.go. nil otherwise.
-	shard *shardCode
-	// params maps $name placeholders to argument-frame indices; shared with
-	// the shard view so distributed executions see the same frame layout.
-	params *paramTable
-	// est is the prepare-time estimate tree (cost.Estimate over expr and
-	// the globals snapshot): per-operator cardinality and cost estimates
-	// that ride the cached plan so every execution can join them against
-	// its recorded actuals for free.
-	est *trace.EstNode
+	// spans is the static span plan the closures record against; nil at
+	// ProfOff, where no closure is wrapped.
+	spans *eval.SpanPlan
 }
 
 // NewProgram compiles expr against a snapshot of globals. limits.MaxDepth,
 // when positive, bakes the recursion-depth guard into the compiled code
-// (and forces serial tabulation at Execute, as depth is serial state); the
-// other limit fields serve as Execute's defaults.
+// (and forces serial tabulation at Run, as depth is serial state); the
+// other limit fields serve as Run's defaults.
 func NewProgram(expr ast.Expr, globals map[string]object.Value, limits eval.Limits) *Program {
 	if globals == nil {
 		globals = map[string]object.Value{}
 	}
-	pt := &paramTable{}
-	c := &compiler{globals: globals, limits: limits, params: pt}
-	p := &Program{
-		code:     c.compile(expr),
-		maxSlots: c.maxSlots,
-		limits:   limits,
-		params:   pt,
-		est:      cost.Estimate(expr, globals),
-	}
-	// The shardable core may sit under a chain of desugared let bindings
-	// (App{Lam, bound}), which the optimizer's let-hoisting produces when it
-	// pulls loop-invariant work out of a tabulation. Peel the chain so such
-	// plans stay range-partitionable; the bindings are re-established per
-	// shard (see range.go).
-	var lets []letBinding
-	core := expr
-	for {
-		app, ok := core.(*ast.App)
-		if !ok {
-			break
-		}
-		lam, ok := app.Fn.(*ast.Lam)
-		if !ok {
-			break
-		}
-		lets = append(lets, letBinding{name: lam.Param, bound: app.Arg})
-		core = lam.Body
-	}
-	if tab, ok := core.(*ast.ArrayTab); ok {
-		p.shard = newShardCode(lets, tab, globals, limits, pt)
-	}
+	p := &Program{expr: expr, globals: globals, limits: limits, params: &paramTable{}}
+	p.lowered(eval.ProfOff)
 	return p
+}
+
+// lowered returns the program's closures at level, lowering them on first
+// use.
+func (p *Program) lowered(level eval.ProfLevel) *lowering {
+	l := &p.levels[level]
+	l.once.Do(func() {
+		l.spans = eval.NewSpanPlan(p.expr, level)
+		c := &compiler{globals: p.globals, limits: p.limits, prof: l.spans, params: p.params}
+		l.code = c.compile(p.expr)
+		l.maxSlots = c.maxSlots
+	})
+	return l
 }
 
 // ParamNames returns the names of the program's $name placeholders, in
@@ -103,10 +101,15 @@ func (p *Program) ParamNames() []string {
 	return append([]string(nil), p.params.names...)
 }
 
-// Estimates returns the program's prepare-time estimate tree, computed
-// once at NewProgram and shared (immutably) by all executions; nil only
-// for a nil expression.
-func (p *Program) Estimates() *trace.EstNode { return p.est }
+// Estimates returns the program's estimate tree (cost.Estimate over the
+// expression and the globals snapshot): per-operator cardinality and cost
+// estimates that every execution can join against its recorded actuals.
+// Built once, on first use, and shared immutably; nil only for a nil
+// expression.
+func (p *Program) Estimates() *trace.EstNode {
+	p.estOnce.Do(func() { p.est = cost.Estimate(p.expr, p.globals) })
+	return p.est
+}
 
 // TraceCounters renders c in the trace package's vocabulary; every layer
 // that reports an execution's work to a recorder or a span converts here.
@@ -120,8 +123,8 @@ type ExecOpts struct {
 	// depth guard is compiled into the Program (see NewProgram). The zero
 	// value falls back to the Program's compile-time limits.
 	Limits eval.Limits
-	// MaxSteps mirrors Engine.MaxSteps: a second step bound, kept for
-	// parity with the session knob; either tripping aborts.
+	// MaxSteps is a second step bound, kept for parity with the session
+	// knob; either it or Limits.MaxSteps tripping aborts.
 	MaxSteps int64
 	// Workers caps tabulation fan-out; 0 means GOMAXPROCS.
 	Workers int
@@ -133,21 +136,44 @@ type ExecOpts struct {
 	// level (callers validate strictly); a placeholder left unbound errors
 	// only if evaluated, like an unbound variable.
 	Args map[string]object.Value
+	// Level is the execution's span-profiling level: which of the program's
+	// lowerings runs, and whether the execution records a span tree. The
+	// shard view (PlanShards, ExecuteRange) runs unprofiled at any level.
+	Level eval.ProfLevel
 }
 
-// Execute runs the program under ctx on a fresh machine, returning the
-// value and the work counters this execution charged. Concurrent Execute
-// calls on one Program are independent: counters, budgets and cancellation
-// are all per-call.
-func (p *Program) Execute(ctx context.Context, opts ExecOpts) (object.Value, eval.Counters, error) {
+// Outcome is what one execution did, as far as it got.
+type Outcome struct {
+	Counters eval.Counters
+	// Spans is the execution's span tree at Level; nil at ProfOff.
+	Spans *eval.SpanNode
+	Level eval.ProfLevel
+}
+
+// Run executes the program under ctx on a fresh machine at opts.Level and
+// fills out with the work counters and span tree the execution recorded,
+// also when it fails or panics, so a query guard reports aborted runs too.
+// Concurrent Runs of one Program are independent: counters, budgets,
+// cancellation and span measurements are all per call.
+func (p *Program) Run(ctx context.Context, opts ExecOpts, out *Outcome) (object.Value, error) {
+	l := p.lowered(opts.Level)
 	m := p.newMachine(ctx, opts)
-	fr := &frame{m: m, slots: make([]object.Value, p.maxSlots)}
-	v, err := p.code(fr)
-	return v, m.counters(), err
+	m.prof = eval.NewProfCtx(l.spans)
+	defer func() { out.Counters, out.Spans, out.Level = m.counters(), m.prof.Fold(), opts.Level }()
+	return l.code(&frame{m: m, slots: make([]object.Value, l.maxSlots)})
 }
 
-// newMachine builds the machine for one Execute-family call, resolving opts
-// against the program's compile-time limits.
+// Execute is Run for callers that want the counters and no span tree.
+func (p *Program) Execute(ctx context.Context, opts ExecOpts) (object.Value, eval.Counters, error) {
+	var out Outcome
+	v, err := p.Run(ctx, opts, &out)
+	return v, out.Counters, err
+}
+
+// newMachine builds the root machine of one Run, PlanShards or
+// ExecuteRange: opts' limits (the program's compile-time ones when zero)
+// with the compiled-in MaxDepth, and opts' step bound, fan-out and argument
+// frame.
 func (p *Program) newMachine(ctx context.Context, opts ExecOpts) *machine {
 	lim := opts.Limits
 	if lim == (eval.Limits{}) {
@@ -156,13 +182,6 @@ func (p *Program) newMachine(ctx context.Context, opts ExecOpts) *machine {
 	// The depth guard is compiled in; keep the machine's view consistent
 	// with it.
 	lim.MaxDepth = p.limits.MaxDepth
-	return newMachine(ctx, lim, opts, p.params)
-}
-
-// newMachine builds the per-evaluation machine of either entry point
-// (Engine.EvalExpr, Program.Execute*): lim is the resolved limits, and opts
-// supplies MaxSteps, Workers, Threshold and the argument frame.
-func newMachine(ctx context.Context, lim eval.Limits, opts ExecOpts, pt *paramTable) *machine {
 	m := &machine{
 		config: config{
 			limits:    lim,
@@ -191,6 +210,6 @@ func newMachine(ctx context.Context, lim eval.Limits, opts ExecOpts, pt *paramTa
 		m.deadline = time.Now().Add(lim.Timeout)
 	}
 	m.exec = &execution{config: m.config}
-	m.exec.args, m.exec.argOK = pt.resolve(opts.Args)
+	m.exec.args, m.exec.argOK = p.params.resolve(opts.Args)
 	return m
 }

@@ -3,6 +3,8 @@ package compile
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -43,55 +45,85 @@ func progWant(n int64) int64 {
 	return total
 }
 
+// spanShape renders a span tree's structure — operators, nesting and
+// invocation counts, no timings.
+func spanShape(n *eval.SpanNode) string {
+	var b strings.Builder
+	var walk func(n *eval.SpanNode, depth int)
+	walk = func(n *eval.SpanNode, depth int) {
+		fmt.Fprintf(&b, "%s%s inv=%d\n", strings.Repeat(" ", depth), n.Op, n.Invocations)
+		for _, c := range n.Children {
+			walk(c, depth+1)
+		}
+	}
+	walk(n, 0)
+	return b.String()
+}
+
 // TestProgramConcurrentExecutions is the race audit required by the plan
 // cache: one compiled Program executed from 8 goroutines simultaneously
-// (run under -race in CI). Each execution must see the correct value and
-// exactly the counters of a solo run — counters are per-execution machines,
-// never shared across requests.
+// (run under -race in CI), unprofiled and then at ProfFull. Each execution
+// must see the correct value and exactly the counters of a solo run —
+// counters are per-execution machines, never shared across requests — and
+// at full its own span tree: self counters summing to its own flat
+// counters, in the serial execution's shape. The span plan is the
+// program's, shared; the slots the tree folds from are the execution's.
 func TestProgramConcurrentExecutions(t *testing.T) {
 	const n = 20000
+	ctx := context.Background()
 	p := NewProgram(progExpr(n), nil, eval.Limits{})
 
-	// Reference run for value and counters.
-	wantVal, wantCounters, err := p.Execute(context.Background(), ExecOpts{})
+	// Reference runs for value, counters and span shape.
+	wantVal, wantCounters, err := p.Execute(ctx, ExecOpts{})
 	if err != nil {
 		t.Fatalf("reference Execute: %v", err)
 	}
 	if !object.Equal(wantVal, object.Nat(progWant(n))) {
 		t.Fatalf("reference value = %s, want %d", wantVal, progWant(n))
 	}
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Half the goroutines force serial execution so serial and
-			// parallel tabulation paths interleave on the same Program.
-			opts := ExecOpts{}
-			if g%2 == 0 {
-				opts.Threshold = -1
-			}
-			v, c, err := p.Execute(context.Background(), opts)
-			if err != nil {
-				errs[g] = err
-				return
-			}
-			if !object.Equal(v, wantVal) {
-				errs[g] = errors.New("value diverged: " + v.String())
-				return
-			}
-			if c != wantCounters {
-				errs[g] = errors.New("counters diverged from solo run")
-			}
-		}(g)
+	var serial Outcome
+	if _, err := p.Run(ctx, ExecOpts{Level: eval.ProfFull, Threshold: -1}, &serial); err != nil {
+		t.Fatalf("reference Run at full: %v", err)
 	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Errorf("goroutine %d: %v", g, err)
+	wantShape := spanShape(serial.Spans)
+
+	for _, level := range []eval.ProfLevel{eval.ProfOff, eval.ProfFull} {
+		const goroutines = 8
+		var wg sync.WaitGroup
+		errs := make([]error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Half the goroutines force serial execution so serial and
+				// parallel tabulation paths interleave on the same Program.
+				opts := ExecOpts{Level: level}
+				if g%2 == 0 {
+					opts.Threshold = -1
+				}
+				var out Outcome
+				v, err := p.Run(ctx, opts, &out)
+				switch {
+				case err != nil:
+					errs[g] = err
+				case !object.Equal(v, wantVal):
+					errs[g] = errors.New("value diverged: " + v.String())
+				case out.Counters != wantCounters:
+					errs[g] = errors.New("counters diverged from solo run")
+				case level == eval.ProfOff && out.Spans != nil:
+					errs[g] = errors.New("span tree recorded at off")
+				case level == eval.ProfFull && out.Spans.CumCounters() != out.Counters:
+					errs[g] = fmt.Errorf("span self counters sum to %+v, flat counters %+v", out.Spans.CumCounters(), out.Counters)
+				case level == eval.ProfFull && spanShape(out.Spans) != wantShape:
+					errs[g] = fmt.Errorf("span tree:\n%s\nserial execution's:\n%s", spanShape(out.Spans), wantShape)
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Errorf("%s, goroutine %d: %v", level, g, err)
+			}
 		}
 	}
 }
@@ -151,16 +183,16 @@ func TestProgramPerExecutionCancellation(t *testing.T) {
 	}
 }
 
-// TestProgramMatchesEngine: a Program and the one-shot Engine must agree on
-// value and counters for the same expression and globals.
+// TestProgramMatchesEngine: a Program and the reference interpreter must
+// agree on value and counters for the same expression and globals.
 func TestProgramMatchesEngine(t *testing.T) {
 	globals := map[string]object.Value{"base": object.Nat(3)}
 	expr := &ast.Arith{Op: ast.OpAdd, L: progExpr(1000), R: v("base")}
 
-	eng := New(globals)
+	eng := eval.New(globals)
 	ev, eerr := eng.EvalExpr(context.Background(), expr)
 	if eerr != nil {
-		t.Fatalf("Engine.EvalExpr: %v", eerr)
+		t.Fatalf("Evaluator.EvalExpr: %v", eerr)
 	}
 	p := NewProgram(expr, globals, eval.Limits{})
 	pv, pc, perr := p.Execute(context.Background(), ExecOpts{})
@@ -168,9 +200,9 @@ func TestProgramMatchesEngine(t *testing.T) {
 		t.Fatalf("Program.Execute: %v", perr)
 	}
 	if !object.Equal(ev, pv) {
-		t.Errorf("values diverge: engine %s, program %s", ev, pv)
+		t.Errorf("values diverge: interpreter %s, program %s", ev, pv)
 	}
 	if ec := eng.Counters(); ec != pc {
-		t.Errorf("counters diverge: engine %+v, program %+v", ec, pc)
+		t.Errorf("counters diverge: interpreter %+v, program %+v", ec, pc)
 	}
 }

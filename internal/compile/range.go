@@ -30,13 +30,6 @@ import (
 // serial run's totals no matter how ranges were retried, hedged or moved
 // between workers.
 
-// letBinding is one peeled top-level let: the desugared App{Lam, bound}
-// shape the optimizer's let-hoisting wraps around a tabulation.
-type letBinding struct {
-	name  string
-	bound ast.Expr
-}
-
 // letCode is a compiled let binding: evaluate code, store the value at slot.
 type letCode struct {
 	slot int
@@ -52,27 +45,52 @@ type shardCode struct {
 	maxSlots int
 }
 
-// newShardCode compiles the tabulation with a fresh resolve pass
-// (unprofiled, exactly as Programs always are; see Program doc). Let
-// bindings compile in order, each earlier binding in scope for the later
-// ones and for the tabulation itself; the program-wide param table is
-// shared so placeholder indices agree with the whole-program code.
-func newShardCode(lets []letBinding, tab *ast.ArrayTab, globals map[string]object.Value, limits eval.Limits, pt *paramTable) *shardCode {
-	c := &compiler{globals: globals, limits: limits, params: pt}
-	sc := &shardCode{}
-	for _, l := range lets {
-		code := c.compile(l.bound)
-		sc.lets = append(sc.lets, letCode{slot: c.bind(l.name), code: code})
-	}
-	sc.tab = c.compileTab(tab)
-	sc.maxSlots = c.maxSlots
-	return sc
+// shardView returns the program's shard view, built on first use: the
+// tabulation at the top of the expression compiled with a fresh, unprofiled
+// resolve pass, or nil when there is none. The shardable core may sit under
+// a chain of desugared let bindings (App{Lam, bound}), which the optimizer's
+// let-hoisting produces when it pulls loop-invariant work out of a
+// tabulation; the chain is peeled so such plans stay range-partitionable,
+// and the bindings compile in order, each earlier one in scope for the later
+// ones and for the tabulation. The program-wide param table is shared, so
+// placeholder indices agree with the whole-program code.
+func (p *Program) shardView() *shardCode {
+	p.shardOnce.Do(func() {
+		var lets []*ast.App
+		core := p.expr
+		for {
+			app, ok := core.(*ast.App)
+			if !ok {
+				break
+			}
+			lam, ok := app.Fn.(*ast.Lam)
+			if !ok {
+				break
+			}
+			lets = append(lets, app)
+			core = lam.Body
+		}
+		tab, ok := core.(*ast.ArrayTab)
+		if !ok {
+			return
+		}
+		c := &compiler{globals: p.globals, limits: p.limits, params: p.params}
+		sc := &shardCode{}
+		for _, app := range lets {
+			code := c.compile(app.Arg)
+			sc.lets = append(sc.lets, letCode{slot: c.bind(app.Fn.(*ast.Lam).Param), code: code})
+		}
+		sc.tab = c.compileTab(tab)
+		sc.maxSlots = c.maxSlots
+		p.shard = sc
+	})
+	return p.shard
 }
 
 // Rangeable reports whether the program's top-level expression is a
 // tabulation (possibly under top-level let bindings), i.e. whether
 // PlanShards/ExecuteRange are available.
-func (p *Program) Rangeable() bool { return p.shard != nil }
+func (p *Program) Rangeable() bool { return p.shardView() != nil }
 
 // evalLets establishes the peeled let bindings in fr, mirroring the
 // single-node compiled execution of the App{Lam, bound} chain exactly: the
@@ -119,7 +137,7 @@ type ShardPlan struct {
 // ctx and opts — the same prologue a local execution runs, so a distributed
 // run's merged counters and failure behaviour match a local one's.
 func (p *Program) PlanShards(ctx context.Context, opts ExecOpts) (*ShardPlan, error) {
-	sc := p.shard
+	sc := p.shardView()
 	if sc == nil {
 		return nil, fmt.Errorf("compile: program is not range-partitionable")
 	}
@@ -178,7 +196,7 @@ func (e *RangeError) Unwrap() error { return e.Err }
 // reproduce a single-node run's exactly. The re-evaluation does consume
 // this execution's budgets — budgets apply per shard by design.
 func (p *Program) ExecuteRange(ctx context.Context, opts ExecOpts, shape []int, start, end int64) (*RangeResult, error) {
-	sc := p.shard
+	sc := p.shardView()
 	if sc == nil {
 		return nil, fmt.Errorf("compile: program is not range-partitionable")
 	}

@@ -32,28 +32,12 @@ func (c Counters) Sub(o Counters) Counters {
 	return Counters{c.Steps - o.Steps, c.Cells - o.Cells, c.Tabs - o.Tabs, c.SetOps - o.SetOps, c.Iters - o.Iters}
 }
 
-// Engine executes core-calculus expressions. Two implementations exist: the
-// reference tree-walking interpreter in this package (*Evaluator) and the
-// compiled engine in internal/compile, which lowers the AST to slot-resolved
-// Go closures. Both implement the same operational semantics bit for bit —
-// the differential test suite at the module root holds them to byte-identical
-// exchange-format output, identical ⊥ diagnostics and identical counters.
-type Engine interface {
-	// Name identifies the engine ("interp" or "compiled") for reports.
-	Name() string
-	// EvalExpr evaluates a closed core expression under ctx, honoring the
-	// engine's configured step/cell/depth/timeout limits.
-	EvalExpr(ctx context.Context, e ast.Expr) (object.Value, error)
-	// Counters reports the work charged by the most recent EvalExpr.
-	Counters() Counters
-}
-
-// Name identifies the tree-walking interpreter; part of Engine.
+// Name identifies the tree-walking interpreter in reports ("interp").
 func (ev *Evaluator) Name() string { return "interp" }
 
-// EvalExpr evaluates e with no local bindings; part of Engine. When span
-// profiling is enabled it builds the evaluation's span plan first and folds
-// the accumulated tree on the way out (even on error), so SpanTree reflects
+// EvalExpr evaluates e with no local bindings. When span profiling is
+// enabled it builds the evaluation's span plan first and folds the
+// accumulated tree on the way out (even on error), so SpanTree reflects
 // partial evaluations too.
 func (ev *Evaluator) EvalExpr(ctx context.Context, e ast.Expr) (object.Value, error) {
 	if ev.profLevel == ProfOff {
@@ -68,7 +52,7 @@ func (ev *Evaluator) EvalExpr(ctx context.Context, e ast.Expr) (object.Value, er
 	return ev.EvalCtx(ctx, e, nil)
 }
 
-// Counters snapshots the interpreter's work counters; part of Engine.
+// Counters snapshots the interpreter's work counters.
 func (ev *Evaluator) Counters() Counters {
 	return Counters{Steps: ev.Steps.Load(), Cells: ev.Cells.Load(), Tabs: ev.Tabs.Load(), SetOps: ev.SetOps.Load(), Iters: ev.Iters.Load()}
 }

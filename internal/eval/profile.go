@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,21 +74,6 @@ func ParseProfLevel(s string) (ProfLevel, error) {
 		return ProfFull, nil
 	}
 	return ProfOff, fmt.Errorf("eval: unknown profiling level %q (have off, sampled, full)", s)
-}
-
-// SpanProfiler is the optional engine capability of producing span trees;
-// both engines implement it. The session type-asserts rather than widening
-// the Engine interface so alternative engines without profiling remain
-// conformant.
-type SpanProfiler interface {
-	// SetProfiling selects the profiling level for subsequent EvalExpr
-	// calls.
-	SetProfiling(ProfLevel)
-	// Profiling reports the current level.
-	Profiling() ProfLevel
-	// SpanTree returns the span tree of the most recent EvalExpr, or nil
-	// when profiling was off.
-	SpanTree() *SpanNode
 }
 
 // WorkerSpan records one parallel-tabulation worker: its contiguous
@@ -182,22 +166,25 @@ func spanWorthy(e ast.Expr, level ProfLevel) bool {
 	return false
 }
 
-// SpanPlan maps AST nodes to span identities for one evaluation. Both
-// engines build their plan with NewSpanPlan over the same core expression,
-// which is what guarantees structurally identical trees.
+// SpanPlan maps AST nodes to span identities: which operators carry a span
+// at a level, and how those spans nest. It is immutable once built, so one
+// plan serves any number of concurrent executions; what an execution
+// measures lives on its ProfCtx. Both engines build their plan with
+// NewSpanPlan over the same core expression, which is what guarantees
+// structurally identical trees.
 type SpanPlan struct {
 	Level ProfLevel
-	Root  *SpanNode
-	Nodes []*SpanNode // by span id
 
-	ids map[ast.Expr]int
-
-	// maxWorkerSpans caps the per-span worker records (a tabulation inside
-	// a loop executes many times).
-	mu sync.Mutex // guards Workers/WorkersDropped appends
+	// ops[id] is span id's operator and parent[id] its parent's id (-1 for
+	// the root). Ids are assigned in pre-order, so a parent's id is below
+	// its children's and children appear in id order.
+	ops    []string
+	parent []int
+	ids    map[ast.Expr]int
 }
 
-// maxWorkerSpans bounds the worker records kept per ArrayTab span.
+// maxWorkerSpans bounds the worker records kept per ArrayTab span (a
+// tabulation inside a loop executes many times).
 const maxWorkerSpans = 64
 
 // NewSpanPlan builds the span plan for e at the given level. Shared
@@ -209,12 +196,11 @@ func NewSpanPlan(e ast.Expr, level ProfLevel) *SpanPlan {
 		return nil
 	}
 	p := &SpanPlan{Level: level, ids: make(map[ast.Expr]int)}
-	p.walk(e, nil, true)
-	p.Root = p.Nodes[0]
+	p.walk(e, -1, true)
 	return p
 }
 
-func (p *SpanPlan) walk(e ast.Expr, parent *SpanNode, root bool) {
+func (p *SpanPlan) walk(e ast.Expr, parent int, root bool) {
 	if e == nil {
 		return
 	}
@@ -222,13 +208,11 @@ func (p *SpanPlan) walk(e ast.Expr, parent *SpanNode, root bool) {
 		return // shared subtree: attributed at its first occurrence
 	}
 	if root || spanWorthy(e, p.Level) {
-		sp := &SpanNode{Op: ast.NodeName(e)}
-		p.ids[e] = len(p.Nodes)
-		p.Nodes = append(p.Nodes, sp)
-		if parent != nil {
-			parent.Children = append(parent.Children, sp)
-		}
-		parent = sp
+		id := len(p.ops)
+		p.ids[e] = id
+		p.ops = append(p.ops, ast.NodeName(e))
+		p.parent = append(p.parent, parent)
+		parent = id
 	}
 	for _, kid := range e.Children() {
 		p.walk(kid, parent, false)
@@ -254,6 +238,9 @@ func (p *SpanPlan) ID(e ast.Expr) (int, bool) {
 // Child* exchange underlying self attribution is heuristically ordered in
 // that case: concurrent interleavings can skew self times, never
 // invocation counts or cumulative counters.
+//
+// Workers and WorkersDropped are plain: only RecordWorkers writes them, and
+// only the compiled engine calls it, on the goroutine that owns the context.
 type SpanSlot struct {
 	Inv      atomic.Int64
 	Measured atomic.Int64
@@ -264,12 +251,15 @@ type SpanSlot struct {
 	Tabs     atomic.Int64
 	SetOps   atomic.Int64
 	Iters    atomic.Int64
+
+	Workers        []WorkerSpan
+	WorkersDropped int
 }
 
-// ProfCtx is one goroutine-lineage's accumulation state: the root machine
-// owns one, and each parallel tabulation worker forks its own so the hot
-// path stays uncontended; worker contexts merge back at join. The Child*
-// fields implement self attribution (see Enter and Exit).
+// ProfCtx is everything one execution measures against a shared plan: the
+// root machine owns one, and each parallel tabulation worker forks its own
+// so the hot path stays uncontended; worker contexts merge back at join.
+// The Child* fields implement self attribution (see Enter and Exit).
 type ProfCtx struct {
 	Plan  *SpanPlan
 	Full  bool
@@ -353,7 +343,7 @@ func NewProfCtx(plan *SpanPlan) *ProfCtx {
 	if plan == nil {
 		return nil
 	}
-	return &ProfCtx{Plan: plan, Full: plan.Level == ProfFull, Slots: make([]SpanSlot, len(plan.Nodes))}
+	return &ProfCtx{Plan: plan, Full: plan.Level == ProfFull, Slots: make([]SpanSlot, len(plan.ops))}
 }
 
 // Fork returns a fresh context over the same plan for a parallel worker.
@@ -361,7 +351,7 @@ func (p *ProfCtx) Fork() *ProfCtx {
 	if p == nil {
 		return nil
 	}
-	return &ProfCtx{Plan: p.Plan, Full: p.Full, Slots: make([]SpanSlot, len(p.Plan.Nodes))}
+	return &ProfCtx{Plan: p.Plan, Full: p.Full, Slots: make([]SpanSlot, len(p.Slots))}
 }
 
 // MergeWorker folds a worker context into p at join: per-span measurements
@@ -392,74 +382,74 @@ func (p *ProfCtx) MergeWorker(w *ProfCtx) {
 	p.ChildIters.Add(w.ChildIters.Load())
 }
 
-// RecordWorkers appends parallel-worker records to the span, keeping at
+// RecordWorkers appends parallel-worker records to span id, keeping at
 // most maxWorkerSpans per span and counting the rest.
 func (p *ProfCtx) RecordWorkers(id int, ws []WorkerSpan) {
-	if p == nil || id < 0 || id >= len(p.Plan.Nodes) {
+	if p == nil || id < 0 || id >= len(p.Slots) {
 		return
 	}
-	p.Plan.mu.Lock()
-	sp := p.Plan.Nodes[id]
+	s := &p.Slots[id]
 	for i, w := range ws {
-		if len(sp.Workers) >= maxWorkerSpans {
-			sp.WorkersDropped += len(ws) - i
+		if len(s.Workers) >= maxWorkerSpans {
+			s.WorkersDropped += len(ws) - i
 			break
 		}
-		sp.Workers = append(sp.Workers, w)
+		s.Workers = append(s.Workers, w)
 	}
-	p.Plan.mu.Unlock()
 }
 
-// Fold writes the accumulated slots into the plan's nodes and returns the
-// root. At ProfSampled the wall times and counters are scaled from the
-// measured sample to estimate the full population; WallSelf is clamped at
-// zero.
+// Fold builds the execution's span tree from the plan's shape and the
+// accumulated slots, and returns its root. At ProfSampled the wall times and
+// counters are scaled from the measured sample to estimate the full
+// population; WallSelf is clamped at zero.
 func (p *ProfCtx) Fold() *SpanNode {
 	if p == nil {
 		return nil
 	}
-	for i, sp := range p.Plan.Nodes {
-		s := &p.Slots[i]
+	nodes := make([]SpanNode, len(p.Slots))
+	for i := range nodes {
+		s, sp := &p.Slots[i], &nodes[i]
 		inv, measured := s.Inv.Load(), s.Measured.Load()
-		sp.Invocations = inv
-		sp.Measured = measured
 		scale := 1.0
 		if measured > 0 && inv > measured {
 			scale = float64(inv) / float64(measured)
 		}
 		est := func(v int64) int64 {
 			if v <= 0 || scale == 1.0 {
-				return max64(v, 0)
+				return max(v, 0)
 			}
 			return int64(float64(v) * scale)
 		}
-		sp.WallCum = time.Duration(est(s.WallNs.Load()))
-		sp.WallSelf = time.Duration(est(s.SelfNs.Load()))
-		sp.Steps = est(s.Steps.Load())
-		sp.Cells = est(s.Cells.Load())
-		sp.Tabs = est(s.Tabs.Load())
-		sp.SetOps = est(s.SetOps.Load())
-		sp.Iters = est(s.Iters.Load())
+		*sp = SpanNode{
+			Op:             p.Plan.ops[i],
+			Invocations:    inv,
+			Measured:       measured,
+			WallCum:        time.Duration(est(s.WallNs.Load())),
+			WallSelf:       time.Duration(est(s.SelfNs.Load())),
+			Steps:          est(s.Steps.Load()),
+			Cells:          est(s.Cells.Load()),
+			Tabs:           est(s.Tabs.Load()),
+			SetOps:         est(s.SetOps.Load()),
+			Iters:          est(s.Iters.Load()),
+			Workers:        s.Workers,
+			WorkersDropped: s.WorkersDropped,
+		}
+		if par := p.Plan.parent[i]; par >= 0 {
+			nodes[par].Children = append(nodes[par].Children, sp)
+		}
 	}
-	return p.Plan.Root
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return &nodes[0]
 }
 
 // SetProfiling selects the span-profiling level for subsequent EvalExpr
-// calls; part of SpanProfiler.
+// calls.
 func (ev *Evaluator) SetProfiling(l ProfLevel) { ev.profLevel = l }
 
-// Profiling reports the interpreter's profiling level; part of SpanProfiler.
+// Profiling reports the interpreter's profiling level.
 func (ev *Evaluator) Profiling() ProfLevel { return ev.profLevel }
 
 // SpanTree returns the span tree of the most recent EvalExpr, or nil when
-// profiling was off; part of SpanProfiler.
+// profiling was off.
 func (ev *Evaluator) SpanTree() *SpanNode { return ev.lastSpans }
 
 // evalSpan is the interpreter's span wrapper around one profiled node.

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/aqldb/aql/internal/cost"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/scan"
@@ -387,25 +386,21 @@ func (s *Session) ExplainAnalyze(ctx context.Context, src string) (string, error
 	return b.String(), nil
 }
 
-// ExplainAnalyzeTable is ExplainAnalyze's data form: compile and optimize
-// src, estimate every operator's cardinality and cost (internal/cost),
-// evaluate at eval.ProfFull regardless of the session's profiling level
-// (the per-operator join needs exact attribution), and join estimates with
-// the recorded span tree. The run is recorded like any query, with the
-// joined table riding the report into the flight recorder and sinks.
+// ExplainAnalyzeTable is ExplainAnalyze's data form: carry src down to a
+// plan, execute it at eval.ProfFull regardless of the session's profiling
+// level (the per-operator join needs exact attribution), and join the
+// program's cardinality and cost estimates (internal/cost) with the
+// recorded span tree. The run is recorded like any query, with the joined
+// table riding the report into the flight recorder and sinks.
 func (s *Session) ExplainAnalyzeTable(ctx context.Context, src string) (*trace.ExplainTable, *types.Type, object.Value, error) {
 	s.Trace.Begin(":explain analyze " + src)
-	p, err := s.frontEnd(s.Trace, src, nil, optimized, eval.Limits{})
+	p, err := s.frontEnd(s.Trace, src, nil, lowered, s.Limits)
 	if err != nil {
 		s.Trace.End(err)
 		return nil, nil, object.Value{}, err
 	}
-	est := cost.Estimate(p.Core, s.Env.Globals())
-	saved := s.Profiling
-	s.Profiling = eval.ProfFull
-	v, err := s.evalGuarded(ctx, p.Core, src, nil)
-	s.Profiling = saved
-	s.Trace.JoinExplain(est, s.QErrorThreshold)
+	v, err := s.execute(ctx, p, nil, eval.ProfFull)
+	s.Trace.JoinExplain(p.Prog.Estimates(), s.QErrorThreshold)
 	rep := s.Trace.End(err)
 	if err != nil {
 		return nil, nil, object.Value{}, err

@@ -61,23 +61,25 @@ type Plan struct {
 	// placeholders.
 	Params map[string]*types.Type
 	// Prog is Core lowered to a program whose placeholders read
-	// per-execution argument slots, shared by all executions; nil for the
-	// plan of a bare query or statement, which the one-shot engine lowers.
+	// per-execution argument slots, shared by all executions at every
+	// profiling level; nil only for a plan stopped at the typechecker.
 	Prog *compile.Program
 
 	// readsIt is whether the macro-expanded query has `it` free; epoch is
-	// Env.PlanEpoch(readsIt) as of before the plan's globals snapshot.
-	readsIt bool
-	epoch   uint64
+	// Env.PlanEpoch(readsIt) as of before the plan's globals snapshot;
+	// maxDepth is the Limits.MaxDepth that lowering baked into Prog.
+	readsIt  bool
+	epoch    uint64
+	maxDepth int
 }
 
 // depth is how far down the pipeline frontEnd carries a query.
 type depth int
 
 const (
-	typed     depth = iota // parse … typecheck: Compile, macro bodies
-	optimized              // … optimize: what the one-shot engines evaluate
-	lowered                // … lower to a shared compile.Program
+	typed    depth = iota // parse … typecheck: Compile, macro bodies
+	lowered               // … optimize, lower: a bare query or statement
+	prepared              // … and the epoch a kept plan is current under
 )
 
 // frontEnd is the one path from query text to a plan: parse -> desugar ->
@@ -118,17 +120,18 @@ func (s *Session) frontEnd(rec *trace.Recorder, src string, se parser.Expr, to d
 		return p, nil
 	}
 	p.Core = s.optimize(rec, core)
-	if to == lowered {
+	if to == prepared {
 		// What only a plan that outlives this statement uses: the epoch it
-		// is current under, and the shared program.
+		// is current under.
 		p.epoch = epochNoIt
 		if p.readsIt = ast.FreeVars(core)[env.ItName]; p.readsIt {
 			p.epoch = epochIt
 		}
-		sp = rec.StartPhase(trace.PhaseCompile)
-		p.Prog = compile.NewProgram(p.Core, s.Env.Globals(), limits)
-		sp.End()
 	}
+	sp = rec.StartPhase(trace.PhaseCompile)
+	p.Prog = compile.NewProgram(p.Core, s.Env.Globals(), limits)
+	p.maxDepth = limits.MaxDepth
+	sp.End()
 	return p, nil
 }
 
@@ -158,7 +161,7 @@ func (s *Session) optimize(rec *trace.Recorder, core ast.Expr) ast.Expr {
 // whatever keeps the environment still between reading its cache key's epoch
 // and this call.
 func (s *Session) Plan(rec *trace.Recorder, src string, limits eval.Limits) (*Plan, error) {
-	return s.frontEnd(rec, src, nil, lowered, limits)
+	return s.frontEnd(rec, src, nil, prepared, limits)
 }
 
 // Compile runs parse, desugar, macro expansion and typechecking on a
@@ -228,7 +231,8 @@ func Bind(params map[string]*types.Type, args map[string]object.Value) *BindErro
 // times with different argument frames: a Plan plus the lock under which it
 // is replaced when stale. Placeholders are typed by the front end, so a
 // mismatched later bind is a typed error, not an evaluation failure, and
-// repeated executions pay only binding and evaluation. An execution reports
+// repeated executions pay only binding and evaluation: every execution, at
+// every profiling level, runs the plan's one Program. An execution reports
 // as a bare query does — counters, I/O, spans and worker records, under the
 // session's limits, Workers and Profiling (see execute).
 //
@@ -237,6 +241,9 @@ func Bind(params map[string]*types.Type, args map[string]object.Value) *BindErro
 // against the current globals, exactly as the server's plan cache stops
 // serving plans from older epochs. The binding of `it` that every execution
 // ends with counts only against a plan that reads `it` (env.PlanEpoch).
+// Limits.MaxDepth is compiled into the program, so a session MaxDepth other
+// than the one the plan was lowered with re-prepares the same way: an
+// execution is held to the limits in force when it runs.
 type Prepared struct {
 	s     *Session
 	mu    sync.Mutex
@@ -282,7 +289,7 @@ func (p *Prepared) Exec(ctx context.Context, args map[string]object.Value) (obje
 	if err != nil {
 		return object.Value{}, err
 	}
-	v, err := s.execute(ctx, plan, args)
+	v, err := s.execute(ctx, plan, args, s.Profiling)
 	s.Trace.End(err)
 	if err != nil {
 		return object.Value{}, err
@@ -291,17 +298,18 @@ func (p *Prepared) Exec(ctx context.Context, args map[string]object.Value) (obje
 	return v, nil
 }
 
-// current re-prepares if the environment moved past the plan's epoch, then
-// binds args against the (current) parameter types and returns the plan, all
-// under the statement's lock. It also opens the execution's trace report,
-// which is open on return exactly when err is nil: before a re-preparation,
-// whose phases the report then carries, and otherwise once the arguments
-// bind, so a bind error leaves no report.
+// current re-prepares if the environment moved past the plan's epoch or the
+// session's MaxDepth is not the plan's, then binds args against the
+// (current) parameter types and returns the plan, all under the statement's
+// lock. It also opens the execution's trace report, which is open on return
+// exactly when err is nil: before a re-preparation, whose phases the report
+// then carries, and otherwise once the arguments bind, so a bind error
+// leaves no report.
 func (p *Prepared) current(args map[string]object.Value) (*Plan, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	tr := p.s.Trace
-	stale := p.s.Env.PlanEpoch(p.readsIt) != p.epoch
+	stale := p.s.Env.PlanEpoch(p.readsIt) != p.epoch || p.maxDepth != p.s.Limits.MaxDepth
 	if stale {
 		tr.Begin(p.Text)
 		plan, err := p.s.Plan(tr, p.Text, p.s.Limits)
@@ -324,20 +332,26 @@ func (p *Prepared) current(args map[string]object.Value) (*Plan, error) {
 	return p.Plan, nil
 }
 
-// execute is one execution of a prepared plan with args as its argument
-// frame. The shared program runs unless the session asks for what it cannot
-// give — the interpreter, or operator spans, which a program shared between
-// executions cannot record; then the one-shot engine evaluates the plan's
-// core with args as its Params.
-func (s *Session) execute(ctx context.Context, plan *Plan, args map[string]object.Value) (v object.Value, err error) {
-	if s.Engine == EngineInterp || s.Profiling != eval.ProfOff {
-		return s.evalGuarded(ctx, plan.Core, plan.Text, args)
-	}
+// execute is one execution of plan at the given profiling level, with args
+// as its argument frame, behind the session's guard. The compiled engine
+// runs the plan's program; the interpreter, the differential oracle,
+// evaluates the plan's core with args as its Params.
+func (s *Session) execute(ctx context.Context, plan *Plan, args map[string]object.Value, level eval.ProfLevel) (v object.Value, err error) {
 	err = s.Guard(ctx, s.Trace, plan.Text, func(ctx context.Context, w *Work) (err error) {
+		if s.Engine == EngineInterp {
+			ev := s.newEngine(args, level)
+			// Deferred, so the counters and spans of a panicking evaluation
+			// reach the guard too.
+			defer func() {
+				w.Engine, w.Counters, w.Spans, w.Level = EngineInterp, ev.Counters(), ev.SpanTree(), level
+			}()
+			v, err = ev.EvalExpr(ctx, plan.Core)
+			return err
+		}
 		w.Engine = EngineCompiled
-		v, w.Counters, err = plan.Prog.Execute(ctx, compile.ExecOpts{
-			Limits: s.Limits, MaxSteps: s.MaxSteps, Workers: s.Workers, Args: args,
-		})
+		v, err = plan.Prog.Run(ctx, compile.ExecOpts{
+			Limits: s.Limits, MaxSteps: s.MaxSteps, Workers: s.Workers, Args: args, Level: level,
+		}, &w.Outcome)
 		return err
 	})
 	return v, err

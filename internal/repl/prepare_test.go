@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/netcdf"
 	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/trace"
@@ -253,6 +254,36 @@ func TestExecKeepsPlanAcrossItBinding(t *testing.T) {
 		}
 		if want != "11" && q.Prog == was {
 			t.Errorf("it + 1 = %s without re-preparing", want)
+		}
+	}
+}
+
+// TestPreparedOutcomeIndependentOfProfiling: a prepared statement runs under
+// the session's limits at every profiling level, as a bare query does. The
+// program bakes in the MaxDepth it was lowered with, so a statement
+// prepared without one and executed after the session set one re-prepares,
+// and every execution trips the depth budget.
+func TestPreparedOutcomeIndependentOfProfiling(t *testing.T) {
+	const text = `[[ i + (i * (i + (i * (i + 1)))) | \i < 4 ]]`
+	ctx := context.Background()
+	s := newSession(t)
+	p, err := s.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Limits.MaxDepth = 3
+	_, _, want := s.Query(text)
+	var re *eval.ResourceError
+	if !errors.As(want, &re) || re.Kind != eval.ResourceDepth {
+		t.Fatalf("Query: err = %v, want a depth ResourceError", want)
+	}
+	for _, level := range []string{"off", "sampled", "full"} {
+		if err := s.SetProfiling(level); err != nil {
+			t.Fatal(err)
+		}
+		v, err := p.Exec(ctx, nil)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("Exec at %s = %v, %v; want Query's error %q", level, v, err, want)
 		}
 	}
 }

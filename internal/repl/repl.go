@@ -64,8 +64,8 @@ type Session struct {
 	// Profiling selects operator-level span profiling for evaluations:
 	// eval.ProfOff (the default; zero overhead), eval.ProfSampled (coarse
 	// operators, one in eval.SampleInterval invocations measured) or
-	// eval.ProfFull (every operator, exact attribution). Set it directly or
-	// via SetProfiling for name validation.
+	// eval.ProfFull (every operator, exact attribution). Set it with
+	// SetProfiling; each execution reads it once and runs at that level.
 	Profiling eval.ProfLevel
 	// Workers caps the compiled engine's tabulation fan-out; 0 means
 	// GOMAXPROCS. Tests pin it to exercise many workers sharing the tile
@@ -93,11 +93,11 @@ type Session struct {
 // Execution engine names for Session.Engine.
 const (
 	// EngineInterp is the reference tree-walking interpreter
-	// (eval.Evaluator).
+	// (eval.Evaluator), the compiled engine's differential oracle.
 	EngineInterp = "interp"
-	// EngineCompiled is the compiled engine (compile.Engine): the AST is
-	// lowered to slot-resolved Go closures and large tabulations fan out
-	// across GOMAXPROCS workers.
+	// EngineCompiled is the compiled engine: the query is lowered to a
+	// compile.Program of slot-resolved Go closures, and large tabulations
+	// fan out across GOMAXPROCS workers.
 	EngineCompiled = "compiled"
 )
 
@@ -231,20 +231,20 @@ func (s *Session) Eval(core ast.Expr) (object.Value, error) {
 }
 
 // EvalCtx evaluates a core query under ctx: cancelling ctx or exceeding
-// its deadline aborts evaluation with a *eval.ResourceError.
+// its deadline aborts evaluation with a *eval.ResourceError. The query is
+// lowered under the session's limits and run as a bare query is.
 func (s *Session) EvalCtx(ctx context.Context, core ast.Expr) (object.Value, error) {
-	return s.evalGuarded(ctx, core, "", nil)
+	p := &Plan{Core: core, Prog: compile.NewProgram(core, s.Env.Globals(), s.Limits)}
+	return s.execute(ctx, p, nil, s.Profiling)
 }
 
 // Work is what one guarded run did, as far as it got: run fills it in, and
 // Guard reports it even for an aborted or panicking execution.
 type Work struct {
-	Engine   string // EngineCompiled or EngineInterp
-	Counters eval.Counters
-	// Spans is the operator span tree of a profiled run at Level; nil when
-	// the run recorded none.
-	Spans *eval.SpanNode
-	Level eval.ProfLevel
+	Engine string // EngineCompiled or EngineInterp
+	// Outcome holds the work counters and, for a profiled run, the operator
+	// span tree at its level; Spans is nil when the run recorded none.
+	compile.Outcome
 }
 
 // Guard is the query boundary, the one place an execution — a session
@@ -284,46 +284,18 @@ func (s *Session) Guard(ctx context.Context, rec *trace.Recorder, src string, ru
 	return run(ctx, &w)
 }
 
-// evalGuarded evaluates core behind Guard on a fresh one-shot engine — the
-// lowering that can profile — with params as the argument frame of its $name
-// placeholders, reporting to the session's recorder.
-func (s *Session) evalGuarded(ctx context.Context, core ast.Expr, src string, params map[string]object.Value) (v object.Value, err error) {
-	eng := s.newEngine(params)
-	err = s.Guard(ctx, s.Trace, src, func(ctx context.Context, w *Work) (err error) {
-		// Deferred, so the counters and spans of a panicking evaluation
-		// reach the guard too.
-		defer func() {
-			w.Engine, w.Counters = eng.Name(), eng.Counters()
-			if sp, ok := eng.(eval.SpanProfiler); ok {
-				w.Spans, w.Level = sp.SpanTree(), sp.Profiling()
-			}
-		}()
-		v, err = eng.EvalExpr(ctx, core)
-		return err
-	})
-	return v, err
-}
-
-// newEngine constructs the session's selected execution engine over the
-// current globals and limits. A fresh engine per evaluation keeps counters
-// per-query and lets val declarations change what globals later queries
-// see, exactly as the interpreter-only path always worked.
-func (s *Session) newEngine(params map[string]object.Value) eval.Engine {
-	if s.Engine == EngineInterp {
-		ev := eval.New(s.Env.Globals())
-		ev.MaxSteps = s.MaxSteps
-		ev.Limits = s.Limits
-		ev.Params = params
-		ev.SetProfiling(s.Profiling)
-		return ev
-	}
-	e := compile.New(s.Env.Globals())
-	e.MaxSteps = s.MaxSteps
-	e.Limits = s.Limits
-	e.Workers = s.Workers
-	e.Params = params
-	e.SetProfiling(s.Profiling)
-	return e
+// newEngine constructs the reference interpreter over the current globals
+// and the session's limits, with params as the argument frame of its $name
+// placeholders, profiling at level. A fresh evaluator per execution keeps
+// counters per-query and lets val declarations change what globals later
+// queries see.
+func (s *Session) newEngine(params map[string]object.Value, level eval.ProfLevel) *eval.Evaluator {
+	ev := eval.New(s.Env.Globals())
+	ev.MaxSteps = s.MaxSteps
+	ev.Limits = s.Limits
+	ev.Params = params
+	ev.SetProfiling(level)
+	return ev
 }
 
 // convertSpan copies an engine span tree into the trace package's mirror
@@ -387,14 +359,15 @@ func (s *Session) QueryCtx(ctx context.Context, src string) (object.Value, *type
 
 // run carries one expression of a bare query or a statement from text (or
 // from se, its surface form, when the statement parser already produced it)
-// to a value: the front end, then the one-shot engine behind the guard. A
-// bare query has no argument frame: a placeholder in it fails if evaluated.
+// to a value: the front end down to a program lowered under the session's
+// limits, then one execution of it behind the guard. A bare query has no
+// argument frame: a placeholder in it fails if evaluated.
 func (s *Session) run(ctx context.Context, src string, se parser.Expr) (object.Value, *types.Type, error) {
-	p, err := s.frontEnd(s.Trace, src, se, optimized, eval.Limits{})
+	p, err := s.frontEnd(s.Trace, src, se, lowered, s.Limits)
 	if err != nil {
 		return object.Value{}, nil, err
 	}
-	v, err := s.evalGuarded(ctx, p.Core, src, nil)
+	v, err := s.execute(ctx, p, nil, s.Profiling)
 	if err != nil {
 		return object.Value{}, nil, err
 	}

@@ -145,9 +145,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 // stitching: a "worker" root spanning queue wait plus pipeline, with one
 // child per phase that actually ran (a plan-cache hit therefore shows no
 // prepare children) and the eval child carrying all of the shard's
-// counters. Programs compile unprofiled closures, so the worker's tree is
-// phase-granular, not operator-granular — the coordinator's stitching
-// invariants (exact counter sums, self-time consistency) hold regardless.
+// counters. A shard runs the program's shard view, which is never
+// profiled, so the worker's tree is phase-granular, not operator-granular —
+// the coordinator's stitching invariants (exact counter sums, self-time
+// consistency) hold regardless.
 func workerSpanTree(rep *trace.QueryReport, waited time.Duration, cnt exchange.ShardCounters) *exchange.Span {
 	root := &exchange.Span{Op: trace.SpanWorker, WallNS: int64(rep.Wall + waited)}
 	var kids int64

@@ -37,9 +37,9 @@ const (
 )
 
 // PhaseOrder lists the pipeline phases in execution order, for stable
-// rendering of reports. PhaseCompile appears only on paths that prepare a
-// reusable compiled plan (the query server); the one-shot engines fold
-// closure compilation into PhaseEval.
+// rendering of reports. PhaseCompile is the lowering to a compiled program;
+// an execution of a plan kept from an earlier statement (a prepared
+// statement, a plan-cache hit) shows only PhaseEval.
 var PhaseOrder = []string{
 	PhaseParse, PhaseDesugar, PhaseMacro, PhaseTypecheck, PhaseOptimize, PhaseCompile, PhaseEval,
 }

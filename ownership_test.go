@@ -71,10 +71,8 @@ func TestValBoundFnCounterOwnership(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial := compile.New(globals)
-			serial.Threshold = -1
-			fanned := compile.New(globals)
-			fanned.Threshold, fanned.Workers = 1024, 4
+			serial := &compiledEngine{globals: globals, opts: compile.ExecOpts{Threshold: -1}}
+			fanned := &compiledEngine{globals: globals, opts: compile.ExecOpts{Threshold: 1024, Workers: 4}}
 			want, err := serial.EvalExpr(ctx, core)
 			if err != nil {
 				t.Fatal(err)
@@ -82,7 +80,7 @@ func TestValBoundFnCounterOwnership(t *testing.T) {
 			if got := serial.Counters(); got != tc.want {
 				t.Errorf("serial counters = %+v, pinned %+v", got, tc.want)
 			}
-			for _, eng := range []eval.Engine{eval.New(globals), fanned} {
+			for _, eng := range []engine{eval.New(globals), fanned} {
 				got, err := eng.EvalExpr(ctx, core)
 				if err != nil {
 					t.Fatalf("%s: %v", eng.Name(), err)
@@ -103,8 +101,7 @@ func TestValBoundFnCounterOwnership(t *testing.T) {
 			t.Fatal(err)
 		}
 		const workers = 4
-		e := compile.New(globals)
-		e.Threshold, e.Workers, e.MaxSteps = 1024, workers, 500_000
+		e := &compiledEngine{globals: globals, opts: compile.ExecOpts{Threshold: 1024, Workers: workers, MaxSteps: 500_000}}
 		_, err = e.EvalExpr(ctx, core)
 		var re *eval.ResourceError
 		if !errors.As(err, &re) || re.Kind != eval.ResourceSteps {

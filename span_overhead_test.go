@@ -1,6 +1,7 @@
-// Span-profiling overhead: the off level must cost nothing (its closures
-// are byte-identical to unprofiled compilation) and the sampled level must
-// stay within its 10% budget on the tabulation-heavy e19 workload.
+// Span-profiling overhead: the off level must cost nothing (a program runs
+// the same unprofiled closures at off whatever levels it has run at) and
+// the sampled level must stay within its 10% budget on the
+// tabulation-heavy e19 workload.
 package aql
 
 import (
@@ -15,24 +16,22 @@ import (
 	"github.com/aqldb/aql/internal/eval"
 )
 
-// BenchmarkSpanOverhead times the compiled engine on the pure-tabulation
-// workload at each profiling level; compare the sub-benchmarks to read the
-// per-level cost directly from one run.
+// BenchmarkSpanOverhead times executions of one compiled program of the
+// pure-tabulation workload at each profiling level; compare the
+// sub-benchmarks to read the per-level cost directly from one run.
 func BenchmarkSpanOverhead(b *testing.B) {
 	s := bench.MustSession()
 	core, _, err := s.Compile(`[[ (i*i + 7) % 93 | \i < 300000 ]]`)
 	if err != nil {
 		b.Fatal(err)
 	}
-	globals := s.Env.Globals()
+	p := compile.NewProgram(core, s.Env.Globals(), eval.Limits{})
 	for _, level := range []eval.ProfLevel{eval.ProfOff, eval.ProfSampled, eval.ProfFull} {
 		b.Run(level.String(), func(b *testing.B) {
-			ce := compile.New(globals)
-			ce.SetProfiling(level)
 			ctx := context.Background()
-			b.ResetTimer()
+			var out compile.Outcome
 			for i := 0; i < b.N; i++ {
-				if _, err := ce.EvalExpr(ctx, core); err != nil {
+				if _, err := p.Run(ctx, compile.ExecOpts{Level: level}, &out); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -42,10 +41,11 @@ func BenchmarkSpanOverhead(b *testing.B) {
 
 // TestSpanOverheadSmoke enforces the profiling cost budgets on the e19
 // pure-tabulation workload, best-of-N within one process so machine speed
-// divides out:
+// divides out. All three configurations execute one compiled program:
 //
-//   - "off" within 2% of an engine whose profiling API was never touched
-//     (catches any failure to fully de-instrument after full→off), and
+//   - "off", timed after the program has run at full, within offBound of
+//     "baseline", the same program at off (catches instrumentation that a
+//     profiled execution leaves behind for later unprofiled ones), and
 //   - "sampled" within 10% of "off" (the sampling budget).
 //
 // Timing gates are meaningless under the race detector and too noisy to
@@ -60,41 +60,37 @@ func TestSpanOverheadSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	globals := s.Env.Globals()
+	p := compile.NewProgram(core, s.Env.Globals(), eval.Limits{})
 	ctx := context.Background()
-
-	baseline := compile.New(globals) // profiling never enabled
-	off := compile.New(globals)      // enabled, then switched back off
-	off.SetProfiling(eval.ProfFull)
-	off.SetProfiling(eval.ProfOff)
-	sampled := compile.New(globals)
-	sampled.SetProfiling(eval.ProfSampled)
-
-	measure := func(ce *compile.Engine) time.Duration {
+	measure := func(level eval.ProfLevel) time.Duration {
+		var out compile.Outcome
 		t0 := time.Now()
-		if _, err := ce.EvalExpr(ctx, core); err != nil {
+		if _, err := p.Run(ctx, compile.ExecOpts{Level: level}, &out); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(t0)
-	}
-	min := func(a, b time.Duration) time.Duration {
-		if b < a {
-			return b
-		}
-		return a
 	}
 
 	// Interleave rounds and keep per-config minima: the minimum of many
 	// runs of identical code converges, so the ratios gate real overhead,
 	// not scheduler noise. Stop early once both gates pass.
-	const maxRounds = 24
+	//
+	// offBound is the measured spread of that minimum, not a budget: off and
+	// baseline run the very same closures, yet over 50 runs on a shared
+	// 2-core x86-64 VM their ratio ranged 0.90–1.16 (a 2% bound failed 3
+	// and 4 of 10 runs). Wrappers that a profiled run left behind would cost
+	// off what full costs, several times baseline, which this still catches;
+	// that off records nothing is asserted exactly by
+	// TestProfOffNoInstrumentation.
+	const maxRounds, offBound = 24, 1.16
 	baseMin, offMin, sampledMin := time.Duration(1<<62), time.Duration(1<<62), time.Duration(1<<62)
 	for r := 0; r < maxRounds; r++ {
-		baseMin = min(baseMin, measure(baseline))
-		offMin = min(offMin, measure(off))
-		sampledMin = min(sampledMin, measure(sampled))
+		baseMin = min(baseMin, measure(eval.ProfOff))
+		measure(eval.ProfFull)
+		offMin = min(offMin, measure(eval.ProfOff))
+		sampledMin = min(sampledMin, measure(eval.ProfSampled))
 		if r >= 4 &&
-			float64(offMin) <= 1.02*float64(baseMin) &&
+			float64(offMin) <= offBound*float64(baseMin) &&
 			float64(sampledMin) <= 1.10*float64(offMin) {
 			break
 		}
@@ -102,9 +98,9 @@ func TestSpanOverheadSmoke(t *testing.T) {
 	t.Logf("baseline %v, off %v (%.3fx), sampled %v (%.3fx vs off)",
 		baseMin, offMin, float64(offMin)/float64(baseMin),
 		sampledMin, float64(sampledMin)/float64(offMin))
-	if float64(offMin) > 1.02*float64(baseMin) {
-		t.Errorf("profiling-off overhead %.1f%% exceeds the 2%% budget",
-			100*(float64(offMin)/float64(baseMin)-1))
+	if float64(offMin) > offBound*float64(baseMin) {
+		t.Errorf("profiling-off overhead %.1f%% exceeds the %.0f%% bound",
+			100*(float64(offMin)/float64(baseMin)-1), 100*(offBound-1))
 	}
 	if float64(sampledMin) > 1.10*float64(offMin) {
 		t.Errorf("sampled-profiling overhead %.1f%% exceeds the 10%% budget",
@@ -117,8 +113,8 @@ func TestSpanOverheadSmoke(t *testing.T) {
 // span tree may cost at most 10% of the profiled evaluation itself. Same
 // shape as TestSpanOverheadSmoke (interleaved, best-of-N, one process) and
 // behind the same AQL_SPAN_SMOKE=1. The estimate tree is built once
-// outside the loop, as a server builds it at prepare time, so the timed
-// difference is the join alone.
+// outside the loop, as a plan builds it once on first use and keeps it for
+// every later execution, so the timed difference is the join alone.
 func TestExplainJoinOverheadSmoke(t *testing.T) {
 	if os.Getenv("AQL_SPAN_SMOKE") == "" {
 		t.Skip("set AQL_SPAN_SMOKE=1 to run the explain-join overhead gate")

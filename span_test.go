@@ -14,6 +14,12 @@ import (
 	"github.com/aqldb/aql/internal/eval"
 )
 
+// spanEngine is an engine that reports its last evaluation's span tree.
+type spanEngine interface {
+	engine
+	SpanTree() *eval.SpanNode
+}
+
 // spanShape renders a span tree's structure — operators, nesting and
 // invocation counts, no timings — for cross-engine comparison.
 func spanShape(n *eval.SpanNode) string {
@@ -48,7 +54,7 @@ func TestSpanTreeStructuralDifferential(t *testing.T) {
 					}
 					in, ce := diffEngines(globals, 0, eval.Limits{})
 					in.SetProfiling(level)
-					ce.SetProfiling(level)
+					ce.opts.Level = level
 					_, _ = in.EvalExpr(context.Background(), core)
 					_, _ = ce.EvalExpr(context.Background(), core)
 					it, ct := in.SpanTree(), ce.SpanTree()
@@ -79,14 +85,10 @@ func TestSpanCounterAttribution(t *testing.T) {
 			}
 			in, ce := diffEngines(globals, 0, eval.Limits{})
 			in.SetProfiling(eval.ProfFull)
-			ce.SetProfiling(eval.ProfFull)
+			ce.opts.Level = eval.ProfFull
 			_, _ = in.EvalExpr(context.Background(), core)
 			_, _ = ce.EvalExpr(context.Background(), core)
-			for _, eng := range []interface {
-				Counters() eval.Counters
-				SpanTree() *eval.SpanNode
-				Name() string
-			}{in, ce} {
+			for _, eng := range []spanEngine{in, ce} {
 				root := eng.SpanTree()
 				if root == nil {
 					t.Fatalf("%s: no span tree at full level", eng.Name())
@@ -130,15 +132,18 @@ func TestProfOffNoInstrumentation(t *testing.T) {
 	if plan := eval.NewSpanPlan(core, eval.ProfOff); plan != nil {
 		t.Errorf("NewSpanPlan at off level built a plan: %+v", plan)
 	}
-	for _, eng := range []eval.Engine{eval.New(s.Env.Globals()), compile.New(s.Env.Globals())} {
-		sp := eng.(eval.SpanProfiler)
-		if sp.Profiling() != eval.ProfOff {
-			t.Fatalf("%s: default profiling level = %v, want off", eng.Name(), sp.Profiling())
+	in := eval.New(s.Env.Globals())
+	ce := &compiledEngine{globals: s.Env.Globals()}
+	for name, level := range map[string]eval.ProfLevel{"interp": in.Profiling(), "compiled": ce.opts.Level} {
+		if level != eval.ProfOff {
+			t.Fatalf("%s: default profiling level = %v, want off", name, level)
 		}
+	}
+	for _, eng := range []spanEngine{in, ce} {
 		if _, err := eng.EvalExpr(context.Background(), core); err != nil {
 			t.Fatal(err)
 		}
-		if tree := sp.SpanTree(); tree != nil {
+		if tree := eng.SpanTree(); tree != nil {
 			t.Errorf("%s: span tree present at off level", eng.Name())
 		}
 	}
@@ -149,7 +154,7 @@ func TestProfOffNoInstrumentation(t *testing.T) {
 // the tabulation, the escaped-closure shape — at both profiling levels.
 // Run under -race (as CI does) this is the regression test for concurrent
 // span recording from workers: forked per-worker slot arrays merged into
-// the parent, worker ranges recorded under the plan lock.
+// the parent, worker ranges recorded on the execution's own context.
 func TestParallelTabulationProfiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-cell tabulation")
@@ -169,10 +174,11 @@ func TestParallelTabulationProfiling(t *testing.T) {
 					if err != nil {
 						t.Fatalf("compile: %v", err)
 					}
-					ce := compile.New(globals)
-					ce.Threshold = 1024 // well below a million cells: force the parallel path
-					ce.Workers = 4      // independent of GOMAXPROCS, so single-core CI still fans out
-					ce.SetProfiling(level)
+					ce := &compiledEngine{globals: globals, opts: compile.ExecOpts{
+						Threshold: 1024, // well below a million cells: force the parallel path
+						Workers:   4,    // independent of GOMAXPROCS, so single-core CI still fans out
+						Level:     level,
+					}}
 					if _, err := ce.EvalExpr(context.Background(), core); err != nil {
 						t.Fatal(err)
 					}
