@@ -29,6 +29,7 @@ val B = {| 1, 2, 2, 5 |};
 val G = {(0, 10), (1, 20), (2, 30)};
 val f = fn \x => x * x + 1;
 val p = (7, true);
+val mapN = fn \h => [[ h!i | \i < 8200 ]];
 `
 
 // diffCorpus exercises every construct the surface language can reach —
@@ -239,6 +240,45 @@ func TestEngineDifferentialResourceErrors(t *testing.T) {
 			var re *eval.ResourceError
 			if !errors.As(ierr, &re) || re.Kind != tc.kind {
 				t.Fatalf("err = %v, want a %v ResourceError (case under-budgeted?)", ierr, tc.kind)
+			}
+		})
+	}
+}
+
+// TestAllocationPollsContext: gen, a tabulation and index allocate by a count
+// known only at run time. Under an already-cancelled context both engines
+// fail at the same point, before charging (or allocating) those cells.
+func TestAllocationPollsContext(t *testing.T) {
+	s := diffSession(t)
+	globals := s.Env.Globals()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		src   string
+		cells int64 // charged before the allocation: index's input set
+	}{
+		{`count!(gen!3000000)`, 0},
+		{`[[ i | \i < 3000000 ]]`, 0},
+		{`index_1!{(3000000, 1)}`, 1},
+	} {
+		t.Run(tc.src, func(t *testing.T) {
+			core, _, err := s.Compile(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, ce := diffEngines(globals, 0, eval.Limits{})
+			for _, eng := range []engine{in, ce} {
+				_, err := eng.EvalExpr(ctx, core)
+				var re *eval.ResourceError
+				if !errors.As(err, &re) || re.Kind != eval.ResourceCancelled {
+					t.Errorf("%s: err = %v, want a cancelled ResourceError", eng.Name(), err)
+				}
+				if c := eng.Counters().Cells; c != tc.cells {
+					t.Errorf("%s: %d cells charged, want %d", eng.Name(), c, tc.cells)
+				}
+			}
+			if ic, cc := in.Counters(), ce.Counters(); ic != cc {
+				t.Errorf("counters differ:\ninterp   %+v\ncompiled %+v", ic, cc)
 			}
 		})
 	}

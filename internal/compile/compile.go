@@ -112,7 +112,7 @@ func (c *compiler) compile(e ast.Expr) compiledExpr {
 	// check.
 	if c.prof != nil {
 		if id, ok := c.prof.ID(e); ok {
-			op = profWrap(op, id)
+			op = profWrap(op, c.prof, id)
 		}
 	}
 	return op
@@ -159,7 +159,7 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			if err := fr.m.step(); err != nil {
 				return object.Value{}, err
 			}
-			if ex := fr.m.exec; idx < len(ex.argOK) && ex.argOK[idx] {
+			if ex := fr.ex; idx < len(ex.argOK) && ex.argOK[idx] {
 				return ex.args[idx], nil
 			}
 			return object.Value{}, fmt.Errorf("eval: unbound parameter $%s", name)
@@ -192,11 +192,14 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			if f.Kind != object.KFunc {
 				return object.Value{}, fmt.Errorf("eval: application of non-function %s", f.Kind)
 			}
-			// A function this engine made runs on a machine the applying
-			// goroutine owns; anything else (primitive, interpreter
-			// closure) is entered through Fn.
-			if cl, ok := f.Code().(*closure); ok {
-				return cl.call(fr.m.machineFor(cl.exec), a)
+			// A function body is the applying query's work: this engine's
+			// closures run on the applying machine, the interpreter's
+			// through Apply on a meter built from it, primitives through Fn.
+			switch cl := f.Code().(type) {
+			case *closure:
+				return cl.call(fr.m, a)
+			case eval.Applier:
+				return fr.m.apply(cl, a)
 			}
 			return f.Fn()(a)
 		}
@@ -474,7 +477,7 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 				return object.Value{}, fmt.Errorf("eval: gen: %w", err)
 			}
 			fr.m.setOps++
-			if err := fr.m.chargeCells(m); err != nil {
+			if err := fr.m.chargeAlloc(m); err != nil {
 				return object.Value{}, err
 			}
 			return eval.GenSet(m), nil
@@ -596,7 +599,7 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			if s.IsBottom() {
 				return s, nil
 			}
-			return object.IndexChecked(s, k, fr.m.chargeCells)
+			return object.IndexChecked(s, k, fr.m.chargeAlloc)
 		}
 
 	case *ast.MkArray:
@@ -793,15 +796,29 @@ type closure struct {
 	body      compiledExpr
 	captured  []object.Value
 	frameSize int
-	exec      *execution
+	ex        *execution
 }
 
-// call runs the body on m with arg bound to the parameter slot.
+// call runs the body on m with arg bound to the parameter slot, reading the
+// maker's arguments.
 func (cl *closure) call(m *machine, arg object.Value) (object.Value, error) {
 	slots := make([]object.Value, cl.frameSize)
 	copy(slots, cl.captured)
 	slots[len(cl.captured)] = arg
-	return cl.body(&frame{m: m, slots: slots})
+	return cl.body(&frame{m: m, ex: cl.ex, slots: slots})
+}
+
+// Apply runs the body for a caller outside this engine (the interpreter, or
+// Go code through Fn) on a machine of its own: it starts from mt's counters
+// under mt's budgets, context, deadline and profiling context, fans out
+// under the maker's config, and leaves what it charged on mt.
+func (cl *closure) Apply(mt *eval.Meter, arg object.Value) (object.Value, error) {
+	m := &machine{config: cl.ex.config, ctx: mt.Ctx, deadline: mt.Deadline, depth: mt.Depth, prof: mt.Prof}
+	m.budget(mt.Limits, mt.MaxSteps)
+	m.add(mt.Used)
+	v, err := cl.call(m, arg)
+	mt.Used = m.counters()
+	return v, err
 }
 
 // compileLam performs closure conversion: the lambda's free variables that
@@ -834,14 +851,15 @@ func (c *compiler) compileLam(n *ast.Lam) compiledExpr {
 		if err := fr.m.step(); err != nil {
 			return object.Value{}, err
 		}
-		cl := &closure{body: body, captured: make([]object.Value, len(capSlots)), frameSize: frameSize, exec: fr.m.exec}
+		cl := &closure{body: body, captured: make([]object.Value, len(capSlots)), frameSize: frameSize, ex: fr.ex}
 		for i, s := range capSlots {
 			cl.captured[i] = fr.slots[s]
 		}
-		// Fn is the entry for callers that are not this engine's App node
-		// (the interpreter, Go code holding the value); see enter.
+		// Fn is the entry for Go code holding the value: each call runs
+		// under the budgets the maker ran under, with no context (the
+		// maker's is over).
 		return object.FuncWithCode(func(arg object.Value) (object.Value, error) {
-			return cl.call(cl.exec.enter(), arg)
+			return cl.Apply(&eval.Meter{MaxSteps: cl.ex.maxSteps, Limits: cl.ex.limits}, arg)
 		}, cl), nil
 	}
 }

@@ -2,7 +2,6 @@ package compile
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -12,16 +11,18 @@ import (
 
 // machine carries the per-evaluation runtime state of the compiled engine:
 // resource budgets, interrupt state and the work counters. One root machine
-// is created per Run (or PlanShards / ExecuteRange); a fanned-out tabulation
-// forks one child machine per worker.
+// is created per Run (or PlanShards / ExecuteRange, or a call entering a
+// compiled function from outside the engine); a fanned-out tabulation forks
+// one child machine per worker. Every function body the execution applies
+// runs on the applying machine, whichever execution or engine made it.
 //
 // A machine belongs to one goroutine: the caller of Run for the root, its
-// own goroutine for a fork. Only that goroutine writes the
-// counters, depth and guests fields, so the per-node charge is a plain
-// increment. Two things cross goroutines and each has its synchronisation
-// edge: a worker publishes its step count into the root's published atomic
-// (so step budgets see the whole fan-out), and a worker's final counters are
-// read by the root goroutine after the join (absorb, behind wg.Wait).
+// own goroutine for a fork. Only that goroutine writes the counters and
+// depth, so the per-node charge is a plain increment. Two things cross
+// goroutines and each has its synchronisation edge: a worker publishes its
+// step count into the root's published atomic (so step budgets see the whole
+// fan-out), and a worker's final counters are read by the root goroutine
+// after the join (absorb, behind wg.Wait).
 type machine struct {
 	config
 
@@ -46,25 +47,16 @@ type machine struct {
 	// what the workers have published since.
 	published atomic.Int64
 
-	// guests are the machines that bodies of functions made by other
-	// executions run on when this machine applies them, one per such
-	// execution; host is, on a guest, the machine it serves. See machineFor.
-	guests []*machine
-	host   *machine
-
 	// prof is the span-profiling accumulation context of this execution
-	// (nil at ProfOff, and on guests); workers fork their own so the
-	// measured path stays uncontended, and absorb merges them back at join.
+	// (nil at ProfOff); workers fork their own so the measured path stays
+	// uncontended, and absorb merges them back at join.
 	prof *eval.ProfCtx
-
-	// exec is the execution this machine is part of, shared with its forks.
-	exec *execution
 
 	steps, cells, tabs, setOps, iters int64
 }
 
 // config is what an execution fixes before it starts and every machine
-// working for it (root, forks, guests) copies.
+// working for it copies.
 type config struct {
 	limits   eval.Limits
 	maxSteps int64
@@ -79,12 +71,21 @@ type config struct {
 	stepMask int64
 }
 
+// budget sets the step and resource bounds and the step mask they imply.
+func (c *config) budget(lim eval.Limits, maxSteps int64) {
+	c.limits, c.maxSteps, c.stepMask = lim, maxSteps, eval.InterruptInterval-1
+	if maxSteps > 0 || lim.MaxSteps > 0 {
+		c.stepMask = 0
+	}
+}
+
 // execution is the identity of one Run, and the part of it that the
 // functions it makes keep after it returns (they hold no machine, so a
 // val-bound fn pins neither counters nor a request's context).
 type execution struct {
-	// config is what the execution ran under; a function it made is held to
-	// it when something other than this engine applies it (see enter).
+	// config is what the execution ran under: a function it made fans out
+	// under it when entered from outside the engine, and Go code calling the
+	// function through Fn is held to its budgets.
 	config
 	// args is the execution's argument frame: the value of each $name
 	// placeholder at its paramTable index, with argOK flagging which indices
@@ -111,7 +112,7 @@ func (m *machine) step() error {
 // local step count to the root.
 func (m *machine) stepSlow() error {
 	n := m.steps
-	total := satAdd(m.baseSteps, n)
+	total := eval.SatAdd(m.baseSteps, n)
 	if m.maxSteps > 0 && total > m.maxSteps {
 		return &eval.ResourceError{Kind: eval.ResourceSteps, Limit: m.maxSteps, Used: total}
 	}
@@ -135,20 +136,31 @@ func (m *machine) stepSlow() error {
 // than overflowing; mirrors eval.Evaluator.chargeCells. Constructors charge
 // BEFORE allocating, so a budget violation aborts without the allocation.
 func (m *machine) chargeCells(n int64) error {
-	m.cells = satAdd(m.cells, n)
-	used := satAdd(m.baseCells, m.cells)
+	m.cells = eval.SatAdd(m.cells, n)
+	used := eval.SatAdd(m.baseCells, m.cells)
 	if max := m.limits.MaxCells; max > 0 && used > max {
 		return &eval.ResourceError{Kind: eval.ResourceCells, Limit: max, Used: used}
 	}
 	return nil
 }
 
+// chargeAlloc is chargeCells for an allocation sized at run time (gen,
+// tabulation, index): a large one polls for interrupts first, at the point
+// eval.Evaluator.chargeAlloc does.
+func (m *machine) chargeAlloc(n int64) error {
+	if n >= eval.InterruptInterval {
+		if err := eval.CheckInterrupt(m.ctx, m.deadline, m.limits.Timeout); err != nil {
+			return err
+		}
+	}
+	return m.chargeCells(n)
+}
+
 // fork returns a worker machine that counts locally against a snapshot of
 // the parent's totals. It is called on the parent's goroutine, before the
-// worker's goroutine starts. A guest's fork serves a fork of the guest's
-// host, so the worker has a host chain of its own to charge.
+// worker's goroutine starts.
 func (m *machine) fork() *machine {
-	w := &machine{
+	return &machine{
 		config:    m.config,
 		ctx:       m.ctx,
 		deadline:  m.deadline,
@@ -157,19 +169,6 @@ func (m *machine) fork() *machine {
 		baseSteps: m.steps,
 		baseCells: m.cells,
 		prof:      m.prof.Fork(),
-		exec:      m.exec,
-	}
-	if m.host != nil {
-		w.host = m.host.fork()
-	}
-	return w
-}
-
-// openFanOut starts the global step totals that m's forks, and the forks of
-// the hosts behind m, publish to.
-func (m *machine) openFanOut() {
-	for a := m; a != nil; a = a.host {
-		a.published.Store(a.steps)
 	}
 }
 
@@ -182,63 +181,34 @@ func (m *machine) syncSteps(local int64) {
 	m.baseSteps = m.parent.published.Add(delta) - local
 }
 
-// absorb adds a joined worker's counts to m, its parent, and those of the
-// worker's host chain to m's. The caller is m's goroutine, after the wg.Wait
-// that ends the worker: every local step is counted exactly once, so the
-// post-join totals equal a serial run's.
+// absorb adds a joined worker's counts to m, its parent. The caller is m's
+// goroutine, after the wg.Wait that ends the worker: every local step is
+// counted exactly once, so the post-join totals equal a serial run's.
 func (m *machine) absorb(w *machine) {
-	m.steps += w.steps
-	m.cells = satAdd(m.cells, w.cells)
-	m.tabs += w.tabs
-	m.setOps += w.setOps
-	m.iters += w.iters
+	m.add(w.counters())
 	m.prof.MergeWorker(w.prof)
-	if w.host != nil {
-		m.host.absorb(w.host)
-	}
 }
 
-// machineFor returns the machine on which m's goroutine runs the body of a
-// function made by execution ex, so that the body charges the counters its
-// maker's query reports and no machine is written by two goroutines:
-//
-//   - made by m's own execution (the summap body of a matmul cell, a
-//     let-hoisted fn applied inside workers, an array of closures applied
-//     after the join): m itself, which yields a serial run's totals;
-//   - m is a guest running a val-bound function that was handed a function
-//     of the query applying it: the machine of that query hosting m;
-//   - made by an earlier execution (a val-bound fn): m's guest for it.
-//
-// A guest counts apart from m, and its counts are reported nowhere, as the
-// interpreter reports none for such a body; but it works under m's budgets,
-// context and deadline, so what bounds the applying query bounds each
-// function it applies. A guest of a fan-out worker does not fan out again.
-func (m *machine) machineFor(ex *execution) *machine {
-	for a := m; a != nil; a = a.host {
-		if a.exec == ex {
-			return a
-		}
-	}
-	for _, g := range m.guests {
-		if g.exec == ex {
-			return g
-		}
-	}
-	g := &machine{config: m.config, ctx: m.ctx, deadline: m.deadline, exec: ex, host: m}
-	if m.parent != nil {
-		g.threshold = math.MaxInt64
-	}
-	m.guests = append(m.guests, g)
-	return g
+// add charges work done elsewhere on m's behalf to m's counters.
+func (m *machine) add(c eval.Counters) {
+	m.steps += c.Steps
+	m.cells = eval.SatAdd(m.cells, c.Cells)
+	m.tabs += c.Tabs
+	m.setOps += c.SetOps
+	m.iters += c.Iters
 }
 
-// enter returns a machine for one call of a function made by ex from
-// outside the engine (the interpreter, Go code holding the value). Such a
-// caller says nothing about which goroutine it is on or what bounds it, so
-// the call gets a machine of its own under the budgets ex ran under, with no
-// context or deadline: ex's are long over.
-func (ex *execution) enter() *machine {
-	return &machine{config: ex.config, exec: ex}
+// apply runs a function the interpreter made on m's account: its body
+// charges a meter that starts from m's totals (a worker's include the
+// global view its budget checks use) under m's budgets, context, deadline
+// and profiling context, and what it charged is added back to m.
+func (m *machine) apply(f eval.Applier, arg object.Value) (object.Value, error) {
+	at := m.counters()
+	at.Steps, at.Cells = eval.SatAdd(m.baseSteps, m.steps), eval.SatAdd(m.baseCells, m.cells)
+	mt := eval.Meter{Ctx: m.ctx, Deadline: m.deadline, MaxSteps: m.maxSteps, Limits: m.limits, Depth: m.depth, Used: at, Prof: m.prof}
+	v, err := f.Apply(&mt, arg)
+	m.add(mt.Used.Sub(at))
+	return v, err
 }
 
 // counters snapshots the machine's work counters.
@@ -246,21 +216,17 @@ func (m *machine) counters() eval.Counters {
 	return eval.Counters{Steps: m.steps, Cells: m.cells, Tabs: m.tabs, SetOps: m.setOps, Iters: m.iters}
 }
 
-// satAdd adds two non-negative counts, saturating at MaxInt64.
-func satAdd(a, b int64) int64 {
-	if b > math.MaxInt64-a {
-		return math.MaxInt64
-	}
-	return a + b
-}
-
 // frame is the runtime activation record of compiled code: a flat slot
 // array indexed by the compiler's resolve pass, replacing the interpreter's
 // name-searched Env linked list. Loop constructs rebind by overwriting the
 // slot; lambdas copy their captured slots into a fresh frame at closure
 // creation, which matches the interpreter's persistent environments because
-// a slot is never observed after its binder rebinds it.
+// a slot is never observed after its binder rebinds it. m is the machine the
+// code charges; ex is the execution whose $name arguments it reads — the one
+// that made the running function, not the one applying it, so placeholders
+// are lexically scoped.
 type frame struct {
 	m     *machine
+	ex    *execution
 	slots []object.Value
 }

@@ -184,15 +184,15 @@ func valFn(t *testing.T, lim eval.Limits, lam ast.Expr) object.Value {
 	return run(t, &engine{limits: lim}, lam)
 }
 
-// TestValBoundBodyIsBudgeted: the body of a val-bound function runs on a
-// guest machine, which counts apart from the applying query but is held to
-// that query's budgets and context; entered through Fn it is held to the
-// budgets its maker ran under.
+// TestValBoundBodyIsBudgeted: the body of a val-bound function runs on the
+// applying machine, so it is in the applying query's counters and held to
+// its budgets and context; entered through Fn it is held to the budgets its
+// maker ran under.
 func TestValBoundBodyIsBudgeted(t *testing.T) {
 	ctx := context.Background()
 	globals := map[string]object.Value{
 		// big!n = [[ i | i < n ]], spin!n = Σ_{i < n} i + n,
-		// wide!n = [[ i + n | i < 1e6 ]] (fans out inside the guest).
+		// wide!n = [[ i + n | i < 1e6 ]] (fans out from the body).
 		"big":  valFn(t, eval.Limits{}, &ast.Lam{Param: "n", Body: &ast.ArrayTab{Head: v("i"), Idx: []string{"i"}, Bounds: []ast.Expr{v("n")}}}),
 		"spin": valFn(t, eval.Limits{}, &ast.Lam{Param: "n", Body: &ast.Sum{Var: "i", Over: &ast.Gen{N: v("n")}, Head: arith(ast.OpAdd, v("i"), v("n"))}}),
 		"wide": valFn(t, eval.Limits{}, &ast.Lam{Param: "n", Body: tab1("i", 1_000_000, arith(ast.OpAdd, v("i"), v("n")))}),
@@ -216,12 +216,12 @@ func TestValBoundBodyIsBudgeted(t *testing.T) {
 		if re := resource(t, err, eval.ResourceSteps, 100_000); re.Used != 100_001 {
 			t.Errorf("Used = %d, want 100001", re.Used)
 		}
-		// The body's steps are still not the query's: App, fn, arg.
-		if got := e.Counters().Steps; got != 3 {
-			t.Errorf("query steps = %d, want 3", got)
+		// The body's steps are the query's: it reports what tripped.
+		if got := e.Counters().Steps; got != 100_001 {
+			t.Errorf("query steps = %d, want 100001", got)
 		}
 	})
-	t.Run("steps inside the guest's own fan-out", func(t *testing.T) {
+	t.Run("steps inside the body's own fan-out", func(t *testing.T) {
 		const workers = 4
 		e := &engine{globals: globals, opts: ExecOpts{Threshold: 1024, Workers: workers, MaxSteps: 500_000}}
 		_, err := e.EvalExpr(ctx, &ast.App{Fn: v("wide"), Arg: nat(1)})
@@ -247,8 +247,9 @@ func TestValBoundBodyIsBudgeted(t *testing.T) {
 }
 
 // TestValBoundFnFansOut: a tabulation inside a val-bound function fans out
-// from the guest it runs on, and a function of the applying query that the
-// workers apply charges that query, as in a serial run.
+// from the applying machine, and both its own work and that of a function of
+// the applying query that the workers apply charge that query, as in a
+// serial run.
 func TestValBoundFnFansOut(t *testing.T) {
 	var inFlight, peak atomic.Int64
 	globals := map[string]object.Value{
@@ -269,8 +270,9 @@ func TestValBoundFnFansOut(t *testing.T) {
 
 	serial := &engine{globals: globals, opts: ExecOpts{Threshold: -1}}
 	sv := run(t, serial, query)
-	// App, mapN, the fn, and per cell the fn's body: y * 3.
-	if want := (eval.Counters{Steps: 3 + 3*8200}); serial.Counters() != want {
+	// App, mapN, the fn; mapN's tabulation and its bound; per cell
+	// h!(probe!i) and the fn's body, y * 3.
+	if want := (eval.Counters{Steps: 3 + 2 + (5+3)*8200, Cells: 8200, Tabs: 1}); serial.Counters() != want {
 		t.Errorf("serial counters = %+v, pinned %+v", serial.Counters(), want)
 	}
 	if peak.Load() != 1 {

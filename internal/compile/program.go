@@ -157,10 +157,11 @@ type Outcome struct {
 // cancellation and span measurements are all per call.
 func (p *Program) Run(ctx context.Context, opts ExecOpts, out *Outcome) (object.Value, error) {
 	l := p.lowered(opts.Level)
-	m := p.newMachine(ctx, opts)
+	fr := p.newFrame(ctx, opts, l.maxSlots)
+	m := fr.m
 	m.prof = eval.NewProfCtx(l.spans)
 	defer func() { out.Counters, out.Spans, out.Level = m.counters(), m.prof.Fold(), opts.Level }()
-	return l.code(&frame{m: m, slots: make([]object.Value, l.maxSlots)})
+	return l.code(fr)
 }
 
 // Execute is Run for callers that want the counters and no span tree.
@@ -170,11 +171,11 @@ func (p *Program) Execute(ctx context.Context, opts ExecOpts) (object.Value, eva
 	return v, out.Counters, err
 }
 
-// newMachine builds the root machine of one Run, PlanShards or
-// ExecuteRange: opts' limits (the program's compile-time ones when zero)
-// with the compiled-in MaxDepth, and opts' step bound, fan-out and argument
-// frame.
-func (p *Program) newMachine(ctx context.Context, opts ExecOpts) *machine {
+// newFrame builds the root frame of one Run, PlanShards or ExecuteRange,
+// with slots slots: a machine under opts' limits (the program's compile-time
+// ones when zero) with the compiled-in MaxDepth, opts' step bound and
+// fan-out, and the execution holding opts' argument frame.
+func (p *Program) newFrame(ctx context.Context, opts ExecOpts, slots int) *frame {
 	lim := opts.Limits
 	if lim == (eval.Limits{}) {
 		lim = p.limits
@@ -182,19 +183,8 @@ func (p *Program) newMachine(ctx context.Context, opts ExecOpts) *machine {
 	// The depth guard is compiled in; keep the machine's view consistent
 	// with it.
 	lim.MaxDepth = p.limits.MaxDepth
-	m := &machine{
-		config: config{
-			limits:    lim,
-			maxSteps:  opts.MaxSteps,
-			workers:   opts.Workers,
-			threshold: int64(opts.Threshold),
-			stepMask:  eval.InterruptInterval - 1,
-		},
-		ctx: ctx,
-	}
-	if opts.MaxSteps > 0 || lim.MaxSteps > 0 {
-		m.stepMask = 0
-	}
+	m := &machine{config: config{workers: opts.Workers, threshold: int64(opts.Threshold)}, ctx: ctx}
+	m.budget(lim, opts.MaxSteps)
 	if m.workers <= 0 {
 		m.workers = runtime.GOMAXPROCS(0)
 	}
@@ -209,7 +199,7 @@ func (p *Program) newMachine(ctx context.Context, opts ExecOpts) *machine {
 	if lim.Timeout > 0 {
 		m.deadline = time.Now().Add(lim.Timeout)
 	}
-	m.exec = &execution{config: m.config}
-	m.exec.args, m.exec.argOK = p.params.resolve(opts.Args)
-	return m
+	ex := &execution{config: m.config}
+	ex.args, ex.argOK = p.params.resolve(opts.Args)
+	return &frame{m: m, ex: ex, slots: make([]object.Value, slots)}
 }

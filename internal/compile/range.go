@@ -141,8 +141,7 @@ func (p *Program) PlanShards(ctx context.Context, opts ExecOpts) (*ShardPlan, er
 	if sc == nil {
 		return nil, fmt.Errorf("compile: program is not range-partitionable")
 	}
-	m := p.newMachine(ctx, opts)
-	fr := &frame{m: m, slots: make([]object.Value, sc.maxSlots)}
+	fr := p.newFrame(ctx, opts, sc.maxSlots)
 	bot, err := sc.evalLets(fr)
 	if err != nil {
 		return nil, err
@@ -154,7 +153,7 @@ func (p *Program) PlanShards(ctx context.Context, opts ExecOpts) (*ShardPlan, er
 			return nil, err
 		}
 	}
-	return &ShardPlan{Shape: shape, Size: int64(size), Bottom: bot, Counters: m.counters()}, nil
+	return &ShardPlan{Shape: shape, Size: int64(size), Bottom: bot, Counters: fr.m.counters()}, nil
 }
 
 // RangeResult is one contiguous row-major slice of a tabulation's elements.
@@ -213,8 +212,8 @@ func (p *Program) ExecuteRange(ctx context.Context, opts ExecOpts, shape []int, 
 	if start < 0 || end < start || end > size {
 		return nil, fmt.Errorf("compile: range [%d, %d) outside element space of size %d", start, end, size)
 	}
-	m := p.newMachine(ctx, opts)
-	fr := &frame{m: m, slots: make([]object.Value, sc.maxSlots)}
+	fr := p.newFrame(ctx, opts, sc.maxSlots)
+	m := fr.m
 	bot, err := sc.evalLets(fr)
 	if err != nil {
 		return nil, err

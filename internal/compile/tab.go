@@ -27,15 +27,17 @@ type tabCode struct {
 	bounds   []compiledExpr
 	idxSlots []int
 	head     compiledExpr
-	// spanID is the tabulation's span (-1 when unprofiled); a fan-out
-	// attaches its per-worker ranges and busy times to it.
+	// spanID is the tabulation's span in spans, the plan it was lowered
+	// under (-1 when unprofiled); a fan-out attaches its per-worker ranges
+	// and busy times to it.
+	spans  *eval.SpanPlan
 	spanID int
 }
 
 // compileTab lowers n's bounds, then its head with the index variables in
 // scope.
 func (c *compiler) compileTab(n *ast.ArrayTab) *tabCode {
-	t := &tabCode{bounds: make([]compiledExpr, len(n.Bounds)), idxSlots: make([]int, len(n.Idx)), spanID: -1}
+	t := &tabCode{bounds: make([]compiledExpr, len(n.Bounds)), idxSlots: make([]int, len(n.Idx)), spans: c.prof, spanID: -1}
 	for j, b := range n.Bounds {
 		t.bounds[j] = c.compile(b)
 	}
@@ -96,7 +98,7 @@ func (t *tabCode) prologue(fr *frame) (shape []int, size int, bot object.Value, 
 			cells *= n
 		}
 	}
-	if err := m.chargeCells(cells); err != nil {
+	if err := m.chargeAlloc(cells); err != nil {
 		return nil, 0, object.Value{}, err
 	}
 	size = 1
@@ -280,7 +282,7 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 	forks := make([]*machine, nw)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	m.openFanOut()
+	m.published.Store(m.steps)
 	for w := 0; w < nw; w++ {
 		wlo := lo + w*chunk
 		whi := wlo + chunk
@@ -292,7 +294,7 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wfr := &frame{m: wm, slots: append([]object.Value(nil), fr.slots...)}
+			wfr := &frame{m: wm, ex: fr.ex, slots: append([]object.Value(nil), fr.slots...)}
 			t0 := time.Now()
 			defer func() {
 				if r := recover(); r != nil {
@@ -320,7 +322,7 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 			panic(wp)
 		}
 	}
-	m.prof.RecordWorkers(t.spanID, spans)
+	m.prof.RecordWorkers(t.spans, t.spanID, spans)
 	p := parts[0]
 	for _, q := range parts[1:] {
 		p = p.Merge(q)

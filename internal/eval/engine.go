@@ -7,11 +7,18 @@ import (
 	"github.com/aqldb/aql/internal/object"
 )
 
-// Counters is a snapshot of the work counters an engine charges while
-// evaluating a query: steps (nodes executed), cells (collection/array cells
-// allocated), tabulations, set-algebra operations and comprehension
-// iterations. Both engines charge on identical events, so the numbers are
-// comparable across engines and stable under parallel execution.
+// Counters is the work an engine charges while evaluating a query. Both
+// engines charge on identical events, so the numbers are comparable across
+// engines and stable under parallel execution.
+//
+// Steps counts evaluated nodes. Cells counts collection/array cells charged
+// by constructors, tabulation, gen and index. Tabs counts array tabulations
+// performed (ArrayTab evaluations) — the materializations the section 5
+// array rules exist to avoid. SetOps counts set/bag algebra operations:
+// unions, big unions, ranked unions, gen and index. Iters counts
+// comprehension loop-body evaluations (big unions, ranked unions, summation)
+// — the intermediate-collection traffic of a query, on the same terms the
+// paper's section 5 measurements used.
 type Counters struct {
 	Steps  int64
 	Cells  int64
@@ -44,15 +51,13 @@ func (ev *Evaluator) EvalExpr(ctx context.Context, e ast.Expr) (object.Value, er
 		ev.lastSpans = nil
 		return ev.EvalCtx(ctx, e, nil)
 	}
-	ev.prof = NewProfCtx(NewSpanPlan(e, ev.profLevel))
+	ev.Prof = NewProfCtx(NewSpanPlan(e, ev.profLevel))
 	defer func() {
-		ev.lastSpans = ev.prof.Fold()
-		ev.prof = nil
+		ev.lastSpans = ev.Prof.Fold()
+		ev.Prof = nil
 	}()
 	return ev.EvalCtx(ctx, e, nil)
 }
 
 // Counters snapshots the interpreter's work counters.
-func (ev *Evaluator) Counters() Counters {
-	return Counters{Steps: ev.Steps.Load(), Cells: ev.Cells.Load(), Tabs: ev.Tabs.Load(), SetOps: ev.SetOps.Load(), Iters: ev.Iters.Load()}
-}
+func (ev *Evaluator) Counters() Counters { return ev.Used }

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"github.com/aqldb/aql/internal/ast"
@@ -46,14 +45,16 @@ func (e *Env) Lookup(name string) (object.Value, bool) {
 	return object.Value{}, false
 }
 
-// Evaluator evaluates core-calculus expressions. It carries the global
-// environment (registered primitives, top-level vals) and a step counter used
-// by the benchmark harness to report work in evaluator steps rather than
-// wall-clock time.
-type Evaluator struct {
-	// Globals maps names of registered primitives and top-level vals to
-	// their values. Lookup order is locals first, then Globals.
-	Globals map[string]object.Value
+// Meter is what one evaluation carries: its interrupt state, budgets,
+// recursion depth, the work it has charged and its profiling context. A
+// function body is charged to, and bounded by, the meter of the query that
+// applies it, whichever engine made the function (see Applier). A meter has
+// one owner at a time, so nothing in it is atomic.
+type Meter struct {
+	// Ctx and Deadline are the interrupt state, checked amortized every
+	// InterruptInterval steps and before large allocations.
+	Ctx      context.Context
+	Deadline time.Time
 	// MaxSteps, when positive, aborts evaluation after that many steps;
 	// a guard against runaway queries in interactive use. Limits.MaxSteps
 	// is honored as well; either tripping aborts the query.
@@ -61,46 +62,82 @@ type Evaluator struct {
 	// Limits bounds the resources of this evaluation; the zero value is
 	// unlimited. Exhaustion yields a *ResourceError.
 	Limits Limits
+	// Depth is the current recursion depth, tracked only when
+	// Limits.MaxDepth is set.
+	Depth int
+	// Used is the work charged so far.
+	Used Counters
+	// Prof is the span-profiling context the evaluation measures into; nil
+	// when profiling is off.
+	Prof *ProfCtx
+}
+
+// Applier is the record a function value carries of its body in the engine
+// that made it (object.Value.Code). Apply runs the body on arg, charging and
+// bounded by m, and reading the globals and $name arguments of the execution
+// that made the function. Both engines' closures implement it, so either
+// engine can apply the other's functions on the applying query's account.
+type Applier interface {
+	Apply(m *Meter, arg object.Value) (object.Value, error)
+}
+
+// Evaluator evaluates core-calculus expressions. It carries the global
+// environment (registered primitives, top-level vals), the argument frame
+// and the meter of its evaluation.
+type Evaluator struct {
+	// Meter is this evaluation's; snapshot its counters through Counters.
+	Meter
+	// Globals maps names of registered primitives and top-level vals to
+	// their values. Lookup order is locals first, then Globals.
+	Globals map[string]object.Value
 	// Params holds the argument frame of a prepared query: the value of
 	// each $name placeholder for this execution. An unbound placeholder is
 	// an error only if evaluated, like an unbound variable.
 	Params map[string]object.Value
 
-	// The work counters are atomic because closures that escape an
-	// evaluation (top-level vals of function type) capture ev, and the
-	// compiled engine's parallel tabulation may call such a closure from
-	// several workers at once. Snapshot them through Counters.
-	//
-	// Steps counts evaluated nodes. Cells counts collection/array cells
-	// charged by constructors, tabulation, gen and index. Tabs counts
-	// array tabulations performed (ArrayTab evaluations) — the
-	// materializations the section 5 array rules exist to avoid. SetOps
-	// counts set/bag algebra operations: unions, big unions, ranked
-	// unions, gen and index. Iters counts comprehension loop-body
-	// evaluations (big unions, ranked unions, summation) — the
-	// intermediate-collection traffic of a query, on the same terms the
-	// paper's section 5 measurements used.
-	Steps  atomic.Int64
-	Cells  atomic.Int64
-	Tabs   atomic.Int64
-	SetOps atomic.Int64
-	Iters  atomic.Int64
-
-	// ctx and deadline carry per-evaluation interrupt state; set by
-	// EvalCtx and checked amortized in Eval.
-	ctx      context.Context
-	deadline time.Time
-	// depth is the current Eval recursion depth, tracked only when
-	// Limits.MaxDepth is set.
-	depth int
+	// sc is what closures made by the running code keep: Globals and
+	// Params, or those of the closure whose body is running.
+	sc *scope
 
 	// profLevel selects operator-level span profiling for EvalExpr calls;
-	// prof is the live accumulation context of the current EvalExpr and
-	// lastSpans the folded tree of the most recent one. prof is cleared on
-	// the way out of EvalExpr so escaped closures never touch stale state.
+	// lastSpans is the folded tree of the most recent one.
 	profLevel ProfLevel
-	prof      *ProfCtx
 	lastSpans *SpanNode
+}
+
+// scope is what a closure keeps of the evaluation that made it: the globals
+// and $name arguments its body reads, and the budgets Go code calling it
+// through Value.Fn runs it under.
+type scope struct {
+	globals, params map[string]object.Value
+	maxSteps        int64
+	limits          Limits
+}
+
+// scope returns the scope of the running code, built from the evaluator's
+// own fields at first use.
+func (ev *Evaluator) scope() *scope {
+	if ev.sc == nil {
+		ev.sc = &scope{ev.Globals, ev.Params, ev.MaxSteps, ev.Limits}
+	}
+	return ev.sc
+}
+
+// closure is the interpreter's record of a function value it made.
+type closure struct {
+	param string
+	body  ast.Expr
+	env   *Env
+	sc    *scope
+}
+
+// Apply runs the body on an evaluator of its own that charges m: the entry
+// for the compiled engine applying the function, and for Fn.
+func (cl *closure) Apply(m *Meter, arg object.Value) (object.Value, error) {
+	ev := &Evaluator{Meter: *m, sc: cl.sc}
+	v, err := ev.Eval(cl.body, cl.env.Bind(cl.param, arg))
+	*m = ev.Meter
+	return v, err
 }
 
 // New returns an evaluator over the given globals (which may be nil).
@@ -116,43 +153,40 @@ func New(globals map[string]object.Value) *Evaluator {
 // *ResourceError. The interrupt checks are amortized over interruptInterval
 // steps so the per-node cost of guarding stays negligible.
 func (ev *Evaluator) EvalCtx(ctx context.Context, e ast.Expr, env *Env) (object.Value, error) {
-	ev.ctx = ctx
+	ev.Ctx, ev.Deadline, ev.sc = ctx, time.Time{}, nil
 	if ev.Limits.Timeout > 0 {
-		ev.deadline = time.Now().Add(ev.Limits.Timeout)
+		ev.Deadline = time.Now().Add(ev.Limits.Timeout)
 	}
-	// Clear the interrupt state on the way out: closures that escape this
-	// evaluation (top-level vals of function type) capture ev, and a later
-	// call through them must not observe a stale context or deadline.
-	defer func() {
-		ev.ctx = nil
-		ev.deadline = time.Time{}
-	}()
 	return ev.Eval(e, env)
 }
 
 // checkInterrupt reports cancellation or deadline expiry as a
 // *ResourceError; called amortized from Eval.
 func (ev *Evaluator) checkInterrupt() error {
-	return CheckInterrupt(ev.ctx, ev.deadline, ev.Limits.Timeout)
+	return CheckInterrupt(ev.Ctx, ev.Deadline, ev.Limits.Timeout)
 }
 
 // chargeCells charges n cells against the cell budget, saturating rather
 // than overflowing the counter. Constructors charge BEFORE allocating, so
 // a budget violation aborts without the allocation ever happening.
 func (ev *Evaluator) chargeCells(n int64) error {
-	for {
-		old := ev.Cells.Load()
-		nw := old + n
-		if n > math.MaxInt64-old {
-			nw = math.MaxInt64
-		}
-		if ev.Cells.CompareAndSwap(old, nw) {
-			if max := ev.Limits.MaxCells; max > 0 && nw > max {
-				return &ResourceError{Kind: ResourceCells, Limit: max, Used: nw}
-			}
-			return nil
+	ev.Used.Cells = SatAdd(ev.Used.Cells, n)
+	if max := ev.Limits.MaxCells; max > 0 && ev.Used.Cells > max {
+		return &ResourceError{Kind: ResourceCells, Limit: max, Used: ev.Used.Cells}
+	}
+	return nil
+}
+
+// chargeAlloc is chargeCells for an allocation sized at run time (gen,
+// tabulation, index): a large one polls for interrupts first, so a cancelled
+// or timed-out query fails before allocating, not at its next step check.
+func (ev *Evaluator) chargeAlloc(n int64) error {
+	if n >= InterruptInterval {
+		if err := ev.checkInterrupt(); err != nil {
+			return err
 		}
 	}
+	return ev.chargeCells(n)
 }
 
 // Eval evaluates e in env. Language-level partiality (out-of-bounds
@@ -164,7 +198,7 @@ func (ev *Evaluator) Eval(e ast.Expr, env *Env) (object.Value, error) {
 	// The span hook sits outside the depth guard so profiled invocation
 	// counts match the compiled engine, which wraps its profiling closure
 	// around the depth-guarded node closure the same way.
-	if p := ev.prof; p != nil {
+	if p := ev.Prof; p != nil {
 		if id, ok := p.Plan.ID(e); ok {
 			return ev.evalSpan(p, id, e, env)
 		}
@@ -181,13 +215,13 @@ func (ev *Evaluator) evalDepth(e ast.Expr, env *Env) (object.Value, error) {
 	// step-charging node closures in a depth guard the same way, and the
 	// two engines must report identical counters in every outcome.
 	if max := ev.Limits.MaxDepth; max > 0 {
-		ev.depth++
-		if ev.depth > max {
-			ev.depth--
+		ev.Depth++
+		if ev.Depth > max {
+			ev.Depth--
 			return object.Value{}, &ResourceError{Kind: ResourceDepth, Limit: int64(max), Used: int64(max) + 1}
 		}
 		v, err := ev.evalStep(e, env)
-		ev.depth--
+		ev.Depth--
 		return v, err
 	}
 	return ev.evalStep(e, env)
@@ -196,14 +230,15 @@ func (ev *Evaluator) evalDepth(e ast.Expr, env *Env) (object.Value, error) {
 // evalStep charges one step, enforces the step budgets and the amortized
 // interrupt check, then dispatches.
 func (ev *Evaluator) evalStep(e ast.Expr, env *Env) (object.Value, error) {
-	steps := ev.Steps.Add(1)
+	ev.Used.Steps++
+	steps := ev.Used.Steps
 	if ev.MaxSteps > 0 && steps > ev.MaxSteps {
 		return object.Value{}, &ResourceError{Kind: ResourceSteps, Limit: ev.MaxSteps, Used: steps}
 	}
 	if l := ev.Limits.MaxSteps; l > 0 && steps > l {
 		return object.Value{}, &ResourceError{Kind: ResourceSteps, Limit: l, Used: steps}
 	}
-	if steps&(InterruptInterval-1) == 0 && (ev.ctx != nil || !ev.deadline.IsZero()) {
+	if steps&(InterruptInterval-1) == 0 && (ev.Ctx != nil || !ev.Deadline.IsZero()) {
 		if err := ev.checkInterrupt(); err != nil {
 			return object.Value{}, err
 		}
@@ -218,23 +253,25 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		if v, ok := env.Lookup(n.Name); ok {
 			return v, nil
 		}
-		if v, ok := ev.Globals[n.Name]; ok {
+		if v, ok := ev.scope().globals[n.Name]; ok {
 			return v, nil
 		}
 		return object.Value{}, fmt.Errorf("eval: unbound variable %q", n.Name)
 
 	case *ast.Param:
-		if v, ok := ev.Params[n.Name]; ok {
+		if v, ok := ev.scope().params[n.Name]; ok {
 			return v, nil
 		}
 		return object.Value{}, fmt.Errorf("eval: unbound parameter $%s", n.Name)
 
 	case *ast.Lam:
-		// A closure over the current environment.
-		body, param := n.Body, n.Param
-		return object.Func(func(arg object.Value) (object.Value, error) {
-			return ev.Eval(body, env.Bind(param, arg))
-		}), nil
+		// A closure over the current environment. Fn is the entry for Go
+		// code holding the value: each call is an evaluation of its own under
+		// the maker's budgets, with no context (the maker's is over).
+		cl := &closure{param: n.Param, body: n.Body, env: env, sc: ev.scope()}
+		return object.FuncWithCode(func(arg object.Value) (object.Value, error) {
+			return cl.Apply(&Meter{MaxSteps: cl.sc.maxSteps, Limits: cl.sc.limits}, arg)
+		}, cl), nil
 
 	case *ast.App:
 		fn, err := ev.Eval(n.Fn, env)
@@ -253,6 +290,19 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		}
 		if fn.Kind != object.KFunc {
 			return object.Value{}, fmt.Errorf("eval: application of non-function %s", fn.Kind)
+		}
+		// A function body is the applying query's work: this engine's
+		// closures run on ev in their maker's scope, the compiled engine's
+		// through Apply on ev's meter, primitives through Fn.
+		switch cl := fn.Code().(type) {
+		case *closure:
+			sc := ev.scope()
+			ev.sc = cl.sc
+			v, err := ev.Eval(cl.body, cl.env.Bind(cl.param, arg))
+			ev.sc = sc
+			return v, err
+		case Applier:
+			return cl.Apply(&ev.Meter, arg)
 		}
 		return fn.Fn()(arg)
 
@@ -297,7 +347,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		return object.Set(v), nil
 
 	case *ast.Union:
-		ev.SetOps.Add(1)
+		ev.Used.SetOps++
 		l, err := ev.Eval(n.L, env)
 		if err != nil {
 			return object.Value{}, err
@@ -318,7 +368,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		return object.Union(l, r)
 
 	case *ast.BigUnion:
-		return ev.bigUnion(n.Head, n.Var, n.Over, env)
+		return ev.bigUnion(n.Head, n.Var, n.Over, env, false)
 
 	case *ast.Get:
 		s, err := ev.Eval(n.Set, env)
@@ -405,8 +455,8 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		if err != nil {
 			return object.Value{}, fmt.Errorf("eval: gen: %w", err)
 		}
-		ev.SetOps.Add(1)
-		if err := ev.chargeCells(m); err != nil {
+		ev.Used.SetOps++
+		if err := ev.chargeAlloc(m); err != nil {
 			return object.Value{}, err
 		}
 		return GenSet(m), nil
@@ -423,7 +473,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 			return object.Value{}, fmt.Errorf("eval: sum over %s", over.Kind)
 		}
 		var acc SumAcc
-		ev.Iters.Add(int64(len(over.Elems)))
+		ev.Used.Iters += int64(len(over.Elems))
 		for _, x := range over.Elems {
 			v, err := ev.Eval(n.Head, env.Bind(n.Var, x))
 			if err != nil {
@@ -439,7 +489,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		return acc.Value(), nil
 
 	case *ast.ArrayTab:
-		ev.Tabs.Add(1)
+		ev.Used.Tabs++
 		shape := make([]int, len(n.Bounds))
 		size := int64(1)
 		for j, b := range n.Bounds {
@@ -463,7 +513,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		}
 		// Charge the whole tabulation before Tabulate allocates it: this is
 		// the fail-fast path for [[ ... | i < 10^9 ]] under a cell budget.
-		if err := ev.chargeCells(size); err != nil {
+		if err := ev.chargeAlloc(size); err != nil {
 			return object.Value{}, err
 		}
 		var bottom object.Value
@@ -508,7 +558,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		if i.IsBottom() {
 			return i, nil
 		}
-		return object.SubValueCtx(ev.ctx, a, i)
+		return object.SubValueCtx(ev.Ctx, a, i)
 
 	case *ast.Dim:
 		a, err := ev.Eval(n.Arr, env)
@@ -521,7 +571,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		return CheckedDim(a, n.K)
 
 	case *ast.Index:
-		ev.SetOps.Add(1)
+		ev.Used.SetOps++
 		s, err := ev.Eval(n.Set, env)
 		if err != nil {
 			return object.Value{}, err
@@ -529,7 +579,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		if s.IsBottom() {
 			return s, nil
 		}
-		return object.IndexChecked(s, n.K, ev.chargeCells)
+		return object.IndexChecked(s, n.K, ev.chargeAlloc)
 
 	case *ast.MkArray:
 		shape := make([]int, len(n.Dims))
@@ -595,7 +645,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		return object.Bag(v), nil
 
 	case *ast.BagUnion:
-		ev.SetOps.Add(1)
+		ev.Used.SetOps++
 		l, err := ev.Eval(n.L, env)
 		if err != nil {
 			return object.Value{}, err
@@ -616,7 +666,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		return object.BagUnion(l, r)
 
 	case *ast.BigBagUnion:
-		return ev.bigBagUnion(n.Head, n.Var, n.Over, env)
+		return ev.bigUnion(n.Head, n.Var, n.Over, env, true)
 
 	case *ast.RankUnion:
 		return ev.rankUnion(n.Head, n.Var, n.RankVar, n.Over, env, false)
@@ -627,10 +677,10 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 	return object.Value{}, fmt.Errorf("eval: unhandled node %s", ast.NodeName(e))
 }
 
-// bigUnion evaluates ⋃{ head | var ∈ over }: it collects the element slices
-// of all result sets and canonicalizes once, so a union of n singletons costs
-// O(n log n) rather than O(n²).
-func (ev *Evaluator) bigUnion(head ast.Expr, varName string, over ast.Expr, env *Env) (object.Value, error) {
+// bigUnion evaluates ⋃{ head | var ∈ over } and, when bag, its bag form: it
+// collects the element slices of all results and canonicalizes once, so a
+// union of n singletons costs O(n log n) rather than O(n²).
+func (ev *Evaluator) bigUnion(head ast.Expr, varName string, over ast.Expr, env *Env, bag bool) (object.Value, error) {
 	s, err := ev.Eval(over, env)
 	if err != nil {
 		return object.Value{}, err
@@ -638,11 +688,15 @@ func (ev *Evaluator) bigUnion(head ast.Expr, varName string, over ast.Expr, env 
 	if s.IsBottom() {
 		return s, nil
 	}
-	if s.Kind != object.KSet {
-		return object.Value{}, fmt.Errorf("eval: big union over %s", s.Kind)
+	wantKind, wantName := object.KSet, "big union"
+	if bag {
+		wantKind, wantName = object.KBag, "big bag union"
 	}
-	ev.SetOps.Add(1)
-	ev.Iters.Add(int64(len(s.Elems)))
+	if s.Kind != wantKind {
+		return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, s.Kind)
+	}
+	ev.Used.SetOps++
+	ev.Used.Iters += int64(len(s.Elems))
 	var all []object.Value
 	for _, x := range s.Elems {
 		v, err := ev.Eval(head, env.Bind(varName, x))
@@ -652,48 +706,18 @@ func (ev *Evaluator) bigUnion(head ast.Expr, varName string, over ast.Expr, env 
 		if v.IsBottom() {
 			return v, nil
 		}
-		if v.Kind != object.KSet {
-			return object.Value{}, fmt.Errorf("eval: big union body produced %s", v.Kind)
+		if v.Kind != wantKind {
+			return object.Value{}, fmt.Errorf("eval: %s body produced %s", wantName, v.Kind)
 		}
 		if err := ev.chargeCells(int64(len(v.Elems))); err != nil {
 			return object.Value{}, err
 		}
 		all = append(all, v.Elems...)
+	}
+	if bag {
+		return object.Bag(all...), nil
 	}
 	return object.Set(all...), nil
-}
-
-func (ev *Evaluator) bigBagUnion(head ast.Expr, varName string, over ast.Expr, env *Env) (object.Value, error) {
-	s, err := ev.Eval(over, env)
-	if err != nil {
-		return object.Value{}, err
-	}
-	if s.IsBottom() {
-		return s, nil
-	}
-	if s.Kind != object.KBag {
-		return object.Value{}, fmt.Errorf("eval: big bag union over %s", s.Kind)
-	}
-	ev.SetOps.Add(1)
-	ev.Iters.Add(int64(len(s.Elems)))
-	var all []object.Value
-	for _, x := range s.Elems {
-		v, err := ev.Eval(head, env.Bind(varName, x))
-		if err != nil {
-			return object.Value{}, err
-		}
-		if v.IsBottom() {
-			return v, nil
-		}
-		if v.Kind != object.KBag {
-			return object.Value{}, fmt.Errorf("eval: big bag union body produced %s", v.Kind)
-		}
-		if err := ev.chargeCells(int64(len(v.Elems))); err != nil {
-			return object.Value{}, err
-		}
-		all = append(all, v.Elems...)
-	}
-	return object.Bag(all...), nil
 }
 
 // rankUnion evaluates ⋃_r / ⊎_r (section 6): the collection is traversed in
@@ -715,8 +739,8 @@ func (ev *Evaluator) rankUnion(head ast.Expr, varName, rankVar string, over ast.
 	if s.Kind != wantKind {
 		return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, s.Kind)
 	}
-	ev.SetOps.Add(1)
-	ev.Iters.Add(int64(len(s.Elems)))
+	ev.Used.SetOps++
+	ev.Used.Iters += int64(len(s.Elems))
 	var all []object.Value
 	for i, x := range s.Elems {
 		e2 := env.Bind(varName, x).Bind(rankVar, object.Nat(int64(i+1)))

@@ -56,8 +56,8 @@ func TestStepBudgetReturnsTypedError(t *testing.T) {
 	if re.Limit != 100 {
 		t.Errorf("Limit = %d, want 100", re.Limit)
 	}
-	if ev.Steps.Load() <= 100 {
-		t.Errorf("Steps = %d, want > 100 (consumption reported on abort)", ev.Steps.Load())
+	if ev.Used.Steps <= 100 {
+		t.Errorf("Steps = %d, want > 100 (consumption reported on abort)", ev.Used.Steps)
 	}
 }
 
@@ -190,9 +190,9 @@ func TestMaxDepth(t *testing.T) {
 }
 
 func TestStaleContextClearedAfterEvalCtx(t *testing.T) {
-	// A closure escaping an EvalCtx call captures the evaluator; once that
-	// evaluation ends, its (possibly cancelled) context must not leak into
-	// later calls through the closure.
+	// A closure escaping an EvalCtx call and entered through Fn runs as an
+	// evaluation of its own: the maker's (cancelled) context must not leak
+	// into it.
 	ctx, cancel := context.WithCancel(context.Background())
 	ev := New(nil)
 	lam := &ast.Lam{Param: "x", Body: &ast.Var{Name: "x"}}

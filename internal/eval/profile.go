@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/aqldb/aql/internal/ast"
@@ -23,8 +22,7 @@ import (
 //   - ProfSampled: only the coarse operators (tabulations, subscripts, big
 //     unions, conditionals, applications, ...) carry spans, and only one in
 //     SampleInterval invocations of a span is fully measured; the rest pay
-//     one atomic increment. Reported times and counters are scaled
-//     estimates.
+//     one increment. Reported times and counters are scaled estimates.
 //   - ProfFull: every AST node carries a span and every invocation is
 //     measured. Counter attribution is exact: the per-span self counters
 //     sum to the engine's flat counters.
@@ -228,57 +226,42 @@ func (p *SpanPlan) ID(e ast.Expr) (int, bool) {
 	return id, ok
 }
 
-// SpanSlot accumulates one span's measurements. All fields are atomic
-// although a ProfCtx normally belongs to one goroutine (a compiled machine
-// forks one per fan-out worker, and its work counters are goroutine-owned
-// plain ints): the interpreter has one context per evaluation, and a
-// function it makes can be applied concurrently while that evaluation is
-// open — handed to a val-bound compiled function whose body fans out —
-// which is also why the interpreter's own work counters are atomic. The
-// Child* exchange underlying self attribution is heuristically ordered in
-// that case: concurrent interleavings can skew self times, never
-// invocation counts or cumulative counters.
-//
-// Workers and WorkersDropped are plain: only RecordWorkers writes them, and
-// only the compiled engine calls it, on the goroutine that owns the context.
+// SpanSlot accumulates one span's measurements: invocations, measured
+// invocations, cumulative and self wall time, self work, and the
+// parallel-worker records of an ArrayTab span. Its fields are plain ints
+// because its ProfCtx has one owner.
 type SpanSlot struct {
-	Inv      atomic.Int64
-	Measured atomic.Int64
-	WallNs   atomic.Int64
-	SelfNs   atomic.Int64
-	Steps    atomic.Int64
-	Cells    atomic.Int64
-	Tabs     atomic.Int64
-	SetOps   atomic.Int64
-	Iters    atomic.Int64
+	Inv, Measured  int64
+	WallNs, SelfNs int64
+	Work           Counters
 
 	Workers        []WorkerSpan
 	WorkersDropped int
 }
 
-// ProfCtx is everything one execution measures against a shared plan: the
-// root machine owns one, and each parallel tabulation worker forks its own
-// so the hot path stays uncontended; worker contexts merge back at join.
-// The Child* fields implement self attribution (see Enter and Exit).
+// ProfCtx is everything one execution measures against a shared plan. It
+// travels in the Meter of the evaluation measuring into it — on the compiled
+// engine, in the machine — so exactly one goroutine owns it at a time: a
+// function body applied by the query charges the query's context, whichever
+// engine made the function, and each parallel tabulation worker forks its
+// own, merged back at join. ChildWallNs and Child implement self attribution
+// (see Enter and Exit).
 type ProfCtx struct {
 	Plan  *SpanPlan
 	Full  bool
 	Slots []SpanSlot
 
-	ChildWallNs atomic.Int64
-	ChildSteps  atomic.Int64
-	ChildCells  atomic.Int64
-	ChildTabs   atomic.Int64
-	ChildSetOps atomic.Int64
-	ChildIters  atomic.Int64
+	ChildWallNs int64
+	Child       Counters
 }
 
 // Count counts one invocation of span id and reports whether it is a
 // measured one: all of them at ProfFull, one in SampleInterval at
-// ProfSampled. The unmeasured invocations pay this atomic increment only.
+// ProfSampled. The unmeasured invocations pay this increment only.
 func (p *ProfCtx) Count(id int) bool {
-	inv := p.Slots[id].Inv.Add(1)
-	return p.Full || (inv-1)&sampleMask == 0
+	s := &p.Slots[id]
+	s.Inv++
+	return p.Full || (s.Inv-1)&sampleMask == 0
 }
 
 // SpanFrame is what one measured invocation carries from Enter to Exit:
@@ -296,23 +279,11 @@ type SpanFrame struct {
 // hook is Count, then Enter and Exit around the node. at is the engine's
 // counter snapshot.
 func (p *ProfCtx) Enter(id int, at Counters) SpanFrame {
-	return SpanFrame{
-		id:   id,
-		at:   at,
-		wall: p.ChildWallNs.Load(),
-		below: Counters{
-			Steps:  p.ChildSteps.Load(),
-			Cells:  p.ChildCells.Load(),
-			Tabs:   p.ChildTabs.Load(),
-			SetOps: p.ChildSetOps.Load(),
-			Iters:  p.ChildIters.Load(),
-		},
-		t0: time.Now(),
-	}
+	return SpanFrame{id: id, at: at, wall: p.ChildWallNs, below: p.Child, t0: time.Now()}
 }
 
 // Exit closes the invocation Enter opened. The span's cumulative time and
-// work are the deltas since Enter. Each profiled child left the Child*
+// work are the deltas since Enter. Each profiled child left the Child
 // accumulators at their value on its entry plus its own cumulative figures,
 // so their growth since Enter is what the children account for, and the
 // span's self figures are the rest. Exit leaves them the same way for the
@@ -321,20 +292,12 @@ func (p *ProfCtx) Exit(f *SpanFrame, at Counters) {
 	d := int64(time.Since(f.t0))
 	w := at.Sub(f.at)
 	s := &p.Slots[f.id]
-	s.Measured.Add(1)
-	s.WallNs.Add(d)
-	s.SelfNs.Add(d - (p.ChildWallNs.Load() - f.wall))
-	s.Steps.Add(w.Steps - (p.ChildSteps.Load() - f.below.Steps))
-	s.Cells.Add(w.Cells - (p.ChildCells.Load() - f.below.Cells))
-	s.Tabs.Add(w.Tabs - (p.ChildTabs.Load() - f.below.Tabs))
-	s.SetOps.Add(w.SetOps - (p.ChildSetOps.Load() - f.below.SetOps))
-	s.Iters.Add(w.Iters - (p.ChildIters.Load() - f.below.Iters))
-	p.ChildWallNs.Store(f.wall + d)
-	p.ChildSteps.Store(f.below.Steps + w.Steps)
-	p.ChildCells.Store(f.below.Cells + w.Cells)
-	p.ChildTabs.Store(f.below.Tabs + w.Tabs)
-	p.ChildSetOps.Store(f.below.SetOps + w.SetOps)
-	p.ChildIters.Store(f.below.Iters + w.Iters)
+	s.Measured++
+	s.WallNs += d
+	s.SelfNs += d - (p.ChildWallNs - f.wall)
+	s.Work = s.Work.Add(w.Sub(p.Child.Sub(f.below)))
+	p.ChildWallNs = f.wall + d
+	p.Child = f.below.Add(w)
 }
 
 // NewProfCtx returns the root accumulation context for a plan (nil plan
@@ -364,28 +327,22 @@ func (p *ProfCtx) MergeWorker(w *ProfCtx) {
 	}
 	for i := range w.Slots {
 		ws, ps := &w.Slots[i], &p.Slots[i]
-		ps.Inv.Add(ws.Inv.Load())
-		ps.Measured.Add(ws.Measured.Load())
-		ps.WallNs.Add(ws.WallNs.Load())
-		ps.SelfNs.Add(ws.SelfNs.Load())
-		ps.Steps.Add(ws.Steps.Load())
-		ps.Cells.Add(ws.Cells.Load())
-		ps.Tabs.Add(ws.Tabs.Load())
-		ps.SetOps.Add(ws.SetOps.Load())
-		ps.Iters.Add(ws.Iters.Load())
+		ps.Inv += ws.Inv
+		ps.Measured += ws.Measured
+		ps.WallNs += ws.WallNs
+		ps.SelfNs += ws.SelfNs
+		ps.Work = ps.Work.Add(ws.Work)
 	}
-	p.ChildWallNs.Add(w.ChildWallNs.Load())
-	p.ChildSteps.Add(w.ChildSteps.Load())
-	p.ChildCells.Add(w.ChildCells.Load())
-	p.ChildTabs.Add(w.ChildTabs.Load())
-	p.ChildSetOps.Add(w.ChildSetOps.Load())
-	p.ChildIters.Add(w.ChildIters.Load())
+	p.ChildWallNs += w.ChildWallNs
+	p.Child = p.Child.Add(w.Child)
 }
 
-// RecordWorkers appends parallel-worker records to span id, keeping at
-// most maxWorkerSpans per span and counting the rest.
-func (p *ProfCtx) RecordWorkers(id int, ws []WorkerSpan) {
-	if p == nil || id < 0 || id >= len(p.Slots) {
+// RecordWorkers appends parallel-worker records to span id of plan, keeping
+// at most maxWorkerSpans per span and counting the rest. Records for another
+// plan's span are dropped: the tabulation belongs to a function another
+// execution made, and its span id means nothing in p.
+func (p *ProfCtx) RecordWorkers(plan *SpanPlan, id int, ws []WorkerSpan) {
+	if p == nil || p.Plan != plan || id < 0 {
 		return
 	}
 	s := &p.Slots[id]
@@ -409,7 +366,7 @@ func (p *ProfCtx) Fold() *SpanNode {
 	nodes := make([]SpanNode, len(p.Slots))
 	for i := range nodes {
 		s, sp := &p.Slots[i], &nodes[i]
-		inv, measured := s.Inv.Load(), s.Measured.Load()
+		inv, measured := s.Inv, s.Measured
 		scale := 1.0
 		if measured > 0 && inv > measured {
 			scale = float64(inv) / float64(measured)
@@ -424,13 +381,13 @@ func (p *ProfCtx) Fold() *SpanNode {
 			Op:             p.Plan.ops[i],
 			Invocations:    inv,
 			Measured:       measured,
-			WallCum:        time.Duration(est(s.WallNs.Load())),
-			WallSelf:       time.Duration(est(s.SelfNs.Load())),
-			Steps:          est(s.Steps.Load()),
-			Cells:          est(s.Cells.Load()),
-			Tabs:           est(s.Tabs.Load()),
-			SetOps:         est(s.SetOps.Load()),
-			Iters:          est(s.Iters.Load()),
+			WallCum:        time.Duration(est(s.WallNs)),
+			WallSelf:       time.Duration(est(s.SelfNs)),
+			Steps:          est(s.Work.Steps),
+			Cells:          est(s.Work.Cells),
+			Tabs:           est(s.Work.Tabs),
+			SetOps:         est(s.Work.SetOps),
+			Iters:          est(s.Work.Iters),
 			Workers:        s.Workers,
 			WorkersDropped: s.WorkersDropped,
 		}

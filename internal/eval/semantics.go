@@ -42,6 +42,15 @@ func CheckInterrupt(ctx context.Context, deadline time.Time, timeout time.Durati
 	return nil
 }
 
+// SatAdd adds two non-negative counts, saturating at MaxInt64: both engines'
+// cell counters, which a huge tabulation's charge could overflow.
+func SatAdd(a, b int64) int64 {
+	if b > math.MaxInt64-a {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
 // EvalCmp applies a comparison operator to two evaluated, non-⊥ operands.
 // Function values admit no decidable equality, so comparing them is a
 // kind error rather than ⊥.

@@ -1,8 +1,9 @@
-// Counter ownership across executions: a val-bound function was made by an
-// earlier execution, so its body is outside the applying query's counters on
-// both engines — and must not put two goroutines on one machine. These are
-// the session-level companions of internal/compile's TestCounterOwnership;
-// CI runs them under -race with GOMAXPROCS=4.
+// Counter ownership across executions: the body of a val-bound function,
+// made by an earlier execution on either engine, is charged to and bounded
+// by the query that applies it, on both engines — and must not put two
+// goroutines on one machine. These are the session-level companions of
+// internal/compile's TestCounterOwnership; CI runs them under -race with
+// GOMAXPROCS=4.
 package aql
 
 import (
@@ -11,9 +12,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/aqldb/aql/internal/compile"
 	"github.com/aqldb/aql/internal/eval"
+	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/repl"
 )
 
@@ -39,7 +42,8 @@ func ownershipSession(t *testing.T) *repl.Session {
 // TestValBoundFnCounterOwnership: a compiled val-bound fn applied by a
 // tabulation, on the interpreter, on the compiled engine run serially and on
 // the compiled engine fanned out over 4 workers. Value, ⊥ / error text and
-// all five counters must be the serial run's, which are pinned.
+// all five counters — the query's own work plus every body it applied — must
+// be the serial run's, which are pinned.
 func TestValBoundFnCounterOwnership(t *testing.T) {
 	ctx := context.Background()
 	s := ownershipSession(t)
@@ -48,23 +52,24 @@ func TestValBoundFnCounterOwnership(t *testing.T) {
 		name, src string
 		want      eval.Counters
 	}{
-		// The body of sq is not the query's work: 5 steps per cell.
+		// 5 steps per cell of the query's own, 5 of sq's body.
 		{"applied in a 1e6-cell tabulation", `[[ sq!(i % 1000) | \i < 1000000 ]]`,
-			eval.Counters{Steps: 5_000_002, Cells: 1_000_000, Tabs: 1}},
-		// tri makes and applies a closure of its own inside each call.
+			eval.Counters{Steps: 10_000_002, Cells: 1_000_000, Tabs: 1}},
+		// tri makes and applies a closure of its own inside each call: 153
+		// steps, a gen of 50 cells and 50 iterations per call.
 		{"body makes closures", `[[ tri!(i % 7) | \i < 20000 ]]`,
-			eval.Counters{Steps: 100_002, Cells: 20_000, Tabs: 1}},
-		// twice is handed a function of the applying query: that function's
-		// body IS the query's work, wherever it ends up being applied from.
+			eval.Counters{Steps: 3_160_002, Cells: 1_020_000, Tabs: 1, SetOps: 20_000, Iters: 1_000_000}},
+		// twice is handed a function of the applying query: 5 steps per
+		// cell of the query's own, 1 + 5 of twice's, 2 × 3 of the query's fn.
 		{"handed a function of the query", `[[ (twice!(fn \y => y + i))!i | \i < 20000 ]]`,
-			eval.Counters{Steps: 220_002, Cells: 20_000, Tabs: 1}},
+			eval.Counters{Steps: 340_002, Cells: 20_000, Tabs: 1}},
 		// The same inside a tabulation the val-bound fn runs itself: mapN's
-		// own 20000-cell loop is not the query's work, the 3 steps of each
-		// application of the query's fn are.
+		// 20000-cell loop (3 steps a cell) and each application of the
+		// query's fn (3 steps) are the query's work.
 		{"handed a function of the query to tabulate", `mapN!(fn \y => y * 3)`,
-			eval.Counters{Steps: 60_003}},
+			eval.Counters{Steps: 120_005, Cells: 20_000, Tabs: 1}},
 		{"body goes ⊥", `[[ sq!(i % 1000) / (20000 - i) | \i < 30000 ]]`,
-			eval.Counters{Steps: 270_002, Cells: 30_000, Tabs: 1}},
+			eval.Counters{Steps: 420_002, Cells: 30_000, Tabs: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			core, _, err := s.Compile(tc.src)
@@ -115,9 +120,9 @@ func TestValBoundFnCounterOwnership(t *testing.T) {
 
 // TestCompiledFnAppliedByInterpreters: one compiled val-bound fn value shared
 // by two sessions, each applying it on the interpreter from its own
-// goroutine at the same time. The calls arrive through the value's Fn entry,
-// which must not charge (or race on) the machine of the execution that made
-// the function.
+// goroutine at the same time. Each call charges the applying evaluation's
+// meter, on a machine of its own: the interpreters report the maker's
+// counters for the query, and nothing races on one machine.
 func TestCompiledFnAppliedByInterpreters(t *testing.T) {
 	maker := ownershipSession(t)
 	tri, ok := maker.Env.Val("tri")
@@ -132,8 +137,8 @@ func TestCompiledFnAppliedByInterpreters(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCounters := lastEval(t, maker)
-	if wantCounters.Steps != 100_002 || wantCounters.Cells != 20_000 {
-		t.Fatalf("reference counters = %+v, want 100002 steps / 20000 cells", wantCounters)
+	if wantCounters.Steps != 3_160_002 || wantCounters.Cells != 1_020_000 {
+		t.Fatalf("reference counters = %+v, want 3160002 steps / 1020000 cells", wantCounters)
 	}
 
 	var wg sync.WaitGroup
@@ -167,18 +172,22 @@ func TestCompiledFnAppliedByInterpreters(t *testing.T) {
 	wg.Wait()
 }
 
-// TestValBoundBodyUnderSessionLimits: the body of a val-bound function is not
-// in the applying query's counters, but the session's budgets still stop it,
-// on both engines.
+// TestValBoundBodyUnderSessionLimits: the body of a val-bound function is
+// the applying query's work, so the session's budgets stop it, and a step
+// budget's trip is what the query reports, on both engines.
 func TestValBoundBodyUnderSessionLimits(t *testing.T) {
+	const spin = `val spin = fn \n => summap(fn \i => i + n)!(gen!n);`
 	for _, tc := range []struct {
 		name, setup, src, wantErr string
 		limits                    eval.Limits
+		wantSteps                 int64 // LastSteps, when non-zero
 	}{
 		{"cells", `val big = fn \n => [[ i | \i < n ]];`, `(big!50000)[7]`,
-			"cell budget 1000 exhausted", eval.Limits{MaxCells: 1000}},
-		{"steps", `val spin = fn \n => summap(fn \i => i + n)!(gen!n);`, `spin!3000000`,
-			"step budget 100000 exhausted", eval.Limits{MaxSteps: 100_000}},
+			"cell budget 1000 exhausted", eval.Limits{MaxCells: 1000}, 0},
+		{"steps", spin, `spin!3000000`,
+			"step budget 100000 exhausted", eval.Limits{MaxSteps: 100_000}, 100_001},
+		{"timeout", spin, `spin!3000000`,
+			"timed out", eval.Limits{Timeout: 5 * time.Millisecond}, 0},
 	} {
 		for _, engine := range []string{repl.EngineCompiled, repl.EngineInterp} {
 			t.Run(tc.name+"/"+engine, func(t *testing.T) {
@@ -198,47 +207,92 @@ func TestValBoundBodyUnderSessionLimits(t *testing.T) {
 				if !errors.As(err, &re) || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err = %v, want a ResourceError saying %q", err, tc.wantErr)
 				}
+				if got := s.LastSteps.Load(); tc.wantSteps != 0 && got != tc.wantSteps {
+					t.Errorf("LastSteps = %d, want %d", got, tc.wantSteps)
+				}
 			})
 		}
 	}
 }
 
-// TestInterpreterMadeHigherOrderVal pins a known gap. A higher-order val made
-// by the interpreter and applied by the compiled engine re-enters the query's
-// own fn through the value's Fn entry, which cannot tell which machine the
-// caller is on: the 2 × 3 steps per cell of `y + i` run on a machine of their
-// own and are not reported (they are when twice is compiled too, and on the
-// interpreter: 220002). Value and the other counters are unaffected.
+// TestInterpreterMadeHigherOrderVal: a higher-order val made by either
+// engine, applied by either engine to a function of the query, costs the
+// query the same: its own 5 steps per cell, twice's 1 + 5 and the query
+// function's 2 × 3, whichever engine runs which body.
 func TestInterpreterMadeHigherOrderVal(t *testing.T) {
-	s, err := repl.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetEngine(repl.EngineInterp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(`val twice = fn \h => fn \x => h!(h!x);`); err != nil {
-		t.Fatal(err)
-	}
 	const src = `[[ (twice!(fn \y => y + i))!i | \i < 20000 ]]`
-	want, _, err := s.Query(src)
-	if err != nil {
-		t.Fatal(err)
+	var want string
+	for _, maker := range []string{repl.EngineInterp, repl.EngineCompiled} {
+		s, err := repl.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetEngine(maker); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Exec(`val twice = fn \h => fn \x => h!(h!x);`); err != nil {
+			t.Fatal(err)
+		}
+		for _, applier := range []string{repl.EngineInterp, repl.EngineCompiled} {
+			if err := s.SetEngine(applier); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := s.Query(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == "" {
+				want = got.String()
+			} else if got.String() != want {
+				t.Errorf("made on %s, applied on %s: value differs", maker, applier)
+			}
+			if c := lastEval(t, s); c.Steps != 340_002 || c.Cells != 20_000 || c.Tabulations != 1 {
+				t.Errorf("made on %s, applied on %s: counters = %+v, want 340002 steps / 20000 cells / 1 tabulation",
+					maker, applier, c)
+			}
+		}
 	}
-	if got := lastEval(t, s).Steps; got != 220_002 {
-		t.Errorf("interpreter steps = %d, want 220002", got)
-	}
-	if err := s.SetEngine(repl.EngineCompiled); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := s.Query(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Error("compiled value differs from the interpreter's")
-	}
-	if c := lastEval(t, s); c.Steps != 100_002 || c.Cells != 20_000 || c.Tabulations != 1 {
-		t.Errorf("compiled counters = %+v, want 100002 steps / 20000 cells / 1 tabulation", c)
+}
+
+// TestEscapedClosuresAreLexicallyScoped: a function reads the $name
+// arguments and globals of the execution that made it, never those of the
+// query applying it, on both engines.
+func TestEscapedClosuresAreLexicallyScoped(t *testing.T) {
+	ctx := context.Background()
+	for _, engine := range []string{repl.EngineCompiled, repl.EngineInterp} {
+		t.Run(engine, func(t *testing.T) {
+			s, err := repl.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetEngine(engine); err != nil {
+				t.Fatal(err)
+			}
+			exec := func(src string, a int64) string {
+				t.Helper()
+				p, err := s.Prepare(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := p.Exec(ctx, map[string]object.Value{"a": object.Nat(a)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v.String()
+			}
+			exec(`fn \x => x + $a`, 5)
+			if _, err := s.Exec(`val h = it;`); err != nil {
+				t.Fatal(err)
+			}
+			if got := exec(`h!1 + $a`, 100); got != "106" {
+				t.Errorf("h!1 + $a = %s, want 106 (h's $a is 5)", got)
+			}
+			if _, err := s.Exec(`val a = 1; val g = fn \x => x + a; val a = 2;`); err != nil {
+				t.Fatal(err)
+			}
+			if v, _, err := s.Query(`g!0`); err != nil || v.String() != "1" {
+				t.Errorf("g!0 = %v (err %v), want 1 (g's a is 1)", v, err)
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"github.com/aqldb/aql/internal/compile"
 	"github.com/aqldb/aql/internal/eval"
+	"github.com/aqldb/aql/internal/object"
 )
 
 // spanEngine is an engine that reports its last evaluation's span tree.
@@ -35,6 +36,24 @@ func spanShape(n *eval.SpanNode) string {
 	return b.String()
 }
 
+// spanRows is what the span differential tests run: the differential
+// corpus, plus a compiled higher-order val whose body fans out (diffSetup's
+// mapN, 8200 cells) handed a lambda of the query. The body of mapN belongs
+// to another execution, so it records no spans; the lambda's work, applied
+// by fan-out workers (the interpreter's through its Applier), is the query's
+// and lands on the query's spans.
+var spanRows = append(append([]string(nil), diffCorpus...), `mapN!(fn \y => y * 3)`)
+
+// spanEngines is diffEngines for the span tests: both engines at level, the
+// compiled one fanning out over 4 workers where a tabulation is large enough
+// (only the last of spanRows has one).
+func spanEngines(globals map[string]object.Value, level eval.ProfLevel) (*eval.Evaluator, *compiledEngine) {
+	in, ce := diffEngines(globals, 0, eval.Limits{})
+	in.SetProfiling(level)
+	ce.opts.Level, ce.opts.Threshold, ce.opts.Workers = level, 0, 4
+	return in, ce
+}
+
 // TestSpanTreeStructuralDifferential holds both engines to structurally
 // identical span trees on the differential corpus: same operators, same
 // parent/child shape, same invocation counts. Only timings may differ.
@@ -46,15 +65,13 @@ func TestSpanTreeStructuralDifferential(t *testing.T) {
 	globals := s.Env.Globals()
 	for _, level := range []eval.ProfLevel{eval.ProfSampled, eval.ProfFull} {
 		t.Run(level.String(), func(t *testing.T) {
-			for _, src := range diffCorpus {
+			for _, src := range spanRows {
 				t.Run(src, func(t *testing.T) {
 					core, _, err := s.Compile(src)
 					if err != nil {
 						t.Fatalf("compile: %v", err)
 					}
-					in, ce := diffEngines(globals, 0, eval.Limits{})
-					in.SetProfiling(level)
-					ce.opts.Level = level
+					in, ce := spanEngines(globals, level)
 					_, _ = in.EvalExpr(context.Background(), core)
 					_, _ = ce.EvalExpr(context.Background(), core)
 					it, ct := in.SpanTree(), ce.SpanTree()
@@ -77,15 +94,13 @@ func TestSpanTreeStructuralDifferential(t *testing.T) {
 func TestSpanCounterAttribution(t *testing.T) {
 	s := diffSession(t)
 	globals := s.Env.Globals()
-	for _, src := range diffCorpus {
+	for _, src := range spanRows {
 		t.Run(src, func(t *testing.T) {
 			core, _, err := s.Compile(src)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			in, ce := diffEngines(globals, 0, eval.Limits{})
-			in.SetProfiling(eval.ProfFull)
-			ce.opts.Level = eval.ProfFull
+			in, ce := spanEngines(globals, eval.ProfFull)
 			_, _ = in.EvalExpr(context.Background(), core)
 			_, _ = ce.EvalExpr(context.Background(), core)
 			for _, eng := range []spanEngine{in, ce} {
