@@ -17,6 +17,7 @@ import (
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/repl"
+	"github.com/aqldb/aql/internal/types"
 )
 
 // diffSetup binds the globals the corpus refers to. It runs under the
@@ -31,6 +32,22 @@ val f = fn \x => x * x + 1;
 val p = (7, true);
 val mapN = fn \h => [[ h!i | \i < 8200 ]];
 `
+
+// bindLoose binds values under declared types that hide their kinds, so the
+// corpus reaches what no well-typed surface query can: R is a real typed as
+// any type (nat×real promotion, a Σ committed to real mid-loop, a mixed
+// comparison), TT an array of pairs typed as an array of anything (a
+// tuple-valued subscript inside arithmetic, whose kind error both engines
+// must word alike).
+func bindLoose(s *repl.Session) {
+	s.Env.SetVal("R", object.Real(2.5), types.MustParse("'a"))
+	s.Env.SetVal("TT", object.Vector(object.Tuple(object.Nat(1), object.Nat(2)), object.Tuple(object.Nat(3), object.Nat(4))),
+		types.MustParse("[['a]]"))
+}
+
+// diffArgs is the argument frame both engines run the corpus with: $k is
+// bound, any other placeholder is not.
+var diffArgs = map[string]object.Value{"k": object.Nat(3)}
 
 // diffCorpus exercises every construct the surface language can reach —
 // arithmetic, comparisons, tuples, sets, bags, comprehensions, closures,
@@ -90,6 +107,26 @@ var diffCorpus = []string{
 	`[[ A[i] | \i < 20 ]]`, // ⊥ inside a tabulation: first in row-major order
 	`(1/0) + 5`,            // strict propagation through arithmetic
 	`{1/0, 2}`,             // ⊥ propagates out of constructors
+	// The scalar form's edges: eval's numeric kernel, subscripts, Σ and the
+	// adapters between the boxed and unboxed forms, inside heads.
+	`[[ i - 5 | \i < 8 ]]`,                                    // nat monus underflow
+	`[[ 10 / (3 - i) | \i < 5 ]]`,                             // / 0 mid-tabulation
+	`[[ i % (i / 2) | \i < 4 ]]`,                              // % 0 at the first cell
+	`[[ 1.0 / (real!i - 2.0) | \i < 4 ]]`,                     // real / 0
+	`[[ real!i * 1.0e308 * 10.0 | \i < 3 ]]`,                  // real overflow to non-finite
+	`[[ R * i + i | \i < 6000 ]]`,                             // nat×real promotion; fans out at 4 workers
+	`[[ 6000 / (4500 - i) | \i < 6000 ]]`,                     // first ⊥ inside the last worker's chunk
+	`summap(fn \i => if i < 2 then i else R)!(gen!4)`,         // Σ committed to real mid-loop
+	`[[ if R < i then 1 else 0 | \i < 5 ]]`,                   // nat beside real in a comparison
+	`[[ A[i + 5] | \i < 8 ]]`,                                 // out-of-bounds 1-D subscript
+	`[[ M[i, j + 2] | \i < 4, \j < 5 ]]`,                      // out-of-bounds 2-D subscript
+	`summap(fn \i => A[i * 2])!(gen!8)`,                       // Σ whose head goes ⊥ mid-loop
+	`summap(fn \i => 12 / (4 - i))!(gen!6)`,                   // ... by dividing by zero
+	`TT[1] + 1`,                                               // tuple-valued subscript inside +
+	`[[ TT[i] + i | \i < 2 ]]`,                                // ... in a head
+	`[[ $k * i + 1 | \i < 4 ]]`,                               // $name inside arithmetic
+	`$missing + 1`,                                            // unbound $name inside arithmetic
+	`[[ if A[i] < M[1, i] then A[i] else M[1, i] | \i < 5 ]]`, // if on a Cmp of subscripts
 }
 
 // compiledEngine runs each core query the way a session does: lowered to a
@@ -122,21 +159,28 @@ type engine interface {
 // diffProf is the profiling level diffEngines installs on both engines.
 // The default is full — the most invasive instrumentation, which must not
 // perturb a single observable byte. The fuzz target varies it per input so
-// every level (including off, where the compiled engine keeps its fused
-// 2-D subscript path) stays under differential coverage.
+// every level stays under differential coverage.
 var diffProf = eval.ProfFull
 
-// diffEngines builds the interpreter and a serial compiled engine over the
-// same globals and limits. Serial because resource-error payloads must be
-// exact for the comparison; parallel counter parity has its own tests in
-// internal/compile.
+// diffWorkers is the compiled engine's fan-out in diffEngines. At 1 it runs
+// serially, because resource-error payloads must be exact for the
+// comparison; above 1 every tabulation fans out (threshold 1), which callers
+// use only where no budget can trip.
+var diffWorkers = 1
+
+// diffEngines builds the interpreter and a compiled engine over the same
+// globals, limits and argument frame (diffArgs).
 func diffEngines(globals map[string]object.Value, maxSteps int64, limits eval.Limits) (*eval.Evaluator, *compiledEngine) {
 	in := eval.New(globals)
 	in.MaxSteps = maxSteps
 	in.Limits = limits
+	in.Params = diffArgs
 	in.SetProfiling(diffProf)
 	ce := &compiledEngine{globals: globals, limits: limits,
-		opts: compile.ExecOpts{MaxSteps: maxSteps, Threshold: -1, Level: diffProf}}
+		opts: compile.ExecOpts{MaxSteps: maxSteps, Threshold: -1, Level: diffProf, Args: diffArgs}}
+	if diffWorkers > 1 {
+		ce.opts.Workers, ce.opts.Threshold = diffWorkers, 1
+	}
 	return in, ce
 }
 
@@ -184,18 +228,20 @@ func diffSession(t *testing.T) *repl.Session {
 	if _, err := s.Exec(diffSetup); err != nil {
 		t.Fatal(err)
 	}
+	bindLoose(s)
 	return s
 }
 
 // TestEngineDifferential runs the corpus through both engines, each query
 // both unoptimized and optimized — the engines must agree on every core
 // query the pipeline can hand them, not just post-optimizer forms. The
-// whole corpus runs at every profiling level: instrumentation must never
-// change an observable outcome.
+// whole corpus runs at every profiling level, serially and fanned out over
+// 4 workers: instrumentation and parallelism must never change an
+// observable outcome.
 func TestEngineDifferential(t *testing.T) {
 	s := diffSession(t)
 	globals := s.Env.Globals()
-	defer func(level eval.ProfLevel) { diffProf = level }(diffProf)
+	defer func(level eval.ProfLevel) { diffProf, diffWorkers = level, 1 }(diffProf)
 	for _, level := range []eval.ProfLevel{eval.ProfOff, eval.ProfSampled, eval.ProfFull} {
 		diffProf = level
 		t.Run(level.String(), func(t *testing.T) {
@@ -205,8 +251,14 @@ func TestEngineDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("compile: %v", err)
 					}
-					runDiff(t, globals, core, 0, eval.Limits{})
-					runDiff(t, globals, s.Optimize(core), 0, eval.Limits{})
+					for _, workers := range []int{1, 4} {
+						diffWorkers = workers
+						runDiff(t, globals, core, 0, eval.Limits{})
+						runDiff(t, globals, s.Optimize(core), 0, eval.Limits{})
+						if t.Failed() {
+							t.Fatalf("the engines diverge with the compiled one on %d workers", workers)
+						}
+					}
 				})
 			}
 		})
@@ -302,6 +354,7 @@ func FuzzEngineDifferential(f *testing.F) {
 	if _, err := s.Exec(diffSetup); err != nil {
 		f.Fatal(err)
 	}
+	bindLoose(s)
 	globals := s.Env.Globals()
 	limits := eval.Limits{MaxCells: 1 << 20, MaxDepth: 10_000}
 
@@ -314,10 +367,20 @@ func FuzzEngineDifferential(f *testing.F) {
 			t.Skip() // only well-typed queries reach an engine
 		}
 		// Vary the profiling level deterministically per input so the fuzz
-		// explores all three instrumentation states — off keeps the fused
-		// subscript path under coverage, full exercises every wrapper.
+		// explores all three instrumentation states — off runs the bare
+		// closures, full exercises every wrapper.
 		diffProf = eval.ProfLevel(len(src) % 3)
-		runDiff(t, globals, core, 200_000, limits)
-		runDiff(t, globals, s.Optimize(core), 200_000, limits)
+		for _, e := range []ast.Expr{core, s.Optimize(core)} {
+			if _, err := runDiff(t, globals, e, 200_000, limits); err != nil {
+				continue
+			}
+			// A run that finished within its budgets does the same work
+			// fanned out, so no budget can trip there either: hold the
+			// 4-worker fan-out to the same outcome. MaxDepth would force it
+			// serial, and the serial run has shown the depth is bounded.
+			diffWorkers = 4
+			runDiff(t, globals, e, 200_000, eval.Limits{MaxCells: limits.MaxCells})
+			diffWorkers = 1
+		}
 	})
 }

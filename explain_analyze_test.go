@@ -21,6 +21,12 @@ func TestExplainAnalyzeCorpusExactness(t *testing.T) {
 			s := diffSession(t)
 			table, _, v, err := s.ExplainAnalyzeTable(context.Background(), q)
 			if err != nil {
+				// The corpus holds queries whose evaluation fails on purpose
+				// (kind errors, unbound placeholders); there is no total
+				// evaluation for the estimator to describe.
+				if _, _, qerr := s.Query(q); qerr != nil && qerr.Error() == err.Error() {
+					t.Skipf("evaluation error: %v", err)
+				}
 				t.Fatalf("explain analyze: %v", err)
 			}
 			// The estimator describes a total evaluation. A ⊥ result means

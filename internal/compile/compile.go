@@ -23,8 +23,11 @@
 //     variable by overwriting one slot instead of allocating an Env node
 //     per iteration.
 //   - Globals are resolved at compile time against the Program's immutable
-//     snapshot of them, and arithmetic/comparison nodes carry a
-//     natural-number fast path.
+//     snapshot of them.
+//   - Numbers travel between nodes unboxed (scalar.go): reads, literals,
+//     arithmetic, comparison, conditionals, subscripts and summation return
+//     a 32-byte scalar instead of an 80-byte object.Value, and an eager
+//     array cell is read in place.
 //   - Tabulations of at least DefaultThreshold cells (ExecOpts.Threshold)
 //     fan out across GOMAXPROCS workers (see tab.go); elements are pure in the index
 //     valuation, which makes the split sound.
@@ -38,10 +41,11 @@ import (
 	"github.com/aqldb/aql/internal/object"
 )
 
-// compiledExpr is the unit of compiled code: evaluate in a frame, yielding
-// a value or an error, with ⊥ passed as a value exactly as in the
-// interpreter. Every compiled node charges its own step as its first
-// action, mirroring the interpreter's per-node guard in Eval.
+// compiledExpr is the unit of compiled code in the boxed form: evaluate in
+// a frame, yielding a value or an error, with ⊥ passed as a value exactly as
+// in the interpreter. Every compiled node charges its own step as its first
+// action, mirroring the interpreter's per-node guard in Eval. Numeric node
+// kinds are lowered to the scalar form instead (scalarExpr, scalar.go).
 type compiledExpr func(fr *frame) (object.Value, error)
 
 // DefaultThreshold is the tabulation size, in cells, at or above which the
@@ -51,12 +55,14 @@ const DefaultThreshold = 8192
 
 // compiler is the resolve pass state: scope is the stack of bound variable
 // names, and a name's slot is its position in scope at bind time. maxSlots
-// is the high-water mark, i.e. the frame size the compiled code needs.
+// is the high-water mark, i.e. the frame size the compiled code needs, and
+// parks the number of park slots its sites reserved (see frame.hold).
 type compiler struct {
 	globals  map[string]object.Value
 	limits   eval.Limits
 	scope    []string
 	maxSlots int
+	parks    int
 	// prof is the lowering's span plan (nil at ProfOff); compile wraps
 	// every planned node in a span-recording closure.
 	prof *eval.SpanPlan
@@ -87,84 +93,30 @@ func (c *compiler) lookup(name string) (int, bool) {
 	return 0, false
 }
 
-// compile lowers e to a closure, adding the recursion-depth guard around
-// every node when a depth limit is configured. The guard is a separate
-// wrapper (rather than logic in the hot path) because depth limits are a
-// debugging guardrail: the common case pays nothing for them.
+// compile lowers e to a closure in the boxed form: a numeric node kind is
+// lowered in the scalar form behind the box adapter, any other directly.
 func (c *compiler) compile(e ast.Expr) compiledExpr {
-	op := c.compileNode(e)
-	if max := c.limits.MaxDepth; max > 0 {
-		inner := op
-		op = func(fr *frame) (object.Value, error) {
-			m := fr.m
-			m.depth++
-			if m.depth > max {
-				m.depth--
-				return object.Value{}, &eval.ResourceError{Kind: eval.ResourceDepth, Limit: int64(max), Used: int64(max) + 1}
-			}
-			v, err := inner(fr)
-			m.depth--
-			return v, err
-		}
+	if op := c.lowerScalar(e); op != nil {
+		return boxed(wrap(c, e, op))
 	}
-	// The span wrapper sits outside the depth guard so profiled invocation
-	// counts match the interpreter, whose span hook precedes its depth
-	// check.
-	if c.prof != nil {
-		if id, ok := c.prof.ID(e); ok {
-			op = profWrap(op, c.prof, id)
-		}
-	}
-	return op
+	return wrap(c, e, c.compileNode(e))
 }
 
-// compileNode lowers one node. Counter-charging points, kind checks, ⊥
-// propagation and error strings follow eval.Evaluator.eval case by case;
-// any divergence there is a bug that the differential suite is designed to
-// catch.
+// compileScalar lowers e to a closure in the scalar form: a numeric node
+// kind directly, any other in the boxed form behind the unbox adapter.
+func (c *compiler) compileScalar(e ast.Expr) scalarExpr {
+	if op := c.lowerScalar(e); op != nil {
+		return wrap(c, e, op)
+	}
+	return c.unboxed(wrap(c, e, c.compileNode(e)))
+}
+
+// compileNode lowers one node of a non-numeric kind in the boxed form.
+// Counter-charging points, kind checks, ⊥ propagation and error strings
+// follow eval.Evaluator.eval case by case; any divergence there is a bug
+// that the differential suite is designed to catch.
 func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 	switch n := e.(type) {
-	case *ast.Var:
-		if slot, ok := c.lookup(n.Name); ok {
-			return func(fr *frame) (object.Value, error) {
-				if err := fr.m.step(); err != nil {
-					return object.Value{}, err
-				}
-				return fr.slots[slot], nil
-			}
-		}
-		if v, ok := c.globals[n.Name]; ok {
-			return func(fr *frame) (object.Value, error) {
-				if err := fr.m.step(); err != nil {
-					return object.Value{}, err
-				}
-				return v, nil
-			}
-		}
-		name := n.Name
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			return object.Value{}, fmt.Errorf("eval: unbound variable %q", name)
-		}
-
-	case *ast.Param:
-		// A placeholder costs exactly what a literal leaf costs — one step,
-		// no cells — so a prepared execution's counters are byte-identical
-		// to the same query with the argument substituted as a literal.
-		idx := c.params.slot(n.Name)
-		name := n.Name
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			if ex := fr.ex; idx < len(ex.argOK) && ex.argOK[idx] {
-				return ex.args[idx], nil
-			}
-			return object.Value{}, fmt.Errorf("eval: unbound parameter $%s", name)
-		}
-
 	case *ast.Lam:
 		return c.compileLam(n)
 
@@ -299,107 +251,6 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			return eval.GetValue(s)
 		}
 
-	case *ast.BoolLit:
-		v := object.Bool(n.Val)
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			return v, nil
-		}
-
-	case *ast.If:
-		cond := c.compile(n.Cond)
-		then := c.compile(n.Then)
-		els := c.compile(n.Else)
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			cv, err := cond(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if cv.IsBottom() {
-				return cv, nil
-			}
-			if cv.Kind != object.KBool {
-				b, err := cv.AsBool()
-				if err != nil {
-					return object.Value{}, fmt.Errorf("eval: if condition: %w", err)
-				}
-				if b {
-					return then(fr)
-				}
-				return els(fr)
-			}
-			if cv.B {
-				return then(fr)
-			}
-			return els(fr)
-		}
-
-	case *ast.Cmp:
-		l, r := c.compile(n.L), c.compile(n.R)
-		op := n.Op
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			lv, err := l(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if lv.IsBottom() {
-				return lv, nil
-			}
-			rv, err := r(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if rv.IsBottom() {
-				return rv, nil
-			}
-			// Natural-number fast path; object.Compare on two nats is
-			// exactly this comparison.
-			if lv.Kind == object.KNat && rv.Kind == object.KNat {
-				a, b := lv.N, rv.N
-				switch op {
-				case ast.OpEq:
-					return object.Bool(a == b), nil
-				case ast.OpNe:
-					return object.Bool(a != b), nil
-				case ast.OpLt:
-					return object.Bool(a < b), nil
-				case ast.OpGt:
-					return object.Bool(a > b), nil
-				case ast.OpLe:
-					return object.Bool(a <= b), nil
-				case ast.OpGe:
-					return object.Bool(a >= b), nil
-				}
-			}
-			return eval.EvalCmp(op, lv, rv)
-		}
-
-	case *ast.NatLit:
-		v := object.Nat(n.Val)
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			return v, nil
-		}
-
-	case *ast.RealLit:
-		v := object.Real(n.Val)
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			return v, nil
-		}
-
 	case *ast.StringLit:
 		v := object.String_(n.Val)
 		return func(fr *frame) (object.Value, error) {
@@ -407,56 +258,6 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 				return object.Value{}, err
 			}
 			return v, nil
-		}
-
-	case *ast.Arith:
-		l, r := c.compile(n.L), c.compile(n.R)
-		op := n.Op
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			lv, err := l(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if lv.IsBottom() {
-				return lv, nil
-			}
-			rv, err := r(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if rv.IsBottom() {
-				return rv, nil
-			}
-			// Natural-number fast path, semantically identical to
-			// eval.Arith's nat/nat case (monus, ⊥ on division by zero).
-			if lv.Kind == object.KNat && rv.Kind == object.KNat {
-				a, b := lv.N, rv.N
-				switch op {
-				case ast.OpAdd:
-					return object.Nat(a + b), nil
-				case ast.OpSub:
-					if a < b {
-						return object.Nat(0), nil
-					}
-					return object.Nat(a - b), nil
-				case ast.OpMul:
-					return object.Nat(a * b), nil
-				case ast.OpDiv:
-					if b == 0 {
-						return object.Bottom("division by zero"), nil
-					}
-					return object.Nat(a / b), nil
-				case ast.OpMod:
-					if b == 0 {
-						return object.Bottom("modulus by zero"), nil
-					}
-					return object.Nat(a % b), nil
-				}
-			}
-			return eval.Arith(op, lv, rv)
 		}
 
 	case *ast.Gen:
@@ -476,96 +277,15 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			if err != nil {
 				return object.Value{}, fmt.Errorf("eval: gen: %w", err)
 			}
-			fr.m.setOps++
+			fr.m.used.SetOps++
 			if err := fr.m.chargeAlloc(m); err != nil {
 				return object.Value{}, err
 			}
 			return eval.GenSet(m), nil
 		}
 
-	case *ast.Sum:
-		over := c.compile(n.Over)
-		slot := c.bind(n.Var)
-		head := c.compile(n.Head)
-		c.unbind(1)
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			s, err := over(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if s.IsBottom() {
-				return s, nil
-			}
-			if s.Kind != object.KSet && s.Kind != object.KBag {
-				return object.Value{}, fmt.Errorf("eval: sum over %s", s.Kind)
-			}
-			var acc eval.SumAcc
-			fr.m.iters += int64(len(s.Elems))
-			for _, x := range s.Elems {
-				fr.slots[slot] = x
-				v, err := head(fr)
-				if err != nil {
-					return object.Value{}, err
-				}
-				if v.IsBottom() {
-					return v, nil
-				}
-				if err := acc.Add(v); err != nil {
-					return object.Value{}, err
-				}
-			}
-			return acc.Value(), nil
-		}
-
 	case *ast.ArrayTab:
 		return c.compileArrayTab(n)
-
-	case *ast.Subscript:
-		arr := c.compile(n.Arr)
-		// Matrix subscripts a[(e1,e2)] are fused: the index components feed
-		// a direct offset computation without materializing the pair. Not
-		// done under a depth limit, where the elided tuple node would skew
-		// the depth accounting relative to the interpreter, nor at ProfFull,
-		// where the elided tuple node must keep its span so both engines
-		// report the same tree. (At ProfSampled the tuple carries no span
-		// and the components are compiled through c.compile, keeping
-		// theirs, so fusion stays.)
-		if tup, ok := n.Index.(*ast.Tuple); ok && len(tup.Elems) == 2 && c.limits.MaxDepth == 0 &&
-			(c.prof == nil || c.prof.Level != eval.ProfFull) {
-			return c.compileSubscript2(arr, tup)
-		}
-		index := c.compile(n.Index)
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			a, err := arr(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if a.IsBottom() {
-				return a, nil
-			}
-			i, err := index(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if i.IsBottom() {
-				return i, nil
-			}
-			// One-dimensional nat subscript fast path; object.SubValue
-			// reaches the same element through IndexOf+flatten.
-			if a.Kind == object.KArray && len(a.Shape) == 1 && i.Kind == object.KNat {
-				if i.N >= int64(a.Shape[0]) {
-					return object.Bottom(fmt.Sprintf("index [%d] out of bounds for shape %v", i.N, a.Shape)), nil
-				}
-				return a.CellAtCtx(fr.m.ctx, int(i.N))
-			}
-			return object.SubValueCtx(fr.m.ctx, a, i)
-		}
 
 	case *ast.Dim:
 		arr := c.compile(n.Arr)
@@ -591,7 +311,7 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			if err := fr.m.step(); err != nil {
 				return object.Value{}, err
 			}
-			fr.m.setOps++
+			fr.m.used.SetOps++
 			s, err := set(fr)
 			if err != nil {
 				return object.Value{}, err
@@ -718,7 +438,7 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 // binaryUnion runs the shared shape of e1 ∪ e2 and e1 ⊎ e2: the set-op
 // charge precedes the operand evaluations, matching the interpreter.
 func binaryUnion(fr *frame, l, r compiledExpr, merge func(a, b object.Value) (object.Value, error)) (object.Value, error) {
-	fr.m.setOps++
+	fr.m.used.SetOps++
 	lv, err := l(fr)
 	if err != nil {
 		return object.Value{}, err
@@ -739,73 +459,24 @@ func binaryUnion(fr *frame, l, r compiledExpr, merge func(a, b object.Value) (ob
 	return merge(lv, rv)
 }
 
-// compileSubscript2 lowers a[(e1,e2)] without materializing the index
-// tuple: the components land in locals and feed a row-major offset
-// directly. Step charges replicate the unfused shape exactly — one for the
-// subscript node, one for the tuple node, then the components — and any
-// case the fast path does not cover (non-array, non-nat components, higher
-// arity) rebuilds the tuple and takes the interpreter's object.SubValue
-// route, so diagnostics are identical.
-func (c *compiler) compileSubscript2(arr compiledExpr, tup *ast.Tuple) compiledExpr {
-	e0 := c.compile(tup.Elems[0])
-	e1 := c.compile(tup.Elems[1])
-	return func(fr *frame) (object.Value, error) {
-		if err := fr.m.step(); err != nil {
-			return object.Value{}, err
-		}
-		a, err := arr(fr)
-		if err != nil {
-			return object.Value{}, err
-		}
-		if a.IsBottom() {
-			return a, nil
-		}
-		if err := fr.m.step(); err != nil { // the tuple node's step
-			return object.Value{}, err
-		}
-		v0, err := e0(fr)
-		if err != nil {
-			return object.Value{}, err
-		}
-		if v0.IsBottom() {
-			return v0, nil
-		}
-		v1, err := e1(fr)
-		if err != nil {
-			return object.Value{}, err
-		}
-		if v1.IsBottom() {
-			return v1, nil
-		}
-		if a.Kind == object.KArray && len(a.Shape) == 2 && v0.Kind == object.KNat && v1.Kind == object.KNat {
-			i, j := v0.N, v1.N
-			if i < int64(a.Shape[0]) && j < int64(a.Shape[1]) {
-				return a.CellAtCtx(fr.m.ctx, int(i*int64(a.Shape[1])+j))
-			}
-			return object.Bottom(fmt.Sprintf("index %v out of bounds for shape %v", []int{int(i), int(j)}, a.Shape)), nil
-		}
-		return object.SubValueCtx(fr.m.ctx, a, object.Tuple(v0, v1))
-	}
-}
-
 // closure is the engine's record of a function value it made: the compiled
 // body, the captured slots and the execution that made it. It rides the
 // function value (object.FuncWithCode) so the App node can run the body on
 // the applying machine instead of entering through Fn.
 type closure struct {
-	body      compiledExpr
-	captured  []object.Value
-	frameSize int
-	ex        *execution
+	body             compiledExpr
+	captured         []object.Value
+	frameSize, parks int
+	ex               *execution
 }
 
 // call runs the body on m with arg bound to the parameter slot, reading the
 // maker's arguments.
 func (cl *closure) call(m *machine, arg object.Value) (object.Value, error) {
-	slots := make([]object.Value, cl.frameSize)
-	copy(slots, cl.captured)
-	slots[len(cl.captured)] = arg
-	return cl.body(&frame{m: m, ex: cl.ex, slots: slots})
+	fr := makeFrame(m, cl.ex, cl.frameSize, cl.parks)
+	copy(fr.slots, cl.captured)
+	fr.slots[len(cl.captured)] = arg
+	return cl.body(fr)
 }
 
 // Apply runs the body for a caller outside this engine (the interpreter, or
@@ -846,12 +517,12 @@ func (c *compiler) compileLam(n *ast.Lam) compiledExpr {
 	sub.scope = append(sub.scope, n.Param)
 	sub.maxSlots = len(sub.scope)
 	body := sub.compile(n.Body)
-	frameSize := sub.maxSlots
+	frameSize, parks := sub.maxSlots, sub.parks
 	return func(fr *frame) (object.Value, error) {
 		if err := fr.m.step(); err != nil {
 			return object.Value{}, err
 		}
-		cl := &closure{body: body, captured: make([]object.Value, len(capSlots)), frameSize: frameSize, ex: fr.ex}
+		cl := &closure{body: body, captured: make([]object.Value, len(capSlots)), frameSize: frameSize, parks: parks, ex: fr.ex}
 		for i, s := range capSlots {
 			cl.captured[i] = fr.slots[s]
 		}
@@ -888,8 +559,8 @@ func (c *compiler) compileBigUnion(headE ast.Expr, varName string, overE ast.Exp
 		if s.Kind != wantKind {
 			return object.Value{}, fmt.Errorf(overMsg, s.Kind)
 		}
-		fr.m.setOps++
-		fr.m.iters += int64(len(s.Elems))
+		fr.m.used.SetOps++
+		fr.m.used.Iters += int64(len(s.Elems))
 		var all []object.Value
 		for _, x := range s.Elems {
 			fr.slots[slot] = x
@@ -941,8 +612,8 @@ func (c *compiler) compileRankUnion(headE ast.Expr, varName, rankVar string, ove
 		if s.Kind != wantKind {
 			return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, s.Kind)
 		}
-		fr.m.setOps++
-		fr.m.iters += int64(len(s.Elems))
+		fr.m.used.SetOps++
+		fr.m.used.Iters += int64(len(s.Elems))
 		var all []object.Value
 		for i, x := range s.Elems {
 			fr.slots[varSlot] = x

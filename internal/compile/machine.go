@@ -52,7 +52,9 @@ type machine struct {
 	// uncontended, and absorb merges them back at join.
 	prof *eval.ProfCtx
 
-	steps, cells, tabs, setOps, iters int64
+	// used is the work charged on this machine; span wrappers hand it to
+	// the profiling context by pointer.
+	used eval.Counters
 }
 
 // config is what an execution fixes before it starts and every machine
@@ -100,8 +102,8 @@ type execution struct {
 // compiled node closure: the common case is an increment and a mask test,
 // with budget enforcement and the amortized interrupt check in stepSlow.
 func (m *machine) step() error {
-	m.steps++
-	if m.steps&m.stepMask == 0 {
+	m.used.Steps++
+	if m.used.Steps&m.stepMask == 0 {
 		return m.stepSlow()
 	}
 	return nil
@@ -111,7 +113,7 @@ func (m *machine) step() error {
 // runs the interrupt check; in workers that boundary also publishes the
 // local step count to the root.
 func (m *machine) stepSlow() error {
-	n := m.steps
+	n := m.used.Steps
 	total := eval.SatAdd(m.baseSteps, n)
 	if m.maxSteps > 0 && total > m.maxSteps {
 		return &eval.ResourceError{Kind: eval.ResourceSteps, Limit: m.maxSteps, Used: total}
@@ -136,8 +138,8 @@ func (m *machine) stepSlow() error {
 // than overflowing; mirrors eval.Evaluator.chargeCells. Constructors charge
 // BEFORE allocating, so a budget violation aborts without the allocation.
 func (m *machine) chargeCells(n int64) error {
-	m.cells = eval.SatAdd(m.cells, n)
-	used := eval.SatAdd(m.baseCells, m.cells)
+	m.used.Cells = eval.SatAdd(m.used.Cells, n)
+	used := eval.SatAdd(m.baseCells, m.used.Cells)
 	if max := m.limits.MaxCells; max > 0 && used > max {
 		return &eval.ResourceError{Kind: eval.ResourceCells, Limit: max, Used: used}
 	}
@@ -166,8 +168,8 @@ func (m *machine) fork() *machine {
 		deadline:  m.deadline,
 		depth:     m.depth,
 		parent:    m,
-		baseSteps: m.steps,
-		baseCells: m.cells,
+		baseSteps: m.used.Steps,
+		baseCells: m.used.Cells,
 		prof:      m.prof.Fork(),
 	}
 }
@@ -191,11 +193,11 @@ func (m *machine) absorb(w *machine) {
 
 // add charges work done elsewhere on m's behalf to m's counters.
 func (m *machine) add(c eval.Counters) {
-	m.steps += c.Steps
-	m.cells = eval.SatAdd(m.cells, c.Cells)
-	m.tabs += c.Tabs
-	m.setOps += c.SetOps
-	m.iters += c.Iters
+	m.used.Steps += c.Steps
+	m.used.Cells = eval.SatAdd(m.used.Cells, c.Cells)
+	m.used.Tabs += c.Tabs
+	m.used.SetOps += c.SetOps
+	m.used.Iters += c.Iters
 }
 
 // apply runs a function the interpreter made on m's account: its body
@@ -204,7 +206,7 @@ func (m *machine) add(c eval.Counters) {
 // and profiling context, and what it charged is added back to m.
 func (m *machine) apply(f eval.Applier, arg object.Value) (object.Value, error) {
 	at := m.counters()
-	at.Steps, at.Cells = eval.SatAdd(m.baseSteps, m.steps), eval.SatAdd(m.baseCells, m.cells)
+	at.Steps, at.Cells = eval.SatAdd(m.baseSteps, m.used.Steps), eval.SatAdd(m.baseCells, m.used.Cells)
 	mt := eval.Meter{Ctx: m.ctx, Deadline: m.deadline, MaxSteps: m.maxSteps, Limits: m.limits, Depth: m.depth, Used: at, Prof: m.prof}
 	v, err := f.Apply(&mt, arg)
 	m.add(mt.Used.Sub(at))
@@ -213,7 +215,7 @@ func (m *machine) apply(f eval.Applier, arg object.Value) (object.Value, error) 
 
 // counters snapshots the machine's work counters.
 func (m *machine) counters() eval.Counters {
-	return eval.Counters{Steps: m.steps, Cells: m.cells, Tabs: m.tabs, SetOps: m.setOps, Iters: m.iters}
+	return m.used
 }
 
 // frame is the runtime activation record of compiled code: a flat slot
@@ -224,9 +226,18 @@ func (m *machine) counters() eval.Counters {
 // a slot is never observed after its binder rebinds it. m is the machine the
 // code charges; ex is the execution whose $name arguments it reads — the one
 // that made the running function, not the one applying it, so placeholders
-// are lexically scoped.
+// are lexically scoped. park holds the values scalars refer to that have no
+// address of their own, one slot per lowered site (see hold).
 type frame struct {
 	m     *machine
 	ex    *execution
 	slots []object.Value
+	park  []object.Value
+}
+
+// makeFrame returns a frame of slots variable slots and parks park slots,
+// one allocation for both.
+func makeFrame(m *machine, ex *execution, slots, parks int) *frame {
+	buf := make([]object.Value, slots+parks)
+	return &frame{m: m, ex: ex, slots: buf[:slots:slots], park: buf[slots:]}
 }

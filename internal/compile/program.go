@@ -58,9 +58,9 @@ type Program struct {
 
 // lowering is the program's expression compiled at one profiling level.
 type lowering struct {
-	once     sync.Once
-	code     compiledExpr
-	maxSlots int
+	once            sync.Once
+	code            compiledExpr
+	maxSlots, parks int
 	// spans is the static span plan the closures record against; nil at
 	// ProfOff, where no closure is wrapped.
 	spans *eval.SpanPlan
@@ -87,7 +87,7 @@ func (p *Program) lowered(level eval.ProfLevel) *lowering {
 		l.spans = eval.NewSpanPlan(p.expr, level)
 		c := &compiler{globals: p.globals, limits: p.limits, prof: l.spans, params: p.params}
 		l.code = c.compile(p.expr)
-		l.maxSlots = c.maxSlots
+		l.maxSlots, l.parks = c.maxSlots, c.parks
 	})
 	return l
 }
@@ -157,7 +157,7 @@ type Outcome struct {
 // cancellation and span measurements are all per call.
 func (p *Program) Run(ctx context.Context, opts ExecOpts, out *Outcome) (object.Value, error) {
 	l := p.lowered(opts.Level)
-	fr := p.newFrame(ctx, opts, l.maxSlots)
+	fr := p.newFrame(ctx, opts, l.maxSlots, l.parks)
 	m := fr.m
 	m.prof = eval.NewProfCtx(l.spans)
 	defer func() { out.Counters, out.Spans, out.Level = m.counters(), m.prof.Fold(), opts.Level }()
@@ -172,10 +172,11 @@ func (p *Program) Execute(ctx context.Context, opts ExecOpts) (object.Value, eva
 }
 
 // newFrame builds the root frame of one Run, PlanShards or ExecuteRange,
-// with slots slots: a machine under opts' limits (the program's compile-time
-// ones when zero) with the compiled-in MaxDepth, opts' step bound and
-// fan-out, and the execution holding opts' argument frame.
-func (p *Program) newFrame(ctx context.Context, opts ExecOpts, slots int) *frame {
+// with slots variable and parks park slots: a machine under opts' limits
+// (the program's compile-time ones when zero) with the compiled-in
+// MaxDepth, opts' step bound and fan-out, and the execution holding opts'
+// argument frame.
+func (p *Program) newFrame(ctx context.Context, opts ExecOpts, slots, parks int) *frame {
 	lim := opts.Limits
 	if lim == (eval.Limits{}) {
 		lim = p.limits
@@ -201,5 +202,5 @@ func (p *Program) newFrame(ctx context.Context, opts ExecOpts, slots int) *frame
 	}
 	ex := &execution{config: m.config}
 	ex.args, ex.argOK = p.params.resolve(opts.Args)
-	return &frame{m: m, ex: ex, slots: make([]object.Value, slots)}
+	return makeFrame(m, ex, slots, parks)
 }

@@ -40,9 +40,9 @@ type letCode struct {
 // range-partitionable Program: the peeled let bindings and the tabulation,
 // sharing one frame layout of maxSlots slots.
 type shardCode struct {
-	lets     []letCode
-	tab      *tabCode
-	maxSlots int
+	lets            []letCode
+	tab             *tabCode
+	maxSlots, parks int
 }
 
 // shardView returns the program's shard view, built on first use: the
@@ -81,7 +81,7 @@ func (p *Program) shardView() *shardCode {
 			sc.lets = append(sc.lets, letCode{slot: c.bind(app.Fn.(*ast.Lam).Param), code: code})
 		}
 		sc.tab = c.compileTab(tab)
-		sc.maxSlots = c.maxSlots
+		sc.maxSlots, sc.parks = c.maxSlots, c.parks
 		p.shard = sc
 	})
 	return p.shard
@@ -141,7 +141,7 @@ func (p *Program) PlanShards(ctx context.Context, opts ExecOpts) (*ShardPlan, er
 	if sc == nil {
 		return nil, fmt.Errorf("compile: program is not range-partitionable")
 	}
-	fr := p.newFrame(ctx, opts, sc.maxSlots)
+	fr := p.newFrame(ctx, opts, sc.maxSlots, sc.parks)
 	bot, err := sc.evalLets(fr)
 	if err != nil {
 		return nil, err
@@ -212,7 +212,7 @@ func (p *Program) ExecuteRange(ctx context.Context, opts ExecOpts, shape []int, 
 	if start < 0 || end < start || end > size {
 		return nil, fmt.Errorf("compile: range [%d, %d) outside element space of size %d", start, end, size)
 	}
-	fr := p.newFrame(ctx, opts, sc.maxSlots)
+	fr := p.newFrame(ctx, opts, sc.maxSlots, sc.parks)
 	m := fr.m
 	bot, err := sc.evalLets(fr)
 	if err != nil {

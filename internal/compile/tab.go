@@ -26,7 +26,7 @@ import (
 type tabCode struct {
 	bounds   []compiledExpr
 	idxSlots []int
-	head     compiledExpr
+	head     scalarExpr
 	// spanID is the tabulation's span in spans, the plan it was lowered
 	// under (-1 when unprofiled); a fan-out attaches its per-worker ranges
 	// and busy times to it.
@@ -44,7 +44,7 @@ func (c *compiler) compileTab(n *ast.ArrayTab) *tabCode {
 	for j, name := range n.Idx {
 		t.idxSlots[j] = c.bind(name)
 	}
-	t.head = c.compile(n.Head)
+	t.head = c.compileScalar(n.Head)
 	c.unbind(len(n.Idx))
 	if id, ok := c.prof.ID(n); ok {
 		t.spanID = id
@@ -76,7 +76,7 @@ func (t *tabCode) prologue(fr *frame) (shape []int, size int, bot object.Value, 
 	if err := m.step(); err != nil {
 		return nil, 0, object.Value{}, err
 	}
-	m.tabs++
+	m.used.Tabs++
 	shape = make([]int, len(t.bounds))
 	cells := int64(1)
 	for j, b := range t.bounds {
@@ -181,8 +181,8 @@ func (t *tabCode) run(fr *frame, shape []int, lo, hi int, out []object.Value) Pa
 }
 
 // scan is the element loop: it binds the index variables by slot store and
-// evaluates the head at each offset of [lo, hi) in row-major order, writing
-// out[off-lo]. Only the slots whose index the row-major advance changed are
+// evaluates the head at each offset of [lo, hi) in row-major order, boxing
+// the scalar it returns into out[off-lo], which is still zero. Only the slots whose index the row-major advance changed are
 // rebound between cells. A non-nil stop is the fan-out's abort flag: polled
 // per element, and raised on a resource error.
 func (t *tabCode) scan(fr *frame, shape []int, lo, hi int, out []object.Value, stop *atomic.Bool) Partial {
@@ -196,7 +196,7 @@ func (t *tabCode) scan(fr *frame, shape []int, lo, hi int, out []object.Value, s
 		if stop != nil && stop.Load() {
 			break
 		}
-		v, err := t.head(fr)
+		s, err := t.head(fr)
 		if err != nil {
 			p.ErrOff, p.Err = int64(off), err
 			if _, resource := err.(*eval.ResourceError); resource && stop != nil {
@@ -204,10 +204,10 @@ func (t *tabCode) scan(fr *frame, shape []int, lo, hi int, out []object.Value, s
 			}
 			break
 		}
-		if v.IsBottom() && p.BottomOff < 0 {
-			p.BottomOff, p.Bottom = int64(off), v
+		s.store(&out[off-lo])
+		if s.k == object.KBottom && p.BottomOff < 0 {
+			p.BottomOff, p.Bottom = int64(off), out[off-lo]
 		}
-		out[off-lo] = v
 		// Advance the multi-index in row-major order.
 		for d := len(shape) - 1; d >= 0; d-- {
 			idx[d]++
@@ -282,7 +282,7 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 	forks := make([]*machine, nw)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	m.published.Store(m.steps)
+	m.published.Store(m.used.Steps)
 	for w := 0; w < nw; w++ {
 		wlo := lo + w*chunk
 		whi := wlo + chunk
@@ -294,7 +294,8 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wfr := &frame{m: wm, ex: fr.ex, slots: append([]object.Value(nil), fr.slots...)}
+			wfr := makeFrame(wm, fr.ex, len(fr.slots), len(fr.park))
+			copy(wfr.slots, fr.slots)
 			t0 := time.Now()
 			defer func() {
 				if r := recover(); r != nil {
@@ -306,7 +307,7 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 					}
 					panics[w] = &workerPanic{Val: r, Off: off, Stack: debug.Stack()}
 				}
-				spans[w] = eval.WorkerSpan{Worker: w, Start: wlo, End: whi, Busy: time.Since(t0), Steps: wm.steps}
+				spans[w] = eval.WorkerSpan{Worker: w, Start: wlo, End: whi, Busy: time.Since(t0), Steps: wm.used.Steps}
 			}()
 			parts[w] = t.scan(wfr, shape, wlo, whi, out[wlo-lo:whi-lo], &stop)
 		}()

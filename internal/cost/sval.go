@@ -113,7 +113,7 @@ func mulNat(a, b int64) (int64, bool) {
 }
 
 // natArith applies a nat-typed arithmetic operator statically, mirroring
-// the evaluator exactly: subtraction is monus, division or modulus by zero
+// the evaluator exactly: subtraction is monus, a zero divisor (for / and %)
 // is ⊥ (not ok here), overflow is not ok.
 func natArith(op ast.ArithOp, a, b int64) (int64, bool) {
 	switch op {

@@ -25,7 +25,12 @@ import (
 //     one increment. Reported times and counters are scaled estimates.
 //   - ProfFull: every AST node carries a span and every invocation is
 //     measured. Counter attribution is exact: the per-span self counters
-//     sum to the engine's flat counters.
+//     sum to the engine's flat counters. A span below the root whose
+//     subtree is only reads, literals, tuples, projections, arithmetic and
+//     comparisons (cheapKind) is counted and its work attributed but not
+//     timed: it runs in less time than the two clock reads timing it would
+//     take, so it reports zero wall time and its time stays in the
+//     enclosing span's self time.
 
 // ProfLevel selects how much operator-level profiling an engine performs.
 type ProfLevel int
@@ -87,16 +92,17 @@ type WorkerSpan struct {
 
 // SpanNode is one profiled operator in a span tree. Children follow the
 // static AST structure (a lambda body is a child of its Lam even though it
-// executes under an App). Times and counters are exact at ProfFull; at
-// ProfSampled they are estimates scaled from the measured sample, and
-// WallSelf is clamped at zero (parallel tabulation children accumulate
-// CPU-style busy time that can exceed the parent's elapsed time).
+// executes under an App). Times and counters are exact at ProfFull (a cheap
+// span reports zero time, see ProfFull); at ProfSampled they are estimates
+// scaled from the measured sample, and WallSelf is clamped at zero
+// (parallel tabulation children accumulate CPU-style busy time that can
+// exceed the parent's elapsed time).
 type SpanNode struct {
 	Op       string
 	Children []*SpanNode
 
 	// Invocations counts executions of the operator; Measured counts the
-	// ones that were fully timed (equal at ProfFull).
+	// ones that were fully measured (equal at ProfFull).
 	Invocations int64
 	Measured    int64
 
@@ -175,9 +181,11 @@ type SpanPlan struct {
 
 	// ops[id] is span id's operator and parent[id] its parent's id (-1 for
 	// the root). Ids are assigned in pre-order, so a parent's id is below
-	// its children's and children appear in id order.
+	// its children's and children appear in id order. timed[id] is false
+	// for the cheap spans Enter and Exit count without reading the clock.
 	ops    []string
 	parent []int
+	timed  []bool
 	ids    map[ast.Expr]int
 }
 
@@ -198,23 +206,61 @@ func NewSpanPlan(e ast.Expr, level ProfLevel) *SpanPlan {
 	return p
 }
 
-func (p *SpanPlan) walk(e ast.Expr, parent int, root bool) {
+// walk plans e's subtree under span parent and reports whether the subtree
+// is cheap (see cheapKind).
+func (p *SpanPlan) walk(e ast.Expr, parent int, root bool) bool {
 	if e == nil {
-		return
+		return true
 	}
 	if _, seen := p.ids[e]; seen {
-		return // shared subtree: attributed at its first occurrence
+		return cheapTree(e) // shared subtree: attributed at its first occurrence
 	}
+	id := -1
 	if root || spanWorthy(e, p.Level) {
-		id := len(p.ops)
+		id = len(p.ops)
 		p.ids[e] = id
 		p.ops = append(p.ops, ast.NodeName(e))
 		p.parent = append(p.parent, parent)
+		p.timed = append(p.timed, true)
 		parent = id
 	}
+	cheap := cheapKind(e)
 	for _, kid := range e.Children() {
-		p.walk(kid, parent, false)
+		if !p.walk(kid, parent, false) {
+			cheap = false
+		}
 	}
+	if id > 0 {
+		p.timed[id] = !cheap
+	}
+	return cheap
+}
+
+// cheapKind reports whether e's own work is a few instructions on values
+// at hand: a read, a literal, a tuple, a projection, arithmetic or a
+// comparison — no loop, no application, no allocation sized at run time,
+// no array cell that could wait on I/O. A span over a subtree made only of
+// such nodes is counted but not timed.
+func cheapKind(e ast.Expr) bool {
+	switch e.(type) {
+	case *ast.Var, *ast.Param, *ast.NatLit, *ast.RealLit, *ast.BoolLit, *ast.StringLit,
+		*ast.Tuple, *ast.Proj, *ast.Arith, *ast.Cmp:
+		return true
+	}
+	return false
+}
+
+// cheapTree reports whether e's subtree is made only of cheapKind nodes.
+func cheapTree(e ast.Expr) bool {
+	if !cheapKind(e) {
+		return false
+	}
+	for _, kid := range e.Children() {
+		if !cheapTree(kid) {
+			return false
+		}
+	}
+	return true
 }
 
 // ID resolves an AST node to its span id.
@@ -265,39 +311,71 @@ func (p *ProfCtx) Count(id int) bool {
 }
 
 // SpanFrame is what one measured invocation carries from Enter to Exit:
-// when it started, and the engine's counters and the context's Child*
-// accumulators at that moment.
+// when it started (monotonic nanoseconds, see monoNow), and that start time
+// and the engine's counters, each less the context's Child* accumulator at
+// that moment.
 type SpanFrame struct {
-	id    int
-	t0    time.Time
-	at    Counters
-	wall  int64
-	below Counters
+	id   int
+	t0   int64
+	wall int64
+	work Counters
 }
 
-// Enter opens a measured invocation of span id: both engines' one span
+// monoBase anchors monoNow.
+var monoBase = time.Now()
+
+// monoNow reads the monotonic clock alone: a span needs elapsed time only,
+// and time.Now would also read the wall clock, which on some hosts costs
+// more than everything else a measured invocation does.
+func monoNow() int64 { return int64(time.Since(monoBase)) }
+
+// Enter opens a measured invocation of span id in f: both engines' one span
 // hook is Count, then Enter and Exit around the node. at is the engine's
-// counter snapshot.
-func (p *ProfCtx) Enter(id int, at Counters) SpanFrame {
-	return SpanFrame{id: id, at: at, wall: p.ChildWallNs, below: p.Child, t0: time.Now()}
+// counters, read here and in Exit in place.
+func (p *ProfCtx) Enter(f *SpanFrame, id int, at *Counters) {
+	f.id = id
+	c := &p.Child
+	f.work = Counters{at.Steps - c.Steps, at.Cells - c.Cells, at.Tabs - c.Tabs, at.SetOps - c.SetOps, at.Iters - c.Iters}
+	if p.Plan.timed[id] {
+		f.t0 = monoNow()
+		f.wall = f.t0 - p.ChildWallNs
+	}
 }
 
 // Exit closes the invocation Enter opened. The span's cumulative time and
 // work are the deltas since Enter. Each profiled child left the Child
 // accumulators at their value on its entry plus its own cumulative figures,
 // so their growth since Enter is what the children account for, and the
-// span's self figures are the rest. Exit leaves them the same way for the
-// enclosing invocation: entry value plus this span's cumulative figures.
-func (p *ProfCtx) Exit(f *SpanFrame, at Counters) {
-	d := int64(time.Since(f.t0))
-	w := at.Sub(f.at)
+// span's self figures are the rest: the growth of clock (counters) less
+// ChildWallNs (Child) since Enter, which is what the frame's offsets give.
+// Exit leaves the accumulators the same way for the enclosing invocation:
+// entry value plus this span's cumulative figures.
+func (p *ProfCtx) Exit(f *SpanFrame, at *Counters) {
 	s := &p.Slots[f.id]
 	s.Measured++
-	s.WallNs += d
-	s.SelfNs += d - (p.ChildWallNs - f.wall)
-	s.Work = s.Work.Add(w.Sub(p.Child.Sub(f.below)))
-	p.ChildWallNs = f.wall + d
-	p.Child = f.below.Add(w)
+	if p.Plan.timed[f.id] {
+		t := monoNow()
+		s.WallNs += t - f.t0
+		s.SelfNs += t - p.ChildWallNs - f.wall
+		p.ChildWallNs = t - f.wall
+	}
+	settle(&s.Work, &p.Child, at, &f.work)
+}
+
+// settle adds at - *child - *base to *work and leaves *child at at - *base:
+// Exit's work attribution, field by field, because the Counters temporaries
+// of the Add/Sub form are spilled and reloaded on every measured invocation.
+func settle(work, child, at, base *Counters) {
+	work.Steps += at.Steps - child.Steps - base.Steps
+	work.Cells += at.Cells - child.Cells - base.Cells
+	work.Tabs += at.Tabs - child.Tabs - base.Tabs
+	work.SetOps += at.SetOps - child.SetOps - base.SetOps
+	work.Iters += at.Iters - child.Iters - base.Iters
+	child.Steps = at.Steps - base.Steps
+	child.Cells = at.Cells - base.Cells
+	child.Tabs = at.Tabs - base.Tabs
+	child.SetOps = at.SetOps - base.SetOps
+	child.Iters = at.Iters - base.Iters
 }
 
 // NewProfCtx returns the root accumulation context for a plan (nil plan
@@ -414,8 +492,9 @@ func (ev *Evaluator) evalSpan(p *ProfCtx, id int, e ast.Expr, env *Env) (object.
 	if !p.Count(id) {
 		return ev.evalDepth(e, env)
 	}
-	f := p.Enter(id, ev.Counters())
+	var f SpanFrame
+	p.Enter(&f, id, &ev.Used)
 	v, err := ev.evalDepth(e, env)
-	p.Exit(&f, ev.Counters())
+	p.Exit(&f, &ev.Used)
 	return v, err
 }

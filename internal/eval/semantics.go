@@ -53,27 +53,45 @@ func SatAdd(a, b int64) int64 {
 
 // EvalCmp applies a comparison operator to two evaluated, non-⊥ operands.
 // Function values admit no decidable equality, so comparing them is a
-// kind error rather than ⊥.
+// kind error rather than ⊥. Two numbers compare by CmpNum, anything else by
+// object.Compare.
 func EvalCmp(op ast.CmpOp, l, r object.Value) (object.Value, error) {
 	if l.Kind == object.KFunc || r.Kind == object.KFunc {
 		return object.Value{}, fmt.Errorf("eval: comparison of function values")
 	}
-	c := object.Compare(l, r)
+	var c int
+	a, aok := numOf(&l)
+	b, bok := numOf(&r)
+	if aok && bok {
+		c = CmpNum(a, b)
+	} else {
+		c = object.Compare(l, r)
+	}
+	holds, err := CmpHolds(op, c)
+	if err != nil {
+		return object.Value{}, err
+	}
+	return object.Bool(holds), nil
+}
+
+// CmpHolds reports whether comparison op holds of two operands whose
+// three-way comparison is c.
+func CmpHolds(op ast.CmpOp, c int) (bool, error) {
 	switch op {
 	case ast.OpEq:
-		return object.Bool(c == 0), nil
+		return c == 0, nil
 	case ast.OpNe:
-		return object.Bool(c != 0), nil
+		return c != 0, nil
 	case ast.OpLt:
-		return object.Bool(c < 0), nil
+		return c < 0, nil
 	case ast.OpGt:
-		return object.Bool(c > 0), nil
+		return c > 0, nil
 	case ast.OpLe:
-		return object.Bool(c <= 0), nil
+		return c <= 0, nil
 	case ast.OpGe:
-		return object.Bool(c >= 0), nil
+		return c >= 0, nil
 	}
-	return object.Value{}, fmt.Errorf("eval: bad comparison op %q", op)
+	return false, fmt.Errorf("eval: bad comparison op %q", op)
 }
 
 // GetValue implements get: the unique element of a singleton set; ⊥ on any
@@ -110,26 +128,35 @@ type SumAcc struct {
 // Add folds one body value into the accumulator; non-numeric values are a
 // kind error.
 func (a *SumAcc) Add(v object.Value) error {
-	switch v.Kind {
-	case object.KNat:
-		a.accN += v.N
-		a.accR += float64(v.N)
-	case object.KReal:
-		a.isReal = true
-		a.accR += v.R
-	default:
+	x, ok := numOf(&v)
+	if !ok {
 		return fmt.Errorf("eval: sum of non-numeric %s", v.Kind)
 	}
+	a.AddNum(x)
 	return nil
 }
 
-// Value returns the accumulated sum at the committed numeric kind.
-func (a *SumAcc) Value() object.Value {
-	if a.isReal {
-		return object.Real(a.accR)
+// AddNum folds one numeric body value into the accumulator.
+func (a *SumAcc) AddNum(x Num) {
+	if x.Real {
+		a.isReal = true
+		a.accR += x.R
+		return
 	}
-	return object.Nat(a.accN)
+	a.accN += x.N
+	a.accR += float64(x.N)
 }
+
+// Num returns the accumulated sum at the committed numeric kind.
+func (a *SumAcc) Num() Num {
+	if a.isReal {
+		return Num{R: a.accR, Real: true}
+	}
+	return natNum(a.accN)
+}
+
+// Value returns the accumulated sum at the committed numeric kind.
+func (a *SumAcc) Value() object.Value { return a.Num().Value() }
 
 // CheckedDim implements dim_k: the extent of a k-dimensional array, with a
 // kind error when the static dimension annotation disagrees with the value.
@@ -140,67 +167,160 @@ func CheckedDim(a object.Value, k int) (object.Value, error) {
 	return object.DimValue(a)
 }
 
-// Arith applies an arithmetic operator to two evaluated numeric operands,
-// overloading at nat and real. On naturals, subtraction is monus and
-// division/modulus by zero is ⊥. On reals, subtraction is exact and
-// division by zero is ⊥; modulus follows math.Mod.
-func Arith(op ast.ArithOp, l, r object.Value) (object.Value, error) {
-	if l.Kind == object.KNat && r.Kind == object.KNat {
-		a, b := l.N, r.N
+// Num is a number as the numeric kernel sees it: the natural N, or the real
+// R when Real is set. The kernel — ArithNum, CmpNum, SumAcc — is the one
+// statement of the nat/real rules; the interpreter hands it operands through
+// numOf, the compiled engine straight from its unboxed scalar form.
+type Num struct {
+	N    int64
+	R    float64
+	Real bool
+}
+
+// numOf returns *v as a kernel operand; ok is false when it is not a
+// number.
+func numOf(v *object.Value) (x Num, ok bool) {
+	switch v.Kind {
+	case object.KNat:
+		return Num{N: v.N}, true
+	case object.KReal:
+		return Num{R: v.R, Real: true}, true
+	}
+	return Num{}, false
+}
+
+// Float returns x promoted to real.
+func (x Num) Float() float64 {
+	if x.Real {
+		return x.R
+	}
+	return float64(x.N)
+}
+
+// Value boxes x.
+func (x Num) Value() object.Value {
+	if x.Real {
+		return object.Real(x.R)
+	}
+	return object.Nat(x.N)
+}
+
+// natNum is a natural result. A negative one is an int64 overflow, which
+// object.Nat refuses by panicking; the kernel refuses it at the same point
+// with the same panic, whichever engine asked.
+func natNum(n int64) Num {
+	if n < 0 {
+		object.Nat(n)
+	}
+	return Num{N: n}
+}
+
+// The ⊥ values the kernel yields, shared and never written: callers copy
+// them out.
+var (
+	divByZero = object.Bottom("division by zero")
+	modByZero = object.Bottom("modulus by zero")
+	nonFinite = object.Bottom("non-finite arithmetic result")
+)
+
+// ArithNum applies an arithmetic operator to two numbers, overloading at
+// nat and real. On two naturals, subtraction is monus and division/modulus
+// by zero is ⊥. Otherwise a nat operand is promoted to real, subtraction is
+// exact, division/modulus by zero is ⊥, modulus follows math.Mod, and a
+// non-finite result is ⊥. bot is non-nil exactly when the result is ⊥.
+func ArithNum(op ast.ArithOp, a, b Num) (x Num, bot *object.Value, err error) {
+	if !a.Real && !b.Real {
+		p, q := a.N, b.N
 		switch op {
 		case ast.OpAdd:
-			return object.Nat(a + b), nil
+			return natNum(p + q), nil, nil
 		case ast.OpSub: // monus
-			if a < b {
-				return object.Nat(0), nil
+			if p < q {
+				return Num{}, nil, nil
 			}
-			return object.Nat(a - b), nil
+			return Num{N: p - q}, nil, nil
 		case ast.OpMul:
-			return object.Nat(a * b), nil
+			return natNum(p * q), nil, nil
 		case ast.OpDiv:
-			if b == 0 {
-				return object.Bottom("division by zero"), nil
+			if q == 0 {
+				return Num{}, &divByZero, nil
 			}
-			return object.Nat(a / b), nil
+			return Num{N: p / q}, nil, nil
 		case ast.OpMod:
-			if b == 0 {
-				return object.Bottom("modulus by zero"), nil
+			if q == 0 {
+				return Num{}, &modByZero, nil
 			}
-			return object.Nat(a % b), nil
+			return Num{N: p % q}, nil, nil
 		}
-		return object.Value{}, fmt.Errorf("eval: bad arithmetic op %q", op)
+		return Num{}, nil, fmt.Errorf("eval: bad arithmetic op %q", op)
 	}
-	a, err := l.AsReal()
-	if err != nil {
-		return object.Value{}, fmt.Errorf("eval: arithmetic: %w", err)
-	}
-	b, err := r.AsReal()
-	if err != nil {
-		return object.Value{}, fmt.Errorf("eval: arithmetic: %w", err)
-	}
+	p, q := a.Float(), b.Float()
 	var f float64
 	switch op {
 	case ast.OpAdd:
-		f = a + b
+		f = p + q
 	case ast.OpSub:
-		f = a - b
+		f = p - q
 	case ast.OpMul:
-		f = a * b
+		f = p * q
 	case ast.OpDiv:
-		if b == 0 {
-			return object.Bottom("division by zero"), nil
+		if q == 0 {
+			return Num{}, &divByZero, nil
 		}
-		f = a / b
+		f = p / q
 	case ast.OpMod:
-		if b == 0 {
-			return object.Bottom("modulus by zero"), nil
+		if q == 0 {
+			return Num{}, &modByZero, nil
 		}
-		f = math.Mod(a, b)
+		f = math.Mod(p, q)
 	default:
-		return object.Value{}, fmt.Errorf("eval: bad arithmetic op %q", op)
+		return Num{}, nil, fmt.Errorf("eval: bad arithmetic op %q", op)
 	}
 	if !object.IsFinite(f) {
-		return object.Bottom("non-finite arithmetic result"), nil
+		return Num{}, &nonFinite, nil
 	}
-	return object.Real(f), nil
+	return Num{R: f, Real: true}, nil, nil
+}
+
+// CmpNum compares two numbers three-way, a nat beside a real by magnitude:
+// object.Compare's order restricted to numbers.
+func CmpNum(a, b Num) int {
+	if !a.Real && !b.Real {
+		switch {
+		case a.N < b.N:
+			return -1
+		case a.N > b.N:
+			return 1
+		}
+		return 0
+	}
+	switch p, q := a.Float(), b.Float(); {
+	case p < q:
+		return -1
+	case p > q:
+		return 1
+	}
+	return 0
+}
+
+// Arith applies an arithmetic operator to two evaluated operands by
+// ArithNum; a non-numeric operand is a kind error.
+func Arith(op ast.ArithOp, l, r object.Value) (object.Value, error) {
+	a, aok := numOf(&l)
+	b, bok := numOf(&r)
+	if !aok || !bok {
+		_, err := l.AsReal()
+		if err == nil {
+			_, err = r.AsReal()
+		}
+		return object.Value{}, fmt.Errorf("eval: arithmetic: %w", err)
+	}
+	x, bot, err := ArithNum(op, a, b)
+	if err != nil {
+		return object.Value{}, err
+	}
+	if bot != nil {
+		return *bot, nil
+	}
+	return x.Value(), nil
 }

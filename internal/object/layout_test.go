@@ -11,10 +11,12 @@ import (
 	"github.com/aqldb/aql/internal/tile"
 )
 
-// The layout of object.Value is a performance contract: every array cell,
-// frame slot, set element and closure result of both engines is one, tile
-// budgets are stated in multiples of its size, and the compiled engine
-// returns it by value from every node.
+// The layout of object.Value is a performance contract: every eager array
+// cell, frame slot, set element and boxed result of both engines is one,
+// and the compiled engine's non-numeric nodes return it by value. (Numeric
+// nodes return a 32-byte unboxed scalar instead: above 64 bytes Go copies a
+// struct through runtime.duffcopy, and Value's exported Kind, N, R, Elems
+// and Shape alone take 72.)
 
 func TestValueSize(t *testing.T) {
 	if sz := unsafe.Sizeof(object.Value{}); sz > 80 {

@@ -79,10 +79,13 @@ func (k Kind) String() string {
 // no code in this module mutates a Value after construction, so values may
 // be shared freely (including across goroutines).
 //
-// The struct is what every array cell, frame slot, set element and closure
-// result of both engines is, so it holds inline only what a scalar or a
-// collection header needs (80 bytes); what strings, base values, diagnosed
-// ⊥, functions and lazy arrays carry sits behind the one cold pointer.
+// The struct is what every eager array cell, frame slot, set element and
+// boxed result of both engines is, so it holds inline only what a scalar
+// or a collection header needs (80 bytes); what strings, base values,
+// diagnosed ⊥, functions and lazy arrays carry sits behind the one cold
+// pointer. The compiled engine does not pass numbers between nodes as
+// Values: numeric nodes return an unboxed 32-byte scalar, and a Value is
+// built once, where a result is stored (internal/compile/scalar.go).
 type Value struct {
 	Kind  Kind
 	B     bool    // KBool

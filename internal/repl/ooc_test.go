@@ -211,6 +211,9 @@ func TestLazyEagerDifferential(t *testing.T) {
 		`[[ R[2 - i, j, k] + Q[i + 1, j] | \i < 3, \j < 2, \k < 2 ]];`,
 		`R[3, 0, 0];`,
 		`R[2, 1, 1];`, // = ra[3, 2, 1]
+		// A numeric head over the lazy array reaching the NaN cell: the
+		// scalar form holds the cell's ⊥ and its diagnostic.
+		`summap(fn \j => V[0, j] * 2.0 + 1.0)!(gen!8);`,
 	}
 
 	type mode struct {
@@ -231,8 +234,12 @@ func TestLazyEagerDifferential(t *testing.T) {
 	// The oracle shares the byte-run mapping with the lazy path (both sit
 	// on netcdf.Hyperslab, whose own oracle is FuzzSlabRanges); anchor one
 	// record-variable cell to its closed form here too.
-	if got, want := results[0][len(results[0])-1], "it : real = 21.5\n"; got != want {
+	last := len(results[0]) - 1
+	if got, want := results[0][last-1], "it : real = 21.5\n"; got != want {
 		t.Errorf("oracle R[2, 1, 1] = %q, want %q", got, want)
+	}
+	if got, want := results[0][last], "it : real = _|_(* non-finite value in NetCDF data *)\n"; got != want {
+		t.Errorf("oracle Σ over the NaN cell = %q, want %q", got, want)
 	}
 	var labels []string
 	for _, r := range reads {

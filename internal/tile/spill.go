@@ -144,14 +144,32 @@ func (c *Cache) SpillArray(ctx context.Context, v object.Value) (object.Value, e
 //
 // The decoder reads a file this process wrote, but every count it reads is
 // still checked against the bytes that remain (no cell, element or side
-// table entry takes less than one byte), so a damaged spill file is a decode
-// error, never an allocation the file's length cannot justify.
+// table entry takes less than one byte), and values nest at most
+// maxSpillDepth deep, so a damaged spill file is a decode error
+// (*CorruptSpillError), never an allocation the file's length cannot justify
+// nor a recursion it cannot bound.
 
 const (
 	formBoxed byte = iota
 	formReals
 	formNats
 )
+
+// maxSpillDepth bounds how deeply the values of a spilled cell nest: the
+// cell is at depth 1, each element of a tuple, set, bag or array one deeper
+// than its container. The decoder recurses once per level; the encoder
+// refuses a deeper value, which then stays in memory unspilled.
+const maxSpillDepth = 256
+
+// CorruptSpillError is a spill tile the decoder refuses: damaged or
+// truncated bytes, or values nested past maxSpillDepth.
+type CorruptSpillError struct{ msg string }
+
+func (e *CorruptSpillError) Error() string { return e.msg }
+
+func corrupt(format string, args ...any) error {
+	return &CorruptSpillError{msg: fmt.Sprintf(format, args...)}
+}
 
 func encodeTile(f object.Flat) ([]byte, error) {
 	var b []byte
@@ -160,7 +178,7 @@ func encodeTile(f object.Flat) ([]byte, error) {
 		b = putUvarint(append(b, formBoxed), uint64(len(f.Boxed)))
 		for i := range f.Boxed {
 			var err error
-			if b, err = encodeValue(b, f.Boxed[i]); err != nil {
+			if b, err = encodeValue(b, f.Boxed[i], 1); err != nil {
 				return nil, err
 			}
 		}
@@ -191,14 +209,14 @@ func decodeCount(b []byte, pos, unit int) (int, int, error) {
 		return 0, 0, err
 	}
 	if n > uint64(len(b)-pos)/uint64(unit) {
-		return 0, 0, fmt.Errorf("tile: corrupt spill count %d with %d bytes left", n, len(b)-pos)
+		return 0, 0, corrupt("tile: corrupt spill count %d with %d bytes left", n, len(b)-pos)
 	}
 	return int(n), pos, nil
 }
 
 func decodeTile(b []byte) (object.Flat, error) {
 	if len(b) == 0 {
-		return object.Flat{}, fmt.Errorf("tile: empty spill tile")
+		return object.Flat{}, corrupt("tile: empty spill tile")
 	}
 	form, unit := b[0], 1
 	if form == formReals {
@@ -213,7 +231,7 @@ func decodeTile(b []byte) (object.Flat, error) {
 	case formBoxed:
 		f.Boxed = make([]object.Value, n)
 		for i := range f.Boxed {
-			if f.Boxed[i], pos, err = decodeValue(b, pos); err != nil {
+			if f.Boxed[i], pos, err = decodeValue(b, pos, 1); err != nil {
 				return object.Flat{}, err
 			}
 		}
@@ -231,7 +249,7 @@ func decodeTile(b []byte) (object.Flat, error) {
 			}
 		}
 	default:
-		return object.Flat{}, fmt.Errorf("tile: corrupt spill tile form %d", form)
+		return object.Flat{}, corrupt("tile: corrupt spill tile form %d", form)
 	}
 	if form != formBoxed {
 		if f.Bottoms, pos, err = decodeBottoms(b, pos, n); err != nil {
@@ -239,7 +257,7 @@ func decodeTile(b []byte) (object.Flat, error) {
 		}
 	}
 	if pos != len(b) {
-		return object.Flat{}, fmt.Errorf("tile: %d trailing bytes in spill tile", len(b)-pos)
+		return object.Flat{}, corrupt("tile: %d trailing bytes in spill tile", len(b)-pos)
 	}
 	return f, nil
 }
@@ -258,7 +276,7 @@ func decodeBottoms(b []byte, pos, n int) ([]object.FlatBottom, int, error) {
 			return nil, 0, err
 		}
 		if off < next || off >= uint64(n) {
-			return nil, 0, fmt.Errorf("tile: corrupt spill ⊥ offset %d", off)
+			return nil, 0, corrupt("tile: corrupt spill ⊥ offset %d", off)
 		}
 		msg, p, err := decodeString(b, p)
 		if err != nil {
@@ -281,7 +299,11 @@ func putString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func encodeValue(b []byte, v object.Value) ([]byte, error) {
+// encodeValue appends v, at nesting depth depth, to b.
+func encodeValue(b []byte, v object.Value, depth int) ([]byte, error) {
+	if depth > maxSpillDepth {
+		return nil, fmt.Errorf("tile: cannot spill a value nested deeper than %d", maxSpillDepth)
+	}
 	b = append(b, byte(v.Kind))
 	switch v.Kind {
 	case object.KBottom:
@@ -305,7 +327,7 @@ func encodeValue(b []byte, v object.Value) ([]byte, error) {
 		b = putUvarint(b, uint64(len(v.Elems)))
 		for _, e := range v.Elems {
 			var err error
-			b, err = encodeValue(b, e)
+			b, err = encodeValue(b, e, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -321,7 +343,7 @@ func encodeValue(b []byte, v object.Value) ([]byte, error) {
 			b = putUvarint(b, uint64(d))
 		}
 		for _, e := range cells {
-			b, err = encodeValue(b, e)
+			b, err = encodeValue(b, e, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -334,7 +356,7 @@ func encodeValue(b []byte, v object.Value) ([]byte, error) {
 func decodeUvarint(b []byte, pos int) (uint64, int, error) {
 	x, n := binary.Uvarint(b[pos:])
 	if n <= 0 {
-		return 0, 0, fmt.Errorf("tile: corrupt spill varint")
+		return 0, 0, corrupt("tile: corrupt spill varint")
 	}
 	return x, pos + n, nil
 }
@@ -346,7 +368,7 @@ func decodeNat(b []byte, pos int) (int64, int, error) {
 		return 0, 0, err
 	}
 	if x > math.MaxInt64 {
-		return 0, 0, fmt.Errorf("tile: corrupt spill nat %d", x)
+		return 0, 0, corrupt("tile: corrupt spill nat %d", x)
 	}
 	return int64(x), pos, nil
 }
@@ -357,14 +379,18 @@ func decodeString(b []byte, pos int) (string, int, error) {
 		return "", 0, err
 	}
 	if uint64(len(b)-pos) < n {
-		return "", 0, fmt.Errorf("tile: corrupt spill string")
+		return "", 0, corrupt("tile: corrupt spill string")
 	}
 	return string(b[pos : pos+int(n)]), pos + int(n), nil
 }
 
-func decodeValue(b []byte, pos int) (object.Value, int, error) {
+// decodeValue reads the value at b[pos:], at nesting depth depth.
+func decodeValue(b []byte, pos, depth int) (object.Value, int, error) {
+	if depth > maxSpillDepth {
+		return object.Value{}, 0, corrupt("tile: corrupt spill value nested deeper than %d", maxSpillDepth)
+	}
 	if pos >= len(b) {
-		return object.Value{}, 0, fmt.Errorf("tile: truncated spill value")
+		return object.Value{}, 0, corrupt("tile: truncated spill value")
 	}
 	kind := object.Kind(b[pos])
 	pos++
@@ -377,7 +403,7 @@ func decodeValue(b []byte, pos int) (object.Value, int, error) {
 		return object.Bottom(s), pos, nil
 	case object.KBool:
 		if pos >= len(b) {
-			return object.Value{}, 0, fmt.Errorf("tile: truncated spill bool")
+			return object.Value{}, 0, corrupt("tile: truncated spill bool")
 		}
 		return object.Bool(b[pos] != 0), pos + 1, nil
 	case object.KNat:
@@ -388,7 +414,7 @@ func decodeValue(b []byte, pos int) (object.Value, int, error) {
 		return object.Nat(n), pos, nil
 	case object.KReal:
 		if len(b)-pos < 8 {
-			return object.Value{}, 0, fmt.Errorf("tile: truncated spill real")
+			return object.Value{}, 0, corrupt("tile: truncated spill real")
 		}
 		r := math.Float64frombits(binary.BigEndian.Uint64(b[pos:]))
 		return object.Real(r), pos + 8, nil
@@ -415,7 +441,7 @@ func decodeValue(b []byte, pos int) (object.Value, int, error) {
 		}
 		elems := make([]object.Value, n)
 		for i := range elems {
-			elems[i], pos, err = decodeValue(b, pos)
+			elems[i], pos, err = decodeValue(b, pos, depth+1)
 			if err != nil {
 				return object.Value{}, 0, err
 			}
@@ -433,7 +459,7 @@ func decodeValue(b []byte, pos int) (object.Value, int, error) {
 				return object.Value{}, 0, err
 			}
 			if d > math.MaxInt32 {
-				return object.Value{}, 0, fmt.Errorf("tile: corrupt spill dimension %d", d)
+				return object.Value{}, 0, corrupt("tile: corrupt spill dimension %d", d)
 			}
 			shape[i] = int(d)
 			pos = p
@@ -447,11 +473,11 @@ func decodeValue(b []byte, pos int) (object.Value, int, error) {
 			}
 		}
 		if size > left {
-			return object.Value{}, 0, fmt.Errorf("tile: corrupt spill array shape %v with %d bytes left", shape, left)
+			return object.Value{}, 0, corrupt("tile: corrupt spill array shape %v with %d bytes left", shape, left)
 		}
 		data := make([]object.Value, size)
 		for i := range data {
-			data[i], pos, err = decodeValue(b, pos)
+			data[i], pos, err = decodeValue(b, pos, depth+1)
 			if err != nil {
 				return object.Value{}, 0, err
 			}
@@ -462,5 +488,5 @@ func decodeValue(b []byte, pos int) (object.Value, int, error) {
 		}
 		return v, pos, nil
 	}
-	return object.Value{}, 0, fmt.Errorf("tile: corrupt spill kind %d", kind)
+	return object.Value{}, 0, corrupt("tile: corrupt spill kind %d", kind)
 }

@@ -1,6 +1,7 @@
 package tile
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -408,7 +409,7 @@ func TestPackedAccounting(t *testing.T) {
 var corruptTuple = []byte{byte(object.KTuple), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
 
 func TestSpillDecodeCorrupt(t *testing.T) {
-	if _, _, err := decodeValue(corruptTuple, 0); err == nil {
+	if _, _, err := decodeValue(corruptTuple, 0, 1); err == nil {
 		t.Error("corrupt tuple arity decoded")
 	}
 	for name, b := range map[string][]byte{
@@ -426,6 +427,57 @@ func TestSpillDecodeCorrupt(t *testing.T) {
 		if _, err := decodeTile(b); err == nil {
 			t.Errorf("%s: corrupt spill tile decoded", name)
 		}
+	}
+}
+
+// nestedTile is a well-formed one-cell boxed tile whose cell is depth
+// singleton sets nested around a nat: {{...{1}...}}, nested depth deep.
+func nestedTile(depth int) []byte {
+	b := []byte{formBoxed, 1}
+	for d := 1; d < depth; d++ {
+		b = append(b, byte(object.KSet), 1)
+	}
+	return append(b, byte(object.KNat), 1)
+}
+
+// nestedValue is nestedTile's cell as a value.
+func nestedValue(depth int) object.Value {
+	v := object.Nat(1)
+	for d := 1; d < depth; d++ {
+		v = object.Set(v)
+	}
+	return v
+}
+
+// TestSpillNestingBound: values nest at most maxSpillDepth deep in a spill
+// tile. A well-formed tile nested one level deeper is a *CorruptSpillError
+// (the decoder recursed once per level without bound), and the encoder
+// refuses to write what the decoder would reject, so such a value stays
+// in memory rather than spilling.
+func TestSpillNestingBound(t *testing.T) {
+	f, err := decodeTile(nestedTile(maxSpillDepth))
+	if err != nil {
+		t.Fatalf("tile nested %d deep: %v", maxSpillDepth, err)
+	}
+	if got, want := f.At(0).String(), nestedValue(maxSpillDepth).String(); got != want {
+		t.Errorf("tile nested %d deep decoded to %.40s..., want %.40s...", maxSpillDepth, got, want)
+	}
+	_, err = decodeTile(nestedTile(maxSpillDepth + 1))
+	var ce *CorruptSpillError
+	if !errors.As(err, &ce) {
+		t.Fatalf("tile nested %d deep: err = %v, want a *CorruptSpillError", maxSpillDepth+1, err)
+	}
+
+	if b, err := encodeTile(object.PackCells([]object.Value{nestedValue(maxSpillDepth)})); err != nil || !bytes.Equal(b, nestedTile(maxSpillDepth)) {
+		t.Errorf("encoding a cell nested %d deep: %v", maxSpillDepth, err)
+	}
+	if _, err := encodeTile(object.PackCells([]object.Value{nestedValue(maxSpillDepth + 1)})); err == nil {
+		t.Errorf("the encoder wrote a cell nested %d deep, which the decoder rejects", maxSpillDepth+1)
+	}
+	c := New(Config{TileCells: 4})
+	defer c.Close()
+	if _, err := c.SpillArray(context.Background(), object.Vector(object.Nat(0), nestedValue(maxSpillDepth+1))); err == nil {
+		t.Error("SpillArray spilled a cell the decoder would reject")
 	}
 }
 
@@ -468,8 +520,10 @@ func FuzzSpillDecode(f *testing.F) {
 	f.Add([]byte{1, 9, 1, 17})
 	f.Add([]byte{2, 3, 4, 5, 6, 7, 0, 1})
 	f.Add([]byte{})
+	f.Add(nestedTile(maxSpillDepth + 1))
+	f.Add(nestedTile(4 * maxSpillDepth))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodeValue(data, 0)
+		decodeValue(data, 0, 1)
 		if got, err := decodeTile(data); err == nil {
 			for i := 0; i < got.Len(); i++ {
 				_ = got.At(i).String()
