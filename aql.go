@@ -100,7 +100,8 @@ type PanicError = repl.PanicError
 // trace. Obtain the most recent one with Session.LastReport.
 type QueryReport = trace.QueryReport
 
-// TraceTotals is the session-cumulative observability counters.
+// TraceTotals is the session-cumulative observability counters, as the
+// session's fleet aggregator keeps them.
 type TraceTotals = trace.Totals
 
 // TraceSink receives finished QueryReports; install with
@@ -213,8 +214,9 @@ func (s *Session) LastCells() int64 { return s.s.LastCells.Load() }
 // run.
 func (s *Session) LastReport() *QueryReport { return s.s.Trace.Last() }
 
-// TraceTotals returns the session-cumulative observability counters.
-func (s *Session) TraceTotals() TraceTotals { return s.s.Trace.Totals() }
+// TraceTotals returns the session-cumulative observability counters: the
+// totals of FleetSnapshot, what :stats prints.
+func (s *Session) TraceTotals() TraceTotals { return s.s.Fleet.Snapshot().Totals }
 
 // SetTraceEnabled toggles per-query observability recording. Sessions
 // start with tracing enabled; its disabled-path cost is a few atomic
@@ -266,9 +268,11 @@ func (s *Session) Command(ctx context.Context, line string) (string, error) {
 
 // MetricsHandler returns an http.Handler serving the session's
 // observability surface — the endpoint behind the -metricsaddr flag of
-// cmd/aql:
+// cmd/aql. It reads the session's fleet aggregator and flight recorder,
+// where every finished report is kept:
 //
-//	GET /                 JSON summary: cumulative totals + recent queries
+//	GET /                 JSON summary: fleet totals + one summary per
+//	                      report the flight recorder retains
 //	GET /metrics          Prometheus text exposition (latency histogram,
 //	                      phase/rule/eval/I-O counters); OpenMetrics with
 //	                      trace-id exemplars when Accept asks for it
@@ -279,14 +283,14 @@ func (s *Session) Command(ctx context.Context, line string) (string, error) {
 //	/debug/pprof/...      standard net/http/pprof handlers
 //
 // It is trace.NewHandler, the same handler the query server (cmd/aqld)
-// mounts for these routes.
+// mounts beside its own endpoints.
 func (s *Session) MetricsHandler() http.Handler {
-	return trace.NewHandler(s.s.Trace, s.s.Fleet, s.s.Flight)
+	return trace.NewHandler(s.s.Fleet, s.s.Flight)
 }
 
 // FleetSnapshot returns a copy of the session's cross-query aggregates:
-// latency histogram, per-phase and per-rule totals, and the slow-query
-// log — the REPL's :fleet.
+// totals, latency histogram, per-phase and per-rule totals, misestimates
+// and the slow-query log — what the REPL's :stats prints.
 func (s *Session) FleetSnapshot() trace.AggregateSnapshot { return s.s.Fleet.Snapshot() }
 
 // FlightReports returns the flight recorder's retained full QueryReports,

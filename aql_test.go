@@ -420,7 +420,7 @@ func TestQueryTextNotHTMLEscaped(t *testing.T) {
 		routes []string
 	}{
 		{"metricsaddr", sess.MetricsHandler(), []string{"/", "/debug/queries", "/debug/slow"}},
-		{"aqld", aqld, []string{"/debug/queries", "/debug/slow"}},
+		{"aqld", aqld, []string{"/", "/debug/queries", "/debug/slow"}},
 	} {
 		for _, route := range tc.routes {
 			rec := httptest.NewRecorder()

@@ -23,17 +23,17 @@
 //
 // Observability: `-explain` and `-profile` (with -q) print the optimizer
 // rule trace or the per-phase timing report for the query; the interactive
-// loop accepts the same as :explain/:profile/:stats commands plus :top
-// (hottest operators of the last query), :fleet (cross-query aggregates),
+// loop accepts the same as :explain/:profile commands plus :stats
+// (cross-query aggregates), :top (hottest operators of the last query),
 // :prof (profiling level) and :trace (export the last query as Chrome
 // trace-event JSON). `-tracejson file.json` (with -q) writes the same
 // export non-interactively. `-proflevel off|sampled|full` sets the
 // operator-profiling level (default sampled), and `-metricsaddr :8080`
-// serves a JSON summary on /, Prometheus text on /metrics (OpenMetrics
-// with exemplars via Accept negotiation), the flight recorder on
-// /debug/queries, per-report Chrome traces on /debug/trace/{id}, the
-// slow-query log on /debug/slow, and the standard pprof handlers under
-// /debug/pprof/.
+// serves a JSON summary (fleet totals and the flight recorder's queries)
+// on /, Prometheus text on /metrics (OpenMetrics with exemplars via Accept
+// negotiation), the flight recorder on /debug/queries, per-report Chrome
+// traces on /debug/trace/{id}, the slow-query log on /debug/slow, and the
+// standard pprof handlers under /debug/pprof/.
 package main
 
 import (
@@ -142,7 +142,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "aql: -tracejson: no report recorded (tracing disabled?)")
 				os.Exit(1)
 			}
-			if err := writeTraceFile(*traceJSON, rep); err != nil {
+			if err := trace.WriteChromeTraceFile(*traceJSON, rep); err != nil {
 				fmt.Fprintln(os.Stderr, "aql:", err)
 				os.Exit(1)
 			}
@@ -177,7 +177,7 @@ func main() {
 func interact(s *aql.Session, limit int) {
 	fmt.Println("AQL — a query language for multidimensional arrays (SIGMOD 1996)")
 	fmt.Println(`End statements with ';'. Ctrl-D exits; Ctrl-C cancels a running query.`)
-	fmt.Println(`Commands: :explain <q>  :profile <q>  :stats  :top  :trace  :fleet  :prof  :engine  :help`)
+	fmt.Println(`Commands: :explain <q>  :profile <q>  :stats  :top  :trace  :prof  :engine  :help`)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
@@ -225,20 +225,6 @@ func interact(s *aql.Session, limit int) {
 			fmt.Println("error:", err)
 		}
 	}
-}
-
-// writeTraceFile exports a report as Chrome trace-event JSON, loadable in
-// chrome://tracing or Perfetto.
-func writeTraceFile(path string, rep *aql.QueryReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChromeTrace(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func printResult(r aql.Result, limit int) {

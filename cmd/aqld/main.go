@@ -13,6 +13,7 @@
 //	POST /shard             a range-restricted tabulation shard (cluster worker)
 //	GET  /val/{name}        a top-level val, in the data exchange format
 //	POST /val/{name}        bind a val from an exchange-format body
+//	GET  /                  JSON summary: fleet totals + flight-recorder summaries
 //	GET  /metrics           Prometheus text: fleet metrics + aqld_* series
 //	                        (OpenMetrics with trace-id exemplars via Accept)
 //	GET  /debug/queries     flight recorder: {capacity, total, reports}
@@ -34,9 +35,10 @@
 //
 // The -init script runs through the ordinary session pipeline before the
 // listener opens, so vals, macros and readval statements registered there
-// are visible to every query. Cancelling a request (closing the
-// connection) aborts its evaluation; exceeding -maxconcurrent queues the
-// request, and overflowing the queue rejects it with HTTP 429.
+// are visible to every query. It runs unrecorded: /metrics and
+// /debug/queries count served queries only. Cancelling a request (closing
+// the connection) aborts its evaluation; exceeding -maxconcurrent queues
+// the request, and overflowing the queue rejects it with HTTP 429.
 //
 // Coordinator mode (-coordinator -workers http://w1:8080,http://w2:8080)
 // scatters parallel-eligible tabulations across worker aqld processes as
@@ -120,12 +122,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if _, err := sess.Exec(string(src)); err != nil {
+		// Setup statements are not served queries: run them unrecorded, so
+		// /metrics and /debug/queries start empty.
+		sess.Trace.SetEnabled(false)
+		_, err = sess.Exec(string(src))
+		sess.Trace.SetEnabled(true)
+		if err != nil {
 			return fmt.Errorf("init script: %w", err)
 		}
-		// Setup statements went through the instrumented pipeline; reset so
-		// the metrics endpoints report served queries only.
-		sess.Trace.Reset()
 	}
 
 	cfg := server.Config{

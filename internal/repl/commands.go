@@ -3,7 +3,6 @@ package repl
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -13,19 +12,6 @@ import (
 	"github.com/aqldb/aql/internal/trace"
 	"github.com/aqldb/aql/internal/types"
 )
-
-// writeChromeTraceFile exports one report as Chrome trace-event JSON.
-func writeChromeTraceFile(path string, rep *trace.QueryReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChromeTrace(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 // IsCommand reports whether an input line is a session colon-command
 // (":explain", ":profile", ":stats", ":help") rather than an AQL statement.
@@ -69,9 +55,9 @@ var commands = map[string]command{
 	},
 	":stats": {
 		usage:   ":stats",
-		summary: "session-cumulative totals",
+		summary: "cross-query aggregates: histogram, phase and work totals, rules, slow queries",
 		run: func(s *Session, _ context.Context, _ string) (string, error) {
-			return s.Trace.Totals().FormatTotals(), nil
+			return s.Fleet.Snapshot().FormatFleet(), nil
 		},
 	},
 	":io": {
@@ -114,16 +100,6 @@ var commands = map[string]command{
 			return rep.FormatTop(n), nil
 		},
 	},
-	":fleet": {
-		usage:   ":fleet",
-		summary: "cross-query aggregates: histogram, rules, slow queries",
-		run: func(s *Session, _ context.Context, _ string) (string, error) {
-			if s.Fleet == nil {
-				return "no fleet aggregator attached\n", nil
-			}
-			return s.Fleet.Snapshot().FormatFleet(), nil
-		},
-	},
 	":prof": {
 		usage:   ":prof [level]",
 		summary: "show or set the profiling level (off, sampled, full)",
@@ -148,7 +124,7 @@ var commands = map[string]command{
 			if file == "" {
 				file = "aql-trace.json"
 			}
-			if err := writeChromeTraceFile(file, rep); err != nil {
+			if err := trace.WriteChromeTraceFile(file, rep); err != nil {
 				return "", err
 			}
 			return fmt.Sprintf("wrote %s (load in chrome://tracing or Perfetto)\n", file), nil

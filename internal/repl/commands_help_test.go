@@ -36,7 +36,7 @@ func TestHelpListsEveryCommand(t *testing.T) {
 // TestCommandTableComplete pins the commands the ISSUE and docs promise, so
 // a table edit can't silently drop one.
 func TestCommandTableComplete(t *testing.T) {
-	want := []string{":explain", ":profile", ":stats", ":top", ":fleet", ":prof", ":engine", ":prepare", ":exec", ":help"}
+	want := []string{":explain", ":profile", ":stats", ":top", ":prof", ":engine", ":prepare", ":exec", ":help"}
 	have := map[string]bool{}
 	for _, name := range CommandNames() {
 		have[name] = true

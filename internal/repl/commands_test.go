@@ -255,8 +255,14 @@ func TestTraceDisabledSessionStillWorks(t *testing.T) {
 
 func TestSetupStatementsExcludedFromStats(t *testing.T) {
 	s := newSession(t)
-	if got := s.Trace.Totals().Queries; got != 0 {
+	if got := s.Fleet.Snapshot().Totals.Queries; got != 0 {
 		t.Errorf("fresh session already counts %d queries (setup leaked into stats)", got)
+	}
+	if got := s.Flight.Total(); got != 0 {
+		t.Errorf("fresh session's flight recorder holds %d reports (setup leaked)", got)
+	}
+	if s.Trace.Last() != nil {
+		t.Errorf("fresh session has a last report: %q", s.Trace.Last().Query)
 	}
 }
 

@@ -53,8 +53,8 @@ type Session struct {
 	// Trace is the session's observability recorder: every top-level
 	// statement produces a trace.QueryReport with per-phase wall times,
 	// evaluator counters, NetCDF I/O counters and the optimizer rule
-	// trace. Created enabled (with no sink) by New; disable with
-	// Trace.SetEnabled(false), or point it somewhere with Trace.SetSink.
+	// trace. Created enabled by New, emitting to Fleet and Flight; disable
+	// with Trace.SetEnabled(false), add a sink with SetTraceSink.
 	Trace *trace.Recorder
 	// Engine selects the execution engine for queries: EngineCompiled
 	// (the default — slot-resolved closures with parallel tabulation,
@@ -73,15 +73,14 @@ type Session struct {
 	Workers int
 	// Fleet accumulates cross-query aggregates (latency histogram, phase
 	// and I/O totals, rule firing counts, slow-query log); Flight is the
-	// ring of the last N full reports. Both are wired into Trace as sinks
-	// by New and survive SetTraceSink.
+	// ring of the last N full reports. They are where finished reports are
+	// kept: both are wired into Trace as sinks by New and survive
+	// SetTraceSink.
 	Fleet  *trace.Aggregator
 	Flight *trace.FlightRecorder
 	// QErrorThreshold is the q-error above which :explain analyze flags a
 	// per-operator misestimate; <= 0 selects trace.DefaultQErrorThreshold.
 	QErrorThreshold float64
-	// userSink is the caller-provided sink composed alongside Fleet/Flight.
-	userSink trace.Sink
 	// prepared is the loop's current prepared statement (:prepare / :exec).
 	prepared *Prepared
 	// io is the session's out-of-core state: open NetCDF handles, the
@@ -140,6 +139,9 @@ type Result struct {
 func New() (*Session, error) {
 	s := &Session{Env: env.New(), Trace: trace.NewRecorder(nil), Engine: EngineCompiled,
 		io: newIOState(tile.Config{})}
+	// The setup statements below are not user work: they run unrecorded,
+	// so :stats, the metrics endpoint and LastReport start empty.
+	s.Trace.SetEnabled(false)
 	s.registerNetCDF()
 	RegisterNetCDFWriter(s.Env)
 	RegisterExchange(s.Env)
@@ -150,13 +152,10 @@ func New() (*Session, error) {
 	if _, err := s.Exec(ODMGMacros); err != nil {
 		return nil, fmt.Errorf("repl: ODMG macros: %w", err)
 	}
-	// The setup statements above went through the instrumented pipeline;
-	// drop them so :stats and the metrics endpoint report only user work.
-	// The fleet sinks are installed after the reset for the same reason.
-	s.Trace.Reset()
 	s.Fleet = trace.NewAggregator(0)
 	s.Flight = trace.NewFlightRecorder(0)
 	s.Trace.SetSink(trace.MultiSink{s.Fleet, s.Flight})
+	s.Trace.SetEnabled(true)
 	return s, nil
 }
 
@@ -164,8 +163,7 @@ func New() (*Session, error) {
 // fleet aggregator and flight recorder attached; use it instead of calling
 // Trace.SetSink directly, which would detach them.
 func (s *Session) SetTraceSink(sink trace.Sink) {
-	s.userSink = sink
-	s.Trace.SetSink(trace.MultiSink{s.Fleet, s.Flight, s.userSink})
+	s.Trace.SetSink(trace.MultiSink{s.Fleet, s.Flight, sink})
 }
 
 // SetProfiling selects the session's span-profiling level by name ("off",

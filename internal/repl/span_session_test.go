@@ -140,12 +140,12 @@ func TestTopFleetProfCommands(t *testing.T) {
 	if !strings.Contains(out, "ArrayTab") {
 		t.Errorf(":top output missing the tabulation operator:\n%s", out)
 	}
-	out, err = s.Command(ctx, ":fleet")
+	out, err = s.Command(ctx, ":stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "queries") || !strings.Contains(out, "1") {
-		t.Errorf(":fleet output missing the query count:\n%s", out)
+	if !strings.Contains(out, "fleet over 1 queries") || !strings.Contains(out, "latency histogram") {
+		t.Errorf(":stats output missing the query count or histogram:\n%s", out)
 	}
 
 	// :top with profiling off explains itself rather than erroring.

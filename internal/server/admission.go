@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // Admission defaults, used when Config leaves the fields zero.
@@ -77,7 +79,9 @@ type admission struct {
 	rejectedWait atomic.Int64
 	cancelled    atomic.Int64
 
-	queueWait waitHist
+	// queueWait is the wait of every request that queued or took the fast
+	// path, with its trace id as the bucket exemplar.
+	queueWait trace.ExemplarHistogram
 }
 
 func newAdmission(maxConcurrent, maxQueued int, queueTimeout time.Duration) *admission {
@@ -101,9 +105,9 @@ func newAdmission(maxConcurrent, maxQueued int, queueTimeout time.Duration) *adm
 // timeout, and returns a release func plus the time spent queued (zero on
 // the fast path). The error, when non-nil, is an *AdmissionError; the
 // caller maps its Kind to an HTTP status. Every wait — admitted or not —
-// feeds the queue-wait histogram, so /metrics separates queueing delay
-// from evaluation time under overload.
-func (a *admission) acquire(ctx context.Context) (release func(), waited time.Duration, err error) {
+// feeds the queue-wait histogram under the request's trace id, so /metrics
+// separates queueing delay from evaluation time under overload.
+func (a *admission) acquire(ctx context.Context, traceID string) (release func(), waited time.Duration, err error) {
 	// A client that is already gone is never admitted, even when a slot is
 	// free: running its query would only be torn down again by the eval
 	// context, skewing the admitted/active counters meanwhile.
@@ -116,7 +120,7 @@ func (a *admission) acquire(ctx context.Context) (release func(), waited time.Du
 	select {
 	case a.slots <- struct{}{}:
 		a.admitted.Add(1)
-		a.queueWait.observe(0)
+		a.queueWait.Observe(0, traceID, time.Now())
 		return a.release, 0, nil
 	default:
 	}
@@ -137,67 +141,20 @@ func (a *admission) acquire(ctx context.Context) (release func(), waited time.Du
 	case a.slots <- struct{}{}:
 		a.admitted.Add(1)
 		waited = time.Since(start)
-		a.queueWait.observe(waited)
+		a.queueWait.Observe(waited, traceID, start.Add(waited))
 		return a.release, waited, nil
 	case <-t.C:
 		a.rejectedWait.Add(1)
 		waited = time.Since(start)
-		a.queueWait.observe(waited)
+		a.queueWait.Observe(waited, traceID, start.Add(waited))
 		return nil, waited, &AdmissionError{Kind: AdmissionQueueTimeout, Waited: waited}
 	case <-ctx.Done():
 		a.cancelled.Add(1)
 		waited = time.Since(start)
-		a.queueWait.observe(waited)
+		a.queueWait.Observe(waited, traceID, start.Add(waited))
 		return nil, waited, &AdmissionError{Kind: AdmissionCancelled, Waited: waited}
 	}
 }
-
-// queueWaitBuckets are the histogram's upper bounds in seconds; a final
-// implicit +Inf bucket catches the rest. The range spans "never queued"
-// through the default queue timeout.
-var queueWaitBuckets = [...]float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
-
-// waitHist is a fixed-bucket, lock-free duration histogram in the
-// Prometheus cumulative-exposition shape.
-type waitHist struct {
-	counts [len(queueWaitBuckets) + 1]atomic.Int64
-	sumNS  atomic.Int64
-}
-
-func (h *waitHist) observe(d time.Duration) {
-	sec := d.Seconds()
-	i := 0
-	for ; i < len(queueWaitBuckets); i++ {
-		if sec <= queueWaitBuckets[i] {
-			break
-		}
-	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(int64(d))
-}
-
-// WaitHistogram is a snapshot of the queue-wait histogram: Counts[i] is the
-// cumulative count at le=Buckets[i], with Counts[len(Buckets)] the +Inf
-// (total) count.
-type WaitHistogram struct {
-	Buckets []float64
-	Counts  []int64
-	Sum     time.Duration
-}
-
-func (h *waitHist) snapshot() WaitHistogram {
-	out := WaitHistogram{Buckets: queueWaitBuckets[:], Counts: make([]int64, len(h.counts))}
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		out.Counts[i] = cum
-	}
-	out.Sum = time.Duration(h.sumNS.Load())
-	return out
-}
-
-// QueueWaitHistogram snapshots the admission queue-wait histogram.
-func (a *admission) queueWaitHistogram() WaitHistogram { return a.queueWait.snapshot() }
 
 func (a *admission) release() { <-a.slots }
 

@@ -17,13 +17,13 @@ import (
 func TestAdmissionKinds(t *testing.T) {
 	a := newAdmission(1, 1, 60*time.Millisecond)
 
-	release, _, err := a.acquire(context.Background())
+	release, _, err := a.acquire(context.Background(), "")
 	if err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
 
 	// Slot held, queue empty: the next acquire queues, then times out.
-	_, _, err = a.acquire(context.Background())
+	_, _, err = a.acquire(context.Background(), "")
 	var ae *AdmissionError
 	if !errors.As(err, &ae) || ae.Kind != AdmissionQueueTimeout {
 		t.Fatalf("queued acquire: got %v, want queue_timeout", err)
@@ -33,11 +33,11 @@ func TestAdmissionKinds(t *testing.T) {
 	// immediately.
 	parked := make(chan error, 1)
 	go func() {
-		_, _, err := a.acquire(context.Background())
+		_, _, err := a.acquire(context.Background(), "")
 		parked <- err
 	}()
 	waitFor(t, func() bool { return a.stats().Queued == 1 })
-	_, _, err = a.acquire(context.Background())
+	_, _, err = a.acquire(context.Background(), "")
 	if !errors.As(err, &ae) || ae.Kind != AdmissionQueueFull {
 		t.Fatalf("overflow acquire: got %v, want queue_full", err)
 	}
@@ -51,14 +51,14 @@ func TestAdmissionKinds(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err = a.acquire(ctx)
+	_, _, err = a.acquire(ctx, "")
 	if !errors.As(err, &ae) || ae.Kind != AdmissionCancelled {
 		t.Fatalf("cancelled acquire: got %v, want cancelled", err)
 	}
 
 	// Releasing the slot lets a fresh acquire through instantly.
 	release()
-	release2, _, err := a.acquire(context.Background())
+	release2, _, err := a.acquire(context.Background(), "")
 	if err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
@@ -236,7 +236,7 @@ func TestAcquirePreCancelled(t *testing.T) {
 	a := newAdmission(2, 2, time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := a.acquire(ctx)
+	_, _, err := a.acquire(ctx, "")
 	var ae *AdmissionError
 	if !errors.As(err, &ae) || ae.Kind != AdmissionCancelled {
 		t.Fatalf("pre-cancelled acquire: got %v, want cancelled", err)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -201,8 +202,8 @@ func TestMisestimateMetrics(t *testing.T) {
 	}
 
 	// Exact-or-unknown estimates cannot misestimate on a single node, so
-	// inject a flagged report the way the query path would record one.
-	s.mis.observe(&trace.QueryReport{
+	// inject a flagged report into the sink the query path reports to.
+	s.sink.Emit(&trace.QueryReport{
 		TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
 		Start:   time.Unix(1000, 0), Wall: time.Millisecond,
 		Explain: &trace.ExplainTable{Misestimates: 2, WorstQError: 5.0, WorstOp: "ArrayTab"},
@@ -217,7 +218,72 @@ func TestMisestimateMetrics(t *testing.T) {
 	if !strings.Contains(out, "aqld_plan_misestimate_worst_q_error 5") {
 		t.Errorf("worst q-error gauge not updated")
 	}
-	if !strings.Contains(out, `trace_id="4bf92f3577b34da6a3ce929d0e0e4736"`) {
+	if !strings.Contains(out, `aqld_plan_misestimate_ops_total 2 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 5 1000.001`) {
 		t.Errorf("misestimate counter carries no trace_id exemplar:\n%s", out)
+	}
+}
+
+// TestMisestimateMetricsSequence pins the aqld_plan_misestimate_* series,
+// exemplars included (less their timestamps), after each request of a
+// fixed sequence. A threshold below 1 flags every row with a known
+// estimate, so real joined tables reach the fleet: the ⊥ short-circuit of
+// requests 1 and 5 scores q-error 1.1666, and request 6 (real arithmetic,
+// estimates unknown) flags nothing. The values are the ones the server's
+// own misestimate ledger produced before the fleet aggregator took it over.
+func TestMisestimateMetricsSequence(t *testing.T) {
+	_, ts := newTestServer(t, Config{QErrorThreshold: 0.5})
+	queries := []string{
+		`1 + 2`,
+		`[[ 1 / (i - i) + i | \i < 1000 ]]`,
+		`[[ i*i | \i < 40 ]]`,
+		`[[ if i = 500 then 1 / (i - i) else i | \i < 1000 ]]`,
+		`summap(fn \i => 1 / (i - i) + i)!(gen!300)`,
+		`[[ 1 / (i - i) + i | \i < 1000 ]]`,
+		`[[ 1.0 / real!(i - i) + real!i | \i < 64 ]]`,
+	}
+	const q = "1.166611129623459"
+	want := []struct {
+		ops, queries, worst, exTrace, exValue string
+	}{
+		{"1", "1", "1", "0", "1"},
+		{"2", "2", q, "1", q},
+		{"3", "3", q, "2", "1"},
+		{"4", "4", q, "3", "1"},
+		{"5", "5", q, "4", "1"},
+		{"6", "6", q, "5", q},
+		{"6", "6", q, "5", q},
+	}
+	const tracePrefix = "4bf92f3577b34da6a3ce929d0e0e473"
+	for i, src := range queries {
+		postQueryHeaders(t, ts, QueryRequest{Query: src},
+			map[string]string{"traceparent": fmt.Sprintf("00-%s%d-00f067aa0ba902b7-01", tracePrefix, i)})
+		req, _ := http.NewRequest("GET", ts.URL+"/metrics", nil)
+		req.Header.Set("Accept", "application/openmetrics-text")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var got []string
+		for _, line := range strings.Split(string(b), "\n") {
+			if !strings.HasPrefix(line, "aqld_plan_misestimate") {
+				continue
+			}
+			if strings.Contains(line, " # {") { // drop the exemplar's timestamp
+				line = line[:strings.LastIndexByte(line, ' ')]
+			}
+			got = append(got, line)
+		}
+		w := want[i]
+		ex := fmt.Sprintf(` # {trace_id="%s%s"} %s`, tracePrefix, w.exTrace, w.exValue)
+		wantLines := []string{
+			"aqld_plan_misestimate_ops_total " + w.ops + ex,
+			"aqld_plan_misestimate_queries_total " + w.queries + ex,
+			"aqld_plan_misestimate_worst_q_error " + w.worst,
+		}
+		if strings.Join(got, "\n") != strings.Join(wantLines, "\n") {
+			t.Errorf("after request %d (%s):\n got %q\nwant %q", i, src, got, wantLines)
+		}
 	}
 }

@@ -19,11 +19,14 @@
 //     client disconnect aborts the query itself, not just the response.
 //
 //   - Per-request observability. Every request gets its own
-//     trace.Recorder whose finished report flows into the shared fleet
-//     aggregator and flight recorder — the same sinks the REPL uses — and
-//     back to the client as phase timings in the response. A cache hit
-//     carries zero parse/typecheck/optimize/compile phases by
-//     construction: those phases simply never run.
+//     trace.Recorder, which only builds the request's report. The finished
+//     report goes to the session's fleet aggregator and flight recorder —
+//     the same sinks the REPL uses, and the only places reports are kept —
+//     to the per-plan stats store, and back to the client as phase timings
+//     in the response. A cache hit carries zero
+//     parse/typecheck/optimize/compile phases by construction: those
+//     phases simply never run. The whole trace.NewHandler surface is
+//     mounted beside the server's own endpoints.
 package server
 
 import (
@@ -32,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,6 +93,9 @@ type Server struct {
 	// planStats aggregates per-plan runtime profiles keyed by plan-cache
 	// key; served on /debug/planstats.
 	planStats *trace.PlanStatsStore
+	// sink is where every request's finished report goes: the session's
+	// fleet aggregator and flight recorder.
+	sink trace.Sink
 
 	// envMu makes (epoch, globals snapshot) reads atomic with respect to
 	// environment mutations: prepares hold RLock across reading the epoch
@@ -101,43 +106,7 @@ type Server struct {
 
 	qid atomic.Int64
 
-	// mis aggregates estimate-vs-actual misestimates across requests for
-	// the aqld_plan_misestimate_* metric family.
-	mis misestimates
-
 	mux *http.ServeMux
-}
-
-// misestimates is the server-wide misestimate ledger: flagged-operator and
-// affected-query counters, the worst q-error seen, and a trace_id exemplar
-// pointing at the most recent offending query.
-type misestimates struct {
-	mu      sync.Mutex
-	ops     int64
-	queries int64
-	worst   float64
-	ex      *trace.Exemplar
-}
-
-// observe folds one finished report's joined table into the ledger.
-func (m *misestimates) observe(rep *trace.QueryReport) {
-	if rep == nil || rep.Explain == nil || rep.Explain.Misestimates == 0 {
-		return
-	}
-	m.mu.Lock()
-	m.ops += int64(rep.Explain.Misestimates)
-	m.queries++
-	if rep.Explain.WorstQError > m.worst {
-		m.worst = rep.Explain.WorstQError
-	}
-	if rep.TraceID != "" {
-		m.ex = &trace.Exemplar{
-			TraceID: rep.TraceID,
-			Value:   rep.Explain.WorstQError,
-			Ts:      float64(rep.Start.Add(rep.Wall).UnixNano()) / 1e9,
-		}
-	}
-	m.mu.Unlock()
 }
 
 // New wraps a session (its environment, fleet aggregator and flight
@@ -150,6 +119,7 @@ func New(sess *repl.Session, cfg Config) *Server {
 		cache:     newPlanCache(cfg.CacheSize),
 		adm:       newAdmission(cfg.MaxConcurrent, cfg.MaxQueued, cfg.QueueTimeout),
 		planStats: trace.NewPlanStatsStore(0),
+		sink:      trace.MultiSink{sess.Fleet, sess.Flight},
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
@@ -157,14 +127,10 @@ func New(sess *repl.Session, cfg Config) *Server {
 	mux.HandleFunc("GET /val/{name}", s.handleValGet)
 	mux.HandleFunc("POST /val/{name}", s.handleValSet)
 	// The observability surface is trace.NewHandler, the handler `aql
-	// -metricsaddr` serves; the server adds its own families to /metrics
-	// and the three endpoints only it can answer. The handler's GET /
-	// summary reads a session recorder, and server requests report to
-	// per-request recorders instead, so that route stays unmounted.
-	obs := trace.NewHandler(nil, sess.Fleet, sess.Flight)
-	for _, route := range []string{"GET /debug/queries", "GET /debug/trace/{id}", "GET /debug/slow", "/debug/pprof/"} {
-		mux.Handle(route, obs)
-	}
+	// -metricsaddr` serves, answering every path the server does not route
+	// itself; the server adds its own families to /metrics and the three
+	// endpoints only it can answer.
+	mux.Handle("/", trace.NewHandler(sess.Fleet, sess.Flight))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/server", s.handleDebugServer)
 	mux.HandleFunc("GET /debug/planstats", s.handleDebugPlanStats)
@@ -273,7 +239,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("traceparent", tc.Traceparent())
 
 	ctx := r.Context()
-	release, waited, err := s.adm.acquire(ctx)
+	release, waited, err := s.adm.acquire(ctx, tc.TraceID)
 	if err != nil {
 		status, info := admissionHTTP(err)
 		info.ID = id
@@ -293,12 +259,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // runQuery executes one admitted request: plan-cache lookup or prepare,
 // then execution on a fresh machine, all recorded on a per-request recorder
-// whose report feeds the shared fleet/flight sinks and the per-plan stats
-// store.
+// whose report goes to the server's sink and the per-plan stats store.
 func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext, req QueryRequest, waited time.Duration) (*QueryResponse, *ErrorInfo, int) {
 	norm := NormalizeQuery(req.Query)
 
-	rec := trace.NewRecorder(trace.MultiSink{s.sess.Fleet, s.sess.Flight})
+	rec := trace.NewRecorder(s.sink)
 	rec.Begin(norm)
 	rec.RecordID(id)
 	rec.RecordTraceID(tc.TraceID)
@@ -349,7 +314,6 @@ func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext,
 	rec.JoinExplain(p.Prog.Estimates(), s.cfg.QErrorThreshold)
 	rep := rec.End(err)
 	s.planStats.Observe(key.String(), rep)
-	s.mis.observe(rep)
 	if err != nil {
 		info, status := execHTTP(err)
 		return nil, &info, status
@@ -473,7 +437,8 @@ func (s *Server) handleValSet(w http.ResponseWriter, r *http.Request) {
 // misestimate and cluster families to the fleet exposition, in whichever
 // format trace.ServeMetrics negotiated.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	b := trace.ServeMetrics(w, r, s.sess.Fleet.Snapshot())
+	fleet := s.sess.Fleet.Snapshot()
+	b := trace.ServeMetrics(w, r, fleet)
 	cs := s.cache.stats()
 	as := s.adm.stats()
 	b.Header("aqld_plan_cache_entries", "gauge", "Prepared plans currently cached.")
@@ -492,14 +457,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.Val("aqld_admission_total", `outcome="queue_full"`, as.RejectedFull)
 	b.Val("aqld_admission_total", `outcome="queue_timeout"`, as.RejectedWait)
 	b.Val("aqld_admission_total", `outcome="cancelled"`, as.Cancelled)
-	qh := s.adm.queueWaitHistogram()
-	b.Header("aqld_admission_queue_seconds", "histogram", "Time spent queued for an execution slot.")
-	for i, le := range qh.Buckets {
-		b.Val("aqld_admission_queue_seconds_bucket", `le="`+strconv.FormatFloat(le, 'g', -1, 64)+`"`, qh.Counts[i])
-	}
-	b.Val("aqld_admission_queue_seconds_bucket", `le="+Inf"`, qh.Counts[len(qh.Buckets)])
-	b.Valf("aqld_admission_queue_seconds_sum", "", qh.Sum.Seconds())
-	b.Val("aqld_admission_queue_seconds_count", "", qh.Counts[len(qh.Buckets)])
+	b.Histogram("aqld_admission_queue_seconds", "Time spent queued for an execution slot.", s.adm.queueWait.Snapshot())
 	// Out-of-core I/O: live totals from the session's tile cache and its
 	// open NetCDF handles. The tile series answer hit rate, prefetch
 	// efficiency and I/O amplification (bytes scanned vs. returned); the
@@ -532,18 +490,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.Val("aqld_io_retries_total", "", ft.Retries)
 	b.Header("aqld_io_faults_total", "counter", "Reader faults observed (injected or real).")
 	b.Val("aqld_io_faults_total", "", ft.Faults)
-	s.mis.mu.Lock()
-	misOps, misQueries, misWorst, misEx := s.mis.ops, s.mis.queries, s.mis.worst, s.mis.ex
-	s.mis.mu.Unlock()
+	mis := fleet.Misestimates
 	b.Header("aqld_plan_misestimate_ops_total", "counter",
 		"Operators whose estimate-vs-actual q-error exceeded the threshold.")
-	b.ValEx("aqld_plan_misestimate_ops_total", "", misOps, misEx)
+	b.ValEx("aqld_plan_misestimate_ops_total", "", mis.Ops, mis.Exemplar)
 	b.Header("aqld_plan_misestimate_queries_total", "counter",
 		"Queries with at least one flagged misestimate.")
-	b.ValEx("aqld_plan_misestimate_queries_total", "", misQueries, misEx)
+	b.ValEx("aqld_plan_misestimate_queries_total", "", mis.Queries, mis.Exemplar)
 	b.Header("aqld_plan_misestimate_worst_q_error", "gauge",
 		"Worst estimate-vs-actual q-error observed since start.")
-	b.Valf("aqld_plan_misestimate_worst_q_error", "", misWorst)
+	b.Valf("aqld_plan_misestimate_worst_q_error", "", mis.WorstQError)
 	if coord := s.cfg.Coordinator; coord != nil {
 		st := coord.Stats()
 		b.Header("aqld_cluster_queries_total", "counter", "Scatter-gather query executions.")

@@ -474,6 +474,11 @@ func TestMetricsExposition(t *testing.T) {
 		`aqld_plan_cache_events_total{event="miss"} 1`,
 		`aqld_plan_cache_entries 1`,
 		`aqld_admission_total{outcome="admitted"} 2`,
+		// Queue wait is on the log-2 bounds of every latency family; both
+		// requests took the fast path.
+		`aqld_admission_queue_seconds_bucket{le="1e-06"} 2`,
+		`aqld_admission_queue_seconds_bucket{le="33.554432"} 2`,
+		`aqld_admission_queue_seconds_count 2`,
 		"aql_queries_total", // the fleet exposition is present too
 	} {
 		if !strings.Contains(text, want) {

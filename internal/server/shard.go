@@ -45,7 +45,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	release, waited, err := s.adm.acquire(ctx)
+	release, waited, err := s.adm.acquire(ctx, traceID)
 	if err != nil {
 		status, info := admissionHTTP(err)
 		writeShardError(w, status, info.Kind, info.Message, -1, "")
@@ -59,7 +59,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// Shard executions record like queries: the worker's fleet totals and
 	// flight recorder reflect shard work, attributable via the "shard"
 	// mode stamp and the shared trace id.
-	rec := trace.NewRecorder(trace.MultiSink{s.sess.Fleet, s.sess.Flight})
+	rec := trace.NewRecorder(s.sink)
 	rec.Begin(norm)
 	rec.RecordID(id)
 	rec.RecordTraceID(traceID)

@@ -99,6 +99,10 @@ func TestTraceparentHonoredAndMinted(t *testing.T) {
 	if rep, ok := s.sess.Flight.Find(qr.TraceID); !ok || rep.TraceID != qr.TraceID {
 		t.Fatal("report not findable by trace id")
 	}
+	// Its admission wait (the fast path: bucket 0) carries it as exemplar.
+	if ex := s.adm.queueWait.Snapshot().Exemplars[0]; ex == nil || ex.TraceID != qr.TraceID {
+		t.Fatalf("queue-wait exemplar = %+v, want trace id %s", ex, qr.TraceID)
+	}
 
 	// No inbound context: the server mints one.
 	qr, hdr = postQueryHeaders(t, ts, QueryRequest{Query: "2 + 3"}, nil)

@@ -39,16 +39,27 @@ type SlowQuery struct {
 
 // Aggregator accumulates fleet-wide statistics across queries: a
 // log-bucketed latency histogram, per-phase wall totals, per-rule firing
-// counts, evaluator and NetCDF I/O totals, and a bounded slow-query log.
-// It implements Sink; attach it to a Recorder (possibly via MultiSink).
+// counts, evaluator and NetCDF I/O totals, the misestimates of joined
+// explain tables, and a bounded slow-query log. It implements Sink; attach
+// it to a Recorder (possibly via MultiSink).
 type Aggregator struct {
-	mu        sync.Mutex
-	totals    Totals
-	buckets   [nLatencyBuckets + 1]int64 // per-bucket counts; last is +Inf
-	exemplars [nLatencyBuckets + 1]*Exemplar
-	rules     map[string]int64
-	slow      []SlowQuery // sorted by Wall, slowest first
-	slowCap   int
+	mu      sync.Mutex
+	totals  Totals
+	latency ExemplarHistogram
+	mis     Misestimates
+	rules   map[string]int64
+	slow    []SlowQuery // sorted by Wall, slowest first
+	slowCap int
+}
+
+// Misestimates folds the joined explain tables of the reports an Aggregator
+// saw: flagged operators, queries with at least one flag, the worst q-error,
+// and an exemplar pointing at the most recent traced query with a flag.
+type Misestimates struct {
+	Ops         int64     `json:"ops"`
+	Queries     int64     `json:"queries"`
+	WorstQError float64   `json:"worst_q_error"`
+	Exemplar    *Exemplar `json:"exemplar,omitempty"`
 }
 
 // NewAggregator returns an aggregator keeping the slowCap slowest queries
@@ -68,15 +79,15 @@ func (a *Aggregator) Emit(r *QueryReport) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.totals.add(r)
-	bi := bucketFor(r.Wall)
-	a.buckets[bi]++
-	if r.TraceID != "" {
-		// Latest traced observation per bucket becomes the exemplar: the
-		// OpenMetrics hook from "this bucket is hot" to a concrete trace.
-		a.exemplars[bi] = &Exemplar{
-			TraceID: r.TraceID,
-			Value:   r.Wall.Seconds(),
-			Ts:      float64(r.Start.Add(r.Wall).UnixNano()) / 1e9,
+	end := r.Start.Add(r.Wall)
+	a.latency.Observe(r.Wall, r.TraceID, end)
+	if t := r.Explain; t != nil && t.Misestimates > 0 {
+		a.mis.Ops += int64(t.Misestimates)
+		a.mis.Queries++
+		a.mis.WorstQError = max(a.mis.WorstQError, t.WorstQError)
+		if r.TraceID != "" {
+			ex := exemplarAt(r.TraceID, t.WorstQError, end)
+			a.mis.Exemplar = &ex
 		}
 	}
 	for _, f := range r.Rules {
@@ -107,14 +118,11 @@ func bucketFor(d time.Duration) int {
 // AggregateSnapshot is a consistent copy of an Aggregator's state.
 type AggregateSnapshot struct {
 	Totals Totals `json:"totals"`
-	// Buckets holds per-bucket query counts; Buckets[i] counts queries with
-	// wall time in (LatencyBucketBound(i-1), LatencyBucketBound(i)], and the
-	// final element counts the overflow (+Inf) bucket.
-	Buckets []int64 `json:"latency_buckets"`
-	// Exemplars holds, per latency bucket, the most recent traced
-	// observation that landed there (nil for untraced buckets); indexes
-	// parallel Buckets. Rendered only by the OpenMetrics exposition.
-	Exemplars []*Exemplar `json:"exemplars,omitempty"`
+	// Latency is the query wall-time histogram; its Sum and Count equal
+	// Totals.Wall and Totals.Queries.
+	Latency HistogramSnapshot `json:"latency"`
+	// Misestimates folds the joined explain tables of the queries seen.
+	Misestimates Misestimates `json:"misestimates"`
 	// Rules counts optimizer rule firings by rule name.
 	Rules map[string]int64 `json:"rule_firings"`
 	// Slow lists the slowest queries seen, slowest first.
@@ -129,38 +137,17 @@ func (a *Aggregator) Snapshot() AggregateSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	s := AggregateSnapshot{
-		Totals:    a.totals.clone(),
-		Buckets:   make([]int64, len(a.buckets)),
-		Exemplars: make([]*Exemplar, len(a.exemplars)),
-		Rules:     make(map[string]int64, len(a.rules)),
-		Slow:      make([]SlowQuery, len(a.slow)),
-	}
-	copy(s.Buckets, a.buckets[:])
-	for i, ex := range a.exemplars {
-		if ex != nil {
-			cp := *ex
-			s.Exemplars[i] = &cp
-		}
+		Totals:       a.totals.clone(),
+		Latency:      a.latency.Snapshot(),
+		Misestimates: a.mis,
+		Rules:        make(map[string]int64, len(a.rules)),
+		Slow:         make([]SlowQuery, len(a.slow)),
 	}
 	for k, v := range a.rules {
 		s.Rules[k] = v
 	}
 	copy(s.Slow, a.slow)
 	return s
-}
-
-// Reset clears all aggregates.
-func (a *Aggregator) Reset() {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.totals = Totals{}
-	a.buckets = [nLatencyBuckets + 1]int64{}
-	a.exemplars = [nLatencyBuckets + 1]*Exemplar{}
-	a.rules = map[string]int64{}
-	a.slow = nil
-	a.mu.Unlock()
 }
 
 // FlightRecorder is a fixed-capacity ring of the last N full QueryReports,
@@ -260,12 +247,13 @@ func (f *FlightRecorder) Reports() []QueryReport {
 }
 
 // ExemplarHistogram is a concurrency-safe log-2 latency histogram whose
-// buckets carry trace-id exemplars, for histograms outside the Aggregator's
-// fleet snapshot (the coordinator's shard round-trip distribution).
+// buckets carry trace-id exemplars. It backs every latency family: query
+// wall time (inside the Aggregator), admission queue wait and the
+// coordinator's shard round trips.
 type ExemplarHistogram struct {
 	mu        sync.Mutex
 	buckets   [nLatencyBuckets + 1]int64
-	exemplars [nLatencyBuckets + 1]*Exemplar
+	exemplars [nLatencyBuckets + 1]Exemplar // by value: an observation allocates nothing
 	sum       time.Duration
 	count     int64
 }
@@ -282,8 +270,15 @@ func (h *ExemplarHistogram) Observe(d time.Duration, traceID string, ts time.Tim
 	h.sum += d
 	h.count++
 	if traceID != "" {
-		h.exemplars[bi] = &Exemplar{TraceID: traceID, Value: d.Seconds(), Ts: float64(ts.UnixNano()) / 1e9}
+		// The latest traced observation per bucket becomes the exemplar: the
+		// OpenMetrics hook from "this bucket is hot" to a concrete trace.
+		h.exemplars[bi] = exemplarAt(traceID, d.Seconds(), ts)
 	}
+}
+
+// exemplarAt links an observation of value, completed at ts, to a trace.
+func exemplarAt(traceID string, value float64, ts time.Time) Exemplar {
+	return Exemplar{TraceID: traceID, Value: value, Ts: float64(ts.UnixNano()) / 1e9}
 }
 
 // HistogramSnapshot is a consistent copy of an ExemplarHistogram, in the
@@ -311,9 +306,8 @@ func (h *ExemplarHistogram) Snapshot() HistogramSnapshot {
 	}
 	copy(s.Buckets, h.buckets[:])
 	for i, ex := range h.exemplars {
-		if ex != nil {
-			cp := *ex
-			s.Exemplars[i] = &cp
+		if ex.TraceID != "" {
+			s.Exemplars[i] = &ex
 		}
 	}
 	return s

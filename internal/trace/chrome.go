@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"time"
 )
 
@@ -118,6 +119,20 @@ func WriteChromeTrace(w io.Writer, r *QueryReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	return enc.Encode(doc)
+}
+
+// WriteChromeTraceFile exports the report to a file, loadable in
+// chrome://tracing or Perfetto.
+func WriteChromeTraceFile(path string, r *QueryReport) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChromeTrace(f, r); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 type chromeBuilder struct {

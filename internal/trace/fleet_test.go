@@ -46,12 +46,12 @@ func TestAggregatorHistogramAndTotals(t *testing.T) {
 	if s.Totals.Queries != 5 || s.Totals.Errors != 1 {
 		t.Fatalf("totals = %d queries / %d errors, want 5 / 1", s.Totals.Queries, s.Totals.Errors)
 	}
-	if got := len(s.Buckets); got != nLatencyBuckets+1 {
+	if got := len(s.Latency.Buckets); got != nLatencyBuckets+1 {
 		t.Fatalf("len(buckets) = %d, want %d", got, nLatencyBuckets+1)
 	}
 	wantBuckets := map[int]int64{0: 2, 2: 1, 20: 1, nLatencyBuckets: 1}
 	var sum int64
-	for i, n := range s.Buckets {
+	for i, n := range s.Latency.Buckets {
 		sum += n
 		if n != wantBuckets[i] {
 			t.Errorf("bucket %d = %d, want %d", i, n, wantBuckets[i])
@@ -60,15 +60,39 @@ func TestAggregatorHistogramAndTotals(t *testing.T) {
 	if sum != s.Totals.Queries {
 		t.Errorf("bucket sum %d != queries %d", sum, s.Totals.Queries)
 	}
+	// The histogram's _sum and _count are the totals' wall and query count.
+	if s.Latency.Sum != s.Totals.Wall || s.Latency.Count != s.Totals.Queries {
+		t.Errorf("latency sum/count = %v/%d, totals = %v/%d", s.Latency.Sum, s.Latency.Count, s.Totals.Wall, s.Totals.Queries)
+	}
 	if s.Rules["beta"] != 10 {
 		t.Errorf("beta firings = %d, want 10", s.Rules["beta"])
 	}
 	if s.Totals.IO.BytesRead != 5*4096 {
 		t.Errorf("bytes read = %d, want %d", s.Totals.IO.BytesRead, 5*4096)
 	}
-	a.Reset()
-	if s := a.Snapshot(); s.Totals.Queries != 0 || len(s.Rules) != 0 {
-		t.Errorf("after Reset: %+v", s)
+}
+
+// TestAggregatorMisestimates: the fleet folds each joined explain table's
+// flagged rows, the worst q-error, and an exemplar for the latest traced
+// offender; a table with no flag changes nothing.
+func TestAggregatorMisestimates(t *testing.T) {
+	a := NewAggregator(0)
+	flagged := func(traceID string, ops int, worst float64) *QueryReport {
+		r := fleetReport("q", time.Millisecond, "")
+		r.TraceID, r.Start = traceID, time.Unix(1000, 0)
+		r.Explain = &ExplainTable{Misestimates: ops, WorstQError: worst}
+		return r
+	}
+	a.Emit(fleetReport("clean", time.Millisecond, ""))
+	a.Emit(flagged("aaaa", 2, 5))
+	a.Emit(flagged("", 1, 3))
+	a.Emit(flagged("bbbb", 0, 9)) // no flagged row: not a misestimate
+	m := a.Snapshot().Misestimates
+	if m.Ops != 3 || m.Queries != 2 || m.WorstQError != 5 {
+		t.Fatalf("misestimates = %+v, want 3 ops / 2 queries / worst 5", m)
+	}
+	if m.Exemplar == nil || m.Exemplar.TraceID != "aaaa" || m.Exemplar.Value != 5 || m.Exemplar.Ts != 1000.001 {
+		t.Fatalf("exemplar = %+v, want the traced offender", m.Exemplar)
 	}
 }
 
@@ -180,13 +204,12 @@ aql_query_errors_total 1
 // TestNewHandlerEndpoints checks each endpoint's status and Content-Type,
 // and that unknown paths 404 rather than falling through to the summary.
 func TestNewHandlerEndpoints(t *testing.T) {
-	r := NewRecorder(nil)
 	agg := NewAggregator(0)
 	flight := NewFlightRecorder(2)
 	rep := fleetReport("q", time.Millisecond, "")
 	agg.Emit(rep)
 	flight.Emit(rep)
-	srv := httptest.NewServer(NewHandler(r, agg, flight))
+	srv := httptest.NewServer(NewHandler(agg, flight))
 	defer srv.Close()
 
 	cases := []struct {
@@ -217,7 +240,7 @@ func TestNewHandlerEndpoints(t *testing.T) {
 	}
 
 	// Fleet endpoints degrade to 404 when their component is absent.
-	bare := httptest.NewServer(NewHandler(r, nil, nil))
+	bare := httptest.NewServer(NewHandler(nil, nil))
 	defer bare.Close()
 	for _, path := range []string{"/metrics", "/debug/queries", "/debug/slow"} {
 		resp, err := bare.Client().Get(bare.URL + path)

@@ -83,30 +83,6 @@ func (r *QueryReport) FormatRules() string {
 	return b.String()
 }
 
-// FormatTotals renders session-cumulative counters for :stats.
-func (t Totals) FormatTotals() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "session totals over %d queries (%d errors)\n", t.Queries, t.Errors)
-	fmt.Fprintf(&b, "  wall total      %12s\n", fmtDur(t.Wall))
-	for _, name := range PhaseOrder {
-		if d, ok := t.PhaseWall[name]; ok && d > 0 {
-			fmt.Fprintf(&b, "  %-15s %12s\n", name, fmtDur(d))
-		}
-	}
-	fmt.Fprintf(&b, "  steps           %12d\n", t.Eval.Steps)
-	fmt.Fprintf(&b, "  cells           %12d\n", t.Eval.Cells)
-	fmt.Fprintf(&b, "  tabulations     %12d\n", t.Eval.Tabulations)
-	fmt.Fprintf(&b, "  set ops         %12d\n", t.Eval.SetOps)
-	fmt.Fprintf(&b, "  iterations      %12d\n", t.Eval.Iterations)
-	fmt.Fprintf(&b, "  rule firings    %12d\n", t.RuleFirings)
-	if !t.IO.IsZero() {
-		fmt.Fprintf(&b, "  slab reads      %12d\n", t.IO.SlabReads)
-		fmt.Fprintf(&b, "  bytes read      %12d\n", t.IO.BytesRead)
-		fmt.Fprintf(&b, "  retries         %12d\n", t.IO.Retries)
-	}
-	return b.String()
-}
-
 func isStandardPhase(name string) bool {
 	for _, p := range PhaseOrder {
 		if p == name {
@@ -202,20 +178,21 @@ func (r *QueryReport) FormatSpans() string {
 	return b.String()
 }
 
-// FormatFleet renders an aggregate snapshot for :fleet — the cross-query
-// histogram, phase totals, hottest rules, I/O totals and the slow log.
+// FormatFleet renders an aggregate snapshot for :stats — the cross-query
+// histogram, phase totals, evaluator and I/O counters, hottest rules and
+// the slow log.
 func (s AggregateSnapshot) FormatFleet() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fleet over %d queries (%d errors), wall %s\n",
-		s.Totals.Queries, s.Totals.Errors, fmtDur(s.Totals.Wall))
-	if s.Totals.Queries > 0 {
+	t := s.Totals
+	fmt.Fprintf(&b, "fleet over %d queries (%d errors), wall %s\n", t.Queries, t.Errors, fmtDur(t.Wall))
+	if t.Queries > 0 {
 		b.WriteString("latency histogram:\n")
-		for i, n := range s.Buckets {
+		for i, n := range s.Latency.Buckets {
 			if n == 0 {
 				continue
 			}
 			le := "+Inf"
-			if i < len(s.Buckets)-1 {
+			if i < len(s.Latency.Buckets)-1 {
 				le = fmtDur(LatencyBucketBound(i))
 			}
 			fmt.Fprintf(&b, "  <= %-10s %8d\n", le, n)
@@ -223,13 +200,25 @@ func (s AggregateSnapshot) FormatFleet() string {
 	}
 	phased := false
 	for _, name := range PhaseOrder {
-		if d, ok := s.Totals.PhaseWall[name]; ok && d > 0 {
+		if d, ok := t.PhaseWall[name]; ok && d > 0 {
 			if !phased {
 				b.WriteString("phase totals:\n")
 				phased = true
 			}
 			fmt.Fprintf(&b, "  %-15s %12s\n", name, fmtDur(d))
 		}
+	}
+	b.WriteString("counters:\n")
+	fmt.Fprintf(&b, "  steps           %12d\n", t.Eval.Steps)
+	fmt.Fprintf(&b, "  cells           %12d\n", t.Eval.Cells)
+	fmt.Fprintf(&b, "  tabulations     %12d\n", t.Eval.Tabulations)
+	fmt.Fprintf(&b, "  set ops         %12d\n", t.Eval.SetOps)
+	fmt.Fprintf(&b, "  iterations      %12d\n", t.Eval.Iterations)
+	fmt.Fprintf(&b, "  rule firings    %12d\n", t.RuleFirings)
+	if !t.IO.IsZero() {
+		fmt.Fprintf(&b, "  slab reads      %12d\n", t.IO.SlabReads)
+		fmt.Fprintf(&b, "  bytes read      %12d\n", t.IO.BytesRead)
+		fmt.Fprintf(&b, "  retries         %12d\n", t.IO.Retries)
 	}
 	if len(s.Rules) > 0 {
 		names := make([]string, 0, len(s.Rules))
@@ -242,13 +231,10 @@ func (s AggregateSnapshot) FormatFleet() string {
 			}
 			return names[i] < names[j]
 		})
-		b.WriteString("rule firings:\n")
+		b.WriteString("firings by rule:\n")
 		for _, name := range names {
 			fmt.Fprintf(&b, "  %-28s %d\n", name, s.Rules[name])
 		}
-	}
-	if !s.Totals.IO.IsZero() {
-		fmt.Fprintf(&b, "io: %d slab reads, %d bytes\n", s.Totals.IO.SlabReads, s.Totals.IO.BytesRead)
 	}
 	if len(s.Slow) > 0 {
 		b.WriteString("slowest queries:\n")

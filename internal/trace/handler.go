@@ -7,7 +7,8 @@ import (
 )
 
 // metricsPayload is the JSON document the summary endpoint serves:
-// expvar-style cumulative counters plus recent per-query summaries.
+// expvar-style cumulative counters plus one summary per report the flight
+// recorder retains.
 type metricsPayload struct {
 	Totals Totals         `json:"totals"`
 	Recent []querySummary `json:"recent"`
@@ -57,7 +58,8 @@ func summarize(rep *QueryReport) querySummary {
 // NewHandler routes the observability surface `aql -metricsaddr` serves
 // and the query server mounts beside its own endpoints:
 //
-//	GET /                JSON summary: cumulative totals + recent queries
+//	GET /                JSON summary: fleet totals + summaries of the
+//	                     flight recorder's reports (requires agg)
 //	GET /metrics         Prometheus text exposition (requires agg); serves
 //	                     OpenMetrics with exemplars when Accept asks for it
 //	GET /debug/queries   flight-recorder contents as JSON (requires flight)
@@ -70,14 +72,18 @@ func summarize(rep *QueryReport) querySummary {
 // methods on known paths get 405. Endpoints whose backing component is nil
 // respond 404, so a partial wiring degrades to "not found" rather than
 // serving empty documents.
-func NewHandler(r *Recorder, agg *Aggregator, flight *FlightRecorder) http.Handler {
+func NewHandler(agg *Aggregator, flight *FlightRecorder) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, req *http.Request) {
-		recent := r.Recent()
-		payload := metricsPayload{Totals: r.Totals(), Recent: make([]querySummary, 0, len(recent))}
-		for i := range recent {
-			payload.Recent = append(payload.Recent, summarize(&recent[i]))
+		if agg == nil {
+			http.NotFound(w, req)
+			return
+		}
+		reports := flight.Reports()
+		payload := metricsPayload{Totals: agg.Snapshot().Totals, Recent: make([]querySummary, 0, len(reports))}
+		for i := range reports {
+			payload.Recent = append(payload.Recent, summarize(&reports[i]))
 		}
 		WriteJSON(w, http.StatusOK, payload)
 	})

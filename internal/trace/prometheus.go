@@ -68,22 +68,7 @@ func writeFleetMetrics(b *MetricWriter, s AggregateSnapshot) {
 	b.Header("aql_query_errors_total", "counter", "Queries that ended in an error.")
 	b.Val("aql_query_errors_total", "", s.Totals.Errors)
 
-	b.Header("aql_query_duration_seconds", "histogram", "Query wall time, log-2 buckets.")
-	var cum int64
-	for i, n := range s.Buckets {
-		cum += n
-		le := "+Inf"
-		if i < nLatencyBuckets {
-			le = strconv.FormatFloat(LatencyBucketBound(i).Seconds(), 'g', -1, 64)
-		}
-		var ex *Exemplar
-		if i < len(s.Exemplars) {
-			ex = s.Exemplars[i]
-		}
-		b.ValEx("aql_query_duration_seconds_bucket", `le="`+le+`"`, cum, ex)
-	}
-	b.Valf("aql_query_duration_seconds_sum", "", s.Totals.Wall.Seconds())
-	b.Val("aql_query_duration_seconds_count", "", s.Totals.Queries)
+	b.Histogram("aql_query_duration_seconds", "Query wall time, log-2 buckets.", s.Latency)
 
 	b.Header("aql_phase_seconds_total", "counter", "Wall time by pipeline phase.")
 	for _, name := range phaseNames(s.Totals.PhaseWall) {
@@ -221,7 +206,8 @@ func (b *MetricWriter) Valf(name, labels string, v float64) {
 }
 
 // Histogram writes a whole histogram family from a snapshot: cumulative
-// buckets (with exemplars where available), the +Inf bucket, sum and count.
+// buckets on the log-2 bounds (with exemplars where available), the +Inf
+// bucket, sum and count.
 func (b *MetricWriter) Histogram(name, help string, h HistogramSnapshot) {
 	b.Header(name, "histogram", help)
 	var cum int64

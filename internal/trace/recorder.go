@@ -10,13 +10,11 @@ import (
 // is 100k, far beyond what a report can usefully show.
 const maxRuleFirings = 4096
 
-// recentCap is how many per-query summaries the recorder retains for the
-// metrics handler.
-const recentCap = 32
-
-// Recorder accumulates QueryReports for one session: at most one report is
-// under construction at a time (sessions evaluate queries sequentially),
-// finished reports flow to the Sink and into cumulative Totals.
+// Recorder builds QueryReports: at most one report is under construction at
+// a time (a session evaluates queries sequentially; the query server gives
+// each request its own recorder), and a finished report goes to the Sink.
+// The recorder keeps only the last one; what accumulates across queries
+// lives in the sink (the session's Aggregator and FlightRecorder).
 //
 // Every method is safe on a nil *Recorder and cheap when the recorder is
 // disabled, so instrumentation hooks can stay unconditional at call sites.
@@ -30,18 +28,16 @@ type Recorder struct {
 	sink    Sink
 	cur     *QueryReport
 	last    *QueryReport
-	totals  Totals
-	recent  []QueryReport // ring of finished reports, newest last
 }
 
 // NewRecorder returns an enabled recorder emitting to sink (nil means
-// reports are retained for Last/Totals but emitted nowhere).
+// a finished report is kept for Last but emitted nowhere).
 func NewRecorder(sink Sink) *Recorder {
 	return &Recorder{enabled: true, sink: sink}
 }
 
 // SetEnabled toggles recording. While disabled, Begin/End and every
-// recording method are no-ops; Totals and Last remain readable.
+// recording method are no-ops; Last remains readable.
 func (r *Recorder) SetEnabled(on bool) {
 	if r == nil {
 		return
@@ -215,8 +211,8 @@ func (r *Recorder) RecordSpans(root *SpanNode, level string) {
 // JoinExplain joins a prepare-time estimate tree against the open report's
 // recorded actuals (flat counters, span tree, shard spans) and attaches the
 // resulting table. Call it after RecordEval/RecordSpans/RecordShards and
-// before End, so the table rides every copy of the finished report (recent
-// ring, flight recorder, sinks). A threshold <= 0 selects
+// before End, so the table rides every copy of the finished report (flight
+// recorder, sinks). A threshold <= 0 selects
 // DefaultQErrorThreshold.
 func (r *Recorder) JoinExplain(est *EstNode, threshold float64) {
 	if r == nil || est == nil {
@@ -317,8 +313,8 @@ func (r *Recorder) RecordIO(c IOCounters) {
 }
 
 // End finishes the open report: stamps total wall time and the error (if
-// any), folds it into Totals, emits it to the sink, and returns it.
-// Returns nil when no report was open.
+// any), emits it to the sink, and returns it. Returns nil when no report was
+// open.
 func (r *Recorder) End(err error) *QueryReport {
 	if r == nil {
 		return nil
@@ -334,13 +330,7 @@ func (r *Recorder) End(err error) *QueryReport {
 	if err != nil {
 		rep.Err = err.Error()
 	}
-	r.totals.add(rep)
 	r.last = rep
-	if len(r.recent) == recentCap {
-		copy(r.recent, r.recent[1:])
-		r.recent = r.recent[:recentCap-1]
-	}
-	r.recent = append(r.recent, *rep)
 	sink := r.sink
 	r.mu.Unlock()
 	if sink != nil {
@@ -357,40 +347,4 @@ func (r *Recorder) Last() *QueryReport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.last
-}
-
-// Totals returns a copy of the session-cumulative counters.
-func (r *Recorder) Totals() Totals {
-	if r == nil {
-		return Totals{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.totals.clone()
-}
-
-// Recent returns copies of the most recently finished reports, oldest
-// first.
-func (r *Recorder) Recent() []QueryReport {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]QueryReport, len(r.recent))
-	copy(out, r.recent)
-	return out
-}
-
-// Reset clears totals, recent reports and the last report; the session
-// uses it to exclude its own setup statements from user-visible stats.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.totals = Totals{}
-	r.recent = nil
-	r.last = nil
-	r.mu.Unlock()
 }

@@ -13,13 +13,6 @@ type Sink interface {
 	Emit(*QueryReport)
 }
 
-// NopSink discards reports; the default when observability is plumbed but
-// not pointed anywhere.
-type NopSink struct{}
-
-// Emit discards the report.
-func (NopSink) Emit(*QueryReport) {}
-
 // SlogSink emits one structured log record per report — the operational
 // sink for servers that already aggregate slog output.
 type SlogSink struct {

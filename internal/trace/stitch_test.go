@@ -542,7 +542,7 @@ func TestHandlerSummaryAndTraceEndpoints(t *testing.T) {
 	rec.RecordEval(EvalCounters{Steps: 5})
 	rec.End(nil)
 
-	h := NewHandler(rec, agg, flight)
+	h := NewHandler(agg, flight)
 
 	// The summary view carries ids, queue wait, mode and shard spans.
 	w := httptest.NewRecorder()

@@ -15,9 +15,10 @@
 //   - the optimizer trace: each rule firing with its phase and the AST
 //     node count of the rewritten subtree before and after
 //
-// Reports flow through a pluggable Sink (no-op by default; slog and
-// JSON-lines sinks ship in the package) and accumulate into
-// session-cumulative Totals served by the HTTP Handler.
+// A Recorder builds each report and hands the finished one to a Sink. The
+// session's sinks are the only places reports are kept: the Aggregator folds
+// them into fleet totals and histograms, the FlightRecorder keeps the last N
+// whole; slog and JSON-lines sinks ship in the package too.
 package trace
 
 import (
@@ -340,8 +341,8 @@ func (r *QueryReport) addPhase(name string, d time.Duration) {
 	r.Phases = append(r.Phases, PhaseTime{Name: name, Wall: d, Count: 1})
 }
 
-// Totals is the session-cumulative view served by the metrics handler and
-// the REPL's :stats command.
+// Totals is the Aggregator's cumulative view, served by the metrics handler
+// and the REPL's :stats command.
 type Totals struct {
 	// Queries counts finished reports; Errors counts the failed ones.
 	Queries int64 `json:"queries"`

@@ -16,7 +16,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Begin("q")
 	r.SetEnabled(true)
-	r.SetSink(NopSink{})
+	r.SetSink(nil)
 	sp := r.StartPhase(PhaseParse)
 	sp.End()
 	r.RuleFired("normalize", "beta", 3, 1)
@@ -29,17 +29,14 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Enabled() || r.Active() {
 		t.Fatal("nil recorder reports enabled/active")
 	}
-	if r.Last() != nil || len(r.Recent()) != 0 {
+	if r.Last() != nil {
 		t.Fatal("nil recorder retains reports")
 	}
-	if got := r.Totals(); got.Queries != 0 {
-		t.Fatalf("nil recorder totals = %+v", got)
-	}
-	r.Reset()
 }
 
 func TestDisabledRecorderRecordsNothing(t *testing.T) {
-	r := NewRecorder(nil)
+	agg := NewAggregator(0)
+	r := NewRecorder(agg)
 	r.SetEnabled(false)
 	r.Begin("q")
 	if r.Active() {
@@ -49,13 +46,14 @@ func TestDisabledRecorderRecordsNothing(t *testing.T) {
 	if rep := r.End(nil); rep != nil {
 		t.Fatalf("disabled End = %+v, want nil", rep)
 	}
-	if tot := r.Totals(); tot.Queries != 0 {
-		t.Fatalf("disabled recorder accumulated totals: %+v", tot)
+	if tot := agg.Snapshot().Totals; tot.Queries != 0 || r.Last() != nil {
+		t.Fatalf("disabled recorder emitted a report: %+v", tot)
 	}
 }
 
 func TestRecorderLifecycle(t *testing.T) {
-	r := NewRecorder(nil)
+	agg := NewAggregator(0)
+	r := NewRecorder(agg)
 	r.Begin("len!A")
 	if !r.Active() {
 		t.Fatal("no open report after Begin")
@@ -106,29 +104,31 @@ func TestRecorderLifecycle(t *testing.T) {
 	if r.Last() != rep {
 		t.Fatal("Last != finished report")
 	}
-	tot := r.Totals()
+	tot := agg.Snapshot().Totals
 	if tot.Queries != 1 || tot.Errors != 1 || tot.RuleFirings != 2 || tot.Eval.Steps != 12 {
 		t.Fatalf("totals = %+v", tot)
 	}
-	// Mutating the returned totals must not affect the recorder.
+	// Mutating a snapshot's totals must not affect the aggregator.
 	tot.PhaseWall[PhaseEval] = 0
-	if r.Totals().PhaseWall[PhaseEval] == 0 && rep.Phase(PhaseEval) > 0 {
-		t.Fatal("Totals returned the live phase map")
+	if agg.Snapshot().Totals.PhaseWall[PhaseEval] == 0 && rep.Phase(PhaseEval) > 0 {
+		t.Fatal("Snapshot returned the live phase map")
 	}
 }
 
 func TestEndWithoutBegin(t *testing.T) {
-	r := NewRecorder(nil)
+	agg := NewAggregator(0)
+	r := NewRecorder(agg)
 	if rep := r.End(nil); rep != nil {
 		t.Fatalf("End without Begin = %+v", rep)
 	}
-	if tot := r.Totals(); tot.Queries != 0 {
+	if tot := agg.Snapshot().Totals; tot.Queries != 0 {
 		t.Fatalf("phantom query in totals: %+v", tot)
 	}
 }
 
 func TestRuleFiringCap(t *testing.T) {
-	r := NewRecorder(nil)
+	agg := NewAggregator(0)
+	r := NewRecorder(agg)
 	r.Begin("q")
 	for i := 0; i < maxRuleFirings+10; i++ {
 		r.RuleFired("normalize", "beta^p", 2, 1)
@@ -140,27 +140,30 @@ func TestRuleFiringCap(t *testing.T) {
 	if rep.RulesDropped != 10 {
 		t.Fatalf("RulesDropped = %d, want 10", rep.RulesDropped)
 	}
-	if tot := r.Totals(); tot.RuleFirings != int64(maxRuleFirings+10) {
+	if tot := agg.Snapshot().Totals; tot.RuleFirings != int64(maxRuleFirings+10) {
 		t.Fatalf("totals count %d firings, want %d", tot.RuleFirings, maxRuleFirings+10)
 	}
 }
 
+// TestRecentRing: the recent reports a recorder finishes are kept by its
+// flight-recorder sink, the one ring of finished reports, oldest first.
 func TestRecentRing(t *testing.T) {
-	r := NewRecorder(nil)
-	for i := 0; i < recentCap+5; i++ {
+	f := NewFlightRecorder(0)
+	r := NewRecorder(f)
+	for i := 0; i < DefaultFlightCap+5; i++ {
 		r.Begin(fmt.Sprintf("q%d", i))
 		r.End(nil)
 	}
-	recent := r.Recent()
-	if len(recent) != recentCap {
-		t.Fatalf("ring holds %d, want %d", len(recent), recentCap)
+	recent := f.Reports()
+	if len(recent) != DefaultFlightCap {
+		t.Fatalf("ring holds %d, want %d", len(recent), DefaultFlightCap)
 	}
-	if recent[0].Query != "q5" || recent[recentCap-1].Query != fmt.Sprintf("q%d", recentCap+4) {
-		t.Fatalf("ring order wrong: first=%s last=%s", recent[0].Query, recent[recentCap-1].Query)
+	last := fmt.Sprintf("q%d", DefaultFlightCap+4)
+	if recent[0].Query != "q5" || recent[DefaultFlightCap-1].Query != last {
+		t.Fatalf("ring order wrong: first=%s last=%s", recent[0].Query, recent[DefaultFlightCap-1].Query)
 	}
-	r.Reset()
-	if len(r.Recent()) != 0 || r.Last() != nil || r.Totals().Queries != 0 {
-		t.Fatal("Reset left state behind")
+	if r.Last() == nil || r.Last().Query != last {
+		t.Fatalf("Last = %+v, want %s", r.Last(), last)
 	}
 }
 
@@ -218,13 +221,14 @@ func TestMultiSink(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	r := NewRecorder(nil)
+	agg, flight := NewAggregator(0), NewFlightRecorder(0)
+	r := NewRecorder(MultiSink{agg, flight})
 	r.Begin("len!A")
 	r.RecordEval(EvalCounters{Steps: 3})
 	r.RuleFired("normalize", "beta^p", 2, 1)
 	r.End(nil)
 
-	srv := httptest.NewServer(NewHandler(r, nil, nil))
+	srv := httptest.NewServer(NewHandler(agg, flight))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL)
@@ -304,10 +308,32 @@ func TestFormatRules(t *testing.T) {
 	}
 }
 
-func TestFormatTotals(t *testing.T) {
-	tot := Totals{Queries: 3, Errors: 1, Eval: EvalCounters{Steps: 99}}
-	out := tot.FormatTotals()
-	if !strings.Contains(out, "3 queries (1 errors)") || !strings.Contains(out, "99") {
-		t.Errorf("totals rendering:\n%s", out)
+// TestFormatFleetCounters: :stats prints the fleet's evaluator, rule and
+// I/O counter lines beside its histogram.
+func TestFormatFleetCounters(t *testing.T) {
+	s := AggregateSnapshot{Totals: Totals{
+		Queries: 3, Errors: 1, RuleFirings: 7,
+		Eval: EvalCounters{Steps: 99, Cells: 12, Tabulations: 2, SetOps: 5, Iterations: 40},
+		IO:   IOCounters{SlabReads: 4, BytesRead: 4096, Retries: 1},
+	}}
+	out := s.FormatFleet()
+	for _, line := range []string{
+		"fleet over 3 queries (1 errors), wall 0s",
+		"  steps                     99",
+		"  cells                     12",
+		"  tabulations                2",
+		"  set ops                    5",
+		"  iterations                40",
+		"  rule firings               7",
+		"  slab reads                 4",
+		"  bytes read              4096",
+		"  retries                    1",
+	} {
+		if !strings.Contains(out, line+"\n") {
+			t.Errorf("fleet rendering missing %q:\n%s", line, out)
+		}
+	}
+	if strings.Contains((AggregateSnapshot{Totals: Totals{Queries: 1}}).FormatFleet(), "slab reads") {
+		t.Error("I/O lines printed for a fleet that did no I/O")
 	}
 }
