@@ -17,6 +17,7 @@ import (
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/repl"
+	"github.com/aqldb/aql/internal/trace"
 	"github.com/aqldb/aql/internal/types"
 )
 
@@ -147,7 +148,7 @@ func (c *compiledEngine) EvalExpr(ctx context.Context, core ast.Expr) (object.Va
 
 func (c *compiledEngine) Counters() eval.Counters { return c.out.Counters }
 
-func (c *compiledEngine) SpanTree() *eval.SpanNode { return c.out.Spans }
+func (c *compiledEngine) SpanTree() *trace.SpanNode { return c.out.Spans }
 
 // engine is what these tests need of either engine.
 type engine interface {

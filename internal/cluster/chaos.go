@@ -54,6 +54,10 @@ const (
 	// FaultGarble performs the dispatch but truncates the response values,
 	// which the coordinator must detect and treat as a transport failure.
 	FaultGarble
+	// FaultSkew performs the dispatch but rewrites the response's counters
+	// and queue wait to negative figures no execution can charge, which the
+	// coordinator must reject as a transport failure rather than merge.
+	FaultSkew
 )
 
 // Fail schedules a fault for the given (shard, attempt) dispatch.
@@ -132,6 +136,13 @@ func (c *ChaosTransport) Shard(ctx context.Context, worker string, req *exchange
 		} else {
 			resp.Values = "[[garbage"
 		}
+		return resp, nil
+	case FaultSkew:
+		resp, err := c.Inner.Shard(ctx, worker, req)
+		if err != nil {
+			return nil, err
+		}
+		resp.Eval.Steps, resp.Eval.Cells, resp.QueueWaitNS = -1000, -7, -5
 		return resp, nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown chaos fault kind %d", fault.Kind)

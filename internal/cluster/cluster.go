@@ -161,7 +161,7 @@ func (c *Coordinator) ShardLatency() trace.HistogramSnapshot { return c.shardLat
 // Result is one coordinator execution.
 type Result struct {
 	Value    object.Value
-	Counters eval.Counters
+	Counters trace.EvalCounters
 	// Mode is "distributed" (every shard remote), "distributed:partial"
 	// (some shards local), "degraded:local" (every shard local, after
 	// failures) or "local" (not scattered: below MinCells, no workers
@@ -185,7 +185,7 @@ type shardOutcome struct {
 	span     trace.ShardSpan
 	part     compile.Partial
 	values   []object.Value
-	counters eval.Counters
+	counters trace.EvalCounters
 }
 
 // Execute runs prog — whose normalized source is query, as workers must
@@ -325,7 +325,7 @@ func (c *Coordinator) ExecuteTraced(ctx context.Context, prog *compile.Program, 
 	// reproduces the merged totals exactly.
 	root := trace.NewSpan(trace.SpanScatter, "coordinator", time.Since(t0))
 	planSpan := trace.NewSpan(trace.SpanPlan, "coordinator", planWall)
-	planSpan.SetCounters(compile.TraceCounters(plan.Counters)).FinalizeSelf()
+	planSpan.SetCounters(plan.Counters).FinalizeSelf()
 	root.Children = append(root.Children, planSpan)
 	for i := range spans {
 		if spans[i].Spans != nil {
@@ -387,13 +387,13 @@ func (c *Coordinator) runShard(ctx context.Context, abort func(error), prog *com
 		resp, winner, hedged, derr := c.dispatch(ctx, worker, &req, &attempt, t0, &out.span, tc)
 		out.span.Hedged = out.span.Hedged || hedged
 		if derr == nil {
-			values, bottomOff, bottom, counters, perr := decodeShard(resp, start, end)
+			values, bottomOff, bottom, perr := decodeShard(resp, start, end)
 			if perr == nil {
 				c.breakerFor(winner).onSuccess()
-				out.values, out.part.BottomOff, out.part.Bottom, out.counters = values, bottomOff, bottom, counters
+				out.values, out.part.BottomOff, out.part.Bottom, out.counters = values, bottomOff, bottom, resp.Eval
 				out.span.Worker, out.span.Attempts, out.span.Wall = winner, attempt, time.Since(t0)
 				out.span.QueueWait = time.Duration(resp.QueueWaitNS)
-				out.span.Spans = stitchShard(&out.span, workerSubtree(resp, winner, compile.TraceCounters(counters)))
+				out.span.Spans = stitchShard(&out.span, workerSubtree(resp, winner))
 				c.stats.RemoteShards.Add(1)
 				c.shardLatency.Observe(out.span.Wall, tc.TraceID, time.Now())
 				return out
@@ -458,7 +458,7 @@ func (c *Coordinator) runShard(ctx context.Context, abort func(error), prog *com
 		StartOff: lt0.Sub(t0), Wall: lwall,
 	})
 	local := trace.NewSpan(trace.SpanEval, "local", lwall)
-	local.SetCounters(compile.TraceCounters(out.counters)).FinalizeSelf()
+	local.SetCounters(out.counters).FinalizeSelf()
 	out.span.Spans = stitchShard(&out.span, local)
 	c.shardLatency.Observe(out.span.Wall, tc.TraceID, time.Now())
 	return out
@@ -502,40 +502,55 @@ const (
 	maxWorkerSpanNodes = 4096
 )
 
-// workerSubtree converts the winning worker's wire span tree into the
-// trace mirror, labelled with the worker's name at every node. A response
-// without spans — or whose spans fail the stitching invariants against the
-// shard's decoded counters — gets a synthetic "eval" span instead, so the
+// workerSubtree converts the winning worker's wire span tree into a trace
+// tree, labelled with the worker's name at every node. A response without
+// spans — or whose spans claim a negative time or counter, or fail the
+// stitching invariants against the shard's decoded counters — gets a
+// synthetic "eval" span carrying the response's counters instead, so the
 // stitched tree stays well-formed whatever the worker sent.
-func workerSubtree(resp *exchange.ShardResponse, worker string, counters trace.EvalCounters) *trace.SpanNode {
+func workerSubtree(resp *exchange.ShardResponse, worker string) *trace.SpanNode {
 	if resp.Spans != nil {
 		budget := maxWorkerSpanNodes
-		if n := convertSpan(resp.Spans, worker, maxWorkerSpanDepth, &budget); n != nil {
-			if trace.CheckStitched(n, counters) == nil {
+		if n, ok := convertSpan(resp.Spans, worker, maxWorkerSpanDepth, &budget); ok && n != nil {
+			if trace.CheckStitched(n, resp.Eval) == nil {
 				return n
 			}
 		}
 	}
 	n := trace.NewSpan(trace.SpanEval, worker, 0)
-	return n.SetCounters(counters).FinalizeSelf()
+	return n.SetCounters(resp.Eval).FinalizeSelf()
 }
 
 // convertSpan maps one wire span node (and its children, depth- and
-// node-capped) into the trace mirror.
-func convertSpan(s *exchange.Span, node string, depth int, budget *int) *trace.SpanNode {
+// node-capped) into a trace node. ok is false when any node of the subtree
+// claims a negative wall time, self time or counter.
+func convertSpan(s *exchange.Span, node string, depth int, budget *int) (n *trace.SpanNode, ok bool) {
 	if s == nil || depth <= 0 || *budget <= 0 {
-		return nil
+		return nil, true
+	}
+	if s.WallNS < 0 || s.SelfNS < 0 || negative(s.Eval) {
+		return nil, false
 	}
 	*budget--
-	n := trace.NewSpan(s.Op, node, time.Duration(s.WallNS))
+	n = trace.NewSpan(s.Op, node, time.Duration(s.WallNS))
 	n.WallSelf = time.Duration(s.SelfNS)
-	n.SetCounters(trace.EvalCounters(s.Eval))
+	n.SetCounters(s.Eval)
 	for _, ch := range s.Children {
-		if cn := convertSpan(ch, node, depth-1, budget); cn != nil {
+		cn, ok := convertSpan(ch, node, depth-1, budget)
+		if !ok {
+			return nil, false
+		}
+		if cn != nil {
 			n.Children = append(n.Children, cn)
 		}
 	}
-	return n
+	return n, true
+}
+
+// negative reports whether any of c's counters is below zero, which no
+// execution can charge.
+func negative(c trace.EvalCounters) bool {
+	return c.Steps < 0 || c.Cells < 0 || c.Tabulations < 0 || c.SetOps < 0 || c.Iterations < 0
 }
 
 // dispatch performs one attempt round for a shard: a primary dispatch,
@@ -708,33 +723,31 @@ func (c *Coordinator) recordFailure(w string) {
 }
 
 // decodeShard turns a worker's response into merge inputs, validating that
-// it actually answers [start, end); a mismatch is a transport-class error
-// (retryable on another attempt).
-func decodeShard(resp *exchange.ShardResponse, start, end int64) (values []object.Value, bottomOff int64, bottom object.Value, counters eval.Counters, err error) {
-	counters = eval.Counters{
-		Steps:  resp.Eval.Steps,
-		Cells:  resp.Eval.Cells,
-		Tabs:   resp.Eval.Tabulations,
-		SetOps: resp.Eval.SetOps,
-		Iters:  resp.Eval.Iterations,
+// it actually answers [start, end) and claims no negative work or queue
+// wait; a mismatch is a transport-class error (retryable on another
+// attempt).
+func decodeShard(resp *exchange.ShardResponse, start, end int64) (values []object.Value, bottomOff int64, bottom object.Value, err error) {
+	if negative(resp.Eval) || resp.QueueWaitNS < 0 {
+		return nil, -1, object.Value{}, &ShardError{Kind: "transport",
+			Message: fmt.Sprintf("cluster: shard claims negative work %+v or queue wait %dns", resp.Eval, resp.QueueWaitNS), Off: -1}
 	}
 	if resp.BottomOff >= 0 {
 		if resp.BottomOff < start || resp.BottomOff >= end {
-			return nil, -1, object.Value{}, counters, &ShardError{Kind: "transport",
+			return nil, -1, object.Value{}, &ShardError{Kind: "transport",
 				Message: fmt.Sprintf("cluster: shard ⊥ offset %d outside [%d, %d)", resp.BottomOff, start, end), Off: -1}
 		}
-		return nil, resp.BottomOff, object.Bottom(resp.BottomMsg), counters, nil
+		return nil, resp.BottomOff, object.Bottom(resp.BottomMsg), nil
 	}
 	v, rerr := exchange.ReadString(resp.Values)
 	if rerr != nil {
-		return nil, -1, object.Value{}, counters, &ShardError{Kind: "transport",
+		return nil, -1, object.Value{}, &ShardError{Kind: "transport",
 			Message: "cluster: undecodable shard values: " + rerr.Error(), Off: -1}
 	}
 	if v.Kind != object.KArray || len(v.Shape) != 1 || int64(len(v.Elems)) != end-start {
-		return nil, -1, object.Value{}, counters, &ShardError{Kind: "transport",
+		return nil, -1, object.Value{}, &ShardError{Kind: "transport",
 			Message: fmt.Sprintf("cluster: shard values shape mismatch: want vector of %d", end-start), Off: -1}
 	}
-	return v.Elems, -1, object.Value{}, counters, nil
+	return v.Elems, -1, object.Value{}, nil
 }
 
 // sleepCtx sleeps d unless ctx is done first; reports whether the full

@@ -142,6 +142,11 @@ func TestChaosDifferential(t *testing.T) {
 		"garbled-response": {
 			{2, 0}: {Kind: cluster.FaultGarble},
 		},
+		"negative-counters": {
+			// Well-formed values with counters and a queue wait no execution
+			// can charge: merging them would skew the totals.
+			{1, 0}: {Kind: cluster.FaultSkew},
+		},
 		"straggler-then-clean-retry": {
 			{3, 0}: {Kind: cluster.FaultErr, Delay: 20 * time.Millisecond},
 		},

@@ -560,7 +560,7 @@ func (c *compiler) compileBigUnion(headE ast.Expr, varName string, overE ast.Exp
 			return object.Value{}, fmt.Errorf(overMsg, s.Kind)
 		}
 		fr.m.used.SetOps++
-		fr.m.used.Iters += int64(len(s.Elems))
+		fr.m.used.Iterations += int64(len(s.Elems))
 		var all []object.Value
 		for _, x := range s.Elems {
 			fr.slots[slot] = x
@@ -613,7 +613,7 @@ func (c *compiler) compileRankUnion(headE ast.Expr, varName, rankVar string, ove
 			return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, s.Kind)
 		}
 		fr.m.used.SetOps++
-		fr.m.used.Iters += int64(len(s.Elems))
+		fr.m.used.Iterations += int64(len(s.Elems))
 		var all []object.Value
 		for i, x := range s.Elems {
 			fr.slots[varSlot] = x

@@ -7,6 +7,7 @@ import (
 
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // machine carries the per-evaluation runtime state of the compiled engine:
@@ -54,7 +55,7 @@ type machine struct {
 
 	// used is the work charged on this machine; span wrappers hand it to
 	// the profiling context by pointer.
-	used eval.Counters
+	used trace.EvalCounters
 }
 
 // config is what an execution fixes before it starts and every machine
@@ -192,12 +193,12 @@ func (m *machine) absorb(w *machine) {
 }
 
 // add charges work done elsewhere on m's behalf to m's counters.
-func (m *machine) add(c eval.Counters) {
+func (m *machine) add(c trace.EvalCounters) {
 	m.used.Steps += c.Steps
 	m.used.Cells = eval.SatAdd(m.used.Cells, c.Cells)
-	m.used.Tabs += c.Tabs
+	m.used.Tabulations += c.Tabulations
 	m.used.SetOps += c.SetOps
-	m.used.Iters += c.Iters
+	m.used.Iterations += c.Iterations
 }
 
 // apply runs a function the interpreter made on m's account: its body
@@ -214,7 +215,7 @@ func (m *machine) apply(f eval.Applier, arg object.Value) (object.Value, error) 
 }
 
 // counters snapshots the machine's work counters.
-func (m *machine) counters() eval.Counters {
+func (m *machine) counters() trace.EvalCounters {
 	return m.used
 }
 

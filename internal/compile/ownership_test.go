@@ -53,7 +53,7 @@ var ownershipCases = []struct {
 		name:     "let-bound fn in a 1e6-cell tabulation",
 		expr:     letFnTab(1_000_000, arith(ast.OpAdd, arith(ast.OpMul, v("x"), v("x")), nat(1))),
 		wantKind: object.KArray,
-		want:     eval.Counters{Steps: 10_000_005, Cells: 1_000_000, Tabs: 1},
+		want:     eval.Counters{Steps: 10_000_005, Cells: 1_000_000, Tabulations: 1},
 	},
 	{
 		// 7 / (500 - x) is ⊥ from x = 500 on (monus): the first ⊥ in
@@ -61,7 +61,7 @@ var ownershipCases = []struct {
 		name:     "let-bound fn whose body goes ⊥",
 		expr:     letFnTab(1_000_000, arith(ast.OpDiv, nat(7), arith(ast.OpSub, nat(500), v("x")))),
 		wantKind: object.KBottom,
-		want:     eval.Counters{Steps: 10_000_005, Cells: 1_000_000, Tabs: 1},
+		want:     eval.Counters{Steps: 10_000_005, Cells: 1_000_000, Tabulations: 1},
 	},
 	{
 		// A kind error from x = 999 on, so first at offset 999, where the
@@ -77,7 +77,7 @@ var ownershipCases = []struct {
 		expr: let("F", closureArray(8200),
 			tab1("k", 8200, &ast.App{Fn: &ast.Subscript{Arr: v("F"), Index: v("k")}, Arg: v("k")})),
 		wantKind: object.KArray,
-		want:     eval.Counters{Steps: 90_206, Cells: 16_400, Tabs: 2},
+		want:     eval.Counters{Steps: 90_206, Cells: 16_400, Tabulations: 2},
 	},
 	{
 		name: "array of closures applied serially after the join",
@@ -85,7 +85,7 @@ var ownershipCases = []struct {
 			&ast.Sum{Var: "k", Over: &ast.Gen{N: nat(8200)},
 				Head: &ast.App{Fn: &ast.Subscript{Arr: v("F"), Index: v("k")}, Arg: v("k")}}),
 		wantKind: object.KNat,
-		want:     eval.Counters{Steps: 90_207, Cells: 16_400, Tabs: 1, SetOps: 1, Iters: 8200},
+		want:     eval.Counters{Steps: 90_207, Cells: 16_400, Tabulations: 1, SetOps: 1, Iterations: 8200},
 	},
 }
 
@@ -272,7 +272,7 @@ func TestValBoundFnFansOut(t *testing.T) {
 	sv := run(t, serial, query)
 	// App, mapN, the fn; mapN's tabulation and its bound; per cell
 	// h!(probe!i) and the fn's body, y * 3.
-	if want := (eval.Counters{Steps: 3 + 2 + (5+3)*8200, Cells: 8200, Tabs: 1}); serial.Counters() != want {
+	if want := (eval.Counters{Steps: 3 + 2 + (5+3)*8200, Cells: 8200, Tabulations: 1}); serial.Counters() != want {
 		t.Errorf("serial counters = %+v, pinned %+v", serial.Counters(), want)
 	}
 	if peak.Load() != 1 {

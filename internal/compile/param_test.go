@@ -207,9 +207,9 @@ func TestPlanShardsThroughLets(t *testing.T) {
 				copy(data[r[0]:r[1]], res.Values)
 				merged.Steps += res.Counters.Steps
 				merged.Cells += res.Counters.Cells
-				merged.Tabs += res.Counters.Tabs
+				merged.Tabulations += res.Counters.Tabulations
 				merged.SetOps += res.Counters.SetOps
-				merged.Iters += res.Counters.Iters
+				merged.Iterations += res.Counters.Iterations
 			}
 			got := object.Value{Kind: object.KArray, Shape: plan.Shape, Elems: data}
 			if got.String() != want.String() {
@@ -264,9 +264,9 @@ func TestPlanShardsLetsAndParams(t *testing.T) {
 		copy(data[r[0]:r[1]], res.Values)
 		merged.Steps += res.Counters.Steps
 		merged.Cells += res.Counters.Cells
-		merged.Tabs += res.Counters.Tabs
+		merged.Tabulations += res.Counters.Tabulations
 		merged.SetOps += res.Counters.SetOps
-		merged.Iters += res.Counters.Iters
+		merged.Iterations += res.Counters.Iterations
 	}
 	got := object.Value{Kind: object.KArray, Shape: plan.Shape, Elems: data}
 	if got.String() != want.String() {

@@ -111,12 +111,6 @@ func (p *Program) Estimates() *trace.EstNode {
 	return p.est
 }
 
-// TraceCounters renders c in the trace package's vocabulary; every layer
-// that reports an execution's work to a recorder or a span converts here.
-func TraceCounters(c eval.Counters) trace.EvalCounters {
-	return trace.EvalCounters{Steps: c.Steps, Cells: c.Cells, Tabulations: c.Tabs, SetOps: c.SetOps, Iterations: c.Iters}
-}
-
 // ExecOpts configures one execution of a Program.
 type ExecOpts struct {
 	// Limits bounds this execution's resources. MaxDepth is ignored: the
@@ -144,9 +138,9 @@ type ExecOpts struct {
 
 // Outcome is what one execution did, as far as it got.
 type Outcome struct {
-	Counters eval.Counters
+	Counters trace.EvalCounters
 	// Spans is the execution's span tree at Level; nil at ProfOff.
-	Spans *eval.SpanNode
+	Spans *trace.SpanNode
 	Level eval.ProfLevel
 }
 
@@ -165,7 +159,7 @@ func (p *Program) Run(ctx context.Context, opts ExecOpts, out *Outcome) (object.
 }
 
 // Execute is Run for callers that want the counters and no span tree.
-func (p *Program) Execute(ctx context.Context, opts ExecOpts) (object.Value, eval.Counters, error) {
+func (p *Program) Execute(ctx context.Context, opts ExecOpts) (object.Value, trace.EvalCounters, error) {
 	var out Outcome
 	v, err := p.Run(ctx, opts, &out)
 	return v, out.Counters, err

@@ -11,6 +11,7 @@ import (
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // progExpr builds (λT. Σ{ T[x] | x ∈ gen!n }) [[ (i*i+7) % 93 | i < n ]]:
@@ -47,10 +48,10 @@ func progWant(n int64) int64 {
 
 // spanShape renders a span tree's structure — operators, nesting and
 // invocation counts, no timings.
-func spanShape(n *eval.SpanNode) string {
+func spanShape(n *trace.SpanNode) string {
 	var b strings.Builder
-	var walk func(n *eval.SpanNode, depth int)
-	walk = func(n *eval.SpanNode, depth int) {
+	var walk func(n *trace.SpanNode, depth int)
+	walk = func(n *trace.SpanNode, depth int) {
 		fmt.Fprintf(&b, "%s%s inv=%d\n", strings.Repeat(" ", depth), n.Op, n.Invocations)
 		for _, c := range n.Children {
 			walk(c, depth+1)

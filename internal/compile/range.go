@@ -6,8 +6,8 @@ import (
 	"math"
 
 	"github.com/aqldb/aql/internal/ast"
-	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // Range-restricted execution: the prepared-plan half of distributed
@@ -130,7 +130,7 @@ type ShardPlan struct {
 	// Counters is the prologue's work: the tabulation node's step, the
 	// bound evaluations, and the whole-array cell charge. Adding every
 	// range's counters to it reproduces a single-node run's totals.
-	Counters eval.Counters
+	Counters trace.EvalCounters
 }
 
 // PlanShards evaluates the let bindings and the tabulation prologue under
@@ -164,7 +164,7 @@ type RangeResult struct {
 	// Values holds the Hi-Lo elements of the range, in row-major order.
 	Values []object.Value
 	// Counters is the work the range's head evaluations charged.
-	Counters eval.Counters
+	Counters trace.EvalCounters
 }
 
 // RangeError wraps a deterministic evaluation error with the row-major

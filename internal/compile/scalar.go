@@ -462,7 +462,7 @@ func (c *compiler) lowerSum(n *ast.Sum) scalarExpr {
 		}
 		elems := s.v.Elems
 		var acc eval.SumAcc
-		fr.m.used.Iters += int64(len(elems))
+		fr.m.used.Iterations += int64(len(elems))
 		x := &fr.slots[slot]
 		for i := range elems {
 			// A nat over a nat rebinds the payload alone, as a tabulation

@@ -11,6 +11,7 @@ import (
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // The tabulation kernel. [[ head | i1 < b1, ..., ik < bk ]] executes as a
@@ -76,7 +77,7 @@ func (t *tabCode) prologue(fr *frame) (shape []int, size int, bot object.Value, 
 	if err := m.step(); err != nil {
 		return nil, 0, object.Value{}, err
 	}
-	m.used.Tabs++
+	m.used.Tabulations++
 	shape = make([]int, len(t.bounds))
 	cells := int64(1)
 	for j, b := range t.bounds {
@@ -278,7 +279,7 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 
 	parts := make([]Partial, nw)
 	panics := make([]*workerPanic, nw)
-	spans := make([]eval.WorkerSpan, nw)
+	spans := make([]trace.WorkerSpan, nw)
 	forks := make([]*machine, nw)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -307,7 +308,7 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 					}
 					panics[w] = &workerPanic{Val: r, Off: off, Stack: debug.Stack()}
 				}
-				spans[w] = eval.WorkerSpan{Worker: w, Start: wlo, End: whi, Busy: time.Since(t0), Steps: wm.used.Steps}
+				spans[w] = trace.WorkerSpan{Worker: w, Start: wlo, End: whi, Busy: time.Since(t0), Steps: wm.used.Steps}
 			}()
 			parts[w] = t.scan(wfr, shape, wlo, whi, out[wlo-lo:whi-lo], &stop)
 		}()

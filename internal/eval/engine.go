@@ -5,39 +5,12 @@ import (
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/trace"
 )
 
-// Counters is the work an engine charges while evaluating a query. Both
-// engines charge on identical events, so the numbers are comparable across
-// engines and stable under parallel execution.
-//
-// Steps counts evaluated nodes. Cells counts collection/array cells charged
-// by constructors, tabulation, gen and index. Tabs counts array tabulations
-// performed (ArrayTab evaluations) — the materializations the section 5
-// array rules exist to avoid. SetOps counts set/bag algebra operations:
-// unions, big unions, ranked unions, gen and index. Iters counts
-// comprehension loop-body evaluations (big unions, ranked unions, summation)
-// — the intermediate-collection traffic of a query, on the same terms the
-// paper's section 5 measurements used.
-type Counters struct {
-	Steps  int64
-	Cells  int64
-	Tabs   int64
-	SetOps int64
-	Iters  int64
-}
-
-// Add returns the fieldwise sum c + o: disjoint pieces of one evaluation
-// (a plan prologue and its shards) add up to the whole.
-func (c Counters) Add(o Counters) Counters {
-	return Counters{c.Steps + o.Steps, c.Cells + o.Cells, c.Tabs + o.Tabs, c.SetOps + o.SetOps, c.Iters + o.Iters}
-}
-
-// Sub returns the fieldwise difference c - o: the work charged since the
-// snapshot o.
-func (c Counters) Sub(o Counters) Counters {
-	return Counters{c.Steps - o.Steps, c.Cells - o.Cells, c.Tabs - o.Tabs, c.SetOps - o.SetOps, c.Iters - o.Iters}
-}
+// Counters is trace.EvalCounters, the one record of an evaluation's work;
+// the name stays because the frozen benchmark harness (benchmarks/) uses it.
+type Counters = trace.EvalCounters
 
 // Name identifies the tree-walking interpreter in reports ("interp").
 func (ev *Evaluator) Name() string { return "interp" }
@@ -60,4 +33,4 @@ func (ev *Evaluator) EvalExpr(ctx context.Context, e ast.Expr) (object.Value, er
 }
 
 // Counters snapshots the interpreter's work counters.
-func (ev *Evaluator) Counters() Counters { return ev.Used }
+func (ev *Evaluator) Counters() trace.EvalCounters { return ev.Used }

@@ -20,6 +20,7 @@ import (
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // Env is a persistent environment binding variables to values. The zero
@@ -66,7 +67,7 @@ type Meter struct {
 	// Limits.MaxDepth is set.
 	Depth int
 	// Used is the work charged so far.
-	Used Counters
+	Used trace.EvalCounters
 	// Prof is the span-profiling context the evaluation measures into; nil
 	// when profiling is off.
 	Prof *ProfCtx
@@ -102,7 +103,7 @@ type Evaluator struct {
 	// profLevel selects operator-level span profiling for EvalExpr calls;
 	// lastSpans is the folded tree of the most recent one.
 	profLevel ProfLevel
-	lastSpans *SpanNode
+	lastSpans *trace.SpanNode
 }
 
 // scope is what a closure keeps of the evaluation that made it: the globals
@@ -473,7 +474,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 			return object.Value{}, fmt.Errorf("eval: sum over %s", over.Kind)
 		}
 		var acc SumAcc
-		ev.Used.Iters += int64(len(over.Elems))
+		ev.Used.Iterations += int64(len(over.Elems))
 		for _, x := range over.Elems {
 			v, err := ev.Eval(n.Head, env.Bind(n.Var, x))
 			if err != nil {
@@ -489,7 +490,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		return acc.Value(), nil
 
 	case *ast.ArrayTab:
-		ev.Used.Tabs++
+		ev.Used.Tabulations++
 		shape := make([]int, len(n.Bounds))
 		size := int64(1)
 		for j, b := range n.Bounds {
@@ -696,7 +697,7 @@ func (ev *Evaluator) bigUnion(head ast.Expr, varName string, over ast.Expr, env 
 		return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, s.Kind)
 	}
 	ev.Used.SetOps++
-	ev.Used.Iters += int64(len(s.Elems))
+	ev.Used.Iterations += int64(len(s.Elems))
 	var all []object.Value
 	for _, x := range s.Elems {
 		v, err := ev.Eval(head, env.Bind(varName, x))
@@ -740,7 +741,7 @@ func (ev *Evaluator) rankUnion(head ast.Expr, varName, rankVar string, over ast.
 		return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, s.Kind)
 	}
 	ev.Used.SetOps++
-	ev.Used.Iters += int64(len(s.Elems))
+	ev.Used.Iterations += int64(len(s.Elems))
 	var all []object.Value
 	for i, x := range s.Elems {
 		e2 := env.Bind(varName, x).Bind(rankVar, object.Nat(int64(i+1)))

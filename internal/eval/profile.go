@@ -6,6 +6,7 @@ import (
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // Operator-level profiling: both engines attribute wall time, work counters
@@ -77,77 +78,6 @@ func ParseProfLevel(s string) (ProfLevel, error) {
 		return ProfFull, nil
 	}
 	return ProfOff, fmt.Errorf("eval: unknown profiling level %q (have off, sampled, full)", s)
-}
-
-// WorkerSpan records one parallel-tabulation worker: its contiguous
-// row-major element range, how long its loop ran, and the steps it charged
-// — the per-worker skew view of a fanned-out tabulation.
-type WorkerSpan struct {
-	Worker int
-	Start  int // first row-major offset (inclusive)
-	End    int // last row-major offset (exclusive)
-	Busy   time.Duration
-	Steps  int64
-}
-
-// SpanNode is one profiled operator in a span tree. Children follow the
-// static AST structure (a lambda body is a child of its Lam even though it
-// executes under an App). Times and counters are exact at ProfFull (a cheap
-// span reports zero time, see ProfFull); at ProfSampled they are estimates
-// scaled from the measured sample, and WallSelf is clamped at zero
-// (parallel tabulation children accumulate CPU-style busy time that can
-// exceed the parent's elapsed time).
-type SpanNode struct {
-	Op       string
-	Children []*SpanNode
-
-	// Invocations counts executions of the operator; Measured counts the
-	// ones that were fully measured (equal at ProfFull).
-	Invocations int64
-	Measured    int64
-
-	// WallCum is the operator's cumulative wall time including descendants;
-	// WallSelf excludes time measured in profiled descendants.
-	WallCum  time.Duration
-	WallSelf time.Duration
-
-	// Self work counters: charges made while this span was the innermost
-	// open span. Summed over the tree they equal the engine's flat
-	// counters (exactly at ProfFull).
-	Steps  int64
-	Cells  int64
-	Tabs   int64
-	SetOps int64
-	Iters  int64
-
-	// Workers records parallel-tabulation executions under this operator
-	// (ArrayTab spans only); WorkersDropped counts records beyond the cap.
-	Workers        []WorkerSpan
-	WorkersDropped int
-}
-
-// Walk calls fn for the node and every descendant, depth-first.
-func (n *SpanNode) Walk(fn func(*SpanNode)) {
-	if n == nil {
-		return
-	}
-	fn(n)
-	for _, c := range n.Children {
-		c.Walk(fn)
-	}
-}
-
-// CumCounters sums the self counters of the node and its descendants.
-func (n *SpanNode) CumCounters() Counters {
-	var c Counters
-	n.Walk(func(s *SpanNode) {
-		c.Steps += s.Steps
-		c.Cells += s.Cells
-		c.Tabs += s.Tabs
-		c.SetOps += s.SetOps
-		c.Iters += s.Iters
-	})
-	return c
 }
 
 // spanWorthy reports whether the operator gets its own span at the level:
@@ -279,9 +209,9 @@ func (p *SpanPlan) ID(e ast.Expr) (int, bool) {
 type SpanSlot struct {
 	Inv, Measured  int64
 	WallNs, SelfNs int64
-	Work           Counters
+	Work           trace.EvalCounters
 
-	Workers        []WorkerSpan
+	Workers        []trace.WorkerSpan
 	WorkersDropped int
 }
 
@@ -298,7 +228,7 @@ type ProfCtx struct {
 	Slots []SpanSlot
 
 	ChildWallNs int64
-	Child       Counters
+	Child       trace.EvalCounters
 }
 
 // Count counts one invocation of span id and reports whether it is a
@@ -318,7 +248,7 @@ type SpanFrame struct {
 	id   int
 	t0   int64
 	wall int64
-	work Counters
+	work trace.EvalCounters
 }
 
 // monoBase anchors monoNow.
@@ -332,10 +262,11 @@ func monoNow() int64 { return int64(time.Since(monoBase)) }
 // Enter opens a measured invocation of span id in f: both engines' one span
 // hook is Count, then Enter and Exit around the node. at is the engine's
 // counters, read here and in Exit in place.
-func (p *ProfCtx) Enter(f *SpanFrame, id int, at *Counters) {
+func (p *ProfCtx) Enter(f *SpanFrame, id int, at *trace.EvalCounters) {
 	f.id = id
 	c := &p.Child
-	f.work = Counters{at.Steps - c.Steps, at.Cells - c.Cells, at.Tabs - c.Tabs, at.SetOps - c.SetOps, at.Iters - c.Iters}
+	f.work = trace.EvalCounters{Steps: at.Steps - c.Steps, Cells: at.Cells - c.Cells, Tabulations: at.Tabulations - c.Tabulations,
+		SetOps: at.SetOps - c.SetOps, Iterations: at.Iterations - c.Iterations}
 	if p.Plan.timed[id] {
 		f.t0 = monoNow()
 		f.wall = f.t0 - p.ChildWallNs
@@ -350,7 +281,7 @@ func (p *ProfCtx) Enter(f *SpanFrame, id int, at *Counters) {
 // ChildWallNs (Child) since Enter, which is what the frame's offsets give.
 // Exit leaves the accumulators the same way for the enclosing invocation:
 // entry value plus this span's cumulative figures.
-func (p *ProfCtx) Exit(f *SpanFrame, at *Counters) {
+func (p *ProfCtx) Exit(f *SpanFrame, at *trace.EvalCounters) {
 	s := &p.Slots[f.id]
 	s.Measured++
 	if p.Plan.timed[f.id] {
@@ -365,17 +296,17 @@ func (p *ProfCtx) Exit(f *SpanFrame, at *Counters) {
 // settle adds at - *child - *base to *work and leaves *child at at - *base:
 // Exit's work attribution, field by field, because the Counters temporaries
 // of the Add/Sub form are spilled and reloaded on every measured invocation.
-func settle(work, child, at, base *Counters) {
+func settle(work, child, at, base *trace.EvalCounters) {
 	work.Steps += at.Steps - child.Steps - base.Steps
 	work.Cells += at.Cells - child.Cells - base.Cells
-	work.Tabs += at.Tabs - child.Tabs - base.Tabs
+	work.Tabulations += at.Tabulations - child.Tabulations - base.Tabulations
 	work.SetOps += at.SetOps - child.SetOps - base.SetOps
-	work.Iters += at.Iters - child.Iters - base.Iters
+	work.Iterations += at.Iterations - child.Iterations - base.Iterations
 	child.Steps = at.Steps - base.Steps
 	child.Cells = at.Cells - base.Cells
-	child.Tabs = at.Tabs - base.Tabs
+	child.Tabulations = at.Tabulations - base.Tabulations
 	child.SetOps = at.SetOps - base.SetOps
-	child.Iters = at.Iters - base.Iters
+	child.Iterations = at.Iterations - base.Iterations
 }
 
 // NewProfCtx returns the root accumulation context for a plan (nil plan
@@ -419,7 +350,7 @@ func (p *ProfCtx) MergeWorker(w *ProfCtx) {
 // at most maxWorkerSpans per span and counting the rest. Records for another
 // plan's span are dropped: the tabulation belongs to a function another
 // execution made, and its span id means nothing in p.
-func (p *ProfCtx) RecordWorkers(plan *SpanPlan, id int, ws []WorkerSpan) {
+func (p *ProfCtx) RecordWorkers(plan *SpanPlan, id int, ws []trace.WorkerSpan) {
 	if p == nil || p.Plan != plan || id < 0 {
 		return
 	}
@@ -437,11 +368,11 @@ func (p *ProfCtx) RecordWorkers(plan *SpanPlan, id int, ws []WorkerSpan) {
 // accumulated slots, and returns its root. At ProfSampled the wall times and
 // counters are scaled from the measured sample to estimate the full
 // population; WallSelf is clamped at zero.
-func (p *ProfCtx) Fold() *SpanNode {
+func (p *ProfCtx) Fold() *trace.SpanNode {
 	if p == nil {
 		return nil
 	}
-	nodes := make([]SpanNode, len(p.Slots))
+	nodes := make([]trace.SpanNode, len(p.Slots))
 	for i := range nodes {
 		s, sp := &p.Slots[i], &nodes[i]
 		inv, measured := s.Inv, s.Measured
@@ -455,7 +386,7 @@ func (p *ProfCtx) Fold() *SpanNode {
 			}
 			return int64(float64(v) * scale)
 		}
-		*sp = SpanNode{
+		*sp = trace.SpanNode{
 			Op:             p.Plan.ops[i],
 			Invocations:    inv,
 			Measured:       measured,
@@ -463,9 +394,9 @@ func (p *ProfCtx) Fold() *SpanNode {
 			WallSelf:       time.Duration(est(s.SelfNs)),
 			Steps:          est(s.Work.Steps),
 			Cells:          est(s.Work.Cells),
-			Tabs:           est(s.Work.Tabs),
+			Tabulations:    est(s.Work.Tabulations),
 			SetOps:         est(s.Work.SetOps),
-			Iters:          est(s.Work.Iters),
+			Iterations:     est(s.Work.Iterations),
 			Workers:        s.Workers,
 			WorkersDropped: s.WorkersDropped,
 		}
@@ -485,7 +416,7 @@ func (ev *Evaluator) Profiling() ProfLevel { return ev.profLevel }
 
 // SpanTree returns the span tree of the most recent EvalExpr, or nil when
 // profiling was off.
-func (ev *Evaluator) SpanTree() *SpanNode { return ev.lastSpans }
+func (ev *Evaluator) SpanTree() *trace.SpanNode { return ev.lastSpans }
 
 // evalSpan is the interpreter's span wrapper around one profiled node.
 func (ev *Evaluator) evalSpan(p *ProfCtx, id int, e ast.Expr, env *Env) (object.Value, error) {

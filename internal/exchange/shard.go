@@ -3,6 +3,8 @@ package exchange
 import (
 	"fmt"
 	"math"
+
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // Shard envelopes: the coordinator <-> worker wire format of distributed
@@ -85,17 +87,6 @@ func (r *ShardRequest) Validate() error {
 	return nil
 }
 
-// ShardCounters is the evaluator work one shard execution charged; field
-// names and JSON tags mirror trace.EvalCounters (exchange stays free of a
-// trace dependency).
-type ShardCounters struct {
-	Steps       int64 `json:"steps"`
-	Cells       int64 `json:"cells"`
-	Tabulations int64 `json:"tabulations"`
-	SetOps      int64 `json:"set_ops"`
-	Iterations  int64 `json:"iterations"`
-}
-
 // ShardResponse is the worker's success body for one shard.
 type ShardResponse struct {
 	// ID is the worker-local request id (diagnostics).
@@ -113,7 +104,7 @@ type ShardResponse struct {
 	BottomOff int64  `json:"bottom_off"`
 	BottomMsg string `json:"bottom_msg,omitempty"`
 	// Eval is the work this shard's (winning) execution charged.
-	Eval ShardCounters `json:"eval"`
+	Eval trace.EvalCounters `json:"eval"`
 	// TraceID echoes the request's trace id (diagnostics: a mismatch means a
 	// proxy crossed streams).
 	TraceID string `json:"trace_id,omitempty"`
@@ -126,15 +117,17 @@ type ShardResponse struct {
 	Spans *Span `json:"spans,omitempty"`
 }
 
-// Span is the wire form of one span-tree node a worker returns; the mirror
-// of trace.SpanNode's stitching subset (exchange stays free of a trace
-// dependency). Wall times are nanoseconds; counters are self counters.
+// Span is the wire form of one span-tree node a worker returns: the narrow
+// schema of what a worker may claim about its subtree — an operator, its
+// wall and self times in nanoseconds, and its self counters. The node label,
+// attempt outcome and worker records of a trace.SpanNode are the
+// coordinator's to fill in, so a worker cannot send them.
 type Span struct {
-	Op       string        `json:"op"`
-	WallNS   int64         `json:"wall_ns"`
-	SelfNS   int64         `json:"self_ns"`
-	Eval     ShardCounters `json:"eval,omitempty"`
-	Children []*Span       `json:"children,omitempty"`
+	Op       string             `json:"op"`
+	WallNS   int64              `json:"wall_ns"`
+	SelfNS   int64              `json:"self_ns"`
+	Eval     trace.EvalCounters `json:"eval"`
+	Children []*Span            `json:"children,omitempty"`
 }
 
 // ShardErrorInfo is the typed error body of a failed shard request. Kind

@@ -130,20 +130,6 @@ func (io *ioState) openPaths() []string {
 	return paths
 }
 
-// tileIOCounters converts a tile counter snapshot into the trace mirror.
-func tileIOCounters(c tile.Counters) trace.IOCounters {
-	return trace.IOCounters{
-		TileHits:           c.TileHits,
-		TileMisses:         c.TileMisses,
-		TilePrefetches:     c.Prefetches,
-		TilePrefetchUseful: c.PrefetchUseful,
-		BytesScanned:       c.BytesScanned,
-		BytesReturned:      c.BytesReturned,
-		SpillBytesWritten:  c.SpillBytesWritten,
-		SpillBytesRead:     c.SpillBytesRead,
-	}
-}
-
 // IOFileTotals returns the cumulative NetCDF file counters across the
 // session's open handles without advancing the watermark — the live-totals
 // view that /metrics exports.
@@ -205,7 +191,7 @@ func (s *Session) maybeSpill(ctx context.Context, v object.Value) object.Value {
 	}
 	ctx, col := tile.WithCollector(ctx)
 	spilled, err := cache.SpillArray(ctx, v)
-	s.Trace.RecordIO(tileIOCounters(col.Snapshot()))
+	s.Trace.RecordIO(col.Snapshot())
 	if err != nil {
 		return v
 	}

@@ -264,12 +264,12 @@ func (s *Session) Guard(ctx context.Context, rec *trace.Recorder, src string, ru
 		s.LastCells.Store(w.Counters.Cells)
 		sp.End()
 		rec.RecordEngine(w.Engine)
-		rec.RecordEval(compile.TraceCounters(w.Counters))
-		io := tileIOCounters(tiles.Snapshot())
+		rec.RecordEval(w.Counters)
+		io := tiles.Snapshot()
 		io.Add(s.io.fileDelta())
 		rec.RecordIO(io)
 		if w.Spans != nil {
-			rec.RecordSpans(convertSpan(w.Spans), w.Level.String())
+			rec.RecordSpans(w.Spans, w.Level.String())
 		}
 		if r := recover(); r != nil {
 			if me, ok := r.(*object.MaterializeError); ok {
@@ -294,36 +294,6 @@ func (s *Session) newEngine(params map[string]object.Value, level eval.ProfLevel
 	ev.Params = params
 	ev.SetProfiling(level)
 	return ev
-}
-
-// convertSpan copies an engine span tree into the trace package's mirror
-// type (trace stays decoupled from the engines).
-func convertSpan(n *eval.SpanNode) *trace.SpanNode {
-	if n == nil {
-		return nil
-	}
-	out := &trace.SpanNode{
-		Op:             n.Op,
-		Invocations:    n.Invocations,
-		Measured:       n.Measured,
-		WallCum:        n.WallCum,
-		WallSelf:       n.WallSelf,
-		Steps:          n.Steps,
-		Cells:          n.Cells,
-		Tabulations:    n.Tabs,
-		SetOps:         n.SetOps,
-		Iterations:     n.Iters,
-		WorkersDropped: n.WorkersDropped,
-	}
-	for _, w := range n.Workers {
-		out.Workers = append(out.Workers, trace.WorkerSpan{
-			Worker: w.Worker, Start: w.Start, End: w.End, Busy: w.Busy, Steps: w.Steps,
-		})
-	}
-	for _, c := range n.Children {
-		out.Children = append(out.Children, convertSpan(c))
-	}
-	return out
 }
 
 // SetEngine selects the session's execution engine by name, rejecting

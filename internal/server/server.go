@@ -305,7 +305,7 @@ func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext,
 	// Record the stitched multi-node tree only when it verifies against the
 	// merged counters: a skewed tree (a buggy worker's payload) degrades to
 	// the flat report rather than serving wrong attribution.
-	if res.Spans != nil && trace.CheckStitched(res.Spans, compile.TraceCounters(res.Counters)) == nil {
+	if res.Spans != nil && trace.CheckStitched(res.Spans, res.Counters) == nil {
 		rec.RecordSpans(res.Spans, trace.ProfStitched)
 	}
 	// Join the plan's prepare-time estimates against the recorded actuals

@@ -93,12 +93,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res *compile.RangeResult
-	var tcnt trace.EvalCounters
 	err = s.sess.Guard(ctx, rec, norm, func(ctx context.Context, w *repl.Work) (err error) {
 		w.Engine = repl.EngineCompiled
 		if res, err = p.Prog.ExecuteRange(ctx, opts, req.Shape, req.Start, req.End); err == nil {
 			w.Counters = res.Counters
-			tcnt = compile.TraceCounters(res.Counters)
 		}
 		return err
 	})
@@ -114,15 +112,14 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cnt := exchange.ShardCounters(tcnt)
 	resp := exchange.ShardResponse{
 		ID:          id,
 		Cached:      hit,
 		BottomOff:   res.BottomOff,
-		Eval:        cnt,
+		Eval:        res.Counters,
 		TraceID:     traceID,
 		QueueWaitNS: int64(waited),
-		Spans:       workerSpanTree(rep, waited, cnt),
+		Spans:       workerSpanTree(rep, waited, res.Counters),
 	}
 	if res.BottomOff >= 0 {
 		// The ⊥ decides the whole tabulation; its diagnostic travels as a
@@ -149,21 +146,21 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 // profiled, so the worker's tree is phase-granular, not operator-granular —
 // the coordinator's stitching invariants (exact counter sums, self-time
 // consistency) hold regardless.
-func workerSpanTree(rep *trace.QueryReport, waited time.Duration, cnt exchange.ShardCounters) *exchange.Span {
+func workerSpanTree(rep *trace.QueryReport, waited time.Duration, cnt trace.EvalCounters) *exchange.Span {
 	root := &exchange.Span{Op: trace.SpanWorker, WallNS: int64(rep.Wall + waited)}
 	var kids int64
-	add := func(op string, wall int64, eval exchange.ShardCounters) {
+	add := func(op string, wall int64, eval trace.EvalCounters) {
 		root.Children = append(root.Children, &exchange.Span{Op: op, WallNS: wall, SelfNS: wall, Eval: eval})
 		kids += wall
 	}
 	if waited > 0 {
-		add(trace.SpanQueueWait, int64(waited), exchange.ShardCounters{})
+		add(trace.SpanQueueWait, int64(waited), trace.EvalCounters{})
 	}
 	for _, p := range rep.Phases {
 		if p.Name == trace.PhaseEval {
 			continue
 		}
-		add(p.Name, int64(p.Wall), exchange.ShardCounters{})
+		add(p.Name, int64(p.Wall), trace.EvalCounters{})
 	}
 	add(trace.SpanEval, int64(rep.Phase(trace.PhaseEval)), cnt)
 	if self := root.WallNS - kids; self > 0 {

@@ -1,6 +1,10 @@
 package tile
 
-import "context"
+import (
+	"context"
+
+	"github.com/aqldb/aql/internal/trace"
+)
 
 // Collector accumulates tile I/O counters for one query. The cache adds to
 // both its global stats and the collector found in the fetch context, so
@@ -11,7 +15,7 @@ type Collector struct {
 }
 
 // Snapshot returns the collector's current totals.
-func (c *Collector) Snapshot() Counters { return c.counters.snapshot() }
+func (c *Collector) Snapshot() trace.IOCounters { return c.counters.snapshot() }
 
 type collectorKey struct{}
 

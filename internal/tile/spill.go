@@ -10,6 +10,7 @@ import (
 	"context"
 
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // spillFile is the cache's append-only temp file for spilled tiles.
@@ -105,7 +106,7 @@ func (c *Cache) SpillArray(ctx context.Context, v object.Value) (object.Value, e
 			return object.Value{}, err
 		}
 		segs = append(segs, spillSeg{off: off, len: int64(len(b)), cells: end - start})
-		c.count(col, &Counters{SpillBytesWritten: int64(len(b))})
+		c.count(col, &trace.IOCounters{SpillBytesWritten: int64(len(b))})
 	}
 	arr := c.NewFlatArray(size, func(ctx context.Context, start, n int) (object.Flat, error) {
 		t := start / tc
@@ -120,7 +121,7 @@ func (c *Cache) SpillArray(ctx context.Context, v object.Value) (object.Value, e
 		if err != nil {
 			return object.Flat{}, fmt.Errorf("tile: decode spill tile %d: %w", t, err)
 		}
-		c.count(collectorFrom(ctx), &Counters{SpillBytesRead: segs[t].len})
+		c.count(collectorFrom(ctx), &trace.IOCounters{SpillBytesRead: segs[t].len})
 		return out, nil
 	})
 	return object.LazyArray(v.Shape, arr)

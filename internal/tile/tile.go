@@ -32,6 +32,7 @@ import (
 	"context"
 
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // FlatFetch retrieves n cells starting at flat row-major offset start from
@@ -122,33 +123,13 @@ type counters struct {
 	evictions      atomic.Int64
 }
 
-// Counters is a point-in-time snapshot of tile I/O activity.
-type Counters struct {
-	// TileHits and TileMisses count demand tile lookups served from cache
-	// vs. faulted in from the source.
-	TileHits   int64
-	TileMisses int64
-	// Prefetches counts readahead tile fetches; PrefetchUseful counts
-	// prefetched tiles later served on demand (prefetch efficiency =
-	// useful/prefetches).
-	Prefetches     int64
-	PrefetchUseful int64
-	// BytesScanned counts nominal data bytes fetched from the source into
-	// the cache (demand + prefetch); BytesReturned counts nominal bytes of
-	// cells actually delivered to queries. Scanned >> returned means the
-	// access pattern wastes tile bandwidth.
-	BytesScanned  int64
-	BytesReturned int64
-	// SpillBytesWritten and SpillBytesRead count actual encoded bytes
-	// moving to and from the spill file.
-	SpillBytesWritten int64
-	SpillBytesRead    int64
-	// Evictions counts tiles dropped to stay within budget.
-	Evictions int64
-}
+// Counters is trace.IOCounters, the one record of an execution's I/O; the
+// name stays because the frozen benchmark harness (benchmarks/) uses it. The
+// cache fills the tile fields and Evictions.
+type Counters = trace.IOCounters
 
-func (c *counters) snapshot() Counters {
-	return Counters{
+func (c *counters) snapshot() trace.IOCounters {
+	return trace.IOCounters{
 		TileHits:          c.hits.Load(),
 		TileMisses:        c.misses.Load(),
 		Prefetches:        c.prefetches.Load(),
@@ -161,23 +142,10 @@ func (c *counters) snapshot() Counters {
 	}
 }
 
-// Add accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.TileHits += other.TileHits
-	c.TileMisses += other.TileMisses
-	c.Prefetches += other.Prefetches
-	c.PrefetchUseful += other.PrefetchUseful
-	c.BytesScanned += other.BytesScanned
-	c.BytesReturned += other.BytesReturned
-	c.SpillBytesWritten += other.SpillBytesWritten
-	c.SpillBytesRead += other.SpillBytesRead
-	c.Evictions += other.Evictions
-}
-
 // add applies what one call counted to c. Zero counts cost nothing, so a
 // hit pays for two atomic adds. Evictions are not a per-call count: they go
 // to the cache's own counters where they happen.
-func (c *counters) add(d *Counters) {
+func (c *counters) add(d *trace.IOCounters) {
 	addTo(&c.hits, d.TileHits)
 	addTo(&c.misses, d.TileMisses)
 	addTo(&c.prefetches, d.Prefetches)
@@ -238,7 +206,7 @@ func (c *Cache) Config() Config {
 }
 
 // Stats returns a snapshot of the cache-global counters.
-func (c *Cache) Stats() Counters { return c.stats.snapshot() }
+func (c *Cache) Stats() trace.IOCounters { return c.stats.snapshot() }
 
 // OverBudget reports whether holding an array of the given cell count
 // eagerly (boxed, one object.Value per cell) would exceed the cache budget —
@@ -268,7 +236,7 @@ func (c *Cache) Close() error { return c.spill.close() }
 // count adds what one call did to the cache-global counters and to the
 // query's collector (nil when the call's ctx carried none). Callers resolve
 // the collector once per call and count once, when the call is over.
-func (c *Cache) count(col *Collector, d *Counters) {
+func (c *Cache) count(col *Collector, d *trace.IOCounters) {
 	c.stats.add(d)
 	if col != nil {
 		col.counters.add(d)
@@ -325,7 +293,7 @@ func (a *Array) Cell(ctx context.Context, off int) (v object.Value, err error) {
 	tc := a.c.cfg.tileCells()
 	t := off / tc
 	col := collectorFrom(ctx)
-	var d Counters
+	var d trace.IOCounters
 	cells, err := a.c.tile(ctx, a, t, &d)
 	if err == nil {
 		v = cells.At(off - t*tc)
@@ -345,7 +313,7 @@ func (a *Array) CellRange(ctx context.Context, start, n int) ([]object.Value, er
 	out := make([]object.Value, 0, n)
 	tc := a.c.cfg.tileCells()
 	col := collectorFrom(ctx)
-	var d Counters
+	var d trace.IOCounters
 	for off := start; off < start+n; {
 		t := off / tc
 		cells, err := a.c.tile(ctx, a, t, &d)
@@ -390,7 +358,7 @@ func (a *Array) fetchTile(ctx context.Context, t int) (object.Flat, error) {
 // maybePrefetch issues synchronous readahead of tile t+1 when tile t was
 // demanded immediately after tile t-1 (a row-major sequential scan, the
 // access pattern of tabulation).
-func (a *Array) maybePrefetch(ctx context.Context, t int, d *Counters) {
+func (a *Array) maybePrefetch(ctx context.Context, t int, d *trace.IOCounters) {
 	if a.c.cfg.NoPrefetch {
 		return
 	}
@@ -405,7 +373,7 @@ func (a *Array) maybePrefetch(ctx context.Context, t int, d *Counters) {
 // and notes in d what that took. Concurrent fetches of the same tile are
 // deduplicated; fetch errors are not cached, and waiters whose fetcher
 // failed re-run the fetch under their own context.
-func (c *Cache) tile(ctx context.Context, a *Array, t int, d *Counters) (*object.Flat, error) {
+func (c *Cache) tile(ctx context.Context, a *Array, t int, d *trace.IOCounters) (*object.Flat, error) {
 	k := key{a.owner, t}
 	for {
 		c.mu.Lock()
@@ -453,7 +421,7 @@ func (c *Cache) tile(ctx context.Context, a *Array, t int, d *Counters) (*object
 // prefetchTile faults tile t into the cache if absent. Prefetch errors are
 // swallowed (the tile is simply not cached); the demand fetch that actually
 // needs it will retry and surface the error.
-func (c *Cache) prefetchTile(ctx context.Context, a *Array, t int, d *Counters) {
+func (c *Cache) prefetchTile(ctx context.Context, a *Array, t int, d *trace.IOCounters) {
 	k := key{a.owner, t}
 	c.mu.Lock()
 	if _, ok := c.entries[k]; ok {

@@ -245,7 +245,7 @@ func JoinEstimates(est *EstNode, rep *QueryReport, threshold float64) *ExplainTa
 	}
 
 	t.EstTiles = est.Tiles
-	t.ActTiles = rep.IO.TileMisses + rep.IO.TilePrefetches
+	t.ActTiles = rep.IO.TileMisses + rep.IO.Prefetches
 
 	for _, sh := range rep.Shards {
 		sa := ShardActuals{Shard: sh.Shard, Worker: sh.Worker}

@@ -109,9 +109,9 @@ func writeFleetMetrics(b *MetricWriter, s AggregateSnapshot) {
 	b.Header("aql_io_tile_misses_total", "counter", "Tile-cache demand misses (tiles faulted in).")
 	b.Val("aql_io_tile_misses_total", "", s.Totals.IO.TileMisses)
 	b.Header("aql_io_tile_prefetches_total", "counter", "Tile readahead fetches.")
-	b.Val("aql_io_tile_prefetches_total", "", s.Totals.IO.TilePrefetches)
+	b.Val("aql_io_tile_prefetches_total", "", s.Totals.IO.Prefetches)
 	b.Header("aql_io_tile_prefetch_useful_total", "counter", "Prefetched tiles later served on demand.")
-	b.Val("aql_io_tile_prefetch_useful_total", "", s.Totals.IO.TilePrefetchUseful)
+	b.Val("aql_io_tile_prefetch_useful_total", "", s.Totals.IO.PrefetchUseful)
 	b.Header("aql_io_bytes_scanned_total", "counter", "Nominal bytes fetched from storage into the tile cache.")
 	b.Val("aql_io_bytes_scanned_total", "", s.Totals.IO.BytesScanned)
 	b.Header("aql_io_bytes_returned_total", "counter", "Nominal bytes of cells delivered to queries.")

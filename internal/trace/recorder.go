@@ -174,7 +174,7 @@ func (r *Recorder) RecordEval(c EvalCounters) {
 	}
 	r.mu.Lock()
 	if r.cur != nil {
-		r.cur.Eval.Add(c)
+		r.cur.Eval = r.cur.Eval.Add(c)
 	}
 	r.mu.Unlock()
 }

@@ -61,7 +61,7 @@ func (n *SpanNode) SelfCounters() EvalCounters {
 // CumCounters sums the self counters over the node and its descendants.
 func (n *SpanNode) CumCounters() EvalCounters {
 	var c EvalCounters
-	n.Walk(func(s *SpanNode) { c.Add(s.SelfCounters()) })
+	n.Walk(func(s *SpanNode) { c = c.Add(s.SelfCounters()) })
 	return c
 }
 

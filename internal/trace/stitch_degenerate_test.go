@@ -20,7 +20,7 @@ func TestCheckStitchedZeroShards(t *testing.T) {
 	planC := EvalCounters{Steps: 5, Iterations: 1}
 	evalC := EvalCounters{Steps: 100, Cells: 50, Tabulations: 1}
 	flat := planC
-	flat.Add(evalC)
+	flat = flat.Add(evalC)
 
 	plan := NewSpan(SpanPlan, "coordinator", 2*time.Millisecond).SetCounters(planC).FinalizeSelf()
 	eval := NewSpan(SpanEval, "local", 10*time.Millisecond).SetCounters(evalC).FinalizeSelf()

@@ -84,7 +84,7 @@ func stitchedFixture() (*SpanNode, EvalCounters) {
 	planC := EvalCounters{Steps: 10, Cells: 5, Iterations: 2}
 	evalC := EvalCounters{Steps: 90, Cells: 45, Tabulations: 2, Iterations: 8}
 	flat := planC
-	flat.Add(evalC)
+	flat = flat.Add(evalC)
 
 	eval := NewSpan(SpanEval, "http://w1", 50*time.Millisecond).SetCounters(evalC).FinalizeSelf()
 	qw := NewSpan(SpanQueueWait, "http://w1", 5*time.Millisecond).FinalizeSelf()

@@ -52,33 +52,44 @@ type PhaseTime struct {
 	Count int           `json:"count"` // number of spans folded in (readval compiles twice)
 }
 
-// EvalCounters is the evaluator's work, in machine-independent units.
+// EvalCounters is the work an evaluation charged, in machine-independent
+// units: the one counter record of both engines (eval.Counters names it), the
+// shard envelope, span nodes' self counters and reports. Both engines charge
+// on identical events, so the numbers are comparable across engines and
+// stable under parallel execution.
 type EvalCounters struct {
 	// Steps counts evaluated core-calculus nodes.
 	Steps int64 `json:"steps"`
 	// Cells counts collection/array cells charged by constructors,
 	// tabulation, gen and index.
 	Cells int64 `json:"cells"`
-	// Tabulations counts array tabulations performed ([[ e | i < n ]]).
+	// Tabulations counts array tabulations performed ([[ e | i < n ]]): the
+	// materializations the section 5 array rules exist to avoid.
 	Tabulations int64 `json:"tabulations"`
 	// SetOps counts set/bag algebra operations (unions, big unions, gen,
 	// index, ranked unions).
 	SetOps int64 `json:"set_ops"`
 	// Iterations counts comprehension loop-body evaluations (big unions,
-	// ranked unions, summation).
+	// ranked unions, summation): the intermediate-collection traffic of a
+	// query, on the same terms the paper's section 5 measurements used.
 	Iterations int64 `json:"iterations"`
 }
 
-// Add accumulates other into c.
-func (c *EvalCounters) Add(other EvalCounters) {
-	c.Steps += other.Steps
-	c.Cells += other.Cells
-	c.Tabulations += other.Tabulations
-	c.SetOps += other.SetOps
-	c.Iterations += other.Iterations
+// Add returns the fieldwise sum c + o: disjoint pieces of one evaluation
+// (a plan prologue and its shards) add up to the whole.
+func (c EvalCounters) Add(o EvalCounters) EvalCounters {
+	return EvalCounters{c.Steps + o.Steps, c.Cells + o.Cells, c.Tabulations + o.Tabulations, c.SetOps + o.SetOps, c.Iterations + o.Iterations}
 }
 
-// IOCounters is the NetCDF I/O work observed while a query ran.
+// Sub returns the fieldwise difference c - o: the work charged since the
+// snapshot o.
+func (c EvalCounters) Sub(o EvalCounters) EvalCounters {
+	return EvalCounters{c.Steps - o.Steps, c.Cells - o.Cells, c.Tabulations - o.Tabulations, c.SetOps - o.SetOps, c.Iterations - o.Iterations}
+}
+
+// IOCounters is the I/O work observed while a query ran: the NetCDF file
+// counters and the tile cache's (tile.Counters names it; Cache.Stats and a
+// per-query Collector report in it).
 type IOCounters struct {
 	// SlabReads counts hyperslab read requests served.
 	SlabReads int64 `json:"slab_reads"`
@@ -89,18 +100,30 @@ type IOCounters struct {
 	// Faults counts injected faults observed by a FaultyReaderAt (tests
 	// and soak runs).
 	Faults int64 `json:"faults"`
-	// Tile-cache counters (out-of-core lazy arrays): demand lookups served
-	// from cache vs. faulted in, readahead fetches and how many of them a
-	// later demand actually used, nominal bytes fetched from storage vs.
-	// delivered to the query, and spill-file traffic.
-	TileHits           int64 `json:"tile_hits,omitempty"`
-	TileMisses         int64 `json:"tile_misses,omitempty"`
-	TilePrefetches     int64 `json:"tile_prefetches,omitempty"`
-	TilePrefetchUseful int64 `json:"tile_prefetch_useful,omitempty"`
-	BytesScanned       int64 `json:"bytes_scanned,omitempty"`
-	BytesReturned      int64 `json:"bytes_returned,omitempty"`
-	SpillBytesWritten  int64 `json:"spill_bytes_written,omitempty"`
-	SpillBytesRead     int64 `json:"spill_bytes_read,omitempty"`
+	// Tile-cache counters (out-of-core lazy arrays). TileHits and TileMisses
+	// count demand tile lookups served from cache vs. faulted in from the
+	// source.
+	TileHits   int64 `json:"tile_hits,omitempty"`
+	TileMisses int64 `json:"tile_misses,omitempty"`
+	// Prefetches counts readahead tile fetches; PrefetchUseful counts
+	// prefetched tiles later served on demand (prefetch efficiency =
+	// useful/prefetches).
+	Prefetches     int64 `json:"tile_prefetches,omitempty"`
+	PrefetchUseful int64 `json:"tile_prefetch_useful,omitempty"`
+	// BytesScanned counts nominal data bytes fetched from the source into
+	// the cache (demand + prefetch); BytesReturned counts nominal bytes of
+	// cells actually delivered to queries. Scanned >> returned means the
+	// access pattern wastes tile bandwidth.
+	BytesScanned  int64 `json:"bytes_scanned,omitempty"`
+	BytesReturned int64 `json:"bytes_returned,omitempty"`
+	// SpillBytesWritten and SpillBytesRead count actual encoded bytes
+	// moving to and from the spill file.
+	SpillBytesWritten int64 `json:"spill_bytes_written,omitempty"`
+	SpillBytesRead    int64 `json:"spill_bytes_read,omitempty"`
+	// Evictions counts tiles dropped to stay within budget. Only the cache's
+	// own Stats count them; a per-query collector does not, so reports never
+	// carry it.
+	Evictions int64 `json:"evictions,omitempty"`
 }
 
 // Add accumulates other into c.
@@ -111,12 +134,13 @@ func (c *IOCounters) Add(other IOCounters) {
 	c.Faults += other.Faults
 	c.TileHits += other.TileHits
 	c.TileMisses += other.TileMisses
-	c.TilePrefetches += other.TilePrefetches
-	c.TilePrefetchUseful += other.TilePrefetchUseful
+	c.Prefetches += other.Prefetches
+	c.PrefetchUseful += other.PrefetchUseful
 	c.BytesScanned += other.BytesScanned
 	c.BytesReturned += other.BytesReturned
 	c.SpillBytesWritten += other.SpillBytesWritten
 	c.SpillBytesRead += other.SpillBytesRead
+	c.Evictions += other.Evictions
 }
 
 // Sub subtracts other from c: the I/O observed since the snapshot other.
@@ -127,12 +151,13 @@ func (c *IOCounters) Sub(other IOCounters) {
 	c.Faults -= other.Faults
 	c.TileHits -= other.TileHits
 	c.TileMisses -= other.TileMisses
-	c.TilePrefetches -= other.TilePrefetches
-	c.TilePrefetchUseful -= other.TilePrefetchUseful
+	c.Prefetches -= other.Prefetches
+	c.PrefetchUseful -= other.PrefetchUseful
 	c.BytesScanned -= other.BytesScanned
 	c.BytesReturned -= other.BytesReturned
 	c.SpillBytesWritten -= other.SpillBytesWritten
 	c.SpillBytesRead -= other.SpillBytesRead
+	c.Evictions -= other.Evictions
 }
 
 // IsZero reports whether no I/O was observed.
@@ -186,7 +211,7 @@ type QueryReport struct {
 	// Spans is the operator-level span tree of the evaluation, present when
 	// the session's profiling level was sampled or full; ProfLevel records
 	// which. Cumulative wall times and self counters per operator; see
-	// eval.SpanNode for the exact semantics at each level.
+	// SpanNode for the exact semantics at each level.
 	Spans     *SpanNode `json:"spans,omitempty"`
 	ProfLevel string    `json:"prof_level,omitempty"`
 	// Explain is the joined estimate-vs-actual table of the run, present
@@ -265,11 +290,17 @@ type AttemptSpan struct {
 	Err      string        `json:"err,omitempty"`
 }
 
-// SpanNode is one profiled operator of a query's span tree: invocation
-// counts, cumulative and self wall time, self work counters, and — for
-// parallel tabulations — per-worker ranges and busy times. The trace
-// package keeps its own mirror of eval.SpanNode so it stays decoupled from
-// the engines (it depends only on the standard library).
+// SpanNode is one operator of a query's span tree: invocation counts,
+// cumulative and self wall time, self work counters, and — for parallel
+// tabulations — per-worker ranges and busy times. The engines build it
+// (eval.ProfCtx.Fold) and the coordinator stitches shard subtrees from it.
+// Children follow the static AST structure (a lambda body is a child of its
+// Lam even though it executes under an App). Times and counters are exact at
+// the full profiling level (a cheap span reports zero time); at the sampled
+// level they are estimates scaled from the measured sample, and WallSelf is
+// clamped at zero (parallel tabulation children accumulate CPU-style busy
+// time that can exceed the parent's elapsed time). Summed over the tree, the
+// self counters equal the engine's flat counters (exactly at full).
 type SpanNode struct {
 	Op string `json:"op"`
 	// Node names the process the span executed on, for stitched multi-node
@@ -281,7 +312,9 @@ type SpanNode struct {
 	// StartOff is a stitched attempt span's launch offset relative to its
 	// parent shard span's start, so exported traces show retries as
 	// sequential and hedges as overlapping. Zero elsewhere.
-	StartOff    time.Duration `json:"start_off_ns,omitempty"`
+	StartOff time.Duration `json:"start_off_ns,omitempty"`
+	// Invocations counts executions of the operator; Measured counts the
+	// ones that were fully measured (equal at the full level).
 	Invocations int64         `json:"invocations"`
 	Measured    int64         `json:"measured,omitempty"`
 	WallCum     time.Duration `json:"wall_cum_ns"`
@@ -292,6 +325,8 @@ type SpanNode struct {
 	SetOps      int64         `json:"set_ops,omitempty"`
 	Iterations  int64         `json:"iterations,omitempty"`
 
+	// Workers records parallel-tabulation executions under this operator
+	// (ArrayTab spans only); WorkersDropped counts records beyond the cap.
 	Workers        []WorkerSpan `json:"workers,omitempty"`
 	WorkersDropped int          `json:"workers_dropped,omitempty"`
 
@@ -299,7 +334,8 @@ type SpanNode struct {
 }
 
 // WorkerSpan records one parallel-tabulation worker: its contiguous
-// row-major element range, loop busy time, and steps charged.
+// row-major element range [Start, End), how long its loop ran, and the steps
+// it charged — the per-worker skew view of a fanned-out tabulation.
 type WorkerSpan struct {
 	Worker int           `json:"worker"`
 	Start  int           `json:"start"`
@@ -371,7 +407,7 @@ func (t *Totals) add(r *QueryReport) {
 	for _, p := range r.Phases {
 		t.PhaseWall[p.Name] += p.Wall
 	}
-	t.Eval.Add(r.Eval)
+	t.Eval = t.Eval.Add(r.Eval)
 	t.IO.Add(r.IO)
 	t.RuleFirings += int64(len(r.Rules) + r.RulesDropped)
 }

@@ -54,22 +54,22 @@ func TestValBoundFnCounterOwnership(t *testing.T) {
 	}{
 		// 5 steps per cell of the query's own, 5 of sq's body.
 		{"applied in a 1e6-cell tabulation", `[[ sq!(i % 1000) | \i < 1000000 ]]`,
-			eval.Counters{Steps: 10_000_002, Cells: 1_000_000, Tabs: 1}},
+			eval.Counters{Steps: 10_000_002, Cells: 1_000_000, Tabulations: 1}},
 		// tri makes and applies a closure of its own inside each call: 153
 		// steps, a gen of 50 cells and 50 iterations per call.
 		{"body makes closures", `[[ tri!(i % 7) | \i < 20000 ]]`,
-			eval.Counters{Steps: 3_160_002, Cells: 1_020_000, Tabs: 1, SetOps: 20_000, Iters: 1_000_000}},
+			eval.Counters{Steps: 3_160_002, Cells: 1_020_000, Tabulations: 1, SetOps: 20_000, Iterations: 1_000_000}},
 		// twice is handed a function of the applying query: 5 steps per
 		// cell of the query's own, 1 + 5 of twice's, 2 × 3 of the query's fn.
 		{"handed a function of the query", `[[ (twice!(fn \y => y + i))!i | \i < 20000 ]]`,
-			eval.Counters{Steps: 340_002, Cells: 20_000, Tabs: 1}},
+			eval.Counters{Steps: 340_002, Cells: 20_000, Tabulations: 1}},
 		// The same inside a tabulation the val-bound fn runs itself: mapN's
 		// 20000-cell loop (3 steps a cell) and each application of the
 		// query's fn (3 steps) are the query's work.
 		{"handed a function of the query to tabulate", `mapN!(fn \y => y * 3)`,
-			eval.Counters{Steps: 120_005, Cells: 20_000, Tabs: 1}},
+			eval.Counters{Steps: 120_005, Cells: 20_000, Tabulations: 1}},
 		{"body goes ⊥", `[[ sq!(i % 1000) / (20000 - i) | \i < 30000 ]]`,
-			eval.Counters{Steps: 420_002, Cells: 30_000, Tabs: 1}},
+			eval.Counters{Steps: 420_002, Cells: 30_000, Tabulations: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			core, _, err := s.Compile(tc.src)

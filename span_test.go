@@ -13,20 +13,21 @@ import (
 	"github.com/aqldb/aql/internal/compile"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // spanEngine is an engine that reports its last evaluation's span tree.
 type spanEngine interface {
 	engine
-	SpanTree() *eval.SpanNode
+	SpanTree() *trace.SpanNode
 }
 
 // spanShape renders a span tree's structure — operators, nesting and
 // invocation counts, no timings — for cross-engine comparison.
-func spanShape(n *eval.SpanNode) string {
+func spanShape(n *trace.SpanNode) string {
 	var b strings.Builder
-	var walk func(n *eval.SpanNode, depth int)
-	walk = func(n *eval.SpanNode, depth int) {
+	var walk func(n *trace.SpanNode, depth int)
+	walk = func(n *trace.SpanNode, depth int) {
 		fmt.Fprintf(&b, "%s%s inv=%d\n", strings.Repeat(" ", depth), n.Op, n.Invocations)
 		for _, c := range n.Children {
 			walk(c, depth+1)
@@ -110,12 +111,12 @@ func TestSpanCounterAttribution(t *testing.T) {
 				}
 				flat := eng.Counters()
 				var self eval.Counters
-				root.Walk(func(n *eval.SpanNode) {
+				root.Walk(func(n *trace.SpanNode) {
 					self.Steps += n.Steps
 					self.Cells += n.Cells
-					self.Tabs += n.Tabs
+					self.Tabulations += n.Tabulations
 					self.SetOps += n.SetOps
-					self.Iters += n.Iters
+					self.Iterations += n.Iterations
 					if n.Measured != n.Invocations {
 						t.Errorf("%s: %s measured %d of %d invocations at full level",
 							eng.Name(), n.Op, n.Measured, n.Invocations)
@@ -201,8 +202,8 @@ func TestParallelTabulationProfiling(t *testing.T) {
 					if root == nil {
 						t.Fatal("no span tree")
 					}
-					var tab *eval.SpanNode
-					root.Walk(func(n *eval.SpanNode) {
+					var tab *trace.SpanNode
+					root.Walk(func(n *trace.SpanNode) {
 						if n.Op == "ArrayTab" && tab == nil {
 							tab = n
 						}
