@@ -2,7 +2,12 @@ package server
 
 import (
 	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -59,4 +64,74 @@ func TestPlanCacheEvictionRace(t *testing.T) {
 	if cs.Hits+cs.Misses != workers*iters {
 		t.Errorf("hits %d + misses %d != %d lookups", cs.Hits, cs.Misses, workers*iters)
 	}
+}
+
+// TestRebindNeverServesStalePlan: goroutines query `x + 0` while another
+// rebinds x to 1, 2, …, n through POST /val/x. A rebind acknowledged before
+// a request is sent must be visible to that request, whether it is served
+// from the plan cache or prepares afresh: every answer is at least the last
+// value acknowledged when its request left. Run under -race this also
+// checks the plan lookup against concurrent environment mutation.
+func TestRebindNeverServesStalePlan(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxConcurrent: 16, MaxQueued: 256})
+
+	setX := func(v int) error {
+		resp, err := http.Post(ts.URL+"/val/x", "text/plain", strings.NewReader(strconv.Itoa(v)))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(resp.Body)
+			return fmt.Errorf("POST /val/x=%d: status %d: %s", v, resp.StatusCode, b)
+		}
+		return nil
+	}
+	if err := setX(0); err != nil {
+		t.Fatal(err)
+	}
+
+	const rebinds = 60
+	const readers = 4
+	var acked atomic.Int64 // the last value whose rebind was acknowledged
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				floor := acked.Load()
+				qr, status, err := postQuery(ts, QueryRequest{Query: "x + 0"})
+				if err != nil {
+					t.Errorf("reader %d: %v (status %d)", r, err, status)
+					return
+				}
+				got, err := strconv.ParseInt(qr.Value, 10, 64)
+				if err != nil {
+					t.Errorf("reader %d: value %q: %v", r, qr.Value, err)
+					return
+				}
+				if got < floor || got > rebinds {
+					t.Errorf("reader %d: x + 0 = %d (cached %v) after x=%d was acknowledged",
+						r, got, qr.Cached, floor)
+					return
+				}
+			}
+		}(r)
+	}
+	for v := 1; v <= rebinds; v++ {
+		if err := setX(v); err != nil {
+			t.Error(err)
+			break
+		}
+		acked.Store(int64(v))
+	}
+	close(done)
+	wg.Wait()
 }
