@@ -310,8 +310,9 @@ func (s *Session) EngineName() string { return s.s.Engine }
 
 // SetMaxSteps bounds the evaluator steps per query (0 = unlimited); queries
 // that exceed the budget fail with a *ResourceError instead of running
-// away. Equivalent to SetLimits with only MaxSteps set.
-func (s *Session) SetMaxSteps(n int64) { s.s.MaxSteps = n }
+// away. It sets Limits.MaxSteps, the session's one step budget, and leaves
+// the other limits as they are; a later SetLimits replaces it.
+func (s *Session) SetMaxSteps(n int64) { s.s.Limits.MaxSteps = n }
 
 // SetLimits installs per-query resource budgets; the zero Limits removes
 // them. Queries that exceed a budget fail with a *ResourceError whose Kind
@@ -384,9 +385,9 @@ func (s *Session) Val(name string) (Value, bool) { return s.s.Env.Val(name) }
 // EnvEpoch reports the environment's mutation epoch: a monotone counter
 // bumped by every val binding, macro definition, and reader/writer or
 // primitive registration. Anything derived from the environment (such as
-// a prepared plan) is valid only for the epoch it was built at; the query
-// server keys its plan cache on it. (A Stmt that does not read `it` looks
-// past the bindings of `it` among those bumps.)
+// a prepared plan) is valid only for the epoch it was built at: a Stmt and
+// the query server's cached plans re-prepare once it moves. (A plan that
+// does not read `it` looks past the bindings of `it` among those bumps.)
 func (s *Session) EnvEpoch() uint64 { return s.s.Env.Epoch() }
 
 // --- Value constructors, re-exported for host programs ---------------------

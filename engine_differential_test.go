@@ -171,14 +171,13 @@ var diffWorkers = 1
 
 // diffEngines builds the interpreter and a compiled engine over the same
 // globals, limits and argument frame (diffArgs).
-func diffEngines(globals map[string]object.Value, maxSteps int64, limits eval.Limits) (*eval.Evaluator, *compiledEngine) {
+func diffEngines(globals map[string]object.Value, limits eval.Limits) (*eval.Evaluator, *compiledEngine) {
 	in := eval.New(globals)
-	in.MaxSteps = maxSteps
 	in.Limits = limits
 	in.Params = diffArgs
 	in.SetProfiling(diffProf)
 	ce := &compiledEngine{globals: globals, limits: limits,
-		opts: compile.ExecOpts{MaxSteps: maxSteps, Threshold: -1, Level: diffProf, Args: diffArgs}}
+		opts: compile.ExecOpts{Threshold: -1, Level: diffProf, Args: diffArgs}}
 	if diffWorkers > 1 {
 		ce.opts.Workers, ce.opts.Threshold = diffWorkers, 1
 	}
@@ -187,9 +186,9 @@ func diffEngines(globals map[string]object.Value, maxSteps int64, limits eval.Li
 
 // runDiff evaluates core under both engines and reports any observable
 // divergence; it returns the interpreter's outcome for additional checks.
-func runDiff(t *testing.T, globals map[string]object.Value, core ast.Expr, maxSteps int64, limits eval.Limits) (object.Value, error) {
+func runDiff(t *testing.T, globals map[string]object.Value, core ast.Expr, limits eval.Limits) (object.Value, error) {
 	t.Helper()
-	in, ce := diffEngines(globals, maxSteps, limits)
+	in, ce := diffEngines(globals, limits)
 	iv, ierr := in.EvalExpr(context.Background(), core)
 	cv, cerr := ce.EvalExpr(context.Background(), core)
 
@@ -254,8 +253,8 @@ func TestEngineDifferential(t *testing.T) {
 					}
 					for _, workers := range []int{1, 4} {
 						diffWorkers = workers
-						runDiff(t, globals, core, 0, eval.Limits{})
-						runDiff(t, globals, s.Optimize(core), 0, eval.Limits{})
+						runDiff(t, globals, core, eval.Limits{})
+						runDiff(t, globals, s.Optimize(core), eval.Limits{})
 						if t.Failed() {
 							t.Fatalf("the engines diverge with the compiled one on %d workers", workers)
 						}
@@ -273,15 +272,14 @@ func TestEngineDifferentialResourceErrors(t *testing.T) {
 	s := diffSession(t)
 	globals := s.Env.Globals()
 	cases := []struct {
-		name     string
-		src      string
-		maxSteps int64
-		limits   eval.Limits
-		kind     eval.ResourceKind
+		name   string
+		src    string
+		limits eval.Limits
+		kind   eval.ResourceKind
 	}{
-		{"steps", `summap(fn \i => i)!(gen!100000)`, 5000, eval.Limits{}, eval.ResourceSteps},
-		{"cells", `[[ i | \i < 1000000 ]]`, 0, eval.Limits{MaxCells: 1000}, eval.ResourceCells},
-		{"depth", `[[ f!(f!(f!(f!(f!(f!(f!(f!i))))))) | \i < 10 ]]`, 0, eval.Limits{MaxDepth: 6}, eval.ResourceDepth},
+		{"steps", `summap(fn \i => i)!(gen!100000)`, eval.Limits{MaxSteps: 5000}, eval.ResourceSteps},
+		{"cells", `[[ i | \i < 1000000 ]]`, eval.Limits{MaxCells: 1000}, eval.ResourceCells},
+		{"depth", `[[ f!(f!(f!(f!(f!(f!(f!(f!i))))))) | \i < 10 ]]`, eval.Limits{MaxDepth: 6}, eval.ResourceDepth},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -289,7 +287,7 @@ func TestEngineDifferentialResourceErrors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			_, ierr := runDiff(t, globals, core, tc.maxSteps, tc.limits)
+			_, ierr := runDiff(t, globals, core, tc.limits)
 			var re *eval.ResourceError
 			if !errors.As(ierr, &re) || re.Kind != tc.kind {
 				t.Fatalf("err = %v, want a %v ResourceError (case under-budgeted?)", ierr, tc.kind)
@@ -319,7 +317,7 @@ func TestAllocationPollsContext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in, ce := diffEngines(globals, 0, eval.Limits{})
+			in, ce := diffEngines(globals, eval.Limits{})
 			for _, eng := range []engine{in, ce} {
 				_, err := eng.EvalExpr(ctx, core)
 				var re *eval.ResourceError
@@ -357,7 +355,7 @@ func FuzzEngineDifferential(f *testing.F) {
 	}
 	bindLoose(s)
 	globals := s.Env.Globals()
-	limits := eval.Limits{MaxCells: 1 << 20, MaxDepth: 10_000}
+	limits := eval.Limits{MaxSteps: 200_000, MaxCells: 1 << 20, MaxDepth: 10_000}
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 2000 || strings.ContainsAny(src, "\x00") {
@@ -372,7 +370,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		// closures, full exercises every wrapper.
 		diffProf = eval.ProfLevel(len(src) % 3)
 		for _, e := range []ast.Expr{core, s.Optimize(core)} {
-			if _, err := runDiff(t, globals, e, 200_000, limits); err != nil {
+			if _, err := runDiff(t, globals, e, limits); err != nil {
 				continue
 			}
 			// A run that finished within its budgets does the same work
@@ -380,7 +378,7 @@ func FuzzEngineDifferential(f *testing.F) {
 			// 4-worker fan-out to the same outcome. MaxDepth would force it
 			// serial, and the serial run has shown the depth is bounded.
 			diffWorkers = 4
-			runDiff(t, globals, e, 200_000, eval.Limits{MaxCells: limits.MaxCells})
+			runDiff(t, globals, e, eval.Limits{MaxSteps: limits.MaxSteps, MaxCells: limits.MaxCells})
 			diffWorkers = 1
 		}
 	})

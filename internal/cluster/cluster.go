@@ -308,6 +308,11 @@ func (c *Coordinator) ExecuteTraced(ctx context.Context, prog *compile.Program, 
 		merged = merged.Add(o.counters)
 		copy(data[o.part.Lo:o.part.Hi], o.values)
 	}
+	// Every shard ran under the whole step budget; the query is held to it
+	// in total, as the in-process run is.
+	if l := opts.Limits.MaxSteps; l > 0 && merged.Steps > l {
+		return nil, &eval.ResourceError{Kind: eval.ResourceSteps, Limit: l, Used: merged.Steps}
+	}
 	mode := "distributed"
 	switch {
 	case local > 0 && remote > 0:
@@ -367,7 +372,7 @@ func (c *Coordinator) runShard(ctx context.Context, abort func(error), prog *com
 	}
 	req := exchange.ShardRequest{
 		Query: query, Shape: shape, Start: start, End: end,
-		Shard: shard, MaxSteps: opts.MaxSteps, Args: encArgs,
+		Shard: shard, MaxSteps: opts.Limits.MaxSteps, Args: encArgs,
 	}
 	if opts.Limits.Timeout > 0 {
 		req.TimeoutMS = opts.Limits.Timeout.Milliseconds()

@@ -29,26 +29,21 @@ import (
 // plan from the text alone.
 const tabQuery = `[[ (i*i + 11*i + 7) % 97 | \i < 5000 ]]`
 
-func newWorker(t testing.TB) *httptest.Server {
+func newServer(t testing.TB, cfg server.Config) *httptest.Server {
 	t.Helper()
 	sess, err := repl.New()
 	if err != nil {
 		t.Fatalf("repl.New: %v", err)
 	}
-	ts := httptest.NewServer(server.New(sess, server.Config{}))
+	ts := httptest.NewServer(server.New(sess, cfg))
 	t.Cleanup(ts.Close)
 	return ts
 }
 
+func newWorker(t testing.TB) *httptest.Server { return newServer(t, server.Config{}) }
+
 func newCoordServer(t testing.TB, coord *cluster.Coordinator) *httptest.Server {
-	t.Helper()
-	sess, err := repl.New()
-	if err != nil {
-		t.Fatalf("repl.New: %v", err)
-	}
-	ts := httptest.NewServer(server.New(sess, server.Config{Coordinator: coord}))
-	t.Cleanup(ts.Close)
-	return ts
+	return newServer(t, server.Config{Coordinator: coord})
 }
 
 // fastCfg returns a test-speed cluster config over the given workers: tiny
@@ -69,7 +64,12 @@ func fastCfg(tr cluster.Transport, workers ...string) cluster.Config {
 
 func postQuery(t testing.TB, ts *httptest.Server, query string) (*server.QueryResponse, int, *server.ErrorResponse) {
 	t.Helper()
-	body, _ := json.Marshal(server.QueryRequest{Query: query})
+	return postRequest(t, ts, server.QueryRequest{Query: query})
+}
+
+func postRequest(t testing.TB, ts *httptest.Server, req server.QueryRequest) (*server.QueryResponse, int, *server.ErrorResponse) {
+	t.Helper()
+	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /query: %v", err)

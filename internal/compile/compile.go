@@ -485,7 +485,7 @@ func (cl *closure) call(m *machine, arg object.Value) (object.Value, error) {
 // under the maker's config, and leaves what it charged on mt.
 func (cl *closure) Apply(mt *eval.Meter, arg object.Value) (object.Value, error) {
 	m := &machine{config: cl.ex.config, ctx: mt.Ctx, deadline: mt.Deadline, depth: mt.Depth, prof: mt.Prof}
-	m.budget(mt.Limits, mt.MaxSteps)
+	m.budget(mt.Limits)
 	m.add(mt.Used)
 	v, err := cl.call(m, arg)
 	mt.Used = m.counters()
@@ -530,7 +530,7 @@ func (c *compiler) compileLam(n *ast.Lam) compiledExpr {
 		// under the budgets the maker ran under, with no context (the
 		// maker's is over).
 		return object.FuncWithCode(func(arg object.Value) (object.Value, error) {
-			return cl.Apply(&eval.Meter{MaxSteps: cl.ex.maxSteps, Limits: cl.ex.limits}, arg)
+			return cl.Apply(&eval.Meter{Limits: cl.ex.limits}, arg)
 		}, cl), nil
 	}
 }

@@ -218,7 +218,7 @@ func TestAllNodesCompile(t *testing.T) {
 // TestStepBudget: the compiled engine enforces MaxSteps with the same
 // structured error as the interpreter.
 func TestStepBudget(t *testing.T) {
-	e := &engine{opts: ExecOpts{MaxSteps: 50}}
+	e := &engine{opts: ExecOpts{Limits: eval.Limits{MaxSteps: 50}}}
 	big := &ast.ArrayTab{Head: v("i"), Idx: []string{"i"}, Bounds: []ast.Expr{nat(100000)}}
 	_, err := e.EvalExpr(context.Background(), big)
 	var re *eval.ResourceError

@@ -61,8 +61,7 @@ type machine struct {
 // config is what an execution fixes before it starts and every machine
 // working for it copies.
 type config struct {
-	limits   eval.Limits
-	maxSteps int64
+	limits eval.Limits
 	// workers caps tabulation fan-out; threshold is the element count at or
 	// above which a tabulation fans out (maxInt64 disables parallelism).
 	workers   int
@@ -74,10 +73,10 @@ type config struct {
 	stepMask int64
 }
 
-// budget sets the step and resource bounds and the step mask they imply.
-func (c *config) budget(lim eval.Limits, maxSteps int64) {
-	c.limits, c.maxSteps, c.stepMask = lim, maxSteps, eval.InterruptInterval-1
-	if maxSteps > 0 || lim.MaxSteps > 0 {
+// budget sets the resource bounds and the step mask they imply.
+func (c *config) budget(lim eval.Limits) {
+	c.limits, c.stepMask = lim, eval.InterruptInterval-1
+	if lim.MaxSteps > 0 {
 		c.stepMask = 0
 	}
 }
@@ -110,15 +109,12 @@ func (m *machine) step() error {
 	return nil
 }
 
-// stepSlow enforces the step budgets and, every InterruptInterval steps,
+// stepSlow enforces the step budget and, every InterruptInterval steps,
 // runs the interrupt check; in workers that boundary also publishes the
 // local step count to the root.
 func (m *machine) stepSlow() error {
 	n := m.used.Steps
 	total := eval.SatAdd(m.baseSteps, n)
-	if m.maxSteps > 0 && total > m.maxSteps {
-		return &eval.ResourceError{Kind: eval.ResourceSteps, Limit: m.maxSteps, Used: total}
-	}
 	if l := m.limits.MaxSteps; l > 0 && total > l {
 		return &eval.ResourceError{Kind: eval.ResourceSteps, Limit: l, Used: total}
 	}
@@ -208,7 +204,7 @@ func (m *machine) add(c trace.EvalCounters) {
 func (m *machine) apply(f eval.Applier, arg object.Value) (object.Value, error) {
 	at := m.counters()
 	at.Steps, at.Cells = eval.SatAdd(m.baseSteps, m.used.Steps), eval.SatAdd(m.baseCells, m.used.Cells)
-	mt := eval.Meter{Ctx: m.ctx, Deadline: m.deadline, MaxSteps: m.maxSteps, Limits: m.limits, Depth: m.depth, Used: at, Prof: m.prof}
+	mt := eval.Meter{Ctx: m.ctx, Deadline: m.deadline, Limits: m.limits, Depth: m.depth, Used: at, Prof: m.prof}
 	v, err := f.Apply(&mt, arg)
 	m.add(mt.Used.Sub(at))
 	return v, err

@@ -131,7 +131,7 @@ func TestCounterOwnership(t *testing.T) {
 // publication must still bound the overshoot by workers × InterruptInterval.
 func TestStepBudgetInsideAppliedBodies(t *testing.T) {
 	const workers = 4
-	e := &engine{opts: ExecOpts{Threshold: 1024, Workers: workers, MaxSteps: 500_000}}
+	e := &engine{opts: ExecOpts{Threshold: 1024, Workers: workers, Limits: eval.Limits{MaxSteps: 500_000}}}
 	_, err := e.EvalExpr(context.Background(), ownershipCases[0].expr)
 	var re *eval.ResourceError
 	if !errors.As(err, &re) || re.Kind != eval.ResourceSteps {
@@ -223,7 +223,7 @@ func TestValBoundBodyIsBudgeted(t *testing.T) {
 	})
 	t.Run("steps inside the body's own fan-out", func(t *testing.T) {
 		const workers = 4
-		e := &engine{globals: globals, opts: ExecOpts{Threshold: 1024, Workers: workers, MaxSteps: 500_000}}
+		e := &engine{globals: globals, opts: ExecOpts{Threshold: 1024, Workers: workers, Limits: eval.Limits{MaxSteps: 500_000}}}
 		_, err := e.EvalExpr(ctx, &ast.App{Fn: v("wide"), Arg: nat(1)})
 		re := resource(t, err, eval.ResourceSteps, 500_000)
 		if slack := int64(workers * eval.InterruptInterval); re.Used > re.Limit+slack+1 {

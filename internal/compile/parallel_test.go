@@ -128,7 +128,7 @@ func TestParallelCancellation(t *testing.T) {
 // the same error Kind as serial execution; the budget overshoot is bounded
 // by workers x InterruptInterval, so the reported Used stays near the limit.
 func TestParallelStepBudget(t *testing.T) {
-	e := &engine{opts: ExecOpts{Threshold: 1, Workers: 8, MaxSteps: 100_000}}
+	e := &engine{opts: ExecOpts{Threshold: 1, Workers: 8, Limits: eval.Limits{MaxSteps: 100_000}}}
 	_, err := e.EvalExpr(context.Background(), bigTab(1000, 1000))
 	var re *eval.ResourceError
 	if !errors.As(err, &re) || re.Kind != eval.ResourceSteps {

@@ -34,8 +34,9 @@ import (
 //
 // The globals snapshot is taken at NewProgram time (global references
 // resolve to values), so a Program keeps observing the environment as of its
-// preparation even if vals are rebound afterwards; keying plans on the
-// environment epoch is what keeps served and prepared plans current.
+// preparation even if vals are rebound afterwards; the plan that holds it
+// (repl.Plan.Current) decides when that snapshot is stale, for a prepared
+// statement and the server's plan cache alike.
 type Program struct {
 	expr    ast.Expr
 	globals map[string]object.Value
@@ -117,9 +118,6 @@ type ExecOpts struct {
 	// depth guard is compiled into the Program (see NewProgram). The zero
 	// value falls back to the Program's compile-time limits.
 	Limits eval.Limits
-	// MaxSteps is a second step bound, kept for parity with the session
-	// knob; either it or Limits.MaxSteps tripping aborts.
-	MaxSteps int64
 	// Workers caps tabulation fan-out; 0 means GOMAXPROCS.
 	Workers int
 	// Threshold overrides DefaultThreshold when positive; negative
@@ -168,8 +166,8 @@ func (p *Program) Execute(ctx context.Context, opts ExecOpts) (object.Value, tra
 // newFrame builds the root frame of one Run, PlanShards or ExecuteRange,
 // with slots variable and parks park slots: a machine under opts' limits
 // (the program's compile-time ones when zero) with the compiled-in
-// MaxDepth, opts' step bound and fan-out, and the execution holding opts'
-// argument frame.
+// MaxDepth and opts' fan-out, and the execution holding opts' argument
+// frame.
 func (p *Program) newFrame(ctx context.Context, opts ExecOpts, slots, parks int) *frame {
 	lim := opts.Limits
 	if lim == (eval.Limits{}) {
@@ -179,7 +177,7 @@ func (p *Program) newFrame(ctx context.Context, opts ExecOpts, slots, parks int)
 	// with it.
 	lim.MaxDepth = p.limits.MaxDepth
 	m := &machine{config: config{workers: opts.Workers, threshold: int64(opts.Threshold)}, ctx: ctx}
-	m.budget(lim, opts.MaxSteps)
+	m.budget(lim)
 	if m.workers <= 0 {
 		m.workers = runtime.GOMAXPROCS(0)
 	}

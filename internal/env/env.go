@@ -6,12 +6,12 @@
 //
 // An Env is safe for concurrent use: registrations and val bindings take a
 // write lock, lookups and the Globals/GlobalTypes snapshots a read lock.
-// Every mutation bumps a monotone epoch counter; the query server keys its
-// prepared-plan cache on the epoch, so a `val` rebinding or a new reader
-// registration invalidates exactly the plans whose global snapshot it could
-// have changed. Bindings of `it`, which every bare query and prepared
-// execution makes, are counted apart (PlanEpoch) so that a plan which does
-// not read `it` outlives them.
+// Every mutation bumps a monotone epoch counter. A kept plan records the
+// epoch it was prepared under (repl.Plan.Current compares it), so a `val`
+// rebinding or a new reader registration makes stale exactly the plans whose
+// global snapshot it could have changed. Bindings of `it`, which every bare
+// query and prepared execution makes, are counted apart (PlanEpoch) so that
+// a plan which does not read `it` outlives them.
 package env
 
 import (

@@ -56,10 +56,6 @@ type Meter struct {
 	// InterruptInterval steps and before large allocations.
 	Ctx      context.Context
 	Deadline time.Time
-	// MaxSteps, when positive, aborts evaluation after that many steps;
-	// a guard against runaway queries in interactive use. Limits.MaxSteps
-	// is honored as well; either tripping aborts the query.
-	MaxSteps int64
 	// Limits bounds the resources of this evaluation; the zero value is
 	// unlimited. Exhaustion yields a *ResourceError.
 	Limits Limits
@@ -111,7 +107,6 @@ type Evaluator struct {
 // through Value.Fn runs it under.
 type scope struct {
 	globals, params map[string]object.Value
-	maxSteps        int64
 	limits          Limits
 }
 
@@ -119,7 +114,7 @@ type scope struct {
 // own fields at first use.
 func (ev *Evaluator) scope() *scope {
 	if ev.sc == nil {
-		ev.sc = &scope{ev.Globals, ev.Params, ev.MaxSteps, ev.Limits}
+		ev.sc = &scope{ev.Globals, ev.Params, ev.Limits}
 	}
 	return ev.sc
 }
@@ -228,14 +223,11 @@ func (ev *Evaluator) evalDepth(e ast.Expr, env *Env) (object.Value, error) {
 	return ev.evalStep(e, env)
 }
 
-// evalStep charges one step, enforces the step budgets and the amortized
+// evalStep charges one step, enforces the step budget and the amortized
 // interrupt check, then dispatches.
 func (ev *Evaluator) evalStep(e ast.Expr, env *Env) (object.Value, error) {
 	ev.Used.Steps++
 	steps := ev.Used.Steps
-	if ev.MaxSteps > 0 && steps > ev.MaxSteps {
-		return object.Value{}, &ResourceError{Kind: ResourceSteps, Limit: ev.MaxSteps, Used: steps}
-	}
 	if l := ev.Limits.MaxSteps; l > 0 && steps > l {
 		return object.Value{}, &ResourceError{Kind: ResourceSteps, Limit: l, Used: steps}
 	}
@@ -271,7 +263,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		// the maker's budgets, with no context (the maker's is over).
 		cl := &closure{param: n.Param, body: n.Body, env: env, sc: ev.scope()}
 		return object.FuncWithCode(func(arg object.Value) (object.Value, error) {
-			return cl.Apply(&Meter{MaxSteps: cl.sc.maxSteps, Limits: cl.sc.limits}, arg)
+			return cl.Apply(&Meter{Limits: cl.sc.limits}, arg)
 		}, cl), nil
 
 	case *ast.App:

@@ -348,7 +348,7 @@ func TestUnboundVariable(t *testing.T) {
 
 func TestStepBudget(t *testing.T) {
 	ev := New(nil)
-	ev.MaxSteps = 10
+	ev.Limits.MaxSteps = 10
 	// A tabulation of 1000 elements exceeds 10 steps.
 	_, err := ev.Eval(tab(v("i"), []string{"i"}, nat(1000)), nil)
 	if err == nil || !strings.Contains(err.Error(), "budget") {

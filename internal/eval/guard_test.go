@@ -50,7 +50,7 @@ func wantResourceError(t *testing.T, err error, kind ResourceKind) *ResourceErro
 
 func TestStepBudgetReturnsTypedError(t *testing.T) {
 	ev := New(nil)
-	ev.MaxSteps = 100
+	ev.Limits.MaxSteps = 100
 	_, err := ev.Eval(sumOverGen(100_000), nil)
 	re := wantResourceError(t, err, ResourceSteps)
 	if re.Limit != 100 {

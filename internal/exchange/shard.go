@@ -36,7 +36,9 @@ type ShardRequest struct {
 	Shard   int `json:"shard"`
 	Attempt int `json:"attempt"`
 	// MaxSteps / TimeoutMS tighten the worker's per-request budget, exactly
-	// as the same fields of a /query request do. Budgets apply per shard.
+	// as the same fields of a /query request do. Budgets apply per shard:
+	// the coordinator sends the query's whole Limits.MaxSteps with each one
+	// and holds the merged step total to it after the gather.
 	MaxSteps  int64 `json:"max_steps,omitempty"`
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// TraceID / ParentSpan propagate the coordinator's distributed trace

@@ -376,7 +376,7 @@ func (s *Session) ExplainAnalyzeTable(ctx context.Context, src string) (*trace.E
 		return nil, nil, object.Value{}, err
 	}
 	v, err := s.execute(ctx, p, nil, eval.ProfFull)
-	s.Trace.JoinExplain(p.Prog.Estimates(), s.QErrorThreshold)
+	s.Trace.JoinExplain(p.Prog.Estimates(), trace.DefaultQErrorThreshold)
 	rep := s.Trace.End(err)
 	if err != nil {
 		return nil, nil, object.Value{}, err

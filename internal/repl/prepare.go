@@ -73,6 +73,19 @@ type Plan struct {
 	maxDepth int
 }
 
+// Current reports whether p may still run against e under a MaxDepth of
+// maxDepth: no mutation the plan can see (env.PlanEpoch) has landed since
+// its globals snapshot, and the depth guard compiled into it is the one in
+// force. It is the one test of plan currency: a prepared statement and the
+// server's plan cache both re-prepare exactly when it fails.
+func (p *Plan) Current(e *env.Env, maxDepth int) bool {
+	return e.PlanEpoch(p.readsIt) == p.epoch && p.maxDepth == maxDepth
+}
+
+// Epoch is the environment epoch p is current under (see Current): the
+// server keys its per-plan statistics by it.
+func (p *Plan) Epoch() uint64 { return p.epoch }
+
 // depth is how far down the pipeline frontEnd carries a query.
 type depth int
 
@@ -157,9 +170,9 @@ func (s *Session) optimize(rec *trace.Recorder, core ast.Expr) ast.Expr {
 
 // Plan carries src through the whole front end to a plan with a shared
 // program, reporting to rec: the session's recorder for a prepared statement,
-// the server's per-request one on a plan-cache miss. The caller holds
-// whatever keeps the environment still between reading its cache key's epoch
-// and this call.
+// the server's per-request one on a plan-cache miss. The plan's epoch is read
+// before anything else of the environment, so a mutation racing the call
+// leaves a plan that fails Current, never a stale one that passes it.
 func (s *Session) Plan(rec *trace.Recorder, src string, limits eval.Limits) (*Plan, error) {
 	return s.frontEnd(rec, src, nil, prepared, limits)
 }
@@ -236,14 +249,13 @@ func Bind(params map[string]*types.Type, args map[string]object.Value) *BindErro
 // as a bare query does — counters, I/O, spans and worker records, under the
 // session's limits, Workers and Profiling (see execute).
 //
-// A Prepared tracks the environment epoch it was compiled under; executing
-// after a `val` rebinding (or reader registration) transparently re-prepares
-// against the current globals, exactly as the server's plan cache stops
-// serving plans from older epochs. The binding of `it` that every execution
-// ends with counts only against a plan that reads `it` (env.PlanEpoch).
-// Limits.MaxDepth is compiled into the program, so a session MaxDepth other
-// than the one the plan was lowered with re-prepares the same way: an
-// execution is held to the limits in force when it runs.
+// Executing a Prepared whose plan is no longer Current — after a `val`
+// rebinding or a reader registration, or under a session MaxDepth other than
+// the one compiled into the program — transparently re-prepares against the
+// current globals, by the same test the server's plan cache applies. The
+// binding of `it` that every execution ends with counts only against a plan
+// that reads `it` (env.PlanEpoch). An execution is thus held to the
+// environment and limits in force when it runs.
 type Prepared struct {
 	s     *Session
 	mu    sync.Mutex
@@ -298,18 +310,17 @@ func (p *Prepared) Exec(ctx context.Context, args map[string]object.Value) (obje
 	return v, nil
 }
 
-// current re-prepares if the environment moved past the plan's epoch or the
-// session's MaxDepth is not the plan's, then binds args against the
-// (current) parameter types and returns the plan, all under the statement's
-// lock. It also opens the execution's trace report, which is open on return
-// exactly when err is nil: before a re-preparation, whose phases the report
-// then carries, and otherwise once the arguments bind, so a bind error
-// leaves no report.
+// current re-prepares if the plan is not Current under the session's
+// MaxDepth, then binds args against the (current) parameter types and
+// returns the plan, all under the statement's lock. It also opens the
+// execution's trace report, which is open on return exactly when err is
+// nil: before a re-preparation, whose phases the report then carries, and
+// otherwise once the arguments bind, so a bind error leaves no report.
 func (p *Prepared) current(args map[string]object.Value) (*Plan, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	tr := p.s.Trace
-	stale := p.s.Env.PlanEpoch(p.readsIt) != p.epoch || p.maxDepth != p.s.Limits.MaxDepth
+	stale := !p.Current(p.s.Env, p.s.Limits.MaxDepth)
 	if stale {
 		tr.Begin(p.Text)
 		plan, err := p.s.Plan(tr, p.Text, p.s.Limits)
@@ -350,7 +361,7 @@ func (s *Session) execute(ctx context.Context, plan *Plan, args map[string]objec
 		}
 		w.Engine = EngineCompiled
 		v, err = plan.Prog.Run(ctx, compile.ExecOpts{
-			Limits: s.Limits, MaxSteps: s.MaxSteps, Workers: s.Workers, Args: args, Level: level,
+			Limits: s.Limits, Workers: s.Workers, Args: args, Level: level,
 		}, &w.Outcome)
 		return err
 	})

@@ -35,10 +35,6 @@ type Session struct {
 	// SkipOptimizer evaluates un-normalized queries; the benchmark harness
 	// uses it to measure the optimizer's effect.
 	SkipOptimizer bool
-	// MaxSteps, when positive, aborts queries that exceed the step budget;
-	// a guard for interactive use. Superseded by Limits.MaxSteps but kept
-	// for compatibility; either tripping aborts the query.
-	MaxSteps int64
 	// Limits bounds the resources of each query evaluated by this session
 	// (steps, cells, recursion depth, wall-clock). The zero value is
 	// unlimited; violations surface as *eval.ResourceError.
@@ -78,9 +74,6 @@ type Session struct {
 	// SetTraceSink.
 	Fleet  *trace.Aggregator
 	Flight *trace.FlightRecorder
-	// QErrorThreshold is the q-error above which :explain analyze flags a
-	// per-operator misestimate; <= 0 selects trace.DefaultQErrorThreshold.
-	QErrorThreshold float64
 	// prepared is the loop's current prepared statement (:prepare / :exec).
 	prepared *Prepared
 	// io is the session's out-of-core state: open NetCDF handles, the
@@ -289,7 +282,6 @@ func (s *Session) Guard(ctx context.Context, rec *trace.Recorder, src string, ru
 // queries see.
 func (s *Session) newEngine(params map[string]object.Value, level eval.ProfLevel) *eval.Evaluator {
 	ev := eval.New(s.Env.Globals())
-	ev.MaxSteps = s.MaxSteps
 	ev.Limits = s.Limits
 	ev.Params = params
 	ev.SetProfiling(level)

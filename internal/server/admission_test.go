@@ -10,6 +10,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/aqldb/aql/internal/env"
+	"github.com/aqldb/aql/internal/eval"
+	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/repl"
+	"github.com/aqldb/aql/internal/types"
 )
 
 // TestAdmissionKinds exercises the controller directly, where the three
@@ -171,31 +177,52 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestPlanCacheUnit covers the container directly: keying on epoch and the
-// invalidation sweep.
+// TestPlanCacheUnit covers the container directly: entries are keyed by
+// text and served only while the plan is Current; a stale entry counts as a
+// miss and an invalidation, and the next put replaces it in place.
 func TestPlanCacheUnit(t *testing.T) {
+	sess, err := repl.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Env.SetVal("x", object.Nat(1), types.Nat)
+	prepare := func() *plan {
+		t.Helper()
+		p, err := sess.Plan(sess.Trace, "x + 1", eval.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
 	c := newPlanCache(4)
-	p := &plan{}
-	c.put(planKey{"q", 1}, p)
-	if _, ok := c.get(planKey{"q", 2}); ok {
-		t.Fatal("plan served across epochs")
+	p1 := prepare()
+	c.put("q", p1)
+	if got, ok := c.get("q", sess.Env, 0); !ok || got != p1 {
+		t.Fatal("current plan not served")
 	}
-	if got, ok := c.get(planKey{"q", 1}); !ok || got != p {
-		t.Fatal("plan not served at its own epoch")
+	if _, ok := c.get("r", sess.Env, 0); ok {
+		t.Fatal("plan served under another text")
 	}
-	c.put(planKey{"r", 2}, &plan{})
-	if n := c.invalidateBefore(2); n != 1 {
-		t.Fatalf("invalidateBefore dropped %d plans, want 1", n)
+	// Binding `it` leaves a plan that does not read it current.
+	sess.Env.SetVal(env.ItName, object.Nat(7), types.Nat)
+	if got, ok := c.get("q", sess.Env, 0); !ok || got != p1 {
+		t.Fatal("binding it made a plan that does not read it stale")
 	}
-	if _, ok := c.get(planKey{"q", 1}); ok {
-		t.Fatal("stale plan survived the sweep")
+	if _, ok := c.get("q", sess.Env, 5); ok {
+		t.Fatal("plan served under a MaxDepth other than its own")
 	}
-	if _, ok := c.get(planKey{"r", 2}); !ok {
-		t.Fatal("current plan dropped by the sweep")
+	sess.Env.SetVal("x", object.Nat(2), types.Nat)
+	if _, ok := c.get("q", sess.Env, 0); ok {
+		t.Fatal("plan served after a rebind of a val it reads")
 	}
-	st := c.stats()
-	if st.Invalidations != 1 || st.Size != 1 {
-		t.Fatalf("stats = %+v", st)
+	p2 := prepare()
+	c.put("q", p2)
+	if got, ok := c.get("q", sess.Env, 0); !ok || got != p2 {
+		t.Fatal("re-prepared plan did not replace the stale entry")
+	}
+	want := CacheStats{Size: 1, Capacity: 4, Hits: 3, Misses: 3, Invalidations: 2}
+	if st := c.stats(); st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
 }
 

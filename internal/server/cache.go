@@ -2,11 +2,11 @@ package server
 
 import (
 	"container/list"
-	"strconv"
 	"strings"
 	"sync"
 	"unicode"
 
+	"github.com/aqldb/aql/internal/env"
 	"github.com/aqldb/aql/internal/repl"
 )
 
@@ -90,22 +90,6 @@ func NormalizeQuery(src string) string {
 	return strings.TrimSpace(strings.TrimSuffix(b.String(), ";"))
 }
 
-// planKey identifies a prepared plan: the normalized query text plus the
-// environment epoch its globals snapshot was taken at. A `val` rebinding or
-// a reader registration bumps the epoch, so stale plans can never be served
-// — they simply stop being found.
-type planKey struct {
-	query string
-	epoch uint64
-}
-
-// String renders the key for external keying: the per-plan stats store
-// aggregates under exactly the identity the cache serves plans by, so a
-// rebound environment (epoch bump) starts a fresh profile.
-func (k planKey) String() string {
-	return k.query + "@e" + strconv.FormatUint(k.epoch, 10)
-}
-
 // plan is one cache entry: the session front end's immutable plan value,
 // with the program every request for the query executes.
 type plan = repl.Plan
@@ -120,82 +104,71 @@ type CacheStats struct {
 	Invalidations int64 `json:"invalidations"`
 }
 
-// planCache is an LRU of prepared plans with hit/miss/eviction counters.
-// All methods are safe for concurrent use.
+// planCache is an LRU of prepared plans keyed by normalized query text, with
+// hit/miss/eviction/invalidation counters. Whether an entry may be served is
+// the plan's own decision (repl.Plan.Current); the cache only counts it. All
+// methods are safe for concurrent use.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[planKey]*list.Element
+	entries map[string]*list.Element
 	lru     *list.List // front = most recently used; values are *cacheEntry
 
 	hits, misses, evictions, invalidations int64
 }
 
 type cacheEntry struct {
-	key planKey
-	p   *plan
+	query string
+	p     *plan
 }
 
 func newPlanCache(capacity int) *planCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
 	}
-	return &planCache{cap: capacity, entries: map[planKey]*list.Element{}, lru: list.New()}
+	return &planCache{cap: capacity, entries: map[string]*list.Element{}, lru: list.New()}
 }
 
-// get returns the cached plan for key, counting a hit or miss.
-func (c *planCache) get(key planKey) (*plan, bool) {
+// get returns the cached plan for query if it is Current against e under
+// maxDepth, counting a hit. A missing entry is a miss; a stale one is a miss
+// and an invalidation, left in place for put to replace.
+func (c *planCache) get(query string, e *env.Env, maxDepth int) (*plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[query]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
+	p := el.Value.(*cacheEntry).p
+	if !p.Current(e, maxDepth) {
+		c.misses++
+		c.invalidations++
+		return nil, false
+	}
 	c.hits++
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).p, true
+	return p, true
 }
 
-// put inserts a plan, evicting the least recently used entry at capacity.
-// A concurrent insert of the same key wins-last; both plans are equivalent
-// (same query, same epoch), so either is correct.
-func (c *planCache) put(key planKey, p *plan) {
+// put inserts or replaces the plan for query, evicting the least recently
+// used entry at capacity. Concurrent puts of one query win-last; an entry
+// that loses its currency that way is found stale and replaced again.
+func (c *planCache) put(query string, p *plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[query]; ok {
 		el.Value.(*cacheEntry).p = p
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, p: p})
+	c.entries[query] = c.lru.PushFront(&cacheEntry{query: query, p: p})
 	for len(c.entries) > c.cap {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		delete(c.entries, oldest.Value.(*cacheEntry).query)
 		c.evictions++
 	}
-}
-
-// invalidateBefore drops every plan prepared under an epoch older than
-// epoch, returning how many were dropped. Epoch keying already prevents
-// stale plans from being served; this sweep just frees their memory
-// eagerly and feeds the invalidation counter.
-func (c *planCache) invalidateBefore(epoch uint64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*cacheEntry); e.key.epoch < epoch {
-			c.lru.Remove(el)
-			delete(c.entries, e.key)
-			n++
-		}
-		el = next
-	}
-	c.invalidations += int64(n)
-	return n
 }
 
 // stats snapshots the counters.

@@ -6,11 +6,12 @@
 //
 //   - A prepared-plan cache. Each distinct query text is parsed,
 //     typechecked, optimized and compiled to a slot-resolved closure
-//     program exactly once; requests for the same query execute the cached
+//     program once; requests for the same query execute the cached
 //     compile.Program directly. Entries are keyed by the normalized query
-//     text plus the environment epoch, so rebinding a val or registering a
-//     reader (which bumps the epoch) atomically retires every plan compiled
-//     against the old environment.
+//     text alone, and an entry is served only while the plan itself says it
+//     is current (repl.Plan.Current, the test a prepared statement applies
+//     too): after a val rebinding or a reader registration, the next lookup
+//     finds the plan stale and re-prepares it in place.
 //
 //   - Admission control. A semaphore bounds concurrently executing
 //     queries, a bounded queue absorbs bursts, and requests beyond both are
@@ -35,8 +36,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -96,13 +97,6 @@ type Server struct {
 	// sink is where every request's finished report goes: the session's
 	// fleet aggregator and flight recorder.
 	sink trace.Sink
-
-	// envMu makes (epoch, globals snapshot) reads atomic with respect to
-	// environment mutations: prepares hold RLock across reading the epoch
-	// and snapshotting globals; POST /val holds Lock across SetVal and the
-	// cache sweep. Without it a rebind landing between the two reads could
-	// cache a new-environment plan under an old-epoch key.
-	envMu sync.RWMutex
 
 	qid atomic.Int64
 
@@ -269,7 +263,7 @@ func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext,
 	rec.RecordTraceID(tc.TraceID)
 	rec.RecordQueueWait(waited)
 
-	p, key, hit, err := s.plan(norm, rec)
+	p, hit, err := s.plan(norm, rec)
 	if err != nil {
 		rec.End(err)
 		info, status := compileHTTP(err)
@@ -313,7 +307,7 @@ func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext,
 	// (flight recorder, sinks, per-plan stats).
 	rec.JoinExplain(p.Prog.Estimates(), s.cfg.QErrorThreshold)
 	rep := rec.End(err)
-	s.planStats.Observe(key.String(), rep)
+	s.planStats.Observe(norm+"@e"+strconv.FormatUint(p.Epoch(), 10), rep)
 	if err != nil {
 		info, status := execHTTP(err)
 		return nil, &info, status
@@ -338,29 +332,22 @@ func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext,
 	}, nil, 0
 }
 
-// plan returns the prepared plan for the normalized query, running the
-// session's front end and caching its plan on a miss. The prepare phases
-// (parse/desugar/macro/typecheck/optimize/compile) are timed on rec only when
-// they actually run, which is what makes a hit's report carry zero prepare
-// time.
-func (s *Server) plan(norm string, rec *trace.Recorder) (*plan, planKey, bool, error) {
-	// The epoch read and the prepare must see one environment state; see
-	// envMu. The read lock is held across the whole prepare — prepares are
-	// pure CPU (no I/O), and val rebinds are rare control operations.
-	s.envMu.RLock()
-	defer s.envMu.RUnlock()
-
-	key := planKey{query: norm, epoch: s.sess.Env.Epoch()}
-	if p, ok := s.cache.get(key); ok {
-		return p, key, true, nil
+// plan returns the prepared plan for the normalized query: the cached one
+// while it is Current, else a fresh one from the session's front end, which
+// replaces it. The prepare phases (parse/desugar/macro/typecheck/optimize/
+// compile) are timed on rec only when they actually run, which is what makes
+// a hit's report carry zero prepare time.
+func (s *Server) plan(norm string, rec *trace.Recorder) (*plan, bool, error) {
+	depth := s.cfg.Limits.MaxDepth
+	if p, ok := s.cache.get(norm, s.sess.Env, depth); ok {
+		return p, true, nil
 	}
-
-	p, err := s.sess.Plan(rec, norm, eval.Limits{MaxDepth: s.cfg.Limits.MaxDepth})
+	p, err := s.sess.Plan(rec, norm, eval.Limits{MaxDepth: depth})
 	if err != nil {
-		return nil, key, false, err
+		return nil, false, err
 	}
-	s.cache.put(key, p)
-	return p, key, false, nil
+	s.cache.put(norm, p)
+	return p, false, nil
 }
 
 // execOpts derives one execution's resource budget: the server's configured
@@ -398,8 +385,8 @@ func (s *Server) handleValGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleValSet binds a top-level val from an exchange-format body. The
-// environment epoch bump retires every cached plan; the explicit sweep
-// frees their memory immediately.
+// epoch bump makes every cached plan that can see the val stale: the next
+// lookup of each finds it so (repl.Plan.Current) and re-prepares.
 func (s *Server) handleValSet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	// exchange.ReadLimits bounds both bytes read (it never buffers more than
@@ -422,13 +409,8 @@ func (s *Server) handleValSet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.envMu.Lock()
 	s.sess.Env.SetVal(name, v, typ)
-	epoch := s.sess.Env.Epoch()
-	s.cache.invalidateBefore(epoch)
-	s.envMu.Unlock()
-
-	trace.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "type": typ.String(), "epoch": epoch})
+	trace.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "type": typ.String(), "epoch": s.sess.Env.Epoch()})
 }
 
 // --- observability endpoints ------------------------------------------------

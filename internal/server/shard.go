@@ -66,7 +66,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	rec.RecordMode("shard")
 	rec.RecordQueueWait(waited)
 
-	p, _, hit, err := s.plan(norm, rec)
+	p, hit, err := s.plan(norm, rec)
 	if err != nil {
 		rec.End(err)
 		info, status := compileHTTP(err)

@@ -106,7 +106,7 @@ func TestValBoundFnCounterOwnership(t *testing.T) {
 			t.Fatal(err)
 		}
 		const workers = 4
-		e := &compiledEngine{globals: globals, opts: compile.ExecOpts{Threshold: 1024, Workers: workers, MaxSteps: 500_000}}
+		e := &compiledEngine{globals: globals, opts: compile.ExecOpts{Threshold: 1024, Workers: workers, Limits: eval.Limits{MaxSteps: 500_000}}}
 		_, err = e.EvalExpr(ctx, core)
 		var re *eval.ResourceError
 		if !errors.As(err, &re) || re.Kind != eval.ResourceSteps {

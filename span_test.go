@@ -49,7 +49,7 @@ var spanRows = append(append([]string(nil), diffCorpus...), `mapN!(fn \y => y * 
 // compiled one fanning out over 4 workers where a tabulation is large enough
 // (only the last of spanRows has one).
 func spanEngines(globals map[string]object.Value, level eval.ProfLevel) (*eval.Evaluator, *compiledEngine) {
-	in, ce := diffEngines(globals, 0, eval.Limits{})
+	in, ce := diffEngines(globals, eval.Limits{})
 	in.SetProfiling(level)
 	ce.opts.Level, ce.opts.Threshold, ce.opts.Workers = level, 0, 4
 	return in, ce
