@@ -65,7 +65,11 @@ type Reader = env.Reader
 // Writer outputs a complex object; the counterpart for `writeval`.
 type Writer = env.Writer
 
-// Rule is an optimizer rewrite rule; register with AddRule.
+// Rule is an optimizer rewrite rule; register with AddRule. Its optional
+// Heads field lists the node kinds Apply can fire on, so the optimizer
+// offers the rule only those nodes; the built-in rules set it. A rule left
+// without Heads is tried at every node, in its place in the phase's rule
+// order, so registering one never changes which built-in rule fires first.
 type Rule = opt.Rule
 
 // Limits bounds the resources one query may consume: evaluator steps,

@@ -28,7 +28,10 @@ type Expr interface {
 	// replaced. len(kids) must equal len(Children()).
 	WithChildren(kids []Expr) Expr
 	// Binders returns, for each child, the variables bound in that child's
-	// scope by this node. Children and Binders are index-aligned.
+	// scope by this node. Children and Binders are index-aligned. The
+	// result is read-only: nodes that bind nothing share one slice of nil
+	// entries, and a binding node may return its own fields, so a caller
+	// must neither write to it nor append to its entries.
 	Binders() [][]string
 	// String renders the expression in a concrete syntax close to the
 	// paper's notation.
@@ -241,17 +244,27 @@ type RankBagUnion struct {
 
 // --- Children / WithChildren / Binders -------------------------------------
 
-func none() [][]string { return nil }
+// unbound is the shared, read-only Binders result of a node with n
+// children that binds nothing; only nodes with more children than the
+// shared table covers allocate.
+func unbound(n int) [][]string {
+	if n <= len(noBinders) {
+		return noBinders[:n:n]
+	}
+	return make([][]string, n)
+}
+
+var noBinders [16][]string
 
 // Var
 func (e *Var) Children() []Expr           { return nil }
 func (e *Var) WithChildren(k []Expr) Expr { return e }
-func (e *Var) Binders() [][]string        { return none() }
+func (e *Var) Binders() [][]string        { return nil }
 
 // Param
 func (e *Param) Children() []Expr           { return nil }
 func (e *Param) WithChildren(k []Expr) Expr { return e }
-func (e *Param) Binders() [][]string        { return none() }
+func (e *Param) Binders() [][]string        { return nil }
 
 // Lam
 func (e *Lam) Children() []Expr           { return []Expr{e.Body} }
@@ -261,32 +274,32 @@ func (e *Lam) Binders() [][]string        { return [][]string{{e.Param}} }
 // App
 func (e *App) Children() []Expr           { return []Expr{e.Fn, e.Arg} }
 func (e *App) WithChildren(k []Expr) Expr { return &App{Fn: k[0], Arg: k[1]} }
-func (e *App) Binders() [][]string        { return [][]string{nil, nil} }
+func (e *App) Binders() [][]string        { return unbound(2) }
 
 // Tuple
 func (e *Tuple) Children() []Expr           { return e.Elems }
 func (e *Tuple) WithChildren(k []Expr) Expr { return &Tuple{Elems: k} }
-func (e *Tuple) Binders() [][]string        { return make([][]string, len(e.Elems)) }
+func (e *Tuple) Binders() [][]string        { return unbound(len(e.Elems)) }
 
 // Proj
 func (e *Proj) Children() []Expr           { return []Expr{e.Tuple} }
 func (e *Proj) WithChildren(k []Expr) Expr { return &Proj{I: e.I, K: e.K, Tuple: k[0]} }
-func (e *Proj) Binders() [][]string        { return [][]string{nil} }
+func (e *Proj) Binders() [][]string        { return unbound(1) }
 
 // EmptySet
 func (e *EmptySet) Children() []Expr           { return nil }
 func (e *EmptySet) WithChildren(k []Expr) Expr { return e }
-func (e *EmptySet) Binders() [][]string        { return none() }
+func (e *EmptySet) Binders() [][]string        { return nil }
 
 // Singleton
 func (e *Singleton) Children() []Expr           { return []Expr{e.Elem} }
 func (e *Singleton) WithChildren(k []Expr) Expr { return &Singleton{Elem: k[0]} }
-func (e *Singleton) Binders() [][]string        { return [][]string{nil} }
+func (e *Singleton) Binders() [][]string        { return unbound(1) }
 
 // Union
 func (e *Union) Children() []Expr           { return []Expr{e.L, e.R} }
 func (e *Union) WithChildren(k []Expr) Expr { return &Union{L: k[0], R: k[1]} }
-func (e *Union) Binders() [][]string        { return [][]string{nil, nil} }
+func (e *Union) Binders() [][]string        { return unbound(2) }
 
 // BigUnion
 func (e *BigUnion) Children() []Expr { return []Expr{e.Head, e.Over} }
@@ -298,47 +311,47 @@ func (e *BigUnion) Binders() [][]string { return [][]string{{e.Var}, nil} }
 // Get
 func (e *Get) Children() []Expr           { return []Expr{e.Set} }
 func (e *Get) WithChildren(k []Expr) Expr { return &Get{Set: k[0]} }
-func (e *Get) Binders() [][]string        { return [][]string{nil} }
+func (e *Get) Binders() [][]string        { return unbound(1) }
 
 // BoolLit
 func (e *BoolLit) Children() []Expr           { return nil }
 func (e *BoolLit) WithChildren(k []Expr) Expr { return e }
-func (e *BoolLit) Binders() [][]string        { return none() }
+func (e *BoolLit) Binders() [][]string        { return nil }
 
 // If
 func (e *If) Children() []Expr           { return []Expr{e.Cond, e.Then, e.Else} }
 func (e *If) WithChildren(k []Expr) Expr { return &If{Cond: k[0], Then: k[1], Else: k[2]} }
-func (e *If) Binders() [][]string        { return [][]string{nil, nil, nil} }
+func (e *If) Binders() [][]string        { return unbound(3) }
 
 // Cmp
 func (e *Cmp) Children() []Expr           { return []Expr{e.L, e.R} }
 func (e *Cmp) WithChildren(k []Expr) Expr { return &Cmp{Op: e.Op, L: k[0], R: k[1]} }
-func (e *Cmp) Binders() [][]string        { return [][]string{nil, nil} }
+func (e *Cmp) Binders() [][]string        { return unbound(2) }
 
 // NatLit
 func (e *NatLit) Children() []Expr           { return nil }
 func (e *NatLit) WithChildren(k []Expr) Expr { return e }
-func (e *NatLit) Binders() [][]string        { return none() }
+func (e *NatLit) Binders() [][]string        { return nil }
 
 // RealLit
 func (e *RealLit) Children() []Expr           { return nil }
 func (e *RealLit) WithChildren(k []Expr) Expr { return e }
-func (e *RealLit) Binders() [][]string        { return none() }
+func (e *RealLit) Binders() [][]string        { return nil }
 
 // StringLit
 func (e *StringLit) Children() []Expr           { return nil }
 func (e *StringLit) WithChildren(k []Expr) Expr { return e }
-func (e *StringLit) Binders() [][]string        { return none() }
+func (e *StringLit) Binders() [][]string        { return nil }
 
 // Arith
 func (e *Arith) Children() []Expr           { return []Expr{e.L, e.R} }
 func (e *Arith) WithChildren(k []Expr) Expr { return &Arith{Op: e.Op, L: k[0], R: k[1]} }
-func (e *Arith) Binders() [][]string        { return [][]string{nil, nil} }
+func (e *Arith) Binders() [][]string        { return unbound(2) }
 
 // Gen
 func (e *Gen) Children() []Expr           { return []Expr{e.N} }
 func (e *Gen) WithChildren(k []Expr) Expr { return &Gen{N: k[0]} }
-func (e *Gen) Binders() [][]string        { return [][]string{nil} }
+func (e *Gen) Binders() [][]string        { return unbound(1) }
 
 // Sum
 func (e *Sum) Children() []Expr           { return []Expr{e.Head, e.Over} }
@@ -365,17 +378,17 @@ func (e *ArrayTab) Binders() [][]string {
 // Subscript
 func (e *Subscript) Children() []Expr           { return []Expr{e.Arr, e.Index} }
 func (e *Subscript) WithChildren(k []Expr) Expr { return &Subscript{Arr: k[0], Index: k[1]} }
-func (e *Subscript) Binders() [][]string        { return [][]string{nil, nil} }
+func (e *Subscript) Binders() [][]string        { return unbound(2) }
 
 // Dim
 func (e *Dim) Children() []Expr           { return []Expr{e.Arr} }
 func (e *Dim) WithChildren(k []Expr) Expr { return &Dim{K: e.K, Arr: k[0]} }
-func (e *Dim) Binders() [][]string        { return [][]string{nil} }
+func (e *Dim) Binders() [][]string        { return unbound(1) }
 
 // Index
 func (e *Index) Children() []Expr           { return []Expr{e.Set} }
 func (e *Index) WithChildren(k []Expr) Expr { return &Index{K: e.K, Set: k[0]} }
-func (e *Index) Binders() [][]string        { return [][]string{nil} }
+func (e *Index) Binders() [][]string        { return unbound(1) }
 
 // MkArray
 func (e *MkArray) Children() []Expr {
@@ -387,27 +400,27 @@ func (e *MkArray) Children() []Expr {
 func (e *MkArray) WithChildren(k []Expr) Expr {
 	return &MkArray{Dims: k[:len(e.Dims)], Elems: k[len(e.Dims):]}
 }
-func (e *MkArray) Binders() [][]string { return make([][]string, len(e.Dims)+len(e.Elems)) }
+func (e *MkArray) Binders() [][]string { return unbound(len(e.Dims) + len(e.Elems)) }
 
 // Bottom
 func (e *Bottom) Children() []Expr           { return nil }
 func (e *Bottom) WithChildren(k []Expr) Expr { return e }
-func (e *Bottom) Binders() [][]string        { return none() }
+func (e *Bottom) Binders() [][]string        { return nil }
 
 // EmptyBag
 func (e *EmptyBag) Children() []Expr           { return nil }
 func (e *EmptyBag) WithChildren(k []Expr) Expr { return e }
-func (e *EmptyBag) Binders() [][]string        { return none() }
+func (e *EmptyBag) Binders() [][]string        { return nil }
 
 // SingletonBag
 func (e *SingletonBag) Children() []Expr           { return []Expr{e.Elem} }
 func (e *SingletonBag) WithChildren(k []Expr) Expr { return &SingletonBag{Elem: k[0]} }
-func (e *SingletonBag) Binders() [][]string        { return [][]string{nil} }
+func (e *SingletonBag) Binders() [][]string        { return unbound(1) }
 
 // BagUnion
 func (e *BagUnion) Children() []Expr           { return []Expr{e.L, e.R} }
 func (e *BagUnion) WithChildren(k []Expr) Expr { return &BagUnion{L: k[0], R: k[1]} }
-func (e *BagUnion) Binders() [][]string        { return [][]string{nil, nil} }
+func (e *BagUnion) Binders() [][]string        { return unbound(2) }
 
 // BigBagUnion
 func (e *BigBagUnion) Children() []Expr { return []Expr{e.Head, e.Over} }
@@ -466,86 +479,146 @@ var (
 	_ Expr = (*RankBagUnion)(nil)
 )
 
-// Must be kept in sync with the node list above; used by tests to ensure
-// traversal coverage.
-func AllNodeNames() []string {
-	return []string{
-		"Var", "Param", "Lam", "App", "Tuple", "Proj", "EmptySet", "Singleton", "Union",
-		"BigUnion", "Get", "BoolLit", "If", "Cmp", "NatLit", "RealLit",
-		"StringLit", "Arith", "Gen", "Sum", "ArrayTab", "Subscript", "Dim",
-		"Index", "MkArray", "Bottom", "EmptyBag", "SingletonBag", "BagUnion",
-		"BigBagUnion", "RankUnion", "RankBagUnion",
-	}
+// Kind identifies a node's constructor. The optimizer indexes its rules by
+// the kind of node they can rewrite (opt.Rule.Heads).
+type Kind uint8
+
+// The node kinds, one per constructor, in declaration order. KindOther is
+// the kind of an Expr implemented outside this package.
+const (
+	KindOther Kind = iota
+	KindVar
+	KindParam
+	KindLam
+	KindApp
+	KindTuple
+	KindProj
+	KindEmptySet
+	KindSingleton
+	KindUnion
+	KindBigUnion
+	KindGet
+	KindBoolLit
+	KindIf
+	KindCmp
+	KindNatLit
+	KindRealLit
+	KindStringLit
+	KindArith
+	KindGen
+	KindSum
+	KindArrayTab
+	KindSubscript
+	KindDim
+	KindIndex
+	KindMkArray
+	KindBottom
+	KindEmptyBag
+	KindSingletonBag
+	KindBagUnion
+	KindBigBagUnion
+	KindRankUnion
+	KindRankBagUnion
+
+	// NumKinds is one more than the largest Kind, for kind-indexed tables.
+	NumKinds
+)
+
+var kindNames = [NumKinds]string{
+	KindOther: "Other", KindVar: "Var", KindParam: "Param", KindLam: "Lam", KindApp: "App",
+	KindTuple: "Tuple", KindProj: "Proj", KindEmptySet: "EmptySet",
+	KindSingleton: "Singleton", KindUnion: "Union", KindBigUnion: "BigUnion",
+	KindGet: "Get", KindBoolLit: "BoolLit", KindIf: "If", KindCmp: "Cmp",
+	KindNatLit: "NatLit", KindRealLit: "RealLit", KindStringLit: "StringLit",
+	KindArith: "Arith", KindGen: "Gen", KindSum: "Sum", KindArrayTab: "ArrayTab",
+	KindSubscript: "Subscript", KindDim: "Dim", KindIndex: "Index", KindMkArray: "MkArray",
+	KindBottom: "Bottom", KindEmptyBag: "EmptyBag", KindSingletonBag: "SingletonBag",
+	KindBagUnion: "BagUnion", KindBigBagUnion: "BigBagUnion", KindRankUnion: "RankUnion",
+	KindRankBagUnion: "RankBagUnion",
 }
 
-// NodeName returns the constructor name of e, for diagnostics and rule
-// indexing.
-func NodeName(e Expr) string {
+// String is the constructor name, e.g. "ArrayTab".
+func (k Kind) String() string { return kindNames[k] }
+
+// KindOf returns the kind of e with a single type switch.
+func KindOf(e Expr) Kind {
 	switch e.(type) {
 	case *Var:
-		return "Var"
+		return KindVar
 	case *Param:
-		return "Param"
+		return KindParam
 	case *Lam:
-		return "Lam"
+		return KindLam
 	case *App:
-		return "App"
+		return KindApp
 	case *Tuple:
-		return "Tuple"
+		return KindTuple
 	case *Proj:
-		return "Proj"
+		return KindProj
 	case *EmptySet:
-		return "EmptySet"
+		return KindEmptySet
 	case *Singleton:
-		return "Singleton"
+		return KindSingleton
 	case *Union:
-		return "Union"
+		return KindUnion
 	case *BigUnion:
-		return "BigUnion"
+		return KindBigUnion
 	case *Get:
-		return "Get"
+		return KindGet
 	case *BoolLit:
-		return "BoolLit"
+		return KindBoolLit
 	case *If:
-		return "If"
+		return KindIf
 	case *Cmp:
-		return "Cmp"
+		return KindCmp
 	case *NatLit:
-		return "NatLit"
+		return KindNatLit
 	case *RealLit:
-		return "RealLit"
+		return KindRealLit
 	case *StringLit:
-		return "StringLit"
+		return KindStringLit
 	case *Arith:
-		return "Arith"
+		return KindArith
 	case *Gen:
-		return "Gen"
+		return KindGen
 	case *Sum:
-		return "Sum"
+		return KindSum
 	case *ArrayTab:
-		return "ArrayTab"
+		return KindArrayTab
 	case *Subscript:
-		return "Subscript"
+		return KindSubscript
 	case *Dim:
-		return "Dim"
+		return KindDim
 	case *Index:
-		return "Index"
+		return KindIndex
 	case *MkArray:
-		return "MkArray"
+		return KindMkArray
 	case *Bottom:
-		return "Bottom"
+		return KindBottom
 	case *EmptyBag:
-		return "EmptyBag"
+		return KindEmptyBag
 	case *SingletonBag:
-		return "SingletonBag"
+		return KindSingletonBag
 	case *BagUnion:
-		return "BagUnion"
+		return KindBagUnion
 	case *BigBagUnion:
-		return "BigBagUnion"
+		return KindBigBagUnion
 	case *RankUnion:
-		return "RankUnion"
+		return KindRankUnion
 	case *RankBagUnion:
-		return "RankBagUnion"
+		return KindRankBagUnion
+	}
+	return KindOther
+}
+
+// AllNodeNames lists every constructor name; tests use it to check that
+// a traversal covers every node type.
+func AllNodeNames() []string { return append([]string(nil), kindNames[KindOther+1:]...) }
+
+// NodeName returns the constructor name of e, for diagnostics.
+func NodeName(e Expr) string {
+	if k := KindOf(e); k != KindOther {
+		return k.String()
 	}
 	return fmt.Sprintf("%T", e)
 }

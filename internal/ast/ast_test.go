@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -168,6 +169,64 @@ func TestAlphaEqual(t *testing.T) {
 	}
 }
 
+// TestAlphaEqualScopes covers shadowing, a binder of one side free on the
+// other, and nesting deeper than AlphaEqual's stack buffer.
+func TestAlphaEqualScopes(t *testing.T) {
+	lam := func(p string, b Expr) Expr { return &Lam{Param: p, Body: b} }
+	v := func(n string) Expr { return &Var{Name: n} }
+	cases := []struct {
+		a, b Expr
+		want bool
+	}{
+		{lam("x", lam("x", v("x"))), lam("y", lam("z", v("z"))), true},
+		{lam("x", lam("x", v("x"))), lam("y", lam("z", v("y"))), false},
+		{lam("x", lam("y", v("x"))), lam("y", lam("x", v("y"))), true},
+		{lam("x", lam("y", v("x"))), lam("y", lam("x", v("x"))), false},
+		{lam("x", v("y")), lam("y", v("y")), false}, // free y vs bound y
+		{lam("x", v("x")), v("x"), false},
+	}
+	deepA, deepB := v("a0"), v("b0")
+	for i := 11; i >= 0; i-- {
+		deepA = lam(fmt.Sprintf("a%d", i), &Tuple{Elems: []Expr{deepA, v("free")}})
+		deepB = lam(fmt.Sprintf("b%d", i), &Tuple{Elems: []Expr{deepB, v("free")}})
+	}
+	cases = append(cases, struct {
+		a, b Expr
+		want bool
+	}{deepA, deepB, true})
+	for i, c := range cases {
+		if got := AlphaEqual(c.a, c.b); got != c.want {
+			t.Errorf("case %d: AlphaEqual(%s, %s) = %v, want %v", i, c.a, c.b, got, c.want)
+		}
+		if got := AlphaEqual(c.b, c.a); got != c.want {
+			t.Errorf("case %d: AlphaEqual is not symmetric on %s, %s", i, c.a, c.b)
+		}
+	}
+}
+
+// TestBindersSharedReadOnly pins the Binders contract: nodes that bind
+// nothing share one result, and the traversals in this package only read
+// it.
+func TestBindersSharedReadOnly(t *testing.T) {
+	app := (&App{}).Binders()
+	cond := (&If{}).Binders()
+	if &app[0] != &cond[0] {
+		t.Error("App and If do not share their Binders result")
+	}
+	e := mkMap(&Var{Name: "f"}, &Var{Name: "A"})
+	repl := &Tuple{Elems: []Expr{&Var{Name: "i"}, &Var{Name: "j"}}}
+	FreeVars(e)
+	IsFree("A", e)
+	AlphaEqual(e, Subst(e, "A", repl))
+	Subst(&Lam{Param: "i", Body: e}, "f", repl)
+	CountNodes(e)
+	for i, b := range noBinders {
+		if b != nil {
+			t.Fatalf("shared Binders entry %d was written: %v", i, b)
+		}
+	}
+}
+
 func TestWithChildrenRoundTrip(t *testing.T) {
 	// For every node type: WithChildren(Children()) must be alpha-equal to
 	// the original, and Binders must align with Children.
@@ -209,8 +268,11 @@ func TestWithChildrenRoundTrip(t *testing.T) {
 		t.Fatalf("test covers %d node types, ast declares %d", len(exprs), len(AllNodeNames()))
 	}
 	seen := map[string]bool{}
-	for _, e := range exprs {
+	for i, e := range exprs {
 		seen[NodeName(e)] = true
+		if k := KindOf(e); k != Kind(i+1) || k.String() != NodeName(e) {
+			t.Errorf("%s: KindOf = %d (%s), want %d", NodeName(e), k, k, i+1)
+		}
 		kids := e.Children()
 		if got := e.WithChildren(kids); !AlphaEqual(e, got) {
 			t.Errorf("%s: WithChildren(Children()) = %s, not alpha-equal", NodeName(e), got)
@@ -232,8 +294,8 @@ func TestWithChildrenRoundTrip(t *testing.T) {
 func TestSize(t *testing.T) {
 	e := mkMap(&Var{Name: "f"}, &Var{Name: "A"})
 	// ArrayTab + App + Var(f) + Subscript + Var(A) + Var(i) + Dim + Var(A) = 8
-	if got := Size(e); got != 8 {
-		t.Errorf("Size = %d, want 8", got)
+	if got := CountNodes(e); got != 8 {
+		t.Errorf("CountNodes = %d, want 8", got)
 	}
 }
 

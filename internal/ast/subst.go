@@ -1,7 +1,7 @@
 package ast
 
 import (
-	"fmt"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -32,15 +32,54 @@ func collectFree(e Expr, bound map[string]int, out map[string]bool) {
 	}
 }
 
-// IsFree reports whether name occurs free in e.
-func IsFree(name string, e Expr) bool { return FreeVars(e)[name] }
+// IsFree reports whether name occurs free in e. It stops at the first
+// free occurrence and builds no set; FreeVars is for callers that need all
+// of them.
+func IsFree(name string, e Expr) bool {
+	if v, ok := e.(*Var); ok {
+		return v.Name == name
+	}
+	kids := e.Children()
+	if len(kids) == 0 {
+		return false
+	}
+	binders := e.Binders()
+	for i, kid := range kids {
+		if !binds(binders[i], name) && IsFree(name, kid) {
+			return true
+		}
+	}
+	return false
+}
+
+// binds reports whether name is among a child's binders.
+func binds(binders []string, name string) bool {
+	for _, b := range binders {
+		if b == name {
+			return true
+		}
+	}
+	return false
+}
+
+// capturesFree reports whether any of binders occurs free in e.
+func capturesFree(binders []string, e Expr) bool {
+	for _, b := range binders {
+		if IsFree(b, e) {
+			return true
+		}
+	}
+	return false
+}
 
 var freshCounter atomic.Int64
 
 // Fresh returns a variable name guaranteed not to collide with any name
 // produced by the parser (which never emits '%').
 func Fresh(hint string) string {
-	return fmt.Sprintf("%%%s%d", hint, freshCounter.Add(1))
+	var buf [32]byte
+	b := append(append(buf[:0], '%'), hint...)
+	return string(strconv.AppendInt(b, freshCounter.Add(1), 10))
 }
 
 // Subst returns e with every free occurrence of name replaced by repl,
@@ -48,11 +87,6 @@ func Fresh(hint string) string {
 // (capture-avoiding substitution; the β and β^p rules of section 5 rely
 // on it).
 func Subst(e Expr, name string, repl Expr) Expr {
-	replFree := FreeVars(repl)
-	return subst(e, name, repl, replFree)
-}
-
-func subst(e Expr, name string, repl Expr, replFree map[string]bool) Expr {
 	if v, ok := e.(*Var); ok {
 		if v.Name == name {
 			return repl
@@ -66,54 +100,42 @@ func subst(e Expr, name string, repl Expr, replFree map[string]bool) Expr {
 	binders := e.Binders()
 
 	// First rename any binder of this node that would capture a free
-	// variable of repl (only in children where name is still free, i.e.
-	// where substitution will actually descend).
+	// variable of repl, in children where name is free (where substitution
+	// will actually descend). The binders are few and repl is small, so
+	// testing them against repl first keeps the walk of the child rare.
 	for i := range kids {
-		var renames [][2]string
-		shadowed := false
-		for _, b := range binders[i] {
-			if b == name {
-				shadowed = true
-			}
-		}
-		if shadowed {
+		if binds(binders[i], name) {
 			continue // substitution does not descend into this child
 		}
-		if !IsFree(name, kids[i]) {
+		if !capturesFree(binders[i], repl) || !IsFree(name, kids[i]) {
 			continue
 		}
+		var renames [][2]string
 		for _, b := range binders[i] {
-			if replFree[b] {
+			if IsFree(b, repl) {
 				renames = append(renames, [2]string{b, Fresh(b)})
 			}
 		}
-		if len(renames) > 0 {
-			e = renameBinders(e, i, renames)
-			kids = e.Children()
-			binders = e.Binders()
-		}
+		e = renameBinders(e, i, renames)
+		kids = e.Children()
+		binders = e.Binders()
 	}
 
-	newKids := make([]Expr, len(kids))
-	changed := false
+	var newKids []Expr // allocated at the first child that changes
 	for i, kid := range kids {
-		shadowed := false
-		for _, b := range binders[i] {
-			if b == name {
-				shadowed = true
-				break
-			}
+		if binds(binders[i], name) {
+			continue
 		}
-		if shadowed {
-			newKids[i] = kid
-		} else {
-			newKids[i] = subst(kid, name, repl, replFree)
-			if newKids[i] != kid {
-				changed = true
-			}
+		nk := Subst(kid, name, repl)
+		if nk == kid {
+			continue
 		}
+		if newKids == nil {
+			newKids = append([]Expr(nil), kids...)
+		}
+		newKids[i] = nk
 	}
-	if !changed {
+	if newKids == nil {
 		return e
 	}
 	return e.WithChildren(newKids)
@@ -169,28 +191,41 @@ func renamed(name string, renames [][2]string) string {
 }
 
 // AlphaEqual reports whether two expressions are equal up to consistent
-// renaming of bound variables. Used by the optimizer tests (the paper's
-// normal-form comparisons are all "up to variable renaming").
-func AlphaEqual(a, b Expr) bool { return alphaEq(a, b, map[string]string{}, map[string]string{}) }
+// renaming of bound variables. The optimizer calls it at every node of a
+// loop body, so it allocates nothing for terms binding up to eight
+// variables deep and keeps no global state.
+func AlphaEqual(a, b Expr) bool {
+	var buf [8]boundPair
+	return alphaEq(a, b, buf[:0])
+}
 
-// alphaEq compares under two renaming environments mapping bound names to
-// shared canonical names.
-func alphaEq(a, b Expr, envA, envB map[string]string) bool {
+// boundPair is a binder of one side and the binder at the same position of
+// the other.
+type boundPair struct{ a, b string }
+
+// alphaEq compares a and b under scope, the binders enclosing them with
+// the innermost last. A bound variable equals exactly the variable bound
+// by the same pair on the other side, so no renaming is needed.
+func alphaEq(a, b Expr, scope []boundPair) bool {
 	va, okA := a.(*Var)
 	vb, okB := b.(*Var)
 	if okA != okB {
 		return false
 	}
 	if okA {
-		ca, boundA := envA[va.Name]
-		cb, boundB := envB[vb.Name]
-		if boundA != boundB {
+		ia, ib := -1, -1
+		for j := len(scope) - 1; j >= 0 && (ia < 0 || ib < 0); j-- {
+			if ia < 0 && scope[j].a == va.Name {
+				ia = j
+			}
+			if ib < 0 && scope[j].b == vb.Name {
+				ib = j
+			}
+		}
+		if ia != ib {
 			return false
 		}
-		if boundA {
-			return ca == cb
-		}
-		return va.Name == vb.Name
+		return ia >= 0 || va.Name == vb.Name
 	}
 	if !sameShape(a, b) {
 		return false
@@ -199,33 +234,23 @@ func alphaEq(a, b Expr, envA, envB map[string]string) bool {
 	if len(kidsA) != len(kidsB) {
 		return false
 	}
+	if len(kidsA) == 0 {
+		return true
+	}
 	bindA, bindB := a.Binders(), b.Binders()
 	for i := range kidsA {
 		if len(bindA[i]) != len(bindB[i]) {
 			return false
 		}
-		ea, eb := envA, envB
-		if len(bindA[i]) > 0 {
-			ea, eb = copyEnv(envA), copyEnv(envB)
-			for j := range bindA[i] {
-				canon := Fresh("ae")
-				ea[bindA[i][j]] = canon
-				eb[bindB[i][j]] = canon
-			}
+		inner := scope
+		for j := range bindA[i] {
+			inner = append(inner, boundPair{bindA[i][j], bindB[i][j]})
 		}
-		if !alphaEq(kidsA[i], kidsB[i], ea, eb) {
+		if !alphaEq(kidsA[i], kidsB[i], inner) {
 			return false
 		}
 	}
 	return true
-}
-
-func copyEnv(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // sameShape compares the non-child, non-binder payload of two nodes.
@@ -271,16 +296,6 @@ func sameShape(a, b Expr) bool {
 		y, ok := b.(*ArrayTab)
 		return ok && len(x.Idx) == len(y.Idx)
 	default:
-		return NodeName(a) == NodeName(b)
+		return KindOf(a) == KindOf(b)
 	}
-}
-
-// Size returns the number of nodes in e; useful for optimizer budget checks
-// and tests.
-func Size(e Expr) int {
-	n := 1
-	for _, kid := range e.Children() {
-		n += Size(kid)
-	}
-	return n
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,6 +42,22 @@ macro \days_since_1_1 = fn (\m,\d,\y) =>
   if m > 2 and y % 4 = 0 then 1 else 0;
 `
 
+// planData binds the weather arrays the motivating family reads: day d
+// reads 10*d degrees.
+var planData = fmt.Sprintf(`val T = [[ real!((i/%d)*10) | \i < %d ]];
+val RH = [[ 0.0 | \i < %d ]];
+val WS = [[ 1.0 | \i < %d, \j < 1 ]];`, planHours, planDays*planHours, planDays*planHours, 2*planDays*planHours)
+
+// planMotivating is the motivating family's text: the section 1 query
+// over planDays days of planHours readings.
+func planMotivating(threshold float64) string {
+	return fmt.Sprintf(`{d | \d <- gen!%d,
+  \WS' == evenpos!(proj_col!(WS, 0)),
+  \TRW == zip_3!(T, RH, WS'),
+  \A == subseq!(TRW, d*%d, d*%d+%d),
+  heatindex!(A) > %.6f}`, planDays, planHours, planHours, planHours-1, threshold)
+}
+
 var planFamilies = []string{"motivating", "hist", "hist2", "months",
 	"transpose", "zip_subseq", "subseq_zip", "beta_p", "eta_p", "delta_p"}
 
@@ -53,12 +70,7 @@ func planText(r *rand.Rand, serial int) (family, text string) {
 	switch family {
 	case "motivating":
 		k := r.Intn(planDays)
-		threshold := float64(11*k) + 0.1 + float64(salt%400000)/1e6
-		text = fmt.Sprintf(`{d | \d <- gen!%d,
-  \WS' == evenpos!(proj_col!(WS, 0)),
-  \TRW == zip_3!(T, RH, WS'),
-  \A == subseq!(TRW, d*%d, d*%d+%d),
-  heatindex!(A) > %.6f}`, planDays, planHours, planHours, planHours-1, threshold)
+		text = planMotivating(float64(11*k) + 0.1 + float64(salt%400000)/1e6)
 	case "hist", "hist2":
 		n, m := 24+r.Intn(40), 3+r.Intn(12)
 		a := int64(1 + r.Intn(9))
@@ -164,9 +176,7 @@ func goldenCorpus(t testing.TB) []goldenQuery {
 	}
 
 	plan := bench.MustSession()
-	exec(plan, planPrelude+fmt.Sprintf(`val T = [[ real!((i/%d)*10) | \i < %d ]];
-val RH = [[ 0.0 | \i < %d ]];
-val WS = [[ 1.0 | \i < %d, \j < 1 ]];`, planHours, planDays*planHours, planDays*planHours, 2*planDays*planHours))
+	exec(plan, planPrelude+planData)
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		family, text := planText(r, i)
@@ -248,4 +258,89 @@ func TestOptimizerGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("golden has %d blocks, optimizer produced %d", len(wantBlocks), len(gotBlocks))
+}
+
+// BenchmarkOptimize optimizes the whole golden corpus once per iteration
+// on one standard optimizer: the rewrite cost of a plan-cache miss. A zero
+// fuel is the default budget.
+func BenchmarkOptimize(b *testing.B) {
+	qs := goldenCorpus(b)
+	o := opt.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			o.MaxApplications = q.fuel
+			o.Optimize(q.expr)
+		}
+	}
+}
+
+// TestRuleHeadsCoverEveryFiring checks each standard rule's Heads against
+// its Apply: at every node of every corpus term, before and after
+// optimization, a rule must not fire on a kind its Heads leave out, or the
+// head index would skip a firing.
+func TestRuleHeadsCoverEveryFiring(t *testing.T) {
+	var walk func(e ast.Expr, visit func(ast.Expr))
+	walk = func(e ast.Expr, visit func(ast.Expr)) {
+		visit(e)
+		for _, kid := range e.Children() {
+			walk(kid, visit)
+		}
+	}
+	o := opt.New()
+	for _, q := range goldenCorpus(t) {
+		for _, root := range []ast.Expr{q.expr, o.Optimize(q.expr)} {
+			walk(root, func(e ast.Expr) {
+				for _, ph := range o.Phases {
+					for _, r := range ph.Rules {
+						if len(r.Heads) == 0 || slices.Contains(r.Heads, ast.KindOf(e)) {
+							continue
+						}
+						if _, fired := r.Apply(e); fired {
+							t.Errorf("%s: rule %s fired on a %s, which its Heads %v leave out",
+								q.name, r.Name, ast.NodeName(e), r.Heads)
+						}
+					}
+				}
+			})
+		}
+	}
+	// Every traversal above only read the shared Binders result of the
+	// nodes that bind nothing.
+	for _, b := range (&ast.Tuple{Elems: make([]ast.Expr, 16)}).Binders() {
+		if b != nil {
+			t.Fatal("a traversal wrote to a shared Binders result")
+		}
+	}
+}
+
+// TestOptimizeAllocs bounds the allocations of optimizing two plan_cold
+// queries, the section 1 query and a transpose, at 10 % above what the
+// rewrite costs today; a map or child slice reintroduced per visited node
+// exceeds it. Before the rewrite stopped allocating to answer yes/no
+// questions they took 6,251 and 479 allocations; now 2,119 and 241.
+func TestOptimizeAllocs(t *testing.T) {
+	plan := bench.MustSession()
+	if _, err := plan.Exec(planPrelude + planData); err != nil {
+		t.Fatal(err)
+	}
+	o := opt.New()
+	for _, c := range []struct {
+		name, text string
+		max        float64
+	}{
+		{"motivating", planMotivating(22.1), 2331},
+		{"transpose", `transpose![[ i * 37 + j + 5 | \i < 4, \j < 6 ]]`, 265},
+	} {
+		core, _, err := plan.Compile(c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(20, func() { o.Optimize(core) })
+		t.Logf("%s: %.0f allocations", c.name, got)
+		if got > c.max {
+			t.Errorf("optimizing the %s query allocates %.0f times, bound %.0f", c.name, got, c.max)
+		}
+	}
 }

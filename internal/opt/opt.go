@@ -36,15 +36,67 @@ import (
 
 // Rule is a single rewrite rule. Apply inspects the root of e and either
 // returns the rewritten expression with fired = true, or e unchanged.
+//
+// Heads optionally lists the node kinds Apply can fire on, and the
+// optimizer then offers the rule only nodes of those kinds; a rule must not
+// list Heads that leave out a kind it fires on. A rule without Heads (any
+// rule registered through aql.Session.AddRule that does not set them) is
+// tried at every node. Either way a node's candidate rules are tried in
+// their slice order, so Heads decides which rules are skipped, never which
+// rule fires first.
 type Rule struct {
 	Name  string
+	Heads []ast.Kind
 	Apply func(e ast.Expr) (out ast.Expr, fired bool)
 }
 
-// Phase is a named, ordered rule base applied to a fixpoint.
+// Phase is a named, ordered rule base applied to a fixpoint. Change Rules
+// through AddRule, which keeps the per-kind index current; a Phase whose
+// Rules were built or re-sliced by hand is indexed afresh on every call.
 type Phase struct {
 	Name  string
 	Rules []Rule
+
+	index *ruleIndex
+}
+
+// ruleIndex holds, for each node kind, the rules of a phase that can fire
+// on it, in slice order.
+type ruleIndex struct {
+	from   []Rule // the Rules slice the index was built from
+	byHead [ast.NumKinds][]Rule
+}
+
+func newRuleIndex(rules []Rule) *ruleIndex {
+	ix := &ruleIndex{from: rules}
+	for _, r := range rules {
+		if len(r.Heads) == 0 {
+			for k := range ix.byHead {
+				ix.byHead[k] = append(ix.byHead[k], r)
+			}
+			continue
+		}
+		for _, k := range r.Heads {
+			ix.byHead[k] = append(ix.byHead[k], r)
+		}
+	}
+	return ix
+}
+
+// rulesByHead returns the phase's index, rebuilding it when Rules is no
+// longer the slice it was built from. A rebuilt index is not stored, so
+// concurrent Optimize calls never write to the phase.
+func (ph *Phase) rulesByHead() *[ast.NumKinds][]Rule {
+	ix := ph.index
+	if ix == nil || len(ix.from) != len(ph.Rules) ||
+		(len(ph.Rules) > 0 && &ix.from[0] != &ph.Rules[0]) {
+		ix = newRuleIndex(ph.Rules)
+	}
+	return &ix.byHead
+}
+
+func newPhase(name string, rules []Rule) Phase {
+	return Phase{Name: name, Rules: rules, index: newRuleIndex(rules)}
 }
 
 // Optimizer is a sequence of phases. The zero value is an empty optimizer;
@@ -70,13 +122,13 @@ type Optimizer struct {
 func New() *Optimizer {
 	return &Optimizer{
 		Phases: []Phase{
-			{Name: "normalize", Rules: NormalizeRules()},
-			{Name: "constraints", Rules: append(ConstraintRules(), CleanupRules()...)},
+			newPhase("normalize", NormalizeRules()),
+			newPhase("constraints", append(ConstraintRules(), CleanupRules()...)),
 			// Constraint elimination exposes new normal-form redexes (e.g.
 			// η^p applies only once the β^p guards are gone), so normalize
 			// once more before code motion.
-			{Name: "renormalize", Rules: NormalizeRules()},
-			{Name: "motion", Rules: MotionRules()},
+			newPhase("renormalize", NormalizeRules()),
+			newPhase("motion", MotionRules()),
 		},
 		MaxApplications: 100000,
 		Stats:           map[string]int{},
@@ -87,7 +139,7 @@ func New() *Optimizer {
 // used by the benchmarks to isolate phase effects.
 func NewNormalizeOnly() *Optimizer {
 	return &Optimizer{
-		Phases:          []Phase{{Name: "normalize", Rules: NormalizeRules()}},
+		Phases:          []Phase{newPhase("normalize", NormalizeRules())},
 		MaxApplications: 100000,
 		Stats:           map[string]int{},
 	}
@@ -97,12 +149,13 @@ func NewNormalizeOnly() *Optimizer {
 // the dynamic rule registration of section 4.1.
 func (o *Optimizer) AddRule(phase string, r Rule) {
 	for i := range o.Phases {
-		if o.Phases[i].Name == phase {
-			o.Phases[i].Rules = append(o.Phases[i].Rules, r)
+		if ph := &o.Phases[i]; ph.Name == phase {
+			ph.Rules = append(ph.Rules, r)
+			ph.index = newRuleIndex(ph.Rules)
 			return
 		}
 	}
-	o.Phases = append(o.Phases, Phase{Name: phase, Rules: []Rule{r}})
+	o.Phases = append(o.Phases, newPhase(phase, []Rule{r}))
 }
 
 // ResetStats clears the firing counters.
@@ -137,9 +190,10 @@ func (o *Optimizer) countFiring(rule string) {
 // Optimize rewrites e through all phases. It never fails: if the
 // application budget runs out the current state is returned.
 //
-// Rule application order is deterministic: phases run in slice order, each
-// phase's rules are tried in slice order at every node of a bottom-up
-// traversal, and the first matching rule wins. Two Optimize calls on equal
+// Rule application order is deterministic: phases run in slice order, and
+// at every node of a bottom-up traversal the phase's rules that can fire
+// on the node's kind (Rule.Heads; every rule without Heads) are tried in
+// slice order, the first matching rule winning. Two Optimize calls on equal
 // inputs therefore produce identical rewrites AND identical firing
 // sequences — which is what makes EXPLAIN output stable and diffable.
 func (o *Optimizer) Optimize(e ast.Expr) ast.Expr {
@@ -158,19 +212,30 @@ func (o *Optimizer) OptimizeTraced(e ast.Expr, hook func(phase, rule string, nod
 	if fuel <= 0 {
 		fuel = 100000
 	}
-	for _, ph := range o.Phases {
-		e = o.runPhase(e, ph, &fuel, hook)
+	for i := range o.Phases {
+		ph := &o.Phases[i]
+		r := &rewrite{o: o, phase: ph.Name, byHead: ph.rulesByHead(), fuel: &fuel, hook: hook}
+		e = r.run(e)
 	}
 	return e
 }
 
-// runPhase applies the phase's rules bottom-up in repeated passes until a
-// full pass fires nothing.
-func (o *Optimizer) runPhase(e ast.Expr, ph Phase, fuel *int, hook func(string, string, int, int)) ast.Expr {
+// rewrite is one phase of one Optimize call.
+type rewrite struct {
+	o      *Optimizer
+	phase  string
+	byHead *[ast.NumKinds][]Rule
+	fuel   *int
+	hook   func(string, string, int, int)
+}
+
+// run applies the phase's rules bottom-up in repeated passes until a full
+// pass fires nothing.
+func (r *rewrite) run(e ast.Expr) ast.Expr {
 	for pass := 0; pass < 200; pass++ {
-		out, fired := o.pass(e, ph, fuel, hook)
+		out, fired := r.pass(e)
 		e = out
-		if !fired || *fuel <= 0 {
+		if !fired || *r.fuel <= 0 {
 			return e
 		}
 	}
@@ -179,46 +244,44 @@ func (o *Optimizer) runPhase(e ast.Expr, ph Phase, fuel *int, hook func(string, 
 
 // pass transforms e bottom-up once, applying the first matching rule at
 // each node repeatedly (bounded) before moving up.
-func (o *Optimizer) pass(e ast.Expr, ph Phase, fuel *int, hook func(string, string, int, int)) (ast.Expr, bool) {
+func (r *rewrite) pass(e ast.Expr) (ast.Expr, bool) {
 	anyFired := false
-	kids := e.Children()
-	if len(kids) > 0 {
-		newKids := make([]ast.Expr, len(kids))
-		changed := false
+	if kids := e.Children(); len(kids) > 0 {
+		var newKids []ast.Expr // allocated at the first child that changes
 		for i, kid := range kids {
-			nk, fired := o.pass(kid, ph, fuel, hook)
+			nk, fired := r.pass(kid)
+			anyFired = anyFired || fired
+			if nk == kid {
+				continue
+			}
+			if newKids == nil {
+				newKids = append([]ast.Expr(nil), kids...)
+			}
 			newKids[i] = nk
-			if fired {
-				anyFired = true
-			}
-			if nk != kid {
-				changed = true
-			}
 		}
-		if changed {
+		if newKids != nil {
 			e = e.WithChildren(newKids)
 		}
 	}
-	for local := 0; local < 20 && *fuel > 0; local++ {
+	for local := 0; local < 20 && *r.fuel > 0; local++ {
 		fired := false
-		for _, r := range ph.Rules {
-			out, ok := r.Apply(e)
+		for _, rule := range r.byHead[ast.KindOf(e)] {
+			out, ok := rule.Apply(e)
 			if !ok {
 				continue
 			}
-			*fuel--
-			o.countFiring(r.Name)
-			if hook != nil {
+			*r.fuel--
+			r.o.countFiring(rule.Name)
+			if r.hook != nil {
 				// Node counts are subtree-local: the firing rewrote e
 				// into out, and counting those two subtrees is cheap
 				// relative to the rewrite itself.
-				hook(ph.Name, r.Name, ast.CountNodes(e), ast.CountNodes(out))
+				r.hook(r.phase, rule.Name, ast.CountNodes(e), ast.CountNodes(out))
 			}
 			anyFired, fired = true, true
 			// The rewrite may expose redexes below the new root; re-run
 			// the bottom-up pass on it.
-			out, _ = o.pass(out, ph, fuel, hook)
-			e = out
+			e, _ = r.pass(out)
 			break
 		}
 		if !fired {

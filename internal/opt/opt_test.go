@@ -467,7 +467,7 @@ func TestLoopInvariantHoisting(t *testing.T) {
 	if !ok {
 		t.Fatalf("hoist shape: %s", got)
 	}
-	if ast.Size(tabNode.Head) > 5 {
+	if ast.CountNodes(tabNode.Head) > 5 {
 		t.Errorf("loop body still contains the invariant: %s", tabNode.Head)
 	}
 }

@@ -8,11 +8,11 @@ import (
 // generalized to k dimensions, plus literal-array folding.
 func ArrayRules() []Rule {
 	return []Rule{
-		{Name: "beta-p", Apply: betaPRule},
-		{Name: "eta-p", Apply: etaPRule},
-		{Name: "delta-p", Apply: deltaPRule},
-		{Name: "mkarray-dim", Apply: mkArrayDimRule},
-		{Name: "mkarray-sub", Apply: mkArraySubRule},
+		{Name: "beta-p", Heads: []ast.Kind{ast.KindSubscript}, Apply: betaPRule},
+		{Name: "eta-p", Heads: []ast.Kind{ast.KindArrayTab}, Apply: etaPRule},
+		{Name: "delta-p", Heads: []ast.Kind{ast.KindDim}, Apply: deltaPRule},
+		{Name: "mkarray-dim", Heads: []ast.Kind{ast.KindDim}, Apply: mkArrayDimRule},
+		{Name: "mkarray-sub", Heads: []ast.Kind{ast.KindSubscript}, Apply: mkArraySubRule},
 	}
 }
 

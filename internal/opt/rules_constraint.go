@@ -20,9 +20,9 @@ import (
 // variable of the known-true condition is left alone.
 func ConstraintRules() []Rule {
 	return []Rule{
-		{Name: "tab-bound-elim", Apply: tabBoundElimRule},
-		{Name: "gen-bound-elim", Apply: genBoundElimRule},
-		{Name: "if-cond-elim", Apply: ifCondElimRule},
+		{Name: "tab-bound-elim", Heads: []ast.Kind{ast.KindArrayTab}, Apply: tabBoundElimRule},
+		{Name: "gen-bound-elim", Heads: []ast.Kind{ast.KindBigUnion, ast.KindBigBagUnion, ast.KindSum}, Apply: genBoundElimRule},
+		{Name: "if-cond-elim", Heads: []ast.Kind{ast.KindIf}, Apply: ifCondElimRule},
 	}
 }
 
@@ -102,43 +102,5 @@ func ifCondElimRule(e ast.Expr) (ast.Expr, bool) {
 // binders that capture a free variable of target. It returns the rewritten
 // expression and the number of replacements.
 func replaceBool(e ast.Expr, target ast.Expr, val bool) (ast.Expr, int) {
-	targetFree := ast.FreeVars(target)
-	return replaceBoolGo(e, target, targetFree, val)
-}
-
-func replaceBoolGo(e, target ast.Expr, targetFree map[string]bool, val bool) (ast.Expr, int) {
-	if ast.AlphaEqual(e, target) {
-		return &ast.BoolLit{Val: val}, 1
-	}
-	kids := e.Children()
-	if len(kids) == 0 {
-		return e, 0
-	}
-	binders := e.Binders()
-	total := 0
-	newKids := make([]ast.Expr, len(kids))
-	changed := false
-	for i, kid := range kids {
-		captured := false
-		for _, b := range binders[i] {
-			if targetFree[b] {
-				captured = true
-				break
-			}
-		}
-		if captured {
-			newKids[i] = kid
-			continue
-		}
-		nk, n := replaceBoolGo(kid, target, targetFree, val)
-		newKids[i] = nk
-		total += n
-		if nk != kid {
-			changed = true
-		}
-	}
-	if !changed {
-		return e, 0
-	}
-	return e.WithChildren(newKids), total
+	return replaceAll(e, target, &ast.BoolLit{Val: val})
 }

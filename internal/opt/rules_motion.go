@@ -11,9 +11,14 @@ import (
 // hoisted work stays hoisted.
 func MotionRules() []Rule {
 	return []Rule{
-		{Name: "loop-invariant-hoist", Apply: hoistRule},
+		{Name: "loop-invariant-hoist", Heads: loopKinds, Apply: hoistRule},
 	}
 }
+
+// loopKinds are the kinds hoistRule rewrites: the loops, whose child 0 is
+// the body evaluated once per element.
+var loopKinds = []ast.Kind{ast.KindBigUnion, ast.KindBigBagUnion, ast.KindSum,
+	ast.KindRankUnion, ast.KindRankBagUnion, ast.KindArrayTab}
 
 // hoistRule rewrites a loop whose body contains an expensive subexpression
 // E with no free occurrence of the loop variables into
@@ -75,7 +80,10 @@ func expensive(e ast.Expr) bool {
 
 // findInvariant returns the outermost expensive subexpression of e that
 // uses none of the blocked variables (the loop's own variables plus every
-// binder between the loop body and the occurrence), or nil.
+// binder between the loop body and the occurrence) and that the loop body
+// evaluates on every iteration, or nil. So it does not look inside the
+// branches of a conditional or the body of a nested loop, which may run on
+// no iteration at all; it does look inside a nested loop's source.
 func findInvariant(e ast.Expr, blocked []string) ast.Expr {
 	if expensive(e) && noneFree(blocked, e) {
 		return e
@@ -96,10 +104,22 @@ func findInvariant(e ast.Expr, blocked []string) ast.Expr {
 	return nil
 }
 
+// everyIteration reports whether child i of e is evaluated whenever e is:
+// true except for a conditional's branches and a loop's body.
+func everyIteration(e ast.Expr, i int) bool {
+	switch ast.KindOf(e) {
+	case ast.KindIf:
+		return i == 0
+	case ast.KindBigUnion, ast.KindBigBagUnion, ast.KindSum, ast.KindRankUnion,
+		ast.KindRankBagUnion, ast.KindArrayTab:
+		return i != 0
+	}
+	return true
+}
+
 func noneFree(names []string, e ast.Expr) bool {
-	free := ast.FreeVars(e)
 	for _, n := range names {
-		if free[n] {
+		if ast.IsFree(n, e) {
 			return false
 		}
 	}
@@ -110,14 +130,6 @@ func noneFree(names []string, e ast.Expr) bool {
 // repl, skipping occurrences under binders that capture a free variable of
 // target or of repl.
 func replaceAll(e, target, repl ast.Expr) (ast.Expr, int) {
-	avoid := ast.FreeVars(target)
-	for v := range ast.FreeVars(repl) {
-		avoid[v] = true
-	}
-	return replaceAllGo(e, target, repl, avoid)
-}
-
-func replaceAllGo(e, target, repl ast.Expr, avoid map[string]bool) (ast.Expr, int) {
 	if ast.AlphaEqual(e, target) {
 		return repl, 1
 	}
@@ -127,28 +139,22 @@ func replaceAllGo(e, target, repl ast.Expr, avoid map[string]bool) (ast.Expr, in
 	}
 	binders := e.Binders()
 	total := 0
-	newKids := make([]ast.Expr, len(kids))
-	changed := false
+	var newKids []ast.Expr // allocated at the first child that changes
 	for i, kid := range kids {
-		captured := false
-		for _, b := range binders[i] {
-			if avoid[b] {
-				captured = true
-				break
-			}
-		}
-		if captured {
-			newKids[i] = kid
+		if !noneFree(binders[i], target) || !noneFree(binders[i], repl) {
 			continue
 		}
-		nk, n := replaceAllGo(kid, target, repl, avoid)
-		newKids[i] = nk
+		nk, n := replaceAll(kid, target, repl)
 		total += n
-		if nk != kid {
-			changed = true
+		if nk == kid {
+			continue
 		}
+		if newKids == nil {
+			newKids = append([]ast.Expr(nil), kids...)
+		}
+		newKids[i] = nk
 	}
-	if !changed {
+	if newKids == nil {
 		return e, 0
 	}
 	return e.WithChildren(newKids), total

@@ -12,24 +12,24 @@ import (
 // extension of NRC with arithmetic [18].
 func NormalizeRules() []Rule {
 	rules := []Rule{
-		{Name: "beta", Apply: betaRule},
-		{Name: "pi", Apply: piRule},
-		{Name: "if-fold", Apply: ifFoldRule},
-		{Name: "union-empty", Apply: unionEmptyRule},
-		{Name: "union-idempotent", Apply: unionIdempotentRule},
-		{Name: "minmax-singleton", Apply: minMaxSingletonRule},
-		{Name: "bigunion-empty", Apply: bigUnionEmptyRule},
-		{Name: "bigunion-singleton", Apply: bigUnionSingletonRule},
-		{Name: "bigunion-union", Apply: bigUnionUnionRule},
-		{Name: "vertical-fusion", Apply: verticalFusionRule},
-		{Name: "horizontal-fusion", Apply: horizontalFusionRule},
-		{Name: "filter-promotion", Apply: filterPromotionRule},
-		{Name: "if-source-hoist", Apply: ifSourceHoistRule},
-		{Name: "get-singleton", Apply: getSingletonRule},
-		{Name: "sum-empty", Apply: sumEmptyRule},
-		{Name: "sum-singleton", Apply: sumSingletonRule},
-		{Name: "const-fold-arith", Apply: constFoldArithRule},
-		{Name: "const-fold-cmp", Apply: constFoldCmpRule},
+		{Name: "beta", Heads: []ast.Kind{ast.KindApp}, Apply: betaRule},
+		{Name: "pi", Heads: []ast.Kind{ast.KindProj}, Apply: piRule},
+		{Name: "if-fold", Heads: []ast.Kind{ast.KindIf}, Apply: ifFoldRule},
+		{Name: "union-empty", Heads: []ast.Kind{ast.KindUnion, ast.KindBagUnion}, Apply: unionEmptyRule},
+		{Name: "union-idempotent", Heads: []ast.Kind{ast.KindUnion}, Apply: unionIdempotentRule},
+		{Name: "minmax-singleton", Heads: []ast.Kind{ast.KindApp}, Apply: minMaxSingletonRule},
+		{Name: "bigunion-empty", Heads: []ast.Kind{ast.KindBigUnion, ast.KindBigBagUnion}, Apply: bigUnionEmptyRule},
+		{Name: "bigunion-singleton", Heads: []ast.Kind{ast.KindBigUnion, ast.KindBigBagUnion}, Apply: bigUnionSingletonRule},
+		{Name: "bigunion-union", Heads: []ast.Kind{ast.KindBigUnion}, Apply: bigUnionUnionRule},
+		{Name: "vertical-fusion", Heads: []ast.Kind{ast.KindBigUnion}, Apply: verticalFusionRule},
+		{Name: "horizontal-fusion", Heads: []ast.Kind{ast.KindUnion}, Apply: horizontalFusionRule},
+		{Name: "filter-promotion", Heads: []ast.Kind{ast.KindBigUnion}, Apply: filterPromotionRule},
+		{Name: "if-source-hoist", Heads: []ast.Kind{ast.KindBigUnion}, Apply: ifSourceHoistRule},
+		{Name: "get-singleton", Heads: []ast.Kind{ast.KindGet}, Apply: getSingletonRule},
+		{Name: "sum-empty", Heads: []ast.Kind{ast.KindSum}, Apply: sumEmptyRule},
+		{Name: "sum-singleton", Heads: []ast.Kind{ast.KindSum}, Apply: sumSingletonRule},
+		{Name: "const-fold-arith", Heads: []ast.Kind{ast.KindArith}, Apply: constFoldArithRule},
+		{Name: "const-fold-cmp", Heads: []ast.Kind{ast.KindCmp}, Apply: constFoldCmpRule},
 	}
 	return append(rules, ArrayRules()...)
 }
@@ -38,8 +38,8 @@ func NormalizeRules() []Rule {
 // constraint-elimination phase to consume introduced true/false constants.
 func CleanupRules() []Rule {
 	return []Rule{
-		{Name: "if-fold", Apply: ifFoldRule},
-		{Name: "const-fold-cmp", Apply: constFoldCmpRule},
+		{Name: "if-fold", Heads: []ast.Kind{ast.KindIf}, Apply: ifFoldRule},
+		{Name: "const-fold-cmp", Heads: []ast.Kind{ast.KindCmp}, Apply: constFoldCmpRule},
 	}
 }
 
@@ -74,7 +74,7 @@ func inlineOK(e ast.Expr) bool {
 	if atomicExpr(e) {
 		return true
 	}
-	return cheapExpr(e) && ast.Size(e) <= 12
+	return cheapExpr(e) && ast.CountNodes(e) <= 12
 }
 
 func atomicExpr(e ast.Expr) bool {
@@ -88,7 +88,7 @@ func atomicExpr(e ast.Expr) bool {
 				return false
 			}
 		}
-		return ast.Size(e) <= 16
+		return ast.CountNodes(e) <= 16
 	}
 	return false
 }
