@@ -128,6 +128,10 @@ var diffCorpus = []string{
 	`[[ $k * i + 1 | \i < 4 ]]`,                               // $name inside arithmetic
 	`$missing + 1`,                                            // unbound $name inside arithmetic
 	`[[ if A[i] < M[1, i] then A[i] else M[1, i] | \i < 5 ]]`, // if on a Cmp of subscripts
+	// Loop-invariant code under a branch no iteration takes: the optimizer
+	// must not hoist it (and its ⊥) out of the loop.
+	`[[ if i > 5 then get!({1,2}) else i | \i < 3 ]]`,
+	`{ if x > 9 then count!{y | \y <- S, get!S > 0} else x | \x <- S }`,
 }
 
 // compiledEngine runs each core query the way a session does: lowered to a
@@ -263,6 +267,41 @@ func TestEngineDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOptimizerDifferential checks the optimizer against the unoptimized
+// query on the whole corpus: the interpreter must render the same value or
+// the same error text for both, or ⊥ for both. The ⊥ payloads may differ,
+// since constant folding turns 1/0 into an explicit ⊥.
+func TestOptimizerDifferential(t *testing.T) {
+	s := diffSession(t)
+	globals := s.Env.Globals()
+	for _, src := range diffCorpus {
+		t.Run(src, func(t *testing.T) {
+			core, _, err := s.Compile(src)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			in, _ := diffEngines(globals, eval.Limits{})
+			uv, uerr := in.EvalExpr(context.Background(), core)
+			in, _ = diffEngines(globals, eval.Limits{})
+			ov, oerr := in.EvalExpr(context.Background(), s.Optimize(core))
+			if got, want := outcome(ov, oerr), outcome(uv, uerr); got != want {
+				t.Errorf("optimized %s, unoptimized %s", got, want)
+			}
+		})
+	}
+}
+
+// outcome renders an evaluation's value or error for comparison.
+func outcome(v object.Value, err error) string {
+	switch {
+	case err != nil:
+		return "error " + err.Error()
+	case v.IsBottom():
+		return "⊥"
+	}
+	return v.String()
 }
 
 // TestEngineDifferentialResourceErrors pins budget-trip parity: both

@@ -90,5 +90,8 @@ func UnitCorpus() []CorpusCase {
 		{Name: "RuleTraceDeterministic/query1", Expr: dim(1, tab(v("i"), []string{"i"}, nat(7)))},
 		{Name: "RuleTraceDeterministic/query2", Expr: tab(sub(tab(arith(ast.OpAdd, v("i"), nat(1)), []string{"i"}, nat(9)), v("j")),
 			[]string{"j"}, nat(9))},
+		{Name: "HoistSkipsCodeNotRunEveryIteration/branch", Expr: untakenBranchTab()},
+		{Name: "HoistSkipsCodeNotRunEveryIteration/nested-body", Expr: nestedBodyTab()},
+		{Name: "HoistZeroTripLoopDeviation", Expr: zeroTripTab()},
 	}
 }

@@ -319,7 +319,7 @@ func TestRuleHeadsCoverEveryFiring(t *testing.T) {
 // queries, the section 1 query and a transpose, at 10 % above what the
 // rewrite costs today; a map or child slice reintroduced per visited node
 // exceeds it. Before the rewrite stopped allocating to answer yes/no
-// questions they took 6,251 and 479 allocations; now 2,119 and 241.
+// questions they took 6,251 and 479 allocations; now 1,958 and 241.
 func TestOptimizeAllocs(t *testing.T) {
 	plan := bench.MustSession()
 	if _, err := plan.Exec(planPrelude + planData); err != nil {
@@ -330,7 +330,7 @@ func TestOptimizeAllocs(t *testing.T) {
 		name, text string
 		max        float64
 	}{
-		{"motivating", planMotivating(22.1), 2331},
+		{"motivating", planMotivating(22.1), 2154},
 		{"transpose", `transpose![[ i * 37 + j + 5 | \i < 4, \j < 6 ]]`, 265},
 	} {
 		core, _, err := plan.Compile(c.text)

@@ -489,6 +489,75 @@ func TestHoistingPreservesSemantics(t *testing.T) {
 	}
 }
 
+// Terms for the hoisting scope tests: get({1, 2}) is loop-invariant, and
+// ⊥ wherever it is evaluated.
+func getOfPair() ast.Expr {
+	return &ast.Get{Set: &ast.Union{L: sing(nat(1)), R: sing(nat(2))}}
+}
+
+// [[ if i > 5 then get({1,2}) else i | i < 3 ]]: no iteration takes the
+// branch.
+func untakenBranchTab() ast.Expr {
+	return tab(&ast.If{Cond: cmp(ast.OpGt, v("i"), nat(5)), Then: getOfPair(), Else: v("i")},
+		[]string{"i"}, nat(3))
+}
+
+// [[ Σ{ get({1,2}) | j ∈ gen(i - i) } + i | i < 3 ]]: the nested loop runs
+// zero times on every iteration.
+func nestedBodyTab() ast.Expr {
+	inner := &ast.Sum{Head: getOfPair(), Var: "j", Over: &ast.Gen{N: arith(ast.OpSub, v("i"), v("i"))}}
+	return tab(arith(ast.OpAdd, inner, v("i")), []string{"i"}, nat(3))
+}
+
+// [[ get({1,2}) + i | i < 0 ]]: the loop itself runs zero times.
+func zeroTripTab() ast.Expr {
+	return tab(arith(ast.OpAdd, getOfPair(), v("i")), []string{"i"}, nat(0))
+}
+
+func TestHoistSkipsCodeNotRunEveryIteration(t *testing.T) {
+	run := func(x ast.Expr) object.Value {
+		got, err := eval.New(eval.Builtins()).Eval(x, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	e := untakenBranchTab()
+	if want, got := run(e), run(optimize(e)); !object.Equal(got, want) {
+		t.Errorf("hoisting out of an untaken branch: optimized %s, unoptimized %s", got, want)
+	}
+	// The outer loop must not reach into a nested loop's body (the nested
+	// loop hoists out of its own body, with the zero-trip deviation below).
+	if out, fired := hoistRule(nestedBodyTab()); fired {
+		t.Errorf("hoisted out of a nested loop's body: %s", out)
+	}
+	// A nested loop's source is evaluated on every iteration: gen(n) is
+	// still hoisted out of matmul's inner summation.
+	matmul := tab(&ast.Sum{Head: arith(ast.OpMul, v("i"), v("k")), Var: "k", Over: &ast.Gen{N: v("n")}},
+		[]string{"i", "j"}, v("n"), v("n"))
+	out, fired := hoistRule(matmul)
+	if a, ok := out.(*ast.App); !fired || !ok || !ast.AlphaEqual(a.Arg, &ast.Gen{N: v("n")}) {
+		t.Errorf("gen(n) in a nested loop's source was not hoisted: %s", out)
+	}
+}
+
+// TestHoistZeroTripLoopDeviation pins the hoist's accepted deviation (see
+// hoistRule): a loop that runs zero times evaluates its hoisted invariant.
+func TestHoistZeroTripLoopDeviation(t *testing.T) {
+	e := zeroTripTab()
+	unopt, err := eval.New(eval.Builtins()).Eval(e, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := eval.New(eval.Builtins()).Eval(optimize(e), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unopt.IsBottom() || !opt.IsBottom() {
+		t.Errorf("zero-trip loop: unoptimized %s, optimized %s; want a value, then ⊥", unopt, opt)
+	}
+}
+
 // --- E16: dynamic rule registration ------------------------------------------------
 
 func TestDynamicRuleRegistration(t *testing.T) {

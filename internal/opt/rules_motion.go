@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"github.com/aqldb/aql/internal/ast"
 )
 
@@ -26,7 +28,14 @@ var loopKinds = []ast.Kind{ast.KindBigUnion, ast.KindBigBagUnion, ast.KindSum,
 //	(λz. loop-with-E-replaced-by-z)(E)
 //
 // replacing all alpha-equal occurrences of E in the body at once (a
-// by-product is common-subexpression elimination across the body).
+// by-product is common-subexpression elimination across the body). E is
+// taken only from code the body runs on every iteration (see
+// findInvariant), so a ⊥ in an untaken branch stays untaken.
+//
+// Like δ^p's unconditional firing (deltaPRule), the rule accepts one
+// deviation: a loop that runs zero times never evaluated E, and the
+// hoisted binding does. If E is ⊥, the optimized query is ⊥ where the
+// unoptimized one was the empty collection or array.
 func hoistRule(e ast.Expr) (ast.Expr, bool) {
 	var bound []string
 	switch n := e.(type) {
@@ -91,6 +100,9 @@ func findInvariant(e ast.Expr, blocked []string) ast.Expr {
 	kids := e.Children()
 	binders := e.Binders()
 	for i, kid := range kids {
+		if !everyIteration(e, i) {
+			continue
+		}
 		inner := blocked
 		if len(binders[i]) > 0 {
 			inner = make([]string, 0, len(blocked)+len(binders[i]))
@@ -107,11 +119,10 @@ func findInvariant(e ast.Expr, blocked []string) ast.Expr {
 // everyIteration reports whether child i of e is evaluated whenever e is:
 // true except for a conditional's branches and a loop's body.
 func everyIteration(e ast.Expr, i int) bool {
-	switch ast.KindOf(e) {
-	case ast.KindIf:
+	switch k := ast.KindOf(e); {
+	case k == ast.KindIf:
 		return i == 0
-	case ast.KindBigUnion, ast.KindBigBagUnion, ast.KindSum, ast.KindRankUnion,
-		ast.KindRankBagUnion, ast.KindArrayTab:
+	case slices.Contains(loopKinds, k):
 		return i != 0
 	}
 	return true
