@@ -37,36 +37,21 @@ var loopKinds = []ast.Kind{ast.KindBigUnion, ast.KindBigBagUnion, ast.KindSum,
 // hoisted binding does. If E is ⊥, the optimized query is ⊥ where the
 // unoptimized one was the empty collection or array.
 func hoistRule(e ast.Expr) (ast.Expr, bool) {
-	var bound []string
-	switch n := e.(type) {
-	case *ast.BigUnion:
-		bound = []string{n.Var}
-	case *ast.BigBagUnion:
-		bound = []string{n.Var}
-	case *ast.Sum:
-		bound = []string{n.Var}
-	case *ast.RankUnion:
-		bound = []string{n.Var, n.RankVar}
-	case *ast.RankBagUnion:
-		bound = []string{n.Var, n.RankVar}
-	case *ast.ArrayTab:
-		bound = n.Idx
-	default:
+	if !slices.Contains(loopKinds, ast.KindOf(e)) {
 		return e, false
 	}
-	head := e.Children()[0]
-	target := findInvariant(head, bound)
+	// A loop's body is child 0, bound by the loop's own variables.
+	kids := e.Children()
+	target := findInvariant(kids[0], e.Binders()[0])
 	if target == nil {
 		return e, false
 	}
 	z := ast.Fresh("h")
-	newHead, n := replaceAll(head, target, &ast.Var{Name: z})
+	newHead, n := replaceAll(kids[0], target, &ast.Var{Name: z})
 	if n == 0 {
 		return e, false
 	}
-	kids := e.Children()
-	newKids := make([]ast.Expr, len(kids))
-	copy(newKids, kids)
+	newKids := append([]ast.Expr(nil), kids...)
 	newKids[0] = newHead
 	return &ast.App{
 		Fn:  &ast.Lam{Param: z, Body: e.WithChildren(newKids)},
