@@ -21,7 +21,6 @@
 //	                        looked up by request id or trace id
 //	GET  /debug/slow        slowest queries seen
 //	/debug/pprof/...        standard net/http/pprof handlers
-//	GET  /debug/planstats   per-plan execution profiles, keyed like the cache
 //	GET  /debug/explain/{id} one recorded query's estimate-vs-actual table
 //	GET  /debug/server      plan-cache and admission counters
 //	GET  /healthz           liveness
@@ -36,7 +35,9 @@
 // The -init script runs through the ordinary session pipeline before the
 // listener opens, so vals, macros and readval statements registered there
 // are visible to every query. It runs unrecorded: /metrics and
-// /debug/queries count served queries only. Cancelling a request (closing
+// /debug/queries count served queries only, out-of-core I/O included —
+// only the cache-wide aqld_io_* tile-cache series (residency, evictions)
+// see its work. Cancelling a request (closing
 // the connection) aborts its evaluation; exceeding -maxconcurrent queues
 // the request, and overflowing the queue rejects it with HTTP 429.
 //

@@ -130,15 +130,6 @@ func (io *ioState) openPaths() []string {
 	return paths
 }
 
-// IOFileTotals returns the cumulative NetCDF file counters across the
-// session's open handles without advancing the watermark — the live-totals
-// view that /metrics exports.
-func (s *Session) IOFileTotals() trace.IOCounters {
-	s.io.mu.Lock()
-	defer s.io.mu.Unlock()
-	return s.io.fileTotals()
-}
-
 // Close releases the session's out-of-core resources: open NetCDF handles,
 // the tile cache, and the spill file. Call it when the session ends; lazy
 // values bound in the environment must not be read afterwards.

@@ -82,10 +82,6 @@ func (p *Plan) Current(e *env.Env, maxDepth int) bool {
 	return e.PlanEpoch(p.readsIt) == p.epoch && p.maxDepth == maxDepth
 }
 
-// Epoch is the environment epoch p is current under (see Current): the
-// server keys its per-plan statistics by it.
-func (p *Plan) Epoch() uint64 { return p.epoch }
-
 // depth is how far down the pipeline frontEnd carries a query.
 type depth int
 

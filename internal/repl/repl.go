@@ -145,7 +145,7 @@ func New() (*Session, error) {
 	if _, err := s.Exec(ODMGMacros); err != nil {
 		return nil, fmt.Errorf("repl: ODMG macros: %w", err)
 	}
-	s.Fleet = trace.NewAggregator(0)
+	s.Fleet = trace.NewAggregator()
 	s.Flight = trace.NewFlightRecorder(0)
 	s.Trace.SetSink(trace.MultiSink{s.Fleet, s.Flight})
 	s.Trace.SetEnabled(true)

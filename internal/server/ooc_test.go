@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -21,7 +22,7 @@ import (
 )
 
 // metricValue extracts the value of a series line like
-// `aqld_io_tiles_total{outcome="miss"} 16` from an exposition body.
+// `aql_io_tile_misses_total 16` from an exposition body.
 func metricValue(t *testing.T, text, series string) float64 {
 	t.Helper()
 	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` (\S+)$`)
@@ -36,13 +37,10 @@ func metricValue(t *testing.T, text, series string) float64 {
 	return v
 }
 
-// TestMetricsTileIO drives a lazily-read NetCDF variable through the query
-// endpoint and checks the aqld_io_* series report the tile traffic: hits,
-// misses, prefetches, and bytes scanned vs. returned all non-zero.
-func TestMetricsTileIO(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-
-	dir := t.TempDir()
+// seriesFile writes a NetCDF file holding one 256-cell double variable
+// "series" whose cell i is 0.5*i, and returns its path.
+func seriesFile(t *testing.T) string {
+	t.Helper()
 	b := netcdf.NewBuilder()
 	d0, _ := b.AddDim("x", 256)
 	data := make([]float64, 256)
@@ -52,10 +50,49 @@ func TestMetricsTileIO(t *testing.T) {
 	if err := b.AddVar("series", netcdf.Double, []int{d0}, nil, data); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "series.nc")
+	path := filepath.Join(t.TempDir(), "series.nc")
 	if err := b.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// getBody GETs path from ts and returns the response body.
+func getBody(t *testing.T, ts *httptest.Server, path string) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// lastReport returns the newest report the flight recorder retains.
+func lastReport(t *testing.T, ts *httptest.Server) trace.QueryReport {
+	t.Helper()
+	var doc struct {
+		Reports []trace.QueryReport `json:"reports"`
+	}
+	if err := json.Unmarshal([]byte(getBody(t, ts, "/debug/queries")), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Reports) == 0 {
+		t.Fatal("no reports in flight recorder")
+	}
+	return doc.Reports[len(doc.Reports)-1]
+}
+
+// TestMetricsTileIO drives a lazily-read NetCDF variable through the query
+// endpoint and checks the aql_io_* series report the tile traffic: hits,
+// misses, prefetches, and bytes scanned vs. returned all non-zero.
+func TestMetricsTileIO(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	path := seriesFile(t)
 
 	s.sess.SetTileConfig(16, 0, false) // 16 tiles, ample budget
 	if _, err := s.sess.Exec(fmt.Sprintf(`readval \W using NETCDF at (%q, "series");`, path)); err != nil {
@@ -71,21 +108,14 @@ func TestMetricsTileIO(t *testing.T) {
 		t.Fatalf("query value = %s, want 16320.0", qr.Value)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	text := string(raw)
-
+	text := getBody(t, ts, "/metrics")
 	for _, series := range []string{
-		`aqld_io_tiles_total{outcome="hit"}`,
-		`aqld_io_tiles_total{outcome="miss"}`,
-		`aqld_io_tile_bytes_total{direction="scanned"}`,
-		`aqld_io_tile_bytes_total{direction="returned"}`,
-		`aqld_io_slab_reads_total`,
-		`aqld_io_bytes_read_total`,
+		`aql_io_tile_hits_total`,
+		`aql_io_tile_misses_total`,
+		`aql_io_bytes_scanned_total`,
+		`aql_io_bytes_returned_total`,
+		`aql_io_slab_reads_total`,
+		`aql_io_bytes_read_total`,
 		`aqld_io_cache_resident_bytes`,
 	} {
 		if v := metricValue(t, text, series); v <= 0 {
@@ -94,15 +124,17 @@ func TestMetricsTileIO(t *testing.T) {
 	}
 	// A sequential scan prefetches all but the first tile, and every
 	// prefetched tile is later demanded.
-	useful := metricValue(t, text, `aqld_io_tile_prefetches_total{useful="true"}`)
+	useful := metricValue(t, text, `aql_io_tile_prefetch_useful_total`)
 	if useful <= 0 {
 		t.Errorf("prefetches useful = %v, want > 0", useful)
 	}
-	// The headers for spill/retry series are present even when zero.
+	// The headers for spill/retry/eviction series are present even when zero.
 	for _, want := range []string{
-		"# TYPE aqld_io_spill_bytes_total counter",
-		"# TYPE aqld_io_retries_total counter",
-		"# TYPE aqld_io_faults_total counter",
+		"# TYPE aql_io_spill_bytes_written_total counter",
+		"# TYPE aql_io_spill_bytes_read_total counter",
+		"# TYPE aql_io_retries_total counter",
+		"# TYPE aql_io_faults_total counter",
+		"# TYPE aqld_io_tile_evictions_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -110,24 +142,70 @@ func TestMetricsTileIO(t *testing.T) {
 	}
 
 	// The per-request report carried the tile counters too.
-	dresp, err := http.Get(ts.URL + "/debug/queries")
+	if last := lastReport(t, ts); last.IO.TileMisses == 0 || last.IO.BytesScanned == 0 {
+		t.Errorf("request report IO = %+v, want non-zero tile misses and bytes scanned", last.IO)
+	}
+}
+
+// ioSeriesRE matches one aql_io_* or aqld_io_* sample line.
+var ioSeriesRE = regexp.MustCompile(`(?m)^(aqld?_io_\w+(?:\{[^}]*\})?) (\S+)$`)
+
+// TestUnrecordedIOStaysOffMetrics pins the -init contract for out-of-core
+// work: setup statements run with the session recorder disabled (what aqld
+// -init does) may scan a lazy NetCDF variable, yet /metrics shows no tile
+// or file traffic. After one served query, every aql_io_* series equals
+// that query's report.
+func TestUnrecordedIOStaysOffMetrics(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	path := seriesFile(t)
+
+	s.sess.SetTileConfig(16, 0, false)
+	s.sess.Trace.SetEnabled(false)
+	_, err := s.sess.Exec(fmt.Sprintf(`readval \W using NETCDF at (%q, "series");
+		val \S = summap(fn \i => W[i])!(gen!256);`, path))
+	s.sess.Trace.SetEnabled(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dresp.Body.Close()
-	var doc struct {
-		Reports []trace.QueryReport `json:"reports"`
+
+	// Residency is cache state, not work: the setup legitimately leaves
+	// tiles resident.
+	state := map[string]bool{"aqld_io_cache_resident_bytes": true, "aqld_io_cache_peak_bytes": true}
+	samples := ioSeriesRE.FindAllStringSubmatch(getBody(t, ts, "/metrics"), -1)
+	if len(samples) == 0 {
+		t.Fatal("/metrics has no I/O series")
 	}
-	if err := json.NewDecoder(dresp.Body).Decode(&doc); err != nil {
+	for _, m := range samples {
+		if !state[m[1]] && m[2] != "0" {
+			t.Errorf("after unrecorded setup: %s = %s, want 0", m[1], m[2])
+		}
+	}
+
+	if _, _, err := postQuery(ts, QueryRequest{Query: `summap(fn \i => W[i])!(gen!256)`}); err != nil {
 		t.Fatal(err)
 	}
-	reports := doc.Reports
-	if len(reports) == 0 {
-		t.Fatal("no reports in flight recorder")
+	got := lastReport(t, ts).IO
+	if got.TileHits+got.TileMisses == 0 {
+		t.Fatalf("served query report IO = %+v, want tile traffic", got)
 	}
-	last := reports[len(reports)-1]
-	if last.IO.TileMisses == 0 || last.IO.BytesScanned == 0 {
-		t.Errorf("request report IO = %+v, want non-zero tile misses and bytes scanned", last.IO)
+	text := getBody(t, ts, "/metrics")
+	for series, want := range map[string]int64{
+		"aql_io_slab_reads_total":           got.SlabReads,
+		"aql_io_bytes_read_total":           got.BytesRead,
+		"aql_io_retries_total":              got.Retries,
+		"aql_io_faults_total":               got.Faults,
+		"aql_io_tile_hits_total":            got.TileHits,
+		"aql_io_tile_misses_total":          got.TileMisses,
+		"aql_io_tile_prefetches_total":      got.Prefetches,
+		"aql_io_tile_prefetch_useful_total": got.PrefetchUseful,
+		"aql_io_bytes_scanned_total":        got.BytesScanned,
+		"aql_io_bytes_returned_total":       got.BytesReturned,
+		"aql_io_spill_bytes_written_total":  got.SpillBytesWritten,
+		"aql_io_spill_bytes_read_total":     got.SpillBytesRead,
+	} {
+		if v := metricValue(t, text, series); v != float64(want) {
+			t.Errorf("%s = %v, want the served report's %d", series, v, want)
+		}
 	}
 }
 

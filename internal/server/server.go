@@ -23,10 +23,9 @@
 //     trace.Recorder, which only builds the request's report. The finished
 //     report goes to the session's fleet aggregator and flight recorder —
 //     the same sinks the REPL uses, and the only places reports are kept —
-//     to the per-plan stats store, and back to the client as phase timings
-//     in the response. A cache hit carries zero
-//     parse/typecheck/optimize/compile phases by construction: those
-//     phases simply never run. The whole trace.NewHandler surface is
+//     and back to the client as phase timings in the response. A cache
+//     hit carries zero parse/typecheck/optimize/compile phases by
+//     construction: those phases simply never run. The whole trace.NewHandler surface is
 //     mounted beside the server's own endpoints.
 package server
 
@@ -35,8 +34,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -91,9 +90,6 @@ type Server struct {
 
 	cache *planCache
 	adm   *admission
-	// planStats aggregates per-plan runtime profiles keyed by plan-cache
-	// key; served on /debug/planstats.
-	planStats *trace.PlanStatsStore
 	// sink is where every request's finished report goes: the session's
 	// fleet aggregator and flight recorder.
 	sink trace.Sink
@@ -108,12 +104,11 @@ type Server struct {
 // REPL work while the server is running; the server owns it.
 func New(sess *repl.Session, cfg Config) *Server {
 	s := &Server{
-		sess:      sess,
-		cfg:       cfg,
-		cache:     newPlanCache(cfg.CacheSize),
-		adm:       newAdmission(cfg.MaxConcurrent, cfg.MaxQueued, cfg.QueueTimeout),
-		planStats: trace.NewPlanStatsStore(0),
-		sink:      trace.MultiSink{sess.Fleet, sess.Flight},
+		sess:  sess,
+		cfg:   cfg,
+		cache: newPlanCache(cfg.CacheSize),
+		adm:   newAdmission(cfg.MaxConcurrent, cfg.MaxQueued, cfg.QueueTimeout),
+		sink:  trace.MultiSink{sess.Fleet, sess.Flight},
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
@@ -127,7 +122,6 @@ func New(sess *repl.Session, cfg Config) *Server {
 	mux.Handle("/", trace.NewHandler(sess.Fleet, sess.Flight))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/server", s.handleDebugServer)
-	mux.HandleFunc("GET /debug/planstats", s.handleDebugPlanStats)
 	mux.HandleFunc("GET /debug/explain/{id}", s.handleDebugExplain)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -143,9 +137,6 @@ func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
 
 // AdmissionStats exposes the admission counters.
 func (s *Server) AdmissionStats() AdmissionStats { return s.adm.stats() }
-
-// PlanStats exposes the per-plan stats store (tests and benchmarks).
-func (s *Server) PlanStats() *trace.PlanStatsStore { return s.planStats }
 
 // QueryRequest is the POST /query body.
 type QueryRequest struct {
@@ -253,7 +244,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // runQuery executes one admitted request: plan-cache lookup or prepare,
 // then execution on a fresh machine, all recorded on a per-request recorder
-// whose report goes to the server's sink and the per-plan stats store.
+// whose report goes to the server's sink.
 func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext, req QueryRequest, waited time.Duration) (*QueryResponse, *ErrorInfo, int) {
 	norm := NormalizeQuery(req.Query)
 
@@ -304,10 +295,9 @@ func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext,
 	}
 	// Join the plan's prepare-time estimates against the recorded actuals
 	// before the report is finalized, so the table rides every copy of it
-	// (flight recorder, sinks, per-plan stats).
+	// (flight recorder, fleet aggregator).
 	rec.JoinExplain(p.Prog.Estimates(), s.cfg.QErrorThreshold)
 	rep := rec.End(err)
-	s.planStats.Observe(norm+"@e"+strconv.FormatUint(p.Epoch(), 10), rep)
 	if err != nil {
 		info, status := execHTTP(err)
 		return nil, &info, status
@@ -357,9 +347,11 @@ func (s *Server) execOpts(req QueryRequest) compile.ExecOpts {
 	if req.MaxSteps > 0 && (lim.MaxSteps == 0 || req.MaxSteps < lim.MaxSteps) {
 		lim.MaxSteps = req.MaxSteps
 	}
-	if req.TimeoutMS > 0 {
-		t := time.Duration(req.TimeoutMS) * time.Millisecond
-		if lim.Timeout == 0 || t < lim.Timeout {
+	// A count of milliseconds too large for a Duration bounds nothing; left
+	// to the multiply it would wrap negative, which Execute reads as "no
+	// deadline" — wider than any configured budget.
+	if ms := req.TimeoutMS; ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
+		if t := time.Duration(ms) * time.Millisecond; lim.Timeout == 0 || t < lim.Timeout {
 			lim.Timeout = t
 		}
 	}
@@ -440,38 +432,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.Val("aqld_admission_total", `outcome="queue_timeout"`, as.RejectedWait)
 	b.Val("aqld_admission_total", `outcome="cancelled"`, as.Cancelled)
 	b.Histogram("aqld_admission_queue_seconds", "Time spent queued for an execution slot.", s.adm.queueWait.Snapshot())
-	// Out-of-core I/O: live totals from the session's tile cache and its
-	// open NetCDF handles. The tile series answer hit rate, prefetch
-	// efficiency and I/O amplification (bytes scanned vs. returned); the
-	// file series are the cumulative netcdf.IOStats counters that per-query
-	// reports carry as deltas.
-	ts := s.sess.TileCache().Stats()
-	ft := s.sess.IOFileTotals()
-	b.Header("aqld_io_tiles_total", "counter", "Tile cache lookups by outcome.")
-	b.Val("aqld_io_tiles_total", `outcome="hit"`, ts.TileHits)
-	b.Val("aqld_io_tiles_total", `outcome="miss"`, ts.TileMisses)
-	b.Val("aqld_io_tiles_total", `outcome="eviction"`, ts.Evictions)
-	b.Header("aqld_io_tile_prefetches_total", "counter", "Tiles prefetched ahead of sequential scans, by usefulness.")
-	b.Val("aqld_io_tile_prefetches_total", `useful="true"`, ts.PrefetchUseful)
-	b.Val("aqld_io_tile_prefetches_total", `useful="unknown"`, ts.Prefetches-ts.PrefetchUseful)
-	b.Header("aqld_io_tile_bytes_total", "counter", "Tile bytes moved: scanned from storage vs. returned to queries.")
-	b.Val("aqld_io_tile_bytes_total", `direction="scanned"`, ts.BytesScanned)
-	b.Val("aqld_io_tile_bytes_total", `direction="returned"`, ts.BytesReturned)
-	b.Header("aqld_io_spill_bytes_total", "counter", "Spill-file bytes written and read back.")
-	b.Val("aqld_io_spill_bytes_total", `direction="written"`, ts.SpillBytesWritten)
-	b.Val("aqld_io_spill_bytes_total", `direction="read"`, ts.SpillBytesRead)
-	b.Header("aqld_io_cache_resident_bytes", "gauge", "Bytes currently resident in the tile cache.")
-	b.Val("aqld_io_cache_resident_bytes", "", s.sess.TileCache().Resident())
-	b.Header("aqld_io_cache_peak_bytes", "gauge", "Peak tile-cache residency since start.")
-	b.Val("aqld_io_cache_peak_bytes", "", s.sess.TileCache().PeakResident())
-	b.Header("aqld_io_slab_reads_total", "counter", "NetCDF slab/range reads issued.")
-	b.Val("aqld_io_slab_reads_total", "", ft.SlabReads)
-	b.Header("aqld_io_bytes_read_total", "counter", "Bytes read from NetCDF data regions.")
-	b.Val("aqld_io_bytes_read_total", "", ft.BytesRead)
-	b.Header("aqld_io_retries_total", "counter", "Transient read failures retried by the reader stack.")
-	b.Val("aqld_io_retries_total", "", ft.Retries)
-	b.Header("aqld_io_faults_total", "counter", "Reader faults observed (injected or real).")
-	b.Val("aqld_io_faults_total", "", ft.Faults)
+	// Out-of-core I/O work is counted from finished reports (the aql_io_*
+	// families above); what no report can carry is read live from the
+	// session's tile cache. These series are cache-wide: they include work
+	// no query was recorded for, such as an unrecorded -init script's.
+	tc := s.sess.TileCache()
+	b.Header("aqld_io_cache_resident_bytes", "gauge", "Bytes currently resident in the tile cache, including unrecorded work.")
+	b.Val("aqld_io_cache_resident_bytes", "", tc.Resident())
+	b.Header("aqld_io_cache_peak_bytes", "gauge", "Peak tile-cache residency since start, including unrecorded work.")
+	b.Val("aqld_io_cache_peak_bytes", "", tc.PeakResident())
+	b.Header("aqld_io_tile_evictions_total", "counter", "Tiles evicted to stay within the cache budget, cache-wide including unrecorded work.")
+	b.Val("aqld_io_tile_evictions_total", "", tc.Stats().Evictions)
 	mis := fleet.Misestimates
 	b.Header("aqld_plan_misestimate_ops_total", "counter",
 		"Operators whose estimate-vs-actual q-error exceeded the threshold.")
@@ -500,12 +471,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"Shard round-trip time, first dispatch to winning response.", coord.ShardLatency())
 	}
 	b.WriteEOF()
-}
-
-// handleDebugPlanStats dumps the per-plan stats store: one aggregated
-// runtime profile per plan-cache key.
-func (s *Server) handleDebugPlanStats(w http.ResponseWriter, r *http.Request) {
-	trace.WriteJSON(w, http.StatusOK, s.planStats.Snapshot())
 }
 
 // handleDebugExplain serves the joined estimate-vs-actual table of one

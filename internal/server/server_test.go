@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/aqldb/aql/internal/eval"
+	"github.com/aqldb/aql/internal/exchange"
 	"github.com/aqldb/aql/internal/repl"
 	"github.com/aqldb/aql/internal/trace"
 )
@@ -312,6 +315,43 @@ func TestPerRequestBudgets(t *testing.T) {
 	}
 	if r.Value != "49995000" {
 		t.Fatalf("value = %s, want 49995000", r.Value)
+	}
+}
+
+// TestRequestTimeoutNeverWidens: a request's timeout_ms only tightens the
+// server's configured timeout. A millisecond count too large for a
+// time.Duration must not wrap negative, which the engine reads as "no
+// deadline": against a configured budget it leaves that budget in force,
+// and with none configured it means no deadline, not an expired one.
+func TestRequestTimeoutNeverWidens(t *testing.T) {
+	const slowShard = `[[ summap(fn \j => i*j)!(gen!2000) | \i < 2000 ]]`
+	for _, tc := range []struct {
+		name      string
+		shard     bool
+		timeout   time.Duration // the server's configured Limits.Timeout
+		timeoutMS int64
+		query     string
+		want      int
+	}{
+		{"query/request tightens no budget", false, 0, 10, slowQuery, http.StatusGatewayTimeout},
+		{"query/max int64 keeps budget", false, 10 * time.Millisecond, math.MaxInt64, slowQuery, http.StatusGatewayTimeout},
+		{"query/first overflowing count keeps budget", false, 10 * time.Millisecond, 9223372036855, slowQuery, http.StatusGatewayTimeout},
+		{"query/overflow without budget is unlimited", false, 0, math.MaxInt64, "6 * 7", http.StatusOK},
+		{"shard/max int64 keeps budget", true, 10 * time.Millisecond, math.MaxInt64, slowShard, http.StatusGatewayTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Limits: eval.Limits{Timeout: tc.timeout}})
+			var status int
+			if tc.shard {
+				_, status, _ = postShard(t, ts, exchange.ShardRequest{
+					Query: tc.query, Shape: []int{2000}, Start: 0, End: 2000, TimeoutMS: tc.timeoutMS})
+			} else {
+				_, status, _ = postQuery(ts, QueryRequest{Query: tc.query, TimeoutMS: tc.timeoutMS})
+			}
+			if status != tc.want {
+				t.Fatalf("status = %d, want %d", status, tc.want)
+			}
+		})
 	}
 }
 

@@ -163,43 +163,6 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestDebugPlanStats: executions aggregate into /debug/planstats under the
-// plan-cache key, surviving repeated runs and keeping cache-hit counts.
-func TestDebugPlanStats(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	for i := 0; i < 3; i++ {
-		if _, _, err := postQuery(ts, QueryRequest{Query: "[[ i*i | \\i < 50 ]]"}); err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/debug/planstats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap trace.PlanStatsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(snap.Plans) != 1 {
-		t.Fatalf("planstats tracks %d plans, want 1", len(snap.Plans))
-	}
-	p := snap.Plans[0]
-	if !strings.Contains(p.Key, "@e") || !strings.Contains(p.Key, "i*i") {
-		t.Fatalf("plan key = %q, want normalized query @ epoch", p.Key)
-	}
-	if p.Queries != 3 || p.CacheHits != 2 {
-		t.Fatalf("plan profile = %d queries, %d hits", p.Queries, p.CacheHits)
-	}
-	if p.CellsLast != 50 || p.CellsEWMA == 0 {
-		t.Fatalf("cells = last %d ewma %v", p.CellsLast, p.CellsEWMA)
-	}
-	if p.LatencyEWMA <= 0 {
-		t.Fatalf("latency EWMA = %v", p.LatencyEWMA)
-	}
-}
-
 // TestShardCarriesTrace: POST /shard adopts the request's trace id and
 // returns a well-formed span subtree alongside the counters.
 func TestShardCarriesTrace(t *testing.T) {

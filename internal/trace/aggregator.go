@@ -49,7 +49,6 @@ type Aggregator struct {
 	mis     Misestimates
 	rules   map[string]int64
 	slow    []SlowQuery // sorted by Wall, slowest first
-	slowCap int
 }
 
 // Misestimates folds the joined explain tables of the reports an Aggregator
@@ -62,13 +61,10 @@ type Misestimates struct {
 	Exemplar    *Exemplar `json:"exemplar,omitempty"`
 }
 
-// NewAggregator returns an aggregator keeping the slowCap slowest queries
-// (DefaultSlowCap when slowCap <= 0).
-func NewAggregator(slowCap int) *Aggregator {
-	if slowCap <= 0 {
-		slowCap = DefaultSlowCap
-	}
-	return &Aggregator{rules: map[string]int64{}, slowCap: slowCap}
+// NewAggregator returns an aggregator keeping the DefaultSlowCap slowest
+// queries.
+func NewAggregator() *Aggregator {
+	return &Aggregator{rules: map[string]int64{}}
 }
 
 // Emit folds one finished report into the aggregates; part of Sink.
@@ -95,12 +91,12 @@ func (a *Aggregator) Emit(r *QueryReport) {
 	}
 	sq := SlowQuery{Query: r.Query, ID: r.ID, TraceID: r.TraceID, Engine: r.Engine, Start: r.Start, Wall: r.Wall, Err: r.Err}
 	i := sort.Search(len(a.slow), func(i int) bool { return a.slow[i].Wall < sq.Wall })
-	if i < a.slowCap {
+	if i < DefaultSlowCap {
 		a.slow = append(a.slow, SlowQuery{})
 		copy(a.slow[i+1:], a.slow[i:])
 		a.slow[i] = sq
-		if len(a.slow) > a.slowCap {
-			a.slow = a.slow[:a.slowCap]
+		if len(a.slow) > DefaultSlowCap {
+			a.slow = a.slow[:DefaultSlowCap]
 		}
 	}
 }

@@ -27,7 +27,7 @@ func fleetReport(query string, wall time.Duration, err string) *QueryReport {
 }
 
 func TestAggregatorHistogramAndTotals(t *testing.T) {
-	a := NewAggregator(0)
+	a := NewAggregator()
 	walls := []time.Duration{
 		500 * time.Nanosecond, // bucket 0 (<= 1µs)
 		time.Microsecond,      // bucket 0 (inclusive bound)
@@ -76,7 +76,7 @@ func TestAggregatorHistogramAndTotals(t *testing.T) {
 // flagged rows, the worst q-error, and an exemplar for the latest traced
 // offender; a table with no flag changes nothing.
 func TestAggregatorMisestimates(t *testing.T) {
-	a := NewAggregator(0)
+	a := NewAggregator()
 	flagged := func(traceID string, ops int, worst float64) *QueryReport {
 		r := fleetReport("q", time.Millisecond, "")
 		r.TraceID, r.Start = traceID, time.Unix(1000, 0)
@@ -97,17 +97,19 @@ func TestAggregatorMisestimates(t *testing.T) {
 }
 
 func TestAggregatorSlowLog(t *testing.T) {
-	a := NewAggregator(3)
-	for i := 1; i <= 10; i++ {
+	const emitted = DefaultSlowCap + 3
+	a := NewAggregator()
+	for i := 1; i <= emitted; i++ {
 		a.Emit(fleetReport(fmt.Sprintf("q%d", i), time.Duration(i)*time.Millisecond, ""))
 	}
 	slow := a.Snapshot().Slow
-	if len(slow) != 3 {
-		t.Fatalf("slow log holds %d entries, want 3", len(slow))
+	if len(slow) != DefaultSlowCap {
+		t.Fatalf("slow log holds %d entries, want %d", len(slow), DefaultSlowCap)
 	}
-	for i, want := range []time.Duration{10 * time.Millisecond, 9 * time.Millisecond, 8 * time.Millisecond} {
-		if slow[i].Wall != want {
-			t.Errorf("slow[%d].Wall = %v, want %v", i, slow[i].Wall, want)
+	// Slowest first: the three fastest reports fell off the end.
+	for i, e := range slow {
+		if want := time.Duration(emitted-i) * time.Millisecond; e.Wall != want {
+			t.Errorf("slow[%d].Wall = %v, want %v", i, e.Wall, want)
 		}
 	}
 }
@@ -139,7 +141,7 @@ func TestFlightRecorderExactCapacity(t *testing.T) {
 // fixed snapshot; any format drift (metric names, label ordering, float
 // rendering) must show up as a diff here.
 func TestWritePrometheusGolden(t *testing.T) {
-	a := NewAggregator(0)
+	a := NewAggregator()
 	a.Emit(fleetReport("q1", 3*time.Microsecond, ""))
 	a.Emit(fleetReport("q2", time.Second, "boom"))
 	var b strings.Builder
@@ -204,7 +206,7 @@ aql_query_errors_total 1
 // TestNewHandlerEndpoints checks each endpoint's status and Content-Type,
 // and that unknown paths 404 rather than falling through to the summary.
 func TestNewHandlerEndpoints(t *testing.T) {
-	agg := NewAggregator(0)
+	agg := NewAggregator()
 	flight := NewFlightRecorder(2)
 	rep := fleetReport("q", time.Millisecond, "")
 	agg.Emit(rep)

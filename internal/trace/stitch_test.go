@@ -278,76 +278,6 @@ func TestFlightRecorderFind(t *testing.T) {
 	}
 }
 
-func TestPlanStatsStore(t *testing.T) {
-	s := NewPlanStatsStore(2)
-	spans, flat := stitchedFixture()
-	rep := &QueryReport{
-		Query: "q", Start: time.Unix(1000, 0), Wall: 100 * time.Millisecond,
-		Eval: flat, Cached: true, Spans: spans, ProfLevel: ProfStitched,
-		Shards: []ShardSpan{
-			{Shard: 0, Worker: "http://w1", Attempts: 2, Hedged: true, Wall: 80 * time.Millisecond},
-			{Shard: 1, Worker: "local", Attempts: 1, Wall: 40 * time.Millisecond},
-		},
-	}
-	s.Observe("q@e1", rep)
-	s.Observe("q@e1", rep)
-
-	p, ok := s.Get("q@e1")
-	if !ok {
-		t.Fatal("observed plan not tracked")
-	}
-	if p.Queries != 2 || p.CacheHits != 2 || p.Errors != 0 {
-		t.Fatalf("counts = %+v", p)
-	}
-	if p.CellsLast != flat.Cells || p.CellsTotal != 2*flat.Cells {
-		t.Fatalf("cells = last %d total %d", p.CellsLast, p.CellsTotal)
-	}
-	// The first observation seeds the EWMA, so two identical observations
-	// leave it exactly at the observed level.
-	if p.CellsEWMA != float64(flat.Cells) {
-		t.Fatalf("cells EWMA = %v, want %v", p.CellsEWMA, float64(flat.Cells))
-	}
-	if p.LatencyLast != rep.Wall || p.LatencyEWMA != rep.Wall {
-		t.Fatalf("latency = last %v ewma %v", p.LatencyLast, p.LatencyEWMA)
-	}
-	if p.ShardsPlanned != 4 || p.ShardsRemote != 2 || p.ShardsLocal != 2 || p.ShardRetries != 2 || p.ShardHedges != 2 {
-		t.Fatalf("shard profile = %+v", p)
-	}
-	// max/mean = 80ms / 60ms; the first observation seeds the EWMA.
-	wantBal := float64(80*time.Millisecond) / float64(60*time.Millisecond)
-	if got := p.BalanceEWMA; got < wantBal-1e-9 || got > wantBal+1e-9 {
-		t.Fatalf("balance EWMA = %v, want %v", got, wantBal)
-	}
-	if p.SelfTime[SpanEval] == nil || p.SelfTime[SpanEval].Steps != 2*90 {
-		t.Fatalf("self-time profile = %+v", p.SelfTime)
-	}
-
-	// Eviction: capacity 2, oldest LastSeen goes first.
-	later := &QueryReport{Query: "r", Start: time.Unix(2000, 0), Wall: time.Millisecond}
-	s.Observe("r@e1", later)
-	newest := &QueryReport{Query: "s", Start: time.Unix(3000, 0), Wall: time.Millisecond}
-	s.Observe("s@e1", newest)
-	if _, ok := s.Get("q@e1"); ok {
-		t.Fatal("least-recently-seen plan survived eviction")
-	}
-	snap := s.Snapshot()
-	if len(snap.Plans) != 2 || snap.Evictions != 1 {
-		t.Fatalf("snapshot = %d plans, %d evictions", len(snap.Plans), snap.Evictions)
-	}
-	if snap.Plans[0].Key > snap.Plans[1].Key {
-		t.Fatalf("snapshot not sorted: %q > %q", snap.Plans[0].Key, snap.Plans[1].Key)
-	}
-
-	var nilStore *PlanStatsStore
-	nilStore.Observe("k", rep)
-	if _, ok := nilStore.Get("k"); ok {
-		t.Fatal("nil store tracked a plan")
-	}
-	if n := nilStore.Snapshot(); len(n.Plans) != 0 {
-		t.Fatal("nil store snapshot non-empty")
-	}
-}
-
 func TestAcceptsOpenMetrics(t *testing.T) {
 	yes := []string{
 		"application/openmetrics-text",
@@ -423,7 +353,7 @@ func checkOpenMetrics(t *testing.T, text string) (exemplars int) {
 }
 
 func TestWriteOpenMetricsGrammar(t *testing.T) {
-	agg := NewAggregator(8)
+	agg := NewAggregator()
 	traceID := "4bf92f3577b34da6a3ce929d0e0e4736"
 	agg.Emit(&QueryReport{
 		Query: "q", ID: "id1", TraceID: traceID,
@@ -531,7 +461,7 @@ func TestSummaryViewGolden(t *testing.T) {
 func TestHandlerSummaryAndTraceEndpoints(t *testing.T) {
 	rec := NewRecorder(nil)
 	flight := NewFlightRecorder(8)
-	agg := NewAggregator(8)
+	agg := NewAggregator()
 	rec.SetSink(MultiSink{flight, agg})
 	rec.Begin("len!A")
 	rec.RecordID("q000001")

@@ -35,7 +35,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 }
 
 func TestDisabledRecorderRecordsNothing(t *testing.T) {
-	agg := NewAggregator(0)
+	agg := NewAggregator()
 	r := NewRecorder(agg)
 	r.SetEnabled(false)
 	r.Begin("q")
@@ -52,7 +52,7 @@ func TestDisabledRecorderRecordsNothing(t *testing.T) {
 }
 
 func TestRecorderLifecycle(t *testing.T) {
-	agg := NewAggregator(0)
+	agg := NewAggregator()
 	r := NewRecorder(agg)
 	r.Begin("len!A")
 	if !r.Active() {
@@ -116,7 +116,7 @@ func TestRecorderLifecycle(t *testing.T) {
 }
 
 func TestEndWithoutBegin(t *testing.T) {
-	agg := NewAggregator(0)
+	agg := NewAggregator()
 	r := NewRecorder(agg)
 	if rep := r.End(nil); rep != nil {
 		t.Fatalf("End without Begin = %+v", rep)
@@ -127,7 +127,7 @@ func TestEndWithoutBegin(t *testing.T) {
 }
 
 func TestRuleFiringCap(t *testing.T) {
-	agg := NewAggregator(0)
+	agg := NewAggregator()
 	r := NewRecorder(agg)
 	r.Begin("q")
 	for i := 0; i < maxRuleFirings+10; i++ {
@@ -221,7 +221,7 @@ func TestMultiSink(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	agg, flight := NewAggregator(0), NewFlightRecorder(0)
+	agg, flight := NewAggregator(), NewFlightRecorder(0)
 	r := NewRecorder(MultiSink{agg, flight})
 	r.Begin("len!A")
 	r.RecordEval(EvalCounters{Steps: 3})
