@@ -29,91 +29,6 @@ type goldenQuery struct {
 	fuel int
 }
 
-// The plan_cold workload's prelude and weather arrays (benchmarks/plan.go),
-// restated here: that package is a main package.
-const (
-	planDays  = 6
-	planHours = 4
-)
-
-const planPrelude = bench.HistMacros + `
-val \months = [[0,31,28,31,30,31,30,31,31,30,31,30]];
-macro \days_since_1_1 = fn (\m,\d,\y) =>
-  d + summap(fn \i => months[i])!(gen!m) +
-  if m > 2 and y % 4 = 0 then 1 else 0;
-`
-
-// planData binds the weather arrays the motivating family reads: day d
-// reads 10*d degrees.
-var planData = fmt.Sprintf(`val T = [[ real!((i/%d)*10) | \i < %d ]];
-val RH = [[ 0.0 | \i < %d ]];
-val WS = [[ 1.0 | \i < %d, \j < 1 ]];`, planHours, planDays*planHours, planDays*planHours, 2*planDays*planHours)
-
-// planMotivating is the motivating family's text: the section 1 query
-// over planDays days of planHours readings.
-func planMotivating(threshold float64) string {
-	return fmt.Sprintf(`{d | \d <- gen!%d,
-  \WS' == evenpos!(proj_col!(WS, 0)),
-  \TRW == zip_3!(T, RH, WS'),
-  \A == subseq!(TRW, d*%d, d*%d+%d),
-  heatindex!(A) > %.6f}`, planDays, planHours, planHours, planHours-1, threshold)
-}
-
-var planFamilies = []string{"motivating", "hist", "hist2", "months",
-	"transpose", "zip_subseq", "subseq_zip", "beta_p", "eta_p", "delta_p"}
-
-// planText draws one text from plan_cold's ten families, with the same
-// templates and literal ranges as the benchmark; serial is folded into a
-// literal so no two texts are equal.
-func planText(r *rand.Rand, serial int) (family, text string) {
-	salt := int64(serial)
-	family = planFamilies[r.Intn(len(planFamilies))]
-	switch family {
-	case "motivating":
-		k := r.Intn(planDays)
-		text = planMotivating(float64(11*k) + 0.1 + float64(salt%400000)/1e6)
-	case "hist", "hist2":
-		n, m := 24+r.Intn(40), 3+r.Intn(12)
-		a := int64(1 + r.Intn(9))
-		macro := "hist"
-		if family == "hist2" {
-			macro = "hist'"
-		}
-		text = fmt.Sprintf(`%s!([[ (i*%d + %d) %% %d | \i < %d ]])`, macro, a, salt, m, n)
-	case "transpose":
-		m, n := 2+r.Intn(7), 2+r.Intn(7)
-		c := int64(10 + r.Intn(90))
-		text = fmt.Sprintf(`transpose![[ i * %d + j + %d | \i < %d, \j < %d ]]`, c, salt, m, n)
-	case "zip_subseq", "subseq_zip":
-		n := 16 + r.Intn(48)
-		lo := r.Intn(n / 2)
-		hi := lo + r.Intn(n-lo)
-		mul := int64(2 + r.Intn(8))
-		a := fmt.Sprintf(`[[ i*%d + %d | \i < %d ]]`, mul, salt, n)
-		b := fmt.Sprintf(`[[ i + %d | \i < %d ]]`, mul, n)
-		if family == "zip_subseq" {
-			text = fmt.Sprintf(`subseq!(zip!(%s, %s), %d, %d)`, a, b, lo, hi)
-		} else {
-			text = fmt.Sprintf(`zip!(subseq!(%s, %d, %d), subseq!(%s, %d, %d))`, a, lo, hi, b, lo, hi)
-		}
-	case "months":
-		m, d := 1+r.Intn(11), 1+r.Intn(28)
-		text = fmt.Sprintf(`days_since_1_1!(%d, %d, %d)`, m, d, salt)
-	case "beta_p":
-		n := 8 + r.Intn(56)
-		text = fmt.Sprintf(`[[ i*i + %d | \i < %d ]][%d]`, salt, n, r.Intn(n))
-	case "eta_p":
-		n := 8 + r.Intn(56)
-		mul := int64(2 + r.Intn(8))
-		tab := fmt.Sprintf(`[[ j*%d + %d | \j < %d ]]`, mul, salt, n)
-		text = fmt.Sprintf(`[[ %s[i] | \i < len!(%s) ]]`, tab, tab)
-	case "delta_p":
-		n := 8 + r.Intn(56)
-		text = fmt.Sprintf(`len!([[ i*i + %d | \i < %d ]])`, salt, n)
-	}
-	return family, text
-}
-
 // valBody is the expression of a one-line `val \X = e;` declaration.
 func valBody(stmt string) string {
 	_, rhs, _ := strings.Cut(stmt, " = ")
@@ -177,10 +92,10 @@ func goldenCorpus(t testing.TB) []goldenQuery {
 	}
 
 	plan := bench.MustSession()
-	exec(plan, planPrelude+planData)
+	exec(plan, bench.PlanPrelude+bench.PlanData)
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
-		family, text := planText(r, i)
+		family, text := bench.PlanText(r, i)
 		qs = append(qs, compile(plan, fmt.Sprintf("plan/%03d/%s", i, family), text))
 	}
 	return qs
@@ -351,7 +266,7 @@ func TestRuleHeadsCoverEveryFiring(t *testing.T) {
 // questions they took 6,251 and 479 allocations; now 1,966 and 242.
 func TestOptimizeAllocs(t *testing.T) {
 	plan := bench.MustSession()
-	if _, err := plan.Exec(planPrelude + planData); err != nil {
+	if _, err := plan.Exec(bench.PlanPrelude + bench.PlanData); err != nil {
 		t.Fatal(err)
 	}
 	o := opt.New()
@@ -359,7 +274,7 @@ func TestOptimizeAllocs(t *testing.T) {
 		name, text string
 		max        float64
 	}{
-		{"motivating", planMotivating(22.1), 2163},
+		{"motivating", bench.PlanMotivating(22.1), 2163},
 		{"transpose", `transpose![[ i * 37 + j + 5 | \i < 4, \j < 6 ]]`, 266},
 	} {
 		core, _, err := plan.Compile(c.text)
