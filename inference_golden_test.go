@@ -175,6 +175,18 @@ func renderInference(t *testing.T) string {
 		}
 	}
 
+	section("polymorphic globals")
+	poly, err := repl.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := poly.Exec(`val \E = {}; val \P = ({}, {||});`); err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{`E`, `P`, `{1} union E`, `({}, {})`, `(E, P, E)`, `{x | \x <- E, x > 1}`} {
+		inferRow(&b, poly, text)
+	}
+
 	section("values")
 	for _, v := range []object.Value{
 		object.Set(object.Set(), object.Set(object.Nat(1))),

@@ -561,3 +561,30 @@ func TestScriptFile(t *testing.T) {
 		t.Errorf("macro result = %+v", results[1])
 	}
 }
+
+// TestPolymorphicValsQuery: a val or `it` bound to a polymorphic value
+// (stored type {'t1}, named by the checker that inferred it) can be read
+// back, alone or at a concrete type, without a stack overflow.
+func TestPolymorphicValsQuery(t *testing.T) {
+	s := newSession(t)
+	if _, err := s.Exec(`val \E = {};`); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ src, typ, val string }{
+		{`E`, `{'t1}`, `{}`},
+		{`{1} union E`, `{nat}`, `{1}`},
+		{`({}, {})`, `{'t1} * {'t2}`, `({}, {})`},
+		{`(E, E)`, `{'t1} * {'t2}`, `({}, {})`},
+	} {
+		v, typ := query(t, s, c.src)
+		if typ.String() != c.typ || v.String() != c.val {
+			t.Errorf("%s = %s : %s, want %s : %s", c.src, v, typ, c.val, c.typ)
+		}
+	}
+	if _, err := s.Exec(`{};`); err != nil {
+		t.Fatal(err)
+	}
+	if v, typ := query(t, s, `it`); typ.String() != `{'t1}` || v.String() != `{}` {
+		t.Errorf("it = %s : %s, want {} : {'t1}", v, typ)
+	}
+}

@@ -555,3 +555,23 @@ func TestDebugQueriesCarriesReports(t *testing.T) {
 		t.Fatalf("cached flags = %v/%v, want false/true", reports[0].Cached, reports[1].Cached)
 	}
 }
+
+// TestPolymorphicInitValServes: a val the setup script binds to a
+// polymorphic value (aqld -init with `val E = {};`) is served, not a crash
+// of the whole process.
+func TestPolymorphicInitValServes(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.sess.Trace.SetEnabled(false)
+	_, err := s.sess.Exec(`val \E = {};`)
+	s.sess.Trace.SetEnabled(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{`E`, `{1} union E`} {
+		qr, status, err := postQuery(ts, QueryRequest{Query: q})
+		if err != nil || status != 200 {
+			t.Fatalf("POST /query %s: status %d, %v", q, status, err)
+		}
+		t.Logf("%s : %s = %s", q, qr.Type, qr.Value)
+	}
+}

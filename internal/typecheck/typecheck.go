@@ -26,8 +26,8 @@ type Checker struct {
 	subst   types.Subst
 	fresh   int
 	globals map[string]*types.Type
-	numeric []*types.Type // types constrained to be nat or real
-	ordered []*types.Type // types constrained to be orderable (no functions)
+	numeric []*types.Type          // types constrained to be nat or real
+	ordered []*types.Type          // types constrained to be orderable (no functions)
 	params  map[string]*types.Type // $name placeholders, typed once per name
 }
 
@@ -101,19 +101,45 @@ func (c *Checker) newVar() *types.Type {
 	return types.Var(fmt.Sprintf("t%d", c.fresh))
 }
 
-// freshen renames every type variable in a global's declared type, so the
-// global behaves as a type scheme.
+// freshen instantiates a global's declared type as a type scheme: each
+// distinct variable becomes a fresh one, numbered in order of first
+// occurrence. The renaming takes one step — a fresh variable is never
+// looked up again — so a stored variable named like the fresh one it maps
+// to (`val E = {}` is stored as {'t1}; a new checker's first variable is
+// 't1) cannot send the lookup round a cycle.
 func (c *Checker) freshen(t *types.Type) *types.Type {
-	vars := map[string]bool{}
-	t.FreeVars(vars)
-	if len(vars) == 0 {
+	if t.IsGround() {
 		return t
 	}
-	ren := types.Subst{}
-	for v := range vars {
-		ren[v] = c.newVar()
+	var ren []renaming
+	return c.rename(t, &ren)
+}
+
+// renaming maps a scheme variable's name to its fresh instance.
+type renaming struct {
+	from string
+	to   *types.Type
+}
+
+func (c *Checker) rename(t *types.Type, ren *[]renaming) *types.Type {
+	if t.Kind == types.KindVar {
+		for _, r := range *ren {
+			if r.from == t.Name {
+				return r.to
+			}
+		}
+		v := c.newVar()
+		*ren = append(*ren, renaming{from: t.Name, to: v})
+		return v
 	}
-	return ren.Apply(t)
+	if t.IsGround() {
+		return t
+	}
+	elts := make([]*types.Type, len(t.Elts))
+	for i, e := range t.Elts {
+		elts[i] = c.rename(e, ren)
+	}
+	return &types.Type{Kind: t.Kind, Name: t.Name, Elts: elts, Dims: t.Dims}
 }
 
 func (c *Checker) unify(a, b *types.Type, what string) error {

@@ -273,3 +273,21 @@ func TestBottomTypesAsAnything(t *testing.T) {
 	wantType(t, `if true then 1 else _|_`, "nat", nil)
 	wantType(t, `_|_ union {1}`, "{nat}", nil)
 }
+
+// TestPolymorphicGlobalsInstantiate: a global whose stored type names the
+// same variables a fresh checker hands out first ('t1, 't2: what Infer
+// gives `val E = {}`) instantiates to fresh variables, numbered in order of
+// first occurrence, instead of chasing 't1 to itself until the stack
+// overflows.
+func TestPolymorphicGlobalsInstantiate(t *testing.T) {
+	globals := map[string]*types.Type{
+		"E": types.MustParse("{'t1}"),
+		"P": types.MustParse("'t1 * 't2"),
+	}
+	wantType(t, `E`, "{'t1}", globals)
+	wantType(t, `P`, "'t1 * 't2", globals)
+	wantType(t, `{1} union E`, "{nat}", globals)
+	wantType(t, `(E, E)`, "{'t1} * {'t2}", globals)
+	wantType(t, `(P, E)`, "('t1 * 't2) * {'t3}", globals)
+	wantType(t, `pi_1_2!P + 1`, "nat", globals)
+}
