@@ -108,7 +108,9 @@ func IsKeyword(name string) bool { return keywords[name] }
 // Scan tokenizes src, returning the token stream terminated by an EOF token.
 func Scan(src string) ([]Token, error) {
 	s := &scanner{src: src, line: 1, col: 1}
-	var toks []Token
+	// Surface AQL averages about one token per two bytes of text; one
+	// allocation usually holds the whole stream.
+	toks := make([]Token, 0, len(src)/2+2)
 	for {
 		tok, err := s.next()
 		if err != nil {
@@ -282,16 +284,19 @@ func (s *scanner) next() (Token, error) {
 		return Token{Kind: GE, Pos: pos}, nil
 	}
 	s.advance()
-	single := map[byte]Kind{
-		'(': LPAREN, ')': RPAREN, '{': LBRACE, '}': RBRACE, '[': LBRACK,
-		']': RBRACK, ',': COMMA, ';': SEMI, '|': BAR, ':': COLON,
-		'\\': BACKSLASH, '!': BANG, '=': EQ, '<': LT, '>': GT, '+': PLUS,
-		'-': MINUS, '*': STAR, '/': SLASH, '%': PERCENT,
-	}
-	if k, ok := single[b]; ok {
+	if k := single[b]; k != EOF {
 		return Token{Kind: k, Pos: pos}, nil
 	}
 	return Token{}, s.errf("unexpected character %q", b)
+}
+
+// single maps each one-byte punctuation token to its kind; every other byte
+// maps to EOF, which no byte scans as.
+var single = [256]Kind{
+	'(': LPAREN, ')': RPAREN, '{': LBRACE, '}': RBRACE, '[': LBRACK,
+	']': RBRACK, ',': COMMA, ';': SEMI, '|': BAR, ':': COLON,
+	'\\': BACKSLASH, '!': BANG, '=': EQ, '<': LT, '>': GT, '+': PLUS,
+	'-': MINUS, '*': STAR, '/': SLASH, '%': PERCENT,
 }
 
 func isIdentByte(b byte) bool {

@@ -175,3 +175,23 @@ func TestErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestScanAllocs pins the scanner's allocations: a text without string
+// literals costs one, the token slice. A per-token map or a slice grown by
+// appending would exceed it.
+func TestScanAllocs(t *testing.T) {
+	for _, src := range []string{
+		`{d | \d <- gen!30,
+  \WS' == evenpos!(proj_col!(WS, 0)),
+  \TRW == zip_3!(T, RH, WS'),
+  \A == subseq!(TRW, d*24, d*24+23),
+  heatindex!(A) > threshold}`,
+		`transpose![[ i * 37 + j + 5 | \i < 4, \j < 6 ]]`,
+		`(* a comment *) {| x | \x <- B, x > 1.5e3 |} uplus {||}`,
+		`summap(fn \i => if i < 2 then i else R)!(gen!4)`,
+	} {
+		if got := testing.AllocsPerRun(50, func() { _, _ = Scan(src) }); got > 1 {
+			t.Errorf("Scan(%q) allocates %.0f times, want at most 1", src, got)
+		}
+	}
+}
