@@ -15,7 +15,10 @@
 //
 // Every node implements Children/WithChildren for generic traversal and
 // Binders, which reports the variables each child is evaluated under; the
-// rewriter uses these to implement capture-avoiding rules generically.
+// rewriter uses these to implement capture-avoiding rules generically. The
+// walkers of this module read children and binders through Open, which
+// fills a caller-owned buffer instead of allocating; Children and Binders
+// stay for the rules users write against aql.Expr.
 package ast
 
 import "fmt"

@@ -2,6 +2,7 @@ package ast
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -227,10 +228,9 @@ func TestBindersSharedReadOnly(t *testing.T) {
 	}
 }
 
-func TestWithChildrenRoundTrip(t *testing.T) {
-	// For every node type: WithChildren(Children()) must be alpha-equal to
-	// the original, and Binders must align with Children.
-	exprs := []Expr{
+// oneOfEachNode returns one node of every kind, in Kind order.
+func oneOfEachNode() []Expr {
+	return []Expr{
 		&Var{Name: "x"},
 		&Param{Name: "q"},
 		&Lam{Param: "x", Body: &Var{Name: "x"}},
@@ -264,6 +264,12 @@ func TestWithChildrenRoundTrip(t *testing.T) {
 		&RankUnion{Head: &Singleton{Elem: &Var{Name: "i"}}, Var: "x", RankVar: "i", Over: &Var{Name: "S"}},
 		&RankBagUnion{Head: &SingletonBag{Elem: &Var{Name: "i"}}, Var: "x", RankVar: "i", Over: &Var{Name: "B"}},
 	}
+}
+
+func TestWithChildrenRoundTrip(t *testing.T) {
+	// For every node type: WithChildren(Children()) must be alpha-equal to
+	// the original, and Binders must align with Children.
+	exprs := oneOfEachNode()
 	if len(exprs) != len(AllNodeNames()) {
 		t.Fatalf("test covers %d node types, ast declares %d", len(exprs), len(AllNodeNames()))
 	}
@@ -322,4 +328,70 @@ func TestStringRendering(t *testing.T) {
 	if got := e.String(); got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
+}
+
+// TestTraversalMatchesChildren checks Open against Children and Binders
+// on every node kind and on the variable-width shapes — tuples of 0, 1, 5
+// and 17 elements, tabulations of 1 to 6 bounds, array literals inside and
+// beyond the inline buffer — and that Open allocates nothing for a node
+// that fits it.
+func TestTraversalMatchesChildren(t *testing.T) {
+	nats := func(n int) []Expr {
+		out := make([]Expr, n)
+		for i := range out {
+			out[i] = &NatLit{Val: int64(i)}
+		}
+		return out
+	}
+	exprs := oneOfEachNode()
+	for _, n := range []int{0, 1, 5, 17} {
+		exprs = append(exprs, &Tuple{Elems: nats(n)})
+	}
+	for k := 1; k <= 6; k++ {
+		idx := make([]string, k)
+		for j := range idx {
+			idx[j] = fmt.Sprintf("i%d", j)
+		}
+		exprs = append(exprs, &ArrayTab{Head: &Var{Name: "i0"}, Idx: idx, Bounds: nats(k)})
+	}
+	exprs = append(exprs,
+		&MkArray{Dims: nats(2), Elems: nats(4)},
+		&MkArray{Dims: nats(1), Elems: nats(12)})
+	for _, e := range exprs {
+		var buf Buf
+		kids, binders := Open(e, &buf)
+		wantKids, wantBinders := e.Children(), e.Binders()
+		if len(kids) != len(wantKids) || len(binders) != len(wantBinders) || len(kids) != len(binders) {
+			t.Errorf("%s: Open gives %d children, %d binders; Children %d, Binders %d",
+				e, len(kids), len(binders), len(wantKids), len(wantBinders))
+			continue
+		}
+		for i := range kids {
+			if kids[i] != wantKids[i] {
+				t.Errorf("%s: child %d is %s, Children has %s", e, i, kids[i], wantKids[i])
+			}
+			if !slices.Equal(binders[i], wantBinders[i]) {
+				t.Errorf("%s: child %d bound by %v, Binders says %v", e, i, binders[i], wantBinders[i])
+			}
+		}
+		if !fitsBuf(e) {
+			continue
+		}
+		if got := testing.AllocsPerRun(10, func() { Open(e, &buf) }); got != 0 {
+			t.Errorf("%s: Open allocates %.0f times", e, got)
+		}
+	}
+}
+
+// fitsBuf reports whether Open serves e without allocating.
+func fitsBuf(e Expr) bool {
+	switch n := e.(type) {
+	case *Tuple:
+		return len(n.Elems) <= len(noBinders)
+	case *ArrayTab:
+		return len(n.Bounds) < bufLen
+	case *MkArray:
+		return len(n.Dims)+len(n.Elems) <= bufLen
+	}
+	return true
 }

@@ -8,7 +8,9 @@ func CountNodes(e Expr) int {
 		return 0
 	}
 	n := 1
-	for _, kid := range e.Children() {
+	var buf Buf
+	kids, _ := Open(e, &buf)
+	for _, kid := range kids {
 		n += CountNodes(kid)
 	}
 	return n

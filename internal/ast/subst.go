@@ -19,8 +19,8 @@ func collectFree(e Expr, bound map[string]int, out map[string]bool) {
 		}
 		return
 	}
-	kids := e.Children()
-	binders := e.Binders()
+	var buf Buf
+	kids, binders := Open(e, &buf)
 	for i, kid := range kids {
 		for _, b := range binders[i] {
 			bound[b]++
@@ -39,11 +39,8 @@ func IsFree(name string, e Expr) bool {
 	if v, ok := e.(*Var); ok {
 		return v.Name == name
 	}
-	kids := e.Children()
-	if len(kids) == 0 {
-		return false
-	}
-	binders := e.Binders()
+	var buf Buf
+	kids, binders := Open(e, &buf)
 	for i, kid := range kids {
 		if !binds(binders[i], name) && IsFree(name, kid) {
 			return true
@@ -93,11 +90,11 @@ func Subst(e Expr, name string, repl Expr) Expr {
 		}
 		return e
 	}
-	kids := e.Children()
+	var buf Buf
+	kids, binders := Open(e, &buf)
 	if len(kids) == 0 {
 		return e
 	}
-	binders := e.Binders()
 
 	// First rename any binder of this node that would capture a free
 	// variable of repl, in children where name is free (where substitution
@@ -117,8 +114,7 @@ func Subst(e Expr, name string, repl Expr) Expr {
 			}
 		}
 		e = renameBinders(e, i, renames)
-		kids = e.Children()
-		binders = e.Binders()
+		kids, binders = Open(e, &buf)
 	}
 
 	var newKids []Expr // allocated at the first child that changes
@@ -144,7 +140,8 @@ func Subst(e Expr, name string, repl Expr) Expr {
 // renameBinders renames the given binders of child i of e (and the
 // occurrences of each old name inside that child).
 func renameBinders(e Expr, child int, renames [][2]string) Expr {
-	kids := e.Children()
+	var buf Buf
+	kids, _ := Open(e, &buf)
 	kid := kids[child]
 	for _, rn := range renames {
 		kid = Subst(kid, rn[0], &Var{Name: rn[1]})
@@ -230,14 +227,12 @@ func alphaEq(a, b Expr, scope []boundPair) bool {
 	if !sameShape(a, b) {
 		return false
 	}
-	kidsA, kidsB := a.Children(), b.Children()
+	var bufA, bufB Buf
+	kidsA, bindA := Open(a, &bufA)
+	kidsB, bindB := Open(b, &bufB)
 	if len(kidsA) != len(kidsB) {
 		return false
 	}
-	if len(kidsA) == 0 {
-		return true
-	}
-	bindA, bindB := a.Binders(), b.Binders()
 	for i := range kidsA {
 		if len(bindA[i]) != len(bindB[i]) {
 			return false

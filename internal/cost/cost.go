@@ -79,7 +79,9 @@ func (es *estimator) tilesEstimate(root ast.Expr) (trace.Card, bool) {
 				}
 			}
 		}
-		for _, kid := range e.Children() {
+		var buf ast.Buf
+		kids, _ := ast.Open(e, &buf)
+		for _, kid := range kids {
 			visit(kid)
 		}
 	}
@@ -114,7 +116,9 @@ func (es *estimator) countRefs(root ast.Expr) {
 			return
 		}
 		visited[e] = true
-		for _, kid := range e.Children() {
+		var buf ast.Buf
+		kids, _ := ast.Open(e, &buf)
+		for _, kid := range kids {
 			if kid != nil {
 				es.refs[kid]++
 			}
@@ -144,7 +148,7 @@ func add(a, b trace.Card) trace.Card { return trace.AddCard(a, b) }
 
 // walk creates the estimate node for e (unless e is a shared subtree
 // already attributed), computes its per-invocation charge and output
-// cardinality, and recurses into children in Children() order with each
+// cardinality, and recurses into children in ast.Open order with each
 // child's own invocation estimate.
 //
 // inv is the estimated number of times e is evaluated during the query.
@@ -296,7 +300,9 @@ func (es *estimator) walk(e ast.Expr, par parent, inv trace.Card, env *scope) {
 		// Bottom): no cell charge; every child evaluates once per
 		// evaluation of the parent.
 		node.Cells = known(0)
-		for _, kid := range e.Children() {
+		var buf ast.Buf
+		kids, _ := ast.Open(e, &buf)
+		for _, kid := range kids {
 			es.walk(kid, self, inv, env)
 		}
 	}

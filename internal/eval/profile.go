@@ -155,7 +155,9 @@ func (p *SpanPlan) walk(e ast.Expr, parent int, root bool) bool {
 		parent = id
 	}
 	cheap := cheapKind(e)
-	for _, kid := range e.Children() {
+	var buf ast.Buf
+	kids, _ := ast.Open(e, &buf)
+	for _, kid := range kids {
 		if !p.walk(kid, parent, false) {
 			cheap = false
 		}
@@ -185,7 +187,9 @@ func cheapTree(e ast.Expr) bool {
 	if !cheapKind(e) {
 		return false
 	}
-	for _, kid := range e.Children() {
+	var buf ast.Buf
+	kids, _ := ast.Open(e, &buf)
+	for _, kid := range kids {
 		if !cheapTree(kid) {
 			return false
 		}

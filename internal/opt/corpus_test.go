@@ -1,6 +1,10 @@
 package opt
 
-import "github.com/aqldb/aql/internal/ast"
+import (
+	"math/rand"
+
+	"github.com/aqldb/aql/internal/ast"
+)
 
 // CorpusCase is one optimizer input of the behaviour golden
 // (golden_test.go). Fuel, when nonzero, overrides MaxApplications.
@@ -94,4 +98,15 @@ func UnitCorpus() []CorpusCase {
 		{Name: "HoistSkipsCodeNotRunEveryIteration/nested-body", Expr: nestedBodyTab()},
 		{Name: "HoistZeroTripLoopDeviation", Expr: zeroTripTab()},
 	}
+}
+
+// RandomExprs returns n terms of the semantics property test's generator
+// (randomExpr, depth 4), drawn from seed.
+func RandomExprs(seed int64, n int) []ast.Expr {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]ast.Expr, n)
+	for i := range out {
+		out[i] = randomExpr(rng, 4, nil)
+	}
+	return out
 }

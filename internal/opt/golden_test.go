@@ -220,6 +220,32 @@ func TestOptimizeConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
+// TestOnePassIsFixpoint checks that one pass per phase leaves no redex:
+// after the phases up to and including one have run, a confirming run of
+// that phase alone fires nothing, on every golden corpus term and on 400
+// terms of the semantics property test's generator. The golden rows run on
+// a reduced fuel are skipped: a run cut short by its fuel is not normal.
+func TestOnePassIsFixpoint(t *testing.T) {
+	var terms []ast.Expr
+	for _, q := range goldenCorpus(t) {
+		if q.fuel == 0 {
+			terms = append(terms, q.expr)
+		}
+	}
+	terms = append(terms, opt.RandomExprs(20260704, 400)...)
+	std := opt.New()
+	for _, term := range terms {
+		for i, ph := range std.Phases {
+			prefix := &opt.Optimizer{Phases: std.Phases[:i+1]}
+			e := prefix.Optimize(term)
+			confirm := &opt.Optimizer{Phases: std.Phases[i : i+1]}
+			confirm.OptimizeTraced(e, func(_, rule string, _, _ int) {
+				t.Errorf("phase %s: %s fires again on %s", ph.Name, rule, e)
+			})
+		}
+	}
+}
+
 // TestRuleHeadsCoverEveryFiring checks each standard rule's Heads against
 // its Apply: at every node of every corpus term, before and after
 // optimization, a rule must not fire on a kind its Heads leave out, or the
@@ -261,9 +287,11 @@ func TestRuleHeadsCoverEveryFiring(t *testing.T) {
 
 // TestOptimizeAllocs bounds the allocations of optimizing two plan_cold
 // queries, the section 1 query and a transpose, at 10 % above what the
-// rewrite costs today; a map or child slice reintroduced per visited node
-// exceeds it. Before the rewrite stopped allocating to answer yes/no
-// questions they took 6,251 and 479 allocations; now 1,966 and 242.
+// rewrite costs today; a map or child slice reintroduced per visited node,
+// or a confirming pass run after every phase, exceeds it. They took 6,251
+// and 479 allocations before the rewrite stopped allocating to answer
+// yes/no questions, 1,966 and 242 before traversal used caller-owned
+// buffers and each phase ran one pass; now 445 and 86.
 func TestOptimizeAllocs(t *testing.T) {
 	plan := bench.MustSession()
 	if _, err := plan.Exec(bench.PlanPrelude + bench.PlanData); err != nil {
@@ -274,8 +302,8 @@ func TestOptimizeAllocs(t *testing.T) {
 		name, text string
 		max        float64
 	}{
-		{"motivating", bench.PlanMotivating(22.1), 2163},
-		{"transpose", `transpose![[ i * 37 + j + 5 | \i < 4, \j < 6 ]]`, 266},
+		{"motivating", bench.PlanMotivating(22.1), 490},
+		{"transpose", `transpose![[ i * 37 + j + 5 | \i < 4, \j < 6 ]]`, 95},
 	} {
 		core, _, err := plan.Compile(c.text)
 		if err != nil {

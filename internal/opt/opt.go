@@ -227,15 +227,26 @@ type rewrite struct {
 	byHead *[ast.NumKinds][]Rule
 	fuel   *int
 	hook   func(string, string, int, int)
+	// capped is set when a node of the current pass used up its
+	// maxLocalRounds while its rules were still firing.
+	capped bool
 }
 
-// run applies the phase's rules bottom-up in repeated passes until a full
-// pass fires nothing.
+// maxLocalRounds bounds the rule firings at one node of one pass.
+const maxLocalRounds = 20
+
+// run applies the phase's rules bottom-up. One pass leaves no redex unless
+// a node ran out of local rounds: pass normalizes every child before it
+// tries the node, re-passes each rewritten subtree before trying the node
+// again, and a rule's Apply sees only the subtree it is given, so a node
+// whose rules stopped firing, over normalized children, is normal. Only a
+// capped pass is followed by another, until one is not capped or the fuel
+// runs out.
 func (r *rewrite) run(e ast.Expr) ast.Expr {
 	for pass := 0; pass < 200; pass++ {
-		out, fired := r.pass(e)
-		e = out
-		if !fired || *r.fuel <= 0 {
+		r.capped = false
+		e = r.pass(e)
+		if !r.capped || *r.fuel <= 0 {
 			return e
 		}
 	}
@@ -244,26 +255,28 @@ func (r *rewrite) run(e ast.Expr) ast.Expr {
 
 // pass transforms e bottom-up once, applying the first matching rule at
 // each node repeatedly (bounded) before moving up.
-func (r *rewrite) pass(e ast.Expr) (ast.Expr, bool) {
-	anyFired := false
-	if kids := e.Children(); len(kids) > 0 {
-		var newKids []ast.Expr // allocated at the first child that changes
-		for i, kid := range kids {
-			nk, fired := r.pass(kid)
-			anyFired = anyFired || fired
-			if nk == kid {
-				continue
-			}
-			if newKids == nil {
-				newKids = append([]ast.Expr(nil), kids...)
-			}
-			newKids[i] = nk
+func (r *rewrite) pass(e ast.Expr) ast.Expr {
+	var buf ast.Buf
+	kids, _ := ast.Open(e, &buf)
+	var newKids []ast.Expr // allocated at the first child that changes
+	for i, kid := range kids {
+		nk := r.pass(kid)
+		if nk == kid {
+			continue
 		}
-		if newKids != nil {
-			e = e.WithChildren(newKids)
+		if newKids == nil {
+			newKids = append([]ast.Expr(nil), kids...)
 		}
+		newKids[i] = nk
 	}
-	for local := 0; local < 20 && *r.fuel > 0; local++ {
+	if newKids != nil {
+		e = e.WithChildren(newKids)
+	}
+	for local := 0; *r.fuel > 0; local++ {
+		if local == maxLocalRounds {
+			r.capped = true
+			break
+		}
 		fired := false
 		for _, rule := range r.byHead[ast.KindOf(e)] {
 			out, ok := rule.Apply(e)
@@ -278,17 +291,17 @@ func (r *rewrite) pass(e ast.Expr) (ast.Expr, bool) {
 				// relative to the rewrite itself.
 				r.hook(r.phase, rule.Name, ast.CountNodes(e), ast.CountNodes(out))
 			}
-			anyFired, fired = true, true
+			fired = true
 			// The rewrite may expose redexes below the new root; re-run
 			// the bottom-up pass on it.
-			e, _ = r.pass(out)
+			e = r.pass(out)
 			break
 		}
 		if !fired {
 			break
 		}
 	}
-	return e, anyFired
+	return e
 }
 
 // String describes the optimizer's configuration.

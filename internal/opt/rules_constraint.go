@@ -72,9 +72,9 @@ func genBoundElimRule(e ast.Expr) (ast.Expr, bool) {
 	if count == 0 {
 		return e, false
 	}
-	kids := e.Children()
-	newKids := make([]ast.Expr, len(kids))
-	copy(newKids, kids)
+	var buf ast.Buf
+	kids, _ := ast.Open(e, &buf)
+	newKids := append([]ast.Expr(nil), kids...)
 	newKids[0] = newHead
 	return e.WithChildren(newKids), true
 }

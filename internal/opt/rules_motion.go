@@ -41,8 +41,9 @@ func hoistRule(e ast.Expr) (ast.Expr, bool) {
 		return e, false
 	}
 	// A loop's body is child 0, bound by the loop's own variables.
-	kids := e.Children()
-	target := findInvariant(kids[0], e.Binders()[0])
+	var buf ast.Buf
+	kids, binders := ast.Open(e, &buf)
+	target := findInvariant(kids[0], binders[0])
 	if target == nil {
 		return e, false
 	}
@@ -82,17 +83,16 @@ func findInvariant(e ast.Expr, blocked []string) ast.Expr {
 	if expensive(e) && noneFree(blocked, e) {
 		return e
 	}
-	kids := e.Children()
-	binders := e.Binders()
+	var buf ast.Buf
+	kids, binders := ast.Open(e, &buf)
+	var scratch [8]string
 	for i, kid := range kids {
 		if !everyIteration(e, i) {
 			continue
 		}
 		inner := blocked
 		if len(binders[i]) > 0 {
-			inner = make([]string, 0, len(blocked)+len(binders[i]))
-			inner = append(inner, blocked...)
-			inner = append(inner, binders[i]...)
+			inner = append(append(scratch[:0], blocked...), binders[i]...)
 		}
 		if found := findInvariant(kid, inner); found != nil {
 			return found
@@ -129,11 +129,8 @@ func replaceAll(e, target, repl ast.Expr) (ast.Expr, int) {
 	if ast.AlphaEqual(e, target) {
 		return repl, 1
 	}
-	kids := e.Children()
-	if len(kids) == 0 {
-		return e, 0
-	}
-	binders := e.Binders()
+	var buf ast.Buf
+	kids, binders := ast.Open(e, &buf)
 	total := 0
 	var newKids []ast.Expr // allocated at the first child that changes
 	for i, kid := range kids {

@@ -123,8 +123,8 @@ func occurrences(e ast.Expr, name string, inLoop bool) int {
 		}
 		return 1
 	}
-	kids := e.Children()
-	binders := e.Binders()
+	var buf ast.Buf
+	kids, binders := ast.Open(e, &buf)
 	loopHead := -1
 	switch e.(type) {
 	case *ast.BigUnion, *ast.Sum, *ast.BigBagUnion, *ast.RankUnion,

@@ -115,7 +115,9 @@ func Check(e ast.Expr, f Fragment) error {
 	default:
 		return fmt.Errorf("rank: unhandled node %s", name)
 	}
-	for _, kid := range e.Children() {
+	var buf ast.Buf
+	kids, _ := ast.Open(e, &buf)
+	for _, kid := range kids {
 		if err := Check(kid, f); err != nil {
 			return err
 		}
