@@ -191,7 +191,7 @@ func (s *Session) Optimize(core ast.Expr) ast.Expr { return s.optimize(s.Trace, 
 // Bind enforces strict binding of one execution's arguments against a
 // plan's inferred parameter types: every placeholder bound, every argument
 // naming a placeholder, every value unifying with the placeholder's type.
-// One substitution is shared across all placeholders of the call, so
+// One unifier is shared across all placeholders of the call, so
 // placeholders whose types share a type variable (the two sides of
 // `$a = $b`) must be bound at consistent types.
 //
@@ -220,15 +220,18 @@ func Bind(params map[string]*types.Type, args map[string]object.Value) *BindErro
 		return &BindError{Name: extra[0],
 			Msg: fmt.Sprintf("argument %q does not name a parameter of the query", extra[0])}
 	}
-	sub := types.Subst{}
+	// The plan's types are shared by every execution: unify copies of
+	// them, one variable per name across all placeholders.
+	var copies types.Renamer
+	var u types.Unifier
 	for _, name := range names {
 		at, err := typecheck.TypeOf(args[name])
 		if err != nil {
 			return &BindError{Name: name, Mismatch: true,
 				Msg: fmt.Sprintf("argument $%s: %v", name, err)}
 		}
-		want := sub.Apply(params[name])
-		if err := sub.Unify(want, at); err != nil {
+		want := copies.Apply(params[name], nil)
+		if err := u.Unify(want, at); err != nil {
 			return &BindError{Name: name, Mismatch: true,
 				Msg: fmt.Sprintf("argument $%s: expected %s, got %s", name, want, at)}
 		}

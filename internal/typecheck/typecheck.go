@@ -23,8 +23,8 @@ import (
 // Checker carries inference state. A Checker is single-use: create one per
 // query with New, call Infer once, then read the solved type.
 type Checker struct {
-	subst   types.Subst
-	fresh   int
+	u       types.Unifier // links the checker's own variables only
+	fresh   int           // the number of the last variable made
 	globals map[string]*types.Type
 	numeric []*types.Type          // types constrained to be nat or real
 	ordered []*types.Type          // types constrained to be orderable (no functions)
@@ -37,7 +37,7 @@ func New(globals map[string]*types.Type) *Checker {
 	if globals == nil {
 		globals = map[string]*types.Type{}
 	}
-	return &Checker{subst: types.Subst{}, globals: globals}
+	return &Checker{globals: globals}
 }
 
 // Infer computes the type of a closed-except-globals expression, solving
@@ -52,7 +52,7 @@ func Infer(e ast.Expr, globals map[string]*types.Type) (*types.Type, error) {
 	if err := c.solve(); err != nil {
 		return nil, err
 	}
-	return c.subst.Apply(t), nil
+	return types.Resolve(t), nil
 }
 
 // InferParams is Infer for parameterized queries: alongside the query type it
@@ -71,9 +71,9 @@ func InferParams(e ast.Expr, globals map[string]*types.Type) (*types.Type, map[s
 	}
 	params := make(map[string]*types.Type, len(c.params))
 	for name, pt := range c.params {
-		params[name] = c.subst.Apply(pt)
+		params[name] = types.Resolve(pt)
 	}
-	return c.subst.Apply(t), params, nil
+	return types.Resolve(t), params, nil
 }
 
 // tenv is the local type environment (lambda and comprehension binders).
@@ -98,53 +98,37 @@ func (e *tenv) lookup(name string) (*types.Type, bool) {
 
 func (c *Checker) newVar() *types.Type {
 	c.fresh++
-	return types.Var(fmt.Sprintf("t%d", c.fresh))
+	return types.NumberedVar("t", c.fresh)
 }
 
 // freshen instantiates a global's declared type as a type scheme: each
 // distinct variable becomes a fresh one, numbered in order of first
-// occurrence. The renaming takes one step — a fresh variable is never
-// looked up again — so a stored variable named like the fresh one it maps
-// to (`val E = {}` is stored as {'t1}; a new checker's first variable is
-// 't1) cannot send the lookup round a cycle.
+// occurrence. A ground type is its own instance and is not copied. The
+// instance is a copy, so unification never links a variable of the stored
+// type; and the renaming takes one step — a fresh variable is never looked
+// up again — so a stored variable named like the fresh one it maps to
+// (`val E = {}` is stored as {'t1}; a new checker's first variable is 't1)
+// cannot send the lookup round a cycle.
 func (c *Checker) freshen(t *types.Type) *types.Type {
 	if t.IsGround() {
 		return t
 	}
-	var ren []renaming
-	return c.rename(t, &ren)
-}
-
-// renaming maps a scheme variable's name to its fresh instance.
-type renaming struct {
-	from string
-	to   *types.Type
-}
-
-func (c *Checker) rename(t *types.Type, ren *[]renaming) *types.Type {
-	if t.Kind == types.KindVar {
-		for _, r := range *ren {
-			if r.from == t.Name {
-				return r.to
-			}
-		}
-		v := c.newVar()
-		*ren = append(*ren, renaming{from: t.Name, to: v})
-		return v
-	}
-	if t.IsGround() {
-		return t
-	}
-	elts := make([]*types.Type, len(t.Elts))
-	for i, e := range t.Elts {
-		elts[i] = c.rename(e, ren)
-	}
-	return &types.Type{Kind: t.Kind, Name: t.Name, Elts: elts, Dims: t.Dims}
+	var r types.Renamer
+	return r.Apply(t, c.newVar)
 }
 
 func (c *Checker) unify(a, b *types.Type, what string) error {
-	if err := c.subst.Unify(a, b); err != nil {
+	if err := c.u.Unify(a, b); err != nil {
 		return fmt.Errorf("typecheck: %s: %w", what, err)
+	}
+	return nil
+}
+
+// unifyAt is unify for a context that names an operator, an arity or a
+// position: where formats it, and runs only if the unification fails.
+func (c *Checker) unifyAt(a, b *types.Type, where func() string) error {
+	if err := c.u.Unify(a, b); err != nil {
+		return fmt.Errorf("typecheck: %s: %w", where(), err)
 	}
 	return nil
 }
@@ -154,18 +138,17 @@ func (c *Checker) unify(a, b *types.Type, what string) error {
 // function types.
 func (c *Checker) solve() error {
 	for _, t := range c.numeric {
-		r := c.subst.Apply(t)
+		r := t.Root()
 		switch r.Kind {
 		case types.KindNat, types.KindReal:
 		case types.KindVar:
-			c.subst[r.Name] = types.Nat
+			_ = c.u.Unify(r, types.Nat) // an unbound variable: cannot fail
 		default:
 			return fmt.Errorf("typecheck: arithmetic requires nat or real, got %s", r)
 		}
 	}
 	for _, t := range c.ordered {
-		r := c.subst.Apply(t)
-		if !r.IsObject() {
+		if r := t.Root(); !r.IsObject() {
 			return fmt.Errorf("typecheck: comparison requires an orderable object type, got %s", r)
 		}
 	}
@@ -237,7 +220,7 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 		for i := range elts {
 			elts[i] = c.newVar()
 		}
-		if err := c.unify(t, types.Tuple(elts...), fmt.Sprintf("projection pi_%d,%d", n.I, n.K)); err != nil {
+		if err := c.unifyAt(t, types.Tuple(elts...), func() string { return fmt.Sprintf("projection pi_%d,%d", n.I, n.K) }); err != nil {
 			return nil, err
 		}
 		return elts[n.I-1], nil
@@ -331,7 +314,7 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.unify(l, r, fmt.Sprintf("comparison %s", n.Op)); err != nil {
+		if err := c.unifyAt(l, r, func() string { return "comparison " + string(n.Op) }); err != nil {
 			return nil, err
 		}
 		c.ordered = append(c.ordered, l)
@@ -353,7 +336,7 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.unify(l, r, fmt.Sprintf("arithmetic %s", n.Op)); err != nil {
+		if err := c.unifyAt(l, r, func() string { return "arithmetic " + string(n.Op) }); err != nil {
 			return nil, err
 		}
 		c.numeric = append(c.numeric, l)
@@ -395,7 +378,7 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := c.unify(t, types.Nat, fmt.Sprintf("tabulation bound %d", j+1)); err != nil {
+			if err := c.unifyAt(t, types.Nat, func() string { return fmt.Sprintf("tabulation bound %d", j+1) }); err != nil {
 				return nil, err
 			}
 		}
@@ -432,7 +415,7 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.unify(t, types.Array(c.newVar(), n.K), fmt.Sprintf("dim_%d", n.K)); err != nil {
+		if err := c.unifyAt(t, types.Array(c.newVar(), n.K), func() string { return fmt.Sprintf("dim_%d", n.K) }); err != nil {
 			return nil, err
 		}
 		return types.NatTuple(n.K), nil
@@ -444,7 +427,7 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 		}
 		a := c.newVar()
 		want := types.Set(types.Tuple(types.NatTuple(n.K), a))
-		if err := c.unify(t, want, fmt.Sprintf("index_%d", n.K)); err != nil {
+		if err := c.unifyAt(t, want, func() string { return fmt.Sprintf("index_%d", n.K) }); err != nil {
 			return nil, err
 		}
 		return types.Array(types.Set(a), n.K), nil
@@ -455,7 +438,7 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := c.unify(t, types.Nat, fmt.Sprintf("array literal dimension %d", j+1)); err != nil {
+			if err := c.unifyAt(t, types.Nat, func() string { return fmt.Sprintf("array literal dimension %d", j+1) }); err != nil {
 				return nil, err
 			}
 		}
@@ -465,7 +448,7 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := c.unify(t, a, fmt.Sprintf("array literal element %d", i)); err != nil {
+			if err := c.unifyAt(t, a, func() string { return fmt.Sprintf("array literal element %d", i) }); err != nil {
 				return nil, err
 			}
 		}
@@ -556,15 +539,15 @@ func (c *Checker) rank(over ast.Expr, varName, rankVar string, head ast.Expr, en
 // with k syntactically evident; after desugaring, k is recovered from the
 // solved types.
 func (c *Checker) subscriptArity(arrT, idxT *types.Type) (int, error) {
-	if r := c.subst.Apply(arrT); r.Kind == types.KindArray {
+	if r := arrT.Root(); r.Kind == types.KindArray {
 		return r.Dims, nil
 	}
-	switch r := c.subst.Apply(idxT); r.Kind {
+	switch r := idxT.Root(); r.Kind {
 	case types.KindNat:
 		return 1, nil
 	case types.KindTuple:
 		for _, e := range r.Elts {
-			if c.subst.Apply(e).Kind != types.KindNat && c.subst.Apply(e).Kind != types.KindVar {
+			if k := e.Root().Kind; k != types.KindNat && k != types.KindVar {
 				return 0, fmt.Errorf("typecheck: subscript index components must be nat, got %s", r)
 			}
 		}

@@ -20,10 +20,6 @@ func TypeOf(v object.Value) (*types.Type, error) {
 }
 
 func typeOf(v object.Value, fresh *int) (*types.Type, error) {
-	newVar := func() *types.Type {
-		*fresh++
-		return types.Var(fmt.Sprintf("v%d", *fresh))
-	}
 	switch v.Kind {
 	case object.KBool:
 		return types.Bool, nil
@@ -36,7 +32,8 @@ func typeOf(v object.Value, fresh *int) (*types.Type, error) {
 	case object.KBase:
 		return types.Base(v.BaseType()), nil
 	case object.KBottom:
-		return newVar(), nil
+		*fresh++
+		return types.NumberedVar("v", *fresh), nil
 	case object.KTuple:
 		elts := make([]*types.Type, len(v.Elems))
 		for i, e := range v.Elems {
@@ -81,9 +78,9 @@ func typeOf(v object.Value, fresh *int) (*types.Type, error) {
 func elemType(elems []object.Value, fresh *int) (*types.Type, error) {
 	if len(elems) == 0 {
 		*fresh++
-		return types.Var(fmt.Sprintf("v%d", *fresh)), nil
+		return types.NumberedVar("v", *fresh), nil
 	}
-	s := types.Subst{}
+	var u types.Unifier
 	acc, err := typeOf(elems[0], fresh)
 	if err != nil {
 		return nil, err
@@ -93,9 +90,9 @@ func elemType(elems []object.Value, fresh *int) (*types.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := s.Unify(acc, t); err != nil {
+		if err := u.Unify(acc, t); err != nil {
 			return nil, fmt.Errorf("typecheck: heterogeneous collection: %w", err)
 		}
 	}
-	return s.Apply(acc), nil
+	return types.Resolve(acc), nil
 }

@@ -11,14 +11,15 @@
 // section 6), and [[t]]_k is the type of k-dimensional arrays with values of
 // type t. Object function types are t1 -> t2 with t1, t2 object types.
 //
-// The package also provides type variables and a unification algorithm; the
-// surface language (package typecheck) infers types for lambda parameters and
-// empty literals by unification, then checks that the result is ground.
+// The package also provides type variables and a union-find unifier
+// (unify.go); the surface language (package typecheck) infers types for
+// lambda parameters and empty literals by unification, then checks that the
+// result is ground.
 package types
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -41,12 +42,19 @@ const (
 	KindUnit               // nullary product; the type of ()
 )
 
-// Type is an NRCA type. Types are immutable after construction; share freely.
+// Type is an NRCA type. Types are immutable after construction, share
+// freely, with one exception: a variable is a union-find node, linked by a
+// Unifier to the type it is solved to. A Unifier only ever links the
+// variables of the inference that owns them, and what an inference hands
+// out (Resolve) has no linked variable left, so shared types never change.
 type Type struct {
 	Kind Kind
-	Name string  // KindBase: the base-type name; KindVar: the variable name
+	Name string  // KindBase: the base-type name; KindVar: the variable name, or its prefix when num > 0
 	Elts []*Type // KindTuple: components; KindSet/KindBag: [elem]; KindArray: [elem]; KindFunc: [arg, res]
 	Dims int     // KindArray: dimensionality k >= 1
+
+	num  int   // KindVar: the number printed after Name, if positive
+	link *Type // KindVar: the type a Unifier linked the variable to; nil while unbound
 }
 
 // Singleton instances for the fixed base types.
@@ -91,9 +99,42 @@ func Array(elem *Type, k int) *Type {
 // Func returns the object function type arg -> res.
 func Func(arg, res *Type) *Type { return &Type{Kind: KindFunc, Elts: []*Type{arg, res}} }
 
-// Var returns a fresh-named unification variable. Callers are responsible
-// for name freshness (see typecheck.Inferencer).
+// Var returns a unification variable named name. Callers are responsible
+// for name freshness (see NumberedVar).
 func Var(name string) *Type { return &Type{Kind: KindVar, Name: name} }
+
+// NumberedVar returns a unification variable named prefix followed by n,
+// e.g. 't3 for ("t", 3). The name is formatted only when printed.
+func NumberedVar(prefix string, n int) *Type { return &Type{Kind: KindVar, Name: prefix, num: n} }
+
+// appendName appends a variable's name, without the quote, to buf.
+func (t *Type) appendName(buf []byte) []byte {
+	buf = append(buf, t.Name...)
+	if t.num > 0 {
+		buf = strconv.AppendInt(buf, int64(t.num), 10)
+	}
+	return buf
+}
+
+// sameName reports whether two variables have the same name, however
+// each was made: Var("t3") and NumberedVar("t", 3) are one variable.
+func sameName(a, b *Type) bool {
+	if a.num == b.num {
+		return a.Name == b.Name
+	}
+	var bufA, bufB [32]byte
+	return string(a.appendName(bufA[:0])) == string(b.appendName(bufB[:0]))
+}
+
+// Root follows a variable's links to the type it stands for: what a
+// Unifier bound it to, or the variable itself while it is unbound. Any
+// other type is its own root.
+func (t *Type) Root() *Type {
+	for t.Kind == KindVar && t.link != nil {
+		t = t.link
+	}
+	return t
+}
 
 // NatTuple returns N^k: Nat when k == 1, the k-ary product of Nat otherwise.
 // It is the index type of a k-dimensional array (figure 1 of the paper).
@@ -145,7 +186,14 @@ func Equal(a, b *Type) bool {
 	if a == b {
 		return true
 	}
-	if a == nil || b == nil || a.Kind != b.Kind || a.Name != b.Name ||
+	if a == nil || b == nil {
+		return false
+	}
+	a, b = a.Root(), b.Root()
+	if a.Kind == KindVar && b.Kind == KindVar {
+		return sameName(a, b)
+	}
+	if a.Kind != b.Kind || a.Name != b.Name ||
 		a.Dims != b.Dims || len(a.Elts) != len(b.Elts) {
 		return false
 	}
@@ -159,7 +207,7 @@ func Equal(a, b *Type) bool {
 
 // IsGround reports whether t contains no unification variables.
 func (t *Type) IsGround() bool {
-	if t.Kind == KindVar {
+	if t = t.Root(); t.Kind == KindVar {
 		return false
 	}
 	for _, e := range t.Elts {
@@ -173,7 +221,7 @@ func (t *Type) IsGround() bool {
 // IsObject reports whether t is an object type (contains no function type).
 // Only object types may appear inside collections and tuples in NRCA.
 func (t *Type) IsObject() bool {
-	if t.Kind == KindFunc {
+	if t = t.Root(); t.Kind == KindFunc {
 		return false
 	}
 	for _, e := range t.Elts {
@@ -192,8 +240,8 @@ func (t *Type) Orderable() bool { return t.IsObject() && t.IsGround() }
 // FreeVars appends the names of unification variables occurring in t to the
 // given set.
 func (t *Type) FreeVars(into map[string]bool) {
-	if t.Kind == KindVar {
-		into[t.Name] = true
+	if t = t.Root(); t.Kind == KindVar {
+		into[string(t.appendName(nil))] = true
 	}
 	for _, e := range t.Elts {
 		e.FreeVars(into)
@@ -215,7 +263,7 @@ func (t *Type) String() string {
 // write renders t with precedence-aware parenthesization.
 // prec 0: top (arrow allowed); 1: product component; 2: atom.
 func (t *Type) write(b *strings.Builder, prec int) {
-	switch t.Kind {
+	switch t = t.Root(); t.Kind {
 	case KindBool:
 		b.WriteString("bool")
 	case KindNat:
@@ -229,7 +277,9 @@ func (t *Type) write(b *strings.Builder, prec int) {
 	case KindBase:
 		b.WriteString(t.Name)
 	case KindVar:
-		b.WriteString("'" + t.Name)
+		b.WriteByte('\'')
+		var buf [32]byte
+		b.Write(t.appendName(buf[:0]))
 	case KindSet:
 		b.WriteString("{")
 		t.Elts[0].write(b, 0)
@@ -271,89 +321,4 @@ func (t *Type) write(b *strings.Builder, prec int) {
 	default:
 		fmt.Fprintf(b, "<bad kind %d>", t.Kind)
 	}
-}
-
-// Subst is a substitution from unification-variable names to types.
-type Subst map[string]*Type
-
-// Apply applies the substitution to t, resolving chains of variable bindings.
-func (s Subst) Apply(t *Type) *Type {
-	if t == nil {
-		return nil
-	}
-	switch t.Kind {
-	case KindVar:
-		if r, ok := s[t.Name]; ok {
-			return s.Apply(r)
-		}
-		return t
-	case KindBool, KindNat, KindReal, KindString, KindBase, KindUnit:
-		return t
-	}
-	elts := make([]*Type, len(t.Elts))
-	changed := false
-	for i, e := range t.Elts {
-		elts[i] = s.Apply(e)
-		if elts[i] != e {
-			changed = true
-		}
-	}
-	if !changed {
-		return t
-	}
-	return &Type{Kind: t.Kind, Name: t.Name, Elts: elts, Dims: t.Dims}
-}
-
-// occurs reports whether variable name occurs in t under substitution s.
-func (s Subst) occurs(name string, t *Type) bool {
-	t = s.Apply(t)
-	if t.Kind == KindVar {
-		return t.Name == name
-	}
-	for _, e := range t.Elts {
-		if s.occurs(name, e) {
-			return true
-		}
-	}
-	return false
-}
-
-// Unify extends the substitution so that a and b become equal, or returns an
-// error describing the first structural mismatch. The substitution is
-// modified in place; on error it may contain partial bindings.
-func (s Subst) Unify(a, b *Type) error {
-	a, b = s.Apply(a), s.Apply(b)
-	if a.Kind == KindVar {
-		if b.Kind == KindVar && a.Name == b.Name {
-			return nil
-		}
-		if s.occurs(a.Name, b) {
-			return fmt.Errorf("occurs check: '%s in %s", a.Name, b)
-		}
-		s[a.Name] = b
-		return nil
-	}
-	if b.Kind == KindVar {
-		return s.Unify(b, a)
-	}
-	if a.Kind != b.Kind || a.Name != b.Name || a.Dims != b.Dims || len(a.Elts) != len(b.Elts) {
-		return fmt.Errorf("cannot unify %s with %s", a, b)
-	}
-	for i := range a.Elts {
-		if err := s.Unify(a.Elts[i], b.Elts[i]); err != nil {
-			return fmt.Errorf("%w (while unifying %s with %s)", err, a, b)
-		}
-	}
-	return nil
-}
-
-// SortedVars returns the variable names bound by the substitution in sorted
-// order; useful for deterministic error messages and tests.
-func (s Subst) SortedVars() []string {
-	names := make([]string, 0, len(s))
-	for n := range s {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -141,35 +141,38 @@ func TestIsObjectAndOrderable(t *testing.T) {
 }
 
 func TestUnify(t *testing.T) {
-	s := Subst{}
+	var u Unifier
 	// 'a * nat  ~  bool * 'b
-	if err := s.Unify(Tuple(Var("a"), Nat), Tuple(Bool, Var("b"))); err != nil {
+	a, b := Var("a"), Var("b")
+	if err := u.Unify(Tuple(a, Nat), Tuple(Bool, b)); err != nil {
 		t.Fatalf("Unify: %v", err)
 	}
-	if got := s.Apply(Var("a")); !Equal(got, Bool) {
+	if got := Resolve(a); !Equal(got, Bool) {
 		t.Errorf("'a = %s, want bool", got)
 	}
-	if got := s.Apply(Var("b")); !Equal(got, Nat) {
+	if got := Resolve(b); !Equal(got, Nat) {
 		t.Errorf("'b = %s, want nat", got)
 	}
 }
 
 func TestUnifyTransitive(t *testing.T) {
-	s := Subst{}
-	if err := s.Unify(Var("a"), Var("b")); err != nil {
+	var u Unifier
+	a, b := Var("a"), Var("b")
+	if err := u.Unify(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Unify(Var("b"), Set(Nat)); err != nil {
+	if err := u.Unify(b, Set(Nat)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Apply(Var("a")); !Equal(got, Set(Nat)) {
+	if got := Resolve(a); !Equal(got, Set(Nat)) {
 		t.Errorf("'a = %s, want {nat}", got)
 	}
 }
 
 func TestUnifyOccursCheck(t *testing.T) {
-	s := Subst{}
-	if err := s.Unify(Var("a"), Set(Var("a"))); err == nil {
+	var u Unifier
+	a := Var("a")
+	if err := u.Unify(a, Set(a)); err == nil {
 		t.Error("expected occurs-check failure for 'a ~ {'a}")
 	}
 }
@@ -183,18 +186,61 @@ func TestUnifyMismatch(t *testing.T) {
 		{Base("a"), Base("b")},
 	}
 	for _, c := range cases {
-		s := Subst{}
-		if err := s.Unify(c[0], c[1]); err == nil {
+		var u Unifier
+		if err := u.Unify(c[0], c[1]); err == nil {
 			t.Errorf("Unify(%s, %s) succeeded, want error", c[0], c[1])
 		}
 	}
 }
 
+// TestUnifyFailureUnlinks: a failed Unify leaves every variable unbound
+// that it found unbound, so its error text and the types printed after it
+// read as they were before the call.
+func TestUnifyFailureUnlinks(t *testing.T) {
+	var u Unifier
+	a, b := Var("a"), Var("b")
+	want := Tuple(a, b, Nat)
+	err := u.Unify(want, Tuple(Bool, Set(Nat), Real))
+	if err == nil {
+		t.Fatal("Unify succeeded, want a mismatch")
+	}
+	const text = "cannot unify nat with real (while unifying 'a * 'b * nat with bool * {nat} * real)"
+	if err.Error() != text {
+		t.Errorf("error = %q, want %q", err, text)
+	}
+	if got := want.String(); got != "'a * 'b * nat" {
+		t.Errorf("after the failure the type reads %s", got)
+	}
+}
+
+// TestSubstApplyIdempotentOnGround: resolving a ground type returns it
+// unchanged, the same pointer, as does renaming it.
 func TestSubstApplyIdempotentOnGround(t *testing.T) {
-	s := Subst{"a": Nat}
 	g := Array(Tuple(Real, Set(Bool)), 2)
-	if s.Apply(g) != g {
-		t.Error("Apply should return ground types unchanged (same pointer)")
+	if Resolve(g) != g {
+		t.Error("Resolve should return ground types unchanged (same pointer)")
+	}
+	var r Renamer
+	if r.Apply(g, nil) != g {
+		t.Error("Renamer.Apply should return ground types unchanged (same pointer)")
+	}
+}
+
+// TestNumberedVarNames: a numbered variable prints, compares and renames
+// as the variable of its formatted name.
+func TestNumberedVarNames(t *testing.T) {
+	v := NumberedVar("t", 12)
+	if v.String() != "'t12" {
+		t.Errorf("NumberedVar(t, 12) prints %s", v)
+	}
+	if !Equal(v, Var("t12")) || Equal(v, Var("t1")) {
+		t.Error("a numbered variable compares by its formatted name")
+	}
+	n := 0
+	var r Renamer
+	got := r.Apply(Tuple(v, Set(Var("t12")), Var("a")), func() *Type { n++; return NumberedVar("u", n) })
+	if got.String() != "'u1 * {'u1} * 'u2" {
+		t.Errorf("renamed = %s, want 'u1 * {'u1} * 'u2", got)
 	}
 }
 
@@ -233,8 +279,8 @@ func TestPropParsePrintIdentity(t *testing.T) {
 func TestPropUnifyReflexive(t *testing.T) {
 	f := func(seed uint64) bool {
 		typ := genType(seed, 4)
-		s := Subst{}
-		return s.Unify(typ, typ) == nil && len(s) == 0
+		var u Unifier
+		return u.Unify(typ, typ) == nil && len(u.trail) == 0 && Resolve(typ) == typ
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
