@@ -271,12 +271,12 @@ func (e *Param) Binders() [][]string        { return nil }
 
 // Lam
 func (e *Lam) Children() []Expr           { return []Expr{e.Body} }
-func (e *Lam) WithChildren(k []Expr) Expr { return &Lam{Param: e.Param, Body: k[0]} }
+func (e *Lam) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Lam) Binders() [][]string        { return [][]string{{e.Param}} }
 
 // App
 func (e *App) Children() []Expr           { return []Expr{e.Fn, e.Arg} }
-func (e *App) WithChildren(k []Expr) Expr { return &App{Fn: k[0], Arg: k[1]} }
+func (e *App) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *App) Binders() [][]string        { return unbound(2) }
 
 // Tuple
@@ -286,7 +286,7 @@ func (e *Tuple) Binders() [][]string        { return unbound(len(e.Elems)) }
 
 // Proj
 func (e *Proj) Children() []Expr           { return []Expr{e.Tuple} }
-func (e *Proj) WithChildren(k []Expr) Expr { return &Proj{I: e.I, K: e.K, Tuple: k[0]} }
+func (e *Proj) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Proj) Binders() [][]string        { return unbound(1) }
 
 // EmptySet
@@ -296,24 +296,22 @@ func (e *EmptySet) Binders() [][]string        { return nil }
 
 // Singleton
 func (e *Singleton) Children() []Expr           { return []Expr{e.Elem} }
-func (e *Singleton) WithChildren(k []Expr) Expr { return &Singleton{Elem: k[0]} }
+func (e *Singleton) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Singleton) Binders() [][]string        { return unbound(1) }
 
 // Union
 func (e *Union) Children() []Expr           { return []Expr{e.L, e.R} }
-func (e *Union) WithChildren(k []Expr) Expr { return &Union{L: k[0], R: k[1]} }
+func (e *Union) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Union) Binders() [][]string        { return unbound(2) }
 
 // BigUnion
-func (e *BigUnion) Children() []Expr { return []Expr{e.Head, e.Over} }
-func (e *BigUnion) WithChildren(k []Expr) Expr {
-	return &BigUnion{Head: k[0], Var: e.Var, Over: k[1]}
-}
-func (e *BigUnion) Binders() [][]string { return [][]string{{e.Var}, nil} }
+func (e *BigUnion) Children() []Expr           { return []Expr{e.Head, e.Over} }
+func (e *BigUnion) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
+func (e *BigUnion) Binders() [][]string        { return [][]string{{e.Var}, nil} }
 
 // Get
 func (e *Get) Children() []Expr           { return []Expr{e.Set} }
-func (e *Get) WithChildren(k []Expr) Expr { return &Get{Set: k[0]} }
+func (e *Get) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Get) Binders() [][]string        { return unbound(1) }
 
 // BoolLit
@@ -323,12 +321,12 @@ func (e *BoolLit) Binders() [][]string        { return nil }
 
 // If
 func (e *If) Children() []Expr           { return []Expr{e.Cond, e.Then, e.Else} }
-func (e *If) WithChildren(k []Expr) Expr { return &If{Cond: k[0], Then: k[1], Else: k[2]} }
+func (e *If) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *If) Binders() [][]string        { return unbound(3) }
 
 // Cmp
 func (e *Cmp) Children() []Expr           { return []Expr{e.L, e.R} }
-func (e *Cmp) WithChildren(k []Expr) Expr { return &Cmp{Op: e.Op, L: k[0], R: k[1]} }
+func (e *Cmp) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Cmp) Binders() [][]string        { return unbound(2) }
 
 // NatLit
@@ -348,17 +346,17 @@ func (e *StringLit) Binders() [][]string        { return nil }
 
 // Arith
 func (e *Arith) Children() []Expr           { return []Expr{e.L, e.R} }
-func (e *Arith) WithChildren(k []Expr) Expr { return &Arith{Op: e.Op, L: k[0], R: k[1]} }
+func (e *Arith) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Arith) Binders() [][]string        { return unbound(2) }
 
 // Gen
 func (e *Gen) Children() []Expr           { return []Expr{e.N} }
-func (e *Gen) WithChildren(k []Expr) Expr { return &Gen{N: k[0]} }
+func (e *Gen) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Gen) Binders() [][]string        { return unbound(1) }
 
 // Sum
 func (e *Sum) Children() []Expr           { return []Expr{e.Head, e.Over} }
-func (e *Sum) WithChildren(k []Expr) Expr { return &Sum{Head: k[0], Var: e.Var, Over: k[1]} }
+func (e *Sum) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Sum) Binders() [][]string        { return [][]string{{e.Var}, nil} }
 
 // ArrayTab
@@ -380,17 +378,17 @@ func (e *ArrayTab) Binders() [][]string {
 
 // Subscript
 func (e *Subscript) Children() []Expr           { return []Expr{e.Arr, e.Index} }
-func (e *Subscript) WithChildren(k []Expr) Expr { return &Subscript{Arr: k[0], Index: k[1]} }
+func (e *Subscript) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Subscript) Binders() [][]string        { return unbound(2) }
 
 // Dim
 func (e *Dim) Children() []Expr           { return []Expr{e.Arr} }
-func (e *Dim) WithChildren(k []Expr) Expr { return &Dim{K: e.K, Arr: k[0]} }
+func (e *Dim) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Dim) Binders() [][]string        { return unbound(1) }
 
 // Index
 func (e *Index) Children() []Expr           { return []Expr{e.Set} }
-func (e *Index) WithChildren(k []Expr) Expr { return &Index{K: e.K, Set: k[0]} }
+func (e *Index) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *Index) Binders() [][]string        { return unbound(1) }
 
 // MkArray
@@ -417,34 +415,28 @@ func (e *EmptyBag) Binders() [][]string        { return nil }
 
 // SingletonBag
 func (e *SingletonBag) Children() []Expr           { return []Expr{e.Elem} }
-func (e *SingletonBag) WithChildren(k []Expr) Expr { return &SingletonBag{Elem: k[0]} }
+func (e *SingletonBag) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *SingletonBag) Binders() [][]string        { return unbound(1) }
 
 // BagUnion
 func (e *BagUnion) Children() []Expr           { return []Expr{e.L, e.R} }
-func (e *BagUnion) WithChildren(k []Expr) Expr { return &BagUnion{L: k[0], R: k[1]} }
+func (e *BagUnion) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
 func (e *BagUnion) Binders() [][]string        { return unbound(2) }
 
 // BigBagUnion
-func (e *BigBagUnion) Children() []Expr { return []Expr{e.Head, e.Over} }
-func (e *BigBagUnion) WithChildren(k []Expr) Expr {
-	return &BigBagUnion{Head: k[0], Var: e.Var, Over: k[1]}
-}
-func (e *BigBagUnion) Binders() [][]string { return [][]string{{e.Var}, nil} }
+func (e *BigBagUnion) Children() []Expr           { return []Expr{e.Head, e.Over} }
+func (e *BigBagUnion) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
+func (e *BigBagUnion) Binders() [][]string        { return [][]string{{e.Var}, nil} }
 
 // RankUnion
-func (e *RankUnion) Children() []Expr { return []Expr{e.Head, e.Over} }
-func (e *RankUnion) WithChildren(k []Expr) Expr {
-	return &RankUnion{Head: k[0], Var: e.Var, RankVar: e.RankVar, Over: k[1]}
-}
-func (e *RankUnion) Binders() [][]string { return [][]string{{e.Var, e.RankVar}, nil} }
+func (e *RankUnion) Children() []Expr           { return []Expr{e.Head, e.Over} }
+func (e *RankUnion) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
+func (e *RankUnion) Binders() [][]string        { return [][]string{{e.Var, e.RankVar}, nil} }
 
 // RankBagUnion
-func (e *RankBagUnion) Children() []Expr { return []Expr{e.Head, e.Over} }
-func (e *RankBagUnion) WithChildren(k []Expr) Expr {
-	return &RankBagUnion{Head: k[0], Var: e.Var, RankVar: e.RankVar, Over: k[1]}
-}
-func (e *RankBagUnion) Binders() [][]string { return [][]string{{e.Var, e.RankVar}, nil} }
+func (e *RankBagUnion) Children() []Expr           { return []Expr{e.Head, e.Over} }
+func (e *RankBagUnion) WithChildren(k []Expr) Expr { return Rebuild(e, k) }
+func (e *RankBagUnion) Binders() [][]string        { return [][]string{{e.Var, e.RankVar}, nil} }
 
 // sanity check: all nodes implement Expr.
 var (

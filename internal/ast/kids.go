@@ -119,3 +119,66 @@ func (buf *Buf) loop(head, over Expr, vars []string) ([]Expr, [][]string) {
 	buf.binders[0], buf.binders[1] = vars, nil
 	return buf.kids[:2:2], buf.binders[:2:2]
 }
+
+// Copy returns a copy of kids that the caller may write to, in buf when it
+// fits: the new children of a node about to be rebuilt.
+func (buf *Buf) Copy(kids []Expr) []Expr {
+	if len(kids) > bufLen {
+		return append([]Expr(nil), kids...)
+	}
+	return buf.kids[:copy(buf.kids[:], kids):len(kids)]
+}
+
+// Rebuild returns a copy of e with its children replaced by kids, as
+// e.WithChildren(kids) does, but never keeps kids, so they may live in a
+// Buf: a node that holds its children in a slice of its own (a tuple, a
+// tabulation, an array literal, an Expr from outside this package) gets a
+// copy of them.
+func Rebuild(e Expr, kids []Expr) Expr {
+	switch n := e.(type) {
+	case *Lam:
+		return &Lam{Param: n.Param, Body: kids[0]}
+	case *App:
+		return &App{Fn: kids[0], Arg: kids[1]}
+	case *Proj:
+		return &Proj{I: n.I, K: n.K, Tuple: kids[0]}
+	case *Singleton:
+		return &Singleton{Elem: kids[0]}
+	case *Union:
+		return &Union{L: kids[0], R: kids[1]}
+	case *BigUnion:
+		return &BigUnion{Head: kids[0], Var: n.Var, Over: kids[1]}
+	case *Get:
+		return &Get{Set: kids[0]}
+	case *If:
+		return &If{Cond: kids[0], Then: kids[1], Else: kids[2]}
+	case *Cmp:
+		return &Cmp{Op: n.Op, L: kids[0], R: kids[1]}
+	case *Arith:
+		return &Arith{Op: n.Op, L: kids[0], R: kids[1]}
+	case *Gen:
+		return &Gen{N: kids[0]}
+	case *Sum:
+		return &Sum{Head: kids[0], Var: n.Var, Over: kids[1]}
+	case *Subscript:
+		return &Subscript{Arr: kids[0], Index: kids[1]}
+	case *Dim:
+		return &Dim{K: n.K, Arr: kids[0]}
+	case *Index:
+		return &Index{K: n.K, Set: kids[0]}
+	case *SingletonBag:
+		return &SingletonBag{Elem: kids[0]}
+	case *BagUnion:
+		return &BagUnion{L: kids[0], R: kids[1]}
+	case *BigBagUnion:
+		return &BigBagUnion{Head: kids[0], Var: n.Var, Over: kids[1]}
+	case *RankUnion:
+		return &RankUnion{Head: kids[0], Var: n.Var, RankVar: n.RankVar, Over: kids[1]}
+	case *RankBagUnion:
+		return &RankBagUnion{Head: kids[0], Var: n.Var, RankVar: n.RankVar, Over: kids[1]}
+	}
+	if len(kids) == 0 {
+		return e.WithChildren(nil)
+	}
+	return e.WithChildren(append([]Expr(nil), kids...))
+}

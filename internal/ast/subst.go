@@ -117,7 +117,8 @@ func Subst(e Expr, name string, repl Expr) Expr {
 		kids, binders = Open(e, &buf)
 	}
 
-	var newKids []Expr // allocated at the first child that changes
+	var out Buf
+	var newKids []Expr // copied at the first child that changes
 	for i, kid := range kids {
 		if binds(binders[i], name) {
 			continue
@@ -127,29 +128,28 @@ func Subst(e Expr, name string, repl Expr) Expr {
 			continue
 		}
 		if newKids == nil {
-			newKids = append([]Expr(nil), kids...)
+			newKids = out.Copy(kids)
 		}
 		newKids[i] = nk
 	}
 	if newKids == nil {
 		return e
 	}
-	return e.WithChildren(newKids)
+	return Rebuild(e, newKids)
 }
 
 // renameBinders renames the given binders of child i of e (and the
 // occurrences of each old name inside that child).
 func renameBinders(e Expr, child int, renames [][2]string) Expr {
-	var buf Buf
+	var buf, out Buf
 	kids, _ := Open(e, &buf)
 	kid := kids[child]
 	for _, rn := range renames {
 		kid = Subst(kid, rn[0], &Var{Name: rn[1]})
 	}
-	kids2 := make([]Expr, len(kids))
-	copy(kids2, kids)
+	kids2 := out.Copy(kids)
 	kids2[child] = kid
-	e2 := e.WithChildren(kids2)
+	e2 := Rebuild(e, kids2)
 	// Patch the binder names on the copied node.
 	switch n := e2.(type) {
 	case *Lam:

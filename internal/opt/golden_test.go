@@ -291,7 +291,7 @@ func TestRuleHeadsCoverEveryFiring(t *testing.T) {
 // or a confirming pass run after every phase, exceeds it. They took 6,251
 // and 479 allocations before the rewrite stopped allocating to answer
 // yes/no questions, 1,966 and 242 before traversal used caller-owned
-// buffers and each phase ran one pass; now 445 and 86.
+// buffers and each phase ran one pass; now 280 and 65.
 func TestOptimizeAllocs(t *testing.T) {
 	plan := bench.MustSession()
 	if _, err := plan.Exec(bench.PlanPrelude + bench.PlanData); err != nil {
@@ -302,8 +302,8 @@ func TestOptimizeAllocs(t *testing.T) {
 		name, text string
 		max        float64
 	}{
-		{"motivating", bench.PlanMotivating(22.1), 490},
-		{"transpose", `transpose![[ i * 37 + j + 5 | \i < 4, \j < 6 ]]`, 95},
+		{"motivating", bench.PlanMotivating(22.1), 308},
+		{"transpose", `transpose![[ i * 37 + j + 5 | \i < 4, \j < 6 ]]`, 72},
 	} {
 		core, _, err := plan.Compile(c.text)
 		if err != nil {

@@ -256,21 +256,21 @@ func (r *rewrite) run(e ast.Expr) ast.Expr {
 // pass transforms e bottom-up once, applying the first matching rule at
 // each node repeatedly (bounded) before moving up.
 func (r *rewrite) pass(e ast.Expr) ast.Expr {
-	var buf ast.Buf
+	var buf, out ast.Buf
 	kids, _ := ast.Open(e, &buf)
-	var newKids []ast.Expr // allocated at the first child that changes
+	var newKids []ast.Expr // copied at the first child that changes
 	for i, kid := range kids {
 		nk := r.pass(kid)
 		if nk == kid {
 			continue
 		}
 		if newKids == nil {
-			newKids = append([]ast.Expr(nil), kids...)
+			newKids = out.Copy(kids)
 		}
 		newKids[i] = nk
 	}
 	if newKids != nil {
-		e = e.WithChildren(newKids)
+		e = ast.Rebuild(e, newKids)
 	}
 	for local := 0; *r.fuel > 0; local++ {
 		if local == maxLocalRounds {

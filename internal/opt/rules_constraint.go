@@ -72,11 +72,11 @@ func genBoundElimRule(e ast.Expr) (ast.Expr, bool) {
 	if count == 0 {
 		return e, false
 	}
-	var buf ast.Buf
+	var buf, out ast.Buf
 	kids, _ := ast.Open(e, &buf)
-	newKids := append([]ast.Expr(nil), kids...)
+	newKids := out.Copy(kids)
 	newKids[0] = newHead
-	return e.WithChildren(newKids), true
+	return ast.Rebuild(e, newKids), true
 }
 
 // ifCondElimRule replaces occurrences of the condition inside the branches

@@ -52,10 +52,11 @@ func hoistRule(e ast.Expr) (ast.Expr, bool) {
 	if n == 0 {
 		return e, false
 	}
-	newKids := append([]ast.Expr(nil), kids...)
+	var out ast.Buf
+	newKids := out.Copy(kids)
 	newKids[0] = newHead
 	return &ast.App{
-		Fn:  &ast.Lam{Param: z, Body: e.WithChildren(newKids)},
+		Fn:  &ast.Lam{Param: z, Body: ast.Rebuild(e, newKids)},
 		Arg: target,
 	}, true
 }
@@ -132,7 +133,8 @@ func replaceAll(e, target, repl ast.Expr) (ast.Expr, int) {
 	var buf ast.Buf
 	kids, binders := ast.Open(e, &buf)
 	total := 0
-	var newKids []ast.Expr // allocated at the first child that changes
+	var out ast.Buf
+	var newKids []ast.Expr // copied at the first child that changes
 	for i, kid := range kids {
 		if !noneFree(binders[i], target) || !noneFree(binders[i], repl) {
 			continue
@@ -143,12 +145,12 @@ func replaceAll(e, target, repl ast.Expr) (ast.Expr, int) {
 			continue
 		}
 		if newKids == nil {
-			newKids = append([]ast.Expr(nil), kids...)
+			newKids = out.Copy(kids)
 		}
 		newKids[i] = nk
 	}
 	if newKids == nil {
 		return e, 0
 	}
-	return e.WithChildren(newKids), total
+	return ast.Rebuild(e, newKids), total
 }

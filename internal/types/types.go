@@ -83,21 +83,39 @@ func Tuple(elts ...*Type) *Type {
 }
 
 // Set returns the finite-set type {elem}.
-func Set(elem *Type) *Type { return &Type{Kind: KindSet, Elts: []*Type{elem}} }
+func Set(elem *Type) *Type { return unary(KindSet, elem, 0) }
 
 // Bag returns the finite-bag type {|elem|}.
-func Bag(elem *Type) *Type { return &Type{Kind: KindBag, Elts: []*Type{elem}} }
+func Bag(elem *Type) *Type { return unary(KindBag, elem, 0) }
 
 // Array returns the k-dimensional array type [[elem]]_k. k must be >= 1.
 func Array(elem *Type, k int) *Type {
 	if k < 1 {
 		panic(fmt.Sprintf("types.Array: dimensionality %d < 1", k))
 	}
-	return &Type{Kind: KindArray, Elts: []*Type{elem}, Dims: k}
+	return unary(KindArray, elem, k)
 }
 
 // Func returns the object function type arg -> res.
-func Func(arg, res *Type) *Type { return &Type{Kind: KindFunc, Elts: []*Type{arg, res}} }
+func Func(arg, res *Type) *Type {
+	n := &struct {
+		t    Type
+		elts [2]*Type
+	}{elts: [2]*Type{arg, res}}
+	n.t = Type{Kind: KindFunc, Elts: n.elts[:]}
+	return &n.t
+}
+
+// unary returns a set, bag or array type, allocated in one piece with the
+// array behind its Elts.
+func unary(kind Kind, elem *Type, dims int) *Type {
+	n := &struct {
+		t    Type
+		elts [1]*Type
+	}{elts: [1]*Type{elem}}
+	n.t = Type{Kind: kind, Elts: n.elts[:], Dims: dims}
+	return &n.t
+}
 
 // Var returns a unification variable named name. Callers are responsible
 // for name freshness (see NumberedVar).
