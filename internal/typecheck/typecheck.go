@@ -103,16 +103,13 @@ func (c *Checker) newVar() *types.Type {
 
 // freshen instantiates a global's declared type as a type scheme: each
 // distinct variable becomes a fresh one, numbered in order of first
-// occurrence. A ground type is its own instance and is not copied. The
-// instance is a copy, so unification never links a variable of the stored
-// type; and the renaming takes one step — a fresh variable is never looked
-// up again — so a stored variable named like the fresh one it maps to
-// (`val E = {}` is stored as {'t1}; a new checker's first variable is 't1)
-// cannot send the lookup round a cycle.
+// occurrence, and a ground type comes back as is. The instance is a copy,
+// so unification never links a variable of the stored type; and the
+// renaming takes one step — a fresh variable is never looked up again — so
+// a stored variable named like the fresh one it maps to (`val E = {}` is
+// stored as {'t1}; a new checker's first variable is 't1) cannot send the
+// lookup round a cycle.
 func (c *Checker) freshen(t *types.Type) *types.Type {
-	if t.IsGround() {
-		return t
-	}
 	var r types.Renamer
 	return r.Apply(t, c.newVar)
 }
