@@ -177,8 +177,5 @@ func Rebuild(e Expr, kids []Expr) Expr {
 	case *RankBagUnion:
 		return &RankBagUnion{Head: kids[0], Var: n.Var, RankVar: n.RankVar, Over: kids[1]}
 	}
-	if len(kids) == 0 {
-		return e.WithChildren(nil)
-	}
 	return e.WithChildren(append([]Expr(nil), kids...))
 }
