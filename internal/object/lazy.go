@@ -29,16 +29,17 @@ type RangeBacking interface {
 
 // lazyState is the shared mutable core of a lazy array. It is referenced by
 // pointer from every copy of the Value, so materializing once serves all
-// copies. All fields past the sync primitives are written exactly once,
-// under once, and read only after done is observed true.
+// copies. Only a successful materialization is kept: data is written once,
+// under mu, and read only after done is observed true. A failed one leaves
+// the state as it was, so the next access reads through the backing again,
+// as a failed tile fetch is retried by the next demand.
 type lazyState struct {
 	backing ArrayBacking
 	size    int
 
-	once sync.Once
+	mu   sync.Mutex
 	done atomic.Bool
 	data []Value
-	err  error
 }
 
 // LazyArray returns a k-dimensional array whose cells are fetched on demand
@@ -86,9 +87,25 @@ func (v Value) IsLazy() bool { return v.lazyState() != nil }
 
 // Backing returns the backing store of a lazy array, or nil. Callers use it
 // for interface probes (e.g. the cost estimator asking for a tile count); it
-// must not be used to bypass the cell access paths.
+// must not be used to bypass the cell access paths, which is what
+// LazyBacking is for.
 func (v Value) Backing() any {
 	if ls := v.lazyState(); ls != nil {
+		return ls.backing
+	}
+	return nil
+}
+
+// LazyBacking returns the backing that a cell read of *v goes to: nil for an
+// eager array and for a lazy one that has been materialized, whose cells
+// are read from the materialized slice. A reader that serves a cell from the
+// backing itself (the compiled engine's tile cursor) is observationally a
+// CellAtCtx. The receiver is a pointer so the check copies no Value.
+func (v *Value) LazyBacking() ArrayBacking {
+	if v.c == nil {
+		return nil
+	}
+	if ls := v.c.lazy; ls != nil && !ls.done.Load() {
 		return ls.backing
 	}
 	return nil
@@ -103,9 +120,6 @@ func (v Value) CellAtCtx(ctx context.Context, off int) (Value, error) {
 		return v.Elems[off], nil
 	}
 	if ls.done.Load() {
-		if ls.err != nil {
-			return Value{}, ls.err
-		}
 		return ls.data[off], nil
 	}
 	return ls.backing.Cell(ctx, off)
@@ -115,18 +129,28 @@ func (v Value) CellAtCtx(ctx context.Context, off int) (Value, error) {
 func (v Value) CellAt(off int) (Value, error) { return v.CellAtCtx(nil, off) }
 
 // CellsCtx returns the full row-major cell slice, materializing a lazy array
-// (once; the result is cached and shared by all copies of the value). The
-// returned slice must not be mutated.
+// (once it succeeds; the result is cached and shared by all copies of the
+// value, and concurrent callers wait for one fetch). The returned slice must
+// not be mutated.
 func (v Value) CellsCtx(ctx context.Context) ([]Value, error) {
 	ls := v.lazyState()
 	if ls == nil {
 		return v.Elems, nil
 	}
-	ls.once.Do(func() {
-		ls.data, ls.err = fetchAll(ctx, ls.backing, ls.size)
+	if ls.done.Load() {
+		return ls.data, nil
+	}
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	if !ls.done.Load() {
+		data, err := fetchAll(ctx, ls.backing, ls.size)
+		if err != nil {
+			return nil, err
+		}
+		ls.data = data
 		ls.done.Store(true)
-	})
-	return ls.data, ls.err
+	}
+	return ls.data, nil
 }
 
 // Cells is CellsCtx without cancellation.

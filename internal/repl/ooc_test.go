@@ -413,6 +413,44 @@ func TestLazyFaultMidTile(t *testing.T) {
 	}
 }
 
+// TestFailedMaterializationRetries: a whole-array read (`W = W` compares,
+// so it materializes W) that hits a persistent fault fails, and once the
+// fault is gone the next query over W reads through the tile cache again
+// instead of returning the remembered error.
+func TestFailedMaterializationRetries(t *testing.T) {
+	dir := t.TempDir()
+	path := writeNC1D(t, dir, 256)
+	s := newSession(t)
+	defer s.Close()
+	s.SetTileConfig(16, tile.RealTileBytes(16), true)
+	faulty := injectFaulty(t, s, path)
+	if _, err := s.Exec(fmt.Sprintf(`readval \W using NETCDF at (%q, "series");`, path)); err != nil {
+		t.Fatal(err)
+	}
+	persistent := make([]netcdf.Fault, 16)
+	for i := range persistent {
+		persistent[i] = netcdf.Fault{Err: netcdf.ErrInjected}
+	}
+	faulty.SetSchedule(0, persistent...)
+	if _, _, err := s.Query(`W = W`); err == nil || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("materializing under a persistent fault: err = %v, want the injected I/O fault", err)
+	}
+	faulty.SetSchedule(0)
+	for _, engine := range []string{EngineCompiled, EngineInterp} {
+		s.Engine = engine
+		v, _, err := s.Query(`summap(fn \i => W[i])!(gen!256)`)
+		if err != nil {
+			t.Fatalf("%s: scan after the fault cleared: %v", engine, err)
+		}
+		if want := "16320.0"; v.String() != want {
+			t.Errorf("%s: scan = %s, want %s", engine, v, want)
+		}
+	}
+	if v, _, err := s.Query(`W = W`); err != nil || !v.B {
+		t.Errorf("materialization after the fault cleared = %v, %v; want true", v, err)
+	}
+}
+
 // TestTruncatedFileFailsAtBind cuts a file inside its data region: the
 // lazy readval must fail at bind time (like a whole ReadSlab), not surface
 // a mid-query fetch error later.
