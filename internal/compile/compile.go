@@ -63,6 +63,10 @@ type compiler struct {
 	scope    []string
 	maxSlots int
 	parks    int
+	// sites counts the subscript sites lowered so far, shared by pointer
+	// with every sub-compiler: a site's number indexes the machine's tile
+	// cursors, which the function bodies of an execution share.
+	sites *int
 	// prof is the lowering's span plan (nil at ProfOff); compile wraps
 	// every planned node in a span-recording closure.
 	prof *eval.SpanPlan
@@ -487,6 +491,7 @@ func (cl *closure) Apply(mt *eval.Meter, arg object.Value) (object.Value, error)
 	m := &machine{config: cl.ex.config, ctx: mt.Ctx, deadline: mt.Deadline, depth: mt.Depth, prof: mt.Prof}
 	m.budget(mt.Limits)
 	m.add(mt.Used)
+	defer m.flushCursors()
 	v, err := cl.call(m, arg)
 	mt.Used = m.counters()
 	return v, err
@@ -512,7 +517,7 @@ func (c *compiler) compileLam(n *ast.Lam) compiledExpr {
 		capNames = append(capNames, name)
 		capSlots = append(capSlots, i)
 	}
-	sub := &compiler{globals: c.globals, limits: c.limits, prof: c.prof, params: c.params}
+	sub := &compiler{globals: c.globals, limits: c.limits, prof: c.prof, params: c.params, sites: c.sites}
 	sub.scope = append(sub.scope, capNames...)
 	sub.scope = append(sub.scope, n.Param)
 	sub.maxSlots = len(sub.scope)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/tile"
 	"github.com/aqldb/aql/internal/trace"
 )
 
@@ -56,6 +57,11 @@ type machine struct {
 	// used is the work charged on this machine; span wrappers hand it to
 	// the profiling context by pointer.
 	used trace.EvalCounters
+
+	// cursors are the tile cursors of the subscript sites that read a lazy
+	// array on this machine, by site number; nil until the first such read.
+	// Whoever ends the machine's work calls flushCursors, on every path out.
+	cursors []tile.Cursor
 }
 
 // config is what an execution fixes before it starts and every machine
@@ -208,6 +214,23 @@ func (m *machine) apply(f eval.Applier, arg object.Value) (object.Value, error) 
 	v, err := f.Apply(&mt, arg)
 	m.add(mt.Used.Sub(at))
 	return v, err
+}
+
+// cursor returns the tile cursor of subscript site, growing the machine's
+// cursors to hold it.
+func (m *machine) cursor(site int) *tile.Cursor {
+	if site >= len(m.cursors) {
+		m.cursors = append(m.cursors, make([]tile.Cursor, site+1-len(m.cursors))...)
+	}
+	return &m.cursors[site]
+}
+
+// flushCursors counts the reads the machine's cursors served from their
+// pinned tiles and have not counted yet.
+func (m *machine) flushCursors() {
+	for i := range m.cursors {
+		m.cursors[i].Flush()
+	}
 }
 
 // counters snapshots the machine's work counters.

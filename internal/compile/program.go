@@ -62,6 +62,7 @@ type lowering struct {
 	once            sync.Once
 	code            compiledExpr
 	maxSlots, parks int
+	sites           int
 	// spans is the static span plan the closures record against; nil at
 	// ProfOff, where no closure is wrapped.
 	spans *eval.SpanPlan
@@ -86,7 +87,7 @@ func (p *Program) lowered(level eval.ProfLevel) *lowering {
 	l := &p.levels[level]
 	l.once.Do(func() {
 		l.spans = eval.NewSpanPlan(p.expr, level)
-		c := &compiler{globals: p.globals, limits: p.limits, prof: l.spans, params: p.params}
+		c := &compiler{globals: p.globals, limits: p.limits, prof: l.spans, params: p.params, sites: &l.sites}
 		l.code = c.compile(p.expr)
 		l.maxSlots, l.parks = c.maxSlots, c.parks
 	})
@@ -152,7 +153,10 @@ func (p *Program) Run(ctx context.Context, opts ExecOpts, out *Outcome) (object.
 	fr := p.newFrame(ctx, opts, l.maxSlots, l.parks)
 	m := fr.m
 	m.prof = eval.NewProfCtx(l.spans)
-	defer func() { out.Counters, out.Spans, out.Level = m.counters(), m.prof.Fold(), opts.Level }()
+	defer func() {
+		m.flushCursors()
+		out.Counters, out.Spans, out.Level = m.counters(), m.prof.Fold(), opts.Level
+	}()
 	return l.code(fr)
 }
 

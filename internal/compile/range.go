@@ -43,6 +43,7 @@ type shardCode struct {
 	lets            []letCode
 	tab             *tabCode
 	maxSlots, parks int
+	sites           int
 }
 
 // shardView returns the program's shard view, built on first use: the
@@ -74,8 +75,8 @@ func (p *Program) shardView() *shardCode {
 		if !ok {
 			return
 		}
-		c := &compiler{globals: p.globals, limits: p.limits, params: p.params}
 		sc := &shardCode{}
+		c := &compiler{globals: p.globals, limits: p.limits, params: p.params, sites: &sc.sites}
 		for _, app := range lets {
 			code := c.compile(app.Arg)
 			sc.lets = append(sc.lets, letCode{slot: c.bind(app.Fn.(*ast.Lam).Param), code: code})
@@ -142,6 +143,7 @@ func (p *Program) PlanShards(ctx context.Context, opts ExecOpts) (*ShardPlan, er
 		return nil, fmt.Errorf("compile: program is not range-partitionable")
 	}
 	fr := p.newFrame(ctx, opts, sc.maxSlots, sc.parks)
+	defer fr.m.flushCursors()
 	bot, err := sc.evalLets(fr)
 	if err != nil {
 		return nil, err
@@ -214,6 +216,7 @@ func (p *Program) ExecuteRange(ctx context.Context, opts ExecOpts, shape []int, 
 	}
 	fr := p.newFrame(ctx, opts, sc.maxSlots, sc.parks)
 	m := fr.m
+	defer m.flushCursors()
 	bot, err := sc.evalLets(fr)
 	if err != nil {
 		return nil, err

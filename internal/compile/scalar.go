@@ -6,6 +6,7 @@ import (
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/tile"
 )
 
 // The scalar form. Numbers travel between compiled nodes unboxed: a node of
@@ -26,8 +27,9 @@ import (
 // scalar is one value in the scalar form: a nat (n), a real (r) or a bool
 // (n is 0 or 1) inline; any other value, and ⊥, through v. v points at
 // storage that holds the value until the consumer reads it — an eager array
-// cell, a frame slot, a $name argument, a global, the frame's park slot of
-// the node that produced it, or one of eval's shared ⊥ values — and is nil
+// cell, a boxed cell of a resident tile, a frame slot, a $name argument, a
+// global, the frame's park slot of the node that produced it, or one of
+// eval's shared ⊥ values — and is nil
 // only for the undiagnosed ⊥.
 type scalar struct {
 	k object.Kind
@@ -130,6 +132,12 @@ func (fr *frame) hold(i int, v object.Value) scalar {
 func (c *compiler) park() int {
 	c.parks++
 	return c.parks - 1
+}
+
+// site numbers one lowered subscript site, for its tile cursor.
+func (c *compiler) site() int {
+	*c.sites++
+	return *c.sites - 1
 }
 
 // boxed is the box adapter: a scalar-form node's boxed entry.
@@ -314,7 +322,7 @@ func (c *compiler) lowerSubscript(n *ast.Subscript) scalarExpr {
 	arr := c.compileScalar(n.Arr)
 	if tup, ok := n.Index.(*ast.Tuple); ok && len(tup.Elems) == 2 {
 		index, held := c.lowerPair(tup)
-		park := c.park()
+		park, site := c.park(), c.site()
 		return func(fr *frame) (scalar, error) {
 			if err := fr.m.step(); err != nil {
 				return scalar{}, err
@@ -333,7 +341,7 @@ func (c *compiler) lowerSubscript(n *ast.Subscript) scalarExpr {
 			if a.k == object.KArray && len(a.v.Shape) == 2 && ix.ik == object.KNat && ix.jk == object.KNat {
 				i, j, shape := ix.i, ix.j, a.v.Shape
 				if i < int64(shape[0]) && j < int64(shape[1]) {
-					return fr.cell(park, a.v, int(i*int64(shape[1])+j))
+					return fr.cell(site, park, a.v, int(i*int64(shape[1])+j))
 				}
 				return fr.hold(park, object.Bottom(fmt.Sprintf("index %v out of bounds for shape %v", []int{int(i), int(j)}, shape))), nil
 			}
@@ -341,7 +349,7 @@ func (c *compiler) lowerSubscript(n *ast.Subscript) scalarExpr {
 		}
 	}
 	index := c.compileScalar(n.Index)
-	park := c.park()
+	park, site := c.park(), c.site()
 	return func(fr *frame) (scalar, error) {
 		if err := fr.m.step(); err != nil {
 			return scalar{}, err
@@ -358,7 +366,7 @@ func (c *compiler) lowerSubscript(n *ast.Subscript) scalarExpr {
 			if i.n >= int64(a.v.Shape[0]) {
 				return fr.hold(park, object.Bottom(fmt.Sprintf("index [%d] out of bounds for shape %v", i.n, a.v.Shape))), nil
 			}
-			return fr.cell(park, a.v, int(i.n))
+			return fr.cell(site, park, a.v, int(i.n))
 		}
 		return fr.sub(park, a, i.box())
 	}
@@ -421,10 +429,26 @@ func (fr *frame) component(k object.Kind, n int64, slot int) object.Value {
 }
 
 // cell reads cell off of array a, which is in bounds: in place when a is
-// eager (a lazy array has no Elems), through the backing otherwise.
-func (fr *frame) cell(park int, a *object.Value, off int) (scalar, error) {
+// eager (a lazy array has no Elems); through the site's tile cursor when a
+// reads from the tile cache, a real or nat cell straight off the packed
+// tile; through the backing otherwise.
+func (fr *frame) cell(site, park int, a *object.Value, off int) (scalar, error) {
 	if off < len(a.Elems) {
 		return scalarAt(&a.Elems[off]), nil
+	}
+	if ta, ok := a.LazyBacking().(*tile.Array); ok {
+		cells, i, err := fr.m.cursor(site).Read(fr.m.ctx, ta, off)
+		switch {
+		case err != nil:
+			return scalar{}, err
+		case cells.Bottoms != nil:
+			return fr.hold(park, cells.At(i)), nil
+		case cells.Reals != nil:
+			return scalar{k: object.KReal, r: cells.Reals[i]}, nil
+		case cells.Nats != nil:
+			return scalar{k: object.KNat, n: cells.Nats[i]}, nil
+		}
+		return scalarAt(&cells.Boxed[i]), nil
 	}
 	v, err := a.CellAtCtx(fr.m.ctx, off)
 	if err != nil {

@@ -299,6 +299,7 @@ func (t *tabCode) fanOut(fr *frame, shape []int, lo, hi int, out []object.Value)
 			copy(wfr.slots, fr.slots)
 			t0 := time.Now()
 			defer func() {
+				wm.flushCursors()
 				if r := recover(); r != nil {
 					// The index slots still hold the valuation the head
 					// panicked under: only scan writes them.

@@ -259,13 +259,15 @@ func TestLazyEagerDifferential(t *testing.T) {
 // TestParallelTabulationSharesTileCache pins the compiled engine to 8
 // tabulation workers all faulting tiles of one shared cache; run with
 // -race this is the concurrency acceptance test, and the result must stay
-// byte-identical to the materialized oracle.
+// byte-identical to the materialized oracle. The tabulation has 8 chunks of
+// the engine's minimum 2048 cells, so it fans out to all 8.
 func TestParallelTabulationSharesTileCache(t *testing.T) {
+	const n = 8 * 2048
 	dir := t.TempDir()
-	path := writeNC1D(t, dir, 4096)
+	path := writeNC1D(t, dir, n)
 	w := ncRead{name: "W", path: path, varName: "series"}
 	read := w.stmt()
-	q := `[[ W[i] + W[4095 - i] | \i < 4096 ]];`
+	q := fmt.Sprintf(`[[ W[i] + W[%d - i] | \i < %d ]];`, n-1, n)
 
 	eager := runCorpus(t, func(s *Session) { s.Workers = 8 }, true, []ncRead{w}, []string{q})
 
@@ -287,6 +289,11 @@ func TestParallelTabulationSharesTileCache(t *testing.T) {
 	st := s.TileCache().Stats()
 	if st.TileMisses == 0 || st.TileHits == 0 {
 		t.Errorf("tile counters hits=%d misses=%d, want both non-zero", st.TileHits, st.TileMisses)
+	}
+	// Each worker reads through cursors of its own and counts what they
+	// served when it ends: every one of the 2n reads is a hit or a miss.
+	if io := s.Trace.Last().IO; io.TileHits+io.TileMisses != 2*n || io.BytesReturned != 2*n*8 {
+		t.Errorf("report counts %d hits + %d misses, %d bytes returned; want %d reads", io.TileHits, io.TileMisses, io.BytesReturned, 2*n)
 	}
 }
 
@@ -741,6 +748,27 @@ func TestNonFiniteAtTileEdges(t *testing.T) {
 		}
 		sameCells(fmt.Sprintf("CellRange(%d, %d)", r[0], r[1]), got, r[0])
 	}
+	// One tile cursor reading every cell in order, then the marked cells
+	// again from the last back to the first: ⊥ cells come out of the pinned
+	// tile's side table with their diagnostics.
+	var cur tile.Cursor
+	arr := lazy.Backing().(*tile.Array)
+	cursorCell := func(off int) object.Value {
+		cells, i, err := cur.Read(context.Background(), arr, off)
+		if err != nil {
+			t.Fatalf("cursor read of cell %d: %v", off, err)
+		}
+		return cells.At(i)
+	}
+	pinned := make([]object.Value, n)
+	for off := range pinned {
+		pinned[off] = cursorCell(off)
+	}
+	sameCells("cursor", pinned, 0)
+	for i := len(bad) - 1; i >= 0; i-- {
+		sameCells("cursor, marked cell", []object.Value{cursorCell(bad[i].off)}, bad[i].off)
+	}
+	cur.Flush()
 	cells, err := lazy.Cells()
 	if err != nil || len(cells) != n {
 		t.Fatalf("materialize: %d cells, %v", len(cells), err)

@@ -284,24 +284,84 @@ func (a *Array) TileCount() int {
 }
 
 // Cell implements object.ArrayBacking: it serves the cell at flat offset
-// off from the tile cache, faulting the tile in if needed. The cell is
-// boxed here, on its way out.
-func (a *Array) Cell(ctx context.Context, off int) (v object.Value, err error) {
+// off from the tile cache, faulting the tile in if needed. It is a Cursor's
+// single read, and the cell is boxed here, on its way out.
+func (a *Array) Cell(ctx context.Context, off int) (object.Value, error) {
+	var cur Cursor
+	cells, i, err := cur.Read(ctx, a, off)
+	if err != nil {
+		return object.Value{}, err
+	}
+	return cells.At(i), nil
+}
+
+// Cursor reads cells of lazy arrays through the tile cache, pinning the
+// resident tile that holds its last read. A read that falls in the pinned
+// tile is served straight from its packed cells: no cache lock, index
+// lookup, LRU touch, context lookup or boxing. Any other read is a demand,
+// exactly what one Cell costs and counts, and pins the tile it returns.
+//
+// A pinned read counts as the cache hit it would have been: one TileHit and
+// one cell of BytesReturned, tallied on the cursor and added to the cache's
+// and the demand's collector by Flush, which the cursor calls itself when it
+// leaves the tile and its owner calls when it is done with it. Prefetch is
+// decided at tile entry, as reads inside a tile never triggered it.
+//
+// The cursor records the cache's eviction count before each demand, and a
+// pinned read first checks it is unchanged; after any eviction the next
+// read is a demand. An evicted tile is therefore never read past the next
+// read of its cursor, and the miss counts and residency budget hold as they
+// do for Cell. The zero Cursor pins nothing. A Cursor belongs to one
+// goroutine.
+type Cursor struct {
+	a         *Array
+	lo, hi    int // flat offsets of the pinned tile
+	cells     *object.Flat
+	evictions int64
+	col       *Collector
+	pinned    int64 // pinned reads not yet counted
+}
+
+// Read returns the resident tile holding cell off of a and off's offset in
+// it. The tile's cells are immutable and stay valid after it is evicted.
+func (cur *Cursor) Read(ctx context.Context, a *Array, off int) (*object.Flat, int, error) {
+	if a == cur.a && uint(off-cur.lo) < uint(cur.hi-cur.lo) && a.c.stats.evictions.Load() == cur.evictions {
+		cur.pinned++
+		return cur.cells, off - cur.lo, nil
+	}
+	return cur.demand(ctx, a, off)
+}
+
+// demand serves a read that missed the pin through the cache, counting it
+// as Cell always has, and pins its tile.
+func (cur *Cursor) demand(ctx context.Context, a *Array, off int) (*object.Flat, int, error) {
+	cur.Flush()
+	cur.a = nil
 	if off < 0 || off >= a.size {
-		return v, fmt.Errorf("tile: cell %d out of range [0, %d)", off, a.size)
+		return nil, 0, fmt.Errorf("tile: cell %d out of range [0, %d)", off, a.size)
 	}
 	tc := a.c.cfg.tileCells()
 	t := off / tc
 	col := collectorFrom(ctx)
+	evictions := a.c.stats.evictions.Load()
 	var d trace.IOCounters
 	cells, err := a.c.tile(ctx, a, t, &d)
 	if err == nil {
-		v = cells.At(off - t*tc)
 		d.BytesReturned = cellPayload
 		a.maybePrefetch(ctx, t, &d)
+		*cur = Cursor{a: a, lo: t * tc, hi: t*tc + cells.Len(), cells: cells, evictions: evictions, col: col}
 	}
 	a.c.count(col, &d)
-	return v, err
+	return cells, off - t*tc, err
+}
+
+// Flush counts the cursor's pinned reads not yet counted, to the cache and
+// to the collector of the demand that pinned the tile.
+func (cur *Cursor) Flush() {
+	if n := cur.pinned; n != 0 {
+		cur.pinned = 0
+		cur.a.c.count(cur.col, &trace.IOCounters{TileHits: n, BytesReturned: n * cellPayload})
+	}
 }
 
 // CellRange implements object.RangeBacking: a bulk read across tiles, used
