@@ -63,10 +63,11 @@ type compiler struct {
 	scope    []string
 	maxSlots int
 	parks    int
-	// sites counts the subscript sites lowered so far, shared by pointer
-	// with every sub-compiler: a site's number indexes the machine's tile
-	// cursors, which the function bodies of an execution share.
-	sites *int
+	// sites counts the subscript sites lowered so far, function bodies
+	// included (a sub-compiler continues the count and hands it back): a
+	// site's number indexes the machine's tile cursors, which the function
+	// bodies of an execution share.
+	sites int
 	// prof is the lowering's span plan (nil at ProfOff); compile wraps
 	// every planned node in a span-recording closure.
 	prof *eval.SpanPlan
@@ -523,6 +524,7 @@ func (c *compiler) compileLam(n *ast.Lam) compiledExpr {
 	sub.maxSlots = len(sub.scope)
 	body := sub.compile(n.Body)
 	frameSize, parks := sub.maxSlots, sub.parks
+	c.sites = sub.sites
 	return func(fr *frame) (object.Value, error) {
 		if err := fr.m.step(); err != nil {
 			return object.Value{}, err

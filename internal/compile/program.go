@@ -62,7 +62,6 @@ type lowering struct {
 	once            sync.Once
 	code            compiledExpr
 	maxSlots, parks int
-	sites           int
 	// spans is the static span plan the closures record against; nil at
 	// ProfOff, where no closure is wrapped.
 	spans *eval.SpanPlan
@@ -87,7 +86,7 @@ func (p *Program) lowered(level eval.ProfLevel) *lowering {
 	l := &p.levels[level]
 	l.once.Do(func() {
 		l.spans = eval.NewSpanPlan(p.expr, level)
-		c := &compiler{globals: p.globals, limits: p.limits, prof: l.spans, params: p.params, sites: &l.sites}
+		c := &compiler{globals: p.globals, limits: p.limits, prof: l.spans, params: p.params}
 		l.code = c.compile(p.expr)
 		l.maxSlots, l.parks = c.maxSlots, c.parks
 	})

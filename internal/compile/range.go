@@ -43,7 +43,6 @@ type shardCode struct {
 	lets            []letCode
 	tab             *tabCode
 	maxSlots, parks int
-	sites           int
 }
 
 // shardView returns the program's shard view, built on first use: the
@@ -75,8 +74,8 @@ func (p *Program) shardView() *shardCode {
 		if !ok {
 			return
 		}
+		c := &compiler{globals: p.globals, limits: p.limits, params: p.params}
 		sc := &shardCode{}
-		c := &compiler{globals: p.globals, limits: p.limits, params: p.params, sites: &sc.sites}
 		for _, app := range lets {
 			code := c.compile(app.Arg)
 			sc.lets = append(sc.lets, letCode{slot: c.bind(app.Fn.(*ast.Lam).Param), code: code})

@@ -136,8 +136,8 @@ func (c *compiler) park() int {
 
 // site numbers one lowered subscript site, for its tile cursor.
 func (c *compiler) site() int {
-	*c.sites++
-	return *c.sites - 1
+	c.sites++
+	return c.sites - 1
 }
 
 // boxed is the box adapter: a scalar-form node's boxed entry.

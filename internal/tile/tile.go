@@ -4,8 +4,11 @@
 //
 // A tile t of an array with N flat cells and tile size C covers cells
 // [t*C, min((t+1)*C, N)). A resident tile is one object.Flat: a real or nat
-// tile is its packed []float64 or []int64 with a sparse ⊥ side table, and a
-// cell becomes a boxed object.Value only as it is read. Tiles are fetched
+// tile is its packed []float64 or []int64 with a sparse ⊥ side table.
+// Cells are read in bulk by CellRange, which boxes them, or one at a time
+// through a Cursor, which pins the tile of its last read and serves the
+// reads that follow in that tile straight from the packed cells; Cell is a
+// cursor's single read. Tiles are fetched
 // through a caller-supplied fetch function (the NetCDF cell-range reader, or
 // the spill file), deduplicated
 // by a per-tile singleflight so concurrent tabulation workers faulting the
