@@ -13,8 +13,9 @@ import (
 )
 
 // lazyReals binds W to a lazy real array of n cells, W[i] = i, over a fresh
-// tile cache of tc-cell tiles that holds them all, without readahead.
-func lazyReals(t *testing.T, n, tc int) map[string]object.Value {
+// tile cache of tc-cell tiles that holds them all, without readahead, and
+// returns the cache too.
+func lazyReals(t *testing.T, n, tc int) (map[string]object.Value, *tile.Cache) {
 	t.Helper()
 	c := tile.New(tile.Config{TileCells: tc, NoPrefetch: true})
 	t.Cleanup(func() { c.Close() })
@@ -29,20 +30,20 @@ func lazyReals(t *testing.T, n, tc int) map[string]object.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]object.Value{"W": w}
+	return map[string]object.Value{"W": w}, c
 }
 
-// lazyIO runs expr under each engine on its own copy of the lazy array and
-// returns the error and the I/O the engine's collector recorded.
-func lazyIO(t *testing.T, expr ast.Expr, n, tc int, limits eval.Limits, opts ExecOpts) map[string]struct {
+// lazyRun is what one engine's evaluation over the lazy array did: its
+// error and the I/O its collector recorded.
+type lazyRun struct {
 	err error
 	io  trace.IOCounters
-} {
+}
+
+// lazyIO runs expr under each engine on its own copy of the lazy array.
+func lazyIO(t *testing.T, expr ast.Expr, n, tc int, limits eval.Limits, opts ExecOpts) map[string]lazyRun {
 	t.Helper()
-	out := map[string]struct {
-		err error
-		io  trace.IOCounters
-	}{}
+	out := map[string]lazyRun{}
 	for name, mk := range map[string]func(map[string]object.Value) evaluator{
 		"interp": func(g map[string]object.Value) evaluator {
 			ev := eval.New(g)
@@ -54,11 +55,9 @@ func lazyIO(t *testing.T, expr ast.Expr, n, tc int, limits eval.Limits, opts Exe
 		},
 	} {
 		ctx, col := tile.WithCollector(context.Background())
-		_, err := mk(lazyReals(t, n, tc)).EvalExpr(ctx, expr)
-		out[name] = struct {
-			err error
-			io  trace.IOCounters
-		}{err, col.Snapshot()}
+		globals, _ := lazyReals(t, n, tc)
+		_, err := mk(globals).EvalExpr(ctx, expr)
+		out[name] = lazyRun{err, col.Snapshot()}
 	}
 	return out
 }
@@ -106,5 +105,39 @@ func TestCursorPerWorkerCounts(t *testing.T) {
 	}
 	if com.io != ref.io || ref.io.BytesReturned != 2*n*8 || ref.io.TileMisses != n/tc {
 		t.Errorf("compiled I/O %+v, interp I/O %+v: want equal, %d reads and one miss per tile", com.io, ref.io, 2*n)
+	}
+}
+
+// TestCursorCountsClosureEnteredFromOutside: a compiled function called by
+// Go code (through Fn, on a machine of its own) counts the reads its
+// cursors served when the call returns.
+func TestCursorCountsClosureEnteredFromOutside(t *testing.T) {
+	const n, tc = 64, 16
+	globals, cache := lazyReals(t, n, tc)
+	// λk. Σ{ W[x] | x ∈ gen!k }
+	fn := &ast.Lam{Param: "k", Body: &ast.Sum{Head: &ast.Subscript{Arr: v("W"), Index: v("x")}, Var: "x", Over: &ast.Gen{N: v("k")}}}
+	f := run(t, &engine{globals: globals}, fn)
+	sum, err := f.Fn()(object.Nat(n))
+	if err != nil || sum.R != n*(n-1)/2 {
+		t.Fatalf("Σ W[x] over gen!%d = %v, %v", n, sum, err)
+	}
+	if st := cache.Stats(); st.TileHits+st.TileMisses != n || st.BytesReturned != n*8 {
+		t.Errorf("cache counted %+v after the call: want %d reads, each a hit or a miss", st, n)
+	}
+}
+
+// TestCursorCountsExecuteRange: one shard of a tabulation over a lazy array
+// counts every read of its range when ExecuteRange returns.
+func TestCursorCountsExecuteRange(t *testing.T) {
+	const n, tc, lo, hi = 64, 16, 5, 40
+	globals, _ := lazyReals(t, n, tc)
+	tab := &ast.ArrayTab{Head: &ast.Subscript{Arr: v("W"), Index: v("i")}, Idx: []string{"i"}, Bounds: []ast.Expr{nat(n)}}
+	ctx, col := tile.WithCollector(context.Background())
+	res, err := NewProgram(tab, globals, eval.Limits{}).ExecuteRange(ctx, ExecOpts{Threshold: -1}, []int{n}, lo, hi)
+	if err != nil || len(res.Values) != hi-lo || res.Values[0].R != lo {
+		t.Fatalf("ExecuteRange = %v, %v", res, err)
+	}
+	if io := col.Snapshot(); io.TileHits+io.TileMisses != hi-lo || io.BytesReturned != (hi-lo)*8 {
+		t.Errorf("collector counted %+v: want %d reads, each a hit or a miss", io, hi-lo)
 	}
 }

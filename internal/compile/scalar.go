@@ -29,8 +29,7 @@ import (
 // storage that holds the value until the consumer reads it — an eager array
 // cell, a boxed cell of a resident tile, a frame slot, a $name argument, a
 // global, the frame's park slot of the node that produced it, or one of
-// eval's shared ⊥ values — and is nil
-// only for the undiagnosed ⊥.
+// eval's shared ⊥ values — and is nil only for the undiagnosed ⊥.
 type scalar struct {
 	k object.Kind
 	n int64

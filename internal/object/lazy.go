@@ -87,8 +87,9 @@ func (v Value) IsLazy() bool { return v.lazyState() != nil }
 
 // Backing returns the backing store of a lazy array, or nil. Callers use it
 // for interface probes (e.g. the cost estimator asking for a tile count); it
-// must not be used to bypass the cell access paths, which is what
-// LazyBacking is for.
+// must not be used to bypass the cell access paths. A reader that serves
+// cells from the backing itself gets it from LazyBacking, which knows when
+// the array has been materialized.
 func (v Value) Backing() any {
 	if ls := v.lazyState(); ls != nil {
 		return ls.backing
