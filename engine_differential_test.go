@@ -132,6 +132,52 @@ var diffCorpus = []string{
 	// must not hoist it (and its ⊥) out of the loop.
 	`[[ if i > 5 then get!({1,2}) else i | \i < 3 ]]`,
 	`{ if x > 9 then count!{y | \y <- S, get!S > 0} else x | \x <- S }`,
+	// gen!m as a counted range: Σ and ⋃ count through it, every other
+	// consumer gets the set.
+	`summap(fn \i => i + 1)!(gen!0)`,                               // empty range under Σ
+	`{ x * 2 | \x <- gen!0 }`,                                      // ... and under ⋃
+	`summap(fn \i => i)!(gen!(1 / 0))`,                             // ⊥ bound
+	`{ x | \x <- gen!(A[100]) }`,                                   // ... under ⋃
+	`summap(fn \i => i)!(gen!R)`,                                   // non-nat bound
+	`count!(gen!R)`,                                                // ... escaping
+	`(gen!3) union {7, 1}`,                                         // escapes into a union
+	`(gen!2, summap(fn \i => i)!(gen!4))`,                          // ... into a tuple
+	`let val \g = gen!5 in summap(fn \x => x * x)!g + count!g end`, // ... into a val
+	`count!(gen!7) + count!{x | \x <- gen!7, x > 2}`,               // ... into count!
+	`summap(fn \x => x)!(if A[0] < 2 then gen!4 else {9})`,         // ... out of an if branch
+	`count!(if A[0] > 2 then gen!4 else {9, 8})`,
+	`gen!3 = {0, 1, 2}`,                                       // ... into a comparison
+	`member!(2, gen!3)`,                                       // ... into a primitive
+	`summap(fn \i => summap(fn \j => i * j)!(gen!i))!(gen!6)`, // inner bound reads the outer variable
+	`{ (i, j) | \i <- gen!4, \j <- gen!i }`,
+	`[[ summap(fn \k => M[i, k])!(gen!5) | \i < 4 ]]`, // a range per cell
+	`summap(fn \i => 10 / (3 - i))!(gen!5)`,           // ⊥ mid-range
+	// Sizes the Go runtime cannot allocate fail at the charge, typed.
+	`count!(gen!100000000000000000)`,
+	`summap(fn \i => i)!(gen!100000000000000000)`,
+	`[[ i | \i < 100000000000000000 ]]`,
+	`index_1!{(100000000000000000, 1)}`,
+}
+
+// diffCoreCorpus holds core terms no surface query reaches: the ranked
+// unions of section 6 and the bag union over gen's set.
+var diffCoreCorpus = map[string]ast.Expr{
+	"ranked union over gen": &ast.RankUnion{
+		Head: &ast.Singleton{Elem: &ast.Tuple{Elems: []ast.Expr{&ast.Var{Name: "x"}, &ast.Var{Name: "r"}}}},
+		Var:  "x", RankVar: "r", Over: &ast.Gen{N: &ast.NatLit{Val: 5}},
+	},
+	"ranked union over gen!0": &ast.RankUnion{
+		Head: &ast.Singleton{Elem: &ast.Var{Name: "r"}},
+		Var:  "x", RankVar: "r", Over: &ast.Gen{N: &ast.NatLit{Val: 0}},
+	},
+	"ranked bag union over gen": &ast.RankBagUnion{
+		Head: &ast.SingletonBag{Elem: &ast.Var{Name: "r"}},
+		Var:  "x", RankVar: "r", Over: &ast.Gen{N: &ast.NatLit{Val: 3}},
+	},
+	"bag union over gen": &ast.BigBagUnion{
+		Head: &ast.SingletonBag{Elem: &ast.Var{Name: "x"}},
+		Var:  "x", Over: &ast.Gen{N: &ast.NatLit{Val: 3}},
+	},
 }
 
 // compiledEngine runs each core query the way a session does: lowered to a
@@ -265,6 +311,14 @@ func TestEngineDifferential(t *testing.T) {
 					}
 				})
 			}
+			for name, core := range diffCoreCorpus {
+				t.Run(name, func(t *testing.T) {
+					for _, workers := range []int{1, 4} {
+						diffWorkers = workers
+						runDiff(t, globals, core, eval.Limits{})
+					}
+				})
+			}
 		})
 	}
 }
@@ -365,6 +419,39 @@ func TestAllocationPollsContext(t *testing.T) {
 				}
 				if c := eng.Counters().Cells; c != tc.cells {
 					t.Errorf("%s: %d cells charged, want %d", eng.Name(), c, tc.cells)
+				}
+			}
+			if ic, cc := in.Counters(), ce.Counters(); ic != cc {
+				t.Errorf("counters differ:\ninterp   %+v\ncompiled %+v", ic, cc)
+			}
+		})
+	}
+}
+
+// TestAllocationBeyondRuntimeLimit: gen, a tabulation and index sized past
+// what one Go slice can hold fail on both engines with *eval.SizeError at
+// their charge, where make used to panic. The charge stands, as a cell
+// budget's does.
+func TestAllocationBeyondRuntimeLimit(t *testing.T) {
+	s := diffSession(t)
+	globals := s.Env.Globals()
+	for _, src := range []string{
+		`count!(gen!100000000000000000)`,
+		`summap(fn \i => i)!(gen!100000000000000000)`,
+		`[[ i | \i < 100000000000000000 ]]`,
+		`index_1!{(100000000000000000, 1)}`,
+	} {
+		t.Run(src, func(t *testing.T) {
+			core, _, err := s.Compile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, ce := diffEngines(globals, eval.Limits{})
+			for _, eng := range []engine{in, ce} {
+				_, err := eng.EvalExpr(context.Background(), core)
+				var se *eval.SizeError
+				if !errors.As(err, &se) || se.Cells < 100000000000000000 {
+					t.Errorf("%s: err = %v, want a *eval.SizeError for the requested cells", eng.Name(), err)
 				}
 			}
 			if ic, cc := in.Counters(), ce.Counters(); ic != cc {

@@ -28,9 +28,13 @@
 //     arithmetic, comparison, conditionals, subscripts and summation return
 //     a 32-byte scalar instead of an 80-byte object.Value, and an eager
 //     array cell is read in place.
-//   - Tabulations of at least DefaultThreshold cells (ExecOpts.Threshold)
-//     fan out across GOMAXPROCS workers (see tab.go); elements are pure in the index
-//     valuation, which makes the split sound.
+//   - gen!m is a counted range (scalar.go): Σ and the big unions count
+//     through it, and only a consumer that needs the set builds it.
+//   - A tabulation whose work — its cells times the steps per cell its
+//     last scan measured, at least 8 — reaches 8 × DefaultThreshold
+//     (ExecOpts.Threshold) fans out across GOMAXPROCS workers (see tab.go);
+//     elements are pure in the index valuation, which makes the split
+//     sound.
 package compile
 
 import (
@@ -48,9 +52,12 @@ import (
 // kinds are lowered to the scalar form instead (scalarExpr, scalar.go).
 type compiledExpr func(fr *frame) (object.Value, error)
 
-// DefaultThreshold is the tabulation size, in cells, at or above which the
-// engine fans element evaluation out across workers. Below it the
-// per-element work rarely amortizes goroutine startup and result stitching.
+// DefaultThreshold is the tabulation size, in cells of 8 steps, at or
+// above which the engine fans element evaluation out across workers: a
+// range fans out when its cells times its site's measured steps per cell
+// (at least 8) reach 8 × DefaultThreshold steps, so a site that has not run
+// yet fans out at DefaultThreshold cells. Below it the work rarely
+// amortizes goroutine startup and result stitching.
 const DefaultThreshold = 8192
 
 // compiler is the resolve pass state: scope is the stack of bound variable
@@ -263,30 +270,6 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 				return object.Value{}, err
 			}
 			return v, nil
-		}
-
-	case *ast.Gen:
-		bound := c.compile(n.N)
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			v, err := bound(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if v.IsBottom() {
-				return v, nil
-			}
-			m, err := v.AsNat()
-			if err != nil {
-				return object.Value{}, fmt.Errorf("eval: gen: %w", err)
-			}
-			fr.m.used.SetOps++
-			if err := fr.m.chargeAlloc(m); err != nil {
-				return object.Value{}, err
-			}
-			return eval.GenSet(m), nil
 		}
 
 	case *ast.ArrayTab:
@@ -542,9 +525,10 @@ func (c *compiler) compileLam(n *ast.Lam) compiledExpr {
 	}
 }
 
-// compileBigUnion lowers ⋃{ head | var ∈ over } and its bag analogue.
+// compileBigUnion lowers ⋃{ head | var ∈ over } and its bag analogue,
+// over a collection or a range.
 func (c *compiler) compileBigUnion(headE ast.Expr, varName string, overE ast.Expr, bag bool) compiledExpr {
-	over := c.compile(overE)
+	over := c.compileScalar(overE)
 	slot := c.bind(varName)
 	head := c.compile(headE)
 	c.unbind(1)
@@ -557,20 +541,19 @@ func (c *compiler) compileBigUnion(headE ast.Expr, varName string, overE ast.Exp
 			return object.Value{}, err
 		}
 		s, err := over(fr)
-		if err != nil {
-			return object.Value{}, err
+		if err != nil || s.k == object.KBottom {
+			return s.box(), err
 		}
-		if s.IsBottom() {
-			return s, nil
-		}
-		if s.Kind != wantKind {
-			return object.Value{}, fmt.Errorf(overMsg, s.Kind)
+		kind, elems, n := s.members()
+		if kind != wantKind {
+			return object.Value{}, fmt.Errorf(overMsg, kind)
 		}
 		fr.m.used.SetOps++
-		fr.m.used.Iterations += int64(len(s.Elems))
+		fr.m.used.Iterations += n
 		var all []object.Value
-		for _, x := range s.Elems {
-			fr.slots[slot] = x
+		x := fr.loopVar(slot, elems)
+		for i := int64(0); i < n; i++ {
+			rebind(x, elems, i)
 			v, err := head(fr)
 			if err != nil {
 				return object.Value{}, err
@@ -594,9 +577,10 @@ func (c *compiler) compileBigUnion(headE ast.Expr, varName string, overE ast.Exp
 }
 
 // compileRankUnion lowers ⋃_r / ⊎_r: the canonical traversal binds the
-// 1-based rank alongside each element (section 6 of the paper).
+// 1-based rank alongside each element (section 6 of the paper); over a
+// range, element i has rank i+1.
 func (c *compiler) compileRankUnion(headE ast.Expr, varName, rankVar string, overE ast.Expr, bag bool) compiledExpr {
-	over := c.compile(overE)
+	over := c.compileScalar(overE)
 	varSlot := c.bind(varName)
 	rankSlot := c.bind(rankVar)
 	head := c.compile(headE)
@@ -610,21 +594,20 @@ func (c *compiler) compileRankUnion(headE ast.Expr, varName, rankVar string, ove
 			return object.Value{}, err
 		}
 		s, err := over(fr)
-		if err != nil {
-			return object.Value{}, err
+		if err != nil || s.k == object.KBottom {
+			return s.box(), err
 		}
-		if s.IsBottom() {
-			return s, nil
-		}
-		if s.Kind != wantKind {
-			return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, s.Kind)
+		kind, elems, n := s.members()
+		if kind != wantKind {
+			return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, kind)
 		}
 		fr.m.used.SetOps++
-		fr.m.used.Iterations += int64(len(s.Elems))
+		fr.m.used.Iterations += n
 		var all []object.Value
-		for i, x := range s.Elems {
-			fr.slots[varSlot] = x
-			fr.slots[rankSlot] = object.Nat(int64(i + 1))
+		x := fr.loopVar(varSlot, elems)
+		for i := int64(0); i < n; i++ {
+			rebind(x, elems, i)
+			fr.slots[rankSlot] = object.Nat(i + 1)
 			v, err := head(fr)
 			if err != nil {
 				return object.Value{}, err

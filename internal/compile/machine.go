@@ -68,8 +68,9 @@ type machine struct {
 // working for it copies.
 type config struct {
 	limits eval.Limits
-	// workers caps tabulation fan-out; threshold is the element count at or
-	// above which a tabulation fans out (maxInt64 disables parallelism).
+	// workers caps tabulation fan-out; threshold is DefaultThreshold or its
+	// override, in cells of 8 steps: a tabulation fans out at 8 × threshold
+	// steps of measured work (mayFanOut; maxInt64 disables parallelism).
 	workers   int
 	threshold int64
 	// stepMask routes steps to stepSlow when n&stepMask == 0: it is
@@ -150,7 +151,8 @@ func (m *machine) chargeCells(n int64) error {
 }
 
 // chargeAlloc is chargeCells for an allocation sized at run time (gen,
-// tabulation, index): a large one polls for interrupts first, at the point
+// tabulation, index): a large one polls for interrupts first, and one the
+// runtime cannot make fails after its charge, at the points
 // eval.Evaluator.chargeAlloc does.
 func (m *machine) chargeAlloc(n int64) error {
 	if n >= eval.InterruptInterval {
@@ -158,7 +160,10 @@ func (m *machine) chargeAlloc(n int64) error {
 			return err
 		}
 	}
-	return m.chargeCells(n)
+	if err := m.chargeCells(n); err != nil {
+		return err
+	}
+	return eval.CheckAlloc(n)
 }
 
 // fork returns a worker machine that counts locally against a snapshot of

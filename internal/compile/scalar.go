@@ -11,9 +11,10 @@ import (
 
 // The scalar form. Numbers travel between compiled nodes unboxed: a node of
 // a numeric kind — a variable or $name read, a nat, real or bool literal,
-// arithmetic, a comparison, a conditional, a subscript, a summation — is
-// lowered once, to a scalarExpr returning a 32-byte scalar rather than an
-// 80-byte object.Value. Go copies a struct above 64 bytes through the
+// arithmetic, a comparison, a conditional, a subscript, a summation, and
+// gen, whose range is carried by its bound (kRange) — is lowered once, to a
+// scalarExpr returning a 32-byte scalar rather than an 80-byte
+// object.Value. Go copies a struct above 64 bytes through the
 // runtime's duffcopy/duffzero; a scalar and its error come back in
 // registers.
 //
@@ -24,12 +25,13 @@ import (
 // Values are boxed once, at the edge: a tabulation boxes the cell it writes,
 // an application's argument, a tuple's component.
 
-// scalar is one value in the scalar form: a nat (n), a real (r) or a bool
-// (n is 0 or 1) inline; any other value, and ⊥, through v. v points at
-// storage that holds the value until the consumer reads it — an eager array
-// cell, a boxed cell of a resident tile, a frame slot, a $name argument, a
-// global, the frame's park slot of the node that produced it, or one of
-// eval's shared ⊥ values — and is nil only for the undiagnosed ⊥.
+// scalar is one value in the scalar form: a nat (n), a real (r), a bool
+// (n is 0 or 1) or a range (n members) inline; any other value, and ⊥,
+// through v. v points at storage that holds the value until the consumer
+// reads it — an eager array cell, a boxed cell of a resident tile, a frame
+// slot, a $name argument, a global, the frame's park slot of the node that
+// produced it, or one of eval's shared ⊥ values — and is nil only for the
+// undiagnosed ⊥.
 type scalar struct {
 	k object.Kind
 	n int64
@@ -41,6 +43,11 @@ type scalar struct {
 // checks, ⊥ propagation and error strings are the boxed form's.
 type scalarExpr func(fr *frame) (scalar, error)
 
+// kRange is the private scalar kind of gen!m: the set {0, ..., m-1}, not
+// built, with m in n. Σ and the big unions count through it (members); any
+// other consumer gets the set from box, which builds it (eval.GenSet).
+const kRange = object.KFunc + 1
+
 // box returns s as an object.Value.
 func (s scalar) box() object.Value {
 	switch s.k {
@@ -50,6 +57,8 @@ func (s scalar) box() object.Value {
 		return object.Value{Kind: object.KReal, R: s.r}
 	case object.KBool:
 		return object.Value{Kind: object.KBool, B: s.n != 0}
+	case kRange:
+		return eval.GenSet(s.n)
 	}
 	if s.v != nil {
 		return *s.v
@@ -304,8 +313,66 @@ func (c *compiler) lowerScalar(e ast.Expr) scalarExpr {
 
 	case *ast.Sum:
 		return c.lowerSum(n)
+
+	case *ast.Gen:
+		bound := c.compileScalar(n.N)
+		return func(fr *frame) (scalar, error) {
+			if err := fr.m.step(); err != nil {
+				return scalar{}, err
+			}
+			b, err := bound(fr)
+			if err != nil || b.k == object.KBottom {
+				return b, err
+			}
+			if b.k != object.KNat {
+				_, err := b.box().AsNat()
+				return scalar{}, fmt.Errorf("eval: gen: %w", err)
+			}
+			fr.m.used.SetOps++
+			if err := fr.m.chargeAlloc(b.n); err != nil {
+				return scalar{}, err
+			}
+			return scalar{k: kRange, n: b.n}, nil
+		}
 	}
 	return nil
+}
+
+// members returns what a loop over s iterates, with kind s's kind: a set's
+// or bag's elements and their count, or, for a range, no elements and its
+// length m (kind KSet). Any other kind has no members.
+func (s scalar) members() (kind object.Kind, elems []object.Value, n int64) {
+	switch s.k {
+	case kRange:
+		return object.KSet, nil, s.n
+	case object.KSet, object.KBag:
+		return s.k, s.v.Elems, int64(len(s.v.Elems))
+	}
+	return s.k, nil, 0
+}
+
+// loopVar returns a loop's variable slot, made a nat first when the loop
+// counts through a range (elems nil), so that rebind sets its payload
+// alone. Only the loop writes the slot while it runs.
+func (fr *frame) loopVar(slot int, elems []object.Value) *object.Value {
+	x := &fr.slots[slot]
+	if elems == nil {
+		*x = object.Value{Kind: object.KNat}
+	}
+	return x
+}
+
+// rebind binds loop variable x to member i: the nat i of a range (elems
+// nil), or elems[i]. A nat over a nat rebinds the payload alone, as a
+// tabulation rebinds its index slots.
+func rebind(x *object.Value, elems []object.Value, i int64) {
+	if elems == nil {
+		x.N = i
+	} else if e := &elems[i]; e.Kind == object.KNat && x.Kind == object.KNat {
+		x.N = e.N
+	} else {
+		*x = *e
+	}
 }
 
 // lowerSubscript lowers a[i]. A 1-D array with a nat index, and a 2-D array
@@ -466,7 +533,7 @@ func (fr *frame) sub(park int, a scalar, index object.Value) (scalar, error) {
 }
 
 // lowerSum lowers Σ{ head | var ∈ over }: the head in the scalar form,
-// accumulated by eval.SumAcc's rule.
+// accumulated by eval.SumAcc's rule, over a set, a bag or a range.
 func (c *compiler) lowerSum(n *ast.Sum) scalarExpr {
 	over := c.compileScalar(n.Over)
 	slot := c.bind(n.Var)
@@ -480,21 +547,15 @@ func (c *compiler) lowerSum(n *ast.Sum) scalarExpr {
 		if err != nil || s.k == object.KBottom {
 			return s, err
 		}
-		if s.k != object.KSet && s.k != object.KBag {
-			return scalar{}, fmt.Errorf("eval: sum over %s", s.k)
+		kind, elems, count := s.members()
+		if kind != object.KSet && kind != object.KBag {
+			return scalar{}, fmt.Errorf("eval: sum over %s", kind)
 		}
-		elems := s.v.Elems
 		var acc eval.SumAcc
-		fr.m.used.Iterations += int64(len(elems))
-		x := &fr.slots[slot]
-		for i := range elems {
-			// A nat over a nat rebinds the payload alone, as a tabulation
-			// rebinds its index slots.
-			if e := &elems[i]; e.Kind == object.KNat && x.Kind == object.KNat {
-				x.N = e.N
-			} else {
-				*x = *e
-			}
+		fr.m.used.Iterations += count
+		x := fr.loopVar(slot, elems)
+		for i := int64(0); i < count; i++ {
+			rebind(x, elems, i)
 			v, err := head(fr)
 			if err != nil || v.k == object.KBottom {
 				return v, err

@@ -33,6 +33,10 @@ type tabCode struct {
 	// and busy times to it.
 	spans  *eval.SpanPlan
 	spanID int
+	// steps is the steps per cell of the last complete scan a root machine
+	// ran here (0 before the first): what mayFanOut weighs the next scan's
+	// cells by. Executions share it, and store it only when it changes.
+	steps atomic.Int64
 }
 
 // compileTab lowers n's bounds, then its head with the index variables in
@@ -172,13 +176,23 @@ func (p Partial) Result(shape []int, data []object.Value) (object.Value, error) 
 }
 
 // run evaluates the head over [lo, hi) into out, which holds exactly that
-// range: on fr itself, or fanned out across workers when the range is large
-// enough.
+// range: on fr itself, or fanned out across workers when the range is
+// enough work. A root machine then remembers the scan's steps per cell.
 func (t *tabCode) run(fr *frame, shape []int, lo, hi int, out []object.Value) Partial {
-	if fr.m.mayFanOut(hi - lo) {
-		return t.fanOut(fr, shape, lo, hi, out)
+	m := fr.m
+	n, before, last := hi-lo, m.used.Steps, t.steps.Load()
+	var p Partial
+	if m.mayFanOut(n, last) {
+		p = t.fanOut(fr, shape, lo, hi, out)
+	} else {
+		p = t.scan(fr, shape, lo, hi, out, nil)
 	}
-	return t.scan(fr, shape, lo, hi, out, nil)
+	if m.parent == nil && p.Err == nil && n > 0 {
+		if per := (m.used.Steps - before) / int64(n); per != last {
+			t.steps.Store(per)
+		}
+	}
+	return p
 }
 
 // scan is the element loop: it binds the index variables by slot store and
@@ -239,11 +253,19 @@ func unflatten(off int, shape []int) []int {
 // spawns at most ceil(n/minChunk) workers even when GOMAXPROCS is larger.
 const minChunk = 2048
 
-// mayFanOut reports whether a range of n elements fans out: at least the
-// threshold, small enough for the chunk arithmetic, and not already inside
-// a worker (workers never nest).
-func (m *machine) mayFanOut(n int) bool {
-	return int64(n) >= m.threshold && n <= math.MaxInt/2 && m.workers > 1 && m.parent == nil
+// mayFanOut reports whether a range of n elements, whose site last scanned
+// at steps per cell (0 before its first scan), fans out: its work,
+// n × max(steps, 8), is at least 8 × the threshold; the range is small
+// enough for the chunk arithmetic; and m is not already a worker (workers
+// never nest). A cell is weighed at 8 steps at least, so a site that has
+// not run fans out at threshold cells, and a threshold of maxInt64 keeps
+// every scan serial.
+func (m *machine) mayFanOut(n int, steps int64) bool {
+	if m.workers <= 1 || m.parent != nil || n > math.MaxInt/2 || m.threshold > math.MaxInt64/8 {
+		return false
+	}
+	w := max(steps, 8)
+	return int64(n) > math.MaxInt64/w || int64(n)*w >= 8*m.threshold
 }
 
 // workerPanic is a head panic captured in a fan-out worker, re-raised on the

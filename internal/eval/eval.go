@@ -175,14 +175,18 @@ func (ev *Evaluator) chargeCells(n int64) error {
 
 // chargeAlloc is chargeCells for an allocation sized at run time (gen,
 // tabulation, index): a large one polls for interrupts first, so a cancelled
-// or timed-out query fails before allocating, not at its next step check.
+// or timed-out query fails before allocating, not at its next step check,
+// and one the runtime cannot make fails after its charge (CheckAlloc).
 func (ev *Evaluator) chargeAlloc(n int64) error {
 	if n >= InterruptInterval {
 		if err := ev.checkInterrupt(); err != nil {
 			return err
 		}
 	}
-	return ev.chargeCells(n)
+	if err := ev.chargeCells(n); err != nil {
+		return err
+	}
+	return CheckAlloc(n)
 }
 
 // Eval evaluates e in env. Language-level partiality (out-of-bounds

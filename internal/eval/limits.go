@@ -3,6 +3,9 @@ package eval
 import (
 	"fmt"
 	"time"
+	"unsafe"
+
+	"github.com/aqldb/aql/internal/object"
 )
 
 // Limits bounds the resources a single query evaluation may consume. The
@@ -76,3 +79,28 @@ func (e *ResourceError) Error() string {
 // and errors.Is(err, context.DeadlineExceeded) work through a
 // ResourceError.
 func (e *ResourceError) Unwrap() error { return e.Cause }
+
+// maxAllocCells is the most cells one allocation may hold: a slice of more
+// 80-byte values than this exceeds the Go runtime's largest allocation
+// (1<<48 bytes on 64-bit platforms), and make would panic.
+const maxAllocCells = (1 << 48) / int64(unsafe.Sizeof(object.Value{}))
+
+// SizeError reports a run-time sized allocation (gen, a tabulation, index)
+// larger than maxAllocCells. Both engines raise it at the charge that
+// precedes the allocation, so nothing is allocated.
+type SizeError struct {
+	Cells int64 // the cells requested
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("eval: %d cells exceed the largest allocation (%d cells)", e.Cells, maxAllocCells)
+}
+
+// CheckAlloc rejects an allocation of n cells that the Go runtime cannot
+// make.
+func CheckAlloc(n int64) error {
+	if n > maxAllocCells {
+		return &SizeError{Cells: n}
+	}
+	return nil
+}

@@ -421,6 +421,49 @@ func TestPreparedExecHonoursWorkers(t *testing.T) {
 	}
 }
 
+// TestPreparedFanOutByMeasuredSteps: a tabulation fans out by its work,
+// its cells times the steps per cell its last scan measured. The first
+// execution of dense_compute's 48x48 matmul (2,304 cells, under the 8,192
+// cells that fan out unmeasured) runs serially; every later one fans out.
+// serve_mixed's 5,000-cell template measures 11 steps per cell, 55,000 in
+// all, under the 65,536 that fan out, and stays serial.
+func TestPreparedFanOutByMeasuredSteps(t *testing.T) {
+	s := newProfiledSession(t, "sampled")
+	s.Workers = 2
+	if _, err := s.Exec(`val n = 48; val A = [[ (i * 7 + j) % 100 | \i < n, \j < n ]]; val B = [[ (i + j * 3) % 100 | \i < n, \j < n ]];`); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		src    string
+		cells  int64
+		steps  int64 // per cell; 0 leaves it unchecked
+		fanOut []bool
+	}{
+		{`[[ summap(fn \k => A[i,k] * B[k,j])!(gen!n) | \i < n, \j < n ]]`, 2304, 0, []bool{false, true, true}},
+		{`[[ (i*i + 11*i + 7) % 97 | \i < 5000 ]]`, 5000, 11, []bool{false, false, false}},
+	} {
+		p, err := s.Prepare(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run, want := range tc.fanOut {
+			if _, err := p.Exec(context.Background(), nil); err != nil {
+				t.Fatal(err)
+			}
+			rep := s.Trace.Last()
+			records := 0
+			rep.Spans.Walk(func(n *trace.SpanNode) { records += len(n.Workers) })
+			if (records > 0) != want {
+				t.Errorf("%s, execution %d: %d worker records, want fan-out %v", tc.src, run+1, records, want)
+			}
+			// The prologue is the tabulation's step and its bound's.
+			if per := (rep.Eval.Steps - 2) / tc.cells; tc.steps > 0 && per != tc.steps {
+				t.Errorf("%s: %d steps per cell, want %d", tc.src, per, tc.steps)
+			}
+		}
+	}
+}
+
 // TestLazyIOFailureIsIOError: a lazy array that fails to materialize inside
 // a comparison (an interface with no error return) surfaces the I/O error
 // on every session path, never an internal-error panic.
