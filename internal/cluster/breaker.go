@@ -88,10 +88,3 @@ func (b *breaker) onFailure(now time.Time) bool {
 	}
 	return false
 }
-
-// isOpen reports whether the breaker currently rejects dispatches.
-func (b *breaker) isOpen() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
-}

@@ -54,7 +54,7 @@ func lazyIO(t *testing.T, expr ast.Expr, n, tc int, limits eval.Limits, opts Exe
 			return &engine{globals: g, limits: limits, opts: opts}
 		},
 	} {
-		ctx, col := tile.WithCollector(context.Background())
+		ctx, col := trace.WithCollector(context.Background())
 		globals, _ := lazyReals(t, n, tc)
 		_, err := mk(globals).EvalExpr(ctx, expr)
 		out[name] = lazyRun{err, col.Snapshot()}
@@ -132,7 +132,7 @@ func TestCursorCountsExecuteRange(t *testing.T) {
 	const n, tc, lo, hi = 64, 16, 5, 40
 	globals, _ := lazyReals(t, n, tc)
 	tab := &ast.ArrayTab{Head: &ast.Subscript{Arr: v("W"), Index: v("i")}, Idx: []string{"i"}, Bounds: []ast.Expr{nat(n)}}
-	ctx, col := tile.WithCollector(context.Background())
+	ctx, col := trace.WithCollector(context.Background())
 	res, err := NewProgram(tab, globals, eval.Limits{}).ExecuteRange(ctx, ExecOpts{Threshold: -1}, []int{n}, lo, hi)
 	if err != nil || len(res.Values) != hi-lo || res.Values[0].R != lo {
 		t.Fatalf("ExecuteRange = %v, %v", res, err)

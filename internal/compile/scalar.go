@@ -279,7 +279,7 @@ func (c *compiler) lowerScalar(e ast.Expr) scalarExpr {
 			a, aok := lv.num()
 			b, bok := rv.num()
 			if !aok || !bok {
-				v, err := eval.EvalCmp(op, lv.box(), rv.box())
+				v, err := eval.EvalCmp(fr.m.ctx, op, lv.box(), rv.box())
 				return boolScalar(v.B), err
 			}
 			holds, err := eval.CmpHolds(op, eval.CmpNum(a, b))

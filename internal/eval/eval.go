@@ -412,7 +412,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		if r.IsBottom() {
 			return r, nil
 		}
-		return EvalCmp(n.Op, l, r)
+		return EvalCmp(ev.Ctx, n.Op, l, r)
 
 	case *ast.NatLit:
 		return object.Nat(n.Val), nil

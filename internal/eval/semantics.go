@@ -54,10 +54,18 @@ func SatAdd(a, b int64) int64 {
 // EvalCmp applies a comparison operator to two evaluated, non-⊥ operands.
 // Function values admit no decidable equality, so comparing them is a
 // kind error rather than ⊥. Two numbers compare by CmpNum, anything else by
-// object.Compare.
-func EvalCmp(op ast.CmpOp, l, r object.Value) (object.Value, error) {
+// object.Compare. A lazy array operand is materialized under ctx first, so
+// its reads count for the execution and a failed read is an error.
+func EvalCmp(ctx context.Context, op ast.CmpOp, l, r object.Value) (object.Value, error) {
 	if l.Kind == object.KFunc || r.Kind == object.KFunc {
 		return object.Value{}, fmt.Errorf("eval: comparison of function values")
+	}
+	for _, v := range [...]*object.Value{&l, &r} {
+		if v.IsLazy() {
+			if _, err := v.CellsCtx(ctx); err != nil {
+				return object.Value{}, fmt.Errorf("eval: materializing lazy array: %w", err)
+			}
+		}
 	}
 	var c int
 	a, aok := numOf(&l)

@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // ErrInjected is the default error delivered by a FaultyReaderAt fault.
@@ -125,11 +126,6 @@ type RetryConfig struct {
 	// io.EOF and io.ErrUnexpectedEOF as permanent (re-reading a short
 	// file cannot help) and everything else as transient.
 	IsTransient func(error) bool
-	// Context, when non-nil, bounds every backoff sleep: cancelling it
-	// makes an in-backoff ReadAt return promptly with the last read error
-	// joined with the context's, instead of sleeping out the schedule.
-	// (io.ReaderAt has no per-call context, so the policy carries it.)
-	Context context.Context
 }
 
 func (c *RetryConfig) maxRetries() int {
@@ -167,11 +163,11 @@ func (c *RetryConfig) isTransient(err error) bool {
 //	f, _ := os.Open(path)
 //	nc, err := netcdf.Read(netcdf.NewRetryingReaderAt(f, netcdf.RetryConfig{}))
 //
-// Safe for concurrent use; the retry counter is atomic.
+// It counts each failed attempt as a Fault and each re-attempt as a Retry in
+// the trace.Collector of the read's context. Safe for concurrent use.
 type RetryingReaderAt struct {
-	r       io.ReaderAt
-	cfg     RetryConfig
-	retries int64 // atomic
+	r   io.ReaderAt
+	cfg RetryConfig
 }
 
 // NewRetryingReaderAt wraps r with the given retry policy.
@@ -179,42 +175,21 @@ func NewRetryingReaderAt(r io.ReaderAt, cfg RetryConfig) *RetryingReaderAt {
 	return &RetryingReaderAt{r: r, cfg: cfg}
 }
 
-// ReadAt implements io.ReaderAt, retrying transient failures. A short read
-// with a transient error is retried from scratch (ReadAt is stateless, so
-// re-reading the full range is safe). Permanent errors and budget
-// exhaustion return the last error, wrapped with the attempt count.
+// ReadAt implements io.ReaderAt: ReadAtCtx under context.Background.
 func (r *RetryingReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	delay := r.cfg.baseDelay()
-	maxRetries := r.cfg.maxRetries()
-	var n int
-	var err error
-	for attempt := 0; ; attempt++ {
-		n, err = r.r.ReadAt(p, off)
-		if err == nil || !r.cfg.isTransient(err) {
-			return n, err
-		}
-		if attempt >= maxRetries {
-			return n, fmt.Errorf("netcdf: read failed after %d attempts: %w", attempt+1, err)
-		}
-		atomic.AddInt64(&r.retries, 1)
-		if serr := r.sleep(delay); serr != nil {
-			return n, fmt.Errorf("netcdf: read cancelled during retry backoff after %d attempts: %w",
-				attempt+1, errors.Join(err, serr))
-		}
-		delay *= 2
-		if max := r.cfg.maxDelay(); delay > max {
-			delay = max
-		}
-	}
+	return r.ReadAtCtx(context.Background(), p, off)
 }
 
-// ReadAtCtx is ReadAt with a per-call context that bounds backoff sleeps
-// and is checked before each attempt, so a cancelled query aborts an
-// in-flight tile fetch instead of sleeping out the retry schedule. The
-// per-call context takes precedence over RetryConfig.Context.
+// ReadAtCtx reads like io.ReaderAt, retrying transient failures. A short
+// read with a transient error is retried from scratch (ReadAt is stateless,
+// so re-reading the full range is safe). Permanent errors and budget
+// exhaustion return the last error, wrapped with the attempt count. ctx is
+// checked before each attempt and bounds each backoff sleep, so a cancelled
+// query aborts an in-flight tile fetch instead of sleeping out the retry
+// schedule; a nil ctx is context.Background.
 func (r *RetryingReaderAt) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	if ctx == nil {
-		return r.ReadAt(p, off)
+		ctx = context.Background()
 	}
 	delay := r.cfg.baseDelay()
 	maxRetries := r.cfg.maxRetries()
@@ -226,13 +201,18 @@ func (r *RetryingReaderAt) ReadAtCtx(ctx context.Context, p []byte, off int64) (
 				attempt, errors.Join(err, cerr))
 		}
 		n, err = r.r.ReadAt(p, off)
-		if err == nil || !r.cfg.isTransient(err) {
+		if err == nil {
+			return n, nil
+		}
+		col := trace.CollectorFrom(ctx)
+		col.Add(&trace.IOCounters{Faults: 1})
+		if !r.cfg.isTransient(err) {
 			return n, err
 		}
 		if attempt >= maxRetries {
 			return n, fmt.Errorf("netcdf: read failed after %d attempts: %w", attempt+1, err)
 		}
-		atomic.AddInt64(&r.retries, 1)
+		col.Add(&trace.IOCounters{Retries: 1})
 		if serr := sleepCtx(ctx, delay); serr != nil {
 			return n, fmt.Errorf("netcdf: read cancelled during retry backoff after %d attempts: %w",
 				attempt+1, errors.Join(err, serr))
@@ -255,26 +235,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 		return ctx.Err()
 	}
 }
-
-// sleep waits out one backoff delay, cut short by the policy context.
-func (r *RetryingReaderAt) sleep(d time.Duration) error {
-	ctx := r.cfg.Context
-	if ctx == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Retries reports how many retry attempts have been made.
-func (r *RetryingReaderAt) Retries() int64 { return atomic.LoadInt64(&r.retries) }
 
 // Size exposes the underlying reader's size so the header parser's
 // bounds checks keep working through the retry layer.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/aqldb/aql/internal/trace"
 )
 
 func TestFaultyReaderSchedule(t *testing.T) {
@@ -48,16 +50,17 @@ func TestRetryingReaderRecoversTransientFaults(t *testing.T) {
 		Fault{Err: ErrInjected},
 	)
 	rr := NewRetryingReaderAt(fr, RetryConfig{BaseDelay: time.Microsecond})
+	ctx, col := trace.WithCollector(context.Background())
 	buf := make([]byte, len(data))
-	n, err := rr.ReadAt(buf, 0)
+	n, err := rr.ReadAtCtx(ctx, buf, 0)
 	if err != nil || n != len(data) {
-		t.Fatalf("ReadAt = %d, %v", n, err)
+		t.Fatalf("ReadAtCtx = %d, %v", n, err)
 	}
 	if !bytes.Equal(buf, data) {
 		t.Errorf("data corrupted: %q", buf)
 	}
-	if rr.Retries() < 2 {
-		t.Errorf("Retries = %d, want >= 2", rr.Retries())
+	if st := col.Snapshot(); st.Retries != 2 || st.Faults != 2 {
+		t.Errorf("Retries = %d, Faults = %d, want 2 and 2", st.Retries, st.Faults)
 	}
 }
 
@@ -65,12 +68,13 @@ func TestRetryingReaderShortReadRetried(t *testing.T) {
 	data := []byte("0123456789")
 	fr := NewFaultyReaderAt(bytes.NewReader(data), Fault{Short: true})
 	rr := NewRetryingReaderAt(fr, RetryConfig{BaseDelay: time.Microsecond})
+	ctx, col := trace.WithCollector(context.Background())
 	buf := make([]byte, len(data))
-	n, err := rr.ReadAt(buf, 0)
+	n, err := rr.ReadAtCtx(ctx, buf, 0)
 	if err != nil || n != len(data) {
-		t.Fatalf("ReadAt = %d, %v", n, err)
+		t.Fatalf("ReadAtCtx = %d, %v", n, err)
 	}
-	if rr.Retries() == 0 {
+	if col.Snapshot().Retries == 0 {
 		t.Error("short read should have been retried")
 	}
 }
@@ -78,14 +82,16 @@ func TestRetryingReaderShortReadRetried(t *testing.T) {
 func TestRetryingReaderPermanentErrorNotRetried(t *testing.T) {
 	data := []byte("tiny")
 	rr := NewRetryingReaderAt(bytes.NewReader(data), RetryConfig{BaseDelay: time.Microsecond})
+	ctx, col := trace.WithCollector(context.Background())
 	buf := make([]byte, 64)
 	// Reading past EOF is permanent: no amount of retrying grows the file.
-	_, err := rr.ReadAt(buf, 0)
+	_, err := rr.ReadAtCtx(ctx, buf, 0)
 	if err == nil {
 		t.Fatal("read past EOF succeeded")
 	}
-	if rr.Retries() != 0 {
-		t.Errorf("Retries = %d on a permanent error, want 0", rr.Retries())
+	// The one failed attempt is a fault; it is not retried.
+	if st := col.Snapshot(); st.Retries != 0 || st.Faults != 1 {
+		t.Errorf("Retries = %d, Faults = %d on a permanent error, want 0 and 1", st.Retries, st.Faults)
 	}
 }
 
@@ -96,9 +102,13 @@ func TestRetryingReaderBudgetExhausted(t *testing.T) {
 	}
 	fr := NewFaultyReaderAt(bytes.NewReader([]byte("x")), faults...)
 	rr := NewRetryingReaderAt(fr, RetryConfig{MaxRetries: 3, BaseDelay: time.Microsecond})
-	_, err := rr.ReadAt(make([]byte, 1), 0)
+	ctx, col := trace.WithCollector(context.Background())
+	_, err := rr.ReadAtCtx(ctx, make([]byte, 1), 0)
 	if err == nil {
 		t.Fatal("exhausted retries should fail")
+	}
+	if st := col.Snapshot(); st.Retries != 3 || st.Faults != 4 {
+		t.Errorf("Retries = %d, Faults = %d, want 3 re-attempts of 4 failed attempts", st.Retries, st.Faults)
 	}
 	if !errors.Is(err, ErrInjected) {
 		t.Errorf("final error %v should wrap the cause", err)
@@ -123,24 +133,32 @@ func TestReadSlabThroughFaultyStorage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read through faulty storage: %v", err)
 	}
+	// Header parsing carries no context: its retries are in no collector.
+	// Tear the first data read too, which runs under one.
+	fr.SetSchedule(0, Fault{Short: true})
+	ctx, col := trace.WithCollector(context.Background())
 	if f.fsize != int64(len(full)) {
 		t.Errorf("fsize through retry+fault layers = %d, want %d", f.fsize, len(full))
 	}
-	slab, err := f.ReadSlab("recv", []int{1, 0}, []int{2, 3})
+	h, err := f.Hyperslab("recv", []int{1, 0}, []int{2, 3})
 	if err != nil {
-		t.Fatalf("ReadSlab: %v", err)
+		t.Fatalf("Hyperslab: %v", err)
+	}
+	vals, err := h.ReadRange(ctx, 0, h.Size())
+	if err != nil {
+		t.Fatalf("ReadRange: %v", err)
 	}
 	want := []float64{10, 11, 12, 20, 21, 22}
 	for i, w := range want {
-		if slab.Values[i] != w {
-			t.Errorf("slab[%d] = %v, want %v", i, slab.Values[i], w)
+		if vals[i] != w {
+			t.Errorf("slab[%d] = %v, want %v", i, vals[i], w)
 		}
 	}
-	if rr.Retries() < 1 {
-		t.Errorf("Retries = %d, want >= 1 (faults were scheduled)", rr.Retries())
+	if st := col.Snapshot(); st.Retries != 1 || st.Faults != 1 {
+		t.Errorf("Retries = %d, Faults = %d, want 1 and 1 (the torn data read)", st.Retries, st.Faults)
 	}
-	if fr.Injected() < 1 {
-		t.Errorf("Injected = %d, want >= 1", fr.Injected())
+	if fr.Injected() < 2 {
+		t.Errorf("Injected = %d, want >= 2", fr.Injected())
 	}
 }
 
@@ -171,7 +189,7 @@ func TestFaultyReaderConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestRetryingReaderCancelledBackoff: cancelling the policy context while
+// TestRetryingReaderCancelledBackoff: cancelling the read's context while
 // a retry backoff is sleeping returns promptly — well before the schedule
 // would have slept out — with an error wrapping both the read failure and
 // the cancellation.
@@ -182,20 +200,20 @@ func TestRetryingReaderCancelledBackoff(t *testing.T) {
 	}
 	fr := NewFaultyReaderAt(bytes.NewReader([]byte("x")), faults...)
 	ctx, cancel := context.WithCancel(context.Background())
+	ctx, col := trace.WithCollector(ctx)
 	rr := NewRetryingReaderAt(fr, RetryConfig{
 		MaxRetries: 8,
-		BaseDelay:  time.Hour, // would block forever if Sleep were unconditional
-		Context:    ctx,
+		BaseDelay:  time.Hour, // would block forever if the sleep ignored ctx
 	})
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := rr.ReadAt(make([]byte, 1), 0)
+		_, err := rr.ReadAtCtx(ctx, make([]byte, 1), 0)
 		done <- err
 	}()
 
 	// Let the first attempt fail and enter its one-hour backoff.
-	for rr.Retries() == 0 {
+	for col.Snapshot().Retries == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
@@ -209,23 +227,9 @@ func TestRetryingReaderCancelledBackoff(t *testing.T) {
 			t.Errorf("error %v should wrap the read failure", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("ReadAt did not return after cancellation")
+		t.Fatal("ReadAtCtx did not return after cancellation")
 	}
 	if fr.Calls() != 1 {
 		t.Errorf("Calls = %d after cancel during first backoff, want 1", fr.Calls())
-	}
-}
-
-// TestRetryingReaderContextPreCancelled: an already-cancelled context still
-// allows the first attempt (only backoffs consult it), so a clean read
-// succeeds.
-func TestRetryingReaderContextPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	data := []byte("payload")
-	rr := NewRetryingReaderAt(bytes.NewReader(data), RetryConfig{Context: ctx})
-	buf := make([]byte, len(data))
-	if n, err := rr.ReadAt(buf, 0); err != nil || n != len(data) {
-		t.Fatalf("ReadAt = %d, %v; a cancelled context must not block fault-free reads", n, err)
 	}
 }

@@ -17,6 +17,11 @@
 // Fixed-size variable data lives at each variable's begin offset in row-major
 // order; record variables are interleaved per record. All values are
 // big-endian; names and values are padded to 4-byte boundaries.
+//
+// The package keeps no I/O counters of its own. A range read counts its slab
+// read and bytes, and a RetryingReaderAt its faults and retries, in the
+// trace.Collector that the read's context carries; a read without one (header
+// parsing, Slab, ReadSlab, ReadAll) counts nowhere.
 package netcdf
 
 import (
@@ -25,7 +30,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync/atomic"
 )
 
 // Type is a NetCDF external data type.
@@ -121,15 +125,6 @@ type File struct {
 	recSize int64 // bytes per record across all record variables
 	recDim  int   // index of the record dimension, -1 if none
 	fsize   int64 // total size of the data source, -1 if unknown
-
-	// stats accumulates slab-read counters; read via IOStats, which also
-	// collects retry/fault counters from the reader stack. The
-	// counters are atomic because tile-backed lazy arrays fetch slabs from
-	// concurrent tabulation workers sharing one File.
-	stats struct {
-		slabReads atomic.Int64
-		bytesRead atomic.Int64
-	}
 }
 
 // Open opens and parses a NetCDF file on disk.

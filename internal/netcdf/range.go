@@ -3,6 +3,8 @@ package netcdf
 import (
 	"context"
 	"fmt"
+
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // Hyperslab is a validated (start, count) block of one variable. It is the
@@ -144,29 +146,31 @@ func (h *Hyperslab) ReadRange(ctx context.Context, off, n int) ([]float64, error
 const maxPrealloc = 1 << 20
 
 // read walks the in-range cells [off, off+n) run by run in row-major order
-// and hands the raw external bytes to sink.
+// and hands the raw external bytes to sink. It counts one SlabRead and the
+// bytes delivered, in the trace.Collector of ctx.
 func (h *Hyperslab) read(ctx context.Context, off, n int, sink func(chunk []byte)) error {
 	if n == 0 {
 		return nil
 	}
-	h.f.stats.slabReads.Add(1)
+	d := trace.IOCounters{SlabReads: 1}
 	// Runs are read in bounded chunks so neither a corrupt header nor a
 	// huge tile size can force a matching buffer allocation.
 	const maxRunBytes = 1 << 22
 	buf := make([]byte, min(int64(min(h.run, n))*h.tsize, maxRunBytes))
-	for end := off + n; off < end; {
+	var err error
+	for end := off + n; off < end && err == nil; {
 		cells := min(h.run-off%h.run, end-off)
-		if err := h.readRun(ctx, h.offset(off), cells, buf, sink); err != nil {
-			return err
-		}
+		err = h.readRun(ctx, h.offset(off), cells, buf, sink, &d.BytesRead)
 		off += cells
 	}
-	return nil
+	trace.CollectorFrom(ctx).Add(&d)
+	return err
 }
 
 // readRun reads one contiguous run of count cells at byte offset base, one
-// ReadAt per buf-sized chunk, with a ctx check before each.
-func (h *Hyperslab) readRun(ctx context.Context, base int64, count int, buf []byte, sink func(chunk []byte)) error {
+// ReadAt per buf-sized chunk, with a ctx check before each, adding the bytes
+// it delivers to *bytes.
+func (h *Hyperslab) readRun(ctx context.Context, base int64, count int, buf []byte, sink func(chunk []byte), bytes *int64) error {
 	for left := int64(count) * h.tsize; left > 0; {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -177,7 +181,7 @@ func (h *Hyperslab) readRun(ctx context.Context, base int64, count int, buf []by
 		if _, err := h.f.readAtCtx(ctx, chunk, base); err != nil {
 			return fmt.Errorf("netcdf: %s: read at %d: %w", h.v.Name, base, err)
 		}
-		h.f.stats.bytesRead.Add(int64(len(chunk)))
+		*bytes += int64(len(chunk))
 		sink(chunk)
 		base += int64(len(chunk))
 		left -= int64(len(chunk))

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // rangeFile builds a file with a plain 2-D double variable and an
@@ -149,7 +151,8 @@ func TestReadCellRangeFaultRetry(t *testing.T) {
 	faulty.schedule[headerCalls] = Fault{Err: ErrInjected}
 	faulty.mu.Unlock()
 
-	got, err := f.ReadCellRangeCtx(context.Background(), "plain", 0, 12)
+	ctx, col := trace.WithCollector(context.Background())
+	got, err := f.ReadCellRangeCtx(ctx, "plain", 0, 12)
 	if err != nil {
 		t.Fatalf("transient fault not retried: %v", err)
 	}
@@ -158,12 +161,8 @@ func TestReadCellRangeFaultRetry(t *testing.T) {
 			t.Fatalf("cell %d = %v after retry", i, v)
 		}
 	}
-	if retrying.Retries() == 0 {
-		t.Error("no retries recorded for a transient fault")
-	}
-	st := f.IOStats()
-	if st.Retries == 0 || st.Faults == 0 {
-		t.Errorf("IOStats retries/faults = %d/%d, want non-zero", st.Retries, st.Faults)
+	if st := col.Snapshot(); st.Retries == 0 || st.Faults == 0 {
+		t.Errorf("collector retries/faults = %d/%d, want non-zero", st.Retries, st.Faults)
 	}
 
 	// Persistent: every attempt fails; the typed injected error surfaces.

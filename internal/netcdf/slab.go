@@ -44,8 +44,9 @@ func (f *File) ReadSlab(varName string, start, count []int) (*Slab, error) {
 	return h.Slab()
 }
 
-// Slab reads the whole hyperslab in one piece. It carries no per-call
-// context: cancellation is the reader stack's own (RetryConfig.Context).
+// Slab reads the whole hyperslab in one piece. It carries no context, so
+// it cannot be cancelled and its I/O counts in no trace.Collector; readers
+// that need either use ReadRange.
 func (h *Hyperslab) Slab() (*Slab, error) {
 	slab := &Slab{Shape: h.count, Type: h.v.Type}
 	var ctx context.Context

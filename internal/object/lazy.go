@@ -157,22 +157,6 @@ func (v Value) CellsCtx(ctx context.Context) ([]Value, error) {
 // Cells is CellsCtx without cancellation.
 func (v Value) Cells() ([]Value, error) { return v.CellsCtx(nil) }
 
-// MaterializeCtx returns an eager copy of v: same kind, shape and cells, no
-// backing indirection. Non-lazy values are returned unchanged.
-func (v Value) MaterializeCtx(ctx context.Context) (Value, error) {
-	if !v.IsLazy() {
-		return v, nil
-	}
-	cells, err := v.CellsCtx(ctx)
-	if err != nil {
-		return Value{}, err
-	}
-	return Value{Kind: KArray, Shape: v.Shape, Elems: cells}, nil
-}
-
-// Materialize is MaterializeCtx without cancellation.
-func (v Value) Materialize() (Value, error) { return v.MaterializeCtx(nil) }
-
 func fetchAll(ctx context.Context, b ArrayBacking, size int) ([]Value, error) {
 	if rb, ok := b.(RangeBacking); ok {
 		cells, err := rb.CellRange(ctx, 0, size)

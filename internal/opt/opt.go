@@ -107,8 +107,7 @@ type Optimizer struct {
 	// Optimize call, guarding against non-terminating user rules.
 	MaxApplications int
 	// Stats counts rule firings by name, accumulated across Optimize
-	// calls. Reset by ResetStats. Callers wanting a stable view should use
-	// StatsSnapshot, which copies under the stats lock; concurrent
+	// calls. Callers wanting a stable view should use StatsSnapshot, which copies under the stats lock; concurrent
 	// Optimize calls update the counters under the same lock, so parallel
 	// sessions sharing an optimizer never corrupt the map.
 	Stats map[string]int
@@ -156,13 +155,6 @@ func (o *Optimizer) AddRule(phase string, r Rule) {
 		}
 	}
 	o.Phases = append(o.Phases, newPhase(phase, []Rule{r}))
-}
-
-// ResetStats clears the firing counters.
-func (o *Optimizer) ResetStats() {
-	o.statsMu.Lock()
-	o.Stats = map[string]int{}
-	o.statsMu.Unlock()
 }
 
 // StatsSnapshot returns a copy of the cumulative firing counters, so

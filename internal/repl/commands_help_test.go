@@ -2,6 +2,8 @@ package repl
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -56,10 +58,13 @@ func TestEveryCommandRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	// :trace writes where it is told, not into the working directory.
+	traceFile := filepath.Join(t.TempDir(), "trace.json")
 	args := map[string]string{
 		":explain": " 1 + 1",
 		":profile": " 1 + 1",
 		":exec":    " n=1",
+		":trace":   " " + traceFile,
 	}
 	// :exec runs before :prepare in sorted order; give it a statement.
 	if _, err := s.Command(context.Background(), ":prepare $n + 1"); err != nil {
@@ -74,5 +79,8 @@ func TestEveryCommandRuns(t *testing.T) {
 		if out == "" {
 			t.Errorf("%s produced no output", name)
 		}
+	}
+	if fi, err := os.Stat(traceFile); err != nil || fi.Size() == 0 {
+		t.Errorf(":trace %s wrote no trace: %v", traceFile, err)
 	}
 }

@@ -16,18 +16,12 @@ import (
 
 // ioState is the session's out-of-core I/O machinery: the per-session cache
 // of open NetCDF files (opened once, read lazily for the session's
-// lifetime, closed by Session.Close), the shared tile cache, and the
-// watermark bookkeeping that attributes cumulative file counters to
-// statements as deltas.
+// lifetime, closed by Session.Close) and the shared tile cache. It keeps no
+// I/O counts: every read counts into the collector of the execution it ran
+// under (Session.Guard).
 type ioState struct {
 	mu    sync.Mutex
 	files map[string]*openFile
-	// watermark holds the last reported cumulative file counters; deltas
-	// against it attribute I/O to the statement that caused it without
-	// double-counting across the long-lived handles. Each increment is
-	// reported exactly once, so fleet totals stay exact even when
-	// concurrent queries blur per-statement attribution.
-	watermark trace.IOCounters
 
 	cache *tile.Cache
 	// spill enables spilling oversized val bindings to the tile cache's
@@ -70,34 +64,6 @@ func (io *ioState) open(path string) (*netcdf.File, error) {
 	}
 	io.files[path] = &openFile{f: f, closer: osf}
 	return f, nil
-}
-
-// fileCounters mirrors a file's cumulative counters into the trace form.
-func fileCounters(st netcdf.IOStats) trace.IOCounters {
-	return trace.IOCounters{SlabReads: st.SlabReads, BytesRead: st.BytesRead, Retries: st.Retries, Faults: st.Faults}
-}
-
-// fileTotals sums the cumulative counters of the open files; io.mu is held.
-func (io *ioState) fileTotals() trace.IOCounters {
-	var cum trace.IOCounters
-	for _, of := range io.files {
-		cum.Add(fileCounters(of.f.IOStats()))
-	}
-	return cum
-}
-
-// fileDelta returns the growth of the cumulative file counters since the
-// last call and advances the watermark, so each increment lands on exactly
-// one report; under concurrent executions the attribution is approximate but
-// the fleet totals stay exact.
-func (io *ioState) fileDelta() trace.IOCounters {
-	io.mu.Lock()
-	defer io.mu.Unlock()
-	cum := io.fileTotals()
-	delta := cum
-	delta.Sub(io.watermark)
-	io.watermark = cum
-	return delta
 }
 
 // close releases all open files and the tile cache (including its spill
@@ -180,7 +146,7 @@ func (s *Session) maybeSpill(ctx context.Context, v object.Value) object.Value {
 	if !spill || v.Kind != object.KArray || v.IsLazy() || !cache.OverBudget(v.Size()) {
 		return v
 	}
-	ctx, col := tile.WithCollector(ctx)
+	ctx, col := trace.WithCollector(ctx)
 	spilled, err := cache.SpillArray(ctx, v)
 	s.Trace.RecordIO(col.Snapshot())
 	if err != nil {

@@ -3,6 +3,7 @@ package repl
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -51,6 +52,27 @@ func writeNC1D(t testing.TB, dir string, n int) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "series.nc")
+	if err := b.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeNCScalar writes three scalar (rank-0) variables, the double "s" =
+// 2.5, the int "k" = 7 and the float "nan" = NaN, and returns the file path.
+func writeNCScalar(t *testing.T, dir string) string {
+	t.Helper()
+	b := netcdf.NewBuilder()
+	for _, v := range []struct {
+		name string
+		typ  netcdf.Type
+		x    float64
+	}{{"s", netcdf.Double, 2.5}, {"k", netcdf.Int, 7}, {"nan", netcdf.Float, math.NaN()}} {
+		if err := b.AddVar(v.name, v.typ, nil, nil, []float64{v.x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, "scalars.nc")
 	if err := b.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +130,33 @@ func (r ncRead) stmt() string {
 	}
 	return fmt.Sprintf(`readval \%s using NETCDF%d at (%q, %q, %s, %s);`,
 		r.name, len(r.lower), r.path, r.varName, bound(r.lower), bound(r.upper))
+}
+
+// floatCells boxes raw NetCDF values as AQL cells, the eager way: non-finite
+// values become ⊥ with the lazy readers' diagnostic.
+func floatCells(vals []float64) []object.Value {
+	out := make([]object.Value, len(vals))
+	for i, f := range vals {
+		if !object.IsFinite(f) {
+			out[i] = object.Bottom(nonFiniteDiag)
+			continue
+		}
+		out[i] = object.Real(f)
+	}
+	return out
+}
+
+// slabToArray converts a numeric NetCDF slab into an eager AQL array of
+// reals; a scalar variable is a [1]-shaped array.
+func slabToArray(slab *netcdf.Slab) (object.Value, error) {
+	if slab.Type == netcdf.Char {
+		return object.Value{}, errCharVariable
+	}
+	shape := slab.Shape
+	if len(shape) == 0 {
+		shape = []int{1}
+	}
+	return object.Array(shape, floatCells(slab.Values))
 }
 
 // bindOracle binds the read's materialized value in s and returns the
@@ -188,6 +237,7 @@ func TestLazyEagerDifferential(t *testing.T) {
 	grid := writeNC2D(t, dir)
 	series := writeNC1D(t, dir, 100)
 	records := writeNCRecord(t, dir)
+	scalars := writeNCScalar(t, dir)
 
 	reads := []ncRead{
 		{name: "V", path: grid, varName: "v"},
@@ -196,8 +246,15 @@ func TestLazyEagerDifferential(t *testing.T) {
 		{name: "T", path: series, varName: "series", lower: []int{10}, upper: []int{59}},
 		{name: "R", path: records, varName: "ra", lower: []int{1, 1, 0}, upper: []int{3, 2, 1}},
 		{name: "Q", path: records, varName: "rb", lower: []int{0, 1}, upper: []int{4, 3}},
+		// Scalar variables bind as [1]-shaped arrays.
+		{name: "Z", path: scalars, varName: "s"},
+		{name: "K", path: scalars, varName: "k"},
 	}
 	stmts := []string{
+		`Z;`,
+		`[[ V[i, 0] * Z[0] | \i < 6 ]];`,
+		`K[0] + Z[0];`,
+		`Z = Z;`,
 		`V;`,
 		`S;`,
 		`[[ V[i, j] * 2.0 | \i < 6, \j < 8 ]];`,
@@ -240,6 +297,20 @@ func TestLazyEagerDifferential(t *testing.T) {
 	}
 	if got, want := results[0][last], "it : real = _|_(* non-finite value in NetCDF data *)\n"; got != want {
 		t.Errorf("oracle Σ over the NaN cell = %q, want %q", got, want)
+	}
+	for i, m := range modes {
+		if got, want := results[i][len(reads)-2], "Z : [[real]] = [[2.5]]\n"; got != want {
+			t.Errorf("%s binds the scalar variable as %q, want %q", m.name, got, want)
+		}
+	}
+	// A non-finite scalar reads as the ⊥ a non-finite cell of any rank
+	// reads as. (Not in the corpus: the eager oracle types an all-⊥ array
+	// [['v1]], where a lazy array of NetCDF data is [[real]].)
+	nan := runCorpus(t, func(s *Session) {}, false,
+		[]ncRead{{name: "N", path: scalars, varName: "nan"}}, []string{`N[0];`})
+	if want := []string{"N : [[real]] = [[_|_(* non-finite value in NetCDF data *)]]\n",
+		"it : real = _|_(* non-finite value in NetCDF data *)\n"}; strings.Join(nan, "") != strings.Join(want, "") {
+		t.Errorf("non-finite scalar variable = %q, want %q", nan, want)
 	}
 	var labels []string
 	for _, r := range reads {
@@ -338,23 +409,32 @@ func TestOutOfCoreBudgetResidency(t *testing.T) {
 	}
 }
 
-// injectFaulty rebinds the session's handle for path over a FaultyReaderAt
-// so tests control the fault schedule of subsequent tile fetches, and
-// returns the injector.
-func injectFaulty(t *testing.T, s *Session, path string) *netcdf.FaultyReaderAt {
+// injectReader rebinds the session's handle for path over wrap(the file),
+// under the retry layer the session's own handles have, so tests control
+// what subsequent tile fetches meet.
+func injectReader(t *testing.T, s *Session, path string, wrap func(io.ReaderAt) io.ReaderAt) {
 	t.Helper()
 	osf, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := netcdf.NewFaultyReaderAt(osf)
-	f, err := netcdf.Read(netcdf.NewRetryingReaderAt(faulty, netcdf.RetryConfig{MaxRetries: 2}))
+	f, err := netcdf.Read(netcdf.NewRetryingReaderAt(wrap(osf), netcdf.RetryConfig{MaxRetries: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.io.mu.Lock()
 	s.io.files[path] = &openFile{f: f, closer: osf}
 	s.io.mu.Unlock()
+}
+
+// injectFaulty injects a FaultyReaderAt for path and returns the injector.
+func injectFaulty(t *testing.T, s *Session, path string) *netcdf.FaultyReaderAt {
+	t.Helper()
+	var faulty *netcdf.FaultyReaderAt
+	injectReader(t, s, path, func(r io.ReaderAt) io.ReaderAt {
+		faulty = netcdf.NewFaultyReaderAt(r)
+		return faulty
+	})
 	return faulty
 }
 

@@ -109,14 +109,6 @@ func (s *Session) lazySlab(h *netcdf.Hyperslab) (object.Value, error) {
 	if h.Type() == netcdf.Char {
 		return object.Value{}, errCharVariable
 	}
-	// Scalar variables materialize: one cell, nothing to tile.
-	if len(h.Shape()) == 0 {
-		slab, err := h.Slab()
-		if err != nil {
-			return object.Value{}, err
-		}
-		return slabToArray(slab)
-	}
 	// A tile is the decoded []float64 itself: cells are boxed one at a time
 	// as queries read them, not 4096 at a time when the tile arrives.
 	fetch := func(ctx context.Context, off, n int) (object.Flat, error) {
@@ -126,38 +118,16 @@ func (s *Session) lazySlab(h *netcdf.Hyperslab) (object.Value, error) {
 		}
 		return object.PackReals(vals, nonFiniteDiag), nil
 	}
-	return object.LazyArray(h.Shape(), s.TileCache().NewFlatArray(h.Size(), fetch))
+	// A scalar variable is a [1]-shaped array over a one-cell tile.
+	shape := h.Shape()
+	if len(shape) == 0 {
+		shape = []int{1}
+	}
+	return object.LazyArray(shape, s.TileCache().NewFlatArray(h.Size(), fetch))
 }
 
 // nonFiniteDiag is the diagnostic of the ⊥ a non-finite NetCDF value reads as.
 const nonFiniteDiag = "non-finite value in NetCDF data"
-
-// floatCells boxes raw NetCDF values as AQL cells for the readers that
-// materialize (scalar variables); non-finite values become ⊥.
-func floatCells(vals []float64) []object.Value {
-	out := make([]object.Value, len(vals))
-	for i, f := range vals {
-		if !object.IsFinite(f) {
-			out[i] = object.Bottom(nonFiniteDiag)
-			continue
-		}
-		out[i] = object.Real(f)
-	}
-	return out
-}
-
-// slabToArray converts a numeric NetCDF slab into an AQL array of reals.
-func slabToArray(slab *netcdf.Slab) (object.Value, error) {
-	if slab.Type == netcdf.Char {
-		return object.Value{}, errCharVariable
-	}
-	data := floatCells(slab.Values)
-	shape := slab.Shape
-	if len(shape) == 0 {
-		shape = []int{1}
-	}
-	return object.Array(shape, data)
-}
 
 // RegisterNetCDFWriter registers the NETCDF writer: `writeval E using
 // NETCDF at (file, variable)` writes a k-dimensional array of reals (or

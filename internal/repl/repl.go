@@ -241,16 +241,16 @@ type Work struct {
 // Guard is the query boundary, the one place an execution — a session
 // statement, a prepared execution, the server's POST /query and POST /shard —
 // crosses into the engines. Around run it times the eval phase on rec,
-// attributes lazy-array tile I/O to this execution through a per-query
-// collector carried in the context (the long-lived file handles' counters
-// arrive as watermark deltas), records engine, work counters, I/O and span
-// tree even for aborted queries, and converts a panic into an error so one
+// attributes I/O to this execution through a trace.Collector carried in the
+// context (every NetCDF read, retry and tile lookup made under that context
+// counts there, and nowhere else), records engine, work counters, I/O and
+// span tree even for aborted queries, and converts a panic into an error so one
 // bad query can never crash a process serving others: a lazy array that
 // failed to materialize inside an interface with no error return (Compare,
 // String) surfaces its I/O error, anything else a *PanicError carrying src.
 func (s *Session) Guard(ctx context.Context, rec *trace.Recorder, src string, run func(context.Context, *Work) error) (err error) {
 	sp := rec.StartPhase(trace.PhaseEval)
-	ctx, tiles := tile.WithCollector(ctx)
+	ctx, col := trace.WithCollector(ctx)
 	var w Work
 	defer func() {
 		s.LastSteps.Store(w.Counters.Steps)
@@ -258,9 +258,7 @@ func (s *Session) Guard(ctx context.Context, rec *trace.Recorder, src string, ru
 		sp.End()
 		rec.RecordEngine(w.Engine)
 		rec.RecordEval(w.Counters)
-		io := tiles.Snapshot()
-		io.Add(s.io.fileDelta())
-		rec.RecordIO(io)
+		rec.RecordIO(col.Snapshot())
 		if w.Spans != nil {
 			rec.RecordSpans(w.Spans, w.Level.String())
 		}
@@ -417,11 +415,9 @@ func (s *Session) execStmtInner(ctx context.Context, stmt parser.Stmt) (Result, 
 		if err != nil {
 			return Result{}, fmt.Errorf("readval %s: %w", n.Name, err)
 		}
+		// The NetCDF readers parse the header and bind a lazy array; its
+		// data is read by the executions that demand its tiles.
 		v, err := reader(arg)
-		// Header parsing and eager slab reads happen inside the reader
-		// call; attribute that I/O to this statement (lazy tile fetches are
-		// attributed later, to the queries that trigger them).
-		s.Trace.RecordIO(s.io.fileDelta())
 		if err != nil {
 			return Result{}, fmt.Errorf("readval %s using %s: %w", n.Name, n.Reader, err)
 		}

@@ -102,9 +102,6 @@ var keywords = map[string]bool{
 	"macro": true, "readval": true, "writeval": true, "using": true, "at": true,
 }
 
-// IsKeyword reports whether name is a reserved word.
-func IsKeyword(name string) bool { return keywords[name] }
-
 // Scan tokenizes src, returning the token stream terminated by an EOF token.
 func Scan(src string) ([]Token, error) {
 	s := &scanner{src: src, line: 1, col: 1}

@@ -31,7 +31,7 @@ func TestCursorCountsLikeCell(t *testing.T) {
 		c := New(Config{TileCells: tc})
 		defer c.Close()
 		a := c.NewArray(n, (&seqFetch{}).fetch)
-		ctx, col := WithCollector(context.Background())
+		ctx, col := trace.WithCollector(context.Background())
 		for pass := 0; pass < 2; pass++ {
 			for i := 0; i < n; i++ {
 				read(ctx, a, i)

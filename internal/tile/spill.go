@@ -90,7 +90,7 @@ func (c *Cache) SpillArray(ctx context.Context, v object.Value) (object.Value, e
 	}
 	size := len(cells)
 	tc := c.cfg.tileCells()
-	col := collectorFrom(ctx)
+	col := trace.CollectorFrom(ctx)
 	var segs []spillSeg
 	for start := 0; start < size; start += tc {
 		end := start + tc
@@ -121,7 +121,7 @@ func (c *Cache) SpillArray(ctx context.Context, v object.Value) (object.Value, e
 		if err != nil {
 			return object.Flat{}, fmt.Errorf("tile: decode spill tile %d: %w", t, err)
 		}
-		c.count(collectorFrom(ctx), &trace.IOCounters{SpillBytesRead: segs[t].len})
+		c.count(trace.CollectorFrom(ctx), &trace.IOCounters{SpillBytesRead: segs[t].len})
 		return out, nil
 	})
 	return object.LazyArray(v.Shape, arr)

@@ -23,6 +23,12 @@
 // fault surfaces to exactly the demand that hit it and the next access
 // retries. Waiters of a cancelled fetcher re-run the fetch under their own
 // context rather than inheriting the cancellation.
+//
+// Each call counts what it did (hits, misses, prefetches, bytes, spill
+// traffic) twice: in the cache's own totals (Stats), and in the
+// trace.Collector its context carries, which is the execution's. A fetch
+// runs under the context of the call that faulted the tile, so the source's
+// own counts (the NetCDF slab reads) land in that execution's collector too.
 package tile
 
 import (
@@ -112,58 +118,10 @@ func RealTileBytes(cells int) int64 {
 // size on both sides makes the ratio read directly as I/O amplification.
 const cellPayload = 8
 
-// counters is the atomic counter block shared by the cache-global stats
-// and per-query collectors.
-type counters struct {
-	hits           atomic.Int64
-	misses         atomic.Int64
-	prefetches     atomic.Int64
-	prefetchUseful atomic.Int64
-	bytesScanned   atomic.Int64
-	bytesReturned  atomic.Int64
-	spillWritten   atomic.Int64
-	spillRead      atomic.Int64
-	evictions      atomic.Int64
-}
-
 // Counters is trace.IOCounters, the one record of an execution's I/O; the
 // name stays because the frozen benchmark harness (benchmarks/) uses it. The
 // cache fills the tile fields and Evictions.
 type Counters = trace.IOCounters
-
-func (c *counters) snapshot() trace.IOCounters {
-	return trace.IOCounters{
-		TileHits:          c.hits.Load(),
-		TileMisses:        c.misses.Load(),
-		Prefetches:        c.prefetches.Load(),
-		PrefetchUseful:    c.prefetchUseful.Load(),
-		BytesScanned:      c.bytesScanned.Load(),
-		BytesReturned:     c.bytesReturned.Load(),
-		SpillBytesWritten: c.spillWritten.Load(),
-		SpillBytesRead:    c.spillRead.Load(),
-		Evictions:         c.evictions.Load(),
-	}
-}
-
-// add applies what one call counted to c. Zero counts cost nothing, so a
-// hit pays for two atomic adds. Evictions are not a per-call count: they go
-// to the cache's own counters where they happen.
-func (c *counters) add(d *trace.IOCounters) {
-	addTo(&c.hits, d.TileHits)
-	addTo(&c.misses, d.TileMisses)
-	addTo(&c.prefetches, d.Prefetches)
-	addTo(&c.prefetchUseful, d.PrefetchUseful)
-	addTo(&c.bytesScanned, d.BytesScanned)
-	addTo(&c.bytesReturned, d.BytesReturned)
-	addTo(&c.spillWritten, d.SpillBytesWritten)
-	addTo(&c.spillRead, d.SpillBytesRead)
-}
-
-func addTo(dst *atomic.Int64, n int64) {
-	if n != 0 {
-		dst.Add(n)
-	}
-}
 
 // entry is one cached (or in-flight) tile.
 type entry struct {
@@ -184,8 +142,11 @@ type key struct {
 // Cache is a byte-budgeted LRU tile cache shared by the lazy arrays of a
 // session. Safe for concurrent use.
 type Cache struct {
-	cfg   Config
-	stats counters
+	cfg Config
+	// stats holds the cache's own totals; evictions counts apart from them,
+	// as cursors read it on every pinned read to tell a pin is still valid.
+	stats     trace.Collector
+	evictions atomic.Int64
 
 	nextOwner atomic.Uint64
 
@@ -209,7 +170,11 @@ func (c *Cache) Config() Config {
 }
 
 // Stats returns a snapshot of the cache-global counters.
-func (c *Cache) Stats() trace.IOCounters { return c.stats.snapshot() }
+func (c *Cache) Stats() trace.IOCounters {
+	st := c.stats.Snapshot()
+	st.Evictions = c.evictions.Load()
+	return st
+}
 
 // OverBudget reports whether holding an array of the given cell count
 // eagerly (boxed, one object.Value per cell) would exceed the cache budget —
@@ -237,13 +202,11 @@ func (c *Cache) PeakResident() int64 {
 func (c *Cache) Close() error { return c.spill.close() }
 
 // count adds what one call did to the cache-global counters and to the
-// query's collector (nil when the call's ctx carried none). Callers resolve
-// the collector once per call and count once, when the call is over.
-func (c *Cache) count(col *Collector, d *trace.IOCounters) {
-	c.stats.add(d)
-	if col != nil {
-		col.counters.add(d)
-	}
+// execution's collector (nil when the call's ctx carried none). Callers
+// resolve the collector once per call and count once, when the call is over.
+func (c *Cache) count(col *trace.Collector, d *trace.IOCounters) {
+	c.stats.Add(d)
+	col.Add(d)
 }
 
 // Array is a lazy-array backing: object.ArrayBacking over one fetch source,
@@ -321,14 +284,14 @@ type Cursor struct {
 	lo, hi    int // flat offsets of the pinned tile
 	cells     *object.Flat
 	evictions int64
-	col       *Collector
+	col       *trace.Collector
 	pinned    int64 // pinned reads not yet counted
 }
 
 // Read returns the resident tile holding cell off of a and off's offset in
 // it. The tile's cells are immutable and stay valid after it is evicted.
 func (cur *Cursor) Read(ctx context.Context, a *Array, off int) (*object.Flat, int, error) {
-	if a == cur.a && uint(off-cur.lo) < uint(cur.hi-cur.lo) && a.c.stats.evictions.Load() == cur.evictions {
+	if a == cur.a && uint(off-cur.lo) < uint(cur.hi-cur.lo) && a.c.evictions.Load() == cur.evictions {
 		cur.pinned++
 		return cur.cells, off - cur.lo, nil
 	}
@@ -345,8 +308,8 @@ func (cur *Cursor) demand(ctx context.Context, a *Array, off int) (*object.Flat,
 	}
 	tc := a.c.cfg.tileCells()
 	t := off / tc
-	col := collectorFrom(ctx)
-	evictions := a.c.stats.evictions.Load()
+	col := trace.CollectorFrom(ctx)
+	evictions := a.c.evictions.Load()
 	var d trace.IOCounters
 	cells, err := a.c.tile(ctx, a, t, &d)
 	if err == nil {
@@ -375,7 +338,7 @@ func (a *Array) CellRange(ctx context.Context, start, n int) ([]object.Value, er
 	}
 	out := make([]object.Value, 0, n)
 	tc := a.c.cfg.tileCells()
-	col := collectorFrom(ctx)
+	col := trace.CollectorFrom(ctx)
 	var d trace.IOCounters
 	for off := start; off < start+n; {
 		t := off / tc
@@ -530,7 +493,7 @@ func (c *Cache) insertLocked(e *entry, cells object.Flat) {
 		c.lru.Remove(tail)
 		delete(c.entries, ev.key)
 		c.resident -= ev.bytes
-		c.stats.evictions.Add(1)
+		c.evictions.Add(1)
 	}
 	if c.resident > c.peak {
 		c.peak = c.resident

@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // seqFetch serves Real(start+i) cells and counts fetch calls, optionally
@@ -215,11 +216,11 @@ func TestCollectorAttribution(t *testing.T) {
 	f := &seqFetch{}
 	a := c.NewArray(8, f.fetch)
 
-	ctx1, col1 := WithCollector(context.Background())
+	ctx1, col1 := trace.WithCollector(context.Background())
 	if _, err := a.Cell(ctx1, 0); err != nil {
 		t.Fatal(err)
 	}
-	ctx2, col2 := WithCollector(context.Background())
+	ctx2, col2 := trace.WithCollector(context.Background())
 	if _, err := a.Cell(ctx2, 0); err != nil {
 		t.Fatal(err)
 	}

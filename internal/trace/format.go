@@ -159,25 +159,6 @@ func (r *QueryReport) FormatTop(n int) string {
 	return b.String()
 }
 
-// FormatSpans renders the span tree as an indented profile for reports.
-func (r *QueryReport) FormatSpans() string {
-	if r.Spans == nil {
-		return "no span tree recorded\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "span tree of %s (%s profiling)\n", r.Query, r.ProfLevel)
-	var walk func(s *SpanNode, depth int)
-	walk = func(s *SpanNode, depth int) {
-		fmt.Fprintf(&b, "  %*s%-*s cum %s self %s x%d steps %d\n",
-			2*depth, "", 14-2*depth, s.Op, fmtDur(s.WallCum), fmtDur(s.WallSelf), s.Invocations, s.Steps)
-		for _, c := range s.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(r.Spans, 0)
-	return b.String()
-}
-
 // FormatFleet renders an aggregate snapshot for :stats — the cross-query
 // histogram, phase totals, evaluator and I/O counters, hottest rules and
 // the slow log.

@@ -102,7 +102,7 @@ func writeFleetMetrics(b *MetricWriter, s AggregateSnapshot) {
 	b.Val("aql_io_bytes_read_total", "", s.Totals.IO.BytesRead)
 	b.Header("aql_io_retries_total", "counter", "NetCDF transient-error retries.")
 	b.Val("aql_io_retries_total", "", s.Totals.IO.Retries)
-	b.Header("aql_io_faults_total", "counter", "NetCDF injected faults observed.")
+	b.Header("aql_io_faults_total", "counter", "NetCDF failed read attempts seen by the retry layer.")
 	b.Val("aql_io_faults_total", "", s.Totals.IO.Faults)
 	b.Header("aql_io_tile_hits_total", "counter", "Tile-cache demand hits.")
 	b.Val("aql_io_tile_hits_total", "", s.Totals.IO.TileHits)

@@ -299,8 +299,8 @@ func (r *Recorder) RecordShards(spans []ShardSpan) {
 	r.mu.Unlock()
 }
 
-// RecordIO folds I/O counters into the open report; the NetCDF readers
-// call it once per file read.
+// RecordIO folds I/O counters into the open report: the snapshot of the
+// execution's Collector, which Session.Guard records when the execution ends.
 func (r *Recorder) RecordIO(c IOCounters) {
 	if r == nil {
 		return

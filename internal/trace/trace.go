@@ -87,18 +87,20 @@ func (c EvalCounters) Sub(o EvalCounters) EvalCounters {
 	return EvalCounters{c.Steps - o.Steps, c.Cells - o.Cells, c.Tabulations - o.Tabulations, c.SetOps - o.SetOps, c.Iterations - o.Iterations}
 }
 
-// IOCounters is the I/O work observed while a query ran: the NetCDF file
-// counters and the tile cache's (tile.Counters names it; Cache.Stats and a
-// per-query Collector report in it).
+// IOCounters is the I/O work observed while a query ran: the NetCDF reader's
+// counters and the tile cache's (tile.Counters names it). A Collector adds
+// them up; its Snapshot, and the tile cache's Stats, report in it.
 type IOCounters struct {
-	// SlabReads counts hyperslab read requests served.
+	// SlabReads counts non-empty hyperslab range reads.
 	SlabReads int64 `json:"slab_reads"`
-	// BytesRead counts external data bytes delivered to slab decoding.
+	// BytesRead counts external data bytes delivered to slab decoding
+	// (header parsing is not counted).
 	BytesRead int64 `json:"bytes_read"`
-	// Retries counts transient-error re-reads by a RetryingReaderAt.
+	// Retries counts re-attempts by a RetryingReaderAt after a transient
+	// read error.
 	Retries int64 `json:"retries"`
-	// Faults counts injected faults observed by a FaultyReaderAt (tests
-	// and soak runs).
+	// Faults counts failed read attempts seen by a RetryingReaderAt: an
+	// injected fault in tests, a storage error in production.
 	Faults int64 `json:"faults"`
 	// Tile-cache counters (out-of-core lazy arrays). TileHits and TileMisses
 	// count demand tile lookups served from cache vs. faulted in from the
@@ -121,8 +123,8 @@ type IOCounters struct {
 	SpillBytesWritten int64 `json:"spill_bytes_written,omitempty"`
 	SpillBytesRead    int64 `json:"spill_bytes_read,omitempty"`
 	// Evictions counts tiles dropped to stay within budget. Only the cache's
-	// own Stats count them; a per-query collector does not, so reports never
-	// carry it.
+	// own Stats count them; an execution's collector does not, so reports
+	// never carry it.
 	Evictions int64 `json:"evictions,omitempty"`
 }
 
@@ -141,23 +143,6 @@ func (c *IOCounters) Add(other IOCounters) {
 	c.SpillBytesWritten += other.SpillBytesWritten
 	c.SpillBytesRead += other.SpillBytesRead
 	c.Evictions += other.Evictions
-}
-
-// Sub subtracts other from c: the I/O observed since the snapshot other.
-func (c *IOCounters) Sub(other IOCounters) {
-	c.SlabReads -= other.SlabReads
-	c.BytesRead -= other.BytesRead
-	c.Retries -= other.Retries
-	c.Faults -= other.Faults
-	c.TileHits -= other.TileHits
-	c.TileMisses -= other.TileMisses
-	c.Prefetches -= other.Prefetches
-	c.PrefetchUseful -= other.PrefetchUseful
-	c.BytesScanned -= other.BytesScanned
-	c.BytesReturned -= other.BytesReturned
-	c.SpillBytesWritten -= other.SpillBytesWritten
-	c.SpillBytesRead -= other.SpillBytesRead
-	c.Evictions -= other.Evictions
 }
 
 // IsZero reports whether no I/O was observed.

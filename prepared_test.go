@@ -10,6 +10,7 @@ package aql
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -278,6 +279,16 @@ func TestStmtGoBinding(t *testing.T) {
 	var be *BindError
 	if _, err := st.Exec(ctx, map[string]any{"a": -1, "n": 4}); !errors.As(err, &be) {
 		t.Errorf("negative int: err = %v, want *BindError", err)
+	}
+	// Unsigned values beyond the largest nat name their argument; the
+	// largest nat itself binds.
+	for _, big := range []any{uint64(1) << 63, uint64(math.MaxUint64), uint(1) << 63} {
+		if _, err := st.Exec(ctx, map[string]any{"a": big, "n": 4}); !errors.As(err, &be) || be.Name != "a" {
+			t.Errorf("%T %v: err = %v, want *BindError naming $a", big, big, err)
+		}
+	}
+	if v, err := st.Exec(ctx, map[string]any{"a": uint64(math.MaxInt64), "n": uint(1)}); err != nil || v.String() != `[[0]]` {
+		t.Errorf("largest nat: got %v, %v; want [[0]]", v, err)
 	}
 	if _, err := st.Exec(ctx, map[string]any{"a": struct{}{}, "n": 4}); !errors.As(err, &be) {
 		t.Errorf("unrepresentable type: err = %v, want *BindError", err)

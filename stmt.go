@@ -3,6 +3,7 @@ package aql
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/repl"
@@ -48,7 +49,8 @@ func (st *Stmt) Type() *Type { return st.p.Type }
 
 // Exec runs the statement with args as its argument frame and returns the
 // result (also bound to `it`). Arguments accept Go natives — int kinds map
-// to nat (negative values are a *BindError; use a float for reals), float32
+// to nat (negative values, and unsigned ones beyond 2^63 - 1, are a
+// *BindError; use a float for reals), float32
 // and float64 to real, string to string, bool to bool — or any Value for
 // structured arguments. Binding is strict: every placeholder must be bound,
 // every argument must name a placeholder, and every value must unify with
@@ -94,7 +96,7 @@ func toValue(name string, a any) (object.Value, error) {
 	case int64:
 		return natArg(name, x)
 	case uint:
-		return object.Nat(int64(x)), nil
+		return uintArg(name, uint64(x))
 	case uint8:
 		return object.Nat(int64(x)), nil
 	case uint16:
@@ -102,7 +104,7 @@ func toValue(name string, a any) (object.Value, error) {
 	case uint32:
 		return object.Nat(int64(x)), nil
 	case uint64:
-		return object.Nat(int64(x)), nil
+		return uintArg(name, x)
 	}
 	return object.Value{}, &BindError{Name: name,
 		Msg: fmt.Sprintf("argument $%s: no AQL representation for Go type %T", name, a)}
@@ -116,4 +118,14 @@ func natArg(name string, n int64) (object.Value, error) {
 			Msg: fmt.Sprintf("argument $%s: naturals are non-negative, got %d (bind a real for signed values)", name, n)}
 	}
 	return object.Nat(n), nil
+}
+
+// uintArg maps an unsigned integer to nat, rejecting values beyond the
+// largest nat (2^63 - 1).
+func uintArg(name string, n uint64) (object.Value, error) {
+	if n > math.MaxInt64 {
+		return object.Value{}, &BindError{Name: name,
+			Msg: fmt.Sprintf("argument $%s: %d exceeds the largest nat, %d", name, n, int64(math.MaxInt64))}
+	}
+	return object.Nat(int64(n)), nil
 }
