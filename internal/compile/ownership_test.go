@@ -159,7 +159,7 @@ func TestFunctionEnteredThroughFn(t *testing.T) {
 					done <- err.Error()
 					return
 				}
-				if c, _ := got.CellAt(19_999); c.N != 19_999+n {
+				if c, _ := got.CellAtCtx(context.Background(), 19_999); c.N != 19_999+n {
 					done <- "wrong cell " + c.String()
 					return
 				}

@@ -116,7 +116,9 @@ func (e *Env) PlanEpoch(readsIt bool) uint64 {
 }
 
 // RegisterPrimitive makes an external function available to queries under
-// the given name with the given declared type — the paper's RegisterCO.
+// the given name with the given declared type — the paper's RegisterCO. Both
+// engines hand fn its argument materialized (eval.Materialize): no lazy
+// array reaches it, so it reads cells from Elems.
 func (e *Env) RegisterPrimitive(name string, fn func(object.Value) (object.Value, error), typ *types.Type) error {
 	if typ == nil || typ.Kind != types.KindFunc {
 		return fmt.Errorf("env: primitive %q needs a function type, got %v", name, typ)
@@ -137,7 +139,9 @@ func (e *Env) RegisterReader(name string, r Reader) {
 	e.epoch++
 }
 
-// RegisterWriter registers a data writer under the given name.
+// RegisterWriter registers a data writer under the given name. A writer is
+// handed its data materialized, read under the writeval statement's
+// execution: no lazy array reaches it.
 func (e *Env) RegisterWriter(name string, w Writer) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

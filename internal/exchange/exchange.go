@@ -76,11 +76,10 @@ func writeValue(w *bufio.Writer, v object.Value) error {
 			}
 			w.WriteString("; ")
 		}
-		cells, err := v.Cells()
-		if err != nil {
-			return err
+		if v.IsLazy() {
+			return fmt.Errorf("exchange: cannot serialize an unmaterialized lazy array")
 		}
-		for i, e := range cells {
+		for i, e := range v.Elems {
 			if i > 0 {
 				w.WriteString(", ")
 			}

@@ -14,7 +14,8 @@ import "fmt"
 //
 // ⊥ is ordered below every proper value. Function values are not orderable;
 // comparing them panics, matching the type system's refusal to order
-// function types.
+// function types. Compare never reads storage: a lazy array panics too; the
+// engines materialize one before a comparison or collection (eval.Materialize).
 func Compare(a, b Value) int {
 	if a.Kind != b.Kind {
 		// Numeric cross-kind comparison: nat vs real compares by magnitude,
@@ -51,7 +52,10 @@ func Compare(a, b Value) int {
 		if c := cmpInts(a.Shape, b.Shape); c != 0 {
 			return c
 		}
-		return cmpSlices(a.mustCells(), b.mustCells())
+		if a.IsLazy() || b.IsLazy() {
+			panic("object.Compare: lazy arrays are not ordered until materialized")
+		}
+		return cmpSlices(a.Elems, b.Elems)
 	case KFunc:
 		panic("object.Compare: function values are not ordered")
 	}

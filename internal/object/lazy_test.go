@@ -31,7 +31,20 @@ func (b *flakyBacking) Cell(_ context.Context, off int) (Value, error) {
 	return Nat(int64(off)), nil
 }
 
-// rangeFlakyBacking adds the bulk read materialization prefers.
+// CellRange reads cell by cell, so a fault can land anywhere in the range.
+func (b *flakyBacking) CellRange(ctx context.Context, start, n int) ([]Value, error) {
+	out := make([]Value, n)
+	for i := range out {
+		c, err := b.Cell(ctx, start+i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	return out, nil
+}
+
+// rangeFlakyBacking reads a range in one call, which fails or succeeds whole.
 type rangeFlakyBacking struct{ flakyBacking }
 
 func (b *rangeFlakyBacking) CellRange(_ context.Context, start, n int) ([]Value, error) {
@@ -64,7 +77,7 @@ func TestLazyMaterializeRetriesAfterFailure(t *testing.T) {
 			if _, err := v.Cells(); !errors.Is(err, errFlaky) {
 				t.Fatalf("first materialization: err = %v, want the injected fault", err)
 			}
-			c, err := v.CellAt(4)
+			c, err := v.CellAtCtx(context.Background(), 4)
 			if err != nil || c.N != 4 {
 				t.Fatalf("cell after a failed materialization = %v, %v; want 4", c, err)
 			}

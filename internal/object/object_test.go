@@ -3,7 +3,6 @@ package object
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestConstructors(t *testing.T) {
@@ -354,54 +353,6 @@ func TestIndexEmpty(t *testing.T) {
 	}
 	if got.Size() != 0 {
 		t.Errorf("index({}) has %d elements", got.Size())
-	}
-}
-
-func TestAppend(t *testing.T) {
-	a, err := Append(NatVector(1, 2), NatVector(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(a, NatVector(1, 2, 3)) {
-		t.Errorf("append = %s", a)
-	}
-	if _, err := Append(MustArray([]int{1, 1}, []Value{Nat(0)}), NatVector(1)); err == nil {
-		t.Error("append of 2-d array should error")
-	}
-}
-
-// TestAppendMonoidLaws checks the monoid laws of section 3 (empty is a unit,
-// append is associative) via testing/quick.
-func TestAppendMonoidLaws(t *testing.T) {
-	empty := Vector()
-	gen := func(seed int64) Value {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(6)
-		data := make([]Value, n)
-		for i := range data {
-			data[i] = Nat(int64(rng.Intn(100)))
-		}
-		return Vector(data...)
-	}
-	unit := func(seed int64) bool {
-		a := gen(seed)
-		l, _ := Append(empty, a)
-		r, _ := Append(a, empty)
-		return Equal(l, a) && Equal(r, a)
-	}
-	assoc := func(s1, s2, s3 int64) bool {
-		a, b, c := gen(s1), gen(s2), gen(s3)
-		ab, _ := Append(a, b)
-		abc1, _ := Append(ab, c)
-		bc, _ := Append(b, c)
-		abc2, _ := Append(a, bc)
-		return Equal(abc1, abc2)
-	}
-	if err := quick.Check(unit, nil); err != nil {
-		t.Error(err)
-	}
-	if err := quick.Check(assoc, nil); err != nil {
-		t.Error(err)
 	}
 }
 

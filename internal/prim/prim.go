@@ -176,10 +176,7 @@ func heatindexPrim(v object.Value) (object.Value, error) {
 	if v.Kind != object.KArray || len(v.Shape) != 1 {
 		return object.Value{}, fmt.Errorf("heatindex: expected a one-dimensional array, got %s", v.Kind)
 	}
-	cells, err := v.Cells()
-	if err != nil {
-		return object.Value{}, err
-	}
+	cells := v.Elems
 	if len(cells) == 0 {
 		return object.Bottom("heatindex: empty day"), nil
 	}

@@ -822,7 +822,7 @@ func TestNonFiniteAtTileEdges(t *testing.T) {
 		}
 	}
 	for _, r := range [][2]int{{0, 1}, {0, tc}, {tc - 1, 2}, {tc - 3, tc + 6}, {n - 7, 7}, {n - 1, 1}, {n - 5, 0}} {
-		got, err := lazy.Backing().(object.RangeBacking).CellRange(context.Background(), r[0], r[1])
+		got, err := lazy.Backing().CellRange(context.Background(), r[0], r[1])
 		if err != nil || len(got) != r[1] {
 			t.Fatalf("CellRange(%d, %d): %d cells, %v", r[0], r[1], len(got), err)
 		}

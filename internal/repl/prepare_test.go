@@ -313,7 +313,7 @@ func TestExecConcurrentKeepsPlan(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if c, _ := v.CellAt(49); c.N != 49*g {
+				if c, _ := v.CellAtCtx(ctx, 49); c.N != 49*g {
 					t.Errorf("goroutine %d read cell %s, want %d", g, c, 49*g)
 				}
 			}

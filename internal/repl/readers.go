@@ -143,12 +143,8 @@ func RegisterNetCDFWriter(e *env.Env) {
 		if data.Kind != object.KArray {
 			return fmt.Errorf("NETCDF writer: expected an array, got %s", data.Kind)
 		}
-		cells, err := data.Cells()
-		if err != nil {
-			return fmt.Errorf("NETCDF writer: %w", err)
-		}
-		vals := make([]float64, len(cells))
-		for i, v := range cells {
+		vals := make([]float64, len(data.Elems))
+		for i, v := range data.Elems {
 			f, err := v.AsReal()
 			if err != nil {
 				return fmt.Errorf("NETCDF writer: element %d: %w", i, err)

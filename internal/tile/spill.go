@@ -81,13 +81,10 @@ type spillSeg struct {
 // memory footprint drops to whatever tiles the budget admits. Counters are
 // attributed to the collector in ctx, if any.
 func (c *Cache) SpillArray(ctx context.Context, v object.Value) (object.Value, error) {
-	if v.Kind != object.KArray {
-		return object.Value{}, fmt.Errorf("tile: can only spill arrays, got %s", v.Kind)
+	if v.Kind != object.KArray || v.IsLazy() {
+		return object.Value{}, fmt.Errorf("tile: can only spill eager arrays, got %s", v.Kind)
 	}
-	cells, err := v.CellsCtx(ctx)
-	if err != nil {
-		return object.Value{}, err
-	}
+	cells := v.Elems
 	size := len(cells)
 	tc := c.cfg.tileCells()
 	col := trace.CollectorFrom(ctx)
@@ -335,15 +332,15 @@ func encodeValue(b []byte, v object.Value, depth int) ([]byte, error) {
 		}
 		return b, nil
 	case object.KArray:
-		cells, err := v.Cells()
-		if err != nil {
-			return nil, err
+		if v.IsLazy() {
+			return nil, fmt.Errorf("tile: cannot spill an unmaterialized lazy array")
 		}
 		b = putUvarint(b, uint64(len(v.Shape)))
 		for _, d := range v.Shape {
 			b = putUvarint(b, uint64(d))
 		}
-		for _, e := range cells {
+		for _, e := range v.Elems {
+			var err error
 			b, err = encodeValue(b, e, depth+1)
 			if err != nil {
 				return nil, err
