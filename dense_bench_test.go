@@ -3,10 +3,14 @@ package aql
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
 	"testing"
+
+	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/tile"
 )
 
 // denseStmts prepares the four statements of the dense_compute workload
@@ -142,8 +146,10 @@ func BenchmarkGenRepro(b *testing.B) {
 
 // TestGenLoopAllocs pins Σ and ⋃ over gen!m to no allocation that grows
 // with m: each statement allocates as many objects and as many bytes per
-// execution over gen!1000000 as over gen!16, where a gen built as a set
-// would add an 80 MB slice.
+// execution over a large gen as over a small one, where a gen built as a set
+// would add an 80 MB slice. Each comparison stays on one path: 16 against
+// 1,000,000 on one worker, where every Σ is serial, and 1,000,000 against
+// 4,000,000 on four, where both Σs fan out.
 func TestGenLoopAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-iteration executions")
@@ -174,14 +180,80 @@ func TestGenLoopAllocs(t *testing.T) {
 	}
 	for _, tmpl := range []string{
 		`summap(fn \i => i * 2)!(gen!%d)`,
-		`count!{ x | \x <- gen!%d, x > 2000000 }`,
+		`count!{ x | \x <- gen!%d, x > 5000000 }`,
 	} {
-		smallA, smallB := perExec(fmt.Sprintf(tmpl, 16))
-		largeA, largeB := perExec(fmt.Sprintf(tmpl, 1_000_000))
-		t.Logf("%s: %d allocations, %d B per Exec at 16; %d, %d B at 1000000", tmpl, smallA, smallB, largeA, largeB)
-		if largeA > smallA+2 || largeB > smallB+1024 {
-			t.Errorf("%s: allocations grow with m: %d allocations, %d B at 16; %d, %d B at 1000000",
-				tmpl, smallA, smallB, largeA, largeB)
+		for _, c := range []struct {
+			workers      int
+			small, large int
+		}{{1, 16, 1_000_000}, {4, 1_000_000, 4_000_000}} {
+			s.s.Workers = c.workers
+			smallA, smallB := perExec(fmt.Sprintf(tmpl, c.small))
+			largeA, largeB := perExec(fmt.Sprintf(tmpl, c.large))
+			t.Logf("%s on %d workers: %d allocations, %d B per Exec at %d; %d, %d B at %d",
+				tmpl, c.workers, smallA, smallB, c.small, largeA, largeB, c.large)
+			if largeA > smallA+2 || largeB > smallB+1024 {
+				t.Errorf("%s on %d workers: allocations grow with m: %d allocations, %d B at %d; %d, %d B at %d",
+					tmpl, c.workers, smallA, smallB, c.small, largeA, largeB, c.large)
+			}
 		}
 	}
+}
+
+// BenchmarkWeatherReduction runs a section-1-style reduction over a NetCDF
+// variable larger than the tile budget: the month's mean temperature over
+// 720 hours × 512 stations, Σ_h Σ_s T[h, s] / cells. The session writes the
+// file itself (writeval ... using NETCDF, 2.9 MB of doubles) and reads it
+// back lazily through a tile cache that holds a sixth of it, so every scan
+// faults tiles in and evicts them. Temperatures are multiples of 1/8, so the
+// sum is exact in any order. It reports the heap one scan reaches, as
+// BenchmarkGenRepro does: tiles come and go within the budget, and nothing
+// the Σ keeps grows with the variable.
+func BenchmarkWeatherReduction(b *testing.B) {
+	const hours, stations, tileCells = 720, 512, 4096
+	path := filepath.Join(b.TempDir(), "month.nc")
+	s, err := NewSession()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	s.SetTileConfig(tileCells, 16*tile.RealTileBytes(tileCells))
+	temp := func(h, st int) float64 { return 60 + float64((h*7+st*13)%400)/8 }
+	if _, err := s.Exec(fmt.Sprintf(`writeval [[ 60.0 + real!((h*7 + s*13) %% 400) / 8.0 | \h < %d, \s < %d ]] using NETCDF at (%q, "temp");
+		readval \T using NETCDF at (%q, "temp");`, hours, stations, path, path)); err != nil {
+		b.Fatal(err)
+	}
+	want := 0.0
+	for h := 0; h < hours; h++ {
+		for st := 0; st < stations; st++ {
+			want += temp(h, st)
+		}
+	}
+	want /= hours * stations
+	st, err := s.Prepare(fmt.Sprintf(`summap(fn \h => summap(fn \s => T[h, s])!(gen!%d))!(gen!%d) / %d.0`, stations, hours, hours*stations))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	exec := func() {
+		v, err := st.Exec(ctx, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v.Kind != object.KReal || v.R != want {
+			b.Fatalf("mean temperature = %s, want %v", v, want)
+		}
+	}
+	exec()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exec()
+	}
+	b.StopTimer()
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	exec()
+	metrics.Read(sample)
+	b.ReportMetric(float64(sample[0].Value.Uint64())/(1<<20), "peak-heap-MB")
 }

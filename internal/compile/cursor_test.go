@@ -87,7 +87,7 @@ func TestCursorCountsStoppedScan(t *testing.T) {
 // reading through cursors of its own machine, counts every read once: the
 // same I/O as the interpreter's serial cell-by-cell reads.
 func TestCursorPerWorkerCounts(t *testing.T) {
-	const n, tc = 3 * minChunk, 64
+	const n, tc = 6144, 64
 	// [[ W[i] + W[n-1-i] | i < n ]]
 	tab := &ast.ArrayTab{
 		Head: &ast.Arith{

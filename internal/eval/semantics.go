@@ -176,13 +176,63 @@ func GenSet(m int64) object.Value {
 	return object.SetFromSorted(elems)
 }
 
-// SumAcc accumulates a summation body-by-body, overloading at nat and real
-// exactly as the interpreter always has: a nat total is tracked alongside
-// the real total, and the first real-valued body commits the sum to real.
+// SumBlock is the block length of the one summation order: a Σ's terms go,
+// in iteration order, into consecutive blocks of SumBlock terms.
+const SumBlock = 64
+
+// sumLevels bounds the binary counter: 2^(sumLevels-1) blocks of SumBlock
+// terms exceed any int64 count.
+const sumLevels = 58
+
+// SumAcc accumulates a summation term by term, overloading at nat and real:
+// a nat sum stays nat (int64 addition, wrapping until the result is read)
+// until the first real term commits it to real. It owns the one summation
+// order of real terms, which every engine and every split of a Σ shares:
+//
+//   - terms go, by their position in the Σ, into consecutive blocks of
+//     SumBlock terms, and each block is a left fold from zero;
+//   - block sums are combined pairwise by a binary counter keyed on the
+//     block's position: the nodes are the aligned dyadic runs of blocks,
+//     each the sum of its two halves, left + right;
+//   - the total folds the counter's pending nodes, leftmost first, from
+//     zero, then the last, partial block.
+//
+// The order does not depend on how the Σ was cut: an accumulator started
+// at a block boundary (Start) builds exactly the nodes that lie inside its
+// range, and Absorb pushes them into the accumulator of the terms before
+// it, where they combine as the serial counter would have. A Σ of at most
+// SumBlock terms is the plain left fold. The state is O(log n).
 type SumAcc struct {
-	accN   int64
-	accR   float64
+	nat    int64
 	isReal bool
+	// blk is the left fold of the current block's n terms; block is the
+	// current block's position in the Σ, and from the first block's.
+	blk         float64
+	n           int
+	block, from int64
+	// nodes[k] holds, when bit k of have is set, the pending node of 2^k
+	// blocks that ends where the current block begins.
+	nodes [sumLevels]float64
+	have  uint64
+	// lead holds, in order, the nodes of an accumulator started mid-Σ whose
+	// left sibling lies before its start; the accumulator of the terms
+	// before it combines them (Absorb).
+	lead []sumNode
+}
+
+// sumNode is a node of 2^level blocks.
+type sumNode struct {
+	x     float64
+	level int
+}
+
+// Start positions an empty accumulator at term off of its Σ, a multiple of
+// SumBlock: the first term it is given is the Σ's term off.
+func (a *SumAcc) Start(off int64) {
+	if off%SumBlock != 0 {
+		panic(fmt.Sprintf("eval: sum split at term %d, not a block boundary", off))
+	}
+	a.block, a.from = off/SumBlock, off/SumBlock
 }
 
 // Add folds one body value into the accumulator; non-numeric values are a
@@ -192,31 +242,100 @@ func (a *SumAcc) Add(v object.Value) error {
 	if !ok {
 		return fmt.Errorf("eval: sum of non-numeric %s", v.Kind)
 	}
-	a.AddNum(x)
+	if a.AddNum(x) {
+		a.EndBlock()
+	}
 	return nil
 }
 
-// AddNum folds one numeric body value into the accumulator.
-func (a *SumAcc) AddNum(x Num) {
+// AddNum folds one numeric term into the current block and reports
+// whether the term ended it, in which case the caller calls EndBlock before
+// the next term. It is small enough to inline into an engine's loop, which
+// EndBlock, once a block, is not.
+func (a *SumAcc) AddNum(x Num) bool {
 	if x.Real {
 		a.isReal = true
-		a.accR += x.R
-		return
+		a.blk += x.R
+	} else {
+		a.nat += x.N
+		a.blk += float64(x.N)
 	}
-	a.accN += x.N
-	a.accR += float64(x.N)
+	a.n++
+	return a.n == SumBlock
 }
 
-// Num returns the accumulated sum at the committed numeric kind.
-func (a *SumAcc) Num() Num {
-	if a.isReal {
-		return Num{R: a.accR, Real: true}
-	}
-	return natNum(a.accN)
+// EndBlock pushes the ended block's sum into the counter and starts the
+// next block.
+func (a *SumAcc) EndBlock() {
+	a.push(a.blk, 0)
+	a.blk, a.n = 0, 0
 }
 
-// Value returns the accumulated sum at the committed numeric kind.
-func (a *SumAcc) Value() object.Value { return a.Num().Value() }
+// push adds a node of 2^level blocks that starts at the current block: it
+// combines with the pending left siblings it completes, and becomes a lead
+// node when its left sibling lies before the accumulator's start.
+func (a *SumAcc) push(x float64, level int) {
+	at := a.block >> level
+	a.block += 1 << level
+	for ; at&1 == 1; at >>= 1 {
+		if a.have&(1<<level) == 0 {
+			a.lead = append(a.lead, sumNode{x, level})
+			return
+		}
+		x = a.nodes[level] + x
+		a.have &^= 1 << level
+		level++
+	}
+	a.nodes[level] = x
+	a.have |= 1 << level
+}
+
+// Absorb appends the terms b accumulated to a's: b was started (Start)
+// where a's terms end, which is a block boundary.
+func (a *SumAcc) Absorb(b *SumAcc) {
+	if a.n != 0 || a.block != b.from {
+		panic(fmt.Sprintf("eval: sum part from block %d absorbed at term %d", b.from, a.block*SumBlock+int64(a.n)))
+	}
+	a.nat += b.nat
+	a.isReal = a.isReal || b.isReal
+	for _, nd := range b.lead {
+		a.push(nd.x, nd.level)
+	}
+	for k := sumLevels - 1; k >= 0; k-- {
+		if b.have&(1<<k) != 0 {
+			a.push(b.nodes[k], k)
+		}
+	}
+	a.blk, a.n = b.blk, b.n
+}
+
+// Num returns the accumulated sum at the committed numeric kind. A real
+// total that is not finite is the kernel's non-finite ⊥, returned as bot.
+func (a *SumAcc) Num() (x Num, bot *object.Value) {
+	if !a.isReal {
+		return natNum(a.nat), nil
+	}
+	r := 0.0
+	for k := sumLevels - 1; k >= 0; k-- {
+		if a.have&(1<<k) != 0 {
+			r += a.nodes[k]
+		}
+	}
+	if r += a.blk; !object.IsFinite(r) {
+		return Num{}, &nonFinite
+	}
+	return Num{R: r, Real: true}, nil
+}
+
+// Value returns the accumulated sum at the committed numeric kind, or the
+// non-finite ⊥.
+func (a *SumAcc) Value() object.Value {
+	x, bot := a.Num()
+	if bot != nil {
+		return *bot
+	}
+	return x.Value()
+}
 
 // CheckedDim implements dim_k: the extent of a k-dimensional array, with a
 // kind error when the static dimension annotation disagrees with the value.

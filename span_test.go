@@ -39,11 +39,20 @@ func spanShape(n *trace.SpanNode) string {
 
 // spanRows is what the span differential tests run: the differential
 // corpus, plus a compiled higher-order val whose body fans out (diffSetup's
-// mapN, 8200 cells) handed a lambda of the query. The body of mapN belongs
-// to another execution, so it records no spans; the lambda's work, applied
-// by fan-out workers (the interpreter's through its Applier), is the query's
-// and lands on the query's spans.
-var spanRows = append(append([]string(nil), diffCorpus...), `mapN!(fn \y => y * 3)`)
+// mapN, 8200 cells) handed a lambda of the query, and two Σs that fan out at
+// the default threshold (sumRows). The body of mapN belongs to another
+// execution, so it records no spans; the lambda's work, applied by fan-out
+// workers (the interpreter's through its Applier), is the query's and lands
+// on the query's spans.
+var spanRows = append(append(append([]string(nil), diffCorpus...), `mapN!(fn \y => y * 3)`), sumRows...)
+
+// sumRows are Σs of 20,000 terms, which fan out over 4 workers unmeasured:
+// one runs to its end, one stops at a ⊥ in its third chunk, so the fourth
+// worker's spans and counters are not the execution's.
+var sumRows = []string{
+	`summap(fn \i => real!i * 0.5)!(gen!20000)`,
+	`summap(fn \i => 1.0 / (real!i - 15000.0))!(gen!20000)`,
+}
 
 // spanEngines is diffEngines for the span tests: both engines at level, the
 // compiled one fanning out over 4 workers where a tabulation is large enough
@@ -131,6 +140,44 @@ func TestSpanCounterAttribution(t *testing.T) {
 					t.Errorf("%s: root cumulative counters %+v != flat counters %+v",
 						eng.Name(), cum, flat)
 				}
+			}
+		})
+	}
+}
+
+// TestParallelSumProfiling: a fanned-out Σ records one WorkerSpan per
+// worker on its own span, the chunks covering its terms in order, whether it
+// runs to its end or stops at a ⊥ in a later chunk.
+func TestParallelSumProfiling(t *testing.T) {
+	s := diffSession(t)
+	for _, src := range sumRows {
+		t.Run(src, func(t *testing.T) {
+			core, _, err := s.Compile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ce := spanEngines(s.Env.Globals(), eval.ProfFull)
+			if _, err := ce.EvalExpr(context.Background(), core); err != nil {
+				t.Fatal(err)
+			}
+			var sum *trace.SpanNode
+			ce.SpanTree().Walk(func(n *trace.SpanNode) {
+				if n.Op == "Sum" {
+					sum = n
+				}
+			})
+			if sum == nil || len(sum.Workers) != 4 {
+				t.Fatalf("Σ span %+v: want one worker span per each of 4 workers", sum)
+			}
+			next := 0
+			for _, w := range sum.Workers {
+				if w.Start != next || w.End <= w.Start || w.Start%eval.SumBlock != 0 {
+					t.Errorf("worker %d covers [%d, %d), want a block-aligned chunk from %d", w.Worker, w.Start, w.End, next)
+				}
+				next = w.End
+			}
+			if next != 20000 {
+				t.Errorf("worker chunks end at %d, want 20000", next)
 			}
 		})
 	}
