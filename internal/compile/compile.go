@@ -30,11 +30,12 @@
 //     array cell is read in place.
 //   - gen!m is a counted range (scalar.go): Σ and the big unions count
 //     through it, and only a consumer that needs the set builds it.
-//   - A tabulation whose work — its cells times the steps per cell its
-//     last scan measured, at least 8 — reaches 8 × DefaultThreshold
-//     (ExecOpts.Threshold) fans out across GOMAXPROCS workers (see tab.go);
-//     elements are pure in the index valuation, which makes the split
-//     sound.
+//   - A tabulation or a Σ whose work — its elements times the steps per
+//     element its last scan measured, at least 8 — reaches 8 ×
+//     DefaultThreshold (ExecOpts.Threshold) fans out across GOMAXPROCS
+//     workers (see tab.go); elements are pure in the index valuation or
+//     the member, which makes the split sound, and eval.SumAcc's one
+//     summation order makes a split Σ's bits the serial ones.
 package compile
 
 import (
@@ -52,12 +53,12 @@ import (
 // kinds are lowered to the scalar form instead (scalarExpr, scalar.go).
 type compiledExpr func(fr *frame) (object.Value, error)
 
-// DefaultThreshold is the tabulation size, in cells of 8 steps, at or
-// above which the engine fans element evaluation out across workers: a
-// range fans out when its cells times its site's measured steps per cell
-// (at least 8) reach 8 × DefaultThreshold steps, so a site that has not run
-// yet fans out at DefaultThreshold cells. Below it the work rarely
-// amortizes goroutine startup and result stitching.
+// DefaultThreshold is the size of a tabulation or a Σ, in elements of 8
+// steps, at or above which the engine fans element evaluation out across
+// workers: a range fans out when its elements times its site's measured
+// steps per element (at least 8) reach 8 × DefaultThreshold steps, so a
+// site that has not run yet fans out at DefaultThreshold elements. Below it
+// the work rarely amortizes goroutine startup and result stitching.
 const DefaultThreshold = 8192
 
 // compiler is the resolve pass state: scope is the stack of bound variable

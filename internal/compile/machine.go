@@ -14,8 +14,8 @@ import (
 // machine carries the per-evaluation runtime state of the compiled engine:
 // resource budgets, interrupt state and the work counters. One root machine
 // is created per Run (or PlanShards / ExecuteRange, or a call entering a
-// compiled function from outside the engine); a fanned-out tabulation forks
-// one child machine per worker. Every function body the execution applies
+// compiled function from outside the engine); a fanned-out tabulation or Σ
+// forks one child machine per worker. Every function body the execution applies
 // runs on the applying machine, whichever execution or engine made it.
 //
 // A machine belongs to one goroutine: the caller of Run for the root, its
@@ -35,7 +35,7 @@ type machine struct {
 	// forces serial tabulation (threshold = maxInt64).
 	depth int
 
-	// parent is non-nil in tabulation worker machines. baseSteps/baseCells
+	// parent is non-nil in fan-out worker machines. baseSteps/baseCells
 	// are the global totals this worker's budget checks add to its local
 	// counts; baseSteps is refreshed every InterruptInterval steps by
 	// syncSteps, bounding budget overshoot to workers*InterruptInterval.
@@ -68,8 +68,8 @@ type machine struct {
 // working for it copies.
 type config struct {
 	limits eval.Limits
-	// workers caps tabulation fan-out; threshold is DefaultThreshold or its
-	// override, in cells of 8 steps: a tabulation fans out at 8 × threshold
+	// workers caps fan-out; threshold is DefaultThreshold or its override,
+	// in elements of 8 steps: a tabulation or a Σ fans out at 8 × threshold
 	// steps of measured work (mayFanOut; maxInt64 disables parallelism).
 	workers   int
 	threshold int64

@@ -118,10 +118,10 @@ type ExecOpts struct {
 	// depth guard is compiled into the Program (see NewProgram). The zero
 	// value falls back to the Program's compile-time limits.
 	Limits eval.Limits
-	// Workers caps tabulation fan-out; 0 means GOMAXPROCS.
+	// Workers caps the fan-out of a tabulation or a Σ; 0 means GOMAXPROCS.
 	Workers int
 	// Threshold overrides DefaultThreshold when positive; negative
-	// disables parallel tabulation.
+	// disables fan-out.
 	Threshold int
 	// Args is this execution's argument frame: one value per $name
 	// placeholder. Names the program does not mention are ignored at this

@@ -119,8 +119,8 @@ type SpanPlan struct {
 	ids    map[ast.Expr]int
 }
 
-// maxWorkerSpans bounds the worker records kept per ArrayTab span (a
-// tabulation inside a loop executes many times).
+// maxWorkerSpans bounds the worker records kept per ArrayTab or Sum span (a
+// loop inside a loop executes many times).
 const maxWorkerSpans = 64
 
 // NewSpanPlan builds the span plan for e at the given level. Shared
@@ -223,8 +223,8 @@ type SpanSlot struct {
 // travels in the Meter of the evaluation measuring into it — on the compiled
 // engine, in the machine — so exactly one goroutine owns it at a time: a
 // function body applied by the query charges the query's context, whichever
-// engine made the function, and each parallel tabulation worker forks its
-// own, merged back at join. ChildWallNs and Child implement self attribution
+// engine made the function, and each fan-out worker forks its own, merged
+// back at join. ChildWallNs and Child implement self attribution
 // (see Enter and Exit).
 type ProfCtx struct {
 	Plan  *SpanPlan
@@ -352,8 +352,8 @@ func (p *ProfCtx) MergeWorker(w *ProfCtx) {
 
 // RecordWorkers appends parallel-worker records to span id of plan, keeping
 // at most maxWorkerSpans per span and counting the rest. Records for another
-// plan's span are dropped: the tabulation belongs to a function another
-// execution made, and its span id means nothing in p.
+// plan's span are dropped: the loop belongs to a function another execution
+// made, and its span id means nothing in p.
 func (p *ProfCtx) RecordWorkers(plan *SpanPlan, id int, ws []trace.WorkerSpan) {
 	if p == nil || p.Plan != plan || id < 0 {
 		return

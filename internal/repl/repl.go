@@ -63,7 +63,7 @@ type Session struct {
 	// eval.ProfFull (every operator, exact attribution). Set it with
 	// SetProfiling; each execution reads it once and runs at that level.
 	Profiling eval.ProfLevel
-	// Workers caps the compiled engine's tabulation fan-out; 0 means
+	// Workers caps the compiled engine's fan-out (tabulation and Σ); 0 means
 	// GOMAXPROCS. Tests pin it to exercise many workers sharing the tile
 	// cache regardless of the host's core count.
 	Workers int

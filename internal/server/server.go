@@ -69,7 +69,7 @@ type Config struct {
 	// cached plans; the other fields are per-execution defaults a request
 	// may tighten (never exceed) with its own max_steps / timeout_ms.
 	Limits eval.Limits
-	// Workers caps per-query local tabulation fan-out (0 = GOMAXPROCS). A
+	// Workers caps per-query local fan-out, of tabulations and Σs (0 = GOMAXPROCS). A
 	// coordinator node typically sets 1 so local fallback doesn't contend
 	// with dispatching.
 	Workers int

@@ -310,17 +310,18 @@ type SpanNode struct {
 	SetOps      int64         `json:"set_ops,omitempty"`
 	Iterations  int64         `json:"iterations,omitempty"`
 
-	// Workers records parallel-tabulation executions under this operator
-	// (ArrayTab spans only); WorkersDropped counts records beyond the cap.
+	// Workers records the fan-out workers of this operator (ArrayTab and
+	// Sum spans only); WorkersDropped counts records beyond the cap.
 	Workers        []WorkerSpan `json:"workers,omitempty"`
 	WorkersDropped int          `json:"workers_dropped,omitempty"`
 
 	Children []*SpanNode `json:"children,omitempty"`
 }
 
-// WorkerSpan records one parallel-tabulation worker: its contiguous
-// row-major element range [Start, End), how long its loop ran, and the steps
-// it charged — the per-worker skew view of a fanned-out tabulation.
+// WorkerSpan records one fan-out worker of a tabulation or a Σ: its
+// contiguous element range [Start, End) (row-major cells, or terms), how
+// long its loop ran, and the steps it charged — the per-worker skew view of
+// a fanned-out loop.
 type WorkerSpan struct {
 	Worker int           `json:"worker"`
 	Start  int           `json:"start"`
