@@ -127,8 +127,10 @@ func NewJSONSink(w io.Writer) TraceSink { return trace.NewJSONSink(w) }
 // # Concurrency
 //
 // A Session's query methods (Query, Exec, Eval, ...) are sequential: each
-// runs the pipeline against the session's single trace recorder and binds
-// `it`, so interleaving them from multiple goroutines is not supported.
+// binds `it` (or, for Exec, declares vals), so interleaving them from
+// multiple goroutines is not supported. Every execution builds a report of
+// its own, written only by the goroutine running it, so concurrent Stmt.Exec
+// calls each report in full.
 // The layers underneath are safe to share, and that is the audited
 // contract the query server (cmd/aqld) builds on: the environment is
 // mutex-guarded with a monotone epoch (EnvEpoch) bumped on every mutation,
@@ -212,26 +214,26 @@ func (s *Session) LastSteps() int64 { return s.s.LastSteps.Load() }
 // query, on the same terms as LastSteps.
 func (s *Session) LastCells() int64 { return s.s.LastCells.Load() }
 
-// LastReport returns the full observability report of the most recent
-// query — phase wall times, evaluator counters, I/O counters and the
-// optimizer rule trace — or nil if tracing is disabled or no query has
-// run.
-func (s *Session) LastReport() *QueryReport { return s.s.Trace.Last() }
+// LastReport returns the full observability report of the most recently
+// finished query — phase wall times, evaluator counters, I/O counters and
+// the optimizer rule trace — or nil if none has been recorded.
+func (s *Session) LastReport() *QueryReport { return s.s.LastReport() }
 
 // TraceTotals returns the session-cumulative observability counters: the
 // totals of FleetSnapshot, what :stats prints.
 func (s *Session) TraceTotals() TraceTotals { return s.s.Fleet.Snapshot().Totals }
 
 // SetTraceEnabled toggles per-query observability recording. Sessions
-// start with tracing enabled; its disabled-path cost is a few atomic
-// checks per query, and its enabled cost is bounded per query, not per
-// evaluator step.
-func (s *Session) SetTraceEnabled(on bool) { s.s.Trace.SetEnabled(on) }
+// start with tracing enabled; its disabled-path cost is a few nil checks
+// per query, and its enabled cost is bounded per query, not per evaluator
+// step.
+func (s *Session) SetTraceEnabled(on bool) { s.s.Recording.Store(on) }
 
 // SetTraceSink directs finished per-query reports to a sink, in addition
 // to the session's built-in fleet aggregator and flight recorder (nil
-// removes a previously installed sink; the built-ins stay attached).
-func (s *Session) SetTraceSink(sink TraceSink) { s.s.SetTraceSink(sink) }
+// removes a previously installed sink; the built-ins stay attached). Set it
+// between queries; concurrent Stmt.Exec calls emit to it concurrently.
+func (s *Session) SetTraceSink(sink TraceSink) { s.s.Sink = sink }
 
 // SetProfiling sets the operator-profiling level for subsequent queries:
 // "off" (no span instrumentation at all), "sampled" (coarse operators,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"github.com/aqldb/aql/internal/repl"
 	"github.com/aqldb/aql/internal/server"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 func newSession(t *testing.T) *Session {
@@ -428,6 +430,59 @@ func TestQueryTextNotHTMLEscaped(t *testing.T) {
 			if rec.Code != 200 || !strings.Contains(rec.Body.String(), want) {
 				t.Errorf("%s GET %s = %d, query text not served as %s:\n%s", tc.name, route, rec.Code, want, rec.Body)
 			}
+		}
+	}
+}
+
+// TestDebugSlowListsSlowestFirst gates /debug/slow on its content: after one
+// clearly slow query among more fast ones than the log keeps, the log holds
+// exactly its capacity, slowest first, and its first entry is the slow query
+// with the request id and engine its report carried.
+func TestDebugSlowListsSlowestFirst(t *testing.T) {
+	const slow = `summap(fn \i => summap(fn \j => i * j)!(gen!1000))!(gen!1000)`
+	rs, err := repl.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	aqld := server.New(rs, server.Config{})
+	post := func(query, id string) {
+		t.Helper()
+		body, _ := json.Marshal(server.QueryRequest{Query: query})
+		req := httptest.NewRequest("POST", "/query", bytes.NewReader(body))
+		req.Header.Set("X-Request-ID", id)
+		rec := httptest.NewRecorder()
+		aqld.ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			t.Fatalf("POST /query %s = %d: %s", query, rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < trace.DefaultSlowCap+4; i++ {
+		if i == trace.DefaultSlowCap/2 {
+			post(slow, "slow-1")
+		}
+		post(`1 + 1`, fmt.Sprintf("fast-%d", i))
+	}
+
+	rec := httptest.NewRecorder()
+	aqld.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slow", nil))
+	var doc struct {
+		Slow []trace.SlowQuery `json:"slow"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); rec.Code != 200 || err != nil {
+		t.Fatalf("GET /debug/slow = %d, %v: %s", rec.Code, err, rec.Body)
+	}
+	if len(doc.Slow) != trace.DefaultSlowCap {
+		t.Fatalf("slow log holds %d entries after %d queries, want its capacity %d",
+			len(doc.Slow), trace.DefaultSlowCap+5, trace.DefaultSlowCap)
+	}
+	first := doc.Slow[0]
+	if first.Query != slow || first.ID != "slow-1" || first.Engine != repl.EngineCompiled {
+		t.Errorf("first slow entry = %+v, want %s (id slow-1, engine %s)", first, slow, repl.EngineCompiled)
+	}
+	for i := 1; i < len(doc.Slow); i++ {
+		if doc.Slow[i].Wall > doc.Slow[i-1].Wall {
+			t.Errorf("slow log not slowest first at %d: %v after %v", i, doc.Slow[i].Wall, doc.Slow[i-1].Wall)
 		}
 	}
 }

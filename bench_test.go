@@ -15,11 +15,13 @@ import (
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/bench"
+	"github.com/aqldb/aql/internal/compile"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/netcdf"
 	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/opt"
 	"github.com/aqldb/aql/internal/repl"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // evalLoop compiles src once (optionally optimizing) and times evaluation.
@@ -542,15 +544,20 @@ func BenchmarkGuardrailOverhead(b *testing.B) {
 }
 
 // BenchmarkTraceOverhead measures the cost of the observability layer on
-// the evaluator's hot path. The disabled case must stay within ~3% of
-// baseline: the evaluator only increments plain int64 fields (exactly as
-// it already did for steps/cells), and the recorder is consulted a
-// constant number of times per query, never per step. The enabled case
-// additionally pays Begin/End, six phase spans and one counter fold per
-// query.
+// the evaluator's hot path. The evaluator only increments plain int64
+// fields (exactly as it already did for steps/cells), and an execution's
+// report is written a constant number of times per query, never per step.
+// "baseline" evaluates with no report; "disabled" opens and finishes a
+// report around each evaluation with recording off, so the report is nil;
+// "enabled" evaluates with recording on and no report opened; and
+// "enabled-report" builds a report per query — the eval phase span and one
+// counter fold — and finishes it into the fleet aggregator and flight
+// recorder.
 func BenchmarkTraceOverhead(b *testing.B) {
 	const src = `summap(fn \i => i*i)!(gen!10000)`
-	run := func(b *testing.B, s *repl.Session) {
+	run := func(b *testing.B, recording, report bool) {
+		s := bench.MustSession()
+		s.Recording.Store(recording)
 		core, _, err := s.Compile(src)
 		if err != nil {
 			b.Fatal(err)
@@ -558,40 +565,32 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		core = s.Env.Optimizer.Optimize(core)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Eval(core); err != nil {
-				b.Fatal(err)
+			if !report {
+				_, err = s.Eval(core)
+			} else {
+				rep := s.OpenReport(src)
+				err = evalReported(s, rep, core)
+				s.FinishReport(rep, err)
 			}
-		}
-	}
-	b.Run("baseline", func(b *testing.B) {
-		s := bench.MustSession()
-		s.Trace = nil // no recorder at all: pure nil-check hooks
-		run(b, s)
-	})
-	b.Run("disabled", func(b *testing.B) {
-		s := bench.MustSession()
-		s.Trace.SetEnabled(false)
-		run(b, s)
-	})
-	b.Run("enabled", func(b *testing.B) {
-		s := bench.MustSession()
-		run(b, s)
-	})
-	b.Run("enabled-report", func(b *testing.B) {
-		s := bench.MustSession()
-		core, _, err := s.Compile(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		core = s.Env.Optimizer.Optimize(core)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Trace.Begin(src)
-			_, err := s.Eval(core)
-			s.Trace.End(err)
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("baseline", func(b *testing.B) { run(b, false, false) })
+	b.Run("disabled", func(b *testing.B) { run(b, false, true) })
+	b.Run("enabled", func(b *testing.B) { run(b, true, false) })
+	b.Run("enabled-report", func(b *testing.B) { run(b, true, true) })
+}
+
+// evalReported evaluates core as Session.Eval does — lowered under the
+// session's limits, one execution behind the session's guard — recorded on
+// rep.
+func evalReported(s *repl.Session, rep *trace.QueryReport, core ast.Expr) error {
+	return s.Guard(context.Background(), rep, "", func(ctx context.Context, w *repl.Work) error {
+		w.Engine = repl.EngineCompiled
+		prog := compile.NewProgram(core, s.Env.Globals(), s.Limits)
+		_, err := prog.Run(ctx, compile.ExecOpts{Limits: s.Limits, Workers: s.Workers, Level: s.Profiling}, &w.Outcome)
+		return err
 	})
 }

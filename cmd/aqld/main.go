@@ -125,9 +125,9 @@ func run() error {
 		}
 		// Setup statements are not served queries: run them unrecorded, so
 		// /metrics and /debug/queries start empty.
-		sess.Trace.SetEnabled(false)
+		sess.Recording.Store(false)
 		_, err = sess.Exec(string(src))
-		sess.Trace.SetEnabled(true)
+		sess.Recording.Store(true)
 		if err != nil {
 			return fmt.Errorf("init script: %w", err)
 		}

@@ -1,6 +1,7 @@
 package cost_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/aqldb/aql/internal/cost"
@@ -175,25 +176,15 @@ func TestEstimateMirrorsSpanStructure(t *testing.T) {
 		`{x * 2 | \x <- gen!5}`,
 		`[[ i + j | \i < 3, \j < 4 ]][1, 2]`,
 	} {
-		core, _, err := s.Compile(q)
+		table, _, _, err := s.ExplainAnalyzeTable(context.Background(), q)
 		if err != nil {
-			t.Fatalf("compile %s: %v", q, err)
+			t.Fatalf("explain analyze %s: %v", q, err)
 		}
-		opt := s.Optimize(core)
-		est := cost.Estimate(opt, s.Env.Globals())
-
-		s.Trace.Begin(q)
-		_, evalErr := s.Eval(opt)
-		s.Trace.JoinExplain(est, 0)
-		rep := s.Trace.End(evalErr)
-		if evalErr != nil {
-			t.Fatalf("eval %s: %v", q, evalErr)
-		}
-		if rep.Explain == nil {
+		if table == nil {
 			t.Fatalf("%s: no joined table", q)
 		}
-		if rep.Explain.Mode != "operator" {
-			t.Errorf("%s: join degraded to %q — estimate tree does not mirror the span tree", q, rep.Explain.Mode)
+		if table.Mode != "operator" {
+			t.Errorf("%s: join degraded to %q — estimate tree does not mirror the span tree", q, table.Mode)
 		}
 	}
 }

@@ -53,14 +53,14 @@ func TestOverlappingExecutionsReportOwnIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	// guarded runs one execution through the session's guard, reporting to
-	// a recorder of its own.
+	// a report of its own.
 	guarded := func(src string, run func(ctx context.Context) error) (*trace.QueryReport, error) {
-		rec := trace.NewRecorder(nil)
-		rec.Begin(src)
-		err := s.Guard(context.Background(), rec, src, func(ctx context.Context, w *Work) error {
+		rep := s.OpenReport(src)
+		err := s.Guard(context.Background(), rep, src, func(ctx context.Context, w *Work) error {
 			return run(ctx)
 		})
-		return rec.End(err), err
+		s.FinishReport(rep, err)
+		return rep, err
 	}
 
 	var repA *trace.QueryReport
@@ -103,7 +103,7 @@ func TestWholeArrayComparisonReportsItsReads(t *testing.T) {
 		if v, _, err := s.Query(`W = W`); err != nil || !v.B {
 			t.Fatalf("%s: W = W is %v, %v; want true", engine, v, err)
 		}
-		if io := s.Trace.Last().IO; io.SlabReads != 16 || io.BytesRead != 2048 || io.TileMisses != 16 {
+		if io := s.LastReport().IO; io.SlabReads != 16 || io.BytesRead != 2048 || io.TileMisses != 16 {
 			t.Errorf("%s: W = W reports %d slab reads, %d bytes, %d tile misses; want 16, 2048, 16",
 				engine, io.SlabReads, io.BytesRead, io.TileMisses)
 		}

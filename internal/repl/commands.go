@@ -93,7 +93,7 @@ var commands = map[string]command{
 					return "", fmt.Errorf("usage: :top [n]")
 				}
 			}
-			rep := s.Trace.Last()
+			rep := s.LastReport()
 			if rep == nil {
 				return "no query recorded yet\n", nil
 			}
@@ -116,7 +116,7 @@ var commands = map[string]command{
 		usage:   ":trace [file]",
 		summary: "export the last query as Chrome trace-event JSON",
 		run: func(s *Session, _ context.Context, arg string) (string, error) {
-			rep := s.Trace.Last()
+			rep := s.LastReport()
 			if rep == nil {
 				return "no query recorded yet\n", nil
 			}
@@ -325,18 +325,18 @@ func parseExecArgs(src string) (map[string]object.Value, error) {
 // The compile-only run is recorded like any query (it appears in :stats
 // with zero evaluator work).
 func (s *Session) Explain(src string) (string, error) {
-	s.Trace.Begin(":explain " + src)
-	core, typ, err := s.Compile(src)
+	rep := s.OpenReport(":explain " + src)
+	p, err := s.frontEnd(rep, src, nil, typed, eval.Limits{})
 	if err != nil {
-		s.Trace.End(err)
+		s.FinishReport(rep, err)
 		return "", err
 	}
-	opt := s.Optimize(core)
-	rep := s.Trace.End(nil)
+	opt := s.optimize(rep, p.Core)
+	s.FinishReport(rep, nil)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "type: %s\n", typ)
-	fmt.Fprintf(&b, "core:      %s\n", core)
+	fmt.Fprintf(&b, "type: %s\n", p.Type)
+	fmt.Fprintf(&b, "core:      %s\n", p.Core)
 	fmt.Fprintf(&b, "optimized: %s\n", opt)
 	if rep != nil {
 		b.WriteString(rep.FormatRules())
@@ -367,38 +367,40 @@ func (s *Session) ExplainAnalyze(ctx context.Context, src string) (string, error
 // level (the per-operator join needs exact attribution), and join the
 // program's cardinality and cost estimates (internal/cost) with the
 // recorded span tree. The run is recorded like any query, with the joined
-// table riding the report into the flight recorder and sinks.
+// table riding the report into the flight recorder and sinks. While
+// recording is off the run still builds its report, to join against, and
+// emits nothing.
 func (s *Session) ExplainAnalyzeTable(ctx context.Context, src string) (*trace.ExplainTable, *types.Type, object.Value, error) {
-	s.Trace.Begin(":explain analyze " + src)
-	p, err := s.frontEnd(s.Trace, src, nil, lowered, s.Limits)
-	if err != nil {
-		s.Trace.End(err)
-		return nil, nil, object.Value{}, err
+	query := ":explain analyze " + src
+	rep := s.OpenReport(query)
+	emit := rep != nil
+	if !emit {
+		rep = &trace.QueryReport{Query: query}
 	}
-	v, err := s.execute(ctx, p, nil, eval.ProfFull)
-	s.Trace.JoinExplain(p.Prog.Estimates(), trace.DefaultQErrorThreshold)
-	rep := s.Trace.End(err)
+	p, err := s.frontEnd(rep, src, nil, lowered, s.Limits)
+	var v object.Value
+	if err == nil {
+		v, err = s.execute(ctx, rep, p, nil, eval.ProfFull)
+		rep.Explain = trace.JoinEstimates(p.Prog.Estimates(), rep, trace.DefaultQErrorThreshold)
+	}
+	if emit {
+		s.FinishReport(rep, err)
+	}
 	if err != nil {
 		return nil, nil, object.Value{}, err
-	}
-	if rep == nil || rep.Explain == nil {
-		// Tracing disabled: no report to join against; join the estimate
-		// tree with nothing recorded so the caller still sees estimates.
-		return nil, nil, object.Value{}, fmt.Errorf(":explain analyze requires tracing (enable with Trace.SetEnabled(true))")
 	}
 	return rep.Explain, p.Type, v, nil
 }
 
-// Profile runs the full pipeline on src and renders the finished report's
-// phase table. The query's effects (binding `it`) happen as usual.
+// Profile runs the full pipeline on src and renders the phase table of the
+// report that run built. The query's effects (binding `it`) happen as usual.
 func (s *Session) Profile(ctx context.Context, src string) (string, error) {
-	_, _, err := s.QueryCtx(ctx, src)
-	rep := s.Trace.Last()
+	_, _, rep, err := s.query(ctx, src)
 	if rep == nil {
 		if err != nil {
 			return "", err
 		}
-		return "tracing disabled; enable with Trace.SetEnabled(true)\n", nil
+		return "tracing disabled: nothing was recorded\n", nil
 	}
 	// The error, if any, is part of the report; render it rather than
 	// failing so a profile of a failing query still shows where time went.

@@ -154,7 +154,7 @@ func TestProfileReportsNetCDFIO(t *testing.T) {
 	if _, err := s.Exec(src); err != nil {
 		t.Fatal(err)
 	}
-	rep := s.Trace.Last()
+	rep := s.LastReport()
 	if rep == nil {
 		t.Fatal("no report for readval")
 	}
@@ -166,7 +166,7 @@ func TestProfileReportsNetCDFIO(t *testing.T) {
 	if _, _, err := s.Query(`[[ V[i] | \i < 8 ]]`); err != nil {
 		t.Fatal(err)
 	}
-	rep = s.Trace.Last()
+	rep = s.LastReport()
 	if rep.IO.SlabReads != 1 {
 		t.Errorf("SlabReads = %d, want 1", rep.IO.SlabReads)
 	}
@@ -195,7 +195,7 @@ func TestEvalCounterAccuracy(t *testing.T) {
 	if _, _, err := s.Query(`[[ i | \i < 6 ]]`); err != nil {
 		t.Fatal(err)
 	}
-	rep := s.Trace.Last()
+	rep := s.LastReport()
 	if rep == nil {
 		t.Fatal("no report")
 	}
@@ -213,7 +213,7 @@ func TestEvalCounterAccuracy(t *testing.T) {
 	if _, _, err := s.Query(`gen!4`); err != nil {
 		t.Fatal(err)
 	}
-	rep = s.Trace.Last()
+	rep = s.LastReport()
 	if rep.Eval.SetOps == 0 {
 		t.Errorf("gen recorded no set ops: %+v", rep.Eval)
 	}
@@ -225,7 +225,7 @@ func TestEvalCounterAccuracy(t *testing.T) {
 	if _, _, err := s.Query(`summap(fn \i => i)!(gen!10)`); err != nil {
 		t.Fatal(err)
 	}
-	rep = s.Trace.Last()
+	rep = s.LastReport()
 	if rep.Eval.Iterations < 10 {
 		t.Errorf("summap over 10 elements iterated %d times", rep.Eval.Iterations)
 	}
@@ -233,7 +233,7 @@ func TestEvalCounterAccuracy(t *testing.T) {
 
 func TestTraceDisabledSessionStillWorks(t *testing.T) {
 	s := newSession(t)
-	s.Trace.SetEnabled(false)
+	s.Recording.Store(false)
 	v, _, err := s.Query("1+2")
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestTraceDisabledSessionStillWorks(t *testing.T) {
 	if v.N != 3 {
 		t.Fatalf("1+2 = %s", v)
 	}
-	if s.Trace.Last() != nil {
+	if s.LastReport() != nil {
 		t.Error("disabled trace produced a report")
 	}
 	out, err := s.Command(context.Background(), `:profile 1+2`)
@@ -250,6 +250,18 @@ func TestTraceDisabledSessionStillWorks(t *testing.T) {
 	}
 	if !strings.Contains(out, "tracing disabled") {
 		t.Errorf(":profile with tracing off = %q", out)
+	}
+	// :explain analyze joins against the report its own run built, which
+	// recording off leaves unemitted.
+	out, err = s.Command(context.Background(), `:explain analyze [[ i * i | \i < 12 ]]`)
+	if err != nil {
+		t.Fatalf(":explain analyze with tracing off: %v", err)
+	}
+	if !strings.Contains(out, "ArrayTab") || !strings.Contains(out, "q-err") {
+		t.Errorf(":explain analyze with tracing off shows no joined table:\n%s", out)
+	}
+	if s.LastReport() != nil || s.Fleet.Snapshot().Totals.Queries != 0 || s.Flight.Total() != 0 {
+		t.Error(":explain analyze with tracing off emitted a report")
 	}
 }
 
@@ -261,8 +273,8 @@ func TestSetupStatementsExcludedFromStats(t *testing.T) {
 	if got := s.Flight.Total(); got != 0 {
 		t.Errorf("fresh session's flight recorder holds %d reports (setup leaked)", got)
 	}
-	if s.Trace.Last() != nil {
-		t.Errorf("fresh session has a last report: %q", s.Trace.Last().Query)
+	if s.LastReport() != nil {
+		t.Errorf("fresh session has a last report: %q", s.LastReport().Query)
 	}
 }
 
@@ -271,7 +283,7 @@ func TestQueryReportPhases(t *testing.T) {
 	if _, _, err := s.Query(`[[ i+1 | \i < 3 ]]`); err != nil {
 		t.Fatal(err)
 	}
-	rep := s.Trace.Last()
+	rep := s.LastReport()
 	for _, phase := range []string{trace.PhaseParse, trace.PhaseDesugar, trace.PhaseMacro, trace.PhaseTypecheck, trace.PhaseOptimize, trace.PhaseEval} {
 		found := false
 		for _, p := range rep.Phases {

@@ -146,8 +146,8 @@ func (s *Session) SetSpill(on bool) {
 // exceeds the tile-cache budget, binding a lazy spill-backed value in its
 // place. Spill failures (unencodable cells, disk errors) fall back to the
 // eager value: spilling is an optimization, never a semantics change.
-// Counters are folded into the open trace report.
-func (s *Session) maybeSpill(ctx context.Context, v object.Value) object.Value {
+// Counters are folded into rep, the statement's report.
+func (s *Session) maybeSpill(ctx context.Context, rep *trace.QueryReport, v object.Value) object.Value {
 	s.io.mu.Lock()
 	spill, cache := s.io.spill, s.io.cache
 	s.io.mu.Unlock()
@@ -156,7 +156,9 @@ func (s *Session) maybeSpill(ctx context.Context, v object.Value) object.Value {
 	}
 	ctx, col := trace.WithCollector(ctx)
 	spilled, err := cache.SpillArray(ctx, v)
-	s.Trace.RecordIO(col.Snapshot())
+	if rep != nil {
+		rep.IO.Add(col.Snapshot())
+	}
 	if err != nil {
 		return v
 	}

@@ -131,7 +131,7 @@ func TestLazyIOCompiledMatchesInterp(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s %s #%d: %v", engine, st.name, i, err)
 						}
-						io := s.Trace.Last().IO
+						io := s.LastReport().IO
 						if io.BytesReturned == 0 {
 							t.Fatalf("%s %s #%d read no cells", engine, st.name, i)
 						}

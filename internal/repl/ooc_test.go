@@ -363,7 +363,7 @@ func TestParallelTabulationSharesTileCache(t *testing.T) {
 	}
 	// Each worker reads through cursors of its own and counts what they
 	// served when it ends: every one of the 2n reads is a hit or a miss.
-	if io := s.Trace.Last().IO; io.TileHits+io.TileMisses != 2*n || io.BytesReturned != 2*n*8 {
+	if io := s.LastReport().IO; io.TileHits+io.TileMisses != 2*n || io.BytesReturned != 2*n*8 {
 		t.Errorf("report counts %d hits + %d misses, %d bytes returned; want %d reads", io.TileHits, io.TileMisses, io.BytesReturned, 2*n)
 	}
 }
@@ -403,7 +403,7 @@ func TestOutOfCoreBudgetResidency(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Error("no evictions while scanning 16x the budget")
 	}
-	rep := s.Trace.Last()
+	rep := s.LastReport()
 	if rep.IO.TileMisses == 0 || rep.IO.BytesScanned == 0 {
 		t.Errorf("report IO misses=%d scanned=%d, want non-zero", rep.IO.TileMisses, rep.IO.BytesScanned)
 	}
@@ -470,7 +470,7 @@ func TestLazyFaultMidTile(t *testing.T) {
 	if v.String() != baseline.String() {
 		t.Errorf("value after transient fault = %s, want %s", v, baseline)
 	}
-	rep := s.Trace.Last()
+	rep := s.LastReport()
 	if rep.IO.Retries == 0 || rep.IO.Faults == 0 {
 		t.Errorf("report retries=%d faults=%d, want non-zero", rep.IO.Retries, rep.IO.Faults)
 	}
@@ -609,7 +609,7 @@ func TestValDeclSpillsOverBudget(t *testing.T) {
 	if !x.IsLazy() {
 		t.Fatal("oversized val was not spilled to a lazy binding")
 	}
-	rep := s.Trace.Last()
+	rep := s.LastReport()
 	if rep.IO.SpillBytesWritten == 0 {
 		t.Errorf("val decl report records no spill bytes: %+v", rep.IO)
 	}

@@ -93,15 +93,16 @@ const (
 
 // frontEnd is the one path from query text to a plan: parse -> desugar ->
 // macro substitution -> typecheck -> optimize -> lower (section 4.1), each
-// phase timed on rec only when it runs. se is the surface expression when the
-// caller has already parsed it (statements); limits are the ones lowering
-// bakes into the program (see compile.NewProgram).
-func (s *Session) frontEnd(rec *trace.Recorder, src string, se parser.Expr, to depth, limits eval.Limits) (*Plan, error) {
+// phase timed on rep, the execution's report, only when it runs. se is the
+// surface expression when the caller has already parsed it (statements);
+// limits are the ones lowering bakes into the program (see
+// compile.NewProgram).
+func (s *Session) frontEnd(rep *trace.QueryReport, src string, se parser.Expr, to depth, limits eval.Limits) (*Plan, error) {
 	// Read before anything of the environment is: a mutation that slips in
 	// afterwards then leaves the plan looking stale, never current.
 	epochIt, epochNoIt := s.Env.PlanEpoch(true), s.Env.PlanEpoch(false)
 	if se == nil {
-		sp := rec.StartPhase(trace.PhaseParse)
+		sp := rep.StartPhase(trace.PhaseParse)
 		var err error
 		se, err = parser.ParseExpr(src)
 		sp.End()
@@ -109,16 +110,16 @@ func (s *Session) frontEnd(rec *trace.Recorder, src string, se parser.Expr, to d
 			return nil, &PrepareError{Phase: "parse", Err: err}
 		}
 	}
-	sp := rec.StartPhase(trace.PhaseDesugar)
+	sp := rep.StartPhase(trace.PhaseDesugar)
 	core, err := desugar.Expr(se)
 	sp.End()
 	if err != nil {
 		return nil, &PrepareError{Phase: "desugar", Err: err}
 	}
-	sp = rec.StartPhase(trace.PhaseMacro)
+	sp = rep.StartPhase(trace.PhaseMacro)
 	core = s.Env.ExpandMacros(core)
 	sp.End()
-	sp = rec.StartPhase(trace.PhaseTypecheck)
+	sp = rep.StartPhase(trace.PhaseTypecheck)
 	typ, params, err := typecheck.InferParams(core, s.Env.GlobalTypes())
 	sp.End()
 	if err != nil {
@@ -128,7 +129,7 @@ func (s *Session) frontEnd(rec *trace.Recorder, src string, se parser.Expr, to d
 	if to == typed {
 		return p, nil
 	}
-	p.Core = s.optimize(rec, core)
+	p.Core = s.optimize(rep, core)
 	if to == prepared {
 		// What only a plan that outlives this statement uses: the epoch it
 		// is current under.
@@ -137,7 +138,7 @@ func (s *Session) frontEnd(rec *trace.Recorder, src string, se parser.Expr, to d
 			p.epoch = epochIt
 		}
 	}
-	sp = rec.StartPhase(trace.PhaseCompile)
+	sp = rep.StartPhase(trace.PhaseCompile)
 	p.Prog = compile.NewProgram(p.Core, s.Env.Globals(), limits)
 	p.maxDepth = limits.MaxDepth
 	sp.End()
@@ -145,39 +146,40 @@ func (s *Session) frontEnd(rec *trace.Recorder, src string, se parser.Expr, to d
 }
 
 // optimize applies the session's optimizer unless SkipOptimizer is set.
-// While rec has a report open, the optimizer's per-call rule-firing hook
-// feeds it, and whole-query AST node counts are recorded around the rewrite;
-// node counting is skipped entirely otherwise.
-func (s *Session) optimize(rec *trace.Recorder, core ast.Expr) ast.Expr {
+// With a report, the optimizer's per-call rule-firing hook feeds it, and
+// whole-query AST node counts are recorded around the rewrite; node counting
+// is skipped entirely otherwise.
+func (s *Session) optimize(rep *trace.QueryReport, core ast.Expr) ast.Expr {
 	if s.SkipOptimizer {
 		return core
 	}
 	o := s.Env.Optimizer
-	if !rec.Active() {
+	if rep == nil {
 		return o.Optimize(core)
 	}
-	sp := rec.StartPhase(trace.PhaseOptimize)
+	sp := rep.StartPhase(trace.PhaseOptimize)
 	defer sp.End()
-	before := ast.CountNodes(core)
-	out := o.OptimizeTraced(core, rec.RuleFired)
-	rec.RecordNodes(before, ast.CountNodes(out))
+	rep.NodesBefore = ast.CountNodes(core)
+	out := o.OptimizeTraced(core, rep.RuleFired)
+	rep.NodesAfter = ast.CountNodes(out)
 	return out
 }
 
 // Plan carries src through the whole front end to a plan with a shared
-// program, reporting to rec: the session's recorder for a prepared statement,
-// the server's per-request one on a plan-cache miss. The plan's epoch is read
-// before anything else of the environment, so a mutation racing the call
-// leaves a plan that fails Current, never a stale one that passes it.
-func (s *Session) Plan(rec *trace.Recorder, src string, limits eval.Limits) (*Plan, error) {
-	return s.frontEnd(rec, src, nil, prepared, limits)
+// program, timing its phases on rep: a preparation's report, or the report of
+// the execution that re-prepares (a stale prepared statement, a server
+// request on a plan-cache miss). The plan's epoch is read before anything
+// else of the environment, so a mutation racing the call leaves a plan that
+// fails Current, never a stale one that passes it.
+func (s *Session) Plan(rep *trace.QueryReport, src string, limits eval.Limits) (*Plan, error) {
+	return s.frontEnd(rep, src, nil, prepared, limits)
 }
 
 // Compile runs parse, desugar, macro expansion and typechecking on a
 // single expression, returning the core query and its type. The optimizer
-// is NOT applied; see Optimize.
+// is NOT applied; see Optimize. Nothing is recorded.
 func (s *Session) Compile(src string) (ast.Expr, *types.Type, error) {
-	p, err := s.frontEnd(s.Trace, src, nil, typed, eval.Limits{})
+	p, err := s.frontEnd(nil, src, nil, typed, eval.Limits{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -185,8 +187,8 @@ func (s *Session) Compile(src string) (ast.Expr, *types.Type, error) {
 }
 
 // Optimize applies the session's optimizer to a compiled query unless
-// SkipOptimizer is set, recording on the session's open trace report.
-func (s *Session) Optimize(core ast.Expr) ast.Expr { return s.optimize(s.Trace, core) }
+// SkipOptimizer is set. Nothing is recorded.
+func (s *Session) Optimize(core ast.Expr) ast.Expr { return s.optimize(nil, core) }
 
 // Bind enforces strict binding of one execution's arguments against a
 // plan's inferred parameter types: every placeholder bound, every argument
@@ -257,6 +259,7 @@ func Bind(params map[string]*types.Type, args map[string]object.Value) *BindErro
 // environment and limits in force when it runs.
 type Prepared struct {
 	s     *Session
+	text  string // the template, the same across re-preparations
 	mu    sync.Mutex
 	*Plan // the current plan; its fields read as the statement's own
 }
@@ -265,13 +268,13 @@ type Prepared struct {
 // may appear anywhere a scalar expression may; a template with no
 // placeholders is simply a statement prepared for re-execution.
 func (s *Session) Prepare(src string) (*Prepared, error) {
-	s.Trace.Begin(":prepare " + src)
-	plan, err := s.Plan(s.Trace, src, s.Limits)
-	s.Trace.End(err)
+	rep := s.OpenReport(":prepare " + src)
+	plan, err := s.Plan(rep, src, s.Limits)
+	s.FinishReport(rep, err)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{s: s, Plan: plan}, nil
+	return &Prepared{s: s, text: src, Plan: plan}, nil
 }
 
 // ParamNames returns the statement's placeholder names, sorted.
@@ -293,15 +296,22 @@ func paramNames(params map[string]*types.Type) []string {
 // Exec runs the prepared statement with args as its argument frame and binds
 // the result to `it`, as a bare query does. Binding is strict (see Bind),
 // with failures reported as *BindError before evaluation starts. Concurrent
-// Exec calls on one Prepared are independent executions of the shared plan.
+// Exec calls on one Prepared are independent executions of the shared plan,
+// each with a report of its own.
 func (p *Prepared) Exec(ctx context.Context, args map[string]object.Value) (object.Value, error) {
 	s := p.s
-	plan, err := p.current(args)
+	rep := s.OpenReport(p.text)
+	plan, stale, err := p.current(rep, args)
 	if err != nil {
+		// A bind error against the kept plan ran nothing: its report is
+		// dropped. A re-preparation's report is finished with the error.
+		if stale {
+			s.FinishReport(rep, err)
+		}
 		return object.Value{}, err
 	}
-	v, err := s.execute(ctx, plan, args, s.Profiling)
-	s.Trace.End(err)
+	v, err := s.execute(ctx, rep, plan, args, s.Profiling)
+	s.FinishReport(rep, err)
 	if err != nil {
 		return object.Value{}, err
 	}
@@ -310,44 +320,32 @@ func (p *Prepared) Exec(ctx context.Context, args map[string]object.Value) (obje
 }
 
 // current re-prepares if the plan is not Current under the session's
-// MaxDepth, then binds args against the (current) parameter types and
-// returns the plan, all under the statement's lock. It also opens the
-// execution's trace report, which is open on return exactly when err is
-// nil: before a re-preparation, whose phases the report then carries, and
-// otherwise once the arguments bind, so a bind error leaves no report.
-func (p *Prepared) current(args map[string]object.Value) (*Plan, error) {
+// MaxDepth, timing the re-preparation on rep, then binds args against the
+// (current) parameter types and returns the plan and whether it was
+// re-prepared, all under the statement's lock.
+func (p *Prepared) current(rep *trace.QueryReport, args map[string]object.Value) (*Plan, bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tr := p.s.Trace
 	stale := !p.Current(p.s.Env, p.s.Limits.MaxDepth)
 	if stale {
-		tr.Begin(p.Text)
-		plan, err := p.s.Plan(tr, p.Text, p.s.Limits)
+		plan, err := p.s.Plan(rep, p.text, p.s.Limits)
 		if err != nil {
-			err = fmt.Errorf("re-preparing after environment change: %w", err)
-			tr.End(err)
-			return nil, err
+			return nil, true, fmt.Errorf("re-preparing after environment change: %w", err)
 		}
 		p.Plan = plan
 	}
 	if err := Bind(p.Params, args); err != nil {
-		if stale {
-			tr.End(err)
-		}
-		return nil, err
+		return nil, stale, err
 	}
-	if !stale {
-		tr.Begin(p.Text)
-	}
-	return p.Plan, nil
+	return p.Plan, stale, nil
 }
 
 // execute is one execution of plan at the given profiling level, with args
-// as its argument frame, behind the session's guard. The compiled engine
-// runs the plan's program; the interpreter, the differential oracle,
-// evaluates the plan's core with args as its Params.
-func (s *Session) execute(ctx context.Context, plan *Plan, args map[string]object.Value, level eval.ProfLevel) (v object.Value, err error) {
-	err = s.Guard(ctx, s.Trace, plan.Text, func(ctx context.Context, w *Work) (err error) {
+// as its argument frame, behind the session's guard, recorded on rep. The
+// compiled engine runs the plan's program; the interpreter, the differential
+// oracle, evaluates the plan's core with args as its Params.
+func (s *Session) execute(ctx context.Context, rep *trace.QueryReport, plan *Plan, args map[string]object.Value, level eval.ProfLevel) (v object.Value, err error) {
+	err = s.Guard(ctx, rep, plan.Text, func(ctx context.Context, w *Work) (err error) {
 		if s.Engine == EngineInterp {
 			ev := s.newEngine(args, level)
 			// Deferred, so the counters and spans of a panicking evaluation

@@ -149,7 +149,7 @@ func TestPreparedInterpEngine(t *testing.T) {
 // eval: what a (re-)preparation costs, empty for an execution of a kept plan.
 func preparePhases(t *testing.T, s *Session) []string {
 	t.Helper()
-	rep := s.Trace.Last()
+	rep := s.LastReport()
 	if rep == nil {
 		t.Fatal("no trace report recorded")
 	}
@@ -202,13 +202,13 @@ func TestExecKeepsPlanAcrossItBinding(t *testing.T) {
 		}
 	}
 	// A bind error against the kept plan is no execution: it leaves no report.
-	last := s.Trace.Last()
+	last := s.LastReport()
 	var be *BindError
 	if _, err := p.Exec(ctx, map[string]object.Value{"i": object.Nat(3)}); !errors.As(err, &be) {
 		t.Fatalf("Exec without $k: err = %v, want a *BindError", err)
 	}
-	if s.Trace.Last() != last || s.Trace.Active() {
-		t.Error("a bind error produced (or left open) a trace report")
+	if s.LastReport() != last {
+		t.Error("a bind error produced a trace report")
 	}
 	// A bare query binds `it` too, and invalidates as little.
 	if _, _, err := s.Query(`1 + 1`); err != nil {
@@ -290,8 +290,10 @@ func TestPreparedOutcomeIndependentOfProfiling(t *testing.T) {
 
 // TestExecConcurrentKeepsPlan: concurrent executions of one statement each
 // bind `it`; none of those bindings may invalidate the shared plan, and each
-// execution sees its own argument frame. Run under -race.
+// execution sees its own argument frame and builds its own report, so the
+// fleet totals count every execution and all of its work. Run under -race.
 func TestExecConcurrentKeepsPlan(t *testing.T) {
+	const goroutines, rounds = 8, 25
 	ctx := context.Background()
 	s := newSession(t)
 	p, err := s.Prepare(`[[ i * $a | \i < 50 ]]`)
@@ -301,13 +303,15 @@ func TestExecConcurrentKeepsPlan(t *testing.T) {
 	if _, err := p.Exec(ctx, map[string]object.Value{"a": object.Nat(1)}); err != nil {
 		t.Fatal(err)
 	}
+	steps := s.LastReport().Eval.Steps
+	before := s.Fleet.Snapshot().Totals
 	prog := p.Prog
 	var wg sync.WaitGroup
-	for g := int64(0); g < 8; g++ {
+	for g := int64(0); g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for round := 0; round < 25; round++ {
+			for round := 0; round < rounds; round++ {
 				v, err := p.Exec(ctx, map[string]object.Value{"a": object.Nat(g)})
 				if err != nil {
 					t.Error(err)
@@ -320,6 +324,13 @@ func TestExecConcurrentKeepsPlan(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	after := s.Fleet.Snapshot().Totals
+	if got := after.Queries - before.Queries; got != goroutines*rounds {
+		t.Errorf("fleet counted %d reports of %d executions", got, goroutines*rounds)
+	}
+	if got, want := after.Eval.Steps-before.Eval.Steps, int64(goroutines*rounds)*steps; got != want {
+		t.Errorf("fleet counted %d steps of %d executions, want %d (%d each)", got, goroutines*rounds, want, steps)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.Prog != prog {
@@ -344,13 +355,13 @@ func TestPreparedExecReportsIO(t *testing.T) {
 	if _, err := p.Exec(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if io := s.Trace.Last().IO; io.SlabReads != 1 || io.BytesRead != 64 || io.TileMisses == 0 {
+	if io := s.LastReport().IO; io.SlabReads != 1 || io.BytesRead != 64 || io.TileMisses == 0 {
 		t.Errorf("execution's report IO = %+v, want 1 slab read of 64 bytes and a tile miss", io)
 	}
 	if _, _, err := s.Query(`1 + 1`); err != nil {
 		t.Fatal(err)
 	}
-	if io := s.Trace.Last().IO; io.BytesRead != 0 {
+	if io := s.LastReport().IO; io.BytesRead != 0 {
 		t.Errorf("the following query's report IO = %+v, want no bytes read", io)
 	}
 }
@@ -373,7 +384,7 @@ func TestPreparedExecSpansLikeQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want strings.Builder
-	spanShape(s.Trace.Last().Spans, 0, &want)
+	spanShape(s.LastReport().Spans, 0, &want)
 
 	p, err := s.Prepare(text)
 	if err != nil {
@@ -382,7 +393,7 @@ func TestPreparedExecSpansLikeQuery(t *testing.T) {
 	if _, err := p.Exec(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	rep := s.Trace.Last()
+	rep := s.LastReport()
 	if rep.Spans == nil {
 		t.Fatal("execution recorded no span tree at profiling full")
 	}
@@ -409,7 +420,7 @@ func TestPreparedExecHonoursWorkers(t *testing.T) {
 		if _, err := p.Exec(context.Background(), nil); err != nil {
 			t.Fatal(err)
 		}
-		rep := s.Trace.Last()
+		rep := s.LastReport()
 		if rep.Spans == nil {
 			t.Fatalf("Workers=%d: execution recorded no span tree at profiling sampled", tc.workers)
 		}
@@ -450,7 +461,7 @@ func TestPreparedFanOutByMeasuredSteps(t *testing.T) {
 			if _, err := p.Exec(context.Background(), nil); err != nil {
 				t.Fatal(err)
 			}
-			rep := s.Trace.Last()
+			rep := s.LastReport()
 			records := 0
 			rep.Spans.Walk(func(n *trace.SpanNode) { records += len(n.Workers) })
 			if (records > 0) != want {

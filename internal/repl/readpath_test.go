@@ -101,7 +101,7 @@ func TestComparisonLeavesScanReadsVisible(t *testing.T) {
 		if _, _, err := s.Query(`summap(fn \i => W[i])!(gen!4096)`); err != nil {
 			t.Fatal(err)
 		}
-		io := s.Trace.Last().IO
+		io := s.LastReport().IO
 		if io.SlabReads == 0 || io.TileMisses == 0 || io.TileHits+io.TileMisses != 4096 {
 			t.Errorf("%s: scan after W = W reports %d slab reads, %d hits, %d misses; want every cell read through the cache",
 				engine, io.SlabReads, io.TileHits, io.TileMisses)

@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime/debug"
 	"sync/atomic"
+	"time"
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/compile"
@@ -46,12 +47,16 @@ type Session struct {
 	// LastCells reports the collection/array cells charged by the most
 	// recent query, on the same terms as LastSteps.
 	LastCells atomic.Int64
-	// Trace is the session's observability recorder: every top-level
-	// statement produces a trace.QueryReport with per-phase wall times,
-	// evaluator counters, NetCDF I/O counters and the optimizer rule
-	// trace. Created enabled by New, emitting to Fleet and Flight; disable
-	// with Trace.SetEnabled(false), add a sink with SetTraceSink.
-	Trace *trace.Recorder
+	// Recording is the session's recording switch. While it is on, every
+	// execution — a statement, a bare query, a prepared execution, a
+	// server request — builds a trace.QueryReport of its own (per-phase wall
+	// times, evaluator counters, NetCDF I/O counters, the optimizer rule
+	// trace), and FinishReport emits it. New turns it on once the setup
+	// statements have run, so those run unrecorded.
+	Recording atomic.Bool
+	// Sink, when set, receives every finished report after Fleet and
+	// Flight. Set it between queries, as Engine and Profiling are set.
+	Sink trace.Sink
 	// Engine selects the execution engine for queries: EngineCompiled
 	// (the default — slot-resolved closures with parallel tabulation,
 	// internal/compile) or EngineInterp (the reference tree-walking
@@ -70,10 +75,11 @@ type Session struct {
 	// Fleet accumulates cross-query aggregates (latency histogram, phase
 	// and I/O totals, rule firing counts, slow-query log); Flight is the
 	// ring of the last N full reports. They are where finished reports are
-	// kept: both are wired into Trace as sinks by New and survive
-	// SetTraceSink.
+	// kept: FinishReport emits every report to both.
 	Fleet  *trace.Aggregator
 	Flight *trace.FlightRecorder
+	// last is the most recently finished report (LastReport).
+	last atomic.Pointer[trace.QueryReport]
 	// prepared is the loop's current prepared statement (:prepare / :exec).
 	prepared *Prepared
 	// io is the session's out-of-core state: open NetCDF handles, the
@@ -130,11 +136,11 @@ type Result struct {
 // zip, transpose, ...), the NetCDF readers, and the exchange-format
 // reader/writer.
 func New() (*Session, error) {
-	s := &Session{Env: env.New(), Trace: trace.NewRecorder(nil), Engine: EngineCompiled,
-		io: newIOState(tile.Config{})}
-	// The setup statements below are not user work: they run unrecorded,
-	// so :stats, the metrics endpoint and LastReport start empty.
-	s.Trace.SetEnabled(false)
+	s := &Session{Env: env.New(), Engine: EngineCompiled, io: newIOState(tile.Config{}),
+		Fleet: trace.NewAggregator(), Flight: trace.NewFlightRecorder(0)}
+	// The setup statements below are not user work: they run before
+	// Recording is turned on, so :stats, the metrics endpoint and
+	// LastReport start empty.
 	s.registerNetCDF()
 	RegisterNetCDFWriter(s.Env)
 	RegisterExchange(s.Env)
@@ -145,19 +151,44 @@ func New() (*Session, error) {
 	if _, err := s.Exec(ODMGMacros); err != nil {
 		return nil, fmt.Errorf("repl: ODMG macros: %w", err)
 	}
-	s.Fleet = trace.NewAggregator()
-	s.Flight = trace.NewFlightRecorder(0)
-	s.Trace.SetSink(trace.MultiSink{s.Fleet, s.Flight})
-	s.Trace.SetEnabled(true)
+	s.Recording.Store(true)
 	return s, nil
 }
 
-// SetTraceSink points the session's trace reports at sink while keeping the
-// fleet aggregator and flight recorder attached; use it instead of calling
-// Trace.SetSink directly, which would detach them.
-func (s *Session) SetTraceSink(sink trace.Sink) {
-	s.Trace.SetSink(trace.MultiSink{s.Fleet, s.Flight, sink})
+// OpenReport opens the report of one execution of query, started now: every
+// entry point that runs an execution opens its report here, threads it
+// through the pipeline, and finishes it with FinishReport. The report is the
+// execution's own; only the goroutine running the execution writes it. It is
+// nil while Recording is off, and every hook on the pipeline's path takes a
+// nil report as "record nothing".
+func (s *Session) OpenReport(query string) *trace.QueryReport {
+	if !s.Recording.Load() {
+		return nil
+	}
+	return &trace.QueryReport{Query: query, Start: time.Now()}
 }
+
+// FinishReport stamps rep's total wall time and err (if any), makes it the
+// session's last report, and emits it to Fleet, Flight and Sink. A nil rep —
+// recording was off when it was opened — is a no-op.
+func (s *Session) FinishReport(rep *trace.QueryReport, err error) {
+	if rep == nil {
+		return
+	}
+	rep.Wall = time.Since(rep.Start)
+	if err != nil {
+		rep.Err = err.Error()
+	}
+	s.last.Store(rep)
+	s.Fleet.Emit(rep)
+	s.Flight.Emit(rep)
+	if s.Sink != nil {
+		s.Sink.Emit(rep)
+	}
+}
+
+// LastReport returns the most recently finished report, or nil.
+func (s *Session) LastReport() *trace.QueryReport { return s.last.Load() }
 
 // SetProfiling selects the session's span-profiling level by name ("off",
 // "sampled", "full"), rejecting unknown names.
@@ -226,7 +257,7 @@ func (s *Session) Eval(core ast.Expr) (object.Value, error) {
 // lowered under the session's limits and run as a bare query is.
 func (s *Session) EvalCtx(ctx context.Context, core ast.Expr) (object.Value, error) {
 	p := &Plan{Core: core, Prog: compile.NewProgram(core, s.Env.Globals(), s.Limits)}
-	return s.execute(ctx, p, nil, s.Profiling)
+	return s.execute(ctx, nil, p, nil, s.Profiling)
 }
 
 // Work is what one guarded run did, as far as it got: run fills it in, and
@@ -240,25 +271,28 @@ type Work struct {
 
 // Guard is the query boundary, the one place an execution — a session
 // statement, a prepared execution, the server's POST /query and POST /shard —
-// crosses into the engines. Around run it times the eval phase on rec,
-// attributes I/O to this execution through a trace.Collector carried in the
-// context (every NetCDF read, retry and tile lookup made under that context
-// counts there, and nowhere else), records engine, work counters, I/O and
-// span tree even for aborted queries, and converts a panic into a *PanicError
-// carrying src so one bad query can never crash a process serving others.
-func (s *Session) Guard(ctx context.Context, rec *trace.Recorder, src string, run func(context.Context, *Work) error) (err error) {
-	sp := rec.StartPhase(trace.PhaseEval)
+// crosses into the engines. Around run it times the eval phase on rep, the
+// execution's report (nil records nothing), attributes I/O to this execution
+// through a trace.Collector carried in the context (every NetCDF read, retry
+// and tile lookup made under that context counts there, and nowhere else),
+// records engine, work counters, I/O and span tree even for aborted queries,
+// and converts a panic into a *PanicError carrying src so one bad query can
+// never crash a process serving others.
+func (s *Session) Guard(ctx context.Context, rep *trace.QueryReport, src string, run func(context.Context, *Work) error) (err error) {
+	sp := rep.StartPhase(trace.PhaseEval)
 	ctx, col := trace.WithCollector(ctx)
 	var w Work
 	defer func() {
 		s.LastSteps.Store(w.Counters.Steps)
 		s.LastCells.Store(w.Counters.Cells)
 		sp.End()
-		rec.RecordEngine(w.Engine)
-		rec.RecordEval(w.Counters)
-		rec.RecordIO(col.Snapshot())
-		if w.Spans != nil {
-			rec.RecordSpans(w.Spans, w.Level.String())
+		if rep != nil {
+			rep.Engine = w.Engine
+			rep.Eval = rep.Eval.Add(w.Counters)
+			rep.IO.Add(col.Snapshot())
+			if w.Spans != nil {
+				rep.Spans, rep.ProfLevel = w.Spans, w.Level.String()
+			}
 		}
 		if r := recover(); r != nil {
 			err = &PanicError{Src: src, Val: r, Stack: debug.Stack()}
@@ -300,26 +334,33 @@ func (s *Session) Query(src string) (object.Value, *types.Type, error) {
 // QueryCtx is Query under a context: cancellation and deadlines interrupt
 // the evaluation (not just the wait for it).
 func (s *Session) QueryCtx(ctx context.Context, src string) (object.Value, *types.Type, error) {
-	s.Trace.Begin(src)
-	v, typ, err := s.run(ctx, src, nil)
+	v, typ, _, err := s.query(ctx, src)
+	return v, typ, err
+}
+
+// query is one bare query under a report of its own, which it finishes and
+// returns (nil while recording is off).
+func (s *Session) query(ctx context.Context, src string) (object.Value, *types.Type, *trace.QueryReport, error) {
+	rep := s.OpenReport(src)
+	v, typ, err := s.run(ctx, rep, src, nil)
 	if err == nil {
 		s.Env.SetVal(env.ItName, v, typ)
 	}
-	s.Trace.End(err)
-	return v, typ, err
+	s.FinishReport(rep, err)
+	return v, typ, rep, err
 }
 
 // run carries one expression of a bare query or a statement from text (or
 // from se, its surface form, when the statement parser already produced it)
 // to a value: the front end down to a program lowered under the session's
-// limits, then one execution of it behind the guard. A bare query has no
-// argument frame: a placeholder in it fails if evaluated.
-func (s *Session) run(ctx context.Context, src string, se parser.Expr) (object.Value, *types.Type, error) {
-	p, err := s.frontEnd(s.Trace, src, se, lowered, s.Limits)
+// limits, then one execution of it behind the guard, both recorded on rep. A
+// bare query has no argument frame: a placeholder in it fails if evaluated.
+func (s *Session) run(ctx context.Context, rep *trace.QueryReport, src string, se parser.Expr) (object.Value, *types.Type, error) {
+	p, err := s.frontEnd(rep, src, se, lowered, s.Limits)
 	if err != nil {
 		return object.Value{}, nil, err
 	}
-	v, err := s.execute(ctx, p, nil, s.Profiling)
+	v, err := s.execute(ctx, rep, p, nil, s.Profiling)
 	if err != nil {
 		return object.Value{}, nil, err
 	}
@@ -349,13 +390,13 @@ func (s *Session) ExecCtx(ctx context.Context, src string) ([]Result, error) {
 	return results, nil
 }
 
-// execStmt runs one statement under an open trace report labelled with the
+// execStmt runs one statement under a report of its own labelled with the
 // statement's shape, so readval I/O and val-declaration evaluations are
 // attributed per statement in :stats and the metrics endpoint.
 func (s *Session) execStmt(ctx context.Context, stmt parser.Stmt) (Result, error) {
-	s.Trace.Begin(stmtLabel(stmt))
-	r, err := s.execStmtInner(ctx, stmt)
-	s.Trace.End(err)
+	rep := s.OpenReport(stmtLabel(stmt))
+	r, err := s.execStmtInner(ctx, rep, stmt)
+	s.FinishReport(rep, err)
 	return r, err
 }
 
@@ -376,22 +417,22 @@ func stmtLabel(stmt parser.Stmt) string {
 	return fmt.Sprintf("%T", stmt)
 }
 
-func (s *Session) execStmtInner(ctx context.Context, stmt parser.Stmt) (Result, error) {
+func (s *Session) execStmtInner(ctx context.Context, rep *trace.QueryReport, stmt parser.Stmt) (Result, error) {
 	switch n := stmt.(type) {
 	case *parser.ValDecl:
-		v, typ, err := s.run(ctx, parser.Print(n.E), n.E)
+		v, typ, err := s.run(ctx, rep, parser.Print(n.E), n.E)
 		if err != nil {
 			return Result{}, fmt.Errorf("val %s: %w", n.Name, err)
 		}
 		// Oversized array bindings spill to disk and rebind lazily; the
 		// type was computed from the core expression, so typing never
 		// touches the cells.
-		v = s.maybeSpill(ctx, v)
+		v = s.maybeSpill(ctx, rep, v)
 		s.Env.SetVal(n.Name, v, typ)
 		return Result{Kind: "val", Name: n.Name, Type: typ, Value: v, HasValue: true}, nil
 
 	case *parser.MacroDecl:
-		p, err := s.frontEnd(s.Trace, "", n.E, typed, eval.Limits{})
+		p, err := s.frontEnd(rep, "", n.E, typed, eval.Limits{})
 		if err != nil {
 			return Result{}, fmt.Errorf("macro %s: %w", n.Name, err)
 		}
@@ -405,7 +446,7 @@ func (s *Session) execStmtInner(ctx context.Context, stmt parser.Stmt) (Result, 
 		if err != nil {
 			return Result{}, err
 		}
-		arg, _, err := s.run(ctx, parser.Print(n.At), n.At)
+		arg, _, err := s.run(ctx, rep, parser.Print(n.At), n.At)
 		if err != nil {
 			return Result{}, fmt.Errorf("readval %s: %w", n.Name, err)
 		}
@@ -427,11 +468,11 @@ func (s *Session) execStmtInner(ctx context.Context, stmt parser.Stmt) (Result, 
 		if err != nil {
 			return Result{}, err
 		}
-		data, _, err := s.run(ctx, parser.Print(n.E), n.E)
+		data, _, err := s.run(ctx, rep, parser.Print(n.E), n.E)
 		if err != nil {
 			return Result{}, fmt.Errorf("writeval: %w", err)
 		}
-		arg, _, err := s.run(ctx, parser.Print(n.At), n.At)
+		arg, _, err := s.run(ctx, rep, parser.Print(n.At), n.At)
 		if err != nil {
 			return Result{}, fmt.Errorf("writeval: %w", err)
 		}
@@ -439,7 +480,9 @@ func (s *Session) execStmtInner(ctx context.Context, stmt parser.Stmt) (Result, 
 		// of the statement's own, as a spill is.
 		mctx, col := trace.WithCollector(ctx)
 		data, err = eval.Materialize(mctx, data, nil)
-		s.Trace.RecordIO(col.Snapshot())
+		if rep != nil {
+			rep.IO.Add(col.Snapshot())
+		}
 		if err != nil {
 			return Result{}, fmt.Errorf("writeval: %w", err)
 		}
@@ -449,7 +492,7 @@ func (s *Session) execStmtInner(ctx context.Context, stmt parser.Stmt) (Result, 
 		return Result{Kind: "writeval"}, nil
 
 	case *parser.ExprStmt:
-		v, typ, err := s.run(ctx, parser.Print(n.E), n.E)
+		v, typ, err := s.run(ctx, rep, parser.Print(n.E), n.E)
 		if err != nil {
 			return Result{}, err
 		}

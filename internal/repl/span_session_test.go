@@ -38,7 +38,7 @@ func TestReportCarriesSpans(t *testing.T) {
 				if _, _, err := s.Query(`[[ i * i | \i < 50 ]]`); err != nil {
 					t.Fatal(err)
 				}
-				rep := s.Trace.Last()
+				rep := s.LastReport()
 				if rep == nil {
 					t.Fatal("no report")
 				}
@@ -82,7 +82,6 @@ func TestReportCarriesSpans(t *testing.T) {
 func TestFlightRecorderUnderSession(t *testing.T) {
 	s := newProfiledSession(t, "sampled")
 	s.Flight = trace.NewFlightRecorder(5)
-	s.SetTraceSink(nil) // recompose the sink chain over the replaced recorder
 	const n = 13
 	for i := 0; i < n; i++ {
 		if _, _, err := s.Query(fmt.Sprintf(`%d + 1`, i)); err != nil {
@@ -161,12 +160,12 @@ func TestTopFleetProfCommands(t *testing.T) {
 	}
 }
 
-// TestUserSinkComposesWithFleet checks SetTraceSink adds the user's sink
-// without disconnecting the built-in aggregator and flight recorder.
+// TestUserSinkComposesWithFleet checks a user Sink receives reports
+// beside, not instead of, the built-in aggregator and flight recorder.
 func TestUserSinkComposesWithFleet(t *testing.T) {
 	s := newProfiledSession(t, "sampled")
 	var got []string
-	s.SetTraceSink(sinkFunc(func(r *trace.QueryReport) { got = append(got, r.Query) }))
+	s.Sink = sinkFunc(func(r *trace.QueryReport) { got = append(got, r.Query) })
 	if _, _, err := s.Query(`2 * 3`); err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +173,10 @@ func TestUserSinkComposesWithFleet(t *testing.T) {
 		t.Fatalf("user sink saw %v", got)
 	}
 	if s.Fleet.Snapshot().Totals.Queries != 1 {
-		t.Error("fleet aggregator disconnected by SetTraceSink")
+		t.Error("fleet aggregator disconnected by a user sink")
 	}
 	if s.Flight.Total() != 1 {
-		t.Error("flight recorder disconnected by SetTraceSink")
+		t.Error("flight recorder disconnected by a user sink")
 	}
 }
 

@@ -188,7 +188,7 @@ func TestPlanCacheUnit(t *testing.T) {
 	sess.Env.SetVal("x", object.Nat(1), types.Nat)
 	prepare := func() *plan {
 		t.Helper()
-		p, err := sess.Plan(sess.Trace, "x + 1", eval.Limits{})
+		p, err := sess.Plan(nil, "x + 1", eval.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}

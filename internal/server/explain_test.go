@@ -129,8 +129,9 @@ func TestMisestimateMetrics(t *testing.T) {
 	}
 
 	// Exact-or-unknown estimates cannot misestimate on a single node, so
-	// inject a flagged report into the sink the query path reports to.
-	s.sink.Emit(&trace.QueryReport{
+	// inject a flagged report into the fleet aggregator the query path
+	// reports to.
+	s.sess.Fleet.Emit(&trace.QueryReport{
 		TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
 		Start:   time.Unix(1000, 0), Wall: time.Millisecond,
 		Explain: &trace.ExplainTable{Misestimates: 2, WorstQError: 5.0, WorstOp: "ArrayTab"},

@@ -160,10 +160,10 @@ func TestUnrecordedIOStaysOffMetrics(t *testing.T) {
 	path := seriesFile(t)
 
 	s.sess.SetTileConfig(16, 0, false)
-	s.sess.Trace.SetEnabled(false)
+	s.sess.Recording.Store(false)
 	_, err := s.sess.Exec(fmt.Sprintf(`readval \W using NETCDF at (%q, "series");
 		val \S = summap(fn \i => W[i])!(gen!256);`, path))
-	s.sess.Trace.SetEnabled(true)
+	s.sess.Recording.Store(true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func TestSessionAndServerAgree(t *testing.T) {
 			return "", "", 0, 0, err
 		}
 		value, err = exchange.WriteString(v)
-		rep := sess.Trace.Last()
+		rep := sess.LastReport()
 		return value, p.Type.String(), rep.Eval.Steps, rep.Eval.Cells, err
 	}
 

@@ -164,7 +164,7 @@ func TestEveryBoundaryReadsUnderItsExecution(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						rep = *s.sess.Trace.Last()
+						rep = *s.sess.LastReport()
 					}
 					tiles := 4 * row.whole
 					if io := rep.IO; io.TileMisses != tiles || io.SlabReads != tiles || io.BytesRead != 128*tiles {

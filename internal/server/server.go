@@ -19,14 +19,16 @@
 //     (queue timeout). The request context threads into evaluation, so a
 //     client disconnect aborts the query itself, not just the response.
 //
-//   - Per-request observability. Every request gets its own
-//     trace.Recorder, which only builds the request's report. The finished
-//     report goes to the session's fleet aggregator and flight recorder —
-//     the same sinks the REPL uses, and the only places reports are kept —
-//     and back to the client as phase timings in the response. A cache
-//     hit carries zero parse/typecheck/optimize/compile phases by
-//     construction: those phases simply never run. The whole trace.NewHandler surface is
-//     mounted beside the server's own endpoints.
+//   - Per-request observability. Every request builds a report of its own,
+//     opened and finished by the calls every REPL statement and prepared
+//     execution uses (repl.Session.OpenReport, FinishReport) and written
+//     only by the goroutine serving the request. The finished report goes
+//     to the session's fleet aggregator and flight recorder — the only
+//     places reports are kept — and back to the client as phase timings in
+//     the response. A cache hit carries zero parse/typecheck/optimize/
+//     compile phases by construction: those phases simply never run. The
+//     whole trace.NewHandler surface is mounted beside the server's own
+//     endpoints.
 package server
 
 import (
@@ -90,9 +92,6 @@ type Server struct {
 
 	cache *planCache
 	adm   *admission
-	// sink is where every request's finished report goes: the session's
-	// fleet aggregator and flight recorder.
-	sink trace.Sink
 
 	qid atomic.Int64
 
@@ -108,7 +107,6 @@ func New(sess *repl.Session, cfg Config) *Server {
 		cfg:   cfg,
 		cache: newPlanCache(cfg.CacheSize),
 		adm:   newAdmission(cfg.MaxConcurrent, cfg.MaxQueued, cfg.QueueTimeout),
-		sink:  trace.MultiSink{sess.Fleet, sess.Flight},
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
@@ -164,7 +162,9 @@ type QueryResponse struct {
 	Cached  bool   `json:"cached"`
 	Type    string `json:"type"`
 	// Value is the result in the complex-object data exchange format.
-	Value  string             `json:"value"`
+	Value string `json:"value"`
+	// WallNS, Phases and Eval are read from the request's report; they are
+	// empty while the session records nothing (repl.Session.Recording off).
 	WallNS int64              `json:"wall_ns"`
 	Phases []trace.PhaseTime  `json:"phases"`
 	Eval   trace.EvalCounters `json:"eval"`
@@ -243,34 +243,35 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // runQuery executes one admitted request: plan-cache lookup or prepare,
-// then execution on a fresh machine, all recorded on a per-request recorder
-// whose report goes to the server's sink.
+// then execution on a fresh machine, all recorded on the request's own
+// report.
 func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext, req QueryRequest, waited time.Duration) (*QueryResponse, *ErrorInfo, int) {
 	norm := NormalizeQuery(req.Query)
 
-	rec := trace.NewRecorder(s.sink)
-	rec.Begin(norm)
-	rec.RecordID(id)
-	rec.RecordTraceID(tc.TraceID)
-	rec.RecordQueueWait(waited)
+	rep := s.sess.OpenReport(norm)
+	if rep != nil {
+		rep.ID, rep.TraceID, rep.QueueWait = id, tc.TraceID, waited
+	}
 
-	p, hit, err := s.plan(norm, rec)
+	p, hit, err := s.plan(norm, rep)
 	if err != nil {
-		rec.End(err)
+		s.sess.FinishReport(rep, err)
 		info, status := compileHTTP(err)
 		return nil, &info, status
 	}
-	rec.RecordCached(hit)
+	if rep != nil {
+		rep.Cached = hit
+	}
 
 	opts := s.execOpts(req)
 	var bindErr *ErrorInfo
 	if opts.Args, bindErr = bind(p, req.Args); bindErr != nil {
-		rec.End(errors.New(bindErr.Message))
+		s.sess.FinishReport(rep, errors.New(bindErr.Message))
 		return nil, bindErr, http.StatusBadRequest
 	}
 	var v object.Value
 	res := &cluster.Result{} // stays empty unless the coordinator ran the query
-	err = s.sess.Guard(ctx, rec, norm, func(ctx context.Context, w *repl.Work) (err error) {
+	err = s.sess.Guard(ctx, rep, norm, func(ctx context.Context, w *repl.Work) (err error) {
 		w.Engine = repl.EngineCompiled
 		if s.cfg.Coordinator == nil || !p.Prog.Rangeable() {
 			v, w.Counters, err = p.Prog.Execute(ctx, opts)
@@ -291,19 +292,20 @@ func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext,
 		v, err = eval.Materialize(ctx, v, nil)
 		return err
 	})
-	rec.RecordMode(res.Mode)
-	rec.RecordShards(res.Shards)
-	// Record the stitched multi-node tree only when it verifies against the
-	// merged counters: a skewed tree (a buggy worker's payload) degrades to
-	// the flat report rather than serving wrong attribution.
-	if res.Spans != nil && trace.CheckStitched(res.Spans, res.Counters) == nil {
-		rec.RecordSpans(res.Spans, trace.ProfStitched)
+	if rep != nil {
+		rep.Mode, rep.Shards = res.Mode, res.Shards
+		// Record the stitched multi-node tree only when it verifies against
+		// the merged counters: a skewed tree (a buggy worker's payload)
+		// degrades to the flat report rather than serving wrong attribution.
+		if res.Spans != nil && trace.CheckStitched(res.Spans, res.Counters) == nil {
+			rep.Spans, rep.ProfLevel = res.Spans, trace.ProfStitched
+		}
+		// Join the plan's prepare-time estimates against the recorded
+		// actuals before the report is finished, so the table rides every
+		// copy of it (flight recorder, fleet aggregator).
+		rep.Explain = trace.JoinEstimates(p.Prog.Estimates(), rep, s.cfg.QErrorThreshold)
 	}
-	// Join the plan's prepare-time estimates against the recorded actuals
-	// before the report is finalized, so the table rides every copy of it
-	// (flight recorder, fleet aggregator).
-	rec.JoinExplain(p.Prog.Estimates(), s.cfg.QErrorThreshold)
-	rep := rec.End(err)
+	s.sess.FinishReport(rep, err)
 	if err != nil {
 		info, status := execHTTP(err)
 		return nil, &info, status
@@ -313,32 +315,33 @@ func (s *Server) runQuery(ctx context.Context, id string, tc trace.TraceContext,
 	if err != nil {
 		return nil, &ErrorInfo{Kind: "encode", Message: err.Error()}, http.StatusInternalServerError
 	}
-	return &QueryResponse{
+	resp := &QueryResponse{
 		ID:          id,
 		TraceID:     tc.TraceID,
 		Cached:      hit,
 		Type:        p.Type.String(),
 		Value:       text,
-		WallNS:      int64(rep.Wall),
-		Phases:      rep.Phases,
-		Eval:        rep.Eval,
 		QueueWaitNS: int64(waited),
 		Mode:        res.Mode,
 		Shards:      res.Shards,
-	}, nil, 0
+	}
+	if rep != nil {
+		resp.WallNS, resp.Phases, resp.Eval = int64(rep.Wall), rep.Phases, rep.Eval
+	}
+	return resp, nil, 0
 }
 
 // plan returns the prepared plan for the normalized query: the cached one
 // while it is Current, else a fresh one from the session's front end, which
 // replaces it. The prepare phases (parse/desugar/macro/typecheck/optimize/
-// compile) are timed on rec only when they actually run, which is what makes
+// compile) are timed on rep only when they actually run, which is what makes
 // a hit's report carry zero prepare time.
-func (s *Server) plan(norm string, rec *trace.Recorder) (*plan, bool, error) {
+func (s *Server) plan(norm string, rep *trace.QueryReport) (*plan, bool, error) {
 	depth := s.cfg.Limits.MaxDepth
 	if p, ok := s.cache.get(norm, s.sess.Env, depth); ok {
 		return p, true, nil
 	}
-	p, err := s.sess.Plan(rec, norm, eval.Limits{MaxDepth: depth})
+	p, err := s.sess.Plan(rep, norm, eval.Limits{MaxDepth: depth})
 	if err != nil {
 		return nil, false, err
 	}

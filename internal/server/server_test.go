@@ -561,9 +561,9 @@ func TestDebugQueriesCarriesReports(t *testing.T) {
 // of the whole process.
 func TestPolymorphicInitValServes(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.sess.Trace.SetEnabled(false)
+	s.sess.Recording.Store(false)
 	_, err := s.sess.Exec(`val \E = {};`)
-	s.sess.Trace.SetEnabled(true)
+	s.sess.Recording.Store(true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,23 +60,23 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// Shard executions record like queries: the worker's fleet totals and
 	// flight recorder reflect shard work, attributable via the "shard"
 	// mode stamp and the shared trace id.
-	rec := trace.NewRecorder(s.sink)
-	rec.Begin(norm)
-	rec.RecordID(id)
-	rec.RecordTraceID(traceID)
-	rec.RecordMode("shard")
-	rec.RecordQueueWait(waited)
+	rep := s.sess.OpenReport(norm)
+	if rep != nil {
+		rep.ID, rep.TraceID, rep.Mode, rep.QueueWait = id, traceID, "shard", waited
+	}
 
-	p, hit, err := s.plan(norm, rec)
+	p, hit, err := s.plan(norm, rep)
 	if err != nil {
-		rec.End(err)
+		s.sess.FinishReport(rep, err)
 		info, status := compileHTTP(err)
 		writeShardError(w, status, info.Kind, info.Message, -1, id)
 		return
 	}
-	rec.RecordCached(hit)
+	if rep != nil {
+		rep.Cached = hit
+	}
 	if !p.Prog.Rangeable() {
-		rec.End(errors.New("shard: not rangeable"))
+		s.sess.FinishReport(rep, errors.New("shard: not rangeable"))
 		writeShardError(w, http.StatusBadRequest, "shard:not_rangeable",
 			"query's top-level expression is not a tabulation", -1, id)
 		return
@@ -89,13 +89,13 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// coordinator will not retry them elsewhere.
 	var bindErr *ErrorInfo
 	if opts.Args, bindErr = bind(p, req.Args); bindErr != nil {
-		rec.End(errors.New(bindErr.Message))
+		s.sess.FinishReport(rep, errors.New(bindErr.Message))
 		writeShardError(w, http.StatusBadRequest, bindErr.Kind, bindErr.Message, -1, id)
 		return
 	}
 	var res *compile.RangeResult
 	var vec object.Value
-	err = s.sess.Guard(ctx, rec, norm, func(ctx context.Context, w *repl.Work) (err error) {
+	err = s.sess.Guard(ctx, rep, norm, func(ctx context.Context, w *repl.Work) (err error) {
 		w.Engine = repl.EngineCompiled
 		if res, err = p.Prog.ExecuteRange(ctx, opts, req.Shape, req.Start, req.End); err != nil {
 			return err
@@ -108,7 +108,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		}
 		return err
 	})
-	rep := rec.End(err)
+	s.sess.FinishReport(rep, err)
 	if err != nil {
 		info, status := execHTTP(err)
 		off := int64(-1)
@@ -152,8 +152,12 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 // counters. A shard runs the program's shard view, which is never
 // profiled, so the worker's tree is phase-granular, not operator-granular —
 // the coordinator's stitching invariants (exact counter sums, self-time
-// consistency) hold regardless.
+// consistency) hold regardless. Without a report (recording off) there is
+// no tree, and the coordinator keeps the flat counters.
 func workerSpanTree(rep *trace.QueryReport, waited time.Duration, cnt trace.EvalCounters) *exchange.Span {
+	if rep == nil {
+		return nil
+	}
 	root := &exchange.Span{Op: trace.SpanWorker, WallNS: int64(rep.Wall + waited)}
 	var kids int64
 	add := func(op string, wall int64, eval trace.EvalCounters) {

@@ -7,9 +7,9 @@ import (
 )
 
 // The fleet layer: cross-query aggregates and a flight recorder. Both types
-// implement Sink, so a session wires them up by pointing its Recorder at a
-// MultiSink; both are safe for concurrent Emit and snapshot calls (the
-// metrics handler reads them from HTTP goroutines while queries run).
+// implement Sink, and a session emits every finished report to both; both
+// are safe for concurrent Emit and snapshot calls (the metrics handler reads
+// them from HTTP goroutines while queries run).
 
 // Latency histogram buckets: log-2 from 1µs to ~34s (2^25 µs), plus an
 // implicit +Inf. Queries land in the first bucket whose bound is >= wall.
@@ -40,8 +40,7 @@ type SlowQuery struct {
 // Aggregator accumulates fleet-wide statistics across queries: a
 // log-bucketed latency histogram, per-phase wall totals, per-rule firing
 // counts, evaluator and NetCDF I/O totals, the misestimates of joined
-// explain tables, and a bounded slow-query log. It implements Sink; attach
-// it to a Recorder (possibly via MultiSink).
+// explain tables, and a bounded slow-query log. It implements Sink.
 type Aggregator struct {
 	mu      sync.Mutex
 	totals  Totals

@@ -267,13 +267,11 @@ func TestExplainTableJSONRoundTrip(t *testing.T) {
 
 // TestJoinExplainConcurrent hammers the estimate joiner while concurrent
 // readers drain the flight recorder the reports land in — the CI -race run
-// for the joiner. The recorder copies reports into the ring at End, and the
-// joined table is immutable once recorded, so readers must never observe a
-// torn table.
+// for the joiner. Each report is joined by the goroutine building it before
+// it is emitted, the ring copies it at Emit, and the joined table is
+// immutable once recorded, so readers must never observe a torn table.
 func TestJoinExplainConcurrent(t *testing.T) {
 	flight := NewFlightRecorder(16)
-	rec := NewRecorder(flight)
-	rec.SetEnabled(true)
 	est, _ := estFixture()
 
 	var wg sync.WaitGroup
@@ -301,15 +299,13 @@ func TestJoinExplainConcurrent(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 500; i++ {
-		rec.Begin("concurrent-join")
-		rec.RecordID("cj")
 		_, spans := estFixture()
-		rec.RecordSpans(spans, ProfFull)
-		rec.RecordEval(EvalCounters{Steps: 201, Cells: 125})
-		rec.JoinExplain(est, 2.0)
-		if rep := rec.End(nil); rep == nil || rep.Explain == nil {
+		rep := &QueryReport{Query: "concurrent-join", ID: "cj", Spans: spans, ProfLevel: ProfFull,
+			Eval: EvalCounters{Steps: 201, Cells: 125}}
+		if rep.Explain = JoinEstimates(est, rep, 2.0); rep.Explain == nil {
 			t.Fatal("joined report lost")
 		}
+		flight.Emit(rep)
 	}
 	close(stop)
 	wg.Wait()

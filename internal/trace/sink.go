@@ -7,8 +7,8 @@ import (
 	"sync"
 )
 
-// Sink receives finished QueryReports. Emit is called outside the
-// recorder's lock, once per report, in completion order.
+// Sink receives finished QueryReports, once per report. Concurrent
+// executions finish concurrently, so Emit must be safe for concurrent use.
 type Sink interface {
 	Emit(*QueryReport)
 }
@@ -77,16 +77,4 @@ func (s *JSONSink) Emit(r *QueryReport) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_ = s.enc.Encode(r)
-}
-
-// MultiSink fans a report out to several sinks.
-type MultiSink []Sink
-
-// Emit forwards to every sink in order.
-func (m MultiSink) Emit(r *QueryReport) {
-	for _, s := range m {
-		if s != nil {
-			s.Emit(r)
-		}
-	}
 }

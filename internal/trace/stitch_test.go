@@ -459,18 +459,14 @@ func TestSummaryViewGolden(t *testing.T) {
 }
 
 func TestHandlerSummaryAndTraceEndpoints(t *testing.T) {
-	rec := NewRecorder(nil)
 	flight := NewFlightRecorder(8)
 	agg := NewAggregator()
-	rec.SetSink(MultiSink{flight, agg})
-	rec.Begin("len!A")
-	rec.RecordID("q000001")
-	rec.RecordTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
-	rec.RecordQueueWait(2 * time.Millisecond)
-	rec.RecordMode("scatter")
-	rec.RecordShards([]ShardSpan{{Shard: 0, End: 8, Worker: "local", Attempts: 1, Wall: time.Millisecond}})
-	rec.RecordEval(EvalCounters{Steps: 5})
-	rec.End(nil)
+	rep := &QueryReport{Query: "len!A", ID: "q000001", TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
+		Start: time.Now(), QueueWait: 2 * time.Millisecond, Mode: "scatter",
+		Shards: []ShardSpan{{Shard: 0, End: 8, Worker: "local", Attempts: 1, Wall: time.Millisecond}},
+		Eval:   EvalCounters{Steps: 5}}
+	flight.Emit(rep)
+	agg.Emit(rep)
 
 	h := NewHandler(agg, flight)
 

@@ -15,10 +15,10 @@
 //   - the optimizer trace: each rule firing with its phase and the AST
 //     node count of the rewritten subtree before and after
 //
-// A Recorder builds each report and hands the finished one to a Sink. The
-// session's sinks are the only places reports are kept: the Aggregator folds
-// them into fleet totals and histograms, the FlightRecorder keeps the last N
-// whole; slog and JSON-lines sinks ship in the package too.
+// Each execution builds its own report, and a finished report goes to the
+// Sinks. The session's sinks are the only places reports are kept: the
+// Aggregator folds them into fleet totals and histograms, the FlightRecorder
+// keeps the last N whole; slog and JSON-lines sinks ship in the package too.
 package trace
 
 import (
@@ -161,6 +161,17 @@ type RuleFiring struct {
 // QueryReport is the observability record of one query (or top-level
 // statement): phase timings, evaluator counters, I/O counters, and the
 // optimizer trace.
+//
+// A report belongs to the execution it describes. The entry point running
+// the execution opens it (repl.Session.OpenReport), only the goroutine
+// running the execution writes it, setting fields directly, and once
+// finished (repl.Session.FinishReport) it goes to the sinks and nothing
+// writes it again; no lock is taken, and concurrent executions never share
+// a report. Phase timing and the optimizer's rule hook are safe on a nil
+// report, which is what an execution carries while recording is off. The
+// engines count per-node work in their own integer fields, folded into the
+// report once per evaluation, so a report costs a handful of clock reads
+// per query, not per step.
 type QueryReport struct {
 	// Query is the source text (or a statement label like "readval x
 	// using NETCDF").

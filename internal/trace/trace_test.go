@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http/httptest"
@@ -12,52 +11,23 @@ import (
 	"time"
 )
 
+// TestNilRecorderIsSafe: the hooks left on the pipeline's path — phase
+// timing and the optimizer's rule hook — record nothing on a nil report,
+// which is what an execution carries while recording is off.
 func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
-	r.Begin("q")
-	r.SetEnabled(true)
-	r.SetSink(nil)
+	var r *QueryReport
 	sp := r.StartPhase(PhaseParse)
 	sp.End()
+	Span{}.End()
 	r.RuleFired("normalize", "beta", 3, 1)
-	r.RecordNodes(3, 1)
-	r.RecordEval(EvalCounters{Steps: 1})
-	r.RecordIO(IOCounters{SlabReads: 1})
-	if rep := r.End(nil); rep != nil {
-		t.Fatalf("nil recorder End = %v, want nil", rep)
-	}
-	if r.Enabled() || r.Active() {
-		t.Fatal("nil recorder reports enabled/active")
-	}
-	if r.Last() != nil {
-		t.Fatal("nil recorder retains reports")
-	}
 }
 
-func TestDisabledRecorderRecordsNothing(t *testing.T) {
-	agg := NewAggregator()
-	r := NewRecorder(agg)
-	r.SetEnabled(false)
-	r.Begin("q")
-	if r.Active() {
-		t.Fatal("disabled recorder opened a report")
-	}
-	r.RecordEval(EvalCounters{Steps: 5})
-	if rep := r.End(nil); rep != nil {
-		t.Fatalf("disabled End = %+v, want nil", rep)
-	}
-	if tot := agg.Snapshot().Totals; tot.Queries != 0 || r.Last() != nil {
-		t.Fatalf("disabled recorder emitted a report: %+v", tot)
-	}
-}
-
+// TestRecorderLifecycle: a report built by its execution — phases folded by
+// name, rule firings in order, counters set directly — reads back whole
+// from the sinks it is emitted to.
 func TestRecorderLifecycle(t *testing.T) {
 	agg := NewAggregator()
-	r := NewRecorder(agg)
-	r.Begin("len!A")
-	if !r.Active() {
-		t.Fatal("no open report after Begin")
-	}
+	r := &QueryReport{Query: "len!A", Start: time.Now()}
 	sp := r.StartPhase(PhaseParse)
 	sp.End()
 	sp = r.StartPhase(PhaseEval)
@@ -66,31 +36,17 @@ func TestRecorderLifecycle(t *testing.T) {
 	sp.End()
 	r.RuleFired("normalize", "beta^p", 7, 3)
 	r.RuleFired("motion", "delta^p", 5, 4)
-	r.RecordNodes(12, 8)
-	r.RecordEval(EvalCounters{Steps: 10, Cells: 4, Tabulations: 1})
-	r.RecordEval(EvalCounters{Steps: 2})
-	r.RecordIO(IOCounters{SlabReads: 1, BytesRead: 800})
-	rep := r.End(errors.New("boom"))
-	if rep == nil {
-		t.Fatal("End returned nil for an open report")
-	}
-	if rep.Query != "len!A" || rep.Err != "boom" {
-		t.Fatalf("report header = %q / %q", rep.Query, rep.Err)
-	}
-	if rep.Eval.Steps != 12 || rep.Eval.Cells != 4 || rep.Eval.Tabulations != 1 {
-		t.Fatalf("eval counters = %+v", rep.Eval)
-	}
-	if rep.IO.SlabReads != 1 || rep.IO.BytesRead != 800 {
-		t.Fatalf("io counters = %+v", rep.IO)
-	}
-	if len(rep.Rules) != 2 || rep.Rules[0].Rule != "beta^p" || rep.Rules[1].Phase != "motion" {
-		t.Fatalf("rules = %+v", rep.Rules)
-	}
-	if rep.NodesBefore != 12 || rep.NodesAfter != 8 {
-		t.Fatalf("nodes = %d -> %d", rep.NodesBefore, rep.NodesAfter)
+	r.NodesBefore, r.NodesAfter = 12, 8
+	r.Eval = r.Eval.Add(EvalCounters{Steps: 10, Cells: 4, Tabulations: 1})
+	r.Eval = r.Eval.Add(EvalCounters{Steps: 2})
+	r.IO.Add(IOCounters{SlabReads: 1, BytesRead: 800})
+	r.Wall, r.Err = time.Since(r.Start), "boom"
+	agg.Emit(r)
+	if len(r.Rules) != 2 || r.Rules[0].Rule != "beta^p" || r.Rules[1].Phase != "motion" {
+		t.Fatalf("rules = %+v", r.Rules)
 	}
 	var evalPhase PhaseTime
-	for _, p := range rep.Phases {
+	for _, p := range r.Phases {
 		if p.Name == PhaseEval {
 			evalPhase = p
 		}
@@ -98,61 +54,44 @@ func TestRecorderLifecycle(t *testing.T) {
 	if evalPhase.Count != 2 {
 		t.Fatalf("eval phase folded %d spans, want 2", evalPhase.Count)
 	}
-	if r.Active() {
-		t.Fatal("report still open after End")
-	}
-	if r.Last() != rep {
-		t.Fatal("Last != finished report")
+	if len(r.Phases) != 2 || r.Phases[0].Name != PhaseParse {
+		t.Fatalf("phases = %+v, want parse then eval", r.Phases)
 	}
 	tot := agg.Snapshot().Totals
-	if tot.Queries != 1 || tot.Errors != 1 || tot.RuleFirings != 2 || tot.Eval.Steps != 12 {
+	if tot.Queries != 1 || tot.Errors != 1 || tot.RuleFirings != 2 || tot.Eval.Steps != 12 || tot.IO.BytesRead != 800 {
 		t.Fatalf("totals = %+v", tot)
 	}
 	// Mutating a snapshot's totals must not affect the aggregator.
 	tot.PhaseWall[PhaseEval] = 0
-	if agg.Snapshot().Totals.PhaseWall[PhaseEval] == 0 && rep.Phase(PhaseEval) > 0 {
+	if agg.Snapshot().Totals.PhaseWall[PhaseEval] == 0 && r.Phase(PhaseEval) > 0 {
 		t.Fatal("Snapshot returned the live phase map")
-	}
-}
-
-func TestEndWithoutBegin(t *testing.T) {
-	agg := NewAggregator()
-	r := NewRecorder(agg)
-	if rep := r.End(nil); rep != nil {
-		t.Fatalf("End without Begin = %+v", rep)
-	}
-	if tot := agg.Snapshot().Totals; tot.Queries != 0 {
-		t.Fatalf("phantom query in totals: %+v", tot)
 	}
 }
 
 func TestRuleFiringCap(t *testing.T) {
 	agg := NewAggregator()
-	r := NewRecorder(agg)
-	r.Begin("q")
+	r := &QueryReport{Query: "q"}
 	for i := 0; i < maxRuleFirings+10; i++ {
 		r.RuleFired("normalize", "beta^p", 2, 1)
 	}
-	rep := r.End(nil)
-	if len(rep.Rules) != maxRuleFirings {
-		t.Fatalf("kept %d firings, want %d", len(rep.Rules), maxRuleFirings)
+	agg.Emit(r)
+	if len(r.Rules) != maxRuleFirings {
+		t.Fatalf("kept %d firings, want %d", len(r.Rules), maxRuleFirings)
 	}
-	if rep.RulesDropped != 10 {
-		t.Fatalf("RulesDropped = %d, want 10", rep.RulesDropped)
+	if r.RulesDropped != 10 {
+		t.Fatalf("RulesDropped = %d, want 10", r.RulesDropped)
 	}
 	if tot := agg.Snapshot().Totals; tot.RuleFirings != int64(maxRuleFirings+10) {
 		t.Fatalf("totals count %d firings, want %d", tot.RuleFirings, maxRuleFirings+10)
 	}
 }
 
-// TestRecentRing: the recent reports a recorder finishes are kept by its
-// flight-recorder sink, the one ring of finished reports, oldest first.
+// TestRecentRing: the flight recorder is the one ring of finished reports,
+// oldest first.
 func TestRecentRing(t *testing.T) {
 	f := NewFlightRecorder(0)
-	r := NewRecorder(f)
 	for i := 0; i < DefaultFlightCap+5; i++ {
-		r.Begin(fmt.Sprintf("q%d", i))
-		r.End(nil)
+		f.Emit(&QueryReport{Query: fmt.Sprintf("q%d", i)})
 	}
 	recent := f.Reports()
 	if len(recent) != DefaultFlightCap {
@@ -162,19 +101,13 @@ func TestRecentRing(t *testing.T) {
 	if recent[0].Query != "q5" || recent[DefaultFlightCap-1].Query != last {
 		t.Fatalf("ring order wrong: first=%s last=%s", recent[0].Query, recent[DefaultFlightCap-1].Query)
 	}
-	if r.Last() == nil || r.Last().Query != last {
-		t.Fatalf("Last = %+v, want %s", r.Last(), last)
-	}
 }
 
 func TestJSONSink(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(NewJSONSink(&buf))
-	r.Begin("gen!3")
-	r.RecordEval(EvalCounters{Steps: 4})
-	r.End(nil)
-	r.Begin("gen!4")
-	r.End(errors.New("nope"))
+	sink := NewJSONSink(&buf)
+	sink.Emit(&QueryReport{Query: "gen!3", Eval: EvalCounters{Steps: 4}})
+	sink.Emit(&QueryReport{Query: "gen!4", Err: "nope"})
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("emitted %d lines, want 2", len(lines))
@@ -194,12 +127,9 @@ func TestJSONSink(t *testing.T) {
 func TestSlogSink(t *testing.T) {
 	var buf bytes.Buffer
 	l := slog.New(slog.NewTextHandler(&buf, nil))
-	r := NewRecorder(NewSlogSink(l))
-	r.Begin("gen!3")
-	r.RecordEval(EvalCounters{Steps: 4})
-	r.End(nil)
-	r.Begin("bad")
-	r.End(errors.New("boom"))
+	sink := NewSlogSink(l)
+	sink.Emit(&QueryReport{Query: "gen!3", Eval: EvalCounters{Steps: 4}})
+	sink.Emit(&QueryReport{Query: "bad", Err: "boom"})
 	out := buf.String()
 	if !strings.Contains(out, "query=gen!3") || !strings.Contains(out, "steps=4") {
 		t.Fatalf("slog output missing fields:\n%s", out)
@@ -209,24 +139,12 @@ func TestSlogSink(t *testing.T) {
 	}
 }
 
-func TestMultiSink(t *testing.T) {
-	var a, b bytes.Buffer
-	sink := MultiSink{NewJSONSink(&a), nil, NewJSONSink(&b)}
-	r := NewRecorder(sink)
-	r.Begin("q")
-	r.End(nil)
-	if a.Len() == 0 || b.Len() == 0 {
-		t.Fatal("MultiSink did not fan out")
-	}
-}
-
 func TestHandler(t *testing.T) {
 	agg, flight := NewAggregator(), NewFlightRecorder(0)
-	r := NewRecorder(MultiSink{agg, flight})
-	r.Begin("len!A")
-	r.RecordEval(EvalCounters{Steps: 3})
+	r := &QueryReport{Query: "len!A", Eval: EvalCounters{Steps: 3}}
 	r.RuleFired("normalize", "beta^p", 2, 1)
-	r.End(nil)
+	agg.Emit(r)
+	flight.Emit(r)
 
 	srv := httptest.NewServer(NewHandler(agg, flight))
 	defer srv.Close()

@@ -163,7 +163,7 @@ func TestCompiledFnAppliedByInterpreters(t *testing.T) {
 				if got.String() != want.String() {
 					t.Error("interpreter session's value differs from the maker's")
 				}
-				if rep := s.Trace.Last(); rep == nil || rep.Eval != wantCounters {
+				if rep := s.LastReport(); rep == nil || rep.Eval != wantCounters {
 					t.Errorf("interpreter session's report = %+v, want counters %+v", rep, wantCounters)
 				}
 			}

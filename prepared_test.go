@@ -59,7 +59,7 @@ var preparedCorpus = []struct {
 // statement.
 func lastEval(t *testing.T, s *repl.Session) trace.EvalCounters {
 	t.Helper()
-	rep := s.Trace.Last()
+	rep := s.LastReport()
 	if rep == nil {
 		t.Fatal("no trace report recorded")
 	}

@@ -14,6 +14,7 @@ import (
 	"github.com/aqldb/aql/internal/compile"
 	"github.com/aqldb/aql/internal/cost"
 	"github.com/aqldb/aql/internal/eval"
+	"github.com/aqldb/aql/internal/trace"
 )
 
 // BenchmarkSpanOverhead times executions of one compiled program of the
@@ -137,18 +138,18 @@ func TestExplainJoinOverheadSmoke(t *testing.T) {
 		core = s.Optimize(core)
 		est := cost.Estimate(core, s.Env.Globals())
 		measure := func(join bool) time.Duration {
-			s.Trace.Begin(w.name)
+			rep := s.OpenReport(w.name)
 			t0 := time.Now()
-			_, err := s.Eval(core)
+			err := evalReported(s, rep, core)
 			if join {
-				s.Trace.JoinExplain(est, 0)
+				rep.Explain = trace.JoinEstimates(est, rep, 0)
 			}
 			d := time.Since(t0)
-			rep := s.Trace.End(err)
+			s.FinishReport(rep, err)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if join && (rep == nil || rep.Explain == nil) {
+			if join && rep.Explain == nil {
 				t.Fatalf("%s: no explain table joined", w.name)
 			}
 			return d
