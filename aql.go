@@ -133,8 +133,9 @@ func NewJSONSink(w io.Writer) TraceSink { return trace.NewJSONSink(w) }
 // calls each report in full.
 // The layers underneath are safe to share, and that is the audited
 // contract the query server (cmd/aqld) builds on: the environment is
-// mutex-guarded with a monotone epoch (EnvEpoch) bumped on every mutation,
-// the optimizer's statistics are lock-protected with per-call trace hooks,
+// mutex-guarded and holds each global as an immutable record, so a prepared
+// plan reads the globals it names once and keeps what it read; the
+// optimizer's statistics are lock-protected with per-call trace hooks,
 // and a compiled program keeps all run-time state (counters, budgets,
 // cancellation, recursion depth) on a per-execution machine, so one
 // prepared plan can serve many concurrent executions — verified under
@@ -359,7 +360,7 @@ func (s *Session) RegisterWriter(name string, w Writer) { s.s.Env.RegisterWriter
 // AddRule appends an optimizer rule to the named phase ("normalize",
 // "constraints", "motion", or a new phase name), as section 4.1's open
 // architecture allows.
-func (s *Session) AddRule(phase string, r Rule) { s.s.Env.Optimizer.AddRule(phase, r) }
+func (s *Session) AddRule(phase string, r Rule) { s.s.Env.AddRule(phase, r) }
 
 // OptimizerStats returns a copy of the cumulative rule-firing counters.
 // Mutating the returned map does not affect the optimizer's own counts.
@@ -391,11 +392,10 @@ func (s *Session) SetVal(name string, v Value) error {
 func (s *Session) Val(name string) (Value, bool) { return s.s.Env.Val(name) }
 
 // EnvEpoch reports the environment's mutation epoch: a monotone counter
-// bumped by every val binding, macro definition, and reader/writer or
-// primitive registration. Anything derived from the environment (such as
-// a prepared plan) is valid only for the epoch it was built at: a Stmt and
-// the query server's cached plans re-prepare once it moves. (A plan that
-// does not read `it` looks past the bindings of `it` among those bumps.)
+// bumped by every val binding (`it` included), macro definition, rule, and
+// reader/writer or primitive registration. A prepared plan goes stale on
+// fewer of them: a Stmt and the query server's cached plans re-prepare after
+// a rebinding of a val the plan reads, or any other kind of mutation.
 func (s *Session) EnvEpoch() uint64 { return s.s.Env.Epoch() }
 
 // --- Value constructors, re-exported for host programs ---------------------

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/repl"
 	"github.com/aqldb/aql/internal/server"
 	"github.com/aqldb/aql/internal/trace"
@@ -145,6 +146,33 @@ func TestAddRule(t *testing.T) {
 	})
 	if _, _, err := s.Query("1 + 1"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAddRuleReachesStmt: a rule added after Prepare applies from the
+// statement's next Exec on, which re-prepares.
+func TestAddRuleReachesStmt(t *testing.T) {
+	ctx := context.Background()
+	s := newSession(t)
+	st, err := s.Prepare("1 + 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := st.Exec(ctx, nil); err != nil || v.String() != "2" {
+		t.Fatalf("before the rule: Exec = %v, %v; want 2", v, err)
+	}
+	s.AddRule("normalize", Rule{
+		Name:  "one-is-two",
+		Heads: []ast.Kind{ast.KindNatLit},
+		Apply: func(e Expr) (Expr, bool) {
+			if n, ok := e.(*ast.NatLit); ok && n.Val == 1 {
+				return &ast.NatLit{Val: 2}, true
+			}
+			return e, false
+		},
+	})
+	if v, err := st.Exec(ctx, nil); err != nil || v.String() != "4" {
+		t.Fatalf("after the rule: Exec = %v, %v; want 4", v, err)
 	}
 }
 

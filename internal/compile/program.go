@@ -32,11 +32,11 @@ import (
 // execution at that level. The estimate tree (Estimates) and the shard view
 // (range.go) are also built on first use: only cached plans read them.
 //
-// The globals snapshot is taken at NewProgram time (global references
-// resolve to values), so a Program keeps observing the environment as of its
-// preparation even if vals are rebound afterwards; the plan that holds it
-// (repl.Plan.Current) decides when that snapshot is stale, for a prepared
-// statement and the server's plan cache alike.
+// Global references resolve to values of the globals map at NewProgram time
+// (the globals the plan read, env.Bindings), so a Program keeps observing the
+// environment as of its preparation even if vals are rebound afterwards; the
+// plan that holds it (repl.Plan.Current) decides when that snapshot is
+// stale, for a prepared statement and the server's plan cache alike.
 type Program struct {
 	expr    ast.Expr
 	globals map[string]object.Value

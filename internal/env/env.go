@@ -4,18 +4,17 @@
 // added at runtime, mirroring the paper's RegisterCO and registration
 // routines.
 //
-// An Env is safe for concurrent use: registrations and val bindings take a
-// write lock, lookups and the Globals/GlobalTypes snapshots a read lock.
-// Every mutation bumps a monotone epoch counter. A kept plan records the
-// epoch it was prepared under (repl.Plan.Current compares it), so a `val`
-// rebinding or a new reader registration makes stale exactly the plans whose
-// global snapshot it could have changed. Bindings of `it`, which every bare
-// query and prepared execution makes, are counted apart (PlanEpoch) so that
-// a plan which does not read `it` outlives them.
+// An Env is safe for concurrent use: mutations take a write lock, lookups a
+// read lock. Each primitive and val is an immutable record (Global); a
+// binding makes a new one. A plan keeps the records its query names (Expand
+// resolves them under one lock) and stays current while each name resolves
+// alike and no mutation but a val binding has landed (Current): rebinding a
+// val, `it` included, stales only the plans that read it.
 package env
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -27,8 +26,7 @@ import (
 	"github.com/aqldb/aql/internal/types"
 )
 
-// ItName is the val a bare query's or a prepared execution's result is bound
-// to.
+// ItName is the val bare queries and prepared executions bind results to.
 const ItName = "it"
 
 // Reader inputs a complex object given a parameter object — the
@@ -39,23 +37,30 @@ type Reader func(arg object.Value) (object.Value, error)
 // counterpart of `writeval E using WRITER at E'`.
 type Writer func(arg, data object.Value) error
 
+// Global is one primitive or val binding, never changed once made: two
+// lookups of a name that return the same record saw the same binding.
+type Global struct {
+	Value object.Value
+	Type  *types.Type
+}
+
+// macro is a macro body with the free names it brings into a query.
+type macro struct {
+	body ast.Expr
+	free map[string]bool
+}
+
 // Env is the AQL top-level environment.
 type Env struct {
-	mu    sync.RWMutex
-	epoch uint64
-	// itBinds is how many of epoch's bumps were bindings of ItName.
-	itBinds   uint64
-	prims     map[string]object.Value
-	primTypes map[string]*types.Type
-	vals      map[string]object.Value
-	valTypes  map[string]*types.Type
-	macros    map[string]ast.Expr
-	macroType map[string]*types.Type
-	readers   map[string]Reader
-	writers   map[string]Writer
+	mu sync.RWMutex
+	// epoch counts every mutation, structural those other than val bindings.
+	epoch, structural uint64
+	prims, vals       map[string]*Global
+	macros            map[string]macro
+	readers           map[string]Reader
+	writers           map[string]Writer
 
-	// Optimizer is the query optimizer; its rule bases are extensible via
-	// Optimizer.AddRule.
+	// Optimizer is the query optimizer; add rules to it through AddRule.
 	Optimizer *opt.Optimizer
 }
 
@@ -66,53 +71,42 @@ type Env struct {
 // NetCDF readers).
 func New() *Env {
 	e := &Env{
-		prims:     map[string]object.Value{},
-		primTypes: map[string]*types.Type{},
-		vals:      map[string]object.Value{},
-		valTypes:  map[string]*types.Type{},
-		macros:    map[string]ast.Expr{},
-		macroType: map[string]*types.Type{},
+		prims:     map[string]*Global{},
+		vals:      map[string]*Global{},
+		macros:    map[string]macro{},
 		readers:   map[string]Reader{},
 		writers:   map[string]Writer{},
 		Optimizer: opt.New(),
 	}
-	for name, fn := range eval.Builtins() {
-		e.prims[name] = fn
+	builtins := eval.Builtins()
+	for name, typ := range map[string]string{
+		"min": "{'a} -> 'a", "max": "{'a} -> 'a", "member": "'a * {'a} -> bool",
+		"not": "bool -> bool", "count": "{'a} -> nat", "rank": "{'a} -> {'a * nat}",
+	} {
+		e.prims[name] = &Global{Value: builtins[name], Type: types.MustParse(typ)}
 	}
-	e.primTypes["min"] = types.MustParse("{'a} -> 'a")
-	e.primTypes["max"] = types.MustParse("{'a} -> 'a")
-	e.primTypes["member"] = types.MustParse("'a * {'a} -> bool")
-	e.primTypes["not"] = types.MustParse("bool -> bool")
-	e.primTypes["count"] = types.MustParse("{'a} -> nat")
-	e.primTypes["rank"] = types.MustParse("{'a} -> {'a * nat}")
 	for _, p := range prim.Standard() {
-		e.prims[p.Name] = p.Fn
-		e.primTypes[p.Name] = p.Type
+		e.prims[p.Name] = &Global{Value: p.Fn, Type: p.Type}
 	}
 	return e
 }
 
-// Epoch returns the environment's mutation counter. It increases on every
-// registration or val binding, so two equal epochs bracket a window in
-// which Globals/GlobalTypes snapshots were identical.
+// Epoch returns the environment's counter of mutations of every kind.
 func (e *Env) Epoch() uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.epoch
 }
 
-// PlanEpoch returns the mutation counter a prepared plan is valid under: the
-// full epoch for a plan that reads ItName, and the epoch less the bindings
-// of ItName for one that does not. Both are monotone; a plan is current
-// while the counter for its kind still equals the one read before its
-// globals snapshot was taken.
-func (e *Env) PlanEpoch(readsIt bool) uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if readsIt {
-		return e.epoch
+// mutate runs f under the write lock as one mutation, structural or not.
+func (e *Env) mutate(structural bool, f func()) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	f()
+	e.epoch++
+	if structural {
+		e.structural++
 	}
-	return e.epoch - e.itBinds
 }
 
 // RegisterPrimitive makes an external function available to queries under
@@ -123,143 +117,184 @@ func (e *Env) RegisterPrimitive(name string, fn func(object.Value) (object.Value
 	if typ == nil || typ.Kind != types.KindFunc {
 		return fmt.Errorf("env: primitive %q needs a function type, got %v", name, typ)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.prims[name] = object.Func(fn)
-	e.primTypes[name] = typ
-	e.epoch++
+	e.mutate(true, func() { e.prims[name] = &Global{Value: object.Func(fn), Type: typ} })
 	return nil
 }
 
 // RegisterReader registers a data reader under the given name.
 func (e *Env) RegisterReader(name string, r Reader) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.readers[name] = r
-	e.epoch++
+	e.mutate(true, func() { e.readers[name] = r })
 }
 
 // RegisterWriter registers a data writer under the given name. A writer is
 // handed its data materialized, read under the writeval statement's
 // execution: no lazy array reaches it.
 func (e *Env) RegisterWriter(name string, w Writer) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.writers[name] = w
-	e.epoch++
+	e.mutate(true, func() { e.writers[name] = w })
+}
+
+// AddRule appends an optimizer rule to the named phase (opt.Optimizer.AddRule)
+// as a structural mutation: no plan optimized without the rule stays current.
+func (e *Env) AddRule(phase string, r opt.Rule) {
+	e.mutate(true, func() { e.Optimizer.AddRule(phase, r) })
 }
 
 // Reader returns the named reader.
-func (e *Env) Reader(name string) (Reader, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	r, ok := e.readers[name]
-	if !ok {
-		return nil, fmt.Errorf("env: no reader registered as %q", name)
-	}
-	return r, nil
-}
+func (e *Env) Reader(name string) (Reader, error) { return registered(e, e.readers, "reader", name) }
 
 // Writer returns the named writer.
-func (e *Env) Writer(name string) (Writer, error) {
+func (e *Env) Writer(name string) (Writer, error) { return registered(e, e.writers, "writer", name) }
+
+func registered[T any](e *Env, m map[string]T, kind, name string) (T, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	w, ok := e.writers[name]
+	f, ok := m[name]
 	if !ok {
-		return nil, fmt.Errorf("env: no writer registered as %q", name)
+		return f, fmt.Errorf("env: no %s registered as %q", kind, name)
 	}
-	return w, nil
+	return f, nil
 }
 
 // SetVal binds a complex object to a top-level name with its type.
 func (e *Env) SetVal(name string, v object.Value, typ *types.Type) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.vals[name] = v
-	e.valTypes[name] = typ
-	e.epoch++
-	if name == ItName {
-		e.itBinds++
-	}
+	e.mutate(false, func() { e.vals[name] = &Global{Value: v, Type: typ} })
 }
 
 // Val returns a top-level val.
 func (e *Env) Val(name string) (object.Value, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	v, ok := e.vals[name]
-	return v, ok
+	if g, ok := e.vals[name]; ok {
+		return g.Value, true
+	}
+	return object.Value{}, false
 }
 
 // DefineMacro records a core-calculus query under a name; macros are
 // substituted into later queries before optimization (section 4.1). The
 // body must already be macro-free (repl expands macros at definition time).
-func (e *Env) DefineMacro(name string, body ast.Expr, typ *types.Type) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.macros[name] = body
-	e.macroType[name] = typ
-	e.epoch++
+func (e *Env) DefineMacro(name string, body ast.Expr) {
+	m := macro{body: body, free: ast.FreeVars(body)}
+	e.mutate(true, func() { e.macros[name] = m })
 }
 
-// Macro returns a macro body.
-func (e *Env) Macro(name string) (ast.Expr, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	m, ok := e.macros[name]
-	return m, ok
-}
-
-// ExpandMacros substitutes macro bodies for free occurrences of macro names
-// in the query. Macro bodies are themselves macro-free, so a single pass
-// over the free variables suffices.
+// ExpandMacros is Expand without the bindings.
 func (e *Env) ExpandMacros(query ast.Expr) ast.Expr {
+	query, _ = e.Expand(query)
+	return query
+}
+
+// Expand substitutes macro bodies for free occurrences of macro names in the
+// query and, under the same read lock, resolves every global the expanded
+// query names. Macro bodies are themselves macro-free, so one pass over the
+// query's free names suffices, and a substituted body brings its own.
+func (e *Env) Expand(query ast.Expr) (ast.Expr, *Bindings) {
+	free := ast.FreeVars(query)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	free := ast.FreeVars(query)
-	names := make([]string, 0, len(free))
+	b := &Bindings{structural: e.structural, read: make(map[string]*Global, len(free))}
+	var names []string
 	for name := range free {
-		if _, ok := e.macros[name]; ok {
-			names = append(names, name)
+		m, ok := e.macros[name]
+		if !ok {
+			b.read[name] = e.lookup(name)
+			continue
+		}
+		names = append(names, name)
+		for g := range m.free {
+			b.read[g] = e.lookup(g)
 		}
 	}
 	sort.Strings(names) // deterministic expansion order
 	for _, name := range names {
-		query = ast.Subst(query, name, e.macros[name])
+		query = ast.Subst(query, name, e.macros[name].body)
 	}
-	return query
+	return query, b
 }
 
-// Globals returns the evaluation environment: primitives and vals. The
-// returned map is a fresh snapshot; mutating the Env afterwards does not
-// change it (callers must still not modify it, as the Values are shared).
-func (e *Env) Globals() map[string]object.Value {
+// Resolve adds to b, and returns, each of names that b has not read yet; a
+// nil b starts empty. Only b's builder may call it, before b is shared.
+func (e *Env) Resolve(b *Bindings, names map[string]bool) *Bindings {
+	if b == nil {
+		b = &Bindings{read: make(map[string]*Global, len(names))}
+	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make(map[string]object.Value, len(e.prims)+len(e.vals))
-	for k, v := range e.prims {
-		out[k] = v
+	for name := range names {
+		if _, ok := b.read[name]; !ok {
+			b.read[name] = e.lookup(name)
+		}
 	}
-	for k, v := range e.vals {
-		out[k] = v
+	return b
+}
+
+// lookup resolves a global name, a val shadowing a primitive; nil when the
+// name is unbound. The caller holds the lock.
+func (e *Env) lookup(name string) *Global {
+	if g, ok := e.vals[name]; ok {
+		return g
+	}
+	return e.prims[name]
+}
+
+// Current reports whether b still holds: no structural mutation since it was
+// resolved, and every name it read resolving to the same record (or none).
+func (e *Env) Current(b *Bindings) bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if b.structural != e.structural {
+		return false
+	}
+	for name, g := range b.read {
+		if e.lookup(name) != g {
+			return false
+		}
+	}
+	return true
+}
+
+// Bindings is what one plan read of the environment: the record each name
+// it names resolved to (nil: unbound), and the structural epoch then.
+type Bindings struct {
+	structural uint64
+	read       map[string]*Global
+}
+
+// Values returns the bound values by name, as a fresh map.
+func (b *Bindings) Values() map[string]object.Value {
+	return project(b, func(g *Global) object.Value { return g.Value })
+}
+
+// Types returns the bound types by name, as a fresh map.
+func (b *Bindings) Types() map[string]*types.Type {
+	return project(b, func(g *Global) *types.Type { return g.Type })
+}
+
+func project[T any](b *Bindings, field func(*Global) T) map[string]T {
+	out := make(map[string]T, len(b.read))
+	for name, g := range b.read {
+		if g != nil {
+			out[name] = field(g)
+		}
 	}
 	return out
 }
 
-// GlobalTypes returns the typechecking environment for primitives and
-// vals. Macro names are not included: macros are substituted before
-// typechecking.
-func (e *Env) GlobalTypes() map[string]*types.Type {
+// Globals returns every primitive and val by name, as a fresh map (callers
+// must still not modify the Values, which are shared).
+func (e *Env) Globals() map[string]object.Value { return e.all().Values() }
+
+// GlobalTypes returns every primitive's and val's type by name, as a fresh
+// map. Macros are substituted before typechecking, so none is included.
+func (e *Env) GlobalTypes() map[string]*types.Type { return e.all().Types() }
+
+// all reads every global, vals shadowing primitives.
+func (e *Env) all() *Bindings {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make(map[string]*types.Type, len(e.primTypes)+len(e.valTypes))
-	for k, v := range e.primTypes {
-		out[k] = v
-	}
-	for k, v := range e.valTypes {
-		out[k] = v
-	}
-	return out
+	b := &Bindings{read: maps.Clone(e.prims)}
+	maps.Copy(b.read, e.vals)
+	return b
 }
 
 // Names returns all defined names (primitives, vals, macros), sorted; used
@@ -268,11 +303,10 @@ func (e *Env) Names() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var names []string
-	for k := range e.prims {
-		names = append(names, k)
-	}
-	for k := range e.vals {
-		names = append(names, k)
+	for _, m := range []map[string]*Global{e.prims, e.vals} {
+		for k := range m {
+			names = append(names, k)
+		}
 	}
 	for k := range e.macros {
 		names = append(names, k)

@@ -326,7 +326,7 @@ func parseExecArgs(src string) (map[string]object.Value, error) {
 // with zero evaluator work).
 func (s *Session) Explain(src string) (string, error) {
 	rep := s.OpenReport(":explain " + src)
-	p, err := s.frontEnd(rep, src, nil, typed, eval.Limits{})
+	p, err := s.frontEnd(rep, src, nil, nil)
 	if err != nil {
 		s.FinishReport(rep, err)
 		return "", err
@@ -377,7 +377,7 @@ func (s *Session) ExplainAnalyzeTable(ctx context.Context, src string) (*trace.E
 	if !emit {
 		rep = &trace.QueryReport{Query: query}
 	}
-	p, err := s.frontEnd(rep, src, nil, lowered, s.Limits)
+	p, err := s.frontEnd(rep, src, nil, &s.Limits)
 	var v object.Value
 	if err == nil {
 		v, err = s.execute(ctx, rep, p, nil, eval.ProfFull)

@@ -23,7 +23,8 @@ func planSession(tb testing.TB) *repl.Session {
 // through the whole front end, Session.Plan, at 10 % above its cost
 // today: scan, parse, desugar, macros, typecheck, optimize and lower.
 // Before the scanner, the traversals and inference stopped allocating per
-// token, per visited node and per type variable it took 4,252; now 770.
+// token, per visited node and per type variable it took 4,252; 770 before
+// a plan read only the globals its query names; now 765.
 func TestPlanAllocs(t *testing.T) {
 	s := planSession(t)
 	text := bench.PlanMotivating(22.1)
@@ -33,7 +34,7 @@ func TestPlanAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("Session.Plan of the section 1 query: %.0f allocations", got)
-	const max = 847
+	const max = 842
 	if got > max {
 		t.Errorf("Session.Plan of the section 1 query allocates %.0f times, bound %d", got, max)
 	}

@@ -65,42 +65,30 @@ type Plan struct {
 	// profiling level; nil only for a plan stopped at the typechecker.
 	Prog *compile.Program
 
-	// readsIt is whether the macro-expanded query has `it` free; epoch is
-	// Env.PlanEpoch(readsIt) as of before the plan's globals snapshot;
-	// maxDepth is the Limits.MaxDepth that lowering baked into Prog.
-	readsIt  bool
-	epoch    uint64
+	// reads is the globals the plan read; maxDepth is the Limits.MaxDepth
+	// that lowering baked into Prog.
+	reads    *env.Bindings
 	maxDepth int
 }
 
 // Current reports whether p may still run against e under a MaxDepth of
-// maxDepth: no mutation the plan can see (env.PlanEpoch) has landed since
-// its globals snapshot, and the depth guard compiled into it is the one in
-// force. It is the one test of plan currency: a prepared statement and the
-// server's plan cache both re-prepare exactly when it fails.
+// maxDepth: the bindings it read still hold (env.Env.Current), and the depth
+// guard compiled into it is the one in force. It is the one test of plan
+// currency: a prepared statement and the server's plan cache both
+// re-prepare exactly when it fails.
 func (p *Plan) Current(e *env.Env, maxDepth int) bool {
-	return e.PlanEpoch(p.readsIt) == p.epoch && p.maxDepth == maxDepth
+	return p.maxDepth == maxDepth && e.Current(p.reads)
 }
-
-// depth is how far down the pipeline frontEnd carries a query.
-type depth int
-
-const (
-	typed    depth = iota // parse … typecheck: Compile, macro bodies
-	lowered               // … optimize, lower: a bare query or statement
-	prepared              // … and the epoch a kept plan is current under
-)
 
 // frontEnd is the one path from query text to a plan: parse -> desugar ->
 // macro substitution -> typecheck -> optimize -> lower (section 4.1), each
 // phase timed on rep, the execution's report, only when it runs. se is the
 // surface expression when the caller has already parsed it (statements);
 // limits are the ones lowering bakes into the program (see
-// compile.NewProgram).
-func (s *Session) frontEnd(rep *trace.QueryReport, src string, se parser.Expr, to depth, limits eval.Limits) (*Plan, error) {
-	// Read before anything of the environment is: a mutation that slips in
-	// afterwards then leaves the plan looking stale, never current.
-	epochIt, epochNoIt := s.Env.PlanEpoch(true), s.Env.PlanEpoch(false)
+// compile.NewProgram), and nil ones stop the plan at the typechecker (Compile,
+// macro bodies). Typecheck, lowering and the interpreter read only the
+// globals that macro substitution resolved (env.Env.Expand).
+func (s *Session) frontEnd(rep *trace.QueryReport, src string, se parser.Expr, limits *eval.Limits) (*Plan, error) {
 	if se == nil {
 		sp := rep.StartPhase(trace.PhaseParse)
 		var err error
@@ -117,29 +105,23 @@ func (s *Session) frontEnd(rep *trace.QueryReport, src string, se parser.Expr, t
 		return nil, &PrepareError{Phase: "desugar", Err: err}
 	}
 	sp = rep.StartPhase(trace.PhaseMacro)
-	core = s.Env.ExpandMacros(core)
+	core, reads := s.Env.Expand(core)
 	sp.End()
 	sp = rep.StartPhase(trace.PhaseTypecheck)
-	typ, params, err := typecheck.InferParams(core, s.Env.GlobalTypes())
+	typ, params, err := typecheck.InferParams(core, reads.Types())
 	sp.End()
 	if err != nil {
 		return nil, &PrepareError{Phase: "type", Err: err}
 	}
 	p := &Plan{Text: src, Core: core, Type: typ, Params: params}
-	if to == typed {
+	if limits == nil {
 		return p, nil
 	}
 	p.Core = s.optimize(rep, core)
-	if to == prepared {
-		// What only a plan that outlives this statement uses: the epoch it
-		// is current under.
-		p.epoch = epochNoIt
-		if p.readsIt = ast.FreeVars(core)[env.ItName]; p.readsIt {
-			p.epoch = epochIt
-		}
-	}
 	sp = rep.StartPhase(trace.PhaseCompile)
-	p.Prog = compile.NewProgram(p.Core, s.Env.Globals(), limits)
+	// A user rule may have named a global the query did not.
+	p.reads = s.Env.Resolve(reads, ast.FreeVars(p.Core))
+	p.Prog = compile.NewProgram(p.Core, p.reads.Values(), *limits)
 	p.maxDepth = limits.MaxDepth
 	sp.End()
 	return p, nil
@@ -168,18 +150,18 @@ func (s *Session) optimize(rep *trace.QueryReport, core ast.Expr) ast.Expr {
 // Plan carries src through the whole front end to a plan with a shared
 // program, timing its phases on rep: a preparation's report, or the report of
 // the execution that re-prepares (a stale prepared statement, a server
-// request on a plan-cache miss). The plan's epoch is read before anything
-// else of the environment, so a mutation racing the call leaves a plan that
-// fails Current, never a stale one that passes it.
+// request on a plan-cache miss). The plan keeps the bindings it read, so a
+// mutation racing the call leaves a plan that fails Current, never a stale
+// one that passes it.
 func (s *Session) Plan(rep *trace.QueryReport, src string, limits eval.Limits) (*Plan, error) {
-	return s.frontEnd(rep, src, nil, prepared, limits)
+	return s.frontEnd(rep, src, nil, &limits)
 }
 
 // Compile runs parse, desugar, macro expansion and typechecking on a
 // single expression, returning the core query and its type. The optimizer
 // is NOT applied; see Optimize. Nothing is recorded.
 func (s *Session) Compile(src string) (ast.Expr, *types.Type, error) {
-	p, err := s.frontEnd(nil, src, nil, typed, eval.Limits{})
+	p, err := s.frontEnd(nil, src, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -250,12 +232,11 @@ func Bind(params map[string]*types.Type, args map[string]object.Value) *BindErro
 // as a bare query does — counters, I/O, spans and worker records, under the
 // session's limits, Workers and Profiling (see execute).
 //
-// Executing a Prepared whose plan is no longer Current — after a `val`
-// rebinding or a reader registration, or under a session MaxDepth other than
-// the one compiled into the program — transparently re-prepares against the
-// current globals, by the same test the server's plan cache applies. The
-// binding of `it` that every execution ends with counts only against a plan
-// that reads `it` (env.PlanEpoch). An execution is thus held to the
+// Executing a Prepared whose plan is no longer Current — after a rebinding
+// of a val it reads (`it` included), a macro definition or a registration,
+// or under a session MaxDepth other than the one compiled into the program —
+// transparently re-prepares against the current globals, by the same test
+// the server's plan cache applies. An execution is thus held to the
 // environment and limits in force when it runs.
 type Prepared struct {
 	s     *Session
@@ -297,20 +278,15 @@ func paramNames(params map[string]*types.Type) []string {
 // the result to `it`, as a bare query does. Binding is strict (see Bind),
 // with failures reported as *BindError before evaluation starts. Concurrent
 // Exec calls on one Prepared are independent executions of the shared plan,
-// each with a report of its own.
+// each with a report of its own, finished whatever the outcome.
 func (p *Prepared) Exec(ctx context.Context, args map[string]object.Value) (object.Value, error) {
 	s := p.s
 	rep := s.OpenReport(p.text)
-	plan, stale, err := p.current(rep, args)
-	if err != nil {
-		// A bind error against the kept plan ran nothing: its report is
-		// dropped. A re-preparation's report is finished with the error.
-		if stale {
-			s.FinishReport(rep, err)
-		}
-		return object.Value{}, err
+	plan, err := p.current(rep, args)
+	var v object.Value
+	if err == nil {
+		v, err = s.execute(ctx, rep, plan, args, s.Profiling)
 	}
-	v, err := s.execute(ctx, rep, plan, args, s.Profiling)
 	s.FinishReport(rep, err)
 	if err != nil {
 		return object.Value{}, err
@@ -321,23 +297,22 @@ func (p *Prepared) Exec(ctx context.Context, args map[string]object.Value) (obje
 
 // current re-prepares if the plan is not Current under the session's
 // MaxDepth, timing the re-preparation on rep, then binds args against the
-// (current) parameter types and returns the plan and whether it was
-// re-prepared, all under the statement's lock.
-func (p *Prepared) current(rep *trace.QueryReport, args map[string]object.Value) (*Plan, bool, error) {
+// (current) parameter types and returns the plan, all under the statement's
+// lock.
+func (p *Prepared) current(rep *trace.QueryReport, args map[string]object.Value) (*Plan, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	stale := !p.Current(p.s.Env, p.s.Limits.MaxDepth)
-	if stale {
+	if !p.Current(p.s.Env, p.s.Limits.MaxDepth) {
 		plan, err := p.s.Plan(rep, p.text, p.s.Limits)
 		if err != nil {
-			return nil, true, fmt.Errorf("re-preparing after environment change: %w", err)
+			return nil, fmt.Errorf("re-preparing after environment change: %w", err)
 		}
 		p.Plan = plan
 	}
 	if err := Bind(p.Params, args); err != nil {
-		return nil, stale, err
+		return nil, err
 	}
-	return p.Plan, stale, nil
+	return p.Plan, nil
 }
 
 // execute is one execution of plan at the given profiling level, with args
@@ -347,7 +322,10 @@ func (p *Prepared) current(rep *trace.QueryReport, args map[string]object.Value)
 func (s *Session) execute(ctx context.Context, rep *trace.QueryReport, plan *Plan, args map[string]object.Value, level eval.ProfLevel) (v object.Value, err error) {
 	err = s.Guard(ctx, rep, plan.Text, func(ctx context.Context, w *Work) (err error) {
 		if s.Engine == EngineInterp {
-			ev := s.newEngine(args, level)
+			// A fresh evaluator per execution keeps its counters its own.
+			ev := eval.New(plan.reads.Values())
+			ev.Limits, ev.Params = s.Limits, args
+			ev.SetProfiling(level)
 			// Deferred, so the counters and spans of a panicking evaluation
 			// reach the guard too.
 			defer func() {

@@ -8,9 +8,11 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/netcdf"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/opt"
 	"github.com/aqldb/aql/internal/trace"
 	"github.com/aqldb/aql/internal/types"
 )
@@ -162,97 +164,142 @@ func preparePhases(t *testing.T, s *Session) []string {
 	return names
 }
 
-// TestExecKeepsPlanAcrossItBinding: every Exec ends by binding `it`. That
-// must not send the next Exec of a statement that does not read `it` back
-// through parse → … → compile; a statement that does read `it`, a real val
-// rebinding and a registration still must.
+// TestExecKeepsPlanAcrossItBinding: a prepared statement re-prepares exactly
+// when a global it read was rebound or the environment's structure changed.
+// Every Exec ends by binding `it`, an ordinary val: that must not send the
+// next Exec of a statement that does not read `it` back through parse → … →
+// compile, nor may a rebinding of any other val it does not read. A rebinding
+// of a val it reads (directly or through a macro), a val shadowing a
+// primitive it reads, a registration and a rule must.
 func TestExecKeepsPlanAcrossItBinding(t *testing.T) {
 	ctx := context.Background()
 	s := newSession(t)
-	if _, err := s.Exec(`val A = [[ i * 2 | \i < 10 ]];`); err != nil {
+	if _, err := s.Exec(`val A = [[ i * 2 | \i < 10 ]]; val B = 1; val C = [[ 5 ]];
+		val Z = 1; macro \head = fn \j => C[j];`); err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.Prepare(`A[$i] + $k`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := func(want string) {
+	prepare := func(text string) *Prepared {
 		t.Helper()
-		v, err := p.Exec(ctx, map[string]object.Value{"i": object.Nat(3), "k": object.Nat(1)})
+		p, err := s.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ik := map[string]object.Value{"i": object.Nat(3), "k": object.Nat(1)}
+	k := map[string]object.Value{"k": object.Nat(1)}
+	// exec runs p and checks its value, and that its report shows prepare
+	// phases exactly when it re-prepared, which it returns.
+	exec := func(p *Prepared, args map[string]object.Value, want string) bool {
+		t.Helper()
+		was := p.Prog
+		v, err := p.Exec(ctx, args)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v.String() != want {
-			t.Fatalf("Exec = %s, want %s", v, want)
+			t.Fatalf("%s = %s, want %s", p.text, v, want)
 		}
+		re := p.Prog != was
+		if ph := preparePhases(t, s); (len(ph) != 0) != re {
+			t.Errorf("%s: re-prepared %v, but its report shows prepare phases %v", p.text, re, ph)
+		}
+		return re
 	}
-	exec("7")
-	prog := p.Prog
+	p := prepare(`A[$i] + $k`)
+	exec(p, ik, "7")
 	for i := 0; i < 3; i++ {
 		before := s.Env.Epoch()
-		exec("7")
-		if p.Prog != prog {
-			t.Fatalf("Exec %d re-prepared: the Program changed", i+2)
-		}
-		if ph := preparePhases(t, s); len(ph) != 0 {
-			t.Errorf("Exec %d report carries prepare phases %v", i+2, ph)
+		if exec(p, ik, "7") {
+			t.Fatalf("Exec %d re-prepared", i+2)
 		}
 		if s.Env.Epoch() != before+1 {
 			t.Errorf("Exec %d moved the epoch by %d, want 1 (the `it` binding)", i+2, s.Env.Epoch()-before)
 		}
 	}
-	// A bind error against the kept plan is no execution: it leaves no report.
-	last := s.LastReport()
+	// A bind error against the kept plan finishes its report with the error.
 	var be *BindError
-	if _, err := p.Exec(ctx, map[string]object.Value{"i": object.Nat(3)}); !errors.As(err, &be) {
-		t.Fatalf("Exec without $k: err = %v, want a *BindError", err)
+	if _, err := p.Exec(ctx, k); !errors.As(err, &be) {
+		t.Fatalf("Exec without $i: err = %v, want a *BindError", err)
 	}
-	if s.LastReport() != last {
-		t.Error("a bind error produced a trace report")
+	if rep := s.LastReport(); rep == nil || rep.Err != be.Error() || rep.Wall <= 0 {
+		t.Errorf("a bind error's report = %+v, want a finished one carrying %q", rep, be.Error())
 	}
 	// A bare query binds `it` too, and invalidates as little.
 	if _, _, err := s.Query(`1 + 1`); err != nil {
 		t.Fatal(err)
 	}
-	exec("7")
-	if p.Prog != prog {
+	if exec(p, ik, "7") {
 		t.Error("a bare query's `it` binding re-prepared the statement")
 	}
 
-	reprepared := func(what string) {
-		t.Helper()
-		if p.Prog == prog {
-			t.Errorf("%s: the statement was not re-prepared", what)
-		}
-		if ph := preparePhases(t, s); len(ph) == 0 {
-			t.Errorf("%s: the report shows no prepare phases", what)
-		}
-		prog = p.Prog
-	}
-	if _, err := s.Exec(`val A = [[ i * 3 | \i < 10 ]];`); err != nil {
-		t.Fatal(err)
-	}
-	exec("10")
-	reprepared("val rebinding")
-	s.Env.RegisterReader("NOWHERE", func(object.Value) (object.Value, error) { return object.Unit, nil })
-	exec("10")
-	reprepared("reader registration")
-
-	// A statement that reads `it` sees each execution's binding.
-	q, err := s.Prepare(`it + $k`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"11", "12", "13"} {
-		was := q.Prog
-		v, err := q.Exec(ctx, map[string]object.Value{"k": object.Nat(1)})
-		if err != nil {
+	m := prepare(`head!0 + $k`)
+	c := prepare(`count!{A[$i], $k}`)
+	exec(m, k, "6")
+	exec(c, ik, "2")
+	mustExec := func(src string) {
+		if _, err := s.Exec(src); err != nil {
 			t.Fatal(err)
 		}
-		if v.String() != want {
-			t.Fatalf("it + 1 = %s, want %s (stale plan served?)", v, want)
+	}
+	for _, row := range []struct {
+		what   string
+		mutate func()
+		p      *Prepared
+		args   map[string]object.Value
+		want   string
+		stale  bool
+	}{
+		{"rebinding a val it does not read", func() { mustExec(`val B = 2;`) }, p, ik, "7", false},
+		{"rebinding a val it reads", func() { mustExec(`val A = [[ i * 3 | \i < 10 ]];`) }, p, ik, "10", true},
+		{"rebinding a val its macro reads", func() { mustExec(`val C = [[ 9 ]];`) }, m, k, "10", true},
+		{"rebinding a val another statement's macro reads", nil, p, ik, "10", false},
+		{"a val shadowing a primitive it reads", func() {
+			s.Env.SetVal("count", object.Func(func(object.Value) (object.Value, error) { return object.Nat(40), nil }),
+				types.MustParse("{nat} -> nat"))
+		}, c, ik, "40", true},
+		{"a val shadowing a primitive it does not read", nil, p, ik, "10", false},
+		{"a reader registration", func() {
+			s.Env.RegisterReader("NOWHERE", func(object.Value) (object.Value, error) { return object.Unit, nil })
+		}, p, ik, "10", true},
+	} {
+		if row.mutate != nil {
+			row.mutate()
 		}
-		if want != "11" && q.Prog == was {
+		if re := exec(row.p, row.args, row.want); re != row.stale {
+			t.Errorf("%s: %s re-prepared %v, want %v", row.what, row.p.text, re, row.stale)
+		}
+	}
+
+	// A user rule may introduce a global the statement does not name: the
+	// plan resolves it after optimizing, and its rebinding stales the plan.
+	u := prepare(`$k + 99`)
+	exec(u, k, "100")
+	s.Env.AddRule("normalize", opt.Rule{
+		Name:  "99-is-Z",
+		Heads: []ast.Kind{ast.KindNatLit},
+		Apply: func(e ast.Expr) (ast.Expr, bool) {
+			if n, ok := e.(*ast.NatLit); ok && n.Val == 99 {
+				return &ast.Var{Name: "Z"}, true
+			}
+			return e, false
+		},
+	})
+	if !exec(u, k, "2") || !exec(p, ik, "10") {
+		t.Error("a rule registration did not re-prepare every statement")
+	}
+	s.Env.SetVal("Z", object.Nat(5), types.Nat)
+	if !exec(u, k, "6") {
+		t.Error("rebinding a global a rule introduced did not re-prepare")
+	}
+	if exec(p, ik, "10") {
+		t.Error("rebinding a global another statement's rule introduced re-prepared")
+	}
+
+	// A statement that reads `it` sees each execution's binding.
+	q := prepare(`it + $k`)
+	for _, want := range []string{"11", "12", "13"} {
+		if re := exec(q, k, want); want != "11" && !re {
 			t.Errorf("it + 1 = %s without re-preparing", want)
 		}
 	}

@@ -256,7 +256,8 @@ func (s *Session) Eval(core ast.Expr) (object.Value, error) {
 // its deadline aborts evaluation with a *eval.ResourceError. The query is
 // lowered under the session's limits and run as a bare query is.
 func (s *Session) EvalCtx(ctx context.Context, core ast.Expr) (object.Value, error) {
-	p := &Plan{Core: core, Prog: compile.NewProgram(core, s.Env.Globals(), s.Limits)}
+	reads := s.Env.Resolve(nil, ast.FreeVars(core))
+	p := &Plan{Core: core, Prog: compile.NewProgram(core, reads.Values(), s.Limits), reads: reads}
 	return s.execute(ctx, nil, p, nil, s.Profiling)
 }
 
@@ -301,19 +302,6 @@ func (s *Session) Guard(ctx context.Context, rep *trace.QueryReport, src string,
 	return run(ctx, &w)
 }
 
-// newEngine constructs the reference interpreter over the current globals
-// and the session's limits, with params as the argument frame of its $name
-// placeholders, profiling at level. A fresh evaluator per execution keeps
-// counters per-query and lets val declarations change what globals later
-// queries see.
-func (s *Session) newEngine(params map[string]object.Value, level eval.ProfLevel) *eval.Evaluator {
-	ev := eval.New(s.Env.Globals())
-	ev.Limits = s.Limits
-	ev.Params = params
-	ev.SetProfiling(level)
-	return ev
-}
-
 // SetEngine selects the session's execution engine by name, rejecting
 // unknown names.
 func (s *Session) SetEngine(name string) error {
@@ -356,7 +344,7 @@ func (s *Session) query(ctx context.Context, src string) (object.Value, *types.T
 // limits, then one execution of it behind the guard, both recorded on rep. A
 // bare query has no argument frame: a placeholder in it fails if evaluated.
 func (s *Session) run(ctx context.Context, rep *trace.QueryReport, src string, se parser.Expr) (object.Value, *types.Type, error) {
-	p, err := s.frontEnd(rep, src, se, lowered, s.Limits)
+	p, err := s.frontEnd(rep, src, se, &s.Limits)
 	if err != nil {
 		return object.Value{}, nil, err
 	}
@@ -432,13 +420,13 @@ func (s *Session) execStmtInner(ctx context.Context, rep *trace.QueryReport, stm
 		return Result{Kind: "val", Name: n.Name, Type: typ, Value: v, HasValue: true}, nil
 
 	case *parser.MacroDecl:
-		p, err := s.frontEnd(rep, "", n.E, typed, eval.Limits{})
+		p, err := s.frontEnd(rep, "", n.E, nil)
 		if err != nil {
 			return Result{}, fmt.Errorf("macro %s: %w", n.Name, err)
 		}
 		// Macros are substituted un-normalized; the optimizer sees the
 		// whole query after substitution (section 4.1's pipeline order).
-		s.Env.DefineMacro(n.Name, p.Core, p.Type)
+		s.Env.DefineMacro(n.Name, p.Core)
 		return Result{Kind: "macro", Name: n.Name, Type: p.Type, Source: parser.Print(n.E)}, nil
 
 	case *parser.ReadVal:

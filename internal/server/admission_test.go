@@ -11,9 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/aqldb/aql/internal/ast"
+	"github.com/aqldb/aql/internal/compile"
 	"github.com/aqldb/aql/internal/env"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/opt"
 	"github.com/aqldb/aql/internal/repl"
 	"github.com/aqldb/aql/internal/types"
 )
@@ -178,49 +181,106 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestPlanCacheUnit covers the container directly: entries are keyed by
-// text and served only while the plan is Current; a stale entry counts as a
-// miss and an invalidation, and the next put replaces it in place.
+// text and served only while the plan is Current — each global it read still
+// bound as it read it, the environment's structure unchanged, its MaxDepth
+// the one asked for. A stale entry counts as a miss and an invalidation, and
+// the next put replaces it in place.
 func TestPlanCacheUnit(t *testing.T) {
 	sess, err := repl.New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.Env.SetVal("x", object.Nat(1), types.Nat)
-	prepare := func() *plan {
+	sess.Env.SetVal("y", object.Nat(1), types.Nat)
+	if _, err := sess.Exec(`macro \incx = fn \n => x + n;`); err != nil {
+		t.Fatal(err)
+	}
+	c := newPlanCache(8)
+	prepare := func(q string) *plan {
 		t.Helper()
-		p, err := sess.Plan(nil, "x + 1", eval.Limits{})
+		p, err := sess.Plan(nil, q, eval.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.put(q, p)
 		return p
 	}
-	c := newPlanCache(4)
-	p1 := prepare()
-	c.put("q", p1)
-	if got, ok := c.get("q", sess.Env, 0); !ok || got != p1 {
+	served := func(q string) bool {
+		_, ok := c.get(q, sess.Env, 0)
+		return ok
+	}
+	p1 := prepare("x + 1")
+	if got, ok := c.get("x + 1", sess.Env, 0); !ok || got != p1 {
 		t.Fatal("current plan not served")
 	}
 	if _, ok := c.get("r", sess.Env, 0); ok {
 		t.Fatal("plan served under another text")
 	}
-	// Binding `it` leaves a plan that does not read it current.
+	// Binding `it`, or any val the plan does not read, leaves it current.
 	sess.Env.SetVal(env.ItName, object.Nat(7), types.Nat)
-	if got, ok := c.get("q", sess.Env, 0); !ok || got != p1 {
-		t.Fatal("binding it made a plan that does not read it stale")
+	sess.Env.SetVal("y", object.Nat(2), types.Nat)
+	if !served("x + 1") {
+		t.Fatal("binding vals a plan does not read made it stale")
 	}
-	if _, ok := c.get("q", sess.Env, 5); ok {
+	if _, ok := c.get("x + 1", sess.Env, 5); ok {
 		t.Fatal("plan served under a MaxDepth other than its own")
 	}
-	sess.Env.SetVal("x", object.Nat(2), types.Nat)
-	if _, ok := c.get("q", sess.Env, 0); ok {
-		t.Fatal("plan served after a rebind of a val it reads")
+
+	prepare("incx!1") // reads x through the macro
+	prepare("real!y") // reads the primitive real
+	for _, row := range []struct {
+		what        string
+		mutate      func()
+		stale, kept []string
+	}{
+		{"rebinding a val", func() { sess.Env.SetVal("x", object.Nat(2), types.Nat) },
+			[]string{"x + 1", "incx!1"}, []string{"real!y"}},
+		{"a val shadowing a primitive", func() {
+			sess.Env.SetVal("real", object.Func(func(v object.Value) (object.Value, error) { return object.Real(0.5), nil }),
+				types.MustParse("nat -> real"))
+		}, []string{"real!y"}, []string{"x + 1", "incx!1"}},
+		{"a reader registration", func() {
+			sess.Env.RegisterReader("NOWHERE", func(object.Value) (object.Value, error) { return object.Unit, nil })
+		}, []string{"x + 1", "incx!1", "real!y"}, nil},
+	} {
+		row.mutate()
+		for _, q := range row.kept {
+			if !served(q) {
+				t.Errorf("%s: %s was not served", row.what, q)
+			}
+		}
+		for _, q := range row.stale {
+			if served(q) {
+				t.Errorf("%s: %s was served stale", row.what, q)
+			}
+			prepare(q)
+		}
 	}
-	p2 := prepare()
-	c.put("q", p2)
-	if got, ok := c.get("q", sess.Env, 0); !ok || got != p2 {
-		t.Fatal("re-prepared plan did not replace the stale entry")
+
+	// A user rule may introduce a global the text does not name: the plan
+	// resolves it after optimizing, and counts it as read.
+	sess.Env.AddRule("normalize", opt.Rule{
+		Name:  "99-is-y",
+		Heads: []ast.Kind{ast.KindNatLit},
+		Apply: func(e ast.Expr) (ast.Expr, bool) {
+			if n, ok := e.(*ast.NatLit); ok && n.Val == 99 {
+				return &ast.Var{Name: "y"}, true
+			}
+			return e, false
+		},
+	})
+	p2 := prepare("99")
+	if v, _, err := p2.Prog.Execute(context.Background(), compile.ExecOpts{}); err != nil || v.String() != "2" {
+		t.Fatalf("99 rewritten to y = %v, %v; want 2", v, err)
 	}
-	want := CacheStats{Size: 1, Capacity: 4, Hits: 3, Misses: 3, Invalidations: 2}
+	if !served("99") {
+		t.Fatal("a plan reading a rule's global was not served")
+	}
+	sess.Env.SetVal("y", object.Nat(3), types.Nat)
+	if served("99") {
+		t.Fatal("a plan was served after a rebind of a global a rule introduced")
+	}
+	want := CacheStats{Size: 4, Capacity: 8, Hits: 6, Misses: 9, Invalidations: 8}
 	if st := c.stats(); st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}

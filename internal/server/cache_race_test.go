@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -134,4 +135,75 @@ func TestRebindNeverServesStalePlan(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestRebindNeverTearsPlan: one goroutine rebinds W through POST /val/W,
+// alternating a nat vector and a real, while readers send `W[0] + 1`. A plan
+// typechecks and lowers against one read of W, so every answer is the value
+// under the vector binding or a 400 type error under the real one; a plan
+// typechecked against one binding and lowered against the other would fail
+// in evaluation (422) or panic (500). Run under -race.
+func TestRebindNeverTearsPlan(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxConcurrent: 16, MaxQueued: 256})
+	setW := func(body string) error {
+		resp, err := http.Post(ts.URL+"/val/W", "text/plain", strings.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(resp.Body)
+			return fmt.Errorf("POST /val/W=%s: status %d: %s", body, resp.StatusCode, b)
+		}
+		return nil
+	}
+	if err := setW("[[5, 6]]"); err != nil {
+		t.Fatal(err)
+	}
+
+	const rebinds = 200
+	const readers = 4
+	done := make(chan struct{})
+	var answers, typeErrors atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				qr, status, err := postQuery(ts, QueryRequest{Query: "W[0] + 1"})
+				var ei *errorInfoError
+				switch {
+				case err == nil && qr.Value == "6":
+					answers.Add(1)
+				case status == http.StatusBadRequest && errors.As(err, &ei) && ei.Info.Kind == "type":
+					typeErrors.Add(1)
+				case err == nil:
+					t.Errorf("reader %d: W[0] + 1 = %s (cached %v), want 6 or a type error", r, qr.Value, qr.Cached)
+					return
+				default:
+					t.Errorf("reader %d: status %d: %v (a torn plan)", r, status, err)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < rebinds; i++ {
+		body := "[[5, 6]]"
+		if i%2 == 0 {
+			body = "2.5"
+		}
+		if err := setW(body); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	t.Logf("%d answers, %d type errors", answers.Load(), typeErrors.Load())
 }

@@ -10,8 +10,10 @@
 //     compile.Program directly. Entries are keyed by the normalized query
 //     text alone, and an entry is served only while the plan itself says it
 //     is current (repl.Plan.Current, the test a prepared statement applies
-//     too): after a val rebinding or a reader registration, the next lookup
-//     finds the plan stale and re-prepares it in place.
+//     too): a plan keeps the globals it read, so after a rebinding of a val
+//     it reads, a macro definition or a registration, the next lookup finds
+//     the plan stale and re-prepares it in place. A rebinding of a val it
+//     does not read leaves it current.
 //
 //   - Admission control. A semaphore bounds concurrently executing
 //     queries, a bounded queue absorbs bursts, and requests beyond both are
@@ -393,9 +395,9 @@ func (s *Server) handleValGet(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, text)
 }
 
-// handleValSet binds a top-level val from an exchange-format body. The
-// epoch bump makes every cached plan that can see the val stale: the next
-// lookup of each finds it so (repl.Plan.Current) and re-prepares.
+// handleValSet binds a top-level val from an exchange-format body. Every
+// cached plan that reads the val is then stale: the next lookup of each finds
+// it so (repl.Plan.Current) and re-prepares; plans that do not read it stay.
 func (s *Server) handleValSet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	// exchange.ReadLimits bounds both bytes read (it never buffers more than

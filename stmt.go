@@ -56,10 +56,10 @@ func (st *Stmt) Type() *Type { return st.p.Type }
 // every argument must name a placeholder, and every value must unify with
 // the placeholder's inferred type; violations are *BindError.
 //
-// If the session's environment changed since Prepare (a val rebinding, a
-// registration), Exec transparently re-prepares against the current
-// globals first. The binding of `it` that every Exec and bare query ends
-// with counts as such a change only for a statement that reads `it`.
+// If the session's environment changed under the statement since Prepare —
+// a rebinding of a val it reads (`it`, which every Exec and bare query
+// binds, included), a macro definition, a rule or a registration — Exec
+// transparently re-prepares against the current globals first.
 func (st *Stmt) Exec(ctx context.Context, args map[string]any) (Value, error) {
 	frame := make(map[string]object.Value, len(args))
 	for name, a := range args {
