@@ -134,8 +134,8 @@ func NewJSONSink(w io.Writer) TraceSink { return trace.NewJSONSink(w) }
 // The layers underneath are safe to share, and that is the audited
 // contract the query server (cmd/aqld) builds on: the environment is
 // mutex-guarded and holds each global as an immutable record, so a prepared
-// plan reads the globals it names once and keeps what it read; the
-// optimizer's statistics are lock-protected with per-call trace hooks,
+// plan reads the globals it names and the rule base in force once and keeps
+// what it read; an optimizer is immutable, with per-call trace hooks,
 // and a compiled program keeps all run-time state (counters, budgets,
 // cancellation, recursion depth) on a per-execution machine, so one
 // prepared plan can serve many concurrent executions — verified under
@@ -359,12 +359,24 @@ func (s *Session) RegisterWriter(name string, w Writer) { s.s.Env.RegisterWriter
 
 // AddRule appends an optimizer rule to the named phase ("normalize",
 // "constraints", "motion", or a new phase name), as section 4.1's open
-// architecture allows.
+// architecture allows. It puts a new rule base in force: a plan optimized
+// under the old one keeps it and is re-prepared before its next execution,
+// and one being prepared concurrently uses the old or the new one whole.
 func (s *Session) AddRule(phase string, r Rule) { s.s.Env.AddRule(phase, r) }
 
-// OptimizerStats returns a copy of the cumulative rule-firing counters.
-// Mutating the returned map does not affect the optimizer's own counts.
-func (s *Session) OptimizerStats() map[string]int { return s.s.Env.Optimizer.StatsSnapshot() }
+// OptimizerStats returns the rule firings of the session's recorded
+// executions by rule name: a copy of FleetSnapshot().Rules, so mutating it
+// changes nothing. Like every other counter, it counts only what a report
+// recorded: a bare Optimize call, and a query run while tracing is off, do
+// not count.
+func (s *Session) OptimizerStats() map[string]int {
+	rules := s.s.Fleet.Snapshot().Rules
+	out := make(map[string]int, len(rules))
+	for name, n := range rules {
+		out[name] = int(n)
+	}
+	return out
+}
 
 // RegisterAxis installs a coordinate axis (strictly monotone values, e.g.
 // latitudes) as the primitives <name>_index, <name>_coord and

@@ -355,6 +355,57 @@ func TestOptimizerStatsReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestRuleFiringsPastTraceCap: two user rules rewrite 7 to 8 and back until
+// the optimizer's 100,000-application fuel runs out, far past the 4,096
+// firings a report keeps in its trace. Every record of the firings counts
+// all of them: the fleet's totals and per-rule counts, /metrics'
+// aql_rule_firings_total and OptimizerStats.
+func TestRuleFiringsPastTraceCap(t *testing.T) {
+	const fuel = 100000
+	s := newSession(t)
+	for _, flip := range [][2]int64{{7, 8}, {8, 7}} {
+		s.AddRule("normalize", Rule{
+			Name:  fmt.Sprintf("%d-to-%d", flip[0], flip[1]),
+			Heads: []ast.Kind{ast.KindNatLit},
+			Apply: func(e Expr) (Expr, bool) {
+				if n, ok := e.(*ast.NatLit); ok && n.Val == flip[0] {
+					return &ast.NatLit{Val: flip[1]}, true
+				}
+				return e, false
+			},
+		})
+	}
+	if _, _, err := s.Query("7"); err != nil {
+		t.Fatal(err)
+	}
+	fleet := s.FleetSnapshot()
+	if fleet.Totals.RuleFirings != fuel {
+		t.Fatalf("Totals.RuleFirings = %d, want %d", fleet.Totals.RuleFirings, fuel)
+	}
+	var fleetSum, statsSum, metricsSum int64
+	for _, n := range fleet.Rules {
+		fleetSum += n
+	}
+	for _, n := range s.OptimizerStats() {
+		statsSum += int64(n)
+	}
+	rec := httptest.NewRecorder()
+	s.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, "aql_rule_firings_total{") {
+			var n int64
+			if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &n); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			metricsSum += n
+		}
+	}
+	if fleetSum != fuel || statsSum != fuel || metricsSum != fuel {
+		t.Errorf("firings by rule sum to %d in the fleet, %d in OptimizerStats and %d on /metrics; want %d",
+			fleetSum, statsSum, metricsSum, fuel)
+	}
+}
+
 func TestLastReportAndTotals(t *testing.T) {
 	s := newSession(t)
 	if s.LastReport() != nil {

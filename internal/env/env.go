@@ -6,10 +6,12 @@
 //
 // An Env is safe for concurrent use: mutations take a write lock, lookups a
 // read lock. Each primitive and val is an immutable record (Global); a
-// binding makes a new one. A plan keeps the records its query names (Expand
-// resolves them under one lock) and stays current while each name resolves
-// alike and no mutation but a val binding has landed (Current): rebinding a
-// val, `it` included, stales only the plans that read it.
+// binding makes a new one. The optimizer is one too: registering a rule
+// replaces it with an extended copy (opt.Optimizer.WithRule). A plan keeps
+// the records its query names and the optimizer in force (Expand reads them
+// under one lock), and stays current while each name resolves alike and no
+// mutation but a val binding has landed (Current): rebinding a val, `it`
+// included, stales only the plans that read it.
 package env
 
 import (
@@ -60,7 +62,10 @@ type Env struct {
 	readers           map[string]Reader
 	writers           map[string]Writer
 
-	// Optimizer is the query optimizer; add rules to it through AddRule.
+	// Optimizer is the rule base in force, replaced (never changed) by
+	// AddRule. Plans read it through Expand's Bindings and Session.Optimize
+	// through CurrentOptimizer; a direct read is only for code that never
+	// races a registration (benchmarks and tests).
 	Optimizer *opt.Optimizer
 }
 
@@ -133,10 +138,19 @@ func (e *Env) RegisterWriter(name string, w Writer) {
 	e.mutate(true, func() { e.writers[name] = w })
 }
 
-// AddRule appends an optimizer rule to the named phase (opt.Optimizer.AddRule)
-// as a structural mutation: no plan optimized without the rule stays current.
+// AddRule puts in force an optimizer with r appended to the named phase
+// (opt.Optimizer.WithRule), as a structural mutation: no plan optimized
+// without the rule stays current.
 func (e *Env) AddRule(phase string, r opt.Rule) {
-	e.mutate(true, func() { e.Optimizer.AddRule(phase, r) })
+	e.mutate(true, func() { e.Optimizer = e.Optimizer.WithRule(phase, r) })
+}
+
+// CurrentOptimizer returns the optimizer in force, for a rewrite that makes
+// no plan; a plan takes its optimizer from the Bindings it read.
+func (e *Env) CurrentOptimizer() *opt.Optimizer {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.Optimizer
 }
 
 // Reader returns the named reader.
@@ -186,13 +200,14 @@ func (e *Env) ExpandMacros(query ast.Expr) ast.Expr {
 
 // Expand substitutes macro bodies for free occurrences of macro names in the
 // query and, under the same read lock, resolves every global the expanded
-// query names. Macro bodies are themselves macro-free, so one pass over the
-// query's free names suffices, and a substituted body brings its own.
+// query names and takes the optimizer in force. Macro bodies are themselves
+// macro-free, so one pass over the query's free names suffices, and a
+// substituted body brings its own.
 func (e *Env) Expand(query ast.Expr) (ast.Expr, *Bindings) {
 	free := ast.FreeVars(query)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	b := &Bindings{structural: e.structural, read: make(map[string]*Global, len(free))}
+	b := &Bindings{structural: e.structural, opt: e.Optimizer, read: make(map[string]*Global, len(free))}
 	var names []string
 	for name := range free {
 		m, ok := e.macros[name]
@@ -254,11 +269,16 @@ func (e *Env) Current(b *Bindings) bool {
 }
 
 // Bindings is what one plan read of the environment: the record each name
-// it names resolved to (nil: unbound), and the structural epoch then.
+// it names resolved to (nil: unbound), the structural epoch then, and the
+// optimizer in force at that epoch.
 type Bindings struct {
 	structural uint64
+	opt        *opt.Optimizer
 	read       map[string]*Global
 }
+
+// Optimizer returns the optimizer in force when b was read by Expand.
+func (b *Bindings) Optimizer() *opt.Optimizer { return b.opt }
 
 // Values returns the bound values by name, as a fresh map.
 func (b *Bindings) Values() map[string]object.Value {

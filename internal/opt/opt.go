@@ -20,6 +20,12 @@
 //  3. "motion" — code motion: loop-invariant collection-valued expressions
 //     are hoisted out of tabulation and set-loop bodies.
 //
+// An Optimizer is one rule base, never changed once built: WithRule derives
+// an extended copy, so a plan that optimized with one optimizer saw exactly
+// its rules, and concurrent Optimize calls share it without a lock. Rule
+// firings are not counted here; OptimizeTraced hands each one to its
+// caller's hook.
+//
 // β-reduction is guarded so normalization never duplicates run-time work:
 // an argument is inlined only if it is cheap to re-evaluate, if it is a
 // tabulation (which the array rules then fuse away), or if the variable is
@@ -28,8 +34,7 @@
 package opt
 
 import (
-	"fmt"
-	"sync"
+	"slices"
 
 	"github.com/aqldb/aql/internal/ast"
 )
@@ -50,71 +55,43 @@ type Rule struct {
 	Apply func(e ast.Expr) (out ast.Expr, fired bool)
 }
 
-// Phase is a named, ordered rule base applied to a fixpoint. Change Rules
-// through AddRule, which keeps the per-kind index current; a Phase whose
-// Rules were built or re-sliced by hand is indexed afresh on every call.
+// Phase is a named, ordered rule base applied to a fixpoint, with its rules
+// indexed by head. Phases are built by New, NewNormalizeOnly and WithRule
+// and never changed afterwards.
 type Phase struct {
 	Name  string
 	Rules []Rule
 
-	index *ruleIndex
+	// byHead holds, for each node kind, the rules that can fire on it, in
+	// slice order.
+	byHead *[ast.NumKinds][]Rule
 }
 
-// ruleIndex holds, for each node kind, the rules of a phase that can fire
-// on it, in slice order.
-type ruleIndex struct {
-	from   []Rule // the Rules slice the index was built from
-	byHead [ast.NumKinds][]Rule
-}
-
-func newRuleIndex(rules []Rule) *ruleIndex {
-	ix := &ruleIndex{from: rules}
+func newPhase(name string, rules []Rule) Phase {
+	byHead := new([ast.NumKinds][]Rule)
 	for _, r := range rules {
 		if len(r.Heads) == 0 {
-			for k := range ix.byHead {
-				ix.byHead[k] = append(ix.byHead[k], r)
+			for k := range byHead {
+				byHead[k] = append(byHead[k], r)
 			}
 			continue
 		}
 		for _, k := range r.Heads {
-			ix.byHead[k] = append(ix.byHead[k], r)
+			byHead[k] = append(byHead[k], r)
 		}
 	}
-	return ix
+	return Phase{Name: name, Rules: rules, byHead: byHead}
 }
 
-// rulesByHead returns the phase's index, rebuilding it when Rules is no
-// longer the slice it was built from. A rebuilt index is not stored, so
-// concurrent Optimize calls never write to the phase.
-func (ph *Phase) rulesByHead() *[ast.NumKinds][]Rule {
-	ix := ph.index
-	if ix == nil || len(ix.from) != len(ph.Rules) ||
-		(len(ph.Rules) > 0 && &ix.from[0] != &ph.Rules[0]) {
-		ix = newRuleIndex(ph.Rules)
-	}
-	return &ix.byHead
-}
-
-func newPhase(name string, rules []Rule) Phase {
-	return Phase{Name: name, Rules: rules, index: newRuleIndex(rules)}
-}
-
-// Optimizer is a sequence of phases. The zero value is an empty optimizer;
-// New returns the paper's standard configuration.
+// Optimizer is a sequence of phases: one rule base, immutable once built,
+// so any number of concurrent Optimize calls read it without a lock. The
+// zero value is an empty optimizer; New returns the paper's standard
+// configuration, and WithRule derives an extended one.
 type Optimizer struct {
 	Phases []Phase
 	// MaxApplications bounds the total number of rule firings per
 	// Optimize call, guarding against non-terminating user rules.
 	MaxApplications int
-	// Stats counts rule firings by name, accumulated across Optimize
-	// calls. Callers wanting a stable view should use StatsSnapshot, which copies under the stats lock; concurrent
-	// Optimize calls update the counters under the same lock, so parallel
-	// sessions sharing an optimizer never corrupt the map.
-	Stats map[string]int
-
-	// statsMu guards Stats (concurrent Optimize calls fire rules in
-	// parallel; the rewrite itself is purely functional over the AST).
-	statsMu sync.Mutex
 }
 
 // New returns the standard three-phase optimizer.
@@ -130,7 +107,6 @@ func New() *Optimizer {
 			newPhase("motion", MotionRules()),
 		},
 		MaxApplications: 100000,
-		Stats:           map[string]int{},
 	}
 }
 
@@ -140,43 +116,23 @@ func NewNormalizeOnly() *Optimizer {
 	return &Optimizer{
 		Phases:          []Phase{newPhase("normalize", NormalizeRules())},
 		MaxApplications: 100000,
-		Stats:           map[string]int{},
 	}
 }
 
-// AddRule appends a rule to the named phase, creating the phase if absent —
-// the dynamic rule registration of section 4.1.
-func (o *Optimizer) AddRule(phase string, r Rule) {
-	for i := range o.Phases {
-		if ph := &o.Phases[i]; ph.Name == phase {
-			ph.Rules = append(ph.Rules, r)
-			ph.index = newRuleIndex(ph.Rules)
-			return
+// WithRule returns o with r appended to the named phase, or with a new phase
+// holding r if o has none of that name — the dynamic rule registration of
+// section 4.1. o is unchanged: the touched phase gets a fresh rule slice
+// and index, and the others are shared.
+func (o *Optimizer) WithRule(phase string, r Rule) *Optimizer {
+	out := &Optimizer{Phases: slices.Clone(o.Phases), MaxApplications: o.MaxApplications}
+	for i, ph := range out.Phases {
+		if ph.Name == phase {
+			out.Phases[i] = newPhase(phase, append(slices.Clip(ph.Rules), r))
+			return out
 		}
 	}
-	o.Phases = append(o.Phases, newPhase(phase, []Rule{r}))
-}
-
-// StatsSnapshot returns a copy of the cumulative firing counters, so
-// callers can neither corrupt the live counts nor observe them mid-update.
-func (o *Optimizer) StatsSnapshot() map[string]int {
-	o.statsMu.Lock()
-	defer o.statsMu.Unlock()
-	out := make(map[string]int, len(o.Stats))
-	for k, v := range o.Stats {
-		out[k] = v
-	}
+	out.Phases = append(out.Phases, newPhase(phase, []Rule{r}))
 	return out
-}
-
-// countFiring bumps a rule's firing counter under the stats lock.
-func (o *Optimizer) countFiring(rule string) {
-	o.statsMu.Lock()
-	if o.Stats == nil {
-		o.Stats = map[string]int{}
-	}
-	o.Stats[rule]++
-	o.statsMu.Unlock()
 }
 
 // Optimize rewrites e through all phases. It never fails: if the
@@ -197,16 +153,15 @@ func (o *Optimizer) Optimize(e ast.Expr) ast.Expr {
 // and the node count of the rewritten subtree before and after. Node
 // counting only happens when a hook is passed. Because the hook is an
 // argument rather than shared state, concurrent OptimizeTraced calls on
-// one optimizer are safe: the rewrite is purely functional over the AST and
-// the firing counters are lock-protected.
+// one optimizer are safe: the rewrite is purely functional over the AST,
+// and the optimizer is never written.
 func (o *Optimizer) OptimizeTraced(e ast.Expr, hook func(phase, rule string, nodesBefore, nodesAfter int)) ast.Expr {
 	fuel := o.MaxApplications
 	if fuel <= 0 {
 		fuel = 100000
 	}
-	for i := range o.Phases {
-		ph := &o.Phases[i]
-		r := &rewrite{o: o, phase: ph.Name, byHead: ph.rulesByHead(), fuel: &fuel, hook: hook}
+	for _, ph := range o.Phases {
+		r := &rewrite{phase: ph.Name, byHead: ph.byHead, fuel: &fuel, hook: hook}
 		e = r.run(e)
 	}
 	return e
@@ -214,7 +169,6 @@ func (o *Optimizer) OptimizeTraced(e ast.Expr, hook func(phase, rule string, nod
 
 // rewrite is one phase of one Optimize call.
 type rewrite struct {
-	o      *Optimizer
 	phase  string
 	byHead *[ast.NumKinds][]Rule
 	fuel   *int
@@ -276,7 +230,6 @@ func (r *rewrite) pass(e ast.Expr) ast.Expr {
 				continue
 			}
 			*r.fuel--
-			r.o.countFiring(rule.Name)
 			if r.hook != nil {
 				// Node counts are subtree-local: the firing rewrote e
 				// into out, and counting those two subtrees is cheap
@@ -294,16 +247,4 @@ func (r *rewrite) pass(e ast.Expr) ast.Expr {
 		}
 	}
 	return e
-}
-
-// String describes the optimizer's configuration.
-func (o *Optimizer) String() string {
-	s := "optimizer["
-	for i, ph := range o.Phases {
-		if i > 0 {
-			s += " -> "
-		}
-		s += fmt.Sprintf("%s(%d rules)", ph.Name, len(ph.Rules))
-	}
-	return s + "]"
 }

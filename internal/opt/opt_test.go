@@ -563,8 +563,8 @@ func TestHoistZeroTripLoopDeviation(t *testing.T) {
 func TestDynamicRuleRegistration(t *testing.T) {
 	// Register reverse(reverse(x)) ~> x as a user rule, as section 4.1's
 	// open architecture allows.
-	o := New()
-	o.AddRule("normalize", Rule{
+	base := New()
+	o := base.WithRule("normalize", Rule{
 		Name: "reverse-reverse",
 		Apply: func(e ast.Expr) (ast.Expr, bool) {
 			outer, ok := e.(*ast.App)
@@ -587,17 +587,31 @@ func TestDynamicRuleRegistration(t *testing.T) {
 		},
 	})
 	e := app(v("reverse"), app(v("reverse"), v("A")))
-	if got := o.Optimize(e); !ast.AlphaEqual(got, v("A")) {
-		t.Errorf("user rule did not fire: %s", got)
+	fired := 0
+	got := o.OptimizeTraced(e, func(_, rule string, _, _ int) {
+		if rule == "reverse-reverse" {
+			fired++
+		}
+	})
+	if !ast.AlphaEqual(got, v("A")) || fired != 1 {
+		t.Errorf("user rule: got %s after %d firings, want A after 1", got, fired)
 	}
-	if o.Stats["reverse-reverse"] != 1 {
-		t.Errorf("stats = %v", o.Stats)
+	// The optimizer it was derived from is unchanged.
+	if got := base.Optimize(e); ast.AlphaEqual(got, v("A")) {
+		t.Errorf("WithRule changed its receiver: %s", got)
 	}
-	// A brand-new phase can be added too.
-	o2 := New()
-	o2.AddRule("post", Rule{Name: "noop", Apply: func(e ast.Expr) (ast.Expr, bool) { return e, false }})
-	if len(o2.Phases) != 5 {
-		t.Errorf("phases = %d, want 5", len(o2.Phases))
+	if n, m := len(base.Phases[0].Rules), len(o.Phases[0].Rules); m != n+1 {
+		t.Errorf("normalize has %d rules after WithRule, %d before", m, n)
+	}
+	// A brand-new phase can be added too, sharing the untouched ones.
+	o2 := base.WithRule("post", Rule{Name: "noop", Apply: func(e ast.Expr) (ast.Expr, bool) { return e, false }})
+	if len(o2.Phases) != 5 || len(base.Phases) != 4 {
+		t.Errorf("phases = %d (base %d), want 5 (base 4)", len(o2.Phases), len(base.Phases))
+	}
+	for i, ph := range base.Phases {
+		if o2.Phases[i].byHead != ph.byHead {
+			t.Errorf("WithRule rebuilt the untouched phase %s", ph.Name)
+		}
 	}
 }
 

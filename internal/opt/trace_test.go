@@ -76,26 +76,3 @@ func TestTraceHookReceivesSubtreeCounts(t *testing.T) {
 		}
 	}
 }
-
-// TestStatsSnapshotIsACopy guards the StatsSnapshot contract: mutating the
-// returned map must not corrupt the optimizer's live counters.
-func TestStatsSnapshotIsACopy(t *testing.T) {
-	o := New()
-	o.Optimize(sub(tab(v("i"), []string{"i"}, nat(5)), nat(2)))
-	snap := o.StatsSnapshot()
-	if len(snap) == 0 {
-		t.Fatal("no firings recorded")
-	}
-	for k := range snap {
-		snap[k] = -999
-	}
-	snap["bogus"] = 1
-	for k, n := range o.StatsSnapshot() {
-		if n < 0 {
-			t.Fatalf("mutating snapshot leaked into live stats: %s = %d", k, n)
-		}
-		if k == "bogus" {
-			t.Fatal("snapshot key insertion leaked into live stats")
-		}
-	}
-}

@@ -331,7 +331,7 @@ func (s *Session) Explain(src string) (string, error) {
 		s.FinishReport(rep, err)
 		return "", err
 	}
-	opt := s.optimize(rep, p.Core)
+	opt := s.optimize(rep, p.reads.Optimizer(), p.Core)
 	s.FinishReport(rep, nil)
 
 	var b strings.Builder

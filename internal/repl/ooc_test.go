@@ -7,8 +7,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/aqldb/aql/internal/netcdf"
 	"github.com/aqldb/aql/internal/object"
@@ -707,6 +709,57 @@ func TestSessionCloseReleasesHandles(t *testing.T) {
 	}
 	if got := s.io.openPaths(); len(got) != 0 {
 		t.Errorf("paths still open after Close: %v", got)
+	}
+}
+
+// TestSessionCloseLeaksNothing binds a NetCDF val lazily and reads it, and
+// gives the session three tile caches with a spill file each, two of them
+// replaced by SetTileConfig while a val still reads their spill file. After
+// Close the process has as many goroutines as before the session and, on
+// Linux, as many open files.
+func TestSessionCloseLeaksNothing(t *testing.T) {
+	path := writeNC1D(t, t.TempDir(), 256)
+	openFiles := func() int {
+		if runtime.GOOS != "linux" {
+			return 0
+		}
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	baseGoroutines, baseFiles := runtime.NumGoroutine(), openFiles()
+	s := newSession(t)
+	for i := 0; i < 3; i++ {
+		// A budget of one tile: every val below is over it and spills.
+		s.SetTileConfig(16, tile.RealTileBytes(16), false)
+		if i == 0 {
+			if _, err := s.Exec(fmt.Sprintf(`readval \W using NETCDF at (%q, "series");`, path)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Exec(fmt.Sprintf(`val \X%d = [[ W[i] + 0.0 | \i < 256 ]];`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if v, _ := query(t, s, fmt.Sprintf(`summap(fn \i => X%d[i])!(gen!256)`, i)); v.String() != "16320.0" {
+			t.Fatalf("Σ X%d = %s, want 16320.0", i, v)
+		}
+	}
+	if runtime.GOOS == "linux" && openFiles() < baseFiles+4 {
+		t.Fatalf("%d open files with a NetCDF handle and three spill files, %d before: the test spilled nothing", openFiles(), baseFiles)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseGoroutines || openFiles() > baseFiles; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("after Close: %d goroutines (%d before), %d open files (%d before)\n%s",
+				runtime.NumGoroutine(), baseGoroutines, openFiles(), baseFiles, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/aqldb/aql/internal/env"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
+	"github.com/aqldb/aql/internal/opt"
 	"github.com/aqldb/aql/internal/parser"
 	"github.com/aqldb/aql/internal/trace"
 	"github.com/aqldb/aql/internal/typecheck"
@@ -65,8 +66,8 @@ type Plan struct {
 	// profiling level; nil only for a plan stopped at the typechecker.
 	Prog *compile.Program
 
-	// reads is the globals the plan read; maxDepth is the Limits.MaxDepth
-	// that lowering baked into Prog.
+	// reads is the globals and the optimizer the plan read; maxDepth is the
+	// Limits.MaxDepth that lowering baked into Prog.
 	reads    *env.Bindings
 	maxDepth int
 }
@@ -113,29 +114,28 @@ func (s *Session) frontEnd(rep *trace.QueryReport, src string, se parser.Expr, l
 	if err != nil {
 		return nil, &PrepareError{Phase: "type", Err: err}
 	}
-	p := &Plan{Text: src, Core: core, Type: typ, Params: params}
+	p := &Plan{Text: src, Core: core, Type: typ, Params: params, reads: reads}
 	if limits == nil {
 		return p, nil
 	}
-	p.Core = s.optimize(rep, core)
+	p.Core = s.optimize(rep, reads.Optimizer(), core)
 	sp = rep.StartPhase(trace.PhaseCompile)
 	// A user rule may have named a global the query did not.
-	p.reads = s.Env.Resolve(reads, ast.FreeVars(p.Core))
+	s.Env.Resolve(reads, ast.FreeVars(p.Core))
 	p.Prog = compile.NewProgram(p.Core, p.reads.Values(), *limits)
 	p.maxDepth = limits.MaxDepth
 	sp.End()
 	return p, nil
 }
 
-// optimize applies the session's optimizer unless SkipOptimizer is set.
-// With a report, the optimizer's per-call rule-firing hook feeds it, and
-// whole-query AST node counts are recorded around the rewrite; node counting
-// is skipped entirely otherwise.
-func (s *Session) optimize(rep *trace.QueryReport, core ast.Expr) ast.Expr {
+// optimize applies o unless SkipOptimizer is set. With a report, the
+// optimizer's per-call rule-firing hook feeds it, and whole-query AST node
+// counts are recorded around the rewrite; node counting is skipped entirely
+// otherwise.
+func (s *Session) optimize(rep *trace.QueryReport, o *opt.Optimizer, core ast.Expr) ast.Expr {
 	if s.SkipOptimizer {
 		return core
 	}
-	o := s.Env.Optimizer
 	if rep == nil {
 		return o.Optimize(core)
 	}
@@ -168,9 +168,11 @@ func (s *Session) Compile(src string) (ast.Expr, *types.Type, error) {
 	return p.Core, p.Type, nil
 }
 
-// Optimize applies the session's optimizer to a compiled query unless
+// Optimize applies the optimizer in force to a compiled query unless
 // SkipOptimizer is set. Nothing is recorded.
-func (s *Session) Optimize(core ast.Expr) ast.Expr { return s.optimize(nil, core) }
+func (s *Session) Optimize(core ast.Expr) ast.Expr {
+	return s.optimize(nil, s.Env.CurrentOptimizer(), core)
+}
 
 // Bind enforces strict binding of one execution's arguments against a
 // plan's inferred parameter types: every placeholder bound, every argument

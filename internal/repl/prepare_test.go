@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/eval"
@@ -604,5 +607,83 @@ func TestConcurrentRePrepare(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestAddRuleRacesPlans registers a chain of rules, rule k rewriting the nat
+// literal k to k+1, while 8 goroutines plan the query `1` (Session.Plan) and
+// execute the plan (Prepared.Exec). A plan optimizes with one whole rule
+// base, the one in force when it read the environment, so its answer is 1 +
+// the chain firings its report recorded; a plan made stale by a later
+// registration is re-prepared under a longer chain. A goroutine's answers
+// never decrease. Under -race it also holds each registration apart from
+// the optimizations that read the rule base.
+func TestAddRuleRacesPlans(t *testing.T) {
+	const rules, workers = 50, 8
+	s := newSession(t)
+	ctx := context.Background()
+	chain := func(k int64) opt.Rule {
+		return opt.Rule{
+			Name:  fmt.Sprintf("chain-%d", k),
+			Heads: []ast.Kind{ast.KindNatLit},
+			Apply: func(e ast.Expr) (ast.Expr, bool) {
+				if n, ok := e.(*ast.NatLit); ok && n.Val == k {
+					return &ast.NatLit{Val: k + 1}, true
+				}
+				return e, false
+			},
+		}
+	}
+	var plans atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last int64
+			for !stop.Load() {
+				rep := &trace.QueryReport{Query: "1"}
+				plan, err := s.Plan(rep, "1", s.Limits)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fired := int64(0)
+				for _, f := range rep.Rules {
+					if strings.HasPrefix(f.Rule, "chain-") {
+						fired++
+					}
+				}
+				st := &Prepared{s: s, text: "1", Plan: plan}
+				v, err := st.Exec(ctx, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				switch {
+				case st.Plan == plan && v.N != 1+fired:
+					t.Errorf("answer %d from a plan whose report fired %d chain rules", v.N, fired)
+				case st.Plan != plan && v.N < 2+fired:
+					t.Errorf("answer %d from a plan re-prepared after one that fired %d chain rules", v.N, fired)
+				case v.N < last:
+					t.Errorf("answer %d after %d", v.N, last)
+				}
+				last = v.N
+				plans.Add(1)
+			}
+		}()
+	}
+	for k := int64(1); k <= rules; k++ {
+		s.Env.AddRule("normalize", chain(k))
+		// Let every worker plan about once per registration.
+		for n, deadline := plans.Load(), time.Now().Add(time.Second); plans.Load() < n+workers && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if v, _ := query(t, s, "1"); v.N != 1+rules {
+		t.Errorf("after every registration: 1 = %d, want %d", v.N, 1+rules)
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -88,6 +89,9 @@ func (a *Aggregator) Emit(r *QueryReport) {
 	for _, f := range r.Rules {
 		a.rules[f.Rule]++
 	}
+	for rule, n := range r.RulesDropped {
+		a.rules[rule] += int64(n)
+	}
 	sq := SlowQuery{Query: r.Query, ID: r.ID, TraceID: r.TraceID, Engine: r.Engine, Start: r.Start, Wall: r.Wall, Err: r.Err}
 	i := sort.Search(len(a.slow), func(i int) bool { return a.slow[i].Wall < sq.Wall })
 	if i < DefaultSlowCap {
@@ -135,11 +139,8 @@ func (a *Aggregator) Snapshot() AggregateSnapshot {
 		Totals:       a.totals.clone(),
 		Latency:      a.latency.Snapshot(),
 		Misestimates: a.mis,
-		Rules:        make(map[string]int64, len(a.rules)),
+		Rules:        maps.Clone(a.rules),
 		Slow:         make([]SlowQuery, len(a.slow)),
-	}
-	for k, v := range a.rules {
-		s.Rules[k] = v
 	}
 	copy(s.Slow, a.slow)
 	return s

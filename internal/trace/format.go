@@ -37,7 +37,7 @@ func (r *QueryReport) FormatProfile() string {
 	fmt.Fprintf(&b, "  set ops         %12d\n", r.Eval.SetOps)
 	fmt.Fprintf(&b, "  iterations      %12d\n", r.Eval.Iterations)
 	fmt.Fprintf(&b, "  rule firings    %12d  (AST %d -> %d nodes)\n",
-		len(r.Rules)+r.RulesDropped, r.NodesBefore, r.NodesAfter)
+		r.RuleFirings(), r.NodesBefore, r.NodesAfter)
 	if !r.IO.IsZero() {
 		fmt.Fprintf(&b, "  slab reads      %12d\n", r.IO.SlabReads)
 		fmt.Fprintf(&b, "  bytes read      %12d\n", r.IO.BytesRead)
@@ -60,16 +60,20 @@ func (r *QueryReport) FormatRules() string {
 		b.WriteString("no optimizer rules fired\n")
 		return b.String()
 	}
+	fired := r.RuleFirings()
 	fmt.Fprintf(&b, "rule firings (%d), AST %d -> %d nodes:\n",
-		len(r.Rules)+r.RulesDropped, r.NodesBefore, r.NodesAfter)
+		fired, r.NodesBefore, r.NodesAfter)
 	counts := map[string]int{}
 	for i, f := range r.Rules {
 		fmt.Fprintf(&b, "  %3d. [%s] %-24s %d -> %d nodes\n",
 			i+1, f.Phase, f.Rule, f.NodesBefore, f.NodesAfter)
 		counts[f.Rule]++
 	}
-	if r.RulesDropped > 0 {
-		fmt.Fprintf(&b, "  ... %d further firings not recorded\n", r.RulesDropped)
+	if dropped := fired - len(r.Rules); dropped > 0 {
+		fmt.Fprintf(&b, "  ... %d further firings not recorded\n", dropped)
+	}
+	for name, n := range r.RulesDropped {
+		counts[name] += n
 	}
 	names := make([]string, 0, len(counts))
 	for name := range counts {

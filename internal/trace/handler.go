@@ -47,7 +47,7 @@ func summarize(rep *QueryReport) querySummary {
 		Mode:        rep.Mode,
 		Eval:        rep.Eval,
 		IO:          rep.IO,
-		RuleFirings: len(rep.Rules) + rep.RulesDropped,
+		RuleFirings: rep.RuleFirings(),
 		NodesBefore: rep.NodesBefore,
 		NodesAfter:  rep.NodesAfter,
 		Shards:      rep.Shards,

@@ -3,8 +3,8 @@ package trace
 import "time"
 
 // maxRuleFirings caps the optimizer trace kept per report; firings beyond
-// it are counted in RulesDropped. The optimizer's own application budget
-// is 100k, far beyond what a report can usefully show.
+// it are counted by rule name in RulesDropped. The optimizer's own
+// application budget is 100k, far beyond what a report can usefully show.
 const maxRuleFirings = 4096
 
 // Span is an open phase timing; obtain with StartPhase, close with End.
@@ -32,7 +32,8 @@ func (s Span) End() {
 }
 
 // RuleFired appends one optimizer rule application to the report's trace,
-// counting it in RulesDropped beyond the cap; the signature matches
+// counting it by name in RulesDropped beyond the cap (the map is made at the
+// first firing dropped); the signature matches
 // opt.Optimizer.OptimizeTraced's hook.
 func (r *QueryReport) RuleFired(phase, rule string, nodesBefore, nodesAfter int) {
 	if r == nil {
@@ -43,7 +44,20 @@ func (r *QueryReport) RuleFired(phase, rule string, nodesBefore, nodesAfter int)
 			Phase: phase, Rule: rule,
 			NodesBefore: nodesBefore, NodesAfter: nodesAfter,
 		})
-	} else {
-		r.RulesDropped++
+		return
 	}
+	if r.RulesDropped == nil {
+		r.RulesDropped = map[string]int{}
+	}
+	r.RulesDropped[rule]++
+}
+
+// RuleFirings returns the number of rule firings the report saw, kept in
+// Rules or counted in RulesDropped.
+func (r *QueryReport) RuleFirings() int {
+	n := len(r.Rules)
+	for _, d := range r.RulesDropped {
+		n += d
+	}
+	return n
 }

@@ -37,7 +37,7 @@ func (s *SlogSink) Emit(r *QueryReport) {
 		slog.Int64("tabulations", r.Eval.Tabulations),
 		slog.Int64("set_ops", r.Eval.SetOps),
 		slog.Int64("iterations", r.Eval.Iterations),
-		slog.Int("rule_firings", len(r.Rules)+r.RulesDropped),
+		slog.Int("rule_firings", r.RuleFirings()),
 		slog.Int("nodes_before", r.NodesBefore),
 		slog.Int("nodes_after", r.NodesAfter),
 	}

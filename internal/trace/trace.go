@@ -196,10 +196,10 @@ type QueryReport struct {
 	// Eval and IO are the work counters.
 	Eval EvalCounters `json:"eval"`
 	IO   IOCounters   `json:"io"`
-	// Rules is the optimizer trace; RulesDropped counts firings beyond
-	// the recording cap.
-	Rules        []RuleFiring `json:"rules,omitempty"`
-	RulesDropped int          `json:"rules_dropped,omitempty"`
+	// Rules is the optimizer trace; RulesDropped counts the firings beyond
+	// the recording cap by rule name (see RuleFirings).
+	Rules        []RuleFiring   `json:"rules,omitempty"`
+	RulesDropped map[string]int `json:"rules_dropped,omitempty"`
 	// NodesBefore/NodesAfter are whole-query AST node counts around the
 	// optimizer.
 	NodesBefore int `json:"nodes_before"`
@@ -406,7 +406,7 @@ func (t *Totals) add(r *QueryReport) {
 	}
 	t.Eval = t.Eval.Add(r.Eval)
 	t.IO.Add(r.IO)
-	t.RuleFirings += int64(len(r.Rules) + r.RulesDropped)
+	t.RuleFirings += int64(r.RuleFirings())
 }
 
 // clone returns a deep copy safe to hand out under no lock.

@@ -78,8 +78,8 @@ func TestRuleFiringCap(t *testing.T) {
 	if len(r.Rules) != maxRuleFirings {
 		t.Fatalf("kept %d firings, want %d", len(r.Rules), maxRuleFirings)
 	}
-	if r.RulesDropped != 10 {
-		t.Fatalf("RulesDropped = %d, want 10", r.RulesDropped)
+	if r.RulesDropped["beta^p"] != 10 || len(r.RulesDropped) != 1 {
+		t.Fatalf("RulesDropped = %v, want beta^p: 10", r.RulesDropped)
 	}
 	if tot := agg.Snapshot().Totals; tot.RuleFirings != int64(maxRuleFirings+10) {
 		t.Fatalf("totals count %d firings, want %d", tot.RuleFirings, maxRuleFirings+10)
