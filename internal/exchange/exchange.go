@@ -16,7 +16,7 @@
 package exchange
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -28,81 +28,34 @@ import (
 
 // Write serializes a complex object to w in the exchange format.
 func Write(w io.Writer, v object.Value) error {
-	bw := bufio.NewWriter(w)
-	if err := writeValue(bw, v); err != nil {
+	b, err := object.AppendText(nil, v, wire)
+	if err != nil {
 		return err
 	}
-	return bw.Flush()
-}
-
-func writeValue(w *bufio.Writer, v object.Value) error {
-	// Delegate to the canonical String rendering for scalars; recurse for
-	// collections to avoid building one giant string for large arrays.
-	switch v.Kind {
-	case object.KTuple:
-		w.WriteByte('(')
-		for i, e := range v.Elems {
-			if i > 0 {
-				w.WriteString(", ")
-			}
-			if err := writeValue(w, e); err != nil {
-				return err
-			}
-		}
-		w.WriteByte(')')
-	case object.KSet, object.KBag:
-		open, close := "{", "}"
-		if v.Kind == object.KBag {
-			open, close = "{|", "|}"
-		}
-		w.WriteString(open)
-		for i, e := range v.Elems {
-			if i > 0 {
-				w.WriteString(", ")
-			}
-			if err := writeValue(w, e); err != nil {
-				return err
-			}
-		}
-		w.WriteString(close)
-	case object.KArray:
-		w.WriteString("[[")
-		if len(v.Shape) > 1 {
-			for i, n := range v.Shape {
-				if i > 0 {
-					w.WriteString(", ")
-				}
-				fmt.Fprintf(w, "%d", n)
-			}
-			w.WriteString("; ")
-		}
-		if v.IsLazy() {
-			return fmt.Errorf("exchange: cannot serialize an unmaterialized lazy array")
-		}
-		for i, e := range v.Elems {
-			if i > 0 {
-				w.WriteString(", ")
-			}
-			if err := writeValue(w, e); err != nil {
-				return err
-			}
-		}
-		w.WriteString("]]")
-	case object.KFunc:
-		return fmt.Errorf("exchange: function values cannot be serialized")
-	default:
-		w.WriteString(v.String())
-	}
-	return nil
+	_, err = w.Write(b)
+	return err
 }
 
 // WriteString serializes a complex object to a string.
 func WriteString(v object.Value) (string, error) {
-	var b strings.Builder
-	if err := Write(&b, v); err != nil {
+	b, err := object.AppendText(nil, v, wire)
+	if err != nil {
 		return "", err
 	}
-	return b.String(), nil
+	return string(b), nil
+}
+
+// wire is the exchange's object.Reader: it reads an eager array's cells and
+// refuses a lazy array (an execution reads one whole first,
+// eval.Materialize) and a function, neither of which is a complex object.
+func wire(dst []byte, v object.Value, i int) ([]byte, error) {
+	switch {
+	case v.Kind == object.KFunc:
+		return dst, errors.New("exchange: function values cannot be serialized")
+	case v.IsLazy():
+		return dst, errors.New("exchange: cannot serialize an unmaterialized lazy array")
+	}
+	return object.AppendText(dst, v.Elems[i], wire)
 }
 
 // Limits bounds what Read will accept from untrusted input. The zero value
@@ -203,8 +156,6 @@ func (p *parser) readByte() (byte, error) {
 	p.pos++
 	return b, nil
 }
-
-func (p *parser) unread() { p.pos-- }
 
 func (p *parser) skipSpace() {
 	for p.pos < len(p.src) {
@@ -391,70 +342,54 @@ func (p *parser) arrayBody(dims []object.Value) (object.Value, error) {
 	return v, nil
 }
 
-// quoted parses a Go-style double-quoted string literal.
+// quoted parses a Go-style double-quoted string literal. The result is a
+// copy: a value read from the text must not keep the whole text alive.
 func (p *parser) quoted() (string, error) {
-	var raw strings.Builder
-	b, err := p.readByte()
-	if err != nil || b != '"' {
+	start := p.pos
+	if b, err := p.readByte(); err != nil || b != '"' {
 		return "", p.errf("expected string literal")
 	}
-	raw.WriteByte('"')
-	escaped := false
-	for {
+	for escaped := false; ; {
 		b, err := p.readByte()
 		if err != nil {
 			return "", p.errf("unterminated string literal")
 		}
-		raw.WriteByte(b)
-		if escaped {
-			escaped = false
-			continue
-		}
-		if b == '\\' {
-			escaped = true
-		}
-		if b == '"' {
+		if b == '"' && !escaped {
 			break
 		}
+		escaped = b == '\\' && !escaped
 	}
-	s, err := strconv.Unquote(raw.String())
+	raw := p.src[start:p.pos]
+	s, err := strconv.Unquote(raw)
 	if err != nil {
-		return "", p.errf("bad string literal %s: %v", raw.String(), err)
+		return "", p.errf("bad string literal %s: %v", raw, err)
 	}
-	return s, nil
+	return strings.Clone(s), nil
 }
 
 // scalar parses a number (nat or real) or an identifier-led base value
 // name#"literal".
 func (p *parser) scalar() (object.Value, error) {
-	var tok strings.Builder
-	for {
-		b, err := p.readByte()
-		if err != nil {
+	start := p.pos
+	for p.pos < len(p.src) {
+		c := rune(p.src[p.pos])
+		if !unicode.IsLetter(c) && !unicode.IsDigit(c) && c != '.' && c != '_' && c != '+' && c != '-' {
 			break
 		}
-		c := rune(b)
-		if unicode.IsLetter(c) || unicode.IsDigit(c) || c == '.' || c == '_' ||
-			c == '+' || c == '-' || (tok.Len() > 0 && (c == 'e' || c == 'E')) {
-			tok.WriteByte(b)
-			continue
-		}
-		if c == '#' {
-			// Base value: name#"literal".
-			name := tok.String()
-			if name == "" {
-				return object.Value{}, p.errf("base value with empty type name")
-			}
-			lit, err := p.quoted()
-			if err != nil {
-				return object.Value{}, err
-			}
-			return object.Base(name, lit), nil
-		}
-		p.unread()
-		break
+		p.pos++
 	}
-	s := tok.String()
+	s := p.src[start:p.pos]
+	if p.eat("#") {
+		// Base value: name#"literal".
+		if s == "" {
+			return object.Value{}, p.errf("base value with empty type name")
+		}
+		lit, err := p.quoted()
+		if err != nil {
+			return object.Value{}, err
+		}
+		return object.Base(strings.Clone(s), lit), nil
+	}
 	if s == "" {
 		return object.Value{}, p.errf("expected a value")
 	}

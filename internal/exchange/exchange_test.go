@@ -52,6 +52,10 @@ func TestRoundTripStructures(t *testing.T) {
 			object.Nat(3), object.Nat(4), object.Nat(5)}),
 		object.Set(object.Tuple(object.Nat(1), object.Set(object.String_("a")))),
 		object.Vector(object.EmptySet, object.Set(object.Nat(1))),
+		// A ⊥ diagnostic is a comment, and comments nest.
+		object.Tuple(object.Bottom("a *) b"), object.Nat(1)),
+		object.Tuple(object.Bottom("x (* y"), object.Nat(1)),
+		object.Vector(object.Bottom("(*)"), object.Bottom("*)(*"), object.Bottom("f(*x*)"), object.Bottom("(")),
 	} {
 		roundTrip(t, v)
 	}
@@ -184,5 +188,27 @@ func TestPropRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWriteAllocsIndependentOfSize pins the wire encoder's allocations: a
+// vector's text is appended into one buffer, so a call allocates a handful
+// of times whatever its cell count.
+func TestWriteAllocsIndependentOfSize(t *testing.T) {
+	for _, n := range []int{500, 5000} {
+		cells := make([]object.Value, n)
+		for i := range cells {
+			cells[i] = object.Nat(int64(i))
+		}
+		v := object.Vector(cells...)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := WriteString(v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d cells: %.0f allocs per WriteString", n, allocs)
+		if allocs > 8 {
+			t.Errorf("WriteString of %d cells: %.0f allocs, want at most 8", n, allocs)
+		}
 	}
 }

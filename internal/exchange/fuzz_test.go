@@ -6,8 +6,9 @@ import (
 	"github.com/aqldb/aql/internal/object"
 )
 
-// FuzzReadString asserts the exchange parser never panics, and that any
-// value it accepts survives a write → read round trip.
+// FuzzReadString asserts the exchange parser never panics, that any value
+// it accepts survives a write → read round trip, and that the input as a ⊥
+// diagnostic in a tuple survives one too.
 func FuzzReadString(f *testing.F) {
 	seeds := []string{
 		`{25, 27, 28}`,
@@ -20,16 +21,25 @@ func FuzzReadString(f *testing.F) {
 		`{(1, {2}), (3, {})}`,
 		`(* c *) 1`,
 		`[[`, `{`, `((`, `1e999`, `-`, `#`, `"`,
+		`a *) b`, `x (* y`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		diag := object.Tuple(object.Bottom(src), object.Nat(1))
+		out, err := WriteString(diag)
+		if err != nil {
+			t.Fatalf("cannot write ⊥ diagnostic %q: %v", src, err)
+		}
+		if back, err := ReadString(out); err != nil || !object.Equal(diag, back) {
+			t.Fatalf("⊥ diagnostic %q wrote %q, which re-reads as %s, %v", src, out, back, err)
+		}
 		v, err := ReadString(src)
 		if err != nil {
 			return
 		}
-		out, err := WriteString(v)
+		out, err = WriteString(v)
 		if err != nil {
 			t.Fatalf("accepted %q but cannot write %s: %v", src, v, err)
 		}

@@ -1,6 +1,7 @@
 package object
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -373,6 +374,25 @@ func TestStringFormat(t *testing.T) {
 		{MustArray([]int{2, 2}, []Value{Nat(1), Nat(2), Nat(3), Nat(4)}), "[[2, 2; 1, 2, 3, 4]]"},
 		{Bottom(""), "_|_"},
 		{Base("temp", "hot"), `temp#"hot"`},
+		{Bottom("a *) b (* c"), "_|_(* a * ) b ( * c *)"},
+		// Reals at every boundary of the shortest %g form: where it turns
+		// to an exponent, where an integral real needs its ".0", and the
+		// values no exchange text can carry.
+		{Real(1e-5), "1e-05"},
+		{Real(1e-4), "0.0001"},
+		{Real(1e5), "100000.0"},
+		{Real(1e6), "1e+06"},
+		{Real(123456), "123456.0"},
+		{Real(1234567), "1.234567e+06"},
+		{Real(1e20), "1e+20"},
+		{Real(1e21), "1e+21"},
+		{Real(0), "0.0"},
+		{Real(-7), "-7.0"},
+		{Real(1e15), "1e+15"},
+		{Real(math.Copysign(0, -1)), "-0.0"},
+		{Real(math.Inf(1)), "+Inf"},
+		{Real(math.Inf(-1)), "-Inf"},
+		{Real(math.NaN()), "NaN"},
 	}
 	for _, tt := range tests {
 		if got := tt.v.String(); got != tt.want {

@@ -18,10 +18,12 @@
 package object
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // Kind discriminates the run-time alternatives of a Value. It is one byte so
@@ -259,108 +261,140 @@ func IsFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 func (v Value) GoString() string { return v.String() }
 
 // String renders the value in the complex-object data exchange format of
-// section 3 of the paper, extended with bag brackets {| |} and with
-// k-dimensional arrays in the row-major literal form
-// [[ n1,...,nk ; v0, v1, ... ]]. One-dimensional arrays print as plain
-// [[v0, v1, ...]]. The output is accepted by package exchange.
+// section 3 of the paper (see AppendText), reading a lazy array's cells one
+// at a time outside any execution. The output is accepted by package
+// exchange, except where a function is written fn or a failed cell read
+// <read error: ...>.
 func (v Value) String() string {
-	var b strings.Builder
-	v.write(&b)
-	return b.String()
+	b, _ := AppendText(nil, v, display)
+	return string(b)
 }
 
-func (v Value) write(b *strings.Builder) {
+// A Reader appends to dst what AppendText cannot write from a value's own
+// fields: cell i of array v (normally by AppendText with the same Reader),
+// or, when v is a function and i is -1, what stands for it. An error ends
+// the encoding. The Reader is the one thing that differs between the
+// display (String, Pretty) and the wire (package exchange).
+type Reader func(dst []byte, v Value, i int) ([]byte, error)
+
+// AppendText appends v to dst in the complex-object data exchange format of
+// section 3 of the paper, extended with bag brackets {| |} and with
+// k-dimensional arrays in the row-major literal form
+// [[ n1,...,nk ; v0, v1, ... ]]. One-dimensional arrays are plain
+// [[v0, v1, ...]]. A ⊥ diagnostic is a (* ... *) comment. Array cells and
+// functions are appended through read.
+func AppendText(dst []byte, v Value, read Reader) ([]byte, error) {
 	switch v.Kind {
 	case KBottom:
-		b.WriteString("_|_")
+		dst = append(dst, "_|_"...)
 		if msg := v.Str(); msg != "" {
-			fmt.Fprintf(b, "(* %s *)", msg)
+			dst = appendComment(dst, msg)
 		}
 	case KBool:
-		if v.B {
-			b.WriteString("true")
-		} else {
-			b.WriteString("false")
-		}
+		dst = strconv.AppendBool(dst, v.B)
 	case KNat:
-		fmt.Fprintf(b, "%d", v.N)
+		dst = strconv.AppendInt(dst, v.N, 10)
 	case KReal:
-		s := fmt.Sprintf("%g", v.R)
-		b.WriteString(s)
+		n := len(dst)
+		dst = strconv.AppendFloat(dst, v.R, 'g', -1, 64)
 		// Guarantee the literal re-reads as a real, not a nat.
-		if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") && !strings.Contains(s, "NaN") {
-			b.WriteString(".0")
+		if !bytes.ContainsAny(dst[n:], ".eIN") {
+			dst = append(dst, ".0"...)
 		}
 	case KString:
-		fmt.Fprintf(b, "%q", v.Str())
+		dst = strconv.AppendQuote(dst, v.Str())
 	case KBase:
-		fmt.Fprintf(b, "%s#%q", v.BaseType(), v.Str())
+		dst = append(dst, v.BaseType()...)
+		dst = strconv.AppendQuote(append(dst, '#'), v.Str())
 	case KTuple:
-		b.WriteString("(")
-		for i, e := range v.Elems {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			e.write(b)
-		}
-		b.WriteString(")")
+		return appendSeq(dst, "(", v.Elems, ")", read)
 	case KSet:
-		b.WriteString("{")
-		for i, e := range v.Elems {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			e.write(b)
-		}
-		b.WriteString("}")
+		return appendSeq(dst, "{", v.Elems, "}", read)
 	case KBag:
-		b.WriteString("{|")
-		for i, e := range v.Elems {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			e.write(b)
-		}
-		b.WriteString("|}")
+		return appendSeq(dst, "{|", v.Elems, "|}", read)
 	case KArray:
-		b.WriteString("[[")
+		dst = append(dst, "[["...)
 		if len(v.Shape) > 1 {
 			for i, n := range v.Shape {
 				if i > 0 {
-					b.WriteString(", ")
+					dst = append(dst, ", "...)
 				}
-				fmt.Fprintf(b, "%d", n)
+				dst = strconv.AppendInt(dst, int64(n), 10)
 			}
-			b.WriteString("; ")
+			dst = append(dst, "; "...)
 		}
-		// Cell-at-a-time through the backing: rendering never holds a
-		// whole lazy array in memory.
-		for i, n := 0, v.Size(); i < n; i++ {
+		// Every cell takes at least one byte and a separator.
+		n := v.Size()
+		dst = slices.Grow(dst, 3*n)
+		for i := 0; i < n; i++ {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			if c, ok := v.displayCell(b, i); ok {
-				c.write(b)
+			var err error
+			if dst, err = read(dst, v, i); err != nil {
+				return dst, err
 			}
 		}
-		b.WriteString("]]")
+		dst = append(dst, "]]"...)
 	case KFunc:
-		b.WriteString("fn")
+		return read(dst, v, -1)
 	default:
-		fmt.Fprintf(b, "<bad kind %d>", v.Kind)
+		dst = fmt.Appendf(dst, "<bad kind %d>", v.Kind)
 	}
+	return dst, nil
+}
+
+func appendSeq(dst []byte, open string, elems []Value, close string, read Reader) ([]byte, error) {
+	dst = append(dst, open...)
+	for i, e := range elems {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		var err error
+		if dst, err = AppendText(dst, e, read); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, close...), nil
+}
+
+// appendComment appends msg as a (* msg *) comment. The exchange reader
+// nests comments, so a space goes between any two bytes of msg that would
+// open or close one: "(*" is written "( *" and "*)" is written "* )".
+func appendComment(dst []byte, msg string) []byte {
+	dst = append(dst, "(* "...)
+	for i := 0; i < len(msg); i++ {
+		if i > 0 && (msg[i-1] == '(' && msg[i] == '*' || msg[i-1] == '*' && msg[i] == ')') {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, msg[i])
+	}
+	return append(dst, " *)"...)
+}
+
+// display is the Reader of String and Pretty: it reads cells one at a time,
+// so rendering never holds a whole lazy array in memory, and writes a
+// function as fn.
+func display(dst []byte, v Value, i int) ([]byte, error) {
+	if v.Kind == KFunc {
+		return append(dst, "fn"...), nil
+	}
+	dst, c, ok := displayCell(dst, v, i)
+	if !ok {
+		return dst, nil
+	}
+	return AppendText(dst, c, display)
 }
 
 // displayCell returns cell i of array v for rendering, the one read of a lazy
 // array outside an execution: under context.Background, with a failed read
-// written to b in place of the cell (ok is false).
-func (v Value) displayCell(b *strings.Builder, i int) (c Value, ok bool) {
+// appended to dst in place of the cell (ok is false).
+func displayCell(dst []byte, v Value, i int) (_ []byte, c Value, ok bool) {
 	c, err := v.CellAtCtx(context.Background(), i)
 	if err != nil {
-		fmt.Fprintf(b, "<read error: %v>", err)
-		return Value{}, false
+		return fmt.Appendf(dst, "<read error: %v>", err), Value{}, false
 	}
-	return c, true
+	return dst, c, true
 }
 
 // Pretty renders the value the way the paper's read-eval-print loop does,
@@ -369,15 +403,13 @@ func (v Value) displayCell(b *strings.Builder, i int) (c Value, ok bool) {
 //
 //	[[(0):0, (1):31, (2):28, ...]]
 func (v Value) Pretty(max int) string {
-	var b strings.Builder
-	v.pretty(&b, max)
-	return b.String()
+	return string(v.appendPretty(nil, max))
 }
 
-func (v Value) pretty(b *strings.Builder, max int) {
+func (v Value) appendPretty(dst []byte, max int) []byte {
 	switch v.Kind {
 	case KArray:
-		b.WriteString("[[")
+		dst = append(dst, "[["...)
 		// A truncated preview fetches only the cells it shows. The REPL
 		// echoes every readval through here: materializing would drag the
 		// whole variable into memory before the first real query runs.
@@ -388,40 +420,40 @@ func (v Value) pretty(b *strings.Builder, max int) {
 		}
 		for i := 0; i < shown; i++ {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			idx := unflatten(i, v.Shape)
-			b.WriteString("(")
-			for j, x := range idx {
+			dst = append(dst, '(')
+			for j, x := range unflatten(i, v.Shape) {
 				if j > 0 {
-					b.WriteString(",")
+					dst = append(dst, ',')
 				}
-				fmt.Fprintf(b, "%d", x)
+				dst = strconv.AppendInt(dst, int64(x), 10)
 			}
-			b.WriteString("):")
-			if c, ok := v.displayCell(b, i); ok {
-				c.pretty(b, max)
+			dst = append(dst, "):"...)
+			d, c, ok := displayCell(dst, v, i)
+			if dst = d; ok {
+				dst = c.appendPretty(dst, max)
 			}
 		}
 		if shown < n {
-			b.WriteString(", ...")
+			dst = append(dst, ", ..."...)
 		}
-		b.WriteString("]]")
+		return append(dst, "]]"...)
 	case KTuple:
-		b.WriteString("(")
+		dst = append(dst, '(')
 		for i, e := range v.Elems {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			e.pretty(b, max)
+			dst = e.appendPretty(dst, max)
 		}
-		b.WriteString(")")
+		return append(dst, ')')
 	case KSet, KBag:
 		open, close := "{", "}"
 		if v.Kind == KBag {
 			open, close = "{|", "|}"
 		}
-		b.WriteString(open)
+		dst = append(dst, open...)
 		n := len(v.Elems)
 		shown := n
 		if max > 0 && shown > max {
@@ -429,15 +461,15 @@ func (v Value) pretty(b *strings.Builder, max int) {
 		}
 		for i := 0; i < shown; i++ {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			v.Elems[i].pretty(b, max)
+			dst = v.Elems[i].appendPretty(dst, max)
 		}
 		if shown < n {
-			b.WriteString(", ...")
+			dst = append(dst, ", ..."...)
 		}
-		b.WriteString(close)
-	default:
-		v.write(b)
+		return append(dst, close...)
 	}
+	dst, _ = AppendText(dst, v, display)
+	return dst
 }
