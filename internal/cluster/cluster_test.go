@@ -8,6 +8,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 
 	"github.com/aqldb/aql/internal/cluster"
 	"github.com/aqldb/aql/internal/eval"
+	"github.com/aqldb/aql/internal/exchange"
 	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/repl"
 	"github.com/aqldb/aql/internal/server"
@@ -469,5 +471,51 @@ func TestWorkerBudgetTripPropagates(t *testing.T) {
 	}
 	if coord.Stats().Retries.Load() != 0 {
 		t.Errorf("deterministic worker failure was retried %d times", coord.Stats().Retries.Load())
+	}
+}
+
+// deepValues is a well-formed one-cell vector whose cell nests one tuple
+// deeper than any exchange read accepts.
+var deepValues = "[[" + strings.Repeat("(", exchange.MaxDepth+1) + "8" + strings.Repeat(")", exchange.MaxDepth+1) + "]]"
+
+// deepShard answers the shard that starts at cell 0 with deepValues, on
+// every attempt, and passes every other shard to the real transport.
+type deepShard struct{ cluster.HTTPTransport }
+
+func (d *deepShard) Shard(ctx context.Context, worker string, req *exchange.ShardRequest) (*exchange.ShardResponse, error) {
+	resp, err := d.HTTPTransport.Shard(ctx, worker, req)
+	if err == nil && req.Start == 0 {
+		resp.Values = deepValues
+	}
+	return resp, err
+}
+
+// TestDeepShardAnswerRetriedThenLocal: a worker answer nested past the
+// exchange depth bound is a transport failure like any undecodable one. The
+// coordinator retries it, runs the shard locally, and answers exactly what
+// a single node does.
+func TestDeepShardAnswerRetriedThenLocal(t *testing.T) {
+	const query = `[[ (i*i + 11*i + 7) % 97 | \i < 4 ]]` // four one-cell shards
+	want := reference(t, query)
+	w1, w2 := newWorker(t), newWorker(t)
+	coord := cluster.New(fastCfg(&deepShard{}, w1.URL, w2.URL))
+	ts := newCoordServer(t, coord)
+
+	got, _, er := postQuery(t, ts, query)
+	if er != nil {
+		t.Fatalf("query failed: %+v", er)
+	}
+	assertIdentical(t, got, want)
+	if got.Mode != "distributed:partial" {
+		t.Errorf("mode = %q, want distributed:partial", got.Mode)
+	}
+	if len(got.Shards) != 4 || got.Shards[0].Worker != "local" {
+		t.Fatalf("shards %+v: want 4, the first run locally", got.Shards)
+	}
+	if r := coord.Stats().Retries.Load(); r == 0 {
+		t.Error("the deep answer was never retried")
+	}
+	if l := coord.Stats().LocalShards.Load(); l != 1 {
+		t.Errorf("local shards = %d, want 1", l)
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/aqldb/aql/internal/exchange"
@@ -35,6 +36,9 @@ func FuzzDecodeShard(f *testing.F) {
 		{exchange.ShardResponse{Values: "[[1]]", BottomOff: -1, QueueWaitNS: -9}, 0, 1},
 		{exchange.ShardResponse{Values: "[[1]]", BottomOff: -1,
 			Spans: &exchange.Span{Op: trace.SpanWorker, WallNS: -1, Children: []*exchange.Span{leaf}}}, 0, 1},
+		// One cell nested one level past exchange.MaxDepth.
+		{exchange.ShardResponse{Values: "[[" + strings.Repeat("(", exchange.MaxDepth+1) + "8" +
+			strings.Repeat(")", exchange.MaxDepth+1) + "]]", BottomOff: -1, Eval: eval}, 0, 1},
 	} {
 		body, err := json.Marshal(seed.resp)
 		if err != nil {

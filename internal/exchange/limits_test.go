@@ -6,28 +6,22 @@ import (
 	"testing"
 )
 
-func TestReadLimitsBytes(t *testing.T) {
-	src := "{1, 2, 3, 4, 5}"
-	if _, err := ReadLimits(strings.NewReader(src), Limits{MaxBytes: int64(len(src))}); err != nil {
-		t.Fatalf("at the bound: %v", err)
-	}
-	_, err := ReadLimits(strings.NewReader(src), Limits{MaxBytes: int64(len(src)) - 1})
-	var le *LimitError
-	if !errors.As(err, &le) || le.Kind != "bytes" {
-		t.Fatalf("over the bound: got %v, want bytes LimitError", err)
-	}
+// nest wraps inner in depth tuple levels, each a pair so none collapses.
+func nest(depth int, inner string) string {
+	return strings.Repeat("(1, ", depth) + inner + strings.Repeat(")", depth)
 }
 
 func TestReadStringLimitsDepth(t *testing.T) {
-	// Depth 4: set of tuple of bag of array.
-	src := "{(1, {|[[7]]|}) }"
-	if _, err := ReadStringLimits(src, Limits{MaxDepth: 4}); err != nil {
+	// Set, tuple, bag and array each add a level: MaxDepth-4 tuples around
+	// them is exactly MaxDepth.
+	src := nest(MaxDepth-4, "{(1, {|[[7]]|})}")
+	if _, err := ReadString(src); err != nil {
 		t.Fatalf("at the bound: %v", err)
 	}
-	_, err := ReadStringLimits(src, Limits{MaxDepth: 3})
+	_, err := ReadString(nest(1, src))
 	var le *LimitError
-	if !errors.As(err, &le) || le.Kind != "depth" || le.Limit != 3 {
-		t.Fatalf("over the bound: got %v, want depth LimitError at 3", err)
+	if !errors.As(err, &le) || le.Kind != "depth" || le.Limit != MaxDepth {
+		t.Fatalf("over the bound: got %v, want depth LimitError at %d", err, MaxDepth)
 	}
 }
 
@@ -35,30 +29,13 @@ func TestReadStringLimitsDepth(t *testing.T) {
 // rejected by the depth guard rather than exhausting the parser's stack.
 func TestReadLimitsDeepNesting(t *testing.T) {
 	src := strings.Repeat("(", 100_000) + "1" + strings.Repeat(", 2)", 100_000)
-	_, err := ReadStringLimits(src, Limits{MaxDepth: 64})
-	var le *LimitError
-	if !errors.As(err, &le) || le.Kind != "depth" {
-		t.Fatalf("got %v, want depth LimitError", err)
-	}
-}
-
-// TestReadLimitsZeroUnlimited: the zero Limits preserves the historical
-// unguarded behaviour.
-func TestReadLimitsZeroUnlimited(t *testing.T) {
-	src := "{(1, ({|2|}, [[3, 4]]))}"
-	v, err := ReadStringLimits(src, Limits{})
-	if err != nil {
-		t.Fatalf("unlimited read: %v", err)
-	}
-	round, err := WriteString(v)
-	if err != nil {
-		t.Fatalf("write back: %v", err)
-	}
-	v2, err := ReadString(round)
-	if err != nil {
-		t.Fatalf("re-read: %v", err)
-	}
-	if v.String() != v2.String() {
-		t.Fatalf("round trip diverged: %s vs %s", v, v2)
+	for _, read := range []func() error{
+		func() error { _, err := ReadString(src); return err },
+		func() error { _, err := Read(strings.NewReader(src)); return err },
+	} {
+		var le *LimitError
+		if err := read(); !errors.As(err, &le) || le.Kind != "depth" || le.Limit != MaxDepth {
+			t.Fatalf("got %v, want depth LimitError at %d", err, MaxDepth)
+		}
 	}
 }

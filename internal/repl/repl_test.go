@@ -635,3 +635,27 @@ func TestPolymorphicValsQuery(t *testing.T) {
 		t.Errorf("it = %s : %s, want {} : {'t1}", v, typ)
 	}
 }
+
+// TestNonASCIIIdentifiers: identifiers are read as UTF-8 letters, so a
+// val's name is every byte of them, and a second byte of a letter is never
+// white space.
+func TestNonASCIIIdentifiers(t *testing.T) {
+	s := newSession(t)
+	res, err := s.Exec(`val \é = 3; é + 1;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res[len(res)-1].Value; !object.Equal(got, object.Nat(4)) {
+		t.Errorf(`val \é = 3; é + 1 = %s, want 4`, got)
+	}
+	res, err = s.Exec(`val \à = 1;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Name != "à" {
+		t.Errorf(`val \à = 1 binds %q, want "à"`, res[0].Name)
+	}
+	if _, ok := s.Env.Val("à"); !ok {
+		t.Error(`val \à = 1 left no val named "à"`)
+	}
+}

@@ -5,6 +5,13 @@
 // `<-` introduces a generator, `==` is the binding shorthand for
 // `<- { e }`, `fn P => e` is lambda abstraction, `(* ... *)` are (nesting)
 // comments, and `[[` `]]` delimit array literals.
+//
+// The package owns AQL's lexical rules, and every reader of AQL text calls
+// them: the query scanner here, the type syntax (types.Parse), the
+// plan-cache key (server.NormalizeQuery) and the exchange reader. They are
+// Space (white space and comments), Ident, Number and StringEnd. Source
+// text is UTF-8: identifiers are made of Unicode letters and digits, and a
+// byte that is not valid UTF-8 belongs to no token.
 package scan
 
 import (
@@ -12,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Kind is a token kind.
@@ -102,9 +110,141 @@ var keywords = map[string]bool{
 	"macro": true, "readval": true, "writeval": true, "using": true, "at": true,
 }
 
+// Space returns the end of the white space and comments that start at
+// src[i]. White space is the ASCII space, tab, newline, vertical tab, form
+// feed and carriage return, as in Go; a comment is (* ... *), and comments
+// nest. A comment left open runs to the end of src and open is the offset
+// of its outermost "(*"; otherwise open is -1.
+func Space(src string, i int) (end, open int) {
+	for i < len(src) {
+		switch {
+		case isSpace[src[i]]:
+			i++
+		case strings.HasPrefix(src[i:], "(*"):
+			start := i
+			i += 2
+			for depth := 1; depth > 0; {
+				switch {
+				case i >= len(src):
+					return i, start
+				case strings.HasPrefix(src[i:], "(*"):
+					depth++
+					i += 2
+				case strings.HasPrefix(src[i:], "*)"):
+					depth--
+					i += 2
+				default:
+					i++
+				}
+			}
+		default:
+			return i, -1
+		}
+	}
+	return i, -1
+}
+
+var isSpace = [256]bool{' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
+
+// IsLetter reports whether r may begin an identifier: '_' or a Unicode
+// letter.
+func IsLetter(r rune) bool { return r == '_' || unicode.IsLetter(r) }
+
+// Ident returns the end of the identifier that starts at src[i], or i when
+// none does. An identifier is a letter (IsLetter), then letters, Unicode
+// digits and primes ('), as in WS'.
+func Ident(src string, i int) int {
+	j := i
+	for j < len(src) {
+		if b := src[j]; b < utf8.RuneSelf {
+			if c := identByte[b]; c == identLetter || c == identMore && j > i {
+				j++
+				continue
+			}
+			break
+		}
+		r, n := utf8.DecodeRuneInString(src[j:])
+		if !unicode.IsLetter(r) && (j == i || !unicode.IsDigit(r)) {
+			break // not a letter, nor a digit after the first
+		}
+		j += n
+	}
+	return j
+}
+
+// identByte classifies the ASCII bytes of identifiers: Ident's fast path.
+var identByte = func() (t [utf8.RuneSelf]uint8) {
+	for b := range t {
+		switch {
+		case IsLetter(rune(b)):
+			t[b] = identLetter
+		case isDigit(byte(b)) || b == '\'':
+			t[b] = identMore
+		}
+	}
+	return t
+}()
+
+const (
+	identLetter = 1 + iota // may begin an identifier
+	identMore              // may only continue one
+)
+
+// Number returns the end of the number literal that starts at src[i], or i
+// when none does, and whether it is a real. A number is ASCII digits, then
+// an optional fraction ('.' and digits), then an optional exponent ('e' or
+// 'E', an optional sign, digits); it is a real iff it has a fraction or an
+// exponent. A '.' or an 'e' that no digit follows ends it, so A[1].x and
+// 2elems end after their digits.
+func Number(src string, i int) (end int, real bool) {
+	end = digits(src, i)
+	if end == i {
+		return i, false
+	}
+	if end+1 < len(src) && src[end] == '.' && isDigit(src[end+1]) {
+		end, real = digits(src, end+1), true
+	}
+	if end < len(src) && (src[end] == 'e' || src[end] == 'E') {
+		j := end + 1
+		if j < len(src) && (src[j] == '+' || src[j] == '-') {
+			j++
+		}
+		if k := digits(src, j); k > j {
+			end, real = k, true
+		}
+	}
+	return end, real
+}
+
+func isDigit(b byte) bool { return '0' <= b && b <= '9' }
+
+func digits(src string, i int) int {
+	for i < len(src) && isDigit(src[i]) {
+		i++
+	}
+	return i
+}
+
+// StringEnd returns the end of the string literal whose opening '"' is
+// src[i]: the offset just past its closing quote. A backslash escapes the
+// byte after it. ok is false when the literal is not closed, and end is
+// then len(src).
+func StringEnd(src string, i int) (end int, ok bool) {
+	for j := i + 1; j < len(src); j++ {
+		switch src[j] {
+		case '\\':
+			j++
+		case '"':
+			return j + 1, true
+		}
+	}
+	return len(src), false
+}
+
 // Scan tokenizes src, returning the token stream terminated by an EOF token.
+// A position's column counts bytes from the start of its line.
 func Scan(src string) ([]Token, error) {
-	s := &scanner{src: src, line: 1, col: 1}
+	s := &scanner{src: src, line: 1}
 	// Surface AQL averages about one token per two bytes of text; one
 	// allocation usually holds the whole stream.
 	toks := make([]Token, 0, len(src)/2+2)
@@ -121,170 +261,116 @@ func Scan(src string) ([]Token, error) {
 }
 
 type scanner struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src       string
+	pos       int
+	line      int
+	lineStart int // offset of the first byte of line
+}
+
+// here is the position of s.pos.
+func (s *scanner) here() Pos { return Pos{s.line, s.pos - s.lineStart + 1} }
+
+// skip moves s.pos to end, counting the lines it passes.
+func (s *scanner) skip(end int) {
+	for s.pos < end {
+		nl := strings.IndexByte(s.src[s.pos:end], '\n')
+		if nl < 0 {
+			s.pos = end
+			return
+		}
+		s.pos += nl + 1
+		s.line++
+		s.lineStart = s.pos
+	}
 }
 
 func (s *scanner) errf(format string, args ...any) error {
-	return fmt.Errorf("scan: %d:%d: %s", s.line, s.col, fmt.Sprintf(format, args...))
-}
-
-func (s *scanner) peek() byte {
-	if s.pos >= len(s.src) {
-		return 0
-	}
-	return s.src[s.pos]
-}
-
-func (s *scanner) peek2() byte {
-	if s.pos+1 >= len(s.src) {
-		return 0
-	}
-	return s.src[s.pos+1]
-}
-
-func (s *scanner) advance() byte {
-	b := s.src[s.pos]
-	s.pos++
-	if b == '\n' {
-		s.line++
-		s.col = 1
-	} else {
-		s.col++
-	}
-	return b
-}
-
-func (s *scanner) skipSpaceAndComments() error {
-	for s.pos < len(s.src) {
-		b := s.peek()
-		switch {
-		case unicode.IsSpace(rune(b)):
-			s.advance()
-		case b == '(' && s.peek2() == '*':
-			start := Pos{s.line, s.col}
-			s.advance()
-			s.advance()
-			depth := 1
-			for depth > 0 {
-				if s.pos >= len(s.src) {
-					return fmt.Errorf("scan: %s: unterminated comment", start)
-				}
-				if s.peek() == '(' && s.peek2() == '*' {
-					depth++
-					s.advance()
-					s.advance()
-				} else if s.peek() == '*' && s.peek2() == ')' {
-					depth--
-					s.advance()
-					s.advance()
-				} else {
-					s.advance()
-				}
-			}
-		default:
-			return nil
-		}
-	}
-	return nil
+	return fmt.Errorf("scan: %s: %s", s.here(), fmt.Sprintf(format, args...))
 }
 
 func (s *scanner) next() (Token, error) {
-	if err := s.skipSpaceAndComments(); err != nil {
-		return Token{}, err
+	end, open := Space(s.src, s.pos)
+	if open >= 0 {
+		s.skip(open)
+		return Token{}, s.errf("unterminated comment")
 	}
-	pos := Pos{s.line, s.col}
+	s.skip(end)
+	pos := s.here()
 	if s.pos >= len(s.src) {
 		return Token{Kind: EOF, Pos: pos}, nil
 	}
-	b := s.peek()
-	switch {
-	case b == '_':
-		// `_|_` is bottom; a bare `_` is the wildcard; `_x` is an identifier.
-		if s.peek2() == '|' && s.pos+2 < len(s.src) && s.src[s.pos+2] == '_' {
-			s.advance()
-			s.advance()
-			s.advance()
-			return Token{Kind: BOTTOM, Pos: pos}, nil
-		}
-		if isIdentByte(s.peek2()) {
-			return s.ident(pos)
-		}
-		s.advance()
-		return Token{Kind: WILD, Pos: pos}, nil
-	case unicode.IsLetter(rune(b)):
-		return s.ident(pos)
-	case unicode.IsDigit(rune(b)):
+	rest := s.src[s.pos:]
+	switch b := rest[0]; {
+	case strings.HasPrefix(rest, "_|_"):
+		s.pos += 3
+		return Token{Kind: BOTTOM, Pos: pos}, nil
+	case isDigit(b):
 		return s.number(pos)
 	case b == '"':
 		return s.str(pos)
 	case b == '$':
 		// `$name` is an input placeholder: a hole filled per execution from
 		// the argument frame of a prepared query.
-		s.advance()
-		if !isIdentByte(s.peek()) || unicode.IsDigit(rune(s.peek())) {
+		s.pos++
+		end := Ident(s.src, s.pos)
+		if end == s.pos {
 			return Token{}, s.errf("expected a name after $")
 		}
-		start := s.pos
-		for s.pos < len(s.src) && isIdentByte(s.peek()) {
-			s.advance()
+		name := s.src[s.pos:end]
+		s.pos = end
+		return Token{Kind: PARAM, Text: name, Pos: pos}, nil
+	}
+	if end := Ident(s.src, s.pos); end > s.pos {
+		name := s.src[s.pos:end]
+		s.pos = end
+		switch {
+		case name == "_": // a bare `_` is the wildcard; `_x` is an identifier
+			return Token{Kind: WILD, Pos: pos}, nil
+		case keywords[name]:
+			return Token{Kind: KEYWORD, Text: name, Pos: pos}, nil
 		}
-		return Token{Kind: PARAM, Text: s.src[start:s.pos], Pos: pos}, nil
+		return Token{Kind: IDENT, Text: name, Pos: pos}, nil
 	}
-	// Multi-byte symbols first.
-	two := ""
-	if s.pos+1 < len(s.src) {
-		two = s.src[s.pos : s.pos+2]
+	// Two-byte symbols first.
+	var k Kind
+	if len(rest) >= 2 {
+		switch rest[:2] {
+		case "{|":
+			k = LBAG
+		case "|}":
+			k = RBAG
+		case "[[":
+			k = LARR
+		case "]]":
+			k = RARR
+		case "<-":
+			k = ARROW
+		case "=>":
+			k = DARROW
+		case "==":
+			k = BIND
+		case "<>":
+			k = NE
+		case "<=":
+			k = LE
+		case ">=":
+			k = GE
+		}
 	}
-	switch two {
-	case "{|":
-		s.advance()
-		s.advance()
-		return Token{Kind: LBAG, Pos: pos}, nil
-	case "|}":
-		s.advance()
-		s.advance()
-		return Token{Kind: RBAG, Pos: pos}, nil
-	case "[[":
-		s.advance()
-		s.advance()
-		return Token{Kind: LARR, Pos: pos}, nil
-	case "]]":
-		s.advance()
-		s.advance()
-		return Token{Kind: RARR, Pos: pos}, nil
-	case "<-":
-		s.advance()
-		s.advance()
-		return Token{Kind: ARROW, Pos: pos}, nil
-	case "=>":
-		s.advance()
-		s.advance()
-		return Token{Kind: DARROW, Pos: pos}, nil
-	case "==":
-		s.advance()
-		s.advance()
-		return Token{Kind: BIND, Pos: pos}, nil
-	case "<>":
-		s.advance()
-		s.advance()
-		return Token{Kind: NE, Pos: pos}, nil
-	case "<=":
-		s.advance()
-		s.advance()
-		return Token{Kind: LE, Pos: pos}, nil
-	case ">=":
-		s.advance()
-		s.advance()
-		return Token{Kind: GE, Pos: pos}, nil
-	}
-	s.advance()
-	if k := single[b]; k != EOF {
+	if k != EOF {
+		s.pos += 2
 		return Token{Kind: k, Pos: pos}, nil
 	}
-	return Token{}, s.errf("unexpected character %q", b)
+	if k := single[rest[0]]; k != EOF {
+		s.pos++
+		return Token{Kind: k, Pos: pos}, nil
+	}
+	r, n := utf8.DecodeRuneInString(rest)
+	s.pos += n
+	if r == utf8.RuneError && n == 1 {
+		return Token{}, s.errf("invalid UTF-8 byte %#x", rest[0])
+	}
+	return Token{}, s.errf("unexpected character %q", r)
 }
 
 // single maps each one-byte punctuation token to its kind; every other byte
@@ -296,54 +382,11 @@ var single = [256]Kind{
 	'-': MINUS, '*': STAR, '/': SLASH, '%': PERCENT,
 }
 
-func isIdentByte(b byte) bool {
-	return b == '_' || b == '\'' || unicode.IsLetter(rune(b)) || unicode.IsDigit(rune(b))
-}
-
-func (s *scanner) ident(pos Pos) (Token, error) {
-	start := s.pos
-	for s.pos < len(s.src) && isIdentByte(s.peek()) {
-		s.advance()
-	}
-	name := s.src[start:s.pos]
-	if keywords[name] {
-		return Token{Kind: KEYWORD, Text: name, Pos: pos}, nil
-	}
-	return Token{Kind: IDENT, Text: name, Pos: pos}, nil
-}
-
 func (s *scanner) number(pos Pos) (Token, error) {
 	start := s.pos
-	for s.pos < len(s.src) && unicode.IsDigit(rune(s.peek())) {
-		s.advance()
-	}
-	isReal := false
-	// A fractional part: '.' followed by a digit (so `1.` is an error and
-	// `A[1]` is unaffected).
-	if s.peek() == '.' && unicode.IsDigit(rune(s.peek2())) {
-		isReal = true
-		s.advance()
-		for s.pos < len(s.src) && unicode.IsDigit(rune(s.peek())) {
-			s.advance()
-		}
-	}
-	// An exponent: e or E, optional sign, digits.
-	if b := s.peek(); b == 'e' || b == 'E' {
-		save := s.pos
-		s.advance()
-		if s.peek() == '+' || s.peek() == '-' {
-			s.advance()
-		}
-		if unicode.IsDigit(rune(s.peek())) {
-			isReal = true
-			for s.pos < len(s.src) && unicode.IsDigit(rune(s.peek())) {
-				s.advance()
-			}
-		} else {
-			s.pos = save // it was an identifier start, e.g. `2elems` (error later)
-		}
-	}
-	text := s.src[start:s.pos]
+	end, isReal := Number(s.src, s.pos)
+	s.pos = end
+	text := s.src[start:end]
 	if isReal {
 		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
@@ -359,28 +402,14 @@ func (s *scanner) number(pos Pos) (Token, error) {
 }
 
 func (s *scanner) str(pos Pos) (Token, error) {
-	var raw strings.Builder
-	raw.WriteByte(s.advance()) // opening quote
-	for {
-		if s.pos >= len(s.src) {
-			return Token{}, fmt.Errorf("scan: %s: unterminated string literal", pos)
-		}
-		b := s.advance()
-		raw.WriteByte(b)
-		if b == '\\' {
-			if s.pos >= len(s.src) {
-				return Token{}, fmt.Errorf("scan: %s: unterminated string literal", pos)
-			}
-			raw.WriteByte(s.advance())
-			continue
-		}
-		if b == '"' {
-			break
-		}
+	end, ok := StringEnd(s.src, s.pos)
+	if !ok {
+		return Token{}, fmt.Errorf("scan: %s: unterminated string literal", pos)
 	}
-	text, err := strconv.Unquote(raw.String())
+	text, err := strconv.Unquote(s.src[s.pos:end])
 	if err != nil {
 		return Token{}, fmt.Errorf("scan: %s: bad string literal: %v", pos, err)
 	}
+	s.pos = end // a literal that unquotes holds no newline
 	return Token{Kind: STRING, Text: text, Pos: pos}, nil
 }

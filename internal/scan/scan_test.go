@@ -195,3 +195,45 @@ func TestScanAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestUnicode: identifiers are UTF-8 letters and digits; a character that
+// starts no token is named as the decoded rune, an invalid byte as a byte.
+func TestUnicode(t *testing.T) {
+	toks, err := Scan(`\é_1 + µ + à`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range map[int]string{1: "é_1", 3: "µ", 5: "à"} {
+		if toks[i].Kind != IDENT || toks[i].Text != want {
+			t.Errorf("tok%d = %+v, want identifier %q", i, toks[i], want)
+		}
+	}
+	if toks[5].Pos != (Pos{1, 14}) {
+		t.Errorf("à at %v, want 1:14 (columns count bytes)", toks[5].Pos)
+	}
+	for src, want := range map[string]string{
+		"1 © 2":      `scan: 1:5: unexpected character '©'`,
+		"1 \u00a0 2": `scan: 1:5: unexpected character '\u00a0'`,
+		"1 \xe9 2":   `scan: 1:4: invalid UTF-8 byte 0xe9`,
+	} {
+		if _, err := Scan(src); err == nil || err.Error() != want {
+			t.Errorf("Scan(%q) error = %v, want %s", src, err, want)
+		}
+	}
+}
+
+// TestPositionAfterBareE: an 'e' that starts no exponent ends the number
+// and scans as the next token, at its own column.
+func TestPositionAfterBareE(t *testing.T) {
+	toks, err := Scan("1e+ x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Token{{Kind: NAT, Nat: 1, Pos: Pos{1, 1}}, {Kind: IDENT, Text: "e", Pos: Pos{1, 2}},
+		{Kind: PLUS, Pos: Pos{1, 3}}, {Kind: IDENT, Text: "x", Pos: Pos{1, 5}}, {Kind: EOF, Pos: Pos{1, 6}}}
+	for i, tok := range toks {
+		if tok != want[i] {
+			t.Errorf("tok%d = %+v, want %+v", i, tok, want[i])
+		}
+	}
+}

@@ -317,6 +317,20 @@ func TestNormalizeQuery(t *testing.T) {
 	_ = fmt.Sprint() // keep fmt imported if cases change
 }
 
+// TestNormalizeQueryUnicode: a key keeps every byte of a UTF-8 identifier;
+// the second byte of à (0xA0) is not white space.
+func TestNormalizeQueryUnicode(t *testing.T) {
+	for in, want := range map[string]string{
+		"à + 1":          "à + 1",
+		"  é\n+ µ ;":     "é + µ",
+		"\xe9 (* c *) 1": "\xe9 1",
+	} {
+		if got := NormalizeQuery(in); got != want {
+			t.Errorf("NormalizeQuery(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 // TestAcquirePreCancelled: a request whose client is already gone is never
 // admitted, even with free slots.
 func TestAcquirePreCancelled(t *testing.T) {

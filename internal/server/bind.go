@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/aqldb/aql/internal/exchange"
 	"github.com/aqldb/aql/internal/object"
@@ -29,8 +28,7 @@ func bind(p *plan, args map[string]string) (map[string]object.Value, *ErrorInfo)
 	sort.Strings(names)
 	frame := make(map[string]object.Value, len(args))
 	for _, name := range names {
-		v, err := exchange.ReadLimits(strings.NewReader(args[name]),
-			exchange.Limits{MaxBytes: maxQueryBody, MaxDepth: valMaxDepth})
+		v, err := exchange.ReadString(args[name])
 		if err != nil {
 			return nil, &ErrorInfo{Kind: "request",
 				Message: fmt.Sprintf("argument $%s: %v", name, err)}

@@ -4,10 +4,10 @@ import (
 	"container/list"
 	"strings"
 	"sync"
-	"unicode"
 
 	"github.com/aqldb/aql/internal/env"
 	"github.com/aqldb/aql/internal/repl"
+	"github.com/aqldb/aql/internal/scan"
 )
 
 // DefaultCacheSize is the prepared-plan cache capacity when Config leaves
@@ -18,76 +18,43 @@ const DefaultCacheSize = 256
 // and runs of inter-token whitespace collapse to a single space, leading and
 // trailing separators are dropped, and a trailing statement semicolon is
 // insignificant. Queries differing only in layout therefore share one
-// prepared plan. The pass is lexer-aware: string literals (which may contain
-// significant whitespace, quotes and escapes) are copied verbatim, so the
+// prepared plan. White space, comments and string literals are the
+// scanner's (scan.Space, scan.StringEnd): a string literal, which may hold
+// significant whitespace, quotes and escapes, is copied verbatim, so the
 // normalized text is always semantically identical to the submitted query
-// and distinct literals never collide on one key.
+// and distinct literals never collide on one key. Every other byte is
+// copied as it is.
 func NormalizeQuery(src string) string {
 	var b strings.Builder
 	b.Grow(len(src))
 	sep := false // a whitespace/comment run is pending
 	for i := 0; i < len(src); {
-		c := src[i]
-		switch {
-		case unicode.IsSpace(rune(c)):
-			sep = true
-			i++
-		case c == '(' && i+1 < len(src) && src[i+1] == '*':
-			// Nesting (* ... *) comment, as in the scanner. An unterminated
-			// comment cannot be lexed; leave the text to the parser verbatim.
-			depth, j := 1, i+2
-			for depth > 0 {
-				if j >= len(src) {
-					return strings.TrimSpace(src)
-				}
-				switch {
-				case src[j] == '(' && j+1 < len(src) && src[j+1] == '*':
-					depth++
-					j += 2
-				case src[j] == '*' && j+1 < len(src) && src[j+1] == ')':
-					depth--
-					j += 2
-				default:
-					j++
-				}
-			}
-			sep = true
-			i = j
-		case c == '"':
-			// String literal: copied byte-for-byte, honoring \-escapes the
-			// way scan.str does. An unterminated literal copies to the end;
-			// the parser reports it on the unchanged text.
-			if sep && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			sep = false
-			b.WriteByte(c)
-			i++
-			for i < len(src) {
-				ch := src[i]
-				b.WriteByte(ch)
-				i++
-				if ch == '\\' && i < len(src) {
-					b.WriteByte(src[i])
-					i++
-					continue
-				}
-				if ch == '"' {
-					break
-				}
-			}
-		default:
-			if sep && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			sep = false
-			b.WriteByte(c)
-			i++
+		end, open := scan.Space(src, i)
+		if open >= 0 {
+			// An unterminated comment cannot be lexed; leave the text to the
+			// parser verbatim.
+			return src
 		}
+		if end > i {
+			sep, i = true, end
+			continue
+		}
+		if sep && b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		sep = false
+		end = i + 1
+		if src[i] == '"' {
+			// An unterminated literal copies to the end; the parser reports
+			// it on the unchanged text.
+			end, _ = scan.StringEnd(src, i)
+		}
+		b.WriteString(src[i:end])
+		i = end
 	}
-	// The trailing semicolon, if any, is outside every string literal (those
-	// were consumed whole above, and each ends with a quote).
-	return strings.TrimSpace(strings.TrimSuffix(b.String(), ";"))
+	// No separator is written after the last token, so a trailing
+	// semicolon has at most one before it.
+	return strings.TrimSuffix(strings.TrimSuffix(b.String(), ";"), " ")
 }
 
 // plan is one cache entry: the session front end's immutable plan value,

@@ -413,7 +413,7 @@ func TestValRebindInvalidatesPlans(t *testing.T) {
 // with the typed limit error, not materialized.
 func TestValBodyGuards(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	deep := strings.Repeat("(1, ", valMaxDepth+2) + "1" + strings.Repeat(")", valMaxDepth+2)
+	deep := strings.Repeat("(1, ", exchange.MaxDepth+2) + "1" + strings.Repeat(")", exchange.MaxDepth+2)
 	resp, err := http.Post(ts.URL+"/val/deep", "text/plain", strings.NewReader(deep))
 	if err != nil {
 		t.Fatalf("POST deep val: %v", err)

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
+
+	"github.com/aqldb/aql/internal/scan"
 )
 
 // Parse parses a type written in the paper's concrete syntax, as produced by
@@ -18,6 +19,9 @@ import (
 //	t1 -> t2                                     functions (right associative)
 //	(t)                                          grouping
 //	't                                           type variables
+//
+// White space, comments and identifiers follow AQL's lexical rules
+// (package scan).
 func Parse(src string) (*Type, error) {
 	p := &typeParser{src: src}
 	t, err := p.arrow()
@@ -45,11 +49,7 @@ type typeParser struct {
 	pos int
 }
 
-func (p *typeParser) skipSpace() {
-	for p.pos < len(p.src) && unicode.IsSpace(rune(p.src[p.pos])) {
-		p.pos++
-	}
-}
+func (p *typeParser) skipSpace() { p.pos, _ = scan.Space(p.src, p.pos) }
 
 func (p *typeParser) has(s string) bool {
 	p.skipSpace()
@@ -158,49 +158,45 @@ func (p *typeParser) atom() (*Type, error) {
 		return Var(name), nil
 	default:
 		name := p.ident()
-		switch name {
-		case "":
+		if name == "" {
 			return nil, p.errf("expected a type")
-		case "bool":
-			return Bool, nil
-		case "nat", "int": // the paper's session output prints nat as int in places
-			return Nat, nil
-		case "real":
-			return Real, nil
-		case "string":
-			return String, nil
-		case "unit":
-			return Unit, nil
-		default:
-			return Base(name), nil
 		}
+		if t := named[name]; t != nil {
+			return t, nil
+		}
+		return Base(name), nil
 	}
+}
+
+// named holds the type syntax's reserved names; every other identifier
+// names a base type.
+var named = map[string]*Type{
+	"bool": Bool, "nat": Nat, "real": Real, "string": String, "unit": Unit,
+	"int": Nat, // the paper's session output prints nat as int in places
+}
+
+// IsBaseName reports whether the type syntax reads name as a base type: an
+// identifier that is not a reserved name.
+func IsBaseName(name string) bool {
+	return name != "" && scan.Ident(name, 0) == len(name) && named[name] == nil
 }
 
 func (p *typeParser) ident() string {
 	p.skipSpace()
 	start := p.pos
-	for p.pos < len(p.src) {
-		c := rune(p.src[p.pos])
-		if unicode.IsLetter(c) || c == '_' || (p.pos > start && unicode.IsDigit(c)) {
-			p.pos++
-		} else {
-			break
-		}
-	}
+	p.pos = scan.Ident(p.src, p.pos)
 	return p.src[start:p.pos]
 }
 
 func (p *typeParser) number() (int, error) {
 	p.skipSpace()
 	start := p.pos
-	for p.pos < len(p.src) && unicode.IsDigit(rune(p.src[p.pos])) {
-		p.pos++
-	}
-	if start == p.pos {
+	end, real := scan.Number(p.src, p.pos)
+	if end == start || real {
 		return 0, p.errf("expected a number")
 	}
-	n, err := strconv.Atoi(p.src[start:p.pos])
+	p.pos = end
+	n, err := strconv.Atoi(p.src[start:end])
 	if err != nil {
 		return 0, p.errf("bad number: %v", err)
 	}

@@ -298,3 +298,16 @@ func TestFreeVars(t *testing.T) {
 		t.Errorf("variable rendering missing quote: %s", typ)
 	}
 }
+
+// TestParseUnicodeBase: a base type's name is an identifier, read as UTF-8.
+func TestParseUnicodeBase(t *testing.T) {
+	typ, err := Parse("é")
+	if err != nil || !Equal(typ, Base("é")) {
+		t.Fatalf(`Parse("é") = %v, %v; want base type é`, typ, err)
+	}
+	for name, want := range map[string]bool{"é": true, "temp": true, "nat": false, "int": false, "1x": false, "-": false, "": false} {
+		if got := IsBaseName(name); got != want {
+			t.Errorf("IsBaseName(%q) = %v, want %v", name, got, want)
+		}
+	}
+}
