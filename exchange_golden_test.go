@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -138,25 +137,5 @@ func renderExchange(t *testing.T) string {
 // against texts recorded before display and wire shared one encoder. Run
 // with -update-exchange to rewrite the golden after an intended change.
 func TestExchangeGolden(t *testing.T) {
-	got := renderExchange(t)
-	if *updateExchange {
-		if err := os.WriteFile(exchangeGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(exchangeGolden)
-	if err != nil {
-		t.Fatalf("%v (run with -update-exchange to create it)", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-		if gotLines[i] != wantLines[i] {
-			t.Fatalf("line %d differs:\n got  %s\n want %s", i+1, gotLines[i], wantLines[i])
-		}
-	}
-	t.Fatalf("golden has %d lines, the encoder produced %d", len(wantLines), len(gotLines))
+	checkGolden(t, exchangeGolden, renderExchange(t), *updateExchange, "-update-exchange")
 }

@@ -36,7 +36,7 @@ func TestExplainAnalyzeCorpusExactness(t *testing.T) {
 				t.Skipf("⊥ result: evaluation short-circuited")
 			}
 			// Single-node full profile must always join per-operator: the
-			// estimate tree mirrors the span tree's pre-order walk.
+			// estimate rows are the span plan's, one per span id.
 			if table.Mode != "operator" {
 				t.Fatalf("join mode = %q, want operator", table.Mode)
 			}

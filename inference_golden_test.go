@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -223,19 +224,26 @@ func renderInference(t *testing.T) string {
 // typechecker, including the names of unsolved type variables. Run with
 // -update to rewrite the golden after an intended change.
 func TestInferenceGolden(t *testing.T) {
-	got := renderInference(t)
-	if *updateInference {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+	checkGolden(t, inferenceGolden, renderInference(t), *updateInference, "-update")
+}
+
+// checkGolden compares got with the golden file at path, naming the first
+// line that differs, or rewrites the file when update is set; flag is the
+// flag that sets update.
+func checkGolden(t *testing.T, path, got string, update bool, flag string) {
+	t.Helper()
+	if update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(inferenceGolden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(inferenceGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+		t.Fatalf("%v (run with %s to create it)", err, flag)
 	}
 	if got == string(want) {
 		return
@@ -243,8 +251,8 @@ func TestInferenceGolden(t *testing.T) {
 	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 		if gotLines[i] != wantLines[i] {
-			t.Fatalf("line %d differs:\n got  %s\n want %s", i+1, gotLines[i], wantLines[i])
+			t.Fatalf("%s line %d differs:\n got  %s\n want %s", path, i+1, gotLines[i], wantLines[i])
 		}
 	}
-	t.Fatalf("golden has %d lines, typechecker produced %d", len(wantLines), len(gotLines))
+	t.Fatalf("%s has %d lines, the test produced %d", path, len(wantLines), len(gotLines))
 }

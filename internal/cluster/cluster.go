@@ -563,10 +563,11 @@ func negative(c trace.EvalCounters) bool {
 // one hedged dispatch. The first successful response wins and the loser is
 // cancelled; with no success, the last failure is returned. Every dispatch
 // consumes one attempt number (chaos schedules key on it) and counts
-// toward the shard's attempt budget. Each dispatch leaves an AttemptSpan
-// on span in launch order: the used response is "won", completed failures
-// are "lost", and anything still in flight when the round ends — a hedge
-// loser, or everything on cancellation — is "cancelled".
+// toward the shard's attempt budget. Each dispatch appends an AttemptSpan
+// to span at launch, with no Outcome while it is in flight, and updates it
+// in place: the used response is "won", completed failures are "lost", and
+// anything still in flight when the round ends — a hedge loser, or
+// everything on cancellation — is "cancelled".
 func (c *Coordinator) dispatch(ctx context.Context, primary string, req *exchange.ShardRequest, attempt *int, t0 time.Time, span *trace.ShardSpan, tc trace.TraceContext) (resp *exchange.ShardResponse, winner string, hedged bool, err error) {
 	type dispResult struct {
 		resp   *exchange.ShardResponse
@@ -574,30 +575,18 @@ func (c *Coordinator) dispatch(ctx context.Context, primary string, req *exchang
 		worker string
 		idx    int
 	}
-	type attemptState struct {
-		num     int
-		worker  string
-		start   time.Time
-		hedge   bool
-		outcome string // "" while in flight
-		wall    time.Duration
-		errText string
-	}
+	// One slot per launch, the primary and at most one hedge, so a loser's
+	// send never blocks once dispatch has returned.
 	ch := make(chan dispResult, 2)
-	var states []*attemptState
 	var cancels []context.CancelFunc
 	defer func() {
 		for _, cf := range cancels {
 			cf()
 		}
-		for _, st := range states {
-			if st.outcome == "" {
-				st.outcome, st.wall = "cancelled", time.Since(st.start)
+		for i := range span.AttemptSpans {
+			if a := &span.AttemptSpans[i]; a.Outcome == "" {
+				a.Outcome, a.Wall = "cancelled", time.Since(t0)-a.StartOff
 			}
-			span.AttemptSpans = append(span.AttemptSpans, trace.AttemptSpan{
-				Attempt: st.num, Worker: st.worker, Outcome: st.outcome, Hedge: st.hedge,
-				StartOff: st.start.Sub(t0), Wall: st.wall, Err: st.errText,
-			})
 		}
 	}()
 	launch := func(worker string, hedge bool) {
@@ -608,8 +597,10 @@ func (c *Coordinator) dispatch(ctx context.Context, primary string, req *exchang
 			r.TraceID = tc.TraceID
 			r.ParentSpan = trace.NewSpanID()
 		}
-		idx := len(states)
-		states = append(states, &attemptState{num: r.Attempt, worker: worker, start: time.Now(), hedge: hedge})
+		idx := len(span.AttemptSpans)
+		span.AttemptSpans = append(span.AttemptSpans, trace.AttemptSpan{
+			Attempt: r.Attempt, Worker: worker, Hedge: hedge, StartOff: time.Since(t0),
+		})
 		actx := ctx
 		var cf context.CancelFunc
 		if c.cfg.ShardTimeout > 0 {
@@ -637,16 +628,16 @@ func (c *Coordinator) dispatch(ctx context.Context, primary string, req *exchang
 		select {
 		case r := <-ch:
 			inflight--
-			st := states[r.idx]
-			st.wall = time.Since(st.start)
+			a := &span.AttemptSpans[r.idx]
+			a.Wall = time.Since(t0) - a.StartOff
 			if r.err == nil {
-				st.outcome = "won"
+				a.Outcome = "won"
 				if hedged && r.worker != primary {
 					c.stats.HedgeWins.Add(1)
 				}
 				return r.resp, r.worker, hedged, nil
 			}
-			st.outcome, st.errText = "lost", r.err.Error()
+			a.Outcome, a.Err = "lost", r.err.Error()
 			lastErr, lastWorker = r.err, r.worker
 			if se, ok := r.err.(*ShardError); ok {
 				if !se.Retryable() {

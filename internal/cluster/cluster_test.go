@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -350,6 +351,53 @@ func TestHedgingStraggler(t *testing.T) {
 	}
 	if !hedged {
 		t.Error("no shard span marked hedged")
+	}
+}
+
+// TestHedgeLoserLeavesNoGoroutine: the straggler a hedge beats is cancelled
+// when its round ends, and its dispatch goroutine exits. After a hedged
+// query and the closing of idle connections, the goroutine count returns
+// to what it was after an unhedged warm-up query.
+func TestHedgeLoserLeavesNoGoroutine(t *testing.T) {
+	w1, w2 := newWorker(t), newWorker(t)
+	client := &http.Client{Transport: &http.Transport{}}
+	chaos := &cluster.ChaosTransport{Inner: &cluster.HTTPTransport{Client: client}}
+	cfg := fastCfg(chaos, w1.URL, w2.URL)
+	cfg.HedgeAfter = 20 * time.Millisecond
+	ts := newCoordServer(t, cluster.New(cfg))
+	settle := func() {
+		client.CloseIdleConnections()
+		http.DefaultClient.CloseIdleConnections()
+	}
+
+	if _, _, er := postQuery(t, ts, tabQuery); er != nil {
+		t.Fatalf("warm-up query failed: %+v", er)
+	}
+	settle()
+	time.Sleep(50 * time.Millisecond)
+	base := runtime.NumGoroutine()
+
+	chaos.Fail(0, 0, cluster.ChaosFault{Kind: cluster.FaultDelay, Delay: 10 * time.Second})
+	got, _, er := postQuery(t, ts, tabQuery)
+	if er != nil {
+		t.Fatalf("hedged query failed: %+v", er)
+	}
+	cancelled := false
+	for _, sp := range got.Shards {
+		for _, a := range sp.AttemptSpans {
+			cancelled = cancelled || (!a.Hedge && a.Outcome == "cancelled")
+		}
+	}
+	if !cancelled {
+		t.Fatalf("no straggler was cancelled by a winning hedge: %+v", got.Shards)
+	}
+	settle()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("after a hedged query: %d goroutines, %d before\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 // closures and the span plan they record against (span ids, operators,
 // parent links). NewProgram lowers only the ProfOff closures; the profiled
 // ones for ProfSampled and ProfFull are lowered once each, on the first
-// execution at that level. The estimate tree (Estimates) and the shard view
+// execution at that level. The estimates (Estimates) and the shard view
 // (range.go) are also built on first use: only cached plans read them.
 //
 // Global references resolve to values of the globals map at NewProgram time
@@ -52,7 +52,7 @@ type Program struct {
 	levels [eval.ProfFull + 1]lowering
 
 	estOnce   sync.Once
-	est       *trace.EstNode
+	est       *trace.Estimates
 	shardOnce sync.Once
 	shard     *shardCode // nil unless the expression is range-partitionable
 }
@@ -102,12 +102,12 @@ func (p *Program) ParamNames() []string {
 	return append([]string(nil), p.params.names...)
 }
 
-// Estimates returns the program's estimate tree (cost.Estimate over the
+// Estimates returns the program's estimates (cost.Estimate over the
 // expression and the globals snapshot): per-operator cardinality and cost
-// estimates that every execution can join against its recorded actuals.
-// Built once, on first use, and shared immutably; nil only for a nil
-// expression.
-func (p *Program) Estimates() *trace.EstNode {
+// estimates, one per span id, that every execution can join against its
+// recorded actuals. Built once, on first use, and shared immutably; nil only
+// for a nil expression.
+func (p *Program) Estimates() *trace.Estimates {
 	p.estOnce.Do(func() { p.est = cost.Estimate(p.expr, p.globals) })
 	return p.est
 }

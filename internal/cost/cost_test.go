@@ -1,7 +1,6 @@
 package cost_test
 
 import (
-	"context"
 	"testing"
 
 	"github.com/aqldb/aql/internal/cost"
@@ -10,8 +9,8 @@ import (
 )
 
 // estimate compiles, optimizes and estimates a query in a fresh session
-// with the given setup statements.
-func estimate(t *testing.T, setup, query string) *trace.EstNode {
+// with the given setup statements, and returns its rows.
+func estimate(t *testing.T, setup, query string) []trace.EstNode {
 	t.Helper()
 	s, err := repl.New()
 	if err != nil {
@@ -28,26 +27,26 @@ func estimate(t *testing.T, setup, query string) *trace.EstNode {
 	}
 	est := cost.Estimate(s.Optimize(core), s.Env.Globals())
 	if est == nil {
-		t.Fatalf("no estimate tree for %s", query)
+		t.Fatalf("no estimates for %s", query)
 	}
-	return est
+	return est.Rows
 }
 
-// find returns the first node with the given op in pre-order, or nil.
-func find(n *trace.EstNode, op string) *trace.EstNode {
-	var hit *trace.EstNode
-	n.Walk(func(c *trace.EstNode) {
-		if hit == nil && c.Op == op {
-			hit = c
+// find returns the first row with the given op in span-id order, or nil.
+func find(rows []trace.EstNode, op string) *trace.EstNode {
+	for i := range rows {
+		if rows[i].Op == op {
+			return &rows[i]
 		}
-	})
-	return hit
+	}
+	return nil
 }
 
 func known(n int64) trace.Card { return trace.KnownCard(n) }
 
 func TestEstimateStaticTabulation(t *testing.T) {
-	est := estimate(t, "", `[[ i*i | \i < 20 ]]`)
+	rows := estimate(t, "", `[[ i*i | \i < 20 ]]`)
+	est := rows[0]
 	if est.Op != "ArrayTab" {
 		t.Fatalf("root op = %q", est.Op)
 	}
@@ -60,28 +59,28 @@ func TestEstimateStaticTabulation(t *testing.T) {
 	if est.Cost != known(1) {
 		t.Errorf("cost = %v, want 1 (one root invocation)", est.Cost)
 	}
-	// The head runs once per cell.
-	if head := est.Children[0]; head.Cost != known(20) {
-		t.Errorf("head cost = %v, want 20", head.Cost)
+	// The head, span 1, runs once per cell.
+	if head := rows[1]; head.Depth != 1 || head.Cost != known(20) {
+		t.Errorf("head depth %d cost %v, want 1 and 20", head.Depth, head.Cost)
 	}
 }
 
 func TestEstimateMultiDimShape(t *testing.T) {
-	est := estimate(t, "val n = 6;", `[[ i + j | \i < n, \j < 4 ]]`)
-	if est.Cells != known(24) {
-		t.Errorf("cells = %v, want 24 (6x4, n resolved from globals)", est.Cells)
+	rows := estimate(t, "val n = 6;", `[[ i + j | \i < n, \j < 4 ]]`)
+	if rows[0].Cells != known(24) {
+		t.Errorf("cells = %v, want 24 (6x4, n resolved from globals)", rows[0].Cells)
 	}
-	if head := est.Children[0]; head.Cost != known(24) {
-		t.Errorf("head cost = %v, want 24", head.Cost)
+	if head := rows[1]; head.Depth != 1 || head.Cost != known(24) {
+		t.Errorf("head depth %d cost %v, want 1 and 24", head.Depth, head.Cost)
 	}
 }
 
 func TestEstimateDataDependentBoundUnknown(t *testing.T) {
-	est := estimate(t, "val S = {1, 2, 3};", `[[ i | \i < count!S ]]`)
+	rows := estimate(t, "val S = {1, 2, 3};", `[[ i | \i < count!S ]]`)
 	// count!S is a closure application over set data: the estimator must
 	// report unknown, never a fabricated number.
-	if est.Cells.Known {
-		t.Errorf("data-dependent tabulation cells = %v, want unknown", est.Cells)
+	if rows[0].Cells.Known {
+		t.Errorf("data-dependent tabulation cells = %v, want unknown", rows[0].Cells)
 	}
 }
 
@@ -96,18 +95,17 @@ func TestEstimateParamUnknown(t *testing.T) {
 	}
 	est := cost.Estimate(p.Core, s.Env.Globals())
 	if est == nil {
-		t.Fatal("no estimate tree for the prepared template")
+		t.Fatal("no estimates for the prepared template")
 	}
-	if est.Cells.Known || est.Card.Known {
-		t.Errorf("parameter-bounded tabulation = card %v cells %v, want unknown", est.Card, est.Cells)
+	if root := est.Rows[0]; root.Cells.Known || root.Card.Known {
+		t.Errorf("parameter-bounded tabulation = card %v cells %v, want unknown", root.Card, root.Cells)
 	}
 }
 
 func TestEstimateGeneralAppUnknownCost(t *testing.T) {
-	est := estimate(t, `val f = fn \x => x * x;`, `f!3`)
-	app := find(est, "App")
+	app := find(estimate(t, `val f = fn \x => x * x;`, `f!3`), "App")
 	if app == nil {
-		t.Fatal("no app node in the estimate tree")
+		t.Fatal("no app row in the estimates")
 	}
 	// A global closure's body attributes its steps to the app's self
 	// counters, so a known cost would be wrong. Unknown, not fabricated.
@@ -119,13 +117,11 @@ func TestEstimateGeneralAppUnknownCost(t *testing.T) {
 func TestEstimateLetChainStaysKnown(t *testing.T) {
 	// Compiled let chains are App{Lam} patterns; static values must flow
 	// through the binding so the inner tabulation's bound stays known.
-	est := estimate(t, "", `[[ i | \i < 5 ]]`)
-	if est.Cells != known(5) {
-		t.Fatalf("baseline cells = %v", est.Cells)
+	if rows := estimate(t, "", `[[ i | \i < 5 ]]`); rows[0].Cells != known(5) {
+		t.Fatalf("baseline cells = %v", rows[0].Cells)
 	}
 	// gen!m: a set of m distinct naturals.
-	est = estimate(t, "", `gen!7`)
-	gen := find(est, "Gen")
+	gen := find(estimate(t, "", `gen!7`), "Gen")
 	if gen == nil {
 		t.Fatal("no gen node")
 	}
@@ -137,8 +133,7 @@ func TestEstimateLetChainStaysKnown(t *testing.T) {
 func TestEstimateUnionCardinalities(t *testing.T) {
 	// Set union deduplicates, so output cardinality is data-dependent even
 	// with statically known sides.
-	est := estimate(t, "", `{1, 2} union {2, 3}`)
-	u := find(est, "Union")
+	u := find(estimate(t, "", `{1, 2} union {2, 3}`), "Union")
 	if u == nil {
 		t.Fatal("no union node")
 	}
@@ -147,8 +142,7 @@ func TestEstimateUnionCardinalities(t *testing.T) {
 	}
 	// Bag union concatenates: cardinalities add, and the charged cells are
 	// statically known.
-	est = estimate(t, "", `{| 1, 2 |} uplus {| 2, 3 |}`)
-	b := find(est, "BagUnion")
+	b := find(estimate(t, "", `{| 1, 2 |} uplus {| 2, 3 |}`), "BagUnion")
 	if b == nil {
 		t.Fatal("no bag union node")
 	}
@@ -157,34 +151,5 @@ func TestEstimateUnionCardinalities(t *testing.T) {
 	}
 	if b.Cells != known(4) {
 		t.Errorf("bag union cells = %v, want 4", b.Cells)
-	}
-}
-
-func TestEstimateMirrorsSpanStructure(t *testing.T) {
-	// The estimate tree must be joinable per-operator against a full
-	// profile's span tree: run a query at prof level full and require the
-	// operator-mode join with no structural fallback.
-	s, err := repl.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetProfiling("full"); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{
-		`[[ i*i | \i < 12 ]]`,
-		`{x * 2 | \x <- gen!5}`,
-		`[[ i + j | \i < 3, \j < 4 ]][1, 2]`,
-	} {
-		table, _, _, err := s.ExplainAnalyzeTable(context.Background(), q)
-		if err != nil {
-			t.Fatalf("explain analyze %s: %v", q, err)
-		}
-		if table == nil {
-			t.Fatalf("%s: no joined table", q)
-		}
-		if table.Mode != "operator" {
-			t.Errorf("%s: join degraded to %q — estimate tree does not mirror the span tree", q, table.Mode)
-		}
 	}
 }

@@ -112,10 +112,13 @@ type SpanPlan struct {
 	// ops[id] is span id's operator and parent[id] its parent's id (-1 for
 	// the root). Ids are assigned in pre-order, so a parent's id is below
 	// its children's and children appear in id order. timed[id] is false
-	// for the cheap spans Enter and Exit count without reading the clock.
+	// for the cheap spans Enter and Exit count without reading the clock;
+	// shared[id] is true when the walk reached the span's node more than
+	// once (see Span).
 	ops    []string
 	parent []int
 	timed  []bool
+	shared []bool
 	ids    map[ast.Expr]int
 }
 
@@ -142,7 +145,8 @@ func (p *SpanPlan) walk(e ast.Expr, parent int, root bool) bool {
 	if e == nil {
 		return true
 	}
-	if _, seen := p.ids[e]; seen {
+	if id, seen := p.ids[e]; seen {
+		p.shared[id] = true
 		return cheapTree(e) // shared subtree: attributed at its first occurrence
 	}
 	id := -1
@@ -152,6 +156,7 @@ func (p *SpanPlan) walk(e ast.Expr, parent int, root bool) bool {
 		p.ops = append(p.ops, ast.NodeName(e))
 		p.parent = append(p.parent, parent)
 		p.timed = append(p.timed, true)
+		p.shared = append(p.shared, false)
 		parent = id
 	}
 	cheap := cheapKind(e)
@@ -204,6 +209,20 @@ func (p *SpanPlan) ID(e ast.Expr) (int, bool) {
 	}
 	id, ok := p.ids[e]
 	return id, ok
+}
+
+// Len is the number of spans in the plan.
+func (p *SpanPlan) Len() int { return len(p.ops) }
+
+// Span describes span id: its operator, its parent's id (-1 for the root)
+// and whether it is shared, that is, the walk reached its node from more
+// than one place (the optimizer may alias a subtree). A shared span is
+// attributed at its first visit and accumulates the invocations of every
+// context that reaches it. Every node of the expression carries a span at
+// ProfFull, so there a node's span is shared exactly when the node has more
+// than one incoming edge.
+func (p *SpanPlan) Span(id int) (op string, parent int, shared bool) {
+	return p.ops[id], p.parent[id], p.shared[id]
 }
 
 // SpanSlot accumulates one span's measurements: invocations, measured

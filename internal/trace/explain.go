@@ -91,12 +91,26 @@ func MulCard(a, b Card) Card {
 
 const mathMaxInt64 = int64(^uint64(0) >> 1)
 
-// EstNode is one operator of the estimate tree produced at prepare time by
-// the cost estimator (internal/cost). The tree mirrors the SpanPlan span
-// tree exactly — same pre-order walk, same shared-subtree deduplication —
-// so estimates and actuals join positionally.
+// Estimates is the cost estimator's (internal/cost) description of one
+// optimized query, made at prepare time and shared by every execution.
+type Estimates struct {
+	// Rows holds one estimate per span id of the query's full-level span
+	// plan (eval.SpanPlan), in id order: the plan alone decides which node
+	// is which span, so row i is the estimate of span i.
+	Rows []EstNode
+	// Tiles is the estimated number of storage tiles the query touches:
+	// the sum of the tile counts of every lazy (out-of-core) global it
+	// references, i.e. an exact count for full scans and an upper bound
+	// for selective access. Nil when the query references no lazy arrays.
+	Tiles *Card
+}
+
+// EstNode is the estimate of one operator: one row of Estimates.
 type EstNode struct {
-	Op string `json:"op"`
+	// Op is the span's operator and Depth its depth below the root; the
+	// join checks both against the span it pairs the row with.
+	Op    string `json:"op"`
+	Depth int    `json:"depth"`
 	// Card is the estimated output cardinality of one evaluation of this
 	// operator: cells for tabulations and arrays, rows for set and bag
 	// operations, 1 for scalars.
@@ -107,26 +121,6 @@ type EstNode struct {
 	// step per node evaluation).
 	Cells Card `json:"cells"`
 	Cost  Card `json:"cost"`
-
-	// Tiles, set on the root node only, is the estimated number of storage
-	// tiles the query touches: the sum of the tile counts of every lazy
-	// (out-of-core) global it references, i.e. an exact count for full
-	// scans and an upper bound for selective access. Nil when the query
-	// references no lazy arrays.
-	Tiles *Card `json:"tiles,omitempty"`
-
-	Children []*EstNode `json:"children,omitempty"`
-}
-
-// Walk calls fn for the node and every descendant, depth-first.
-func (n *EstNode) Walk(fn func(*EstNode)) {
-	if n == nil {
-		return
-	}
-	fn(n)
-	for _, c := range n.Children {
-		c.Walk(fn)
-	}
 }
 
 // ExplainRow is one operator of the joined estimate-vs-actual table.
@@ -165,9 +159,9 @@ type ShardActuals struct {
 // ExplainTable is the joined estimate-vs-actual table of one query run.
 type ExplainTable struct {
 	// Mode is "operator" when the span tree was recorded at prof level
-	// full and aligns with the estimate tree (one row per operator), and
-	// "root" when only flat counters were available (a single row of query
-	// totals).
+	// full and its spans pair with the estimate rows by span id (one row
+	// per operator), and "root" when only flat counters were available (a
+	// single row of query totals).
 	Mode string `json:"mode"`
 	// Threshold is the q-error above which a row is flagged.
 	Threshold float64 `json:"threshold"`
@@ -208,15 +202,18 @@ func QError(est, act int64) float64 {
 	return a / e
 }
 
-// JoinEstimates aligns an estimate tree with a finished query report,
+// JoinEstimates joins a query's estimates with a finished query report,
 // producing the per-operator estimate-vs-actual table. When the report
-// carries a full-profile span tree that structurally matches the estimate
-// tree (it must: both are the same pre-order walk of the optimized query),
-// the join is per-operator; otherwise it degrades to a single row joining
-// whole-query totals. Cluster reports contribute per-shard worker actuals.
-// A threshold <= 0 selects DefaultQErrorThreshold.
-func JoinEstimates(est *EstNode, rep *QueryReport, threshold float64) *ExplainTable {
-	if est == nil || rep == nil {
+// carries a full-profile span tree, its nodes are paired with the estimate
+// rows by span id: a pre-order walk of the tree visits the spans in id
+// order (eval.ProfCtx.Fold lays the tree out by id), so the i-th node
+// visited is span i. The join is per-operator when every node's operator
+// and depth equal its row's and the counts agree; otherwise (a sampled
+// profile, or estimates of another plan) it degrades to a single row
+// joining whole-query totals. Cluster reports contribute per-shard worker
+// actuals. A threshold <= 0 selects DefaultQErrorThreshold.
+func JoinEstimates(est *Estimates, rep *QueryReport, threshold float64) *ExplainTable {
+	if est == nil || len(est.Rows) == 0 || rep == nil {
 		return nil
 	}
 	if threshold <= 0 {
@@ -224,25 +221,37 @@ func JoinEstimates(est *EstNode, rep *QueryReport, threshold float64) *ExplainTa
 	}
 	t := &ExplainTable{Threshold: threshold}
 
-	if rep.Spans != nil && rep.ProfLevel == ProfFull && structuresMatch(est, rep.Spans) {
+	var rows []ExplainRow
+	ok := false
+	if rep.Spans != nil && rep.ProfLevel == ProfFull {
+		rows = make([]ExplainRow, 0, len(est.Rows))
+		ok = joinSpans(&rows, est.Rows, rep.Spans, rep.Spans.Op, 0) && len(rows) == len(est.Rows)
+	}
+	if ok {
 		t.Mode = "operator"
-		joinWalk(t, est, rep.Spans, est.Op, 0)
 	} else {
 		t.Mode = "root"
-		cells, cost := estTotals(est)
+		root := &est.Rows[0]
 		row := ExplainRow{
-			Path:           est.Op,
-			Op:             est.Op,
-			EstCard:        est.Card,
-			EstCells:       cells,
-			EstCost:        cost,
+			Path:           root.Op,
+			Op:             root.Op,
+			EstCard:        root.Card,
+			EstCells:       KnownCard(0),
+			EstCost:        KnownCard(0),
 			ActInvocations: 1,
 			ActCells:       rep.Eval.Cells,
 			ActSelfSteps:   rep.Eval.Steps,
 		}
-		scoreRow(t, &row)
-		t.Rows = append(t.Rows, row)
+		for _, r := range est.Rows {
+			row.EstCells = AddCard(row.EstCells, r.Cells)
+			row.EstCost = AddCard(row.EstCost, r.Cost)
+		}
+		rows = append(rows[:0], row)
 	}
+	for i := range rows {
+		scoreRow(t, &rows[i])
+	}
+	t.Rows = rows
 
 	t.EstTiles = est.Tiles
 	t.ActTiles = rep.IO.TileMisses + rep.IO.Prefetches
@@ -262,24 +271,17 @@ func JoinEstimates(est *EstNode, rep *QueryReport, threshold float64) *ExplainTa
 // exact per-operator attributions (it mirrors eval.ProfFull.String()).
 const ProfFull = "full"
 
-// structuresMatch reports whether the estimate and span trees are the same
-// shape — same operators, same child counts, recursively. They always are
-// when both come from the same optimized expression; the check guards
-// against joining a stale estimate against a different plan's spans.
-func structuresMatch(e *EstNode, s *SpanNode) bool {
-	if e == nil || s == nil || e.Op != s.Op || len(e.Children) != len(s.Children) {
+// joinSpans appends the row of span s, at the given path and depth, and of
+// its subtree in pre-order, pairing the i-th span visited with est[i]. It
+// reports false at the first span whose operator or depth differs from its
+// row's, or that has no row.
+func joinSpans(rows *[]ExplainRow, est []EstNode, s *SpanNode, path string, depth int) bool {
+	i := len(*rows)
+	if i >= len(est) || est[i].Op != s.Op || est[i].Depth != depth {
 		return false
 	}
-	for i := range e.Children {
-		if !structuresMatch(e.Children[i], s.Children[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func joinWalk(t *ExplainTable, e *EstNode, s *SpanNode, path string, depth int) {
-	row := ExplainRow{
+	e := &est[i]
+	*rows = append(*rows, ExplainRow{
 		Path:           path,
 		Op:             e.Op,
 		Depth:          depth,
@@ -289,12 +291,13 @@ func joinWalk(t *ExplainTable, e *EstNode, s *SpanNode, path string, depth int) 
 		ActInvocations: s.Invocations,
 		ActCells:       s.Cells,
 		ActSelfSteps:   s.Steps,
+	})
+	for _, c := range s.Children {
+		if !joinSpans(rows, est, c, path+"/"+c.Op, depth+1) {
+			return false
+		}
 	}
-	scoreRow(t, &row)
-	t.Rows = append(t.Rows, row)
-	for i := range e.Children {
-		joinWalk(t, e.Children[i], s.Children[i], path+"/"+e.Children[i].Op, depth+1)
-	}
+	return true
 }
 
 // scoreRow computes the row's q-error over its known estimate dimensions
@@ -318,17 +321,6 @@ func scoreRow(t *ExplainTable, row *ExplainRow) {
 		t.WorstQError = q
 		t.WorstOp = row.Path
 	}
-}
-
-// estTotals sums an estimate tree's cells and cost; unknown anywhere in the
-// tree poisons the corresponding total.
-func estTotals(est *EstNode) (cells, cost Card) {
-	cells, cost = KnownCard(0), KnownCard(0)
-	est.Walk(func(n *EstNode) {
-		cells = AddCard(cells, n.Cells)
-		cost = AddCard(cost, n.Cost)
-	})
-	return cells, cost
 }
 
 // Format renders the joined table for the REPL and CLI: one row per

@@ -88,17 +88,15 @@ func TestQError(t *testing.T) {
 	}
 }
 
-// estFixture builds a two-level estimate tree and the structurally matching
+// estFixture builds the estimate rows of a two-level plan and the matching
 // full-profile span tree whose actuals agree exactly on the first child and
 // disagree 4x on the second.
-func estFixture() (*EstNode, *SpanNode) {
-	est := &EstNode{
-		Op: "array_tab", Card: KnownCard(100), Cells: KnownCard(100), Cost: KnownCard(1),
-		Children: []*EstNode{
-			{Op: "arith", Card: KnownCard(1), Cells: KnownCard(0), Cost: KnownCard(100)},
-			{Op: "index", Card: UnknownCard(), Cells: KnownCard(25), Cost: KnownCard(100)},
-		},
-	}
+func estFixture() (*Estimates, *SpanNode) {
+	est := &Estimates{Rows: []EstNode{
+		{Op: "array_tab", Card: KnownCard(100), Cells: KnownCard(100), Cost: KnownCard(1)},
+		{Op: "arith", Depth: 1, Card: KnownCard(1), Cells: KnownCard(0), Cost: KnownCard(100)},
+		{Op: "index", Depth: 1, Card: UnknownCard(), Cells: KnownCard(25), Cost: KnownCard(100)},
+	}}
 	spans := &SpanNode{
 		Op: "array_tab", Invocations: 1, Cells: 100, Steps: 1,
 		Children: []*SpanNode{
@@ -168,18 +166,28 @@ func TestJoinEstimatesRootMode(t *testing.T) {
 		t.Errorf("exact totals scored q=%v flagged=%v", row.QError, row.Flagged)
 	}
 
-	// A mismatched span structure (stale estimate vs a different plan)
-	// must also fall back to root mode, not mis-attribute rows.
-	est2, spans2 := estFixture()
-	spans2.Children = spans2.Children[:1]
-	rep2 := &QueryReport{Spans: spans2, ProfLevel: ProfFull, Eval: EvalCounters{Steps: 201, Cells: 125}}
-	if tab := JoinEstimates(est2, rep2, 0); tab.Mode != "root" {
-		t.Errorf("structure mismatch joined in mode %q, want root", tab.Mode)
+	// Estimates of a different plan (a span missing, an operator or a
+	// depth that differs from its row's) must also fall back to root mode,
+	// not mis-attribute rows.
+	for name, change := range map[string]func(*Estimates, *SpanNode){
+		"span count": func(_ *Estimates, s *SpanNode) { s.Children = s.Children[:1] },
+		"operator":   func(e *Estimates, _ *SpanNode) { e.Rows[2].Op = "arith" },
+		"depth": func(_ *Estimates, s *SpanNode) {
+			s.Children[0].Children, s.Children = s.Children[1:], s.Children[:1]
+		},
+	} {
+		est2, spans2 := estFixture()
+		change(est2, spans2)
+		rep2 := &QueryReport{Spans: spans2, ProfLevel: ProfFull, Eval: EvalCounters{Steps: 201, Cells: 125}}
+		if tab := JoinEstimates(est2, rep2, 0); tab.Mode != "root" || len(tab.Rows) != 1 || tab.Misestimates != 0 {
+			t.Errorf("%s mismatch joined in mode %q with %d rows, %d misestimates; want root, 1, 0",
+				name, tab.Mode, len(tab.Rows), tab.Misestimates)
+		}
 	}
 }
 
 func TestJoinEstimatesUnknownNeverScores(t *testing.T) {
-	est := &EstNode{Op: "app", Card: UnknownCard(), Cells: UnknownCard(), Cost: UnknownCard()}
+	est := &Estimates{Rows: []EstNode{{Op: "app", Card: UnknownCard(), Cells: UnknownCard(), Cost: UnknownCard()}}}
 	spans := &SpanNode{Op: "app", Invocations: 7, Cells: 9999, Steps: 12345}
 	rep := &QueryReport{Spans: spans, ProfLevel: ProfFull}
 	tab := JoinEstimates(est, rep, 2.0)

@@ -110,11 +110,11 @@ func TestSpanOverheadSmoke(t *testing.T) {
 }
 
 // TestExplainJoinOverheadSmoke gates what :explain analyze adds to a
-// full-profile run: joining the prepare-time estimate tree against the
+// full-profile run: joining the prepare-time estimate rows against the
 // span tree may cost at most 10% of the profiled evaluation itself. Same
 // shape as TestSpanOverheadSmoke (interleaved, best-of-N, one process) and
-// behind the same AQL_SPAN_SMOKE=1. The estimate tree is built once
-// outside the loop, as a plan builds it once on first use and keeps it for
+// behind the same AQL_SPAN_SMOKE=1. The estimates are built once
+// outside the loop, as a plan builds them once on first use and keeps them for
 // every later execution, so the timed difference is the join alone.
 func TestExplainJoinOverheadSmoke(t *testing.T) {
 	if os.Getenv("AQL_SPAN_SMOKE") == "" {

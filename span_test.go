@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/compile"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
@@ -208,6 +209,28 @@ func TestProfOffNoInstrumentation(t *testing.T) {
 		}
 		if tree := eng.SpanTree(); tree != nil {
 			t.Errorf("%s: span tree present at off level", eng.Name())
+		}
+	}
+}
+
+// TestSpanPlanSharedBit: a node the optimizer aliases is one span,
+// attributed at its first visit and marked shared; nothing else is.
+func TestSpanPlanSharedBit(t *testing.T) {
+	x := &ast.Var{Name: "x"}
+	e := &ast.Arith{Op: ast.OpMul, L: x, R: &ast.Arith{Op: ast.OpAdd, L: x, R: &ast.NatLit{Val: 1}}}
+	plan := eval.NewSpanPlan(e, eval.ProfFull)
+	type span struct {
+		op     string
+		parent int
+		shared bool
+	}
+	want := []span{{"Arith", -1, false}, {"Var", 0, true}, {"Arith", 0, false}, {"NatLit", 2, false}}
+	if plan.Len() != len(want) {
+		t.Fatalf("plan has %d spans, want %d", plan.Len(), len(want))
+	}
+	for id, w := range want {
+		if op, parent, shared := plan.Span(id); (span{op, parent, shared}) != w {
+			t.Errorf("span %d = %v %d %v, want %+v", id, op, parent, shared, w)
 		}
 	}
 }
