@@ -180,13 +180,15 @@ var diffCoreCorpus = map[string]ast.Expr{
 		Head: &ast.Singleton{Elem: &ast.Var{Name: "r"}},
 		Var:  "x", RankVar: "r", Over: &ast.Gen{N: &ast.NatLit{Val: 0}},
 	},
-	"ranked bag union over gen": &ast.RankBagUnion{
-		Head: &ast.SingletonBag{Elem: &ast.Var{Name: "r"}},
+	"ranked bag union over gen": &ast.RankUnion{
+		Head: &ast.Singleton{Elem: &ast.Var{Name: "r"}, Bag: true},
 		Var:  "x", RankVar: "r", Over: &ast.Gen{N: &ast.NatLit{Val: 3}},
+		Bag: true,
 	},
-	"bag union over gen": &ast.BigBagUnion{
-		Head: &ast.SingletonBag{Elem: &ast.Var{Name: "x"}},
+	"bag union over gen": &ast.BigUnion{
+		Head: &ast.Singleton{Elem: &ast.Var{Name: "x"}, Bag: true},
 		Var:  "x", Over: &ast.Gen{N: &ast.NatLit{Val: 3}},
+		Bag: true,
 	},
 }
 

@@ -64,13 +64,13 @@ var illTypedCore = []struct {
 	name string
 	expr ast.Expr
 }{
-	{"big union body", &ast.BigUnion{Head: &ast.NatLit{Val: 1}, Var: "x", Over: &ast.EmptySet{}}},
-	{"big bag union source", &ast.BigBagUnion{Head: &ast.EmptyBag{}, Var: "x", Over: &ast.NatLit{Val: 1}}},
-	{"big bag union body", &ast.BigBagUnion{Head: &ast.NatLit{Val: 1}, Var: "x", Over: &ast.EmptyBag{}}},
-	{"ranked union source", &ast.RankUnion{Head: &ast.EmptySet{}, Var: "x", RankVar: "r", Over: &ast.EmptyBag{}}},
-	{"ranked union body", &ast.RankUnion{Head: &ast.Var{Name: "r"}, Var: "x", RankVar: "r", Over: &ast.EmptySet{}}},
-	{"ranked bag union body", &ast.RankBagUnion{Head: &ast.EmptySet{}, Var: "x", RankVar: "r", Over: &ast.EmptyBag{}}},
-	{"ranked bag union", &ast.RankBagUnion{Head: &ast.SingletonBag{Elem: &ast.Tuple{Elems: []ast.Expr{&ast.Var{Name: "x"}, &ast.Var{Name: "r"}}}}, Var: "x", RankVar: "r", Over: &ast.EmptyBag{}}},
+	{"big union body", &ast.BigUnion{Head: &ast.NatLit{Val: 1}, Var: "x", Over: &ast.Empty{}}},
+	{"big bag union source", &ast.BigUnion{Head: &ast.Empty{Bag: true}, Var: "x", Over: &ast.NatLit{Val: 1}, Bag: true}},
+	{"big bag union body", &ast.BigUnion{Head: &ast.NatLit{Val: 1}, Var: "x", Over: &ast.Empty{Bag: true}, Bag: true}},
+	{"ranked union source", &ast.RankUnion{Head: &ast.Empty{}, Var: "x", RankVar: "r", Over: &ast.Empty{Bag: true}}},
+	{"ranked union body", &ast.RankUnion{Head: &ast.Var{Name: "r"}, Var: "x", RankVar: "r", Over: &ast.Empty{}}},
+	{"ranked bag union body", &ast.RankUnion{Head: &ast.Empty{}, Var: "x", RankVar: "r", Over: &ast.Empty{Bag: true}, Bag: true}},
+	{"ranked bag union", &ast.RankUnion{Head: &ast.Singleton{Elem: &ast.Tuple{Elems: []ast.Expr{&ast.Var{Name: "x"}, &ast.Var{Name: "r"}}}, Bag: true}, Var: "x", RankVar: "r", Over: &ast.Empty{Bag: true}, Bag: true}},
 }
 
 // parserSeeds are the seeds of the parser's fuzz targets (FuzzParseExpr,

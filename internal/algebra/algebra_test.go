@@ -92,7 +92,7 @@ func TestSetsAndAggregates(t *testing.T) {
 	both(t, &ast.Get{Set: sing(nat(9))}, nil, nil, nil)
 	both(t, &ast.Union{L: sing(nat(1)), R: v("S")}, nil, nil, G)
 	both(t, &ast.Gen{N: nat(5)}, nil, nil, nil)
-	both(t, &ast.EmptySet{}, nil, nil, nil)
+	both(t, &ast.Empty{}, nil, nil, nil)
 }
 
 func TestLetViaApp(t *testing.T) {
@@ -126,8 +126,26 @@ func TestHigherOrderRejected(t *testing.T) {
 		t.Error("computed function application translated")
 	}
 	// Bags are outside the NRCA algebra.
-	if _, err := Translate(&ast.EmptyBag{}, nil, nil); err == nil {
+	if _, err := Translate(&ast.Empty{Bag: true}, nil, nil); err == nil {
 		t.Error("bag construct translated")
+	}
+}
+
+// TestBagNodesHaveNoArrowForm holds the error of every bag node to its
+// text: a bag shares its Go type with the set node the algebra translates.
+func TestBagNodesHaveNoArrowForm(t *testing.T) {
+	for _, e := range []ast.Expr{
+		&ast.Empty{Bag: true},
+		&ast.Singleton{Elem: nat(1), Bag: true},
+		&ast.Union{L: v("B"), R: v("B"), Bag: true},
+		&ast.BigUnion{Head: &ast.Singleton{Elem: v("x"), Bag: true}, Var: "x", Over: v("B"), Bag: true},
+		&ast.RankUnion{Head: &ast.Singleton{Elem: v("i"), Bag: true}, Var: "x", RankVar: "i", Over: v("B"), Bag: true},
+	} {
+		want := "algebra: " + ast.NodeName(e) + " has no arrow form (the NRCA algebra covers sets and arrays, not bags or ranked unions)"
+		globals := map[string]object.Value{"B": object.EmptyBag}
+		if term, err := Translate(e, nil, globals); err == nil || err.Error() != want {
+			t.Errorf("Translate(%s) = %v, %v; want error %q", e, term, err, want)
+		}
 	}
 }
 

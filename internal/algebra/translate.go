@@ -103,10 +103,17 @@ func (t *translator) tr(e ast.Expr, env []string) (Term, error) {
 		}
 		return Compose{G: ProjAt{I: n.I, K: n.K}, F: inner}, nil
 
-	case *ast.EmptySet:
+	// A bag node breaks out to the error below: the algebra has no bags.
+	case *ast.Empty:
+		if n.Bag {
+			break
+		}
 		return EmptyOf{}, nil
 
 	case *ast.Singleton:
+		if n.Bag {
+			break
+		}
 		inner, err := t.tr(n.Elem, env)
 		if err != nil {
 			return nil, err
@@ -114,6 +121,9 @@ func (t *translator) tr(e ast.Expr, env []string) (Term, error) {
 		return SingOf{F: inner}, nil
 
 	case *ast.Union:
+		if n.Bag {
+			break
+		}
 		l, err := t.tr(n.L, env)
 		if err != nil {
 			return nil, err
@@ -125,6 +135,9 @@ func (t *translator) tr(e ast.Expr, env []string) (Term, error) {
 		return UnionOf{L: l, R: r}, nil
 
 	case *ast.BigUnion:
+		if n.Bag {
+			break
+		}
 		over, err := t.tr(n.Over, env)
 		if err != nil {
 			return nil, err

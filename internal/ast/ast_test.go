@@ -168,6 +168,19 @@ func TestAlphaEqual(t *testing.T) {
 	if AlphaEqual(&Proj{I: 1, K: 2, Tuple: &Var{Name: "x"}}, &Proj{I: 2, K: 2, Tuple: &Var{Name: "x"}}) {
 		t.Error("different projections equal")
 	}
+	// A set node and its bag analogue share a Go type; they are not equal.
+	x := &Var{Name: "x"}
+	setU := &Union{L: &Singleton{Elem: x}, R: &Singleton{Elem: x}}
+	bagU := &Union{L: &Singleton{Elem: x, Bag: true}, R: &Singleton{Elem: x, Bag: true}, Bag: true}
+	if AlphaEqual(setU, bagU) || AlphaEqual(bagU, setU) {
+		t.Errorf("%s and %s reported equal", setU, bagU)
+	}
+	if !AlphaEqual(bagU, &Union{L: &Singleton{Elem: x, Bag: true}, R: &Singleton{Elem: x, Bag: true}, Bag: true}) {
+		t.Errorf("%s not equal to itself", bagU)
+	}
+	if AlphaEqual(&Empty{}, &Empty{Bag: true}) {
+		t.Error("{} and {||} reported equal")
+	}
 }
 
 // TestAlphaEqualScopes covers shadowing, a binder of one side free on the
@@ -237,9 +250,9 @@ func oneOfEachNode() []Expr {
 		&App{Fn: &Var{Name: "f"}, Arg: &Var{Name: "x"}},
 		&Tuple{Elems: []Expr{&NatLit{Val: 1}, &NatLit{Val: 2}}},
 		&Proj{I: 1, K: 2, Tuple: &Var{Name: "p"}},
-		&EmptySet{},
+		&Empty{},
 		&Singleton{Elem: &NatLit{Val: 1}},
-		&Union{L: &EmptySet{}, R: &EmptySet{}},
+		&Union{L: &Empty{}, R: &Empty{}},
 		&BigUnion{Head: &Singleton{Elem: &Var{Name: "x"}}, Var: "x", Over: &Var{Name: "S"}},
 		&Get{Set: &Var{Name: "S"}},
 		&BoolLit{Val: true},
@@ -257,12 +270,12 @@ func oneOfEachNode() []Expr {
 		&Index{K: 1, Set: &Var{Name: "S"}},
 		&MkArray{Dims: []Expr{&NatLit{Val: 2}}, Elems: []Expr{&NatLit{Val: 1}, &NatLit{Val: 2}}},
 		&Bottom{},
-		&EmptyBag{},
-		&SingletonBag{Elem: &NatLit{Val: 1}},
-		&BagUnion{L: &EmptyBag{}, R: &EmptyBag{}},
-		&BigBagUnion{Head: &SingletonBag{Elem: &Var{Name: "x"}}, Var: "x", Over: &Var{Name: "B"}},
+		&Empty{Bag: true},
+		&Singleton{Elem: &NatLit{Val: 1}, Bag: true},
+		&Union{L: &Empty{Bag: true}, R: &Empty{Bag: true}, Bag: true},
+		&BigUnion{Head: &Singleton{Elem: &Var{Name: "x"}, Bag: true}, Var: "x", Over: &Var{Name: "B"}, Bag: true},
 		&RankUnion{Head: &Singleton{Elem: &Var{Name: "i"}}, Var: "x", RankVar: "i", Over: &Var{Name: "S"}},
-		&RankBagUnion{Head: &SingletonBag{Elem: &Var{Name: "i"}}, Var: "x", RankVar: "i", Over: &Var{Name: "B"}},
+		&RankUnion{Head: &Singleton{Elem: &Var{Name: "i"}, Bag: true}, Var: "x", RankVar: "i", Over: &Var{Name: "B"}, Bag: true},
 	}
 }
 

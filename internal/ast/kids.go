@@ -23,8 +23,7 @@ const bufLen = 6
 // outside this package, which Open asks through Children and Binders.
 func Open(e Expr, buf *Buf) ([]Expr, [][]string) {
 	switch n := e.(type) {
-	case *Var, *Param, *EmptySet, *BoolLit, *NatLit, *RealLit, *StringLit,
-		*Bottom, *EmptyBag:
+	case *Var, *Param, *Empty, *BoolLit, *NatLit, *RealLit, *StringLit, *Bottom:
 		return nil, nil
 	case *Lam:
 		buf.kids[0] = n.Body
@@ -78,28 +77,18 @@ func Open(e Expr, buf *Buf) ([]Expr, [][]string) {
 		}
 		copy(buf.kids[copy(buf.kids[:], n.Dims):], n.Elems)
 		return buf.kids[:k:k], unbound(k)
-	case *SingletonBag:
-		return buf.one(n.Elem)
-	case *BagUnion:
-		return buf.two(n.L, n.R)
-	case *BigBagUnion:
-		return buf.loop(n.Head, n.Over, unsafe.Slice(&n.Var, 1))
 	case *RankUnion:
-		return buf.loop(n.Head, n.Over, unsafe.Slice(&n.Var, 2))
-	case *RankBagUnion:
 		return buf.loop(n.Head, n.Over, unsafe.Slice(&n.Var, 2))
 	}
 	return e.Children(), e.Binders()
 }
 
-// The ranked unions' binders are read as the two adjacent string fields
-// Var and RankVar; each constant overflows, and fails to compile, if
-// either struct ever separates them.
+// A ranked union's binders are read as the two adjacent string fields Var
+// and RankVar; each constant overflows, and fails to compile, if the struct
+// ever separates them.
 const (
 	_ = unsafe.Offsetof(RankUnion{}.RankVar) - unsafe.Offsetof(RankUnion{}.Var) - unsafe.Sizeof("")
 	_ = unsafe.Sizeof("") + unsafe.Offsetof(RankUnion{}.Var) - unsafe.Offsetof(RankUnion{}.RankVar)
-	_ = unsafe.Offsetof(RankBagUnion{}.RankVar) - unsafe.Offsetof(RankBagUnion{}.Var) - unsafe.Sizeof("")
-	_ = unsafe.Sizeof("") + unsafe.Offsetof(RankBagUnion{}.Var) - unsafe.Offsetof(RankBagUnion{}.RankVar)
 )
 
 func (buf *Buf) one(a Expr) ([]Expr, [][]string) {
@@ -143,11 +132,11 @@ func Rebuild(e Expr, kids []Expr) Expr {
 	case *Proj:
 		return &Proj{I: n.I, K: n.K, Tuple: kids[0]}
 	case *Singleton:
-		return &Singleton{Elem: kids[0]}
+		return &Singleton{Elem: kids[0], Bag: n.Bag}
 	case *Union:
-		return &Union{L: kids[0], R: kids[1]}
+		return &Union{L: kids[0], R: kids[1], Bag: n.Bag}
 	case *BigUnion:
-		return &BigUnion{Head: kids[0], Var: n.Var, Over: kids[1]}
+		return &BigUnion{Head: kids[0], Var: n.Var, Over: kids[1], Bag: n.Bag}
 	case *Get:
 		return &Get{Set: kids[0]}
 	case *If:
@@ -166,16 +155,8 @@ func Rebuild(e Expr, kids []Expr) Expr {
 		return &Dim{K: n.K, Arr: kids[0]}
 	case *Index:
 		return &Index{K: n.K, Set: kids[0]}
-	case *SingletonBag:
-		return &SingletonBag{Elem: kids[0]}
-	case *BagUnion:
-		return &BagUnion{L: kids[0], R: kids[1]}
-	case *BigBagUnion:
-		return &BigBagUnion{Head: kids[0], Var: n.Var, Over: kids[1]}
 	case *RankUnion:
-		return &RankUnion{Head: kids[0], Var: n.Var, RankVar: n.RankVar, Over: kids[1]}
-	case *RankBagUnion:
-		return &RankBagUnion{Head: kids[0], Var: n.Var, RankVar: n.RankVar, Over: kids[1]}
+		return &RankUnion{Head: kids[0], Var: n.Var, RankVar: n.RankVar, Over: kids[1], Bag: n.Bag}
 	}
 	return e.WithChildren(append([]Expr(nil), kids...))
 }

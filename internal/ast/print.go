@@ -18,16 +18,12 @@ func (e *Var) String() string       { return e.Name }
 func (e *Param) String() string     { return "$" + e.Name }
 func (e *Lam) String() string       { return fmt.Sprintf("\\%s. %s", e.Param, e.Body) }
 func (e *App) String() string       { return fmt.Sprintf("%s(%s)", parens(e.Fn), e.Arg) }
-func (e *EmptySet) String() string  { return "{}" }
-func (e *Singleton) String() string { return fmt.Sprintf("{%s}", e.Elem) }
-func (e *Union) String() string     { return fmt.Sprintf("(%s union %s)", e.L, e.R) }
 func (e *Get) String() string       { return fmt.Sprintf("get(%s)", e.Set) }
 func (e *NatLit) String() string    { return fmt.Sprintf("%d", e.Val) }
 func (e *RealLit) String() string   { return fmt.Sprintf("%g", e.Val) }
 func (e *StringLit) String() string { return fmt.Sprintf("%q", e.Val) }
 func (e *Gen) String() string       { return fmt.Sprintf("gen(%s)", e.N) }
 func (e *Bottom) String() string    { return "_|_" }
-func (e *EmptyBag) String() string  { return "{||}" }
 
 func (e *BoolLit) String() string {
 	if e.Val {
@@ -48,8 +44,48 @@ func (e *Proj) String() string {
 	return fmt.Sprintf("pi_%d,%d(%s)", e.I, e.K, e.Tuple)
 }
 
+func (e *Empty) String() string {
+	open, closing := braces(e.Bag)
+	return open + closing
+}
+
+func (e *Singleton) String() string {
+	open, closing := braces(e.Bag)
+	return fmt.Sprintf("%s%s%s", open, e.Elem, closing)
+}
+
+func (e *Union) String() string {
+	op := "union"
+	if e.Bag {
+		op = "uplus"
+	}
+	return fmt.Sprintf("(%s %s %s)", e.L, op, e.R)
+}
+
 func (e *BigUnion) String() string {
-	return fmt.Sprintf("U{ %s | %s in %s }", e.Head, e.Var, e.Over)
+	open, closing := braces(e.Bag)
+	return fmt.Sprintf("U%s%s %s | %s in %s %s", plus(e.Bag), open, e.Head, e.Var, e.Over, closing)
+}
+
+func (e *RankUnion) String() string {
+	open, closing := braces(e.Bag)
+	return fmt.Sprintf("U%sr%s %s | %s_%s in %s %s", plus(e.Bag), open, e.Head, e.Var, e.RankVar, e.Over, closing)
+}
+
+// braces are the brackets of a set, or of a bag when bag.
+func braces(bag bool) (string, string) {
+	if bag {
+		return "{|", "|}"
+	}
+	return "{", "}"
+}
+
+// plus marks the big unions of bags: U+ beside U.
+func plus(bag bool) string {
+	if bag {
+		return "+"
+	}
+	return ""
 }
 
 func (e *If) String() string {
@@ -101,21 +137,6 @@ func (e *MkArray) String() string {
 	}
 	b.WriteString("]]")
 	return b.String()
-}
-
-func (e *SingletonBag) String() string { return fmt.Sprintf("{|%s|}", e.Elem) }
-func (e *BagUnion) String() string     { return fmt.Sprintf("(%s uplus %s)", e.L, e.R) }
-
-func (e *BigBagUnion) String() string {
-	return fmt.Sprintf("U+{| %s | %s in %s |}", e.Head, e.Var, e.Over)
-}
-
-func (e *RankUnion) String() string {
-	return fmt.Sprintf("Ur{ %s | %s_%s in %s }", e.Head, e.Var, e.RankVar, e.Over)
-}
-
-func (e *RankBagUnion) String() string {
-	return fmt.Sprintf("U+r{| %s | %s_%s in %s |}", e.Head, e.Var, e.RankVar, e.Over)
 }
 
 // parens wraps compound expressions that would be ambiguous in head

@@ -158,12 +158,7 @@ func renameBinders(e Expr, child int, renames [][2]string) Expr {
 		n.Var = renamed(n.Var, renames)
 	case *Sum:
 		n.Var = renamed(n.Var, renames)
-	case *BigBagUnion:
-		n.Var = renamed(n.Var, renames)
 	case *RankUnion:
-		n.Var = renamed(n.Var, renames)
-		n.RankVar = renamed(n.RankVar, renames)
-	case *RankBagUnion:
 		n.Var = renamed(n.Var, renames)
 		n.RankVar = renamed(n.RankVar, renames)
 	case *ArrayTab:

@@ -212,16 +212,17 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			return v.Proj(i)
 		}
 
-	case *ast.EmptySet:
+	case *ast.Empty:
+		empty := eval.CollOf(n.Bag).Empty
 		return func(fr *frame) (object.Value, error) {
 			if err := fr.m.step(); err != nil {
 				return object.Value{}, err
 			}
-			return object.EmptySet, nil
+			return empty, nil
 		}
 
 	case *ast.Singleton:
-		elem := c.compile(n.Elem)
+		elem, mk := c.compile(n.Elem), eval.CollOf(n.Bag).Make
 		return func(fr *frame) (object.Value, error) {
 			if err := fr.m.step(); err != nil {
 				return object.Value{}, err
@@ -239,20 +240,43 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			if v, err = eval.Materialize(fr.m.ctx, v, fr.m.chargeAlloc); err != nil {
 				return object.Value{}, err
 			}
-			return object.Set(v), nil
+			return mk(v), nil
 		}
 
 	case *ast.Union:
-		l, r := c.compile(n.L), c.compile(n.R)
+		l, r, merge := c.compile(n.L), c.compile(n.R), eval.CollOf(n.Bag).Union
 		return func(fr *frame) (object.Value, error) {
 			if err := fr.m.step(); err != nil {
 				return object.Value{}, err
 			}
-			return binaryUnion(fr, l, r, object.Union)
+			// The set-op charge precedes the operand evaluations, matching
+			// the interpreter.
+			fr.m.used.SetOps++
+			lv, err := l(fr)
+			if err != nil {
+				return object.Value{}, err
+			}
+			if lv.IsBottom() {
+				return lv, nil
+			}
+			rv, err := r(fr)
+			if err != nil {
+				return object.Value{}, err
+			}
+			if rv.IsBottom() {
+				return rv, nil
+			}
+			if err := fr.m.chargeCells(int64(len(lv.Elems) + len(rv.Elems))); err != nil {
+				return object.Value{}, err
+			}
+			return merge(lv, rv)
 		}
 
 	case *ast.BigUnion:
-		return c.compileBigUnion(n.Head, n.Var, n.Over, false)
+		return c.compileBigUnion(n.Head, n.Var, "", n.Over, eval.CollOf(n.Bag))
+
+	case *ast.RankUnion:
+		return c.compileBigUnion(n.Head, n.Var, n.RankVar, n.Over, eval.CollOf(n.Bag))
 
 	case *ast.Get:
 		set := c.compile(n.Set)
@@ -375,53 +399,6 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 			return object.Bottom("explicit bottom"), nil
 		}
 
-	case *ast.EmptyBag:
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			return object.EmptyBag, nil
-		}
-
-	case *ast.SingletonBag:
-		elem := c.compile(n.Elem)
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			v, err := elem(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if v.IsBottom() {
-				return v, nil
-			}
-			if err := fr.m.chargeCells(1); err != nil {
-				return object.Value{}, err
-			}
-			if v, err = eval.Materialize(fr.m.ctx, v, fr.m.chargeAlloc); err != nil {
-				return object.Value{}, err
-			}
-			return object.Bag(v), nil
-		}
-
-	case *ast.BagUnion:
-		l, r := c.compile(n.L), c.compile(n.R)
-		return func(fr *frame) (object.Value, error) {
-			if err := fr.m.step(); err != nil {
-				return object.Value{}, err
-			}
-			return binaryUnion(fr, l, r, object.BagUnion)
-		}
-
-	case *ast.BigBagUnion:
-		return c.compileBigUnion(n.Head, n.Var, n.Over, true)
-
-	case *ast.RankUnion:
-		return c.compileRankUnion(n.Head, n.Var, n.RankVar, n.Over, false)
-
-	case *ast.RankBagUnion:
-		return c.compileRankUnion(n.Head, n.Var, n.RankVar, n.Over, true)
 	}
 
 	name := ast.NodeName(e)
@@ -431,30 +408,6 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 		}
 		return object.Value{}, fmt.Errorf("eval: unhandled node %s", name)
 	}
-}
-
-// binaryUnion runs the shared shape of e1 ∪ e2 and e1 ⊎ e2: the set-op
-// charge precedes the operand evaluations, matching the interpreter.
-func binaryUnion(fr *frame, l, r compiledExpr, merge func(a, b object.Value) (object.Value, error)) (object.Value, error) {
-	fr.m.used.SetOps++
-	lv, err := l(fr)
-	if err != nil {
-		return object.Value{}, err
-	}
-	if lv.IsBottom() {
-		return lv, nil
-	}
-	rv, err := r(fr)
-	if err != nil {
-		return object.Value{}, err
-	}
-	if rv.IsBottom() {
-		return rv, nil
-	}
-	if err := fr.m.chargeCells(int64(len(lv.Elems) + len(rv.Elems))); err != nil {
-		return object.Value{}, err
-	}
-	return merge(lv, rv)
 }
 
 // closure is the engine's record of a function value it made: the compiled
@@ -535,17 +488,19 @@ func (c *compiler) compileLam(n *ast.Lam) compiledExpr {
 	}
 }
 
-// compileBigUnion lowers ⋃{ head | var ∈ over } and its bag analogue,
-// over a collection or a range.
-func (c *compiler) compileBigUnion(headE ast.Expr, varName string, overE ast.Expr, bag bool) compiledExpr {
+// compileBigUnion lowers ⋃{ head | x ∈ over } in coll's form, over a
+// collection or a range; with a rankVar, ⋃_r (section 6), whose canonical
+// traversal binds the 1-based rank alongside each element (over a range,
+// element i has rank i+1).
+func (c *compiler) compileBigUnion(headE ast.Expr, varName, rankVar string, overE ast.Expr, coll *eval.Coll) compiledExpr {
 	over := c.compileScalar(overE)
 	slot := c.bind(varName)
-	head := c.compile(headE)
-	c.unbind(1)
-	wantKind, overMsg, bodyMsg := object.KSet, "eval: big union over %s", "eval: big union body produced %s"
-	if bag {
-		wantKind, overMsg, bodyMsg = object.KBag, "eval: big bag union over %s", "eval: big bag union body produced %s"
+	rankSlot, bound, name := -1, 1, coll.Loop
+	if rankVar != "" {
+		rankSlot, bound, name = c.bind(rankVar), 2, coll.RankedLoop
 	}
+	head := c.compile(headE)
+	c.unbind(bound)
 	return func(fr *frame) (object.Value, error) {
 		if err := fr.m.step(); err != nil {
 			return object.Value{}, err
@@ -555,8 +510,8 @@ func (c *compiler) compileBigUnion(headE ast.Expr, varName string, overE ast.Exp
 			return s.box(), err
 		}
 		kind, elems, n := s.members()
-		if kind != wantKind {
-			return object.Value{}, fmt.Errorf(overMsg, kind)
+		if kind != coll.Kind {
+			return object.Value{}, fmt.Errorf("eval: %s over %s", name, kind)
 		}
 		fr.m.used.SetOps++
 		fr.m.used.Iterations += n
@@ -564,6 +519,9 @@ func (c *compiler) compileBigUnion(headE ast.Expr, varName string, overE ast.Exp
 		x := fr.loopVar(slot, elems)
 		for i := int64(0); i < n; i++ {
 			rebind(x, elems, i)
+			if rankSlot >= 0 {
+				fr.slots[rankSlot] = object.Nat(i + 1)
+			}
 			v, err := head(fr)
 			if err != nil {
 				return object.Value{}, err
@@ -571,71 +529,14 @@ func (c *compiler) compileBigUnion(headE ast.Expr, varName string, overE ast.Exp
 			if v.IsBottom() {
 				return v, nil
 			}
-			if v.Kind != wantKind {
-				return object.Value{}, fmt.Errorf(bodyMsg, v.Kind)
+			if v.Kind != coll.Kind {
+				return object.Value{}, fmt.Errorf("eval: %s body produced %s", name, v.Kind)
 			}
 			if err := fr.m.chargeCells(int64(len(v.Elems))); err != nil {
 				return object.Value{}, err
 			}
 			all = append(all, v.Elems...)
 		}
-		if bag {
-			return object.Bag(all...), nil
-		}
-		return object.Set(all...), nil
-	}
-}
-
-// compileRankUnion lowers ⋃_r / ⊎_r: the canonical traversal binds the
-// 1-based rank alongside each element (section 6 of the paper); over a
-// range, element i has rank i+1.
-func (c *compiler) compileRankUnion(headE ast.Expr, varName, rankVar string, overE ast.Expr, bag bool) compiledExpr {
-	over := c.compileScalar(overE)
-	varSlot := c.bind(varName)
-	rankSlot := c.bind(rankVar)
-	head := c.compile(headE)
-	c.unbind(2)
-	wantKind, wantName := object.KSet, "ranked union"
-	if bag {
-		wantKind, wantName = object.KBag, "ranked bag union"
-	}
-	return func(fr *frame) (object.Value, error) {
-		if err := fr.m.step(); err != nil {
-			return object.Value{}, err
-		}
-		s, err := over(fr)
-		if err != nil || s.k == object.KBottom {
-			return s.box(), err
-		}
-		kind, elems, n := s.members()
-		if kind != wantKind {
-			return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, kind)
-		}
-		fr.m.used.SetOps++
-		fr.m.used.Iterations += n
-		var all []object.Value
-		x := fr.loopVar(varSlot, elems)
-		for i := int64(0); i < n; i++ {
-			rebind(x, elems, i)
-			fr.slots[rankSlot] = object.Nat(i + 1)
-			v, err := head(fr)
-			if err != nil {
-				return object.Value{}, err
-			}
-			if v.IsBottom() {
-				return v, nil
-			}
-			if v.Kind != wantKind {
-				return object.Value{}, fmt.Errorf("eval: %s body produced %s", wantName, v.Kind)
-			}
-			if err := fr.m.chargeCells(int64(len(v.Elems))); err != nil {
-				return object.Value{}, err
-			}
-			all = append(all, v.Elems...)
-		}
-		if bag {
-			return object.Bag(all...), nil
-		}
-		return object.Set(all...), nil
+		return coll.Make(all...), nil
 	}
 }

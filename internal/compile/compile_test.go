@@ -166,9 +166,9 @@ func TestAllNodesCompile(t *testing.T) {
 		&ast.App{Fn: v("f"), Arg: v("x")},
 		&ast.Tuple{Elems: []ast.Expr{nat(1), nat(2)}},
 		&ast.Proj{I: 1, K: 2, Tuple: v("p")},
-		&ast.EmptySet{},
+		&ast.Empty{},
 		&ast.Singleton{Elem: nat(1)},
-		&ast.Union{L: &ast.EmptySet{}, R: &ast.Singleton{Elem: nat(1)}},
+		&ast.Union{L: &ast.Empty{}, R: &ast.Singleton{Elem: nat(1)}},
 		&ast.BigUnion{Head: &ast.Singleton{Elem: v("x")}, Var: "x", Over: v("S")},
 		&ast.Get{Set: &ast.Singleton{Elem: nat(3)}},
 		&ast.BoolLit{Val: true},
@@ -186,12 +186,12 @@ func TestAllNodesCompile(t *testing.T) {
 		&ast.Index{K: 1, Set: v("G")},
 		&ast.MkArray{Dims: []ast.Expr{nat(2)}, Elems: []ast.Expr{nat(1), nat(2)}},
 		&ast.Bottom{},
-		&ast.EmptyBag{},
-		&ast.SingletonBag{Elem: nat(1)},
-		&ast.BagUnion{L: &ast.EmptyBag{}, R: &ast.SingletonBag{Elem: nat(1)}},
-		&ast.BigBagUnion{Head: &ast.SingletonBag{Elem: v("x")}, Var: "x", Over: v("B")},
+		&ast.Empty{Bag: true},
+		&ast.Singleton{Elem: nat(1), Bag: true},
+		&ast.Union{L: &ast.Empty{Bag: true}, R: &ast.Singleton{Elem: nat(1), Bag: true}, Bag: true},
+		&ast.BigUnion{Head: &ast.Singleton{Elem: v("x"), Bag: true}, Var: "x", Over: v("B"), Bag: true},
 		&ast.RankUnion{Head: &ast.Singleton{Elem: v("i")}, Var: "x", RankVar: "i", Over: v("S")},
-		&ast.RankBagUnion{Head: &ast.SingletonBag{Elem: v("i")}, Var: "x", RankVar: "i", Over: v("B")},
+		&ast.RankUnion{Head: &ast.Singleton{Elem: v("i"), Bag: true}, Var: "x", RankVar: "i", Over: v("B"), Bag: true},
 	}
 	if len(exprs) != len(ast.AllNodeNames()) {
 		t.Fatalf("test covers %d node types, ast declares %d", len(exprs), len(ast.AllNodeNames()))

@@ -138,29 +138,18 @@ func (es *estimator) walk(e ast.Expr, inv trace.Card, env *scope) {
 	case *ast.Singleton:
 		node.Cells = inv
 		es.walk(n.Elem, inv, env)
-	case *ast.SingletonBag:
-		node.Cells = inv
-		es.walk(n.Elem, inv, env)
 
-	case *ast.EmptySet, *ast.EmptyBag:
+	case *ast.Empty:
 		node.Cells = known(0)
 
 	case *ast.Union:
 		node.Cells = mul(inv, add(cardOf(es.sval(n.L, env)), cardOf(es.sval(n.R, env))))
 		es.walk(n.L, inv, env)
 		es.walk(n.R, inv, env)
-	case *ast.BagUnion:
-		node.Cells = mul(inv, add(cardOf(es.sval(n.L, env)), cardOf(es.sval(n.R, env))))
-		es.walk(n.L, inv, env)
-		es.walk(n.R, inv, env)
 
 	case *ast.BigUnion:
 		es.comprehension(n.Head, n.Var, "", n.Over, node, inv, env, true)
-	case *ast.BigBagUnion:
-		es.comprehension(n.Head, n.Var, "", n.Over, node, inv, env, true)
 	case *ast.RankUnion:
-		es.comprehension(n.Head, n.Var, n.RankVar, n.Over, node, inv, env, true)
-	case *ast.RankBagUnion:
 		es.comprehension(n.Head, n.Var, n.RankVar, n.Over, node, inv, env, true)
 
 	case *ast.Sum:

@@ -249,37 +249,24 @@ func (es *estimator) sval(e ast.Expr, env *scope) sval {
 		}
 		return sval{}
 
-	case *ast.EmptySet, *ast.EmptyBag:
+	case *ast.Empty:
 		return collSval(0)
-	case *ast.Singleton, *ast.SingletonBag:
+	case *ast.Singleton:
 		return collSval(1)
 
 	case *ast.Union:
 		l, r := es.sval(n.L, env), es.sval(n.R, env)
-		// Set union deduplicates, so the result cardinality is only
-		// known when one side is statically empty.
-		if l.cardKnown && l.card == 0 && r.cardKnown {
-			return collSval(r.card)
-		}
-		if r.cardKnown && r.card == 0 && l.cardKnown {
-			return collSval(l.card)
-		}
-		return sval{}
-	case *ast.BagUnion:
-		l, r := es.sval(n.L, env), es.sval(n.R, env)
-		if l.cardKnown && r.cardKnown {
+		// A bag union adds cardinalities. Set union deduplicates, so its
+		// cardinality is only known when one side is statically empty.
+		if l.cardKnown && r.cardKnown && (n.Bag || l.card == 0 || r.card == 0) {
 			return collSval(l.card + r.card)
 		}
 		return sval{}
 
 	case *ast.BigUnion:
-		return es.bigUnionSval(n.Head, n.Var, "", n.Over, env, true)
-	case *ast.BigBagUnion:
-		return es.bigUnionSval(n.Head, n.Var, "", n.Over, env, false)
+		return es.bigUnionSval(n.Head, n.Var, "", n.Over, env, n.Bag)
 	case *ast.RankUnion:
-		return es.bigUnionSval(n.Head, n.Var, n.RankVar, n.Over, env, true)
-	case *ast.RankBagUnion:
-		return es.bigUnionSval(n.Head, n.Var, n.RankVar, n.Over, env, false)
+		return es.bigUnionSval(n.Head, n.Var, n.RankVar, n.Over, env, n.Bag)
 
 	case *ast.App:
 		if lam, ok := n.Fn.(*ast.Lam); ok {
@@ -298,7 +285,7 @@ func (es *estimator) sval(e ast.Expr, env *scope) sval {
 // (cardinalities multiply when the head's is binding-independent); sets
 // deduplicate, so only the statically-empty cases are known.
 func (es *estimator) bigUnionSval(head ast.Expr, varName, rankVar string, over ast.Expr,
-	env *scope, dedup bool) sval {
+	env *scope, bag bool) sval {
 	ov := es.sval(over, env)
 	if ov.cardKnown && ov.card == 0 {
 		return collSval(0)
@@ -311,7 +298,7 @@ func (es *estimator) bigUnionSval(head ast.Expr, varName, rankVar string, over a
 	if ov.cardKnown && hd.cardKnown && hd.card == 0 {
 		return collSval(0)
 	}
-	if !dedup && ov.cardKnown && hd.cardKnown {
+	if bag && ov.cardKnown && hd.cardKnown {
 		if total, ok := mulNat(ov.card, hd.card); ok {
 			return collSval(total)
 		}

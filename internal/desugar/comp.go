@@ -21,10 +21,7 @@ func compQuals(head parser.Expr, quals []parser.Qual, bag bool) (ast.Expr, error
 		if err != nil {
 			return nil, err
 		}
-		if bag {
-			return &ast.SingletonBag{Elem: h}, nil
-		}
-		return &ast.Singleton{Elem: h}, nil
+		return &ast.Singleton{Elem: h, Bag: bag}, nil
 	}
 	rest := quals[1:]
 	switch q := quals[0].(type) {
@@ -38,7 +35,7 @@ func compQuals(head parser.Expr, quals []parser.Qual, bag bool) (ast.Expr, error
 		if err != nil {
 			return nil, err
 		}
-		return &ast.If{Cond: cond, Then: inner, Else: emptyColl(bag)}, nil
+		return &ast.If{Cond: cond, Then: inner, Else: &ast.Empty{Bag: bag}}, nil
 
 	case *parser.GenQ:
 		src, err := expr(q.Src)
@@ -61,13 +58,7 @@ func compQuals(head parser.Expr, quals []parser.Qual, bag bool) (ast.Expr, error
 		if err != nil {
 			return nil, err
 		}
-		var single ast.Expr
-		if bag {
-			single = &ast.SingletonBag{Elem: src}
-		} else {
-			single = &ast.Singleton{Elem: src}
-		}
-		return genTrans(q.Pat, single, inner, bag)
+		return genTrans(q.Pat, &ast.Singleton{Elem: src, Bag: bag}, inner, bag)
 
 	case *parser.ArrGenQ:
 		// [P1 : P2] <- A: iterate the array's domain. The dimensionality k
@@ -77,13 +68,6 @@ func compQuals(head parser.Expr, quals []parser.Qual, bag bool) (ast.Expr, error
 	return nil, fmt.Errorf("desugar: unhandled qualifier %T", quals[0])
 }
 
-func emptyColl(bag bool) ast.Expr {
-	if bag {
-		return &ast.EmptyBag{}
-	}
-	return &ast.EmptySet{}
-}
-
 // genTrans translates the generator P <- src with continuation inner,
 // following the second table of figure 2: constants and non-binding
 // variables in P peel off into equality filters on a fresh binding
@@ -91,7 +75,7 @@ func emptyColl(bag bool) ast.Expr {
 func genTrans(p parser.Pat, src, inner ast.Expr, bag bool) (ast.Expr, error) {
 	// Fast path: a bare binding variable.
 	if pv, ok := p.(*parser.PVar); ok {
-		return bigUnion(inner, pv.Name, src, bag), nil
+		return &ast.BigUnion{Head: inner, Var: pv.Name, Over: src, Bag: bag}, nil
 	}
 	if isLamPat(p) {
 		// U{e1 | P' <- e2} => U{ (\P'.e1)(z) | \z <- e2 }
@@ -101,7 +85,7 @@ func genTrans(p parser.Pat, src, inner ast.Expr, bag bool) (ast.Expr, error) {
 			return nil, err
 		}
 		body := &ast.App{Fn: lam, Arg: &ast.Var{Name: z}}
-		return bigUnion(body, z, src, bag), nil
+		return &ast.BigUnion{Head: body, Var: z, Over: src, Bag: bag}, nil
 	}
 	// U{e1 | P <- e2} => U{ if z = CX then e1 else {} | NewP <- e2 }
 	// where CX is the leftmost constant or non-binding variable of P.
@@ -113,16 +97,9 @@ func genTrans(p parser.Pat, src, inner ast.Expr, bag bool) (ast.Expr, error) {
 	guarded := &ast.If{
 		Cond: &ast.Cmp{Op: ast.OpEq, L: &ast.Var{Name: z}, R: cx},
 		Then: inner,
-		Else: emptyColl(bag),
+		Else: &ast.Empty{Bag: bag},
 	}
 	return genTrans(newP, src, guarded, bag)
-}
-
-func bigUnion(head ast.Expr, varName string, over ast.Expr, bag bool) ast.Expr {
-	if bag {
-		return &ast.BigBagUnion{Head: head, Var: varName, Over: over}
-	}
-	return &ast.BigUnion{Head: head, Var: varName, Over: over}
 }
 
 // isLamPat reports whether p is a lambda pattern: only binding variables,
@@ -254,12 +231,12 @@ func arrGen(q *parser.ArrGenQ, head parser.Expr, rest []parser.Qual, bag bool) (
 
 	// Innermost: bind P2 to the element, then P1 to the index (both via the
 	// singleton-generator translation so arbitrary patterns work).
-	elemSingle := singleton(&ast.Subscript{Arr: arrV(), Index: idxExpr}, bag)
+	elemSingle := &ast.Singleton{Elem: &ast.Subscript{Arr: arrV(), Index: idxExpr}, Bag: bag}
 	withVal, err := genTrans(q.ValPat, elemSingle, inner, bag)
 	if err != nil {
 		return nil, err
 	}
-	withIdx, err := genTrans(q.IdxPat, singleton(idxExpr, bag), withVal, bag)
+	withIdx, err := genTrans(q.IdxPat, &ast.Singleton{Elem: idxExpr, Bag: bag}, withVal, bag)
 	if err != nil {
 		return nil, err
 	}
@@ -273,15 +250,8 @@ func arrGen(q *parser.ArrGenQ, head parser.Expr, rest []parser.Qual, bag bool) (
 		} else {
 			bound = &ast.Proj{I: j + 1, K: k, Tuple: &ast.Dim{K: k, Arr: arrV()}}
 		}
-		out = bigUnion(out, idxVars[j], &ast.Gen{N: bound}, bag)
+		out = &ast.BigUnion{Head: out, Var: idxVars[j], Over: &ast.Gen{N: bound}, Bag: bag}
 	}
 	// Bind the array once.
 	return &ast.App{Fn: &ast.Lam{Param: arr, Body: out}, Arg: src}, nil
-}
-
-func singleton(e ast.Expr, bag bool) ast.Expr {
-	if bag {
-		return &ast.SingletonBag{Elem: e}
-	}
-	return &ast.Singleton{Elem: e}
 }

@@ -62,34 +62,18 @@ func expr(e parser.Expr) (ast.Expr, error) {
 		return &ast.Tuple{Elems: elems}, nil
 
 	case *parser.SetE:
-		// {a, b, c} = {a} ∪ {b} ∪ {c} (section 3).
-		var out ast.Expr = &ast.EmptySet{}
+		// {a, b, c} = {a} ∪ {b} ∪ {c} (section 3), and likewise for bags.
+		var out ast.Expr = &ast.Empty{Bag: n.Bag}
 		for i := len(n.Elems) - 1; i >= 0; i-- {
 			d, err := expr(n.Elems[i])
 			if err != nil {
 				return nil, err
 			}
-			s := &ast.Singleton{Elem: d}
-			if _, isEmpty := out.(*ast.EmptySet); isEmpty {
+			s := &ast.Singleton{Elem: d, Bag: n.Bag}
+			if i == len(n.Elems)-1 {
 				out = s
 			} else {
-				out = &ast.Union{L: s, R: out}
-			}
-		}
-		return out, nil
-
-	case *parser.BagE:
-		var out ast.Expr = &ast.EmptyBag{}
-		for i := len(n.Elems) - 1; i >= 0; i-- {
-			d, err := expr(n.Elems[i])
-			if err != nil {
-				return nil, err
-			}
-			s := &ast.SingletonBag{Elem: d}
-			if _, isEmpty := out.(*ast.EmptyBag); isEmpty {
-				out = s
-			} else {
-				out = &ast.BagUnion{L: s, R: out}
+				out = &ast.Union{L: s, R: out, Bag: n.Bag}
 			}
 		}
 		return out, nil
@@ -256,7 +240,7 @@ func binop(n *parser.Bin) (ast.Expr, error) {
 	case "union":
 		return &ast.Union{L: l, R: r}, nil
 	case "uplus":
-		return &ast.BagUnion{L: l, R: r}, nil
+		return &ast.Union{L: l, R: r, Bag: true}, nil
 	case "+", "-", "*", "/", "%":
 		return &ast.Arith{Op: ast.ArithOp(n.Op), L: l, R: r}, nil
 	case "=", "<>", "<", ">", "<=", ">=":

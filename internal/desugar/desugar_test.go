@@ -68,7 +68,7 @@ func TestFig2FilterTranslation(t *testing.T) {
 	want := &ast.If{
 		Cond: &ast.Cmp{Op: ast.OpGt, L: &ast.Var{Name: "x"}, R: &ast.NatLit{Val: 2}},
 		Then: &ast.Singleton{Elem: &ast.Var{Name: "x"}},
-		Else: &ast.EmptySet{},
+		Else: &ast.Empty{},
 	}
 	if !ast.AlphaEqual(core, want) {
 		t.Errorf("got %s, want %s", core, want)

@@ -330,8 +330,8 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		}
 		return v.Proj(n.I - 1)
 
-	case *ast.EmptySet:
-		return object.EmptySet, nil
+	case *ast.Empty:
+		return CollOf(n.Bag).Empty, nil
 
 	case *ast.Singleton:
 		v, err := ev.Eval(n.Elem, env)
@@ -347,7 +347,7 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		if v, err = Materialize(ev.Ctx, v, ev.chargeAlloc); err != nil {
 			return object.Value{}, err
 		}
-		return object.Set(v), nil
+		return CollOf(n.Bag).Make(v), nil
 
 	case *ast.Union:
 		ev.Used.SetOps++
@@ -368,10 +368,13 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		if err := ev.chargeCells(int64(len(l.Elems) + len(r.Elems))); err != nil {
 			return object.Value{}, err
 		}
-		return object.Union(l, r)
+		return CollOf(n.Bag).Union(l, r)
 
 	case *ast.BigUnion:
-		return ev.bigUnion(n.Head, n.Var, n.Over, env, false)
+		return ev.bigUnion(n.Head, n.Var, "", n.Over, env, CollOf(n.Bag))
+
+	case *ast.RankUnion:
+		return ev.bigUnion(n.Head, n.Var, n.RankVar, n.Over, env, CollOf(n.Bag))
 
 	case *ast.Get:
 		s, err := ev.Eval(n.Set, env)
@@ -631,106 +634,46 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 	case *ast.Bottom:
 		return object.Bottom("explicit bottom"), nil
 
-	case *ast.EmptyBag:
-		return object.EmptyBag, nil
-
-	case *ast.SingletonBag:
-		v, err := ev.Eval(n.Elem, env)
-		if err != nil {
-			return object.Value{}, err
-		}
-		if v.IsBottom() {
-			return v, nil
-		}
-		if err := ev.chargeCells(1); err != nil {
-			return object.Value{}, err
-		}
-		if v, err = Materialize(ev.Ctx, v, ev.chargeAlloc); err != nil {
-			return object.Value{}, err
-		}
-		return object.Bag(v), nil
-
-	case *ast.BagUnion:
-		ev.Used.SetOps++
-		l, err := ev.Eval(n.L, env)
-		if err != nil {
-			return object.Value{}, err
-		}
-		if l.IsBottom() {
-			return l, nil
-		}
-		r, err := ev.Eval(n.R, env)
-		if err != nil {
-			return object.Value{}, err
-		}
-		if r.IsBottom() {
-			return r, nil
-		}
-		if err := ev.chargeCells(int64(len(l.Elems) + len(r.Elems))); err != nil {
-			return object.Value{}, err
-		}
-		return object.BagUnion(l, r)
-
-	case *ast.BigBagUnion:
-		return ev.bigUnion(n.Head, n.Var, n.Over, env, true)
-
-	case *ast.RankUnion:
-		return ev.rankUnion(n.Head, n.Var, n.RankVar, n.Over, env, false)
-
-	case *ast.RankBagUnion:
-		return ev.rankUnion(n.Head, n.Var, n.RankVar, n.Over, env, true)
 	}
 	return object.Value{}, fmt.Errorf("eval: unhandled node %s", ast.NodeName(e))
 }
 
-// bigUnion evaluates ⋃{ head | var ∈ over } and, when bag, its bag form: it
-// collects the element slices of all results and canonicalizes once, so a
-// union of n singletons costs O(n log n) rather than O(n²).
-func (ev *Evaluator) bigUnion(head ast.Expr, varName string, over ast.Expr, env *Env, bag bool) (object.Value, error) {
-	s, err := ev.Eval(over, env)
-	if err != nil {
-		return object.Value{}, err
-	}
-	if s.IsBottom() {
-		return s, nil
-	}
-	wantKind, wantName := object.KSet, "big union"
-	if bag {
-		wantKind, wantName = object.KBag, "big bag union"
-	}
-	if s.Kind != wantKind {
-		return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, s.Kind)
-	}
-	ev.Used.SetOps++
-	ev.Used.Iterations += int64(len(s.Elems))
-	var all []object.Value
-	for _, x := range s.Elems {
-		v, err := ev.Eval(head, env.Bind(varName, x))
-		if err != nil {
-			return object.Value{}, err
-		}
-		if v.IsBottom() {
-			return v, nil
-		}
-		if v.Kind != wantKind {
-			return object.Value{}, fmt.Errorf("eval: %s body produced %s", wantName, v.Kind)
-		}
-		if err := ev.chargeCells(int64(len(v.Elems))); err != nil {
-			return object.Value{}, err
-		}
-		all = append(all, v.Elems...)
-	}
-	if bag {
-		return object.Bag(all...), nil
-	}
-	return object.Set(all...), nil
+// Coll is what a collection construct needs at run time in its set form, or
+// in its bag form: the value kind it reads and builds, its empty value, its
+// constructor and binary union, and the names its errors give ⋃ and ⋃_r.
+// The compiler picks one when it lowers a node and the interpreter when it
+// evaluates one; either way the two forms share every case and loop.
+type Coll struct {
+	Kind             object.Kind
+	Empty            object.Value
+	Make             func(elems ...object.Value) object.Value
+	Union            func(a, b object.Value) (object.Value, error)
+	Loop, RankedLoop string
 }
 
-// rankUnion evaluates ⋃_r / ⊎_r (section 6): the collection is traversed in
-// its canonical (sorted) order, binding the 1-based rank alongside each
-// element. In the bag form, equal values receive consecutive ranks, which
-// is exactly what position-in-sorted-order gives.
-func (ev *Evaluator) rankUnion(head ast.Expr, varName, rankVar string, over ast.Expr, env *Env, bag bool) (object.Value, error) {
+var colls = [2]Coll{
+	{object.KSet, object.EmptySet, object.Set, object.Union, "big union", "ranked union"},
+	{object.KBag, object.EmptyBag, object.Bag, object.BagUnion, "big bag union", "ranked bag union"},
+}
+
+// CollOf returns the set form's Coll, or the bag form's when bag.
+func CollOf(bag bool) *Coll {
+	if bag {
+		return &colls[1]
+	}
+	return &colls[0]
+}
+
+// bigUnion evaluates ⋃{ head | x ∈ over } in coll's form; with a rankVar,
+// ⋃_r (section 6), which binds the 1-based rank of x in the canonical
+// (sorted) order alongside it, so equal values of a bag receive consecutive
+// ranks. It collects the element slices of all results and canonicalizes
+// once, so a union of n singletons costs O(n log n) rather than O(n²).
+func (ev *Evaluator) bigUnion(head ast.Expr, x, rankVar string, over ast.Expr, env *Env, coll *Coll) (object.Value, error) {
+	name := coll.Loop
+	if rankVar != "" {
+		name = coll.RankedLoop
+	}
 	s, err := ev.Eval(over, env)
 	if err != nil {
 		return object.Value{}, err
@@ -738,35 +681,31 @@ func (ev *Evaluator) rankUnion(head ast.Expr, varName, rankVar string, over ast.
 	if s.IsBottom() {
 		return s, nil
 	}
-	wantKind, wantName := object.KSet, "ranked union"
-	if bag {
-		wantKind, wantName = object.KBag, "ranked bag union"
-	}
-	if s.Kind != wantKind {
-		return object.Value{}, fmt.Errorf("eval: %s over %s", wantName, s.Kind)
+	if s.Kind != coll.Kind {
+		return object.Value{}, fmt.Errorf("eval: %s over %s", name, s.Kind)
 	}
 	ev.Used.SetOps++
 	ev.Used.Iterations += int64(len(s.Elems))
 	var all []object.Value
-	for i, x := range s.Elems {
-		e2 := env.Bind(varName, x).Bind(rankVar, object.Nat(int64(i+1)))
-		v, err := ev.Eval(head, e2)
+	for i, elem := range s.Elems {
+		inner := env.Bind(x, elem)
+		if rankVar != "" {
+			inner = inner.Bind(rankVar, object.Nat(int64(i+1)))
+		}
+		v, err := ev.Eval(head, inner)
 		if err != nil {
 			return object.Value{}, err
 		}
 		if v.IsBottom() {
 			return v, nil
 		}
-		if v.Kind != wantKind {
-			return object.Value{}, fmt.Errorf("eval: %s body produced %s", wantName, v.Kind)
+		if v.Kind != coll.Kind {
+			return object.Value{}, fmt.Errorf("eval: %s body produced %s", name, v.Kind)
 		}
 		if err := ev.chargeCells(int64(len(v.Elems))); err != nil {
 			return object.Value{}, err
 		}
 		all = append(all, v.Elems...)
 	}
-	if bag {
-		return object.Bag(all...), nil
-	}
-	return object.Set(all...), nil
+	return coll.Make(all...), nil
 }

@@ -64,7 +64,7 @@ func TestFig1Products(t *testing.T) {
 }
 
 func TestFig1Sets(t *testing.T) {
-	expect(t, &ast.EmptySet{}, nil, object.EmptySet)
+	expect(t, &ast.Empty{}, nil, object.EmptySet)
 	expect(t, sing(nat(7)), nil, object.Set(object.Nat(7)))
 	expect(t, &ast.Union{L: sing(nat(1)), R: sing(nat(2))}, nil, object.Set(object.Nat(1), object.Nat(2)))
 	// ⋃{ {x+1} | x ∈ {1,2} } = {2,3}
@@ -163,7 +163,7 @@ func TestFig1Index(t *testing.T) {
 
 func TestFig1Get(t *testing.T) {
 	expect(t, &ast.Get{Set: sing(nat(9))}, nil, object.Nat(9))
-	if got := run(t, &ast.Get{Set: &ast.EmptySet{}}, nil); !got.IsBottom() {
+	if got := run(t, &ast.Get{Set: &ast.Empty{}}, nil); !got.IsBottom() {
 		t.Errorf("get({}) = %s, want bottom", got)
 	}
 	two := &ast.Union{L: sing(nat(1)), R: sing(nat(2))}
@@ -256,7 +256,7 @@ func TestAggregates(t *testing.T) {
 	// min via primitive
 	expect(t, app(v("min"), v("X")), map[string]object.Value{"X": X}, object.Nat(4))
 	expect(t, app(v("max"), v("X")), map[string]object.Value{"X": X}, object.Nat(9))
-	if got := run(t, app(v("min"), &ast.EmptySet{}), nil); !got.IsBottom() {
+	if got := run(t, app(v("min"), &ast.Empty{}), nil); !got.IsBottom() {
 		t.Errorf("min({}) = %s, want bottom", got)
 	}
 	// member
@@ -291,7 +291,7 @@ func TestBottomPropagation(t *testing.T) {
 		bigU(bot, "x", &ast.Gen{N: nat(1)}),
 		&ast.MkArray{Dims: []ast.Expr{nat(1)}, Elems: []ast.Expr{bot}},
 		app(lam("x", v("x")), bot),
-		&ast.SingletonBag{Elem: bot},
+		&ast.Singleton{Elem: bot, Bag: true},
 	}
 	for _, e := range cases {
 		if got := run(t, e, nil); !got.IsBottom() {
@@ -359,13 +359,13 @@ func TestStepBudget(t *testing.T) {
 // --- Bags and ranking (section 6) -------------------------------------------
 
 func TestBags(t *testing.T) {
-	expect(t, &ast.EmptyBag{}, nil, object.EmptyBag)
-	expect(t, &ast.SingletonBag{Elem: nat(1)}, nil, object.Bag(object.Nat(1)))
-	e := &ast.BagUnion{L: &ast.SingletonBag{Elem: nat(1)}, R: &ast.SingletonBag{Elem: nat(1)}}
+	expect(t, &ast.Empty{Bag: true}, nil, object.EmptyBag)
+	expect(t, &ast.Singleton{Elem: nat(1), Bag: true}, nil, object.Bag(object.Nat(1)))
+	e := &ast.Union{L: &ast.Singleton{Elem: nat(1), Bag: true}, R: &ast.Singleton{Elem: nat(1), Bag: true}, Bag: true}
 	expect(t, e, nil, object.Bag(object.Nat(1), object.Nat(1)))
 	// ⊎{| {|x|} | x ∈ {|1,1,2|} |} preserves multiplicity.
 	B := object.Bag(object.Nat(1), object.Nat(1), object.Nat(2))
-	e2 := &ast.BigBagUnion{Head: &ast.SingletonBag{Elem: v("x")}, Var: "x", Over: v("B")}
+	e2 := &ast.BigUnion{Head: &ast.Singleton{Elem: v("x"), Bag: true}, Var: "x", Over: v("B"), Bag: true}
 	expect(t, e2, map[string]object.Value{"B": B}, B)
 }
 
@@ -388,11 +388,12 @@ func TestRankUnion(t *testing.T) {
 func TestRankBagUnion(t *testing.T) {
 	// Equal values get consecutive ranks.
 	B := object.Bag(object.Nat(5), object.Nat(5), object.Nat(7))
-	e := &ast.RankBagUnion{
-		Head:    &ast.SingletonBag{Elem: &ast.Tuple{Elems: []ast.Expr{v("x"), v("i")}}},
+	e := &ast.RankUnion{
+		Head:    &ast.Singleton{Elem: &ast.Tuple{Elems: []ast.Expr{v("x"), v("i")}}, Bag: true},
 		Var:     "x",
 		RankVar: "i",
 		Over:    v("B"),
+		Bag:     true,
 	}
 	want := object.Bag(
 		object.Tuple(object.Nat(5), object.Nat(1)),
@@ -412,7 +413,7 @@ func TestNest(t *testing.T) {
 		&ast.If{
 			Cond: cmp(ast.OpEq, p1(v("y")), p1(v("x"))),
 			Then: sing(p2(v("y"))),
-			Else: &ast.EmptySet{},
+			Else: &ast.Empty{},
 		}, "y", v("X"))
 	e := bigU(sing(&ast.Tuple{Elems: []ast.Expr{p1(v("x")), inner}}), "x", v("X"))
 	X := object.Set(
@@ -516,9 +517,9 @@ func TestKindErrors(t *testing.T) {
 		{"index non-pairs", &ast.Index{K: 1, Set: v("S")}, map[string]object.Value{"S": S}},
 		{"mkarray dim non-nat", &ast.MkArray{Dims: []ast.Expr{v("S")}, Elems: nil},
 			map[string]object.Value{"S": S}},
-		{"bag union over set", &ast.BigBagUnion{Head: &ast.SingletonBag{Elem: v("x")}, Var: "x", Over: v("S")},
+		{"bag union over set", &ast.BigUnion{Head: &ast.Singleton{Elem: v("x"), Bag: true}, Var: "x", Over: v("S"), Bag: true},
 			map[string]object.Value{"S": S}},
-		{"rank over bag", &ast.RankUnion{Head: sing(v("x")), Var: "x", RankVar: "i", Over: &ast.EmptyBag{}}, nil},
+		{"rank over bag", &ast.RankUnion{Head: sing(v("x")), Var: "x", RankVar: "i", Over: &ast.Empty{Bag: true}}, nil},
 		{"cmp function", cmp(ast.OpEq, v("min"), v("min")), nil},
 		{"arith on strings", arith(ast.OpAdd, &ast.StringLit{Val: "a"}, &ast.StringLit{Val: "b"}), nil},
 	}

@@ -92,9 +92,8 @@ func spanWorthy(e ast.Expr, level ProfLevel) bool {
 	}
 	switch e.(type) {
 	case *ast.ArrayTab, *ast.Subscript, *ast.MkArray, *ast.Dim,
-		*ast.BigUnion, *ast.BigBagUnion, *ast.RankUnion, *ast.RankBagUnion,
-		*ast.Sum, *ast.Gen, *ast.Index, *ast.If, *ast.App,
-		*ast.Union, *ast.BagUnion, *ast.Get:
+		*ast.BigUnion, *ast.RankUnion, *ast.Sum, *ast.Gen, *ast.Index, *ast.If,
+		*ast.App, *ast.Union, *ast.Get:
 		return true
 	}
 	return false

@@ -48,7 +48,7 @@ func UnitCorpus() []CorpusCase {
 			Cond: cmp(ast.OpLt, v("i"), v("n")), Then: arith(ast.OpMul, v("i"), nat(2)), Else: &ast.Bottom{},
 		}, []string{"i"}, v("n"))},
 		{Name: "ConstraintEliminationInGenLoop", Expr: &ast.BigUnion{
-			Head: &ast.If{Cond: cmp(ast.OpLt, v("i"), v("n")), Then: sing(v("i")), Else: &ast.EmptySet{}},
+			Head: &ast.If{Cond: cmp(ast.OpLt, v("i"), v("n")), Then: sing(v("i")), Else: &ast.Empty{}},
 			Var:  "i", Over: &ast.Gen{N: v("n")},
 		}},
 		{Name: "ConstraintEliminationInConditionals/then", Expr: &ast.If{
@@ -69,11 +69,11 @@ func UnitCorpus() []CorpusCase {
 			Over: &ast.BigUnion{Head: sing(arith(ast.OpAdd, v("y"), nat(1))), Var: "y", Over: v("S")},
 		}},
 		{Name: "FilterPromotion", Expr: &ast.BigUnion{
-			Head: &ast.If{Cond: cmp(ast.OpLt, v("a"), v("b")), Then: sing(v("x")), Else: &ast.EmptySet{}},
+			Head: &ast.If{Cond: cmp(ast.OpLt, v("a"), v("b")), Then: sing(v("x")), Else: &ast.Empty{}},
 			Var:  "x", Over: v("S"),
 		}},
 		{Name: "FilterPromotion/dependent", Expr: &ast.BigUnion{
-			Head: &ast.If{Cond: cmp(ast.OpLt, v("x"), v("b")), Then: sing(v("x")), Else: &ast.EmptySet{}},
+			Head: &ast.If{Cond: cmp(ast.OpLt, v("x"), v("b")), Then: sing(v("x")), Else: &ast.Empty{}},
 			Var:  "x", Over: v("S"),
 		}},
 		{Name: "HorizontalFusion", Expr: &ast.Union{

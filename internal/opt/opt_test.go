@@ -270,7 +270,7 @@ func TestConstraintEliminationInGenLoop(t *testing.T) {
 		Head: &ast.If{
 			Cond: cmp(ast.OpLt, v("i"), v("n")),
 			Then: sing(v("i")),
-			Else: &ast.EmptySet{},
+			Else: &ast.Empty{},
 		},
 		Var:  "i",
 		Over: &ast.Gen{N: v("n")},
@@ -379,19 +379,19 @@ func TestFilterPromotion(t *testing.T) {
 	// ~> if c then U{ {x} | x ∈ S } else {}.
 	c := cmp(ast.OpLt, v("a"), v("b"))
 	e := &ast.BigUnion{
-		Head: &ast.If{Cond: c, Then: sing(v("x")), Else: &ast.EmptySet{}},
+		Head: &ast.If{Cond: c, Then: sing(v("x")), Else: &ast.Empty{}},
 		Var:  "x",
 		Over: v("S"),
 	}
 	got := optimize(e)
 	wantThen := &ast.BigUnion{Head: sing(v("x")), Var: "x", Over: v("S")}
-	want := &ast.If{Cond: c, Then: wantThen, Else: &ast.EmptySet{}}
+	want := &ast.If{Cond: c, Then: wantThen, Else: &ast.Empty{}}
 	if !ast.AlphaEqual(got, want) {
 		t.Errorf("got %s, want %s", got, want)
 	}
 	// Dependent filters stay inside.
 	e2 := &ast.BigUnion{
-		Head: &ast.If{Cond: cmp(ast.OpLt, v("x"), v("b")), Then: sing(v("x")), Else: &ast.EmptySet{}},
+		Head: &ast.If{Cond: cmp(ast.OpLt, v("x"), v("b")), Then: sing(v("x")), Else: &ast.Empty{}},
 		Var:  "x",
 		Over: v("S"),
 	}

@@ -56,8 +56,6 @@ func genBoundElimRule(e ast.Expr) (ast.Expr, bool) {
 	switch n := e.(type) {
 	case *ast.BigUnion:
 		head, varName, over = n.Head, n.Var, n.Over
-	case *ast.BigBagUnion:
-		head, varName, over = n.Head, n.Var, n.Over
 	case *ast.Sum:
 		head, varName, over = n.Head, n.Var, n.Over
 	default:

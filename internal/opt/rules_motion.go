@@ -66,9 +66,8 @@ func hoistRule(e ast.Expr) (ast.Expr, bool) {
 // variable references are not.
 func expensive(e ast.Expr) bool {
 	switch e.(type) {
-	case *ast.BigUnion, *ast.BigBagUnion, *ast.Sum, *ast.RankUnion,
-		*ast.RankBagUnion, *ast.ArrayTab, *ast.Index, *ast.Gen, *ast.App,
-		*ast.Union, *ast.BagUnion, *ast.MkArray, *ast.Get:
+	case *ast.BigUnion, *ast.Sum, *ast.RankUnion, *ast.ArrayTab, *ast.Index,
+		*ast.Gen, *ast.App, *ast.Union, *ast.MkArray, *ast.Get:
 		return true
 	}
 	return false

@@ -59,15 +59,11 @@ type TupleE struct {
 	At    scan.Pos
 }
 
-// SetE is the set literal {e1, ..., en}.
+// SetE is the set literal {e1, ..., en}, or the bag literal {|e1, ..., en|}
+// when Bag.
 type SetE struct {
 	Elems []Expr
-	At    scan.Pos
-}
-
-// BagE is the bag literal {|e1, ..., en|}.
-type BagE struct {
-	Elems []Expr
+	Bag   bool
 	At    scan.Pos
 }
 
@@ -169,7 +165,6 @@ func (e *BottomLit) Pos() scan.Pos { return e.At }
 func (e *ParamE) Pos() scan.Pos    { return e.At }
 func (e *TupleE) Pos() scan.Pos    { return e.At }
 func (e *SetE) Pos() scan.Pos      { return e.At }
-func (e *BagE) Pos() scan.Pos      { return e.At }
 func (e *ArrayE) Pos() scan.Pos    { return e.At }
 func (e *Comp) Pos() scan.Pos      { return e.At }
 func (e *Fn) Pos() scan.Pos        { return e.At }

@@ -645,10 +645,7 @@ func (p *parser) braces(at scan.Pos, bag bool) (Expr, error) {
 	}
 	p.advance() // { or {|
 	if p.eat(close) {
-		if bag {
-			return &BagE{At: at}, nil
-		}
-		return &SetE{At: at}, nil
+		return &SetE{Bag: bag, At: at}, nil
 	}
 	first, err := p.expr()
 	if err != nil {
@@ -677,18 +674,12 @@ func (p *parser) braces(at scan.Pos, bag bool) (Expr, error) {
 		if _, err := p.expect(close); err != nil {
 			return nil, err
 		}
-		if bag {
-			return &BagE{Elems: elems, At: at}, nil
-		}
-		return &SetE{Elems: elems, At: at}, nil
+		return &SetE{Elems: elems, Bag: bag, At: at}, nil
 	default:
 		if _, err := p.expect(close); err != nil {
 			return nil, err
 		}
-		if bag {
-			return &BagE{Elems: []Expr{first}, At: at}, nil
-		}
-		return &SetE{Elems: []Expr{first}, At: at}, nil
+		return &SetE{Elems: []Expr{first}, Bag: bag, At: at}, nil
 	}
 }
 

@@ -102,7 +102,7 @@ func TestArrayGeneratorQualifier(t *testing.T) {
 }
 
 func TestSetVsComprehension(t *testing.T) {
-	if _, ok := mustExpr(t, "{1, 2, 3}").(*SetE); !ok {
+	if s, ok := mustExpr(t, "{1, 2, 3}").(*SetE); !ok || s.Bag {
 		t.Error("{1,2,3} should be a set literal")
 	}
 	if _, ok := mustExpr(t, "{x | \\x <- S}").(*Comp); !ok {
@@ -114,7 +114,7 @@ func TestSetVsComprehension(t *testing.T) {
 	if c, ok := mustExpr(t, "{| x | \\x <- B |}").(*Comp); !ok || !c.Bag {
 		t.Error("{| x | ... |} should be a bag comprehension")
 	}
-	if _, ok := mustExpr(t, "{| 1, 2 |}").(*BagE); !ok {
+	if s, ok := mustExpr(t, "{| 1, 2 |}").(*SetE); !ok || !s.Bag {
 		t.Error("{|1,2|} should be a bag literal")
 	}
 }

@@ -97,9 +97,15 @@ func writeExpr(b *strings.Builder, e Expr, ctx int) {
 		}
 		b.WriteString(")")
 	case *SetE:
-		writeCollection(b, "{", "}", n.Elems)
-	case *BagE:
-		writeCollection(b, "{|", "|}", n.Elems)
+		open, close := braces(n.Bag)
+		b.WriteString(open)
+		for i, x := range n.Elems {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			writeExpr(b, x, 0)
+		}
+		b.WriteString(close)
 	case *ArrayE:
 		b.WriteString("[[")
 		if n.Dims != nil {
@@ -131,10 +137,7 @@ func writeExpr(b *strings.Builder, e Expr, ctx int) {
 		}
 		b.WriteString(" ]]")
 	case *Comp:
-		open, close := "{", "}"
-		if n.Bag {
-			open, close = "{|", "|}"
-		}
+		open, close := braces(n.Bag)
 		b.WriteString(open)
 		writeExpr(b, n.Head, 0)
 		b.WriteString(" | ")
@@ -246,15 +249,12 @@ func maybeParen(b *strings.Builder, ctx, prec int, f func()) {
 	}
 }
 
-func writeCollection(b *strings.Builder, open, close string, elems []Expr) {
-	b.WriteString(open)
-	for i, x := range elems {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		writeExpr(b, x, 0)
+// braces are the brackets of a set, or of a bag when bag.
+func braces(bag bool) (open, close string) {
+	if bag {
+		return "{|", "|}"
 	}
-	b.WriteString(close)
+	return "{", "}"
 }
 
 func writeQual(b *strings.Builder, q Qual) {

@@ -62,54 +62,56 @@ func (f Fragment) String() string {
 // types, lifted by [21]).
 func Check(e ast.Expr, f Fragment) error {
 	name := ast.NodeName(e)
-	switch e.(type) {
+	// The switch is on kinds, not Go types: a set construct and its bag
+	// analogue are one node type, told apart by KindOf.
+	switch ast.KindOf(e) {
 	// Available everywhere: functions, products, booleans, comparisons.
-	case *ast.Var, *ast.Lam, *ast.App, *ast.Tuple, *ast.Proj,
-		*ast.BoolLit, *ast.If, *ast.Cmp, *ast.StringLit, *ast.RealLit,
-		*ast.Get, *ast.Bottom:
+	case ast.KindVar, ast.KindLam, ast.KindApp, ast.KindTuple, ast.KindProj,
+		ast.KindBoolLit, ast.KindIf, ast.KindCmp, ast.KindStringLit, ast.KindRealLit,
+		ast.KindGet, ast.KindBottom:
 
 	// Set constructs: in all set-based fragments.
-	case *ast.EmptySet, *ast.Singleton, *ast.Union, *ast.BigUnion:
+	case ast.KindEmptySet, ast.KindSingleton, ast.KindUnion, ast.KindBigUnion:
 		if f == NBCr {
 			return fmt.Errorf("rank: %s is a set construct, outside %s", name, f)
 		}
 
 	// Naturals and arithmetic.
-	case *ast.NatLit, *ast.Arith:
+	case ast.KindNatLit, ast.KindArith:
 		if f == NRC {
 			return fmt.Errorf("rank: %s requires arithmetic, outside %s", name, f)
 		}
 
 	// Summation: NRC^aggr and above; definable in NRC_r/NBC_r, so allowed.
-	case *ast.Sum:
+	case ast.KindSum:
 		if f == NRC {
 			return fmt.Errorf("rank: summation is outside %s", f)
 		}
 
 	// gen: NRC^aggr(gen), NRC_r, NBC_r.
-	case *ast.Gen:
+	case ast.KindGen:
 		if f == NRC || f == NRCAggr {
 			return fmt.Errorf("rank: gen is outside %s", f)
 		}
 
 	// Ranked unions.
-	case *ast.RankUnion:
+	case ast.KindRankUnion:
 		if f != NRCr {
 			return fmt.Errorf("rank: ⋃_r is only in NRC_r, not %s", f)
 		}
-	case *ast.RankBagUnion:
+	case ast.KindRankBagUnion:
 		if f != NBCr {
 			return fmt.Errorf("rank: ⊎_r is only in NBC_r, not %s", f)
 		}
 
 	// Bag constructs.
-	case *ast.EmptyBag, *ast.SingletonBag, *ast.BagUnion, *ast.BigBagUnion:
+	case ast.KindEmptyBag, ast.KindSingletonBag, ast.KindBagUnion, ast.KindBigBagUnion:
 		if f != NBCr {
 			return fmt.Errorf("rank: %s is a bag construct, outside %s", name, f)
 		}
 
 	// Array constructs: never inside the array-free fragments.
-	case *ast.ArrayTab, *ast.Subscript, *ast.Dim, *ast.Index, *ast.MkArray:
+	case ast.KindArrayTab, ast.KindSubscript, ast.KindDim, ast.KindIndex, ast.KindMkArray:
 		return fmt.Errorf("rank: %s is an array construct, outside %s", name, f)
 
 	default:
@@ -279,11 +281,12 @@ func RankExpr(set ast.Expr) ast.Expr {
 // BagRankExpr is the NBC_r analogue over bags; equal elements receive
 // consecutive ranks.
 func BagRankExpr(bag ast.Expr) ast.Expr {
-	return &ast.RankBagUnion{
-		Head: &ast.SingletonBag{Elem: &ast.Tuple{Elems: []ast.Expr{
-			&ast.Var{Name: "x"}, &ast.Var{Name: "i"}}}},
+	return &ast.RankUnion{
+		Head: &ast.Singleton{Elem: &ast.Tuple{Elems: []ast.Expr{
+			&ast.Var{Name: "x"}, &ast.Var{Name: "i"}}}, Bag: true},
 		Var:     "x",
 		RankVar: "i",
 		Over:    bag,
+		Bag:     true,
 	}
 }

@@ -210,7 +210,7 @@ func zipEncoded(g, h ast.Expr) ast.Expr {
 	inner := bigU(&ast.If{
 		Cond: cmp(ast.OpEq, proj(1, 2, v("x")), proj(1, 2, v("y"))),
 		Then: sing(tup(proj(1, 2, v("x")), tup(proj(2, 2, v("x")), proj(2, 2, v("y"))))),
-		Else: &ast.EmptySet{},
+		Else: &ast.Empty{},
 	}, "y", h)
 	return bigU(inner, "x", g)
 }
@@ -316,7 +316,7 @@ func evenposNRCr(g ast.Expr) ast.Expr {
 	body := &ast.If{
 		Cond: cmp(ast.OpEq, arith(ast.OpMod, im1, nat(2)), nat(0)),
 		Then: sing(tup(arith(ast.OpDiv, im1, nat(2)), proj(2, 2, v("x")))),
-		Else: &ast.EmptySet{},
+		Else: &ast.Empty{},
 	}
 	return &ast.RankUnion{Head: body, Var: "x", RankVar: "i", Over: g}
 }

@@ -222,17 +222,21 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 		}
 		return elts[n.I-1], nil
 
-	case *ast.EmptySet:
-		return types.Set(c.newVar()), nil
+	case *ast.Empty:
+		return collection(n.Bag)(c.newVar()), nil
 
 	case *ast.Singleton:
 		t, err := c.infer(n.Elem, env)
 		if err != nil {
 			return nil, err
 		}
-		return types.Set(t), nil
+		return collection(n.Bag)(t), nil
 
 	case *ast.Union:
+		what := "union"
+		if n.Bag {
+			what = "bag union"
+		}
 		l, err := c.infer(n.L, env)
 		if err != nil {
 			return nil, err
@@ -241,31 +245,23 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.unify(l, r, "union"); err != nil {
+		if err := c.unify(l, r, what); err != nil {
 			return nil, err
 		}
-		if err := c.unify(l, types.Set(c.newVar()), "union"); err != nil {
+		if err := c.unify(l, collection(n.Bag)(c.newVar()), what); err != nil {
 			return nil, err
 		}
 		return l, nil
 
 	case *ast.BigUnion:
-		over, err := c.infer(n.Over, env)
-		if err != nil {
-			return nil, err
+		source, body := "big union source", "big union body"
+		if n.Bag {
+			source, body = "big bag union source", "big bag union body"
 		}
-		a := c.newVar()
-		if err := c.unify(over, types.Set(a), "big union source"); err != nil {
-			return nil, err
-		}
-		head, err := c.infer(n.Head, env.bind(n.Var, a))
-		if err != nil {
-			return nil, err
-		}
-		if err := c.unify(head, types.Set(c.newVar()), "big union body"); err != nil {
-			return nil, err
-		}
-		return head, nil
+		return c.bigUnion(n.Head, n.Var, "", n.Over, n.Bag, env, source, body)
+
+	case *ast.RankUnion:
+		return c.bigUnion(n.Head, n.Var, n.RankVar, n.Over, n.Bag, env, "ranked union source", "ranked union body")
 
 	case *ast.Get:
 		t, err := c.infer(n.Set, env)
@@ -454,81 +450,44 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 	case *ast.Bottom:
 		return c.newVar(), nil
 
-	case *ast.EmptyBag:
-		return types.Bag(c.newVar()), nil
-
-	case *ast.SingletonBag:
-		t, err := c.infer(n.Elem, env)
-		if err != nil {
-			return nil, err
-		}
-		return types.Bag(t), nil
-
-	case *ast.BagUnion:
-		l, err := c.infer(n.L, env)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.infer(n.R, env)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.unify(l, r, "bag union"); err != nil {
-			return nil, err
-		}
-		if err := c.unify(l, types.Bag(c.newVar()), "bag union"); err != nil {
-			return nil, err
-		}
-		return l, nil
-
-	case *ast.BigBagUnion:
-		over, err := c.infer(n.Over, env)
-		if err != nil {
-			return nil, err
-		}
-		a := c.newVar()
-		if err := c.unify(over, types.Bag(a), "big bag union source"); err != nil {
-			return nil, err
-		}
-		head, err := c.infer(n.Head, env.bind(n.Var, a))
-		if err != nil {
-			return nil, err
-		}
-		if err := c.unify(head, types.Bag(c.newVar()), "big bag union body"); err != nil {
-			return nil, err
-		}
-		return head, nil
-
-	case *ast.RankUnion:
-		return c.rank(n.Over, n.Var, n.RankVar, n.Head, env, false)
-
-	case *ast.RankBagUnion:
-		return c.rank(n.Over, n.Var, n.RankVar, n.Head, env, true)
 	}
 	return nil, fmt.Errorf("typecheck: unhandled node %s", ast.NodeName(e))
 }
 
-func (c *Checker) rank(over ast.Expr, varName, rankVar string, head ast.Expr, env *tenv, bag bool) (*types.Type, error) {
+// bigUnion types ⋃{ head | x ∈ over } (or ⊎ when bag), and its ranked form
+// when rankVar is set: over and head are collections of the node's sort,
+// and head is checked with x bound to an element of over and rankVar, if
+// any, to its nat rank.
+func (c *Checker) bigUnion(head ast.Expr, x, rankVar string, over ast.Expr, bag bool, env *tenv, sourceWhat, bodyWhat string) (*types.Type, error) {
+	coll := collection(bag)
 	ot, err := c.infer(over, env)
 	if err != nil {
 		return nil, err
 	}
 	a := c.newVar()
-	coll := types.Set
-	if bag {
-		coll = types.Bag
-	}
-	if err := c.unify(ot, coll(a), "ranked union source"); err != nil {
+	if err := c.unify(ot, coll(a), sourceWhat); err != nil {
 		return nil, err
 	}
-	ht, err := c.infer(head, env.bind(varName, a).bind(rankVar, types.Nat))
+	inner := env.bind(x, a)
+	if rankVar != "" {
+		inner = inner.bind(rankVar, types.Nat)
+	}
+	ht, err := c.infer(head, inner)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.unify(ht, coll(c.newVar()), "ranked union body"); err != nil {
+	if err := c.unify(ht, coll(c.newVar()), bodyWhat); err != nil {
 		return nil, err
 	}
 	return ht, nil
+}
+
+// collection is the type constructor of sets, or of bags when bag.
+func collection(bag bool) func(*types.Type) *types.Type {
+	if bag {
+		return types.Bag
+	}
+	return types.Set
 }
 
 // subscriptArity determines the dimensionality of a subscript from whatever
