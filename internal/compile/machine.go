@@ -266,3 +266,18 @@ func makeFrame(m *machine, ex *execution, slots, parks int) *frame {
 	buf := make([]object.Value, slots+parks)
 	return &frame{m: m, ex: ex, slots: buf[:slots:slots], park: buf[slots:]}
 }
+
+// framePad is the number of unused values on either side of a worker
+// frame's slots: 160 bytes, more than the two 64-byte cache lines an x86
+// core fetches together.
+const framePad = 2
+
+// workerFrame is makeFrame for a fan-out worker. A worker's scan writes its
+// slots on every element, so they sit between framePad unused values and no
+// other object (another worker's frame, or the code both workers read)
+// shares their cache lines; such sharing made a 2-worker 200,000-cell
+// tabulation up to 1.6 times slower in some processes.
+func workerFrame(m *machine, ex *execution, slots, parks int) *frame {
+	buf := make([]object.Value, framePad+slots+parks+framePad)[framePad:]
+	return &frame{m: m, ex: ex, slots: buf[:slots:slots], park: buf[slots : slots+parks : slots+parks]}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -240,10 +241,14 @@ func (s *fanSite) note(m *machine, n int, before int64) {
 // the scalar it returns into out[off-lo], which is still zero. Only the
 // slots whose index the row-major advance changed are rebound between
 // cells. ln is the scan's lane when it is a fan-out's, nil on a serial scan.
+// The multi-index, rewritten on every cell, lives on the scan's stack up to
+// four dimensions: a small heap copy can share a cache line with another
+// worker's, enough to make a 2-worker tabulation no faster than a serial one.
 func (t *tabCode) scan(fr *frame, shape []int, lo, hi int, out []object.Value, ln *lane) Partial {
 	p := Partial{Lo: int64(lo), Hi: int64(hi), BottomOff: -1}
 	slots := fr.slots
-	idx := unflatten(lo, shape)
+	var stack [4]int
+	idx := unflatten(stack[:0], lo, shape)
 	for j, s := range t.idxSlots {
 		slots[s] = object.Nat(int64(idx[j]))
 	}
@@ -277,9 +282,10 @@ func (t *tabCode) scan(fr *frame, shape []int, lo, hi int, out []object.Value, l
 	return p
 }
 
-// unflatten converts a row-major offset into a multi-index for shape.
-func unflatten(off int, shape []int) []int {
-	idx := make([]int, len(shape))
+// unflatten converts a row-major offset into a multi-index for shape, in
+// idx's storage when it has the room.
+func unflatten(idx []int, off int, shape []int) []int {
+	idx = slices.Grow(idx[:0], len(shape))[:len(shape)]
 	for d := len(shape) - 1; d >= 0; d-- {
 		if shape[d] > 0 {
 			idx[d] = off % shape[d]
@@ -392,7 +398,7 @@ func (m *machine) fanOut(fr *frame, site *fanSite, lo, hi, chunk int, bottomStop
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wfr := makeFrame(wm, fr.ex, len(fr.slots), len(fr.park))
+			wfr := workerFrame(wm, fr.ex, len(fr.slots), len(fr.park))
 			copy(wfr.slots, fr.slots)
 			ln := lane{first: &first, off: wlo}
 			t0 := time.Now()
