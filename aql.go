@@ -66,10 +66,11 @@ type Reader = env.Reader
 type Writer = env.Writer
 
 // Rule is an optimizer rewrite rule; register with AddRule. Its optional
-// Heads field lists the node kinds Apply can fire on, so the optimizer
-// offers the rule only those nodes; the built-in rules set it. A rule left
-// without Heads is tried at every node, in its place in the phase's rule
-// order, so registering one never changes which built-in rule fires first.
+// Match field states the rule's left side as patterns of node kinds, so
+// the optimizer offers the rule only the nodes they match; the built-in
+// rules set it. A rule left without Match is tried at every node, in its
+// place in the phase's rule order, so registering one never changes which
+// built-in rule fires first.
 type Rule = opt.Rule
 
 // Limits bounds the resources one query may consume: evaluator steps,

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/aqldb/aql/internal/ast"
+	"github.com/aqldb/aql/internal/opt"
 	"github.com/aqldb/aql/internal/repl"
 	"github.com/aqldb/aql/internal/server"
 	"github.com/aqldb/aql/internal/trace"
@@ -163,7 +164,7 @@ func TestAddRuleReachesStmt(t *testing.T) {
 	}
 	s.AddRule("normalize", Rule{
 		Name:  "one-is-two",
-		Heads: []ast.Kind{ast.KindNatLit},
+		Match: []opt.Pattern{opt.P(ast.KindNatLit)},
 		Apply: func(e Expr) (Expr, bool) {
 			if n, ok := e.(*ast.NatLit); ok && n.Val == 1 {
 				return &ast.NatLit{Val: 2}, true
@@ -366,7 +367,7 @@ func TestRuleFiringsPastTraceCap(t *testing.T) {
 	for _, flip := range [][2]int64{{7, 8}, {8, 7}} {
 		s.AddRule("normalize", Rule{
 			Name:  fmt.Sprintf("%d-to-%d", flip[0], flip[1]),
-			Heads: []ast.Kind{ast.KindNatLit},
+			Match: []opt.Pattern{opt.P(ast.KindNatLit)},
 			Apply: func(e Expr) (Expr, bool) {
 				if n, ok := e.(*ast.NatLit); ok && n.Val == flip[0] {
 					return &ast.NatLit{Val: flip[1]}, true

@@ -445,7 +445,7 @@ func BenchmarkAblationPhases(b *testing.B) {
 		mk   func() *opt.Optimizer
 	}{
 		{"none", nil},
-		{"normalize-only", opt.NewNormalizeOnly},
+		{"normalize-only", func() *opt.Optimizer { return &opt.Optimizer{Phases: opt.New().Phases[:1]} }},
 		{"full", opt.New},
 	}
 	for _, variant := range variants {

@@ -431,8 +431,9 @@ var (
 	_ Expr = (*Bottom)(nil)
 )
 
-// Kind identifies a node's constructor. The optimizer indexes its rules by
-// the kind of node they can rewrite (opt.Rule.Heads).
+// Kind identifies a node's constructor. The optimizer states each rule's
+// left side as a tree of kinds (opt.Pattern) and indexes its rules by the
+// kind at the root.
 type Kind uint8
 
 // The node kinds, one per constructor of the calculus: a collection node
@@ -509,15 +510,15 @@ func KindOf(e Expr) Kind {
 	case *Proj:
 		return KindProj
 	case *Empty:
-		return SetOrBag(n.Bag, KindEmptySet)
+		return setOrBag(n.Bag, KindEmptySet)
 	case *Singleton:
-		return SetOrBag(n.Bag, KindSingleton)
+		return setOrBag(n.Bag, KindSingleton)
 	case *Union:
-		return SetOrBag(n.Bag, KindUnion)
+		return setOrBag(n.Bag, KindUnion)
 	case *BigUnion:
-		return SetOrBag(n.Bag, KindBigUnion)
+		return setOrBag(n.Bag, KindBigUnion)
 	case *RankUnion:
-		return SetOrBag(n.Bag, KindRankUnion)
+		return setOrBag(n.Bag, KindRankUnion)
 	case *Get:
 		return KindGet
 	case *BoolLit:
@@ -560,8 +561,8 @@ var bagKind = [NumKinds]Kind{
 	KindBigUnion: KindBigBagUnion, KindRankUnion: KindRankBagUnion,
 }
 
-// SetOrBag is k, the kind of a set construct, or its bag analogue when bag.
-func SetOrBag(bag bool, k Kind) Kind {
+// setOrBag is k, the kind of a set construct, or its bag analogue when bag.
+func setOrBag(bag bool, k Kind) Kind {
 	if bag {
 		return bagKind[k]
 	}

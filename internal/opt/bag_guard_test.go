@@ -7,11 +7,12 @@ import (
 )
 
 // A set node and its bag analogue share one Go type, so a type assertion
-// alone would let a rule about sets rewrite a bag. Each row below is a
-// set-only rule's redex with one or more of its nodes in bag form; neither
-// the rule itself nor the whole optimizer may rewrite it. The twin rules
-// (union-empty, bigunion-empty, bigunion-singleton) fire on sets and bags
-// alike, but never on a mix of the two.
+// alone would let a rule about sets rewrite a bag; a rule's patterns tell
+// them apart by kind. Each row below is a set-only rule's redex with one
+// or more of its nodes in bag form; neither the rule, offered the term
+// through its patterns, nor the whole optimizer may rewrite it. The twin
+// rules (union-empty, bigunion-empty, bigunion-singleton) fire on sets and
+// bags alike, but never on a mix of the two.
 
 func bag(e ast.Expr) ast.Expr { return &ast.Singleton{Elem: e, Bag: true} }
 
@@ -105,6 +106,17 @@ var bagGuardCases = []struct {
 	}},
 }
 
+// offer gives e to r as a pass does: through the head index and r's
+// patterns, then r's Apply.
+func offer(r Rule, e ast.Expr) (ast.Expr, bool) {
+	fuel := 1
+	var buf ast.Buf
+	kids, _ := ast.Open(e, &buf)
+	byHead := newPhase("", []Rule{r}).byHead
+	out := (&rewrite{byHead: byHead, fuel: &fuel}).fire(e, kids, byHead[ast.KindOf(e)])
+	return out, out != nil
+}
+
 func TestSetRulesNeverFireOnBags(t *testing.T) {
 	rules := map[string]Rule{}
 	for _, r := range NormalizeRules() {
@@ -115,11 +127,11 @@ func TestSetRulesNeverFireOnBags(t *testing.T) {
 		if !ok {
 			t.Fatalf("no rule %q", tc.rule)
 		}
-		if _, fired := rule.Apply(tc.set); !fired {
+		if _, fired := offer(rule, tc.set); !fired {
 			t.Errorf("%s: does not fire on its set redex %s", tc.rule, tc.set)
 		}
 		for _, e := range tc.bags {
-			if out, fired := rule.Apply(e); fired {
+			if out, fired := offer(rule, e); fired {
 				t.Errorf("%s: fired on %s, giving %s", tc.rule, e, out)
 			}
 			var firings []string
@@ -127,6 +139,64 @@ func TestSetRulesNeverFireOnBags(t *testing.T) {
 			if len(firings) > 0 || !ast.AlphaEqual(got, e) {
 				t.Errorf("%s: optimizing %s fired %v, giving %s", tc.rule, e, firings, got)
 			}
+		}
+	}
+}
+
+func TestPatternMatches(t *testing.T) {
+	filterPromotion := P(ast.KindBigUnion, P(ast.KindIf, Any, Any, P(ast.KindEmptySet)))
+	for _, c := range []struct {
+		name string
+		p    Pattern
+		e    ast.Expr
+		want bool
+	}{
+		{"hole/var", Any, v("x"), true},
+		{"hole/bag", Any, bag(v("x")), true},
+		{"hole child", P(ast.KindApp, Any, P(ast.KindVar)), app(lam("x", v("x")), v("y")), true},
+		{"past Kids", P(ast.KindBigUnion), bigU(sing(v("x")), "x", v("S"), false), true},
+		{"past Kids, one given", P(ast.KindBigUnion, P(ast.KindSingleton)), bigU(sing(v("x")), "x", v("S"), false), true},
+		{"more Kids than children", P(ast.KindGet, Any, Any), &ast.Get{Set: v("S")}, false},
+		{"wrong root", P(ast.KindUnion), v("x"), false},
+		{"set kind on a bag", P(ast.KindSingleton), bag(v("x")), false},
+		{"bag kind on a set", P(ast.KindSingletonBag), sing(v("x")), false},
+		{"bag kind on a bag", P(ast.KindSingletonBag), bag(v("x")), true},
+		{"bag pattern, set child", P(ast.KindBigBagUnion, Any, P(ast.KindEmptyBag)), bigU(bag(v("x")), "x", emptySet, true), false},
+		{"depth 3", filterPromotion, bigU(ifc(v("c"), sing(v("x")), emptySet), "x", v("S"), false), true},
+		{"depth 3, bag leaf", filterPromotion, bigU(ifc(v("c"), sing(v("x")), emptyBag), "x", v("S"), false), false},
+		{"depth 3, other leaf", filterPromotion, bigU(ifc(v("c"), sing(v("x")), v("T")), "x", v("S"), false), false},
+		{"depth 3, bag root", filterPromotion, bigU(ifc(v("c"), sing(v("x")), emptySet), "x", v("S"), true), false},
+		{"depth 3, no If", filterPromotion, bigU(sing(v("x")), "x", v("S"), false), false},
+	} {
+		if got := c.p.matches(c.e); got != c.want {
+			t.Errorf("%s: %v matches %s = %v, want %v", c.name, c.p, c.e, got, c.want)
+		}
+	}
+}
+
+// TestBuiltinRulesStateTheirLeftSide checks that every standard rule has a
+// pattern, so the head index offers it only the nodes its Apply asserts.
+func TestBuiltinRulesStateTheirLeftSide(t *testing.T) {
+	for _, ph := range New().Phases {
+		for _, r := range ph.Rules {
+			if len(r.Match) == 0 {
+				t.Errorf("phase %s: rule %s has no Match", ph.Name, r.Name)
+			}
+		}
+	}
+}
+
+// TestNearMissesAreNotOffered optimizes terms whose root a rule's pattern
+// names but one of whose children it does not: the rule must not be
+// offered them, or its Apply, which asserts what the pattern fixes, would
+// panic.
+func TestNearMissesAreNotOffered(t *testing.T) {
+	for _, e := range []ast.Expr{
+		app(proj(1, 2, v("p")), sing(v("x"))),        // minmax-singleton's function is a name
+		ifc(v("c"), &ast.BoolLit{Val: true}, v("x")), // if-fold's else is a literal
+	} {
+		if got := optimize(e); !ast.AlphaEqual(got, e) {
+			t.Errorf("optimizing %s gave %s", e, got)
 		}
 	}
 }

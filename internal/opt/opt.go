@@ -20,6 +20,12 @@
 //  3. "motion" — code motion: loop-invariant collection-valued expressions
 //     are hoisted out of tabulation and set-loop bodies.
 //
+// Every rule states its left side once, as data: Rule.Match is a list of
+// patterns, trees of node kinds (ast.Kind) with holes. Each phase indexes
+// its rules by the patterns' root kinds, and a pass offers a rule a node
+// only when one of its patterns matches, so a rule's Apply checks only
+// what a kind tree cannot say, and no rule about sets can fire on a bag.
+//
 // An Optimizer is one rule base, never changed once built: WithRule derives
 // an extended copy, so a plan that optimized with one optimizer saw exactly
 // its rules, and concurrent Optimize calls share it without a lock. Rule
@@ -39,45 +45,142 @@ import (
 	"github.com/aqldb/aql/internal/ast"
 )
 
-// Rule is a single rewrite rule. Apply inspects the root of e and either
-// returns the rewritten expression with fired = true, or e unchanged.
+// Rule is a single rewrite rule: a left side stated as data (Match) and a
+// right side in Go (Apply), which returns the rewritten expression with
+// fired = true, or e unchanged.
 //
-// Heads optionally lists the node kinds Apply can fire on, and the
-// optimizer then offers the rule only nodes of those kinds; a rule must not
-// list Heads that leave out a kind it fires on. A rule without Heads (any
-// rule registered through aql.Session.AddRule that does not set them) is
-// tried at every node. Either way a node's candidate rules are tried in
-// their slice order, so Heads decides which rules are skipped, never which
-// rule fires first.
+// The optimizer offers a rule a node only when one of its Match patterns
+// matches it, so Apply may assert without checking every node type a
+// pattern fixes; it checks only what a kind tree cannot say (alpha
+// equality, free variables, arities, names). A rule without Match (a rule
+// registered through aql.Session.AddRule that does not set it) is tried at
+// every node. Either way a node's candidate rules are tried in their slice
+// order, so Match decides which rules are skipped, never which rule fires
+// first.
 type Rule struct {
 	Name  string
-	Heads []ast.Kind
+	Match []Pattern
 	Apply func(e ast.Expr) (out ast.Expr, fired bool)
 }
 
+// Pattern is a tree of node kinds that a term matches when its root is of
+// kind Kind and its i-th child, in ast.Open's order, matches Kids[i]. A
+// child past len(Kids) matches any term. A pattern of KindOther, such as
+// the zero Pattern Any, is a hole: it matches any term.
+type Pattern struct {
+	Kind ast.Kind
+	Kids []Pattern
+}
+
+// Any is the hole: the zero Pattern.
+var Any Pattern
+
+// P returns the pattern of a k node whose leading children match kids.
+func P(k ast.Kind, kids ...Pattern) Pattern { return Pattern{Kind: k, Kids: kids} }
+
+// matches reports whether e matches p.
+func (p *Pattern) matches(e ast.Expr) bool {
+	if p.Kind == ast.KindOther {
+		return true
+	}
+	if ast.KindOf(e) != p.Kind {
+		return false
+	}
+	if len(p.Kids) == 0 {
+		return true
+	}
+	var buf ast.Buf
+	kids, _ := ast.Open(e, &buf)
+	return p.fits(&children{kids: kids})
+}
+
+// fits reports whether c, the children of a node whose kind the caller
+// has already compared with p's, match p's child patterns.
+func (p *Pattern) fits(c *children) bool {
+	if len(p.Kids) > len(c.kids) {
+		return false
+	}
+	for i := range p.Kids {
+		q := &p.Kids[i]
+		if q.Kind == ast.KindOther {
+			continue
+		}
+		if c.kind(i) != q.Kind || len(q.Kids) > 0 && !q.matches(c.kids[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// children is a node's children with the kinds of the leading ones kept
+// once computed: a node's candidate rules mostly compare the same child.
+type children struct {
+	kids []ast.Expr
+	// kinds holds 1 + the kind of each leading child, 0 until computed.
+	kinds [3]ast.Kind
+}
+
+func (c *children) kind(i int) ast.Kind {
+	if i < len(c.kinds) && c.kinds[i] != 0 {
+		return c.kinds[i] - 1
+	}
+	k := ast.KindOf(c.kids[i])
+	if i < len(c.kinds) {
+		c.kinds[i] = 1 + k
+	}
+	return k
+}
+
 // Phase is a named, ordered rule base applied to a fixpoint, with its rules
-// indexed by head. Phases are built by New, NewNormalizeOnly and WithRule
-// and never changed afterwards.
+// indexed by the root kinds of their patterns. Phases are built by New and
+// WithRule and never changed afterwards.
 type Phase struct {
 	Name  string
 	Rules []Rule
 
 	// byHead holds, for each node kind, the rules that can fire on it, in
 	// slice order.
-	byHead *[ast.NumKinds][]Rule
+	byHead *[ast.NumKinds][]candidate
+}
+
+// candidate is a rule offered the nodes of one kind whose children one of
+// lhs, the rule's patterns rooted at that kind, fits. A rule with a
+// pattern that names none of the children, a rule without Match included,
+// has lhs nil and is offered every node of the kind.
+type candidate struct {
+	Rule
+	lhs []Pattern
+}
+
+// offered reports whether c is offered a node whose children are kids.
+func (c *candidate) offered(kids *children) bool {
+	for i := range c.lhs {
+		if c.lhs[i].fits(kids) {
+			return true
+		}
+	}
+	return c.lhs == nil
 }
 
 func newPhase(name string, rules []Rule) Phase {
-	byHead := new([ast.NumKinds][]Rule)
+	byHead := new([ast.NumKinds][]candidate)
 	for _, r := range rules {
-		if len(r.Heads) == 0 {
-			for k := range byHead {
-				byHead[k] = append(byHead[k], r)
+		for k := range byHead {
+			var lhs []Pattern
+			whole := len(r.Match) == 0 // a pattern matches every k node
+			for _, p := range r.Match {
+				switch {
+				case p.Kind == ast.KindOther || p.Kind == ast.Kind(k) && len(p.Kids) == 0:
+					whole = true
+				case p.Kind == ast.Kind(k):
+					lhs = append(lhs, p)
+				}
 			}
-			continue
-		}
-		for _, k := range r.Heads {
-			byHead[k] = append(byHead[k], r)
+			if whole {
+				byHead[k] = append(byHead[k], candidate{r, nil})
+			} else if lhs != nil {
+				byHead[k] = append(byHead[k], candidate{r, lhs})
+			}
 		}
 	}
 	return Phase{Name: name, Rules: rules, byHead: byHead}
@@ -90,9 +193,14 @@ func newPhase(name string, rules []Rule) Phase {
 type Optimizer struct {
 	Phases []Phase
 	// MaxApplications bounds the total number of rule firings per
-	// Optimize call, guarding against non-terminating user rules.
+	// Optimize call, guarding against non-terminating user rules; zero
+	// means defaultFuel.
 	MaxApplications int
 }
+
+// defaultFuel is the firing budget of an Optimizer whose MaxApplications
+// is not positive.
+const defaultFuel = 100000
 
 // New returns the standard three-phase optimizer.
 func New() *Optimizer {
@@ -106,16 +214,6 @@ func New() *Optimizer {
 			newPhase("renormalize", NormalizeRules()),
 			newPhase("motion", MotionRules()),
 		},
-		MaxApplications: 100000,
-	}
-}
-
-// NewNormalizeOnly returns an optimizer with just the normalization phase;
-// used by the benchmarks to isolate phase effects.
-func NewNormalizeOnly() *Optimizer {
-	return &Optimizer{
-		Phases:          []Phase{newPhase("normalize", NormalizeRules())},
-		MaxApplications: 100000,
 	}
 }
 
@@ -139,10 +237,10 @@ func (o *Optimizer) WithRule(phase string, r Rule) *Optimizer {
 // application budget runs out the current state is returned.
 //
 // Rule application order is deterministic: phases run in slice order, and
-// at every node of a bottom-up traversal the phase's rules that can fire
-// on the node's kind (Rule.Heads; every rule without Heads) are tried in
-// slice order, the first matching rule winning. Two Optimize calls on equal
-// inputs therefore produce identical rewrites AND identical firing
+// at every node of a bottom-up traversal the phase's rules with a pattern
+// that matches the node (Rule.Match; every rule without Match) are tried
+// in slice order, the first rule that fires winning. Two Optimize calls on
+// equal inputs therefore produce identical rewrites AND identical firing
 // sequences — which is what makes EXPLAIN output stable and diffable.
 func (o *Optimizer) Optimize(e ast.Expr) ast.Expr {
 	return o.OptimizeTraced(e, nil)
@@ -158,7 +256,7 @@ func (o *Optimizer) Optimize(e ast.Expr) ast.Expr {
 func (o *Optimizer) OptimizeTraced(e ast.Expr, hook func(phase, rule string, nodesBefore, nodesAfter int)) ast.Expr {
 	fuel := o.MaxApplications
 	if fuel <= 0 {
-		fuel = 100000
+		fuel = defaultFuel
 	}
 	for _, ph := range o.Phases {
 		r := &rewrite{phase: ph.Name, byHead: ph.byHead, fuel: &fuel, hook: hook}
@@ -170,7 +268,7 @@ func (o *Optimizer) OptimizeTraced(e ast.Expr, hook func(phase, rule string, nod
 // rewrite is one phase of one Optimize call.
 type rewrite struct {
 	phase  string
-	byHead *[ast.NumKinds][]Rule
+	byHead *[ast.NumKinds][]candidate
 	fuel   *int
 	hook   func(string, string, int, int)
 	// capped is set when a node of the current pass used up its
@@ -217,34 +315,51 @@ func (r *rewrite) pass(e ast.Expr) ast.Expr {
 	}
 	if newKids != nil {
 		e = ast.Rebuild(e, newKids)
+		kids = newKids
 	}
 	for local := 0; *r.fuel > 0; local++ {
 		if local == maxLocalRounds {
 			r.capped = true
 			break
 		}
-		fired := false
-		for _, rule := range r.byHead[ast.KindOf(e)] {
-			out, ok := rule.Apply(e)
-			if !ok {
-				continue
-			}
-			*r.fuel--
-			if r.hook != nil {
-				// Node counts are subtree-local: the firing rewrote e
-				// into out, and counting those two subtrees is cheap
-				// relative to the rewrite itself.
-				r.hook(r.phase, rule.Name, ast.CountNodes(e), ast.CountNodes(out))
-			}
-			fired = true
-			// The rewrite may expose redexes below the new root; re-run
-			// the bottom-up pass on it.
-			e = r.pass(out)
+		cands := r.byHead[ast.KindOf(e)]
+		if len(cands) == 0 {
 			break
 		}
-		if !fired {
+		next := r.fire(e, kids, cands)
+		if next == nil {
 			break
 		}
+		// The rewrite may expose redexes below the new root; re-run the
+		// bottom-up pass on it.
+		e = r.pass(next)
+		kids, _ = ast.Open(e, &buf)
 	}
 	return e
+}
+
+// fire applies the first of cands, the phase's rules for e's kind, that is
+// offered e, whose children are kids, and fires, and returns its result,
+// or nil if none fires.
+func (r *rewrite) fire(e ast.Expr, kids []ast.Expr, cands []candidate) ast.Expr {
+	ch := children{kids: kids}
+	for i := range cands {
+		c := &cands[i]
+		if !c.offered(&ch) {
+			continue
+		}
+		out, ok := c.Apply(e)
+		if !ok {
+			continue
+		}
+		*r.fuel--
+		if r.hook != nil {
+			// Node counts are subtree-local: the firing rewrote e into
+			// out, and counting those two subtrees is cheap relative to
+			// the rewrite itself.
+			r.hook(r.phase, c.Name, ast.CountNodes(e), ast.CountNodes(out))
+		}
+		return out
+	}
+	return nil
 }

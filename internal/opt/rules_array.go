@@ -8,11 +8,11 @@ import (
 // generalized to k dimensions, plus literal-array folding.
 func ArrayRules() []Rule {
 	return []Rule{
-		{Name: "beta-p", Heads: []ast.Kind{ast.KindSubscript}, Apply: betaPRule},
-		{Name: "eta-p", Heads: []ast.Kind{ast.KindArrayTab}, Apply: etaPRule},
-		{Name: "delta-p", Heads: []ast.Kind{ast.KindDim}, Apply: deltaPRule},
-		{Name: "mkarray-dim", Heads: []ast.Kind{ast.KindDim}, Apply: mkArrayDimRule},
-		{Name: "mkarray-sub", Heads: []ast.Kind{ast.KindSubscript}, Apply: mkArraySubRule},
+		{Name: "beta-p", Match: []Pattern{P(ast.KindSubscript, P(ast.KindArrayTab))}, Apply: betaPRule},
+		{Name: "eta-p", Match: []Pattern{P(ast.KindArrayTab, P(ast.KindSubscript))}, Apply: etaPRule},
+		{Name: "delta-p", Match: []Pattern{P(ast.KindDim, P(ast.KindArrayTab))}, Apply: deltaPRule},
+		{Name: "mkarray-dim", Match: []Pattern{P(ast.KindDim, P(ast.KindMkArray))}, Apply: mkArrayDimRule},
+		{Name: "mkarray-sub", Match: []Pattern{P(ast.KindSubscript, P(ast.KindMkArray))}, Apply: mkArraySubRule},
 	}
 }
 
@@ -29,14 +29,8 @@ func ArrayRules() []Rule {
 // The rule saves time and space by avoiding materialization of the
 // intermediary array (section 5).
 func betaPRule(e ast.Expr) (ast.Expr, bool) {
-	sub, ok := e.(*ast.Subscript)
-	if !ok {
-		return e, false
-	}
-	tab, ok := sub.Arr.(*ast.ArrayTab)
-	if !ok {
-		return e, false
-	}
+	sub := e.(*ast.Subscript)
+	tab := sub.Arr.(*ast.ArrayTab)
 	k := len(tab.Idx)
 	// Per-dimension index expressions.
 	idxExprs := make([]ast.Expr, k)
@@ -91,15 +85,9 @@ func betaPRule(e ast.Expr) (ast.Expr, bool) {
 // be π_{j,k}(dim_k(e)), with the index variables not free in e. The rule
 // avoids retabulating an existing array (section 5).
 func etaPRule(e ast.Expr) (ast.Expr, bool) {
-	tab, ok := e.(*ast.ArrayTab)
-	if !ok {
-		return e, false
-	}
+	tab := e.(*ast.ArrayTab)
 	k := len(tab.Idx)
-	sub, ok := tab.Head.(*ast.Subscript)
-	if !ok {
-		return e, false
-	}
+	sub := tab.Head.(*ast.Subscript)
 	arr := sub.Arr
 	// The index variables must not be free in the subject array.
 	for _, iv := range tab.Idx {
@@ -152,12 +140,9 @@ func etaPRule(e ast.Expr) (ast.Expr, bool) {
 // paper's optimizer, we apply it unconditionally and accept that a query
 // whose sole effect was a ⊥ buried in a dead tabulation loses it.
 func deltaPRule(e ast.Expr) (ast.Expr, bool) {
-	d, ok := e.(*ast.Dim)
-	if !ok {
-		return e, false
-	}
-	tab, ok := d.Arr.(*ast.ArrayTab)
-	if !ok || len(tab.Idx) != d.K {
+	d := e.(*ast.Dim)
+	tab := d.Arr.(*ast.ArrayTab)
+	if len(tab.Idx) != d.K {
 		return e, false
 	}
 	if d.K == 1 {
@@ -172,12 +157,9 @@ func deltaPRule(e ast.Expr) (ast.Expr, bool) {
 // is well-formed (dimension expressions are literals whose product matches
 // the element count).
 func mkArrayDimRule(e ast.Expr) (ast.Expr, bool) {
-	d, ok := e.(*ast.Dim)
-	if !ok {
-		return e, false
-	}
-	mk, ok := d.Arr.(*ast.MkArray)
-	if !ok || len(mk.Dims) != d.K {
+	d := e.(*ast.Dim)
+	mk := d.Arr.(*ast.MkArray)
+	if len(mk.Dims) != d.K {
 		return e, false
 	}
 	dims, ok := literalDims(mk)
@@ -204,14 +186,8 @@ func mkArrayDimRule(e ast.Expr) (ast.Expr, bool) {
 // mkArraySubRule: [[n1,...,nk; e0,...]][c] ~> e_offset for constant
 // in-bounds subscripts of well-formed literals.
 func mkArraySubRule(e ast.Expr) (ast.Expr, bool) {
-	sub, ok := e.(*ast.Subscript)
-	if !ok {
-		return e, false
-	}
-	mk, ok := sub.Arr.(*ast.MkArray)
-	if !ok {
-		return e, false
-	}
+	sub := e.(*ast.Subscript)
+	mk := sub.Arr.(*ast.MkArray)
 	dims, ok := literalDims(mk)
 	if !ok {
 		return e, false

@@ -20,18 +20,18 @@ import (
 // variable of the known-true condition is left alone.
 func ConstraintRules() []Rule {
 	return []Rule{
-		{Name: "tab-bound-elim", Heads: []ast.Kind{ast.KindArrayTab}, Apply: tabBoundElimRule},
-		{Name: "gen-bound-elim", Heads: []ast.Kind{ast.KindBigUnion, ast.KindBigBagUnion, ast.KindSum}, Apply: genBoundElimRule},
-		{Name: "if-cond-elim", Heads: []ast.Kind{ast.KindIf}, Apply: ifCondElimRule},
+		{Name: "tab-bound-elim", Match: []Pattern{P(ast.KindArrayTab)}, Apply: tabBoundElimRule},
+		{Name: "gen-bound-elim", Match: []Pattern{
+			P(ast.KindBigUnion, Any, P(ast.KindGen)), P(ast.KindBigBagUnion, Any, P(ast.KindGen)),
+			P(ast.KindSum, Any, P(ast.KindGen)),
+		}, Apply: genBoundElimRule},
+		{Name: "if-cond-elim", Match: []Pattern{P(ast.KindIf)}, Apply: ifCondElimRule},
 	}
 }
 
 // tabBoundElimRule replaces i_j < e_j inside a tabulation head with true.
 func tabBoundElimRule(e ast.Expr) (ast.Expr, bool) {
-	tab, ok := e.(*ast.ArrayTab)
-	if !ok {
-		return e, false
-	}
+	tab := e.(*ast.ArrayTab)
 	head := tab.Head
 	fired := false
 	for j, iv := range tab.Idx {
@@ -48,30 +48,16 @@ func tabBoundElimRule(e ast.Expr) (ast.Expr, bool) {
 }
 
 // genBoundElimRule replaces i < e inside the body of a loop over gen(e)
-// with true (set and bag unions and summation).
+// with true (set and bag unions and summation). The loop's body is child
+// 0, bound by its variable, and its source child 1.
 func genBoundElimRule(e ast.Expr) (ast.Expr, bool) {
-	var head ast.Expr
-	var varName string
-	var over ast.Expr
-	switch n := e.(type) {
-	case *ast.BigUnion:
-		head, varName, over = n.Head, n.Var, n.Over
-	case *ast.Sum:
-		head, varName, over = n.Head, n.Var, n.Over
-	default:
-		return e, false
-	}
-	g, ok := over.(*ast.Gen)
-	if !ok {
-		return e, false
-	}
-	check := &ast.Cmp{Op: ast.OpLt, L: &ast.Var{Name: varName}, R: g.N}
-	newHead, count := replaceBool(head, check, true)
+	var buf, out ast.Buf
+	kids, binders := ast.Open(e, &buf)
+	check := &ast.Cmp{Op: ast.OpLt, L: &ast.Var{Name: binders[0][0]}, R: kids[1].(*ast.Gen).N}
+	newHead, count := replaceBool(kids[0], check, true)
 	if count == 0 {
 		return e, false
 	}
-	var buf, out ast.Buf
-	kids, _ := ast.Open(e, &buf)
 	newKids := out.Copy(kids)
 	newKids[0] = newHead
 	return ast.Rebuild(e, newKids), true
@@ -80,10 +66,7 @@ func genBoundElimRule(e ast.Expr) (ast.Expr, bool) {
 // ifCondElimRule replaces occurrences of the condition inside the branches
 // of a conditional with the known constant.
 func ifCondElimRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := e.(*ast.If)
-	if !ok {
-		return e, false
-	}
+	n := e.(*ast.If)
 	if _, isLit := n.Cond.(*ast.BoolLit); isLit {
 		return e, false // nothing informative to propagate
 	}

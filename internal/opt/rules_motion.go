@@ -12,13 +12,15 @@ import (
 // normalization phase deliberately refuses to re-inline such bindings, so
 // hoisted work stays hoisted.
 func MotionRules() []Rule {
-	return []Rule{
-		{Name: "loop-invariant-hoist", Heads: loopKinds, Apply: hoistRule},
+	hoist := Rule{Name: "loop-invariant-hoist", Apply: hoistRule}
+	for _, k := range loopKinds {
+		hoist.Match = append(hoist.Match, P(k))
 	}
+	return []Rule{hoist}
 }
 
-// loopKinds are the kinds hoistRule rewrites: the loops, whose child 0 is
-// the body evaluated once per element.
+// loopKinds are the loops, whose child 0 is the body evaluated once per
+// element: the kinds hoistRule rewrites.
 var loopKinds = []ast.Kind{ast.KindBigUnion, ast.KindBigBagUnion, ast.KindSum,
 	ast.KindRankUnion, ast.KindRankBagUnion, ast.KindArrayTab}
 
@@ -37,9 +39,6 @@ var loopKinds = []ast.Kind{ast.KindBigUnion, ast.KindBigBagUnion, ast.KindSum,
 // hoisted binding does. If E is ⊥, the optimized query is ⊥ where the
 // unoptimized one was the empty collection or array.
 func hoistRule(e ast.Expr) (ast.Expr, bool) {
-	if !slices.Contains(loopKinds, ast.KindOf(e)) {
-		return e, false
-	}
 	// A loop's body is child 0, bound by the loop's own variables.
 	var buf ast.Buf
 	kids, binders := ast.Open(e, &buf)

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"slices"
+
 	"github.com/aqldb/aql/internal/ast"
 	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
@@ -12,35 +14,50 @@ import (
 // extension of NRC with arithmetic [18].
 func NormalizeRules() []Rule {
 	rules := []Rule{
-		{Name: "beta", Heads: []ast.Kind{ast.KindApp}, Apply: betaRule},
-		{Name: "pi", Heads: []ast.Kind{ast.KindProj}, Apply: piRule},
-		{Name: "if-fold", Heads: []ast.Kind{ast.KindIf}, Apply: ifFoldRule},
-		{Name: "union-empty", Heads: []ast.Kind{ast.KindUnion, ast.KindBagUnion}, Apply: unionEmptyRule},
-		{Name: "union-idempotent", Heads: []ast.Kind{ast.KindUnion}, Apply: unionIdempotentRule},
-		{Name: "minmax-singleton", Heads: []ast.Kind{ast.KindApp}, Apply: minMaxSingletonRule},
-		{Name: "bigunion-empty", Heads: []ast.Kind{ast.KindBigUnion, ast.KindBigBagUnion}, Apply: bigUnionEmptyRule},
-		{Name: "bigunion-singleton", Heads: []ast.Kind{ast.KindBigUnion, ast.KindBigBagUnion}, Apply: bigUnionSingletonRule},
-		{Name: "bigunion-union", Heads: []ast.Kind{ast.KindBigUnion}, Apply: bigUnionUnionRule},
-		{Name: "vertical-fusion", Heads: []ast.Kind{ast.KindBigUnion}, Apply: verticalFusionRule},
-		{Name: "horizontal-fusion", Heads: []ast.Kind{ast.KindUnion}, Apply: horizontalFusionRule},
-		{Name: "filter-promotion", Heads: []ast.Kind{ast.KindBigUnion}, Apply: filterPromotionRule},
-		{Name: "if-source-hoist", Heads: []ast.Kind{ast.KindBigUnion}, Apply: ifSourceHoistRule},
-		{Name: "get-singleton", Heads: []ast.Kind{ast.KindGet}, Apply: getSingletonRule},
-		{Name: "sum-empty", Heads: []ast.Kind{ast.KindSum}, Apply: sumEmptyRule},
-		{Name: "sum-singleton", Heads: []ast.Kind{ast.KindSum}, Apply: sumSingletonRule},
-		{Name: "const-fold-arith", Heads: []ast.Kind{ast.KindArith}, Apply: constFoldArithRule},
-		{Name: "const-fold-cmp", Heads: []ast.Kind{ast.KindCmp}, Apply: constFoldCmpRule},
+		{Name: "beta", Match: []Pattern{P(ast.KindApp, P(ast.KindLam))}, Apply: betaRule},
+		{Name: "pi", Match: []Pattern{P(ast.KindProj, P(ast.KindTuple))}, Apply: piRule},
+		ifFold,
+		{Name: "union-empty", Match: []Pattern{
+			P(ast.KindUnion, P(ast.KindEmptySet)), P(ast.KindUnion, Any, P(ast.KindEmptySet)),
+			P(ast.KindBagUnion, P(ast.KindEmptyBag)), P(ast.KindBagUnion, Any, P(ast.KindEmptyBag)),
+		}, Apply: unionEmptyRule},
+		{Name: "union-idempotent", Match: []Pattern{P(ast.KindUnion)}, Apply: unionIdempotentRule},
+		{Name: "minmax-singleton", Match: []Pattern{P(ast.KindApp, P(ast.KindVar), P(ast.KindSingleton))}, Apply: minMaxSingletonRule},
+		{Name: "bigunion-empty", Match: []Pattern{
+			P(ast.KindBigUnion, Any, P(ast.KindEmptySet)), P(ast.KindBigUnion, P(ast.KindEmptySet)),
+			P(ast.KindBigBagUnion, Any, P(ast.KindEmptyBag)), P(ast.KindBigBagUnion, P(ast.KindEmptyBag)),
+		}, Apply: bigUnionEmptyRule},
+		{Name: "bigunion-singleton", Match: []Pattern{
+			P(ast.KindBigUnion, Any, P(ast.KindSingleton)), P(ast.KindBigBagUnion, Any, P(ast.KindSingletonBag)),
+		}, Apply: bigUnionSingletonRule},
+		{Name: "bigunion-union", Match: []Pattern{P(ast.KindBigUnion, Any, P(ast.KindUnion))}, Apply: bigUnionUnionRule},
+		{Name: "vertical-fusion", Match: []Pattern{P(ast.KindBigUnion, Any, P(ast.KindBigUnion))}, Apply: verticalFusionRule},
+		{Name: "horizontal-fusion", Match: []Pattern{P(ast.KindUnion, P(ast.KindBigUnion), P(ast.KindBigUnion))}, Apply: horizontalFusionRule},
+		{Name: "filter-promotion", Match: []Pattern{
+			P(ast.KindBigUnion, P(ast.KindIf, Any, Any, P(ast.KindEmptySet))),
+		}, Apply: filterPromotionRule},
+		{Name: "if-source-hoist", Match: []Pattern{P(ast.KindBigUnion, Any, P(ast.KindIf))}, Apply: ifSourceHoistRule},
+		{Name: "get-singleton", Match: []Pattern{P(ast.KindGet, P(ast.KindSingleton))}, Apply: getSingletonRule},
+		{Name: "sum-empty", Match: []Pattern{P(ast.KindSum, Any, P(ast.KindEmptySet))}, Apply: sumEmptyRule},
+		{Name: "sum-singleton", Match: []Pattern{P(ast.KindSum, Any, P(ast.KindSingleton))}, Apply: sumSingletonRule},
+		{Name: "const-fold-arith", Match: []Pattern{P(ast.KindArith)}, Apply: constFoldArithRule},
+		constFoldCmp,
 	}
 	return append(rules, ArrayRules()...)
 }
 
+// The two rules the normalization and constraint phases share.
+var (
+	ifFold = Rule{Name: "if-fold", Match: []Pattern{
+		P(ast.KindIf, P(ast.KindBoolLit)), P(ast.KindIf, Any, P(ast.KindBoolLit), P(ast.KindBoolLit)),
+	}, Apply: ifFoldRule}
+	constFoldCmp = Rule{Name: "const-fold-cmp", Match: []Pattern{P(ast.KindCmp)}, Apply: constFoldCmpRule}
+)
+
 // CleanupRules returns the conditional-folding subset, used by the
 // constraint-elimination phase to consume introduced true/false constants.
 func CleanupRules() []Rule {
-	return []Rule{
-		{Name: "if-fold", Heads: []ast.Kind{ast.KindIf}, Apply: ifFoldRule},
-		{Name: "const-fold-cmp", Heads: []ast.Kind{ast.KindCmp}, Apply: constFoldCmpRule},
-	}
+	return []Rule{ifFold, constFoldCmp}
 }
 
 // --- β with a work-duplication guard ------------------------------------------
@@ -50,14 +67,8 @@ func CleanupRules() []Rule {
 // tabulation or lambda (which further rules consume), or if x is used at
 // most once outside loop bodies.
 func betaRule(e ast.Expr) (ast.Expr, bool) {
-	app, ok := e.(*ast.App)
-	if !ok {
-		return e, false
-	}
-	lam, ok := app.Fn.(*ast.Lam)
-	if !ok {
-		return e, false
-	}
+	app := e.(*ast.App)
+	lam := app.Fn.(*ast.Lam)
 	if inlineOK(app.Arg) || occurrences(lam.Body, lam.Param, false) <= 1 {
 		return ast.Subst(lam.Body, lam.Param, app.Arg), true
 	}
@@ -126,8 +137,7 @@ func occurrences(e ast.Expr, name string, inLoop bool) int {
 	var buf ast.Buf
 	kids, binders := ast.Open(e, &buf)
 	loopHead := -1
-	switch e.(type) {
-	case *ast.BigUnion, *ast.Sum, *ast.RankUnion, *ast.ArrayTab:
+	if slices.Contains(loopKinds, ast.KindOf(e)) {
 		loopHead = 0 // child 0 is the body evaluated per element
 	}
 	total := 0
@@ -151,12 +161,9 @@ func occurrences(e ast.Expr, name string, inLoop bool) int {
 
 // piRule implements π_{i,k}(e1, ..., ek) ~> ei.
 func piRule(e ast.Expr) (ast.Expr, bool) {
-	p, ok := e.(*ast.Proj)
-	if !ok {
-		return e, false
-	}
-	t, ok := p.Tuple.(*ast.Tuple)
-	if !ok || len(t.Elems) != p.K {
+	p := e.(*ast.Proj)
+	t := p.Tuple.(*ast.Tuple)
+	if len(t.Elems) != p.K {
 		return e, false
 	}
 	return t.Elems[p.I-1], true
@@ -167,19 +174,14 @@ func piRule(e ast.Expr) (ast.Expr, bool) {
 // ifFoldRule folds conditionals with constant conditions and the
 // if-c-then-true-else-false idiom.
 func ifFoldRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := e.(*ast.If)
-	if !ok {
-		return e, false
-	}
+	n := e.(*ast.If)
 	if b, ok := n.Cond.(*ast.BoolLit); ok {
 		if b.Val {
 			return n.Then, true
 		}
 		return n.Else, true
 	}
-	tb, okT := n.Then.(*ast.BoolLit)
-	eb, okE := n.Else.(*ast.BoolLit)
-	if okT && okE && tb.Val && !eb.Val {
+	if n.Then.(*ast.BoolLit).Val && !n.Else.(*ast.BoolLit).Val {
 		// if c then true else false ~> c
 		return n.Cond, true
 	}
@@ -188,44 +190,23 @@ func ifFoldRule(e ast.Expr) (ast.Expr, bool) {
 
 // --- sets -----------------------------------------------------------------------
 
-// A set node and its bag analogue share one Go type, so every guard on a
-// collection node goes through match, which compares kinds, never through
-// a bare type assertion: no set rule may fire on a bag. The rules stated
-// for both forms take their outer node by type and match each inner node
-// against the outer node's form, ast.SetOrBag(n.Bag, ...).
-
-// match returns e as a T when e is of kind k.
-func match[T ast.Expr](e ast.Expr, k ast.Kind) (T, bool) {
-	if ast.KindOf(e) != k {
-		var zero T
-		return zero, false
-	}
-	return e.(T), true
-}
+// A set node and its bag analogue share one Go type but not one kind, so
+// a rule's patterns, not its Apply, tell a set from a bag: the rules
+// stated for both forms list one pattern per form.
 
 // unionEmptyRule: {} ∪ e ~> e and e ∪ {} ~> e (and the bag analogues).
 func unionEmptyRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := e.(*ast.Union)
-	if !ok {
-		return e, false
-	}
-	empty := ast.SetOrBag(n.Bag, ast.KindEmptySet)
-	if _, ok := match[*ast.Empty](n.L, empty); ok {
+	n := e.(*ast.Union)
+	if _, ok := n.L.(*ast.Empty); ok {
 		return n.R, true
 	}
-	if _, ok := match[*ast.Empty](n.R, empty); ok {
-		return n.L, true
-	}
-	return e, false
+	return n.L, true
 }
 
 // unionIdempotentRule: e ∪ e ~> e (sets are idempotent; bags are not).
 // Syntactic (alpha) equality only — the general problem is undecidable.
 func unionIdempotentRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := match[*ast.Union](e, ast.KindUnion)
-	if !ok {
-		return e, false
-	}
+	n := e.(*ast.Union)
 	if ast.AlphaEqual(n.L, n.R) {
 		return n.L, true
 	}
@@ -236,48 +217,24 @@ func unionIdempotentRule(e ast.Expr) (ast.Expr, bool) {
 // primitives, so rules specific to them may be applied (section 3's second
 // reason for promoting derived operators to primitives).
 func minMaxSingletonRule(e ast.Expr) (ast.Expr, bool) {
-	app, ok := e.(*ast.App)
-	if !ok {
+	app := e.(*ast.App)
+	if v := app.Fn.(*ast.Var); v.Name != "min" && v.Name != "max" {
 		return e, false
 	}
-	v, ok := app.Fn.(*ast.Var)
-	if !ok || (v.Name != "min" && v.Name != "max") {
-		return e, false
-	}
-	s, ok := match[*ast.Singleton](app.Arg, ast.KindSingleton)
-	if !ok {
-		return e, false
-	}
-	return s.Elem, true
+	return app.Arg.(*ast.Singleton).Elem, true
 }
 
 // bigUnionEmptyRule: U{e | x ∈ {}} ~> {} and U{{} | x ∈ e} ~> {} (and the
 // bag analogues).
 func bigUnionEmptyRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := e.(*ast.BigUnion)
-	if !ok {
-		return e, false
-	}
-	empty := ast.SetOrBag(n.Bag, ast.KindEmptySet)
-	_, overEmpty := match[*ast.Empty](n.Over, empty)
-	_, headEmpty := match[*ast.Empty](n.Head, empty)
-	if overEmpty || headEmpty {
-		return &ast.Empty{Bag: n.Bag}, true
-	}
-	return e, false
+	return &ast.Empty{Bag: e.(*ast.BigUnion).Bag}, true
 }
 
 // bigUnionSingletonRule: U{e1 | x ∈ {e2}} ~> e1{x := e2} (and the bag
 // analogue), with the same duplication guard as β.
 func bigUnionSingletonRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := e.(*ast.BigUnion)
-	if !ok {
-		return e, false
-	}
-	s, ok := match[*ast.Singleton](n.Over, ast.SetOrBag(n.Bag, ast.KindSingleton))
-	if !ok {
-		return e, false
-	}
+	n := e.(*ast.BigUnion)
+	s := n.Over.(*ast.Singleton)
 	if inlineOK(s.Elem) || occurrences(n.Head, n.Var, false) <= 1 {
 		return ast.Subst(n.Head, n.Var, s.Elem), true
 	}
@@ -286,14 +243,8 @@ func bigUnionSingletonRule(e ast.Expr) (ast.Expr, bool) {
 
 // bigUnionUnionRule: U{e1 | x ∈ e2 ∪ e3} ~> U{e1 | x ∈ e2} ∪ U{e1 | x ∈ e3}.
 func bigUnionUnionRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := match[*ast.BigUnion](e, ast.KindBigUnion)
-	if !ok {
-		return e, false
-	}
-	u, ok := match[*ast.Union](n.Over, ast.KindUnion)
-	if !ok {
-		return e, false
-	}
+	n := e.(*ast.BigUnion)
+	u := n.Over.(*ast.Union)
 	return &ast.Union{
 		L: &ast.BigUnion{Head: n.Head, Var: n.Var, Over: u.L},
 		R: &ast.BigUnion{Head: n.Head, Var: n.Var, Over: u.R},
@@ -303,14 +254,8 @@ func bigUnionUnionRule(e ast.Expr) (ast.Expr, bool) {
 // verticalFusionRule: U{e1 | x ∈ U{e2 | y ∈ e3}} ~>
 // U{U{e1 | x ∈ e2} | y ∈ e3} (y renamed if free in e1).
 func verticalFusionRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := match[*ast.BigUnion](e, ast.KindBigUnion)
-	if !ok {
-		return e, false
-	}
-	inner, ok := match[*ast.BigUnion](n.Over, ast.KindBigUnion)
-	if !ok {
-		return e, false
-	}
+	n := e.(*ast.BigUnion)
+	inner := n.Over.(*ast.BigUnion)
 	y, innerHead := inner.Var, inner.Head
 	if ast.IsFree(y, n.Head) || y == n.Var {
 		fresh := ast.Fresh(y)
@@ -328,13 +273,9 @@ func verticalFusionRule(e ast.Expr) (ast.Expr, bool) {
 // U{e1 ∪ e2{y := x} | x ∈ S} when both loops range over the syntactically
 // same source ([5]'s horizontal fusion).
 func horizontalFusionRule(e ast.Expr) (ast.Expr, bool) {
-	u, ok := match[*ast.Union](e, ast.KindUnion)
-	if !ok {
-		return e, false
-	}
-	l, okL := match[*ast.BigUnion](u.L, ast.KindBigUnion)
-	r, okR := match[*ast.BigUnion](u.R, ast.KindBigUnion)
-	if !okL || !okR || !ast.AlphaEqual(l.Over, r.Over) {
+	u := e.(*ast.Union)
+	l, r := u.L.(*ast.BigUnion), u.R.(*ast.BigUnion)
+	if !ast.AlphaEqual(l.Over, r.Over) {
 		return e, false
 	}
 	rHead := r.Head
@@ -355,17 +296,8 @@ func horizontalFusionRule(e ast.Expr) (ast.Expr, bool) {
 // filterPromotionRule: U{if c then e else {} | x ∈ S} with x not free in c
 // ~> if c then U{e | x ∈ S} else {} — the classic filter promotion of [5].
 func filterPromotionRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := match[*ast.BigUnion](e, ast.KindBigUnion)
-	if !ok {
-		return e, false
-	}
-	cond, ok := n.Head.(*ast.If)
-	if !ok {
-		return e, false
-	}
-	if _, ok := match[*ast.Empty](cond.Else, ast.KindEmptySet); !ok {
-		return e, false
-	}
+	n := e.(*ast.BigUnion)
+	cond := n.Head.(*ast.If)
 	if ast.IsFree(n.Var, cond.Cond) {
 		return e, false
 	}
@@ -379,14 +311,8 @@ func filterPromotionRule(e ast.Expr) (ast.Expr, bool) {
 // ifSourceHoistRule: U{e | x ∈ if c then a else b} ~>
 // if c then U{e | x ∈ a} else U{e | x ∈ b}.
 func ifSourceHoistRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := match[*ast.BigUnion](e, ast.KindBigUnion)
-	if !ok {
-		return e, false
-	}
-	cond, ok := n.Over.(*ast.If)
-	if !ok {
-		return e, false
-	}
+	n := e.(*ast.BigUnion)
+	cond := n.Over.(*ast.If)
 	return &ast.If{
 		Cond: cond.Cond,
 		Then: &ast.BigUnion{Head: n.Head, Var: n.Var, Over: cond.Then},
@@ -396,39 +322,18 @@ func ifSourceHoistRule(e ast.Expr) (ast.Expr, bool) {
 
 // getSingletonRule: get({e}) ~> e.
 func getSingletonRule(e ast.Expr) (ast.Expr, bool) {
-	g, ok := e.(*ast.Get)
-	if !ok {
-		return e, false
-	}
-	s, ok := match[*ast.Singleton](g.Set, ast.KindSingleton)
-	if !ok {
-		return e, false
-	}
-	return s.Elem, true
+	return e.(*ast.Get).Set.(*ast.Singleton).Elem, true
 }
 
 // sumEmptyRule: Σ{e | x ∈ {}} ~> 0.
-func sumEmptyRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := e.(*ast.Sum)
-	if !ok {
-		return e, false
-	}
-	if _, ok := match[*ast.Empty](n.Over, ast.KindEmptySet); ok {
-		return &ast.NatLit{Val: 0}, true
-	}
-	return e, false
+func sumEmptyRule(ast.Expr) (ast.Expr, bool) {
+	return &ast.NatLit{Val: 0}, true
 }
 
 // sumSingletonRule: Σ{e1 | x ∈ {e2}} ~> e1{x := e2} (guarded as β).
 func sumSingletonRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := e.(*ast.Sum)
-	if !ok {
-		return e, false
-	}
-	s, ok := match[*ast.Singleton](n.Over, ast.KindSingleton)
-	if !ok {
-		return e, false
-	}
+	n := e.(*ast.Sum)
+	s := n.Over.(*ast.Singleton)
 	if inlineOK(s.Elem) || occurrences(n.Head, n.Var, false) <= 1 {
 		return ast.Subst(n.Head, n.Var, s.Elem), true
 	}
@@ -440,10 +345,7 @@ func sumSingletonRule(e ast.Expr) (ast.Expr, bool) {
 // constFoldArithRule folds arithmetic on numeric literals, using the
 // evaluator's own Arith so monus and division-by-zero semantics agree.
 func constFoldArithRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := e.(*ast.Arith)
-	if !ok {
-		return e, false
-	}
+	n := e.(*ast.Arith)
 	l, okL := litValue(n.L)
 	r, okR := litValue(n.R)
 	if !okL || !okR {
@@ -458,10 +360,7 @@ func constFoldArithRule(e ast.Expr) (ast.Expr, bool) {
 
 // constFoldCmpRule folds comparisons on literals.
 func constFoldCmpRule(e ast.Expr) (ast.Expr, bool) {
-	n, ok := e.(*ast.Cmp)
-	if !ok {
-		return e, false
-	}
+	n := e.(*ast.Cmp)
 	l, okL := litValue(n.L)
 	r, okR := litValue(n.R)
 	if !okL || !okR {

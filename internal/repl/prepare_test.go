@@ -280,7 +280,7 @@ func TestExecKeepsPlanAcrossItBinding(t *testing.T) {
 	exec(u, k, "100")
 	s.Env.AddRule("normalize", opt.Rule{
 		Name:  "99-is-Z",
-		Heads: []ast.Kind{ast.KindNatLit},
+		Match: []opt.Pattern{opt.P(ast.KindNatLit)},
 		Apply: func(e ast.Expr) (ast.Expr, bool) {
 			if n, ok := e.(*ast.NatLit); ok && n.Val == 99 {
 				return &ast.Var{Name: "Z"}, true
@@ -625,7 +625,7 @@ func TestAddRuleRacesPlans(t *testing.T) {
 	chain := func(k int64) opt.Rule {
 		return opt.Rule{
 			Name:  fmt.Sprintf("chain-%d", k),
-			Heads: []ast.Kind{ast.KindNatLit},
+			Match: []opt.Pattern{opt.P(ast.KindNatLit)},
 			Apply: func(e ast.Expr) (ast.Expr, bool) {
 				if n, ok := e.(*ast.NatLit); ok && n.Val == k {
 					return &ast.NatLit{Val: k + 1}, true

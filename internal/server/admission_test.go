@@ -261,7 +261,7 @@ func TestPlanCacheUnit(t *testing.T) {
 	// resolves it after optimizing, and counts it as read.
 	sess.Env.AddRule("normalize", opt.Rule{
 		Name:  "99-is-y",
-		Heads: []ast.Kind{ast.KindNatLit},
+		Match: []opt.Pattern{opt.P(ast.KindNatLit)},
 		Apply: func(e ast.Expr) (ast.Expr, bool) {
 			if n, ok := e.(*ast.NatLit); ok && n.Val == 99 {
 				return &ast.Var{Name: "y"}, true
