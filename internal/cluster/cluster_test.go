@@ -567,3 +567,31 @@ func TestDeepShardAnswerRetriedThenLocal(t *testing.T) {
 		t.Errorf("local shards = %d, want 1", l)
 	}
 }
+
+// TestScatterDepthTripMatchesExecute: a coordinator and workers started
+// with a MaxDepth the query's head exceeds answer a scattered query with
+// the error a single node gives — the same class and the same text. The
+// shards run the program's own depth-guarded closures, so no shard can
+// answer past a depth budget that Execute trips.
+func TestScatterDepthTripMatchesExecute(t *testing.T) {
+	const query = `[[ ((i+1)+1)+1 | \i < 4 ]]`
+	depth := server.Config{Limits: eval.Limits{MaxDepth: 4}}
+	_, wantStatus, want := postQuery(t, newServer(t, depth), query)
+	if want == nil || want.Error.Kind != "resource:depth" {
+		t.Fatalf("single node: status %d, error %+v; want a depth trip", wantStatus, want)
+	}
+	w1, w2 := newServer(t, depth), newServer(t, depth)
+	coord := cluster.New(fastCfg(&cluster.HTTPTransport{}, w1.URL, w2.URL))
+	depth.Coordinator = coord
+	qr, status, got := postQuery(t, newServer(t, depth), query)
+	if got == nil {
+		t.Fatalf("scattered query answered %s where a single node trips its depth budget", qr.Value)
+	}
+	if status != wantStatus || got.Error.Kind != want.Error.Kind || got.Error.Message != want.Error.Message {
+		t.Errorf("scattered: status %d %s %q; single node: status %d %s %q",
+			status, got.Error.Kind, got.Error.Message, wantStatus, want.Error.Kind, want.Error.Message)
+	}
+	if coord.Stats().Shards.Load() == 0 {
+		t.Error("the query did not scatter")
+	}
+}

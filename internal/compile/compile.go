@@ -82,6 +82,9 @@ type compiler struct {
 	// params is the program-wide placeholder table, shared by pointer with
 	// every sub-compiler so one $name resolves to one argument-frame index.
 	params *paramTable
+	// rootTab is set once the tabulation at the end of the root let chain
+	// is lowered (see lower).
+	rootTab bool
 }
 
 // bind pushes a binder and returns its slot.
@@ -108,11 +111,18 @@ func (c *compiler) lookup(name string) (int, bool) {
 
 // compile lowers e to a closure in the boxed form: a numeric node kind is
 // lowered in the scalar form behind the box adapter, any other directly.
-func (c *compiler) compile(e ast.Expr) compiledExpr {
+func (c *compiler) compile(e ast.Expr) compiledExpr { return c.lower(e, false) }
+
+// lower is compile for e on the program's root let chain when spine is
+// set: the program's expression, and the body of each let (App{Lam, bound})
+// on the chain. The tabulation that ends the chain answers the execution's
+// range request (range.go); it is found by this position, not by node
+// identity, since the optimizer may alias nodes.
+func (c *compiler) lower(e ast.Expr, spine bool) compiledExpr {
 	if op := c.lowerScalar(e); op != nil {
 		return boxed(wrap(c, e, op))
 	}
-	return wrap(c, e, c.compileNode(e))
+	return wrap(c, e, c.compileNode(e, spine))
 }
 
 // compileScalar lowers e to a closure in the scalar form: a numeric node
@@ -121,20 +131,26 @@ func (c *compiler) compileScalar(e ast.Expr) scalarExpr {
 	if op := c.lowerScalar(e); op != nil {
 		return wrap(c, e, op)
 	}
-	return c.unboxed(wrap(c, e, c.compileNode(e)))
+	return c.unboxed(wrap(c, e, c.compileNode(e, false)))
 }
 
-// compileNode lowers one node of a non-numeric kind in the boxed form.
-// Counter-charging points, kind checks, ⊥ propagation and error strings
-// follow eval.Evaluator.eval case by case; any divergence there is a bug
-// that the differential suite is designed to catch.
-func (c *compiler) compileNode(e ast.Expr) compiledExpr {
+// compileNode lowers one node of a non-numeric kind in the boxed form, on
+// the root let chain when spine is set (see lower). Counter-charging
+// points, kind checks, ⊥ propagation and error strings follow
+// eval.Evaluator.eval case by case; any divergence there is a bug that the
+// differential suite is designed to catch.
+func (c *compiler) compileNode(e ast.Expr, spine bool) compiledExpr {
 	switch n := e.(type) {
 	case *ast.Lam:
-		return c.compileLam(n)
+		return c.compileLam(n, false)
 
 	case *ast.App:
-		fn := c.compile(n.Fn)
+		var fn compiledExpr
+		if lam, ok := n.Fn.(*ast.Lam); ok && spine {
+			fn = wrap(c, n.Fn, c.compileLam(lam, true))
+		} else {
+			fn = c.compile(n.Fn)
+		}
 		arg := c.compile(n.Arg)
 		return func(fr *frame) (object.Value, error) {
 			if err := fr.m.step(); err != nil {
@@ -304,7 +320,8 @@ func (c *compiler) compileNode(e ast.Expr) compiledExpr {
 		}
 
 	case *ast.ArrayTab:
-		return c.compileArrayTab(n)
+		c.rootTab = c.rootTab || spine
+		return c.compileArrayTab(n, spine)
 
 	case *ast.Dim:
 		arr := c.compile(n.Arr)
@@ -450,7 +467,9 @@ func (cl *closure) Apply(mt *eval.Meter, arg object.Value) (object.Value, error)
 // copies the captured slots by value. Copying is sound because frames are
 // only mutated by rebinding a binder, and the interpreter's persistent
 // environments likewise freeze the captured bindings at creation time.
-func (c *compiler) compileLam(n *ast.Lam) compiledExpr {
+// spine is set for a let's function on the root let chain, whose body
+// continues the chain.
+func (c *compiler) compileLam(n *ast.Lam, spine bool) compiledExpr {
 	fv := ast.FreeVars(n)
 	var capNames []string
 	var capSlots []int
@@ -468,9 +487,9 @@ func (c *compiler) compileLam(n *ast.Lam) compiledExpr {
 	sub.scope = append(sub.scope, capNames...)
 	sub.scope = append(sub.scope, n.Param)
 	sub.maxSlots = len(sub.scope)
-	body := sub.compile(n.Body)
+	body := sub.lower(n.Body, spine)
 	frameSize, parks := sub.maxSlots, sub.parks
-	c.sites = sub.sites
+	c.sites, c.rootTab = sub.sites, c.rootTab || sub.rootTab
 	return func(fr *frame) (object.Value, error) {
 		if err := fr.m.step(); err != nil {
 			return object.Value{}, err

@@ -13,10 +13,11 @@ import (
 
 // machine carries the per-evaluation runtime state of the compiled engine:
 // resource budgets, interrupt state and the work counters. One root machine
-// is created per Run (or PlanShards / ExecuteRange, or a call entering a
-// compiled function from outside the engine); a fanned-out tabulation or Σ
-// forks one child machine per worker. Every function body the execution applies
-// runs on the applying machine, whichever execution or engine made it.
+// is created per Run (PlanShards and ExecuteRange included) or per call
+// entering a compiled function from outside the engine; a fanned-out
+// tabulation or Σ forks one child machine per worker. Every function body
+// the execution applies runs on the applying machine, whichever execution
+// or engine made it.
 //
 // A machine belongs to one goroutine: the caller of Run for the root, its
 // own goroutine for a fork. Only that goroutine writes the counters and
@@ -102,6 +103,9 @@ type execution struct {
 	// sentinel). Both slices are read-only once the execution starts.
 	args  []object.Value
 	argOK []bool
+	// rng is the range request of PlanShards or ExecuteRange, which only
+	// the root tabulation reads; nil for a whole execution.
+	rng *rangeReq
 }
 
 // step charges one evaluator step; mirrors the per-node guards of

@@ -5,7 +5,7 @@ import "github.com/aqldb/aql/internal/object"
 // paramTable assigns each $name placeholder of a program a stable index
 // into the per-execution argument frame (execution.args). The table is built
 // during the resolve pass and shared — by pointer — between the top-level
-// compiler, every lambda-body sub-compiler, and the shard-view compiler, so
+// compiler of each profiling level and every lambda-body sub-compiler, so
 // one name means one index everywhere in the program.
 //
 // The table is immutable after compilation: executions only read it, which

@@ -29,8 +29,10 @@ import (
 // closures and the span plan they record against (span ids, operators,
 // parent links). NewProgram lowers only the ProfOff closures; the profiled
 // ones for ProfSampled and ProfFull are lowered once each, on the first
-// execution at that level. The estimates (Estimates) and the shard view
-// (range.go) are also built on first use: only cached plans read them.
+// execution at that level. The full-level span plan is built once, on first
+// need, and both the ProfFull lowering and the estimates (Estimates) read
+// it. PlanShards and ExecuteRange (range.go) run the ProfOff closures with
+// the root tabulation restricted: there is one lowering per level.
 //
 // Global references resolve to values of the globals map at NewProgram time
 // (the globals the plan read, env.Bindings), so a Program keeps observing the
@@ -44,17 +46,18 @@ type Program struct {
 	// closures (the depth-guard wrapper), so Run cannot change it.
 	limits eval.Limits
 	// params maps $name placeholders to argument-frame indices, one table
-	// for every lowering and the shard view so all share one frame layout.
+	// for every lowering so all share one frame layout.
 	// NewProgram's lowering assigns every index; later lowerings visit the
 	// same placeholders and only read it.
 	params *paramTable
 	// levels holds the closures of each profiling level, by eval.ProfLevel.
 	levels [eval.ProfFull + 1]lowering
 
-	estOnce   sync.Once
-	est       *trace.Estimates
-	shardOnce sync.Once
-	shard     *shardCode // nil unless the expression is range-partitionable
+	// full is the full-level span plan, built once by fullPlan.
+	fullOnce sync.Once
+	full     *eval.SpanPlan
+	estOnce  sync.Once
+	est      *trace.Estimates
 }
 
 // lowering is the program's expression compiled at one profiling level.
@@ -65,6 +68,9 @@ type lowering struct {
 	// spans is the static span plan the closures record against; nil at
 	// ProfOff, where no closure is wrapped.
 	spans *eval.SpanPlan
+	// rangeable is set when the expression's root let chain ends in a
+	// tabulation, whose closure answers range requests (range.go).
+	rangeable bool
 }
 
 // NewProgram compiles expr against a snapshot of globals. limits.MaxDepth,
@@ -85,12 +91,22 @@ func NewProgram(expr ast.Expr, globals map[string]object.Value, limits eval.Limi
 func (p *Program) lowered(level eval.ProfLevel) *lowering {
 	l := &p.levels[level]
 	l.once.Do(func() {
-		l.spans = eval.NewSpanPlan(p.expr, level)
+		if level == eval.ProfFull {
+			l.spans = p.fullPlan()
+		} else {
+			l.spans = eval.NewSpanPlan(p.expr, level)
+		}
 		c := &compiler{globals: p.globals, limits: p.limits, prof: l.spans, params: p.params}
-		l.code = c.compile(p.expr)
-		l.maxSlots, l.parks = c.maxSlots, c.parks
+		l.code = c.lower(p.expr, true)
+		l.maxSlots, l.parks, l.rangeable = c.maxSlots, c.parks, c.rootTab
 	})
 	return l
+}
+
+// fullPlan returns the program's full-level span plan, built on first use.
+func (p *Program) fullPlan() *eval.SpanPlan {
+	p.fullOnce.Do(func() { p.full = eval.NewSpanPlan(p.expr, eval.ProfFull) })
+	return p.full
 }
 
 // ParamNames returns the names of the program's $name placeholders, in
@@ -102,13 +118,14 @@ func (p *Program) ParamNames() []string {
 	return append([]string(nil), p.params.names...)
 }
 
-// Estimates returns the program's estimates (cost.Estimate over the
-// expression and the globals snapshot): per-operator cardinality and cost
-// estimates, one per span id, that every execution can join against its
-// recorded actuals. Built once, on first use, and shared immutably; nil only
-// for a nil expression.
+// Estimates returns the program's estimates (cost.EstimatePlan over the
+// expression, its full-level span plan and the globals snapshot):
+// per-operator cardinality and cost estimates, one per span id of the plan
+// the ProfFull lowering records against, that every execution can join
+// against its recorded actuals. Built once, on first use, and shared
+// immutably; nil only for a nil expression.
 func (p *Program) Estimates() *trace.Estimates {
-	p.estOnce.Do(func() { p.est = cost.Estimate(p.expr, p.globals) })
+	p.estOnce.Do(func() { p.est = cost.EstimatePlan(p.expr, p.fullPlan(), p.globals) })
 	return p.est
 }
 
@@ -129,8 +146,8 @@ type ExecOpts struct {
 	// only if evaluated, like an unbound variable.
 	Args map[string]object.Value
 	// Level is the execution's span-profiling level: which of the program's
-	// lowerings runs, and whether the execution records a span tree. The
-	// shard view (PlanShards, ExecuteRange) runs unprofiled at any level.
+	// lowerings runs, and whether the execution records a span tree.
+	// PlanShards and ExecuteRange run unprofiled at any level.
 	Level eval.ProfLevel
 }
 
@@ -148,8 +165,15 @@ type Outcome struct {
 // Concurrent Runs of one Program are independent: counters, budgets,
 // cancellation and span measurements are all per call.
 func (p *Program) Run(ctx context.Context, opts ExecOpts, out *Outcome) (object.Value, error) {
+	return p.run(ctx, opts, nil, out)
+}
+
+// run is Run under the range request rq, which the root tabulation answers
+// in place of its whole array; nil for a whole execution.
+func (p *Program) run(ctx context.Context, opts ExecOpts, rq *rangeReq, out *Outcome) (object.Value, error) {
 	l := p.lowered(opts.Level)
 	fr := p.newFrame(ctx, opts, l.maxSlots, l.parks)
+	fr.ex.rng = rq
 	m := fr.m
 	m.prof = eval.NewProfCtx(l.spans)
 	defer func() {
@@ -166,11 +190,10 @@ func (p *Program) Execute(ctx context.Context, opts ExecOpts) (object.Value, tra
 	return v, out.Counters, err
 }
 
-// newFrame builds the root frame of one Run, PlanShards or ExecuteRange,
-// with slots variable and parks park slots: a machine under opts' limits
-// (the program's compile-time ones when zero) with the compiled-in
-// MaxDepth and opts' fan-out, and the execution holding opts' argument
-// frame.
+// newFrame builds the root frame of one execution, with slots variable and
+// parks park slots: a machine under opts' limits (the program's
+// compile-time ones when zero) with the compiled-in MaxDepth and opts'
+// fan-out, and the execution holding opts' argument frame.
 func (p *Program) newFrame(ctx context.Context, opts ExecOpts, slots, parks int) *frame {
 	lim := opts.Limits
 	if lim == (eval.Limits{}) {

@@ -207,3 +207,34 @@ func TestProgramMatchesEngine(t *testing.T) {
 		t.Errorf("counters diverge: interpreter %+v, program %+v", ec, pc)
 	}
 }
+
+// TestEstimatesShareTheFullPlan: a program builds one full-level span plan.
+// Its estimates are rows of that plan's span ids, and the ProfFull lowering
+// records against the same plan, whichever of the two is built first.
+func TestEstimatesShareTheFullPlan(t *testing.T) {
+	for _, estFirst := range []bool{true, false} {
+		p := NewProgram(progExpr(100), nil, eval.Limits{})
+		if p.full != nil {
+			t.Fatal("NewProgram built the full-level span plan")
+		}
+		var est *trace.Estimates
+		if estFirst {
+			est = p.Estimates()
+		}
+		spans := p.lowered(eval.ProfFull).spans
+		if !estFirst {
+			est = p.Estimates()
+		}
+		if spans == nil || spans != p.full {
+			t.Fatalf("estimates first=%v: the ProfFull lowering records against %p, the program's plan is %p", estFirst, spans, p.full)
+		}
+		if len(est.Rows) != spans.Len() {
+			t.Fatalf("estimates first=%v: %d estimate rows for %d spans", estFirst, len(est.Rows), spans.Len())
+		}
+		for id, row := range est.Rows {
+			if op, _, _ := spans.Span(id); row.Op != op {
+				t.Fatalf("estimates first=%v: row %d is %s, span %d is %s", estFirst, id, row.Op, id, op)
+			}
+		}
+	}
+}

@@ -27,7 +27,9 @@ func sumOutcome(v object.Value, err error) string {
 	return v.String()
 }
 
-// FuzzSumSplit: a Σ of reals of mixed magnitude (and, on a flag, some nats),
+// FuzzSumSplit: a Σ of reals of mixed magnitude (and, on a flag, some nats;
+// on another, only nats up to 2^58, whose total may overflow into the
+// kernel's nat overflow ⊥),
 // with an optional ⊥ and an optional kind error at fuzzed offsets, has one
 // outcome — the value's bits, the ⊥ diagnostic, the error text and all five
 // counters — however it runs: serially, fanned out over 1 to 8 workers, and
@@ -42,11 +44,18 @@ func FuzzSumSplit(f *testing.F) {
 	f.Add(int64(4), uint16(700), uint16(600), uint16(130), uint8(8), uint8(5), uint8(3))
 	f.Add(int64(5), uint16(64), uint16(0), uint16(0), uint8(4), uint8(0), uint8(4))
 	f.Add(int64(6), uint16(4097), uint16(4000), uint16(4096), uint8(5), uint8(9), uint8(7))
+	f.Add(int64(7), uint16(3000), uint16(0), uint16(0), uint8(4), uint8(6), uint8(8))    // nat total overflows
+	f.Add(int64(8), uint16(20), uint16(0), uint16(0), uint8(2), uint8(1), uint8(8))      // nat total fits
+	f.Add(int64(9), uint16(3000), uint16(2900), uint16(0), uint8(3), uint8(5), uint8(9)) // ⊥ after the overflow
 	f.Fuzz(func(t *testing.T, seed int64, size, botAt, errAt uint16, workers, ncuts, flags uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(size%5000) + 1
 		cells := make([]object.Value, n)
 		for i := range cells {
+			if flags&8 != 0 {
+				cells[i] = object.Nat(rng.Int63n(1 << 58))
+				continue
+			}
 			if flags&4 != 0 && rng.Intn(8) == 0 {
 				cells[i] = object.Nat(rng.Int63n(1 << 40))
 				continue

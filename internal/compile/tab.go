@@ -56,9 +56,11 @@ func (s *fanSite) init(c *compiler, n ast.Expr) {
 	}
 }
 
-// compileTab lowers n's bounds, then its head with the index variables in
-// scope.
-func (c *compiler) compileTab(n *ast.ArrayTab) *tabCode {
+// compileArrayTab lowers n's bounds, then its head with the index
+// variables in scope, to: prologue, then the head over [0, size). The root
+// tabulation (see compiler.lower) answers the execution's range request
+// instead, when it carries one.
+func (c *compiler) compileArrayTab(n *ast.ArrayTab, root bool) compiledExpr {
 	t := &tabCode{bounds: make([]compiledExpr, len(n.Bounds)), idxSlots: make([]int, len(n.Idx))}
 	t.init(c, n)
 	for j, b := range n.Bounds {
@@ -69,14 +71,10 @@ func (c *compiler) compileTab(n *ast.ArrayTab) *tabCode {
 	}
 	t.head = c.compileScalar(n.Head)
 	c.unbind(len(n.Idx))
-	return t
-}
-
-// compileArrayTab lowers a tabulation to: prologue, then the head over
-// [0, size).
-func (c *compiler) compileArrayTab(n *ast.ArrayTab) compiledExpr {
-	t := c.compileTab(n)
 	return func(fr *frame) (object.Value, error) {
+		if root && fr.ex.rng != nil {
+			return t.serve(fr, fr.ex.rng)
+		}
 		shape, size, bot, err := t.prologue(fr)
 		if err != nil || bot.IsBottom() {
 			return bot, err

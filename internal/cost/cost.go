@@ -9,11 +9,12 @@
 // the explicit marker "unknown", never a guess, so a known estimate can be
 // held to exact agreement with the recorded actuals (q-error 1.0).
 //
-// Estimates are rows of span ids: Estimate builds the full-level
-// eval.SpanPlan of the expression, which alone decides which node is which
-// span, which subtrees are shared and where a shared subtree is attributed,
-// and fills one row per span. trace.JoinEstimates pairs row i with span i of
-// a recorded full profile.
+// Estimates are rows of span ids: EstimatePlan takes the full-level
+// eval.SpanPlan of the expression — the one the program's full-profile
+// lowering records against — which alone decides which node is which span,
+// which subtrees are shared and where a shared subtree is attributed, and
+// fills one row per span. trace.JoinEstimates pairs row i with span i of a
+// recorded full profile.
 package cost
 
 import (
@@ -25,13 +26,18 @@ import (
 	"github.com/aqldb/aql/internal/trace"
 )
 
-// Estimate annotates every operator of the optimized core expression e with
-// estimated output cardinality, total cell charge and self cost, against a
-// snapshot of the global environment, and estimates the storage tiles the
-// query touches. The result is immutable; it is computed once per prepared
-// plan and shared by every execution. Nil only for a nil expression.
+// Estimate is EstimatePlan over a full-level span plan of its own.
 func Estimate(e ast.Expr, globals map[string]object.Value) *trace.Estimates {
-	plan := eval.NewSpanPlan(e, eval.ProfFull)
+	return EstimatePlan(e, eval.NewSpanPlan(e, eval.ProfFull), globals)
+}
+
+// EstimatePlan annotates every operator of the optimized core expression e
+// with estimated output cardinality, total cell charge and self cost,
+// against a snapshot of the global environment, one row per span id of
+// plan, e's full-level span plan; it also estimates the storage tiles the
+// query touches. The result is immutable; it is computed once per prepared
+// plan and shared by every execution. Nil only for a nil plan.
+func EstimatePlan(e ast.Expr, plan *eval.SpanPlan, globals map[string]object.Value) *trace.Estimates {
 	if plan == nil {
 		return nil
 	}

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"github.com/aqldb/aql/internal/ast"
+	"github.com/aqldb/aql/internal/eval"
 	"github.com/aqldb/aql/internal/object"
 	"github.com/aqldb/aql/internal/trace"
 )
@@ -100,45 +101,12 @@ func globalSval(v object.Value) sval {
 	return sval{}
 }
 
-// mulNat multiplies two naturals, reporting overflow.
-func mulNat(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	p := a * b
-	if p/a != b || p < 0 {
-		return 0, false
-	}
-	return p, true
-}
-
-// natArith applies a nat-typed arithmetic operator statically, mirroring
-// the evaluator exactly: subtraction is monus, a zero divisor (for / and %)
-// is ⊥ (not ok here), overflow is not ok.
-func natArith(op ast.ArithOp, a, b int64) (int64, bool) {
-	switch op {
-	case ast.OpAdd:
-		s := a + b
-		return s, s >= 0
-	case ast.OpSub:
-		if a < b {
-			return 0, true
-		}
-		return a - b, true
-	case ast.OpMul:
-		return mulNat(a, b)
-	case ast.OpDiv:
-		if b == 0 {
-			return 0, false
-		}
-		return a / b, true
-	case ast.OpMod:
-		if b == 0 {
-			return 0, false
-		}
-		return a % b, true
-	}
-	return 0, false
+// natOp applies a nat arithmetic operator by the kernel's one rule,
+// eval.ArithNum; ok is false when the result is ⊥ (a zero divisor, an
+// overflow), which the estimator treats as unknown.
+func natOp(op ast.ArithOp, a, b int64) (int64, bool) {
+	x, bot, err := eval.ArithNum(op, eval.Num{N: a}, eval.Num{N: b})
+	return x.N, bot == nil && err == nil
 }
 
 // sval statically evaluates e under env: known nats propagate through
@@ -168,10 +136,10 @@ func (es *estimator) sval(e ast.Expr, env *scope) sval {
 	case *ast.Arith:
 		l, r := es.sval(n.L, env), es.sval(n.R, env)
 		if l.natKnown && r.natKnown {
-			if v, ok := natArith(n.Op, l.nat, r.nat); ok {
+			if v, ok := natOp(n.Op, l.nat, r.nat); ok {
 				return natSval(v)
 			}
-			return sval{} // ⊥ (div by zero) or overflow
+			return sval{}
 		}
 		return scalarSval()
 	case *ast.Cmp, *ast.Sum:
@@ -214,7 +182,7 @@ func (es *estimator) sval(e ast.Expr, env *scope) sval {
 			}
 			shape[i] = bv.nat
 			var ok bool
-			if total, ok = mulNat(total, bv.nat); !ok {
+			if total, ok = natOp(ast.OpMul, total, bv.nat); !ok {
 				return sval{}
 			}
 		}
@@ -230,7 +198,7 @@ func (es *estimator) sval(e ast.Expr, env *scope) sval {
 			}
 			shape[i] = dv.nat
 			var ok bool
-			if total, ok = mulNat(total, dv.nat); !ok {
+			if total, ok = natOp(ast.OpMul, total, dv.nat); !ok {
 				return sval{}
 			}
 		}
@@ -299,7 +267,7 @@ func (es *estimator) bigUnionSval(head ast.Expr, varName, rankVar string, over a
 		return collSval(0)
 	}
 	if bag && ov.cardKnown && hd.cardKnown {
-		if total, ok := mulNat(ov.card, hd.card); ok {
+		if total, ok := natOp(ast.OpMul, ov.card, hd.card); ok {
 			return collSval(total)
 		}
 	}

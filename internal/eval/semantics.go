@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"github.com/aqldb/aql/internal/ast"
@@ -185,9 +186,11 @@ const SumBlock = 64
 const sumLevels = 58
 
 // SumAcc accumulates a summation term by term, overloading at nat and real:
-// a nat sum stays nat (int64 addition, wrapping until the result is read)
-// until the first real term commits it to real. It owns the one summation
-// order of real terms, which every engine and every split of a Σ shares:
+// a nat sum stays nat until the first real term commits it to real; a nat
+// total past the int64 range is the kernel's nat overflow ⊥ (nat addends
+// are non-negative, so a Σ overflows exactly when its total does, however
+// it was cut). It owns the one summation order of real terms, which every
+// engine and every split of a Σ shares:
 //
 //   - terms go, by their position in the Σ, into consecutive blocks of
 //     SumBlock terms, and each block is a left fold from zero;
@@ -203,7 +206,10 @@ const sumLevels = 58
 // it, where they combine as the serial counter would have. A Σ of at most
 // SumBlock terms is the plain left fold. The state is O(log n).
 type SumAcc struct {
-	nat    int64
+	nat int64
+	// signs is the OR of every running nat total: negative once one has
+	// left the int64 range, which a later term cannot undo.
+	signs  int64
 	isReal bool
 	// blk is the left fold of the current block's n terms; block is the
 	// current block's position in the Σ, and from the first block's.
@@ -258,6 +264,7 @@ func (a *SumAcc) AddNum(x Num) bool {
 		a.blk += x.R
 	} else {
 		a.nat += x.N
+		a.signs |= a.nat
 		a.blk += float64(x.N)
 	}
 	a.n++
@@ -297,6 +304,7 @@ func (a *SumAcc) Absorb(b *SumAcc) {
 		panic(fmt.Sprintf("eval: sum part from block %d absorbed at term %d", b.from, a.block*SumBlock+int64(a.n)))
 	}
 	a.nat += b.nat
+	a.signs |= b.signs | a.nat
 	a.isReal = a.isReal || b.isReal
 	for _, nd := range b.lead {
 		a.push(nd.x, nd.level)
@@ -309,11 +317,15 @@ func (a *SumAcc) Absorb(b *SumAcc) {
 	a.blk, a.n = b.blk, b.n
 }
 
-// Num returns the accumulated sum at the committed numeric kind. A real
-// total that is not finite is the kernel's non-finite ⊥, returned as bot.
+// Num returns the accumulated sum at the committed numeric kind. A nat
+// total past the int64 range, or a real total that is not finite, is the
+// kernel's ⊥, returned as bot.
 func (a *SumAcc) Num() (x Num, bot *object.Value) {
 	if !a.isReal {
-		return natNum(a.nat), nil
+		if a.signs < 0 {
+			return Num{}, &natOverflow
+		}
+		return Num{N: a.nat}, nil
 	}
 	r := 0.0
 	for k := sumLevels - 1; k >= 0; k-- {
@@ -384,27 +396,18 @@ func (x Num) Value() object.Value {
 	return object.Nat(x.N)
 }
 
-// natNum is a natural result. A negative one is an int64 overflow, which
-// object.Nat refuses by panicking; the kernel refuses it at the same point
-// with the same panic, whichever engine asked.
-func natNum(n int64) Num {
-	if n < 0 {
-		object.Nat(n)
-	}
-	return Num{N: n}
-}
-
 // The ⊥ values the kernel yields, shared and never written: callers copy
 // them out.
 var (
-	divByZero = object.Bottom("division by zero")
-	modByZero = object.Bottom("modulus by zero")
-	nonFinite = object.Bottom("non-finite arithmetic result")
+	divByZero   = object.Bottom("division by zero")
+	modByZero   = object.Bottom("modulus by zero")
+	nonFinite   = object.Bottom("non-finite arithmetic result")
+	natOverflow = object.Bottom("nat overflow")
 )
 
 // ArithNum applies an arithmetic operator to two numbers, overloading at
-// nat and real. On two naturals, subtraction is monus and division/modulus
-// by zero is ⊥. Otherwise a nat operand is promoted to real, subtraction is
+// nat and real. On two naturals, subtraction is monus, division/modulus by
+// zero is ⊥, and a sum or product past the int64 range is ⊥. Otherwise a nat operand is promoted to real, subtraction is
 // exact, division/modulus by zero is ⊥, modulus follows math.Mod, and a
 // non-finite result is ⊥. bot is non-nil exactly when the result is ⊥.
 func ArithNum(op ast.ArithOp, a, b Num) (x Num, bot *object.Value, err error) {
@@ -412,14 +415,20 @@ func ArithNum(op ast.ArithOp, a, b Num) (x Num, bot *object.Value, err error) {
 		p, q := a.N, b.N
 		switch op {
 		case ast.OpAdd:
-			return natNum(p + q), nil, nil
+			if p+q < 0 {
+				return Num{}, &natOverflow, nil
+			}
+			return Num{N: p + q}, nil, nil
 		case ast.OpSub: // monus
 			if p < q {
 				return Num{}, nil, nil
 			}
 			return Num{N: p - q}, nil, nil
 		case ast.OpMul:
-			return natNum(p * q), nil, nil
+			if hi, lo := bits.Mul64(uint64(p), uint64(q)); hi != 0 || lo > math.MaxInt64 {
+				return Num{}, &natOverflow, nil
+			}
+			return Num{N: p * q}, nil, nil
 		case ast.OpDiv:
 			if q == 0 {
 				return Num{}, &divByZero, nil

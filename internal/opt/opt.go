@@ -300,22 +300,14 @@ func (r *rewrite) run(e ast.Expr) ast.Expr {
 // pass transforms e bottom-up once, applying the first matching rule at
 // each node repeatedly (bounded) before moving up.
 func (r *rewrite) pass(e ast.Expr) ast.Expr {
-	var buf, out ast.Buf
+	var buf ast.Buf
 	kids, _ := ast.Open(e, &buf)
-	var newKids []ast.Expr // copied at the first child that changes
 	for i, kid := range kids {
-		nk := r.pass(kid)
-		if nk == kid {
-			continue
+		if nk := r.pass(kid); nk != kid {
+			e = r.rebuild(e, kids, i, nk)
+			kids, _ = ast.Open(e, &buf)
+			break
 		}
-		if newKids == nil {
-			newKids = out.Copy(kids)
-		}
-		newKids[i] = nk
-	}
-	if newKids != nil {
-		e = ast.Rebuild(e, newKids)
-		kids = newKids
 	}
 	for local := 0; *r.fuel > 0; local++ {
 		if local == maxLocalRounds {
@@ -336,6 +328,20 @@ func (r *rewrite) pass(e ast.Expr) ast.Expr {
 		kids, _ = ast.Open(e, &buf)
 	}
 	return e
+}
+
+// rebuild returns e with kids[i], its first child that changed, replaced
+// by nk, and each later child passed in turn. Only a node whose child
+// changed needs a second buffer for its new children, so only this path
+// zeroes one.
+func (r *rewrite) rebuild(e ast.Expr, kids []ast.Expr, i int, nk ast.Expr) ast.Expr {
+	var out ast.Buf
+	newKids := out.Copy(kids)
+	newKids[i] = nk
+	for j := i + 1; j < len(kids); j++ {
+		newKids[j] = r.pass(kids[j])
+	}
+	return ast.Rebuild(e, newKids)
 }
 
 // fire applies the first of cands, the phase's rules for e's kind, that is

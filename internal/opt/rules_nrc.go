@@ -343,7 +343,9 @@ func sumSingletonRule(e ast.Expr) (ast.Expr, bool) {
 // --- constant folding ------------------------------------------------------------
 
 // constFoldArithRule folds arithmetic on numeric literals, using the
-// evaluator's own Arith so monus and division-by-zero semantics agree.
+// evaluator's own Arith so monus semantics agree. A ⊥ result (a zero
+// divisor, a nat overflow) is left to the evaluator, whose diagnostic names
+// it: a literal ⊥ would print another.
 func constFoldArithRule(e ast.Expr) (ast.Expr, bool) {
 	n := e.(*ast.Arith)
 	l, okL := litValue(n.L)
@@ -413,8 +415,6 @@ func litExpr(v object.Value) (ast.Expr, bool) {
 		return &ast.StringLit{Val: v.Str()}, true
 	case object.KBool:
 		return &ast.BoolLit{Val: v.B}, true
-	case object.KBottom:
-		return &ast.Bottom{}, true
 	}
 	return nil, false
 }

@@ -149,8 +149,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 // stitching: a "worker" root spanning queue wait plus pipeline, with one
 // child per phase that actually ran (a plan-cache hit therefore shows no
 // prepare children) and the eval child carrying all of the shard's
-// counters. A shard runs the program's shard view, which is never
-// profiled, so the worker's tree is phase-granular, not operator-granular —
+// counters. A shard runs the program's unprofiled closures
+// (ExecuteRange), so the worker's tree is phase-granular, not operator-granular —
 // the coordinator's stitching invariants (exact counter sums, self-time
 // consistency) hold regardless. Without a report (recording off) there is
 // no tree, and the coordinator keeps the flat counters.
