@@ -172,6 +172,26 @@ var diffCorpus = []string{
 	`summap(fn \i => if i < 200 then real!i * 0.5 else TT[0])!(gen!300)`,           // kind error in a later block
 	`summap(fn \i => if i = 250 then TT[0] else 1.0 / (real!i - 180.0))!(gen!300)`, // a ⊥ before an error
 	`summap(fn \i => if i = 100 then TT[0] else 1.0 / (real!i - 180.0))!(gen!300)`, // an error before a ⊥
+	// An optimized out-of-bounds subscript states the evaluator's
+	// diagnostic: the literal-array folder leaves it, and β^p's else is the
+	// ⊥ of its index and bounds.
+	`[[3; 1, 2, 3]][5]`,
+	`[[ i | \i < 3 ]][7]`,
+	`[[ i * 2 | \i < 3 ]][A[9]]`,
+	// Heads the compiled engine evaluates in blocks of lanes: 1-D and 2-D
+	// subscripts, nat and real, a parameter, over more than one block, and
+	// the blocks a ⊥ or a kind surprise sends back to the closures.
+	`[[ A[i % 10] * 3 + i | \i < 300 ]]`,                       // 1-D nat, two blocks
+	`[[ M[i % 4, (i / 4) % 5] + $k * i | \i < 400 ]]`,          // 2-D, a parameter
+	`[[ M[i % 4, j % 5] * R + j | \i < 20, \j < 20 ]]`,         // 2-D index lanes, promoted to real
+	`[[ A[i / 30] | \i < 320 ]]`,                               // out of bounds in the second block
+	`[[ 7 % (i - 299) | \i < 600 ]]`,                           // % 0 in the first two blocks
+	`[[ R * i / (i - 250) | \i < 300 ]]`,                       // real / 0 while i - 250 is 0
+	`[[ TT[i % 2] + i | \i < 300 ]]`,                           // a tuple cell: the closures' kind error
+	`summap(fn \i => A[i % 10] * $k)!(gen!300)`,                // Σ of nat lanes
+	`summap(fn \i => M[i % 4, i % 5] * R)!(gen!700)`,           // ... of real lanes, three blocks
+	`summap(fn \x => x * 2 + 1)!{ x | \x <- gen!400, x > 10 }`, // ... over a set's members
+	`summap(fn \i => 1000 / ((i + 1) % 400))!(gen!600)`,        // ... stopped by / 0 in the second block
 	// Sizes the Go runtime cannot allocate fail at the charge, typed.
 	`count!(gen!100000000000000000)`,
 	`summap(fn \i => i)!(gen!100000000000000000)`,

@@ -229,8 +229,12 @@ type MkArray struct {
 // --- Errors ---------------------------------------------------------------
 
 // Bottom is the error value ⊥, introduced explicitly so that optimization
-// rules can express partiality (sections 2 and 5).
-type Bottom struct{}
+// rules can express partiality (sections 2 and 5). With Index set it is the
+// ⊥ of an out-of-bounds subscript, the else branch of β^p: it evaluates the
+// index components Index, then the dimension lengths Shape of the array
+// they miss, and states the evaluator's diagnostic for them, the one the
+// subscript it replaces states. Its children are Index, then Shape.
+type Bottom struct{ Index, Shape []Expr }
 
 // --- Children / WithChildren / Binders -------------------------------------
 
@@ -396,9 +400,19 @@ func (e *MkArray) WithChildren(k []Expr) Expr {
 func (e *MkArray) Binders() [][]string { return unbound(len(e.Dims) + len(e.Elems)) }
 
 // Bottom
-func (e *Bottom) Children() []Expr           { return nil }
-func (e *Bottom) WithChildren(k []Expr) Expr { return e }
-func (e *Bottom) Binders() [][]string        { return nil }
+func (e *Bottom) Children() []Expr {
+	if e.Index == nil {
+		return nil
+	}
+	return append(append([]Expr(nil), e.Index...), e.Shape...)
+}
+func (e *Bottom) WithChildren(k []Expr) Expr {
+	if e.Index == nil {
+		return e
+	}
+	return &Bottom{Index: k[:len(e.Index):len(e.Index)], Shape: k[len(e.Index):]}
+}
+func (e *Bottom) Binders() [][]string { return unbound(len(e.Index) + len(e.Shape)) }
 
 // sanity check: all nodes implement Expr.
 var (

@@ -23,8 +23,15 @@ const bufLen = 6
 // outside this package, which Open asks through Children and Binders.
 func Open(e Expr, buf *Buf) ([]Expr, [][]string) {
 	switch n := e.(type) {
-	case *Var, *Param, *Empty, *BoolLit, *NatLit, *RealLit, *StringLit, *Bottom:
+	case *Var, *Param, *Empty, *BoolLit, *NatLit, *RealLit, *StringLit:
 		return nil, nil
+	case *Bottom:
+		k := len(n.Index) + len(n.Shape)
+		if k > bufLen {
+			return n.Children(), n.Binders()
+		}
+		copy(buf.kids[copy(buf.kids[:], n.Index):], n.Shape)
+		return buf.kids[:k:k], unbound(k)
 	case *Lam:
 		buf.kids[0] = n.Body
 		buf.binders[0] = unsafe.Slice(&n.Param, 1)

@@ -279,6 +279,9 @@ func sameShape(a, b Expr) bool {
 	case *MkArray:
 		y, ok := b.(*MkArray)
 		return ok && len(x.Dims) == len(y.Dims)
+	case *Bottom:
+		y, ok := b.(*Bottom)
+		return ok && len(x.Index) == len(y.Index)
 	case *Tuple:
 		y, ok := b.(*Tuple)
 		return ok && len(x.Elems) == len(y.Elems)

@@ -99,10 +99,10 @@ func (c *compiler) bind(name string) int {
 // unbind pops the n innermost binders.
 func (c *compiler) unbind(n int) { c.scope = c.scope[:len(c.scope)-n] }
 
-// lookup resolves a name to its slot, innermost binding first.
-func (c *compiler) lookup(name string) (int, bool) {
-	for i := len(c.scope) - 1; i >= 0; i-- {
-		if c.scope[i] == name {
+// lookup resolves a name to its slot in scope, innermost binding first.
+func lookup(scope []string, name string) (int, bool) {
+	for i := len(scope) - 1; i >= 0; i-- {
+		if scope[i] == name {
 			return i, true
 		}
 	}
@@ -409,11 +409,32 @@ func (c *compiler) compileNode(e ast.Expr, spine bool) compiledExpr {
 		}
 
 	case *ast.Bottom:
+		parts := make([]compiledExpr, 0, len(n.Index)+len(n.Shape))
+		for _, part := range [2][]ast.Expr{n.Index, n.Shape} {
+			for _, x := range part {
+				parts = append(parts, c.compile(x))
+			}
+		}
+		k := len(n.Index)
 		return func(fr *frame) (object.Value, error) {
 			if err := fr.m.step(); err != nil {
 				return object.Value{}, err
 			}
-			return object.Bottom("explicit bottom"), nil
+			if k == 0 {
+				return object.Bottom("explicit bottom"), nil
+			}
+			vals := make([]object.Value, len(parts))
+			for i, part := range parts {
+				v, err := part(fr)
+				if err != nil {
+					return object.Value{}, err
+				}
+				if v.IsBottom() {
+					return v, nil
+				}
+				vals[i] = v
+			}
+			return eval.OutOfBounds(vals, k)
 		}
 
 	}
@@ -455,7 +476,7 @@ func (cl *closure) Apply(mt *eval.Meter, arg object.Value) (object.Value, error)
 	m := &machine{config: cl.ex.config, ctx: mt.Ctx, deadline: mt.Deadline, depth: mt.Depth, prof: mt.Prof}
 	m.budget(mt.Limits)
 	m.add(mt.Used)
-	defer m.flushCursors()
+	defer m.finish()
 	v, err := cl.call(m, arg)
 	mt.Used = m.counters()
 	return v, err

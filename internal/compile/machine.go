@@ -61,8 +61,15 @@ type machine struct {
 
 	// cursors are the tile cursors of the subscript sites that read a lazy
 	// array on this machine, by site number; nil until the first such read.
-	// Whoever ends the machine's work calls flushCursors, on every path out.
+	// Whoever ends the machine's work calls finish, on every path out.
 	cursors []tile.Cursor
+
+	// worker is a fan-out worker's index plus one, 0 on a root machine.
+	worker int
+	// scratch holds the lane buffers of the block form (lanes.go): one set
+	// per machine, so per worker, taken on the machine's first block and
+	// handed back by finish.
+	scratch *laneScratch
 }
 
 // config is what an execution fixes before it starts and every machine
@@ -170,11 +177,12 @@ func (m *machine) chargeAlloc(n int64) error {
 	return eval.CheckAlloc(n)
 }
 
-// fork returns a worker machine that counts locally against a snapshot of
-// the parent's totals. It is called on the parent's goroutine, before the
-// worker's goroutine starts.
-func (m *machine) fork() *machine {
+// fork returns the machine of worker w, which counts locally against a
+// snapshot of the parent's totals. It is called on the parent's goroutine,
+// before the worker's goroutine starts.
+func (m *machine) fork(w int) *machine {
 	return &machine{
+		worker:    w + 1,
 		config:    m.config,
 		ctx:       m.ctx,
 		deadline:  m.deadline,
@@ -234,12 +242,14 @@ func (m *machine) cursor(site int) *tile.Cursor {
 	return &m.cursors[site]
 }
 
-// flushCursors counts the reads the machine's cursors served from their
-// pinned tiles and have not counted yet.
-func (m *machine) flushCursors() {
+// finish ends the machine's work: it counts the reads the machine's
+// cursors served from their pinned tiles and have not counted yet, and
+// hands its lane buffers back for another machine's blocks.
+func (m *machine) finish() {
 	for i := range m.cursors {
 		m.cursors[i].Flush()
 	}
+	m.releaseScratch()
 }
 
 // counters snapshots the machine's work counters.

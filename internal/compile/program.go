@@ -177,7 +177,7 @@ func (p *Program) run(ctx context.Context, opts ExecOpts, rq *rangeReq, out *Out
 	m := fr.m
 	m.prof = eval.NewProfCtx(l.spans)
 	defer func() {
-		m.flushCursors()
+		m.finish()
 		out.Counters, out.Spans, out.Level = m.counters(), m.prof.Fold(), opts.Level
 	}()
 	return l.code(fr)

@@ -345,6 +345,10 @@ func FuzzRangeSplitMerge(f *testing.F) {
 	f.Add(int64(5), uint8(95), uint8(95), uint8(9), uint8(7))   // ⊥s and both errors, under a let
 	f.Add(int64(6), uint8(0), uint8(0), uint8(0), uint8(3))     // one cell
 	f.Add(int64(7), uint8(60), uint8(70), uint8(200), uint8(5)) // many cuts, ⊥s, under a let
+	// More than one 256-lane block, cut off the block grid.
+	f.Add(int64(9), uint8(40), uint8(25), uint8(3), uint8(1))  // 1066 cells, ⊥s
+	f.Add(int64(10), uint8(70), uint8(50), uint8(5), uint8(3)) // 3621 cells, ⊥s and an error
+	f.Add(int64(11), uint8(95), uint8(30), uint8(7), uint8(4)) // 2976 cells under a let
 	for _, flags := range []uint8{0x48, 0x58, 0x68, 0x5c, 0x6c, 0x7c} {
 		f.Add(int64(8), uint8(9), uint8(11), uint8(4), flags|1) // MaxDepth 5/6/7 plain, 6/7/8 under a let
 	}

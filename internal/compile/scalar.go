@@ -186,7 +186,7 @@ func constant(s scalar) scalarExpr {
 func (c *compiler) lowerScalar(e ast.Expr) scalarExpr {
 	switch n := e.(type) {
 	case *ast.Var:
-		if slot, ok := c.lookup(n.Name); ok {
+		if slot, ok := lookup(c.scope, n.Name); ok {
 			return func(fr *frame) (scalar, error) {
 				if err := fr.m.step(); err != nil {
 					return scalar{}, err
@@ -410,7 +410,7 @@ func (c *compiler) lowerSubscript(n *ast.Subscript) scalarExpr {
 				if i < int64(shape[0]) && j < int64(shape[1]) {
 					return fr.cell(site, park, a.v, int(i*int64(shape[1])+j))
 				}
-				return fr.hold(park, object.Bottom(fmt.Sprintf("index %v out of bounds for shape %v", []int{int(i), int(j)}, shape))), nil
+				return fr.hold(park, object.OutOfBounds([]int{int(i), int(j)}, shape)), nil
 			}
 			return fr.sub(park, a, object.Tuple(fr.component(ix.ik, ix.i, held), fr.component(ix.jk, ix.j, held+1)))
 		}
@@ -431,7 +431,7 @@ func (c *compiler) lowerSubscript(n *ast.Subscript) scalarExpr {
 		}
 		if a.k == object.KArray && len(a.v.Shape) == 1 && i.k == object.KNat {
 			if i.n >= int64(a.v.Shape[0]) {
-				return fr.hold(park, object.Bottom(fmt.Sprintf("index [%d] out of bounds for shape %v", i.n, a.v.Shape))), nil
+				return fr.hold(park, object.OutOfBounds([]int{int(i.n)}, a.v.Shape)), nil
 			}
 			return fr.cell(site, park, a.v, int(i.n))
 		}
@@ -550,6 +550,7 @@ func (c *compiler) lowerSum(n *ast.Sum) scalarExpr {
 	s := &sumCode{over: c.compileScalar(n.Over), slot: c.bind(n.Var)}
 	s.init(c, n)
 	s.head = c.compileScalar(n.Head)
+	s.blk.initBlock(c, n.Head, 1)
 	c.unbind(1)
 	s.park = c.park()
 	return s.eval
@@ -602,9 +603,74 @@ func (s *sumCode) eval(fr *frame) (scalar, error) {
 
 // scan folds the head over members [lo, hi) of the Σ's collection (elems,
 // or a range's nats when nil) into acc, in order, up to the first ⊥ or
-// error, which it reports in the Partial. ln is the scan's lane when it is
-// a fan-out's, nil on a serial scan.
+// error, which it reports in the Partial: block by block in lanes when the
+// head has a block form, else member by member. ln is the scan's lane when
+// it is a fan-out's, nil on a serial scan.
 func (s *sumCode) scan(fr *frame, elems []object.Value, lo, hi int, acc *eval.SumAcc, ln *lane) Partial {
+	if code := s.blk.blockCode(hi - lo); code != nil {
+		return s.scanBlocks(fr, code, elems, lo, hi, acc, ln)
+	}
+	return s.scanTerms(fr, elems, lo, hi, acc, ln)
+}
+
+// scanBlocks is scan in blocks of up to blockLanes members: it fills the
+// member lanes, evaluates the head's block form and feeds the lanes to acc
+// in member order, or folds a block on closures (scanTerms) from its start
+// when the block form cannot (see lanes.go).
+func (s *sumCode) scanBlocks(fr *frame, code *laneCode, elems []object.Value, lo, hi int, acc *eval.SumAcc, ln *lane) Partial {
+	p := Partial{Lo: int64(lo), Hi: int64(hi), BottomOff: -1}
+	m := fr.m
+	sc := m.blockScratch(code)
+	res := &sc[code.out]
+	for b := lo; b < hi; b += blockLanes {
+		w := min(blockLanes, hi-b)
+		if ln != nil && ln.past(b) {
+			break
+		}
+		ok := code.fits(m, w)
+		if ok && code.usesLoop {
+			x := sc[0].nats(w)
+			for l := range x {
+				x[l] = int64(b + l)
+			}
+			if elems != nil {
+				ok = gather(elems, x, &sc[0])
+			}
+		}
+		if !ok || !code.fill(fr, w, res) {
+			q := s.scanTerms(fr, elems, b, b+w, acc, ln)
+			if p = p.Merge(q); q.first(true) < math.MaxInt64 {
+				break
+			}
+			continue
+		}
+		if err := m.chargeBlock(code.steps * int64(w)); err != nil {
+			p.ErrOff, p.Err = int64(b), err
+			if ln != nil {
+				ln.event(b)
+			}
+			break
+		}
+		if res.real {
+			for _, x := range res.r[:w] {
+				if acc.AddNum(eval.Num{R: x, Real: true}) {
+					acc.EndBlock()
+				}
+			}
+		} else {
+			for _, x := range res.n[:w] {
+				if acc.AddNum(eval.Num{N: x}) {
+					acc.EndBlock()
+				}
+			}
+		}
+	}
+	return p
+}
+
+// scanTerms folds the head's closures over members [lo, hi) into acc, as
+// scan does.
+func (s *sumCode) scanTerms(fr *frame, elems []object.Value, lo, hi int, acc *eval.SumAcc, ln *lane) Partial {
 	p := Partial{Lo: int64(lo), Hi: int64(hi), BottomOff: -1}
 	x, head := fr.loopVar(s.slot, elems), s.head
 	for i := lo; i < hi; i++ {

@@ -32,7 +32,8 @@ func sumOutcome(v object.Value, err error) string {
 // kernel's nat overflow ⊥),
 // with an optional ⊥ and an optional kind error at fuzzed offsets, has one
 // outcome — the value's bits, the ⊥ diagnostic, the error text and all five
-// counters — however it runs: serially, fanned out over 1 to 8 workers, and
+// counters — however it runs: serially, fanned out over 1 to 8 workers
+// (profiled, on closures, and unprofiled, in blocks of lanes), and
 // accumulated in pieces cut at any block boundaries, each started at its cut
 // and absorbed in order. That outcome is the interpreter's. The fan-out
 // must really split: a Σ of more than one block on more than one worker
@@ -47,6 +48,12 @@ func FuzzSumSplit(f *testing.F) {
 	f.Add(int64(7), uint16(3000), uint16(0), uint16(0), uint8(4), uint8(6), uint8(8))    // nat total overflows
 	f.Add(int64(8), uint16(20), uint16(0), uint16(0), uint8(2), uint8(1), uint8(8))      // nat total fits
 	f.Add(int64(9), uint16(3000), uint16(2900), uint16(0), uint8(3), uint8(5), uint8(9)) // ⊥ after the overflow
+	// Cuts off the 256-lane block grid: 3 workers over 1000 terms split at
+	// 384 and 768, 5 over 3001 at 640, 1280, ...
+	f.Add(int64(10), uint16(1000), uint16(700), uint16(0), uint8(2), uint8(3), uint8(1))
+	f.Add(int64(11), uint16(1000), uint16(0), uint16(0), uint8(2), uint8(5), uint8(8))
+	f.Add(int64(12), uint16(3001), uint16(0), uint16(2999), uint8(4), uint8(7), uint8(6))
+	f.Add(int64(13), uint16(2000), uint16(1300), uint16(1500), uint8(4), uint8(4), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, size, botAt, errAt uint16, workers, ncuts, flags uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(size%5000) + 1
@@ -98,6 +105,15 @@ func FuzzSumSplit(f *testing.F) {
 		}
 		if out.Counters != wantCounters {
 			t.Fatalf("%d workers: counters %+v, serial %+v", w, out.Counters, wantCounters)
+		}
+		// Unprofiled, the head runs in blocks of lanes, each worker's from
+		// its chunk's start.
+		got, counters, err := p.Execute(ctx, ExecOpts{Threshold: 1, Workers: w})
+		if g, ref := sumOutcome(got, err), sumOutcome(want, wantErr); g != ref {
+			t.Fatalf("%d workers unprofiled: %s, serial: %s", w, g, ref)
+		}
+		if counters != wantCounters {
+			t.Fatalf("%d workers unprofiled: counters %+v, serial %+v", w, counters, wantCounters)
 		}
 		var spans []trace.WorkerSpan
 		out.Spans.Walk(func(s *trace.SpanNode) {

@@ -46,6 +46,8 @@ type fanSite struct {
 	// scan's elements by. Executions share it, and store it only when it
 	// changes.
 	steps atomic.Int64
+	// blk is the loop head's block form (lanes.go).
+	blk blockSite
 }
 
 // init sets s to loop n's span in the plan c lowers under.
@@ -70,6 +72,7 @@ func (c *compiler) compileArrayTab(n *ast.ArrayTab, root bool) compiledExpr {
 		t.idxSlots[j] = c.bind(name)
 	}
 	t.head = c.compileScalar(n.Head)
+	t.blk.initBlock(c, n.Head, len(n.Idx))
 	c.unbind(len(n.Idx))
 	return func(fr *frame) (object.Value, error) {
 		if root && fr.ex.rng != nil {
@@ -234,15 +237,102 @@ func (s *fanSite) note(m *machine, n int, before int64) {
 	}
 }
 
-// scan is the element loop: it binds the index variables by slot store and
-// evaluates the head at each offset of [lo, hi) in row-major order, boxing
-// the scalar it returns into out[off-lo], which is still zero. Only the
-// slots whose index the row-major advance changed are rebound between
-// cells. ln is the scan's lane when it is a fan-out's, nil on a serial scan.
-// The multi-index, rewritten on every cell, lives on the scan's stack up to
+// scan evaluates the head at each offset of [lo, hi) in row-major order
+// into out, which holds exactly that range and is still zero: block by
+// block in lanes when the head has a block form, else cell by cell. ln is
+// the scan's lane when it is a fan-out's, nil on a serial scan.
+func (t *tabCode) scan(fr *frame, shape []int, lo, hi int, out []object.Value, ln *lane) Partial {
+	if code := t.blk.blockCode(hi - lo); code != nil {
+		return t.scanBlocks(fr, code, shape, lo, hi, out, ln)
+	}
+	return t.scanCells(fr, shape, lo, hi, out, ln)
+}
+
+// scanBlocks is scan in blocks of up to blockLanes cells: it fills the
+// index lanes, evaluates the head's block form and stores each lane into
+// its cell, or evaluates a block on closures (scanCells) from its start
+// when the block form cannot (see lanes.go).
+func (t *tabCode) scanBlocks(fr *frame, code *laneCode, shape []int, lo, hi int, out []object.Value, ln *lane) Partial {
+	p := Partial{Lo: int64(lo), Hi: int64(hi), BottomOff: -1}
+	m := fr.m
+	sc := m.blockScratch(code)
+	res := &sc[code.out]
+	var stack [4]int
+	idx := unflatten(stack[:0], lo, shape)
+	for b := lo; b < hi; b += blockLanes {
+		w := min(blockLanes, hi-b)
+		if ln != nil && ln.past(b) {
+			break
+		}
+		if code.usesLoop {
+			fillIndexes(sc, idx, shape, w)
+		}
+		if !code.fits(m, w) || !code.fill(fr, w, res) {
+			q := t.scanCells(fr, shape, b, b+w, out[b-lo:b-lo+w], ln)
+			if p = p.Merge(q); q.Err != nil {
+				break
+			}
+			continue
+		}
+		if err := m.chargeBlock(code.steps * int64(w)); err != nil {
+			p.ErrOff, p.Err = int64(b), err
+			if ln != nil {
+				ln.event(b)
+			}
+			break
+		}
+		cells := out[b-lo : b-lo+w]
+		if res.real {
+			for l, x := range res.r[:w] {
+				c := &cells[l]
+				c.Kind, c.R = object.KReal, x
+			}
+		} else {
+			for l, x := range res.n[:w] {
+				c := &cells[l]
+				c.Kind, c.N = object.KNat, x
+			}
+		}
+	}
+	return p
+}
+
+// fillIndexes fills the index lanes sc[0], ..., sc[k-1] of the w cells
+// from multi-index idx on, in row-major order over shape, and leaves idx
+// at the cell after them.
+func fillIndexes(sc []lanes, idx, shape []int, w int) {
+	if len(idx) == 1 {
+		n := sc[0].nats(w)
+		for l := range n {
+			n[l] = int64(idx[0] + l)
+		}
+		idx[0] += w
+		return
+	}
+	for d := range idx {
+		sc[d].nats(w)
+	}
+	for l := 0; l < w; l++ {
+		for d, x := range idx {
+			sc[d].n[l] = int64(x)
+		}
+		for d := len(shape) - 1; d >= 0; d-- {
+			if idx[d]++; idx[d] < shape[d] {
+				break
+			}
+			idx[d] = 0
+		}
+	}
+}
+
+// scanCells is the element loop: it binds the index variables by slot store
+// and evaluates the head's closures at each offset of [lo, hi) in row-major
+// order, boxing the scalar it returns into out[off-lo]. Only the slots
+// whose index the row-major advance changed are rebound between cells. The
+// multi-index, rewritten on every cell, lives on the scan's stack up to
 // four dimensions: a small heap copy can share a cache line with another
 // worker's, enough to make a 2-worker tabulation no faster than a serial one.
-func (t *tabCode) scan(fr *frame, shape []int, lo, hi int, out []object.Value, ln *lane) Partial {
+func (t *tabCode) scanCells(fr *frame, shape []int, lo, hi int, out []object.Value, ln *lane) Partial {
 	p := Partial{Lo: int64(lo), Hi: int64(hi), BottomOff: -1}
 	slots := fr.slots
 	var stack [4]int
@@ -391,7 +481,7 @@ func (m *machine) fanOut(fr *frame, site *fanSite, lo, hi, chunk int, bottomStop
 	for w := range nw {
 		wlo := lo + w*chunk
 		whi := min(wlo+chunk, hi)
-		wm := m.fork()
+		wm := m.fork(w)
 		forks[w] = wm
 		wg.Add(1)
 		go func() {
@@ -401,7 +491,7 @@ func (m *machine) fanOut(fr *frame, site *fanSite, lo, hi, chunk int, bottomStop
 			ln := lane{first: &first, off: wlo}
 			t0 := time.Now()
 			defer func() {
-				wm.flushCursors()
+				wm.finish()
 				if r := recover(); r != nil {
 					panics[w] = &workerPanic{Val: r, Off: ln.off, Stack: debug.Stack()}
 				}

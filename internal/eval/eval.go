@@ -632,7 +632,23 @@ func (ev *Evaluator) eval(e ast.Expr, env *Env) (object.Value, error) {
 		return arr, nil
 
 	case *ast.Bottom:
-		return object.Bottom("explicit bottom"), nil
+		if n.Index == nil {
+			return object.Bottom("explicit bottom"), nil
+		}
+		vals := make([]object.Value, 0, len(n.Index)+len(n.Shape))
+		for _, part := range [2][]ast.Expr{n.Index, n.Shape} {
+			for _, x := range part {
+				v, err := ev.Eval(x, env)
+				if err != nil {
+					return object.Value{}, err
+				}
+				if v.IsBottom() {
+					return v, nil
+				}
+				vals = append(vals, v)
+			}
+		}
+		return OutOfBounds(vals, len(n.Index))
 
 	}
 	return object.Value{}, fmt.Errorf("eval: unhandled node %s", ast.NodeName(e))

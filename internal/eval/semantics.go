@@ -349,6 +349,21 @@ func (a *SumAcc) Value() object.Value {
 	return x.Value()
 }
 
+// OutOfBounds is the value of an out-of-bounds ⊥ node (ast.Bottom with an
+// Index): vals are the values of its k index components, then of its
+// dimension lengths, none of them ⊥.
+func OutOfBounds(vals []object.Value, k int) (object.Value, error) {
+	ns := make([]int, len(vals))
+	for i := range vals {
+		n, err := vals[i].AsNat()
+		if err != nil {
+			return object.Value{}, fmt.Errorf("eval: subscript: %w", err)
+		}
+		ns[i] = int(n)
+	}
+	return object.OutOfBounds(ns[:k], ns[k:]), nil
+}
+
 // CheckedDim implements dim_k: the extent of a k-dimensional array, with a
 // kind error when the static dimension annotation disagrees with the value.
 func CheckedDim(a object.Value, k int) (object.Value, error) {
@@ -406,68 +421,119 @@ var (
 )
 
 // ArithNum applies an arithmetic operator to two numbers, overloading at
-// nat and real. On two naturals, subtraction is monus, division/modulus by
-// zero is ⊥, and a sum or product past the int64 range is ⊥. Otherwise a nat operand is promoted to real, subtraction is
-// exact, division/modulus by zero is ⊥, modulus follows math.Mod, and a
-// non-finite result is ⊥. bot is non-nil exactly when the result is ⊥.
+// nat and real: on two naturals it is the Nat rule of op, otherwise a nat
+// operand is promoted to real and it is the Real rule. bot is non-nil
+// exactly when the result is ⊥.
 func ArithNum(op ast.ArithOp, a, b Num) (x Num, bot *object.Value, err error) {
 	if !a.Real && !b.Real {
-		p, q := a.N, b.N
+		var n int64
 		switch op {
 		case ast.OpAdd:
-			if p+q < 0 {
-				return Num{}, &natOverflow, nil
-			}
-			return Num{N: p + q}, nil, nil
-		case ast.OpSub: // monus
-			if p < q {
-				return Num{}, nil, nil
-			}
-			return Num{N: p - q}, nil, nil
+			n, bot = NatAdd(a.N, b.N)
+		case ast.OpSub:
+			n, bot = NatSub(a.N, b.N)
 		case ast.OpMul:
-			if hi, lo := bits.Mul64(uint64(p), uint64(q)); hi != 0 || lo > math.MaxInt64 {
-				return Num{}, &natOverflow, nil
-			}
-			return Num{N: p * q}, nil, nil
+			n, bot = NatMul(a.N, b.N)
 		case ast.OpDiv:
-			if q == 0 {
-				return Num{}, &divByZero, nil
-			}
-			return Num{N: p / q}, nil, nil
+			n, bot = NatDiv(a.N, b.N)
 		case ast.OpMod:
-			if q == 0 {
-				return Num{}, &modByZero, nil
-			}
-			return Num{N: p % q}, nil, nil
+			n, bot = NatMod(a.N, b.N)
+		default:
+			return Num{}, nil, fmt.Errorf("eval: bad arithmetic op %q", op)
 		}
-		return Num{}, nil, fmt.Errorf("eval: bad arithmetic op %q", op)
+		return Num{N: n}, bot, nil
 	}
 	p, q := a.Float(), b.Float()
 	var f float64
 	switch op {
 	case ast.OpAdd:
-		f = p + q
+		f, bot = RealAdd(p, q)
 	case ast.OpSub:
-		f = p - q
+		f, bot = RealSub(p, q)
 	case ast.OpMul:
-		f = p * q
+		f, bot = RealMul(p, q)
 	case ast.OpDiv:
-		if q == 0 {
-			return Num{}, &divByZero, nil
-		}
-		f = p / q
+		f, bot = RealDiv(p, q)
 	case ast.OpMod:
-		if q == 0 {
-			return Num{}, &modByZero, nil
-		}
-		f = math.Mod(p, q)
+		f, bot = RealMod(p, q)
 	default:
 		return Num{}, nil, fmt.Errorf("eval: bad arithmetic op %q", op)
 	}
-	if !object.IsFinite(f) {
-		return Num{}, &nonFinite, nil
+	return Num{R: f, Real: true}, bot, nil
+}
+
+// The kernel's rules, one operator at one kind each: the result, or the ⊥
+// it is instead (bot non-nil, the result then 0). ArithNum dispatches to
+// them, and the compiled engine's lanes call them lane by lane, so each
+// rule is stated here once. Each is small enough to inline.
+//
+// On naturals, subtraction is monus, division and modulus by zero are ⊥,
+// and a sum or product past the int64 range is ⊥.
+
+func NatAdd(p, q int64) (n int64, bot *object.Value) {
+	if s := p + q; s >= 0 {
+		return s, nil
 	}
-	return Num{R: f, Real: true}, nil, nil
+	return 0, &natOverflow
+}
+
+func NatSub(p, q int64) (n int64, bot *object.Value) {
+	if p < q {
+		return 0, nil
+	}
+	return p - q, nil
+}
+
+func NatMul(p, q int64) (n int64, bot *object.Value) {
+	if hi, lo := bits.Mul64(uint64(p), uint64(q)); hi != 0 || lo > math.MaxInt64 {
+		return 0, &natOverflow
+	}
+	return p * q, nil
+}
+
+func NatDiv(p, q int64) (n int64, bot *object.Value) {
+	if q == 0 {
+		return 0, &divByZero
+	}
+	return p / q, nil
+}
+
+func NatMod(p, q int64) (n int64, bot *object.Value) {
+	if q == 0 {
+		return 0, &modByZero
+	}
+	return p % q, nil
+}
+
+// On reals, subtraction is exact, division and modulus by zero are ⊥,
+// modulus follows math.Mod, and a non-finite result is ⊥.
+
+func RealAdd(p, q float64) (f float64, bot *object.Value) { return finite(p + q) }
+
+func RealSub(p, q float64) (f float64, bot *object.Value) { return finite(p - q) }
+
+func RealMul(p, q float64) (f float64, bot *object.Value) { return finite(p * q) }
+
+func RealDiv(p, q float64) (f float64, bot *object.Value) {
+	if q == 0 {
+		return 0, &divByZero
+	}
+	return finite(p / q)
+}
+
+func RealMod(p, q float64) (f float64, bot *object.Value) {
+	if q == 0 {
+		return 0, &modByZero
+	}
+	return finite(math.Mod(p, q))
+}
+
+// finite is f, or the non-finite ⊥.
+func finite(f float64) (float64, *object.Value) {
+	if !object.IsFinite(f) {
+		return 0, &nonFinite
+	}
+	return f, nil
 }
 
 // CmpNum compares two numbers three-way, a nat beside a real by magnitude:

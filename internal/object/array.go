@@ -98,6 +98,12 @@ func unflatten(off int, shape []int) []int {
 // Subscripting a non-array is a kind error.
 func Sub(a Value, idx []int) (Value, error) { return SubCtx(nil, a, idx) }
 
+// OutOfBounds is the ⊥ of subscripting an array of the given shape at idx,
+// out of bounds.
+func OutOfBounds(idx, shape []int) Value {
+	return Bottom(fmt.Sprintf("index %v out of bounds for shape %v", idx, shape))
+}
+
 // SubCtx is Sub with a context bounding lazy-array cell fetches.
 func SubCtx(ctx context.Context, a Value, idx []int) (Value, error) {
 	if a.Kind != KArray {
@@ -108,7 +114,7 @@ func SubCtx(ctx context.Context, a Value, idx []int) (Value, error) {
 	}
 	off, ok := flatten(idx, a.Shape)
 	if !ok {
-		return Bottom(fmt.Sprintf("index %v out of bounds for shape %v", idx, a.Shape)), nil
+		return OutOfBounds(idx, a.Shape), nil
 	}
 	return a.CellAtCtx(ctx, off)
 }

@@ -31,13 +31,14 @@ func optimize(e ast.Expr) ast.Expr { return New().Optimize(e) }
 // --- The β^p, η^p, δ^p rules in isolation (E9's rewrites) --------------------
 
 func TestBetaP(t *testing.T) {
-	// [[ i*2 | i < n ]][k] ~> if k < n then k*2 else ⊥
+	// [[ i*2 | i < n ]][k] ~> if k < n then k*2 else ⊥, the ⊥ of k out of
+	// bounds for [n]
 	e := sub(tab(arith(ast.OpMul, v("i"), nat(2)), []string{"i"}, v("n")), v("k"))
 	got := optimize(e)
 	want := &ast.If{
 		Cond: cmp(ast.OpLt, v("k"), v("n")),
 		Then: arith(ast.OpMul, v("k"), nat(2)),
-		Else: &ast.Bottom{},
+		Else: &ast.Bottom{Index: []ast.Expr{v("k")}, Shape: []ast.Expr{v("n")}},
 	}
 	if !ast.AlphaEqual(got, want) {
 		t.Errorf("beta-p: got %s, want %s", got, want)
@@ -46,18 +47,20 @@ func TestBetaP(t *testing.T) {
 
 func TestBetaPMultiDim(t *testing.T) {
 	// [[ i+j | i < m, j < n ]][(a, b)] ~>
-	//   if a < m then if b < n then a+b else ⊥ else ⊥
+	//   if a < m then if b < n then a+b else ⊥ else ⊥, both the ⊥ of (a, b)
+	//   out of bounds for [m n]
 	e := sub(tab(arith(ast.OpAdd, v("i"), v("j")), []string{"i", "j"}, v("m"), v("n")),
 		tup(v("a"), v("b")))
 	got := optimize(e)
+	oob := &ast.Bottom{Index: []ast.Expr{v("a"), v("b")}, Shape: []ast.Expr{v("m"), v("n")}}
 	want := &ast.If{
 		Cond: cmp(ast.OpLt, v("a"), v("m")),
 		Then: &ast.If{
 			Cond: cmp(ast.OpLt, v("b"), v("n")),
 			Then: arith(ast.OpAdd, v("a"), v("b")),
-			Else: &ast.Bottom{},
+			Else: oob,
 		},
-		Else: &ast.Bottom{},
+		Else: oob,
 	}
 	if !ast.AlphaEqual(got, want) {
 		t.Errorf("beta-p 2d: got %s, want %s", got, want)

@@ -27,7 +27,9 @@ func ArrayRules() []Rule {
 //	   if a1 < n1 then (... if ak < nk then e{i := a} else ⊥ ...) else ⊥
 //
 // The rule saves time and space by avoiding materialization of the
-// intermediary array (section 5).
+// intermediary array (section 5). Its ⊥ is the out-of-bounds ⊥ of the
+// index and bounds (ast.Bottom with an Index), whose diagnostic is the
+// one the subscript states when it is out of bounds.
 func betaPRule(e ast.Expr) (ast.Expr, bool) {
 	sub := e.(*ast.Subscript)
 	tab := sub.Arr.(*ast.ArrayTab)
@@ -67,11 +69,12 @@ func betaPRule(e ast.Expr) (ast.Expr, bool) {
 	}
 	// Wrap with bound checks, outermost dimension first.
 	out := body
+	oob := &ast.Bottom{Index: idxExprs, Shape: tab.Bounds}
 	for j := k - 1; j >= 0; j-- {
 		out = &ast.If{
 			Cond: &ast.Cmp{Op: ast.OpLt, L: idxExprs[j], R: tab.Bounds[j]},
 			Then: out,
-			Else: &ast.Bottom{},
+			Else: oob,
 		}
 	}
 	return out, true
@@ -223,7 +226,9 @@ func mkArraySubRule(e ast.Expr) (ast.Expr, bool) {
 	off := int64(0)
 	for j, i := range idx {
 		if i < 0 || i >= dims[j] {
-			return &ast.Bottom{}, true // constant out-of-bounds subscript
+			// Out of bounds: the subscript stays, for the evaluator to
+			// state its diagnostic.
+			return e, false
 		}
 		off = off*dims[j] + i
 	}

@@ -91,8 +91,10 @@ func inlineOK(e ast.Expr) bool {
 func atomicExpr(e ast.Expr) bool {
 	switch n := e.(type) {
 	case *ast.Var, *ast.Param, *ast.NatLit, *ast.RealLit, *ast.StringLit, *ast.BoolLit,
-		*ast.Bottom, *ast.Empty, *ast.Lam, *ast.ArrayTab:
+		*ast.Empty, *ast.Lam, *ast.ArrayTab:
 		return true
+	case *ast.Bottom:
+		return n.Index == nil
 	case *ast.Tuple:
 		for _, x := range n.Elems {
 			if !atomicExpr(x) && !cheapExpr(x) {

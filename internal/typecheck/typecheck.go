@@ -448,6 +448,17 @@ func (c *Checker) infer(e ast.Expr, env *tenv) (*types.Type, error) {
 		return types.Array(a, len(n.Dims)), nil
 
 	case *ast.Bottom:
+		for _, part := range [2][]ast.Expr{n.Index, n.Shape} {
+			for _, x := range part {
+				t, err := c.infer(x, env)
+				if err != nil {
+					return nil, err
+				}
+				if err := c.unifyAt(t, types.Nat, func() string { return "out-of-bounds ⊥ component" }); err != nil {
+					return nil, err
+				}
+			}
+		}
 		return c.newVar(), nil
 
 	}
